@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np

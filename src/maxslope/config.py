@@ -85,23 +85,14 @@ def _require(payload: dict, name: str, context: str):
 
 
 def parse_scheme_params(payload: dict, space: SpaceDescriptor,
-                        context: str = "run",
-                        require_steps: bool = True) -> SchemeParams:
-    """Scheme parameters from a payload dict.
-
-    With ``require_steps`` off, ``eps``/``tau`` may be absent (the sweep
-    fills them per level) and placeholders are used.
-    """
-    if require_steps:
-        eps = float(_require(payload, "eps", context))
-        tau = float(_require(payload, "tau", context))
-    else:
-        eps = float(payload.get("eps", 1.0))
-        tau = float(payload.get("tau", 1e-3))
+                        context: str = "run") -> SchemeParams:
+    """Scheme parameters from a payload dict, checked against ``space``."""
+    eps = float(_require(payload, "eps", context))
+    tau = float(_require(payload, "tau", context))
     init = _require(payload, "initial_point", context)
     tau_star = float(payload.get("tau_star", 1.0))
     try:
-        return SchemeParams(
+        params = SchemeParams(
             eps=eps,
             tau=tau,
             horizon_T=float(_require(payload, "horizon_T", context)),
@@ -115,6 +106,12 @@ def parse_scheme_params(payload: dict, space: SpaceDescriptor,
         )
     except ValueError as exc:
         raise ConfigError(f"{context} config invalid: {exc}") from exc
+    if params.initial_point.dim != space.dimension:
+        raise ConfigError(
+            f"{context} config field 'initial_point' has dimension "
+            f"{params.initial_point.dim}, the space has {space.dimension}"
+        )
+    return params
 
 
 def parse_coupling(payload: dict, context: str) -> CouplingLaw:

@@ -10,9 +10,8 @@ functions jump.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -24,7 +23,6 @@ from .scheme import (
     DiscreteTrajectory,
     VariationalInterpolant,
     g_squared_integral,
-    piecewise_constant,
 )
 from .slope import DEFAULT_RADII, estimate_slope, slope_value
 

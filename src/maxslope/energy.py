@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -28,7 +28,7 @@ from .errors import (
     ConfigError,
     EvaluationError,
 )
-from .metric import Point, SpaceDescriptor, distance, squared_distance_many
+from .metric import Point, SpaceDescriptor
 
 QUADRATIC = "quadratic"
 WIGGLY = "wiggly"
@@ -225,10 +225,6 @@ def evaluate(spec: EnergySpec, eps: float, x: Point) -> float:
         raise ValueError("eps must be positive")
     spec.domain.validate_point(x)
     return float(eval_many(spec, eps, x.array[None, :])[0])
-
-
-def has_gradient(spec: EnergySpec) -> bool:
-    return True  # every zoo member carries an (a.e.) gradient formula
 
 
 def gradient_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:

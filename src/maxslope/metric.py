@@ -131,12 +131,3 @@ def squared_distance(space: SpaceDescriptor, x: Point, y: Point) -> float:
 def distance(space: SpaceDescriptor, x: Point, y: Point) -> float:
     return math.sqrt(squared_distance(space, x, y))
 
-
-def squared_distance_many(space: SpaceDescriptor, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized squared distance from rows of ``X`` (m, n) to ``y`` (n,)."""
-    diff = np.atleast_2d(X) - np.asarray(y, dtype=float)
-    return (space.metric_weights() * diff * diff).sum(axis=1)
-
-
-def distance_many(space: SpaceDescriptor, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.sqrt(squared_distance_many(space, X, y))

@@ -11,13 +11,9 @@ full sequence converges in every scenario exercised here.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
-
-import numpy as np
 
 from .diagnostics import MaximalSlopeReport, maximal_slope_check, trajectory_as_curve
 from .energy import EnergySpec, gamma_limit
@@ -123,12 +119,6 @@ class SweepReport:
         }
 
 
-def _worker_count(n_levels: int) -> int:
-    env = os.environ.get("MAXSLOPE_THREADS")
-    cap = int(env) if env else 1
-    return max(1, min(cap, n_levels))
-
-
 def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
               base_params: SchemeParams, time_grid=None,
               sweep_tol: float = 1e-2,
@@ -155,12 +145,7 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
         except (MaxslopeError, ValueError) as exc:
             return LevelResult(eps=eps, tau=tau, status="error", error=str(exc))
 
-    workers = _worker_count(len(pairs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_level, pairs))
-    else:
-        results = [run_level(p) for p in pairs]
+    results = [run_level(p) for p in pairs]
 
     horizon = min(
         (lv.trajectory.final_time for lv in results if lv.trajectory is not None),

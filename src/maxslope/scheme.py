@@ -19,8 +19,15 @@ import numpy as np
 
 from .energy import EnergySpec, evaluate
 from .errors import CoverageGapError, MaxslopeError
-from .metric import Point, SpaceDescriptor, distance, squared_distance
-from .prox import ProxResult, ProxSettings, prox
+from .metric import Point, SpaceDescriptor, squared_distance
+from .prox import ProxBatch, ProxSettings, prox, prox_batch
+
+# Problems per prox_batch call in build_interpolant.  Large enough that
+# numpy's per-call overhead is shared by many rows, small enough that the
+# zoom's (3 * 64, 257) work arrays stay near half a megabyte.  On the
+# 400-step wiggly run (eps = 0.05, tau = eps^2) 64 was the fastest of
+# 8..3200, at +1.6 MB peak memory; one block of all 3200 nodes took +64 MB.
+INTERPOLANT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -183,15 +190,24 @@ def discrete_velocity(traj: DiscreteTrajectory, t: float) -> float:
     return traj.step_distances[_step_index(traj, t)] / traj.tau
 
 
-def variational_interpolate(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
-                            prox_settings: ProxSettings) -> Point:
-    """De Giorgi interpolant: the prox of u^i at step size t - i*tau."""
+def _interpolant_prox(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
+                      prox_settings: ProxSettings) -> tuple[int, float, ProxBatch | None]:
+    """Step index i, step size t - i*tau and, if positive, its prox from u^i."""
     i = _step_index(traj, t)
     delta = t - i * traj.tau
     if delta <= 0:
+        return i, delta, None
+    return i, delta, prox_batch(spec, traj.eps, [delta],
+                                traj.points[i].array[None, :], prox_settings)
+
+
+def variational_interpolate(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
+                            prox_settings: ProxSettings) -> Point:
+    """De Giorgi interpolant: the prox of u^i at step size t - i*tau."""
+    i, _, res = _interpolant_prox(spec, traj, t, prox_settings)
+    if res is None:
         return traj.points[i]
-    res = prox(spec, traj.eps, delta, traj.points[i], prox_settings)
-    return res.minimizer
+    return Point.from_array(res.minimizers[0])
 
 
 def g_function(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
@@ -202,15 +218,10 @@ def g_function(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
     deterministic representative; near-ties are reflected by taking the
     largest displacement among them (conservative bound).
     """
-    i = _step_index(traj, t)
-    delta = t - i * traj.tau
-    if delta <= 0:
+    _, delta, res = _interpolant_prox(spec, traj, t, prox_settings)
+    if res is None:
         return 0.0
-    res = prox(spec, traj.eps, delta, traj.points[i], prox_settings)
-    moved = res.moved_distance
-    for tie in res.near_ties:
-        moved = max(moved, distance(traj.space, tie, traj.points[i]))
-    return moved / delta
+    return float(res.tie_moved[0] / delta)
 
 
 @dataclass(frozen=True)
@@ -240,33 +251,33 @@ class VariationalInterpolant:
 def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
                       prox_settings: ProxSettings,
                       nodes_per_step: int = 8) -> VariationalInterpolant:
-    """Solve the prox on every quadrature node of every step."""
+    """Solve the prox on every quadrature node of every step.
+
+    Once u^i is known the N * K node problems are independent, so they go
+    through ``prox_batch`` in blocks of ``INTERPOLANT_BLOCK``.
+    """
     nodes, gl_weights = np.polynomial.legendre.leggauss(nodes_per_step)
     deltas = 0.5 * traj.tau * (nodes + 1.0)          # in (0, tau)
     weights = 0.5 * traj.tau * gl_weights
     n = traj.space.dimension
     N = traj.n_steps
-    values = np.empty((N, nodes_per_step, n))
-    g_values = np.empty((N, nodes_per_step))
-    node_times = np.empty((N, nodes_per_step))
+    U = np.repeat(traj.coords_matrix()[:N], nodes_per_step, axis=0)
+    D = np.tile(deltas, N)
+    values = np.empty((N * nodes_per_step, n))
+    g_values = np.empty(N * nodes_per_step)
     any_ties = False
-    for i in range(N):
-        u_i = traj.points[i]
-        for k, delta in enumerate(deltas):
-            res = prox(spec, traj.eps, delta, u_i, prox_settings)
-            values[i, k] = res.minimizer.array
-            moved = res.moved_distance
-            for tie in res.near_ties:
-                moved = max(moved, distance(traj.space, tie, u_i))
-                any_ties = True
-            g_values[i, k] = moved / delta
-            node_times[i, k] = i * traj.tau + delta
+    for s in range(0, D.size, INTERPOLANT_BLOCK):
+        block = slice(s, s + INTERPOLANT_BLOCK)
+        res = prox_batch(spec, traj.eps, D[block], U[block], prox_settings)
+        values[block] = res.minimizers
+        g_values[block] = res.tie_moved / D[block]
+        any_ties = any_ties or bool(res.near_tie.any())
     return VariationalInterpolant(
         parent=traj,
-        node_times=node_times,
+        node_times=np.arange(N)[:, None] * traj.tau + deltas,
         weights=weights,
-        values=values,
-        g_values=g_values,
+        values=values.reshape(N, nodes_per_step, n),
+        g_values=g_values.reshape(N, nodes_per_step),
         has_near_ties=any_ties,
     )
 

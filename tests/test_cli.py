@@ -98,6 +98,13 @@ class TestRunCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
+    def test_wrong_dimension_initial_point_is_config_error(self, tmp_path, capsys):
+        doc = quad_run_config(tmp_path / "out")
+        doc["command"]["run"]["initial_point"] = [1.0, 0.0]
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "'initial_point'" in capsys.readouterr().err
+
     def test_wrong_subcommand_for_config(self, tmp_path):
         cfg = write_config(tmp_path, quad_run_config(tmp_path / "out"))
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
@@ -226,6 +233,14 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
         report = self.read_report(out, "maximal_slope")
         assert report["report"]["sweep"]["cauchy_flag"] is True
+
+    def test_wrong_dimension_initial_point_is_config_error(self, tmp_path, capsys):
+        payload = self.run_payload()
+        payload["run"]["initial_point"] = [1.0, 0.0]
+        cfg = write_config(tmp_path, self.check_config(
+            tmp_path / "out", "dissipation", payload))
+        assert main(["check", "--config", cfg]) == EXIT_CONFIG
+        assert "'initial_point'" in capsys.readouterr().err
 
     def test_unknown_check_type(self, tmp_path):
         cfg = write_config(tmp_path, self.check_config(

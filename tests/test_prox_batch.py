@@ -1,0 +1,299 @@
+"""The batched resolvent engine against a plain-loop zoom, its own B = 1 case
+and the dense-grid oracle."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxslope.cli import EXIT_SOLVER, main
+from maxslope.energy import (
+    convex_perturbed,
+    custom_smooth,
+    eval_many,
+    gradient_many,
+    quadratic,
+    wiggly,
+)
+from maxslope.errors import (
+    BudgetExhaustedError,
+    DimensionMismatchError,
+    InvalidDeltaError,
+)
+from maxslope.metric import SpaceDescriptor, distance
+from maxslope.prox import (
+    MULTISTART_NUMERIC,
+    ProxSettings,
+    _lowest_minimum,
+    _shortlist,
+    prox,
+    prox_batch,
+)
+from maxslope.scheme import SchemeParams, build_interpolant, run_scheme
+
+from conftest import brute_force_prox_1d, pt
+
+DEFAULTS = ProxSettings()
+NUMERIC = ProxSettings(mode=MULTISTART_NUMERIC)
+LINE = SpaceDescriptor(1)
+WEIGHTED_PLANE = SpaceDescriptor(2, metric_kind="diagonal_weighted",
+                                 weights=(4.0, 1.0))
+
+# (spec, eps, settings, coordinate range) per family
+FAMILIES = {
+    "wiggly": (wiggly(quadratic(LINE, [1.0], [0.0])), 0.05, DEFAULTS, 1.5),
+    "convex_perturbed": (convex_perturbed(quadratic(LINE, [1.0], [0.0])), 0.1,
+                         NUMERIC, 1.5),
+    "custom_smooth": (custom_smooth(
+        LINE, "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)"), 0.05, DEFAULTS, 1.5),
+    "double_well": (custom_smooth(LINE, "x^4 - x^2"), 1.0, DEFAULTS, 1.0),
+    "weighted_2d_quadratic": (quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.3, -0.2]),
+                              1.0, DEFAULTS, 1.5),
+    "weighted_2d_convex_perturbed": (convex_perturbed(
+        quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.0, 0.0])), 0.1, DEFAULTS, 1.5),
+}
+
+
+def assert_row_matches_scalar(batch, b, spec, eps, delta, u, prox_settings):
+    """Row ``b`` of a batch is bit for bit the B = 1 solve of its problem."""
+    res = prox(spec, eps, delta, pt(*u), prox_settings)
+    assert tuple(batch.minimizers[b]) == res.minimizer.coords
+    assert batch.values[b] == res.value
+    assert batch.energies[b] == res.energy_at_min
+    assert batch.moved[b] == res.moved_distance
+    assert batch.certified_exact == res.certified_exact
+    ties = [tuple(p) for p in batch.tie_points[batch.tie_rows == b]]
+    assert ties == [t.coords for t in res.near_ties]
+    assert batch.near_tie[b] == bool(res.near_ties)
+    largest = max([res.moved_distance]
+                  + [distance(spec.domain, t, pt(*u)) for t in res.near_ties])
+    assert batch.tie_moved[b] == largest
+
+
+def reference_prox_1d(spec, eps, delta, u, prox_settings):
+    """The 1D grid zoom as a plain loop over windows, one problem at a time.
+
+    Returns the minimizer, the objective there and the near ties; the
+    batched zoom must reproduce all three bit for bit.
+    """
+    mw = spec.domain.metric_weights()
+    tol = prox_settings.local_tol
+
+    def objective(xs):
+        diff = xs[:, None] - u
+        return (eval_many(spec, eps, xs[:, None])
+                + (mw * diff * diff).sum(axis=1) / (2.0 * delta))
+
+    def dist(a, b):
+        d = np.array([a - b])
+        return math.sqrt(float(np.dot(mw * d, d)))
+
+    g = gradient_many(spec, eps, np.array([[u]]))[0]
+    radius = prox_settings.search_radius_factor * max(
+        1.0, delta * float(np.sqrt((g * g).sum())))
+    windows, candidates, first = [(u - radius, u + radius)], [], True
+    while windows:
+        next_windows = []
+        for lo, hi in windows:
+            xs = np.linspace(lo, hi, 257)
+            vals = objective(xs)
+            h = xs[1] - xs[0]
+            interior = np.nonzero((vals[1:-1] <= vals[:-2])
+                                  & (vals[1:-1] <= vals[2:]))[0] + 1
+            if interior.size == 0:
+                interior = np.array([int(np.argmin(vals))])
+            order = interior[np.argsort(vals[interior], kind="stable")]
+            for k in order[:prox_settings.starts] if first else order[:1]:
+                a, b = max(lo, xs[k] - h), min(hi, xs[k] + h)
+                spread = float(vals.max() - vals.min())
+                if (b - a) <= 1e-14 * max(1.0, abs(xs[k])) or (
+                        not first and spread <= tol):
+                    candidates.append((float(xs[k]), float(vals[k])))
+                else:
+                    next_windows.append((a, b))
+        first, windows = False, next_windows
+    candidates.append((u, float(objective(np.array([u]))[0])))
+    best = min(candidates,
+               key=lambda c: (c[1], float((mw * (c[0] - u) ** 2).sum()), c[0]))[0]
+    value = float(objective(np.array([best]))[0])
+    ties = [c for c, v in candidates
+            if v <= value + tol and dist(c, best) > 10.0 * math.sqrt(tol)]
+    return best, value, ties
+
+
+def problems(dim, radius):
+    point = st.lists(st.floats(-radius, radius), min_size=dim, max_size=dim)
+    delta = st.sampled_from([1e-4, 2.5e-3, 0.01, 0.1, 0.5])
+    return st.lists(st.tuples(point, delta), min_size=1, max_size=12)
+
+
+class TestBatchEqualsScalar:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_mixed_batch_is_bitwise_scalar(self, family, data):
+        spec, eps, prox_settings, radius = FAMILIES[family]
+        rows = data.draw(problems(spec.domain.dimension, radius))
+        U = np.array([u for u, _ in rows], dtype=float)
+        deltas = np.array([d for _, d in rows])
+        batch = prox_batch(spec, eps, deltas, U, prox_settings)
+        for b, (u, delta) in enumerate(rows):
+            assert_row_matches_scalar(batch, b, spec, eps, delta, u, prox_settings)
+
+    def test_double_well_near_tie_sets_flag_and_g_max(self):
+        # From u = 0 both wells of x^4 - x^2 tie; the row between two
+        # ordinary problems must report the mirror well.
+        spec, eps, prox_settings, _ = FAMILIES["double_well"]
+        U = np.array([[0.7], [0.0], [-0.4]])
+        deltas = np.array([0.1, 100.0, 0.1])
+        batch = prox_batch(spec, eps, deltas, U, prox_settings)
+        assert list(batch.near_tie) == [False, True, False]
+        assert list(batch.tie_rows) == [1]
+        root = math.sqrt((2.0 - 1.0 / 100.0) / 4.0)
+        assert abs(batch.minimizers[1, 0] + root) < 1e-3
+        assert abs(batch.tie_points[0, 0] - root) < 1e-3
+        assert batch.tie_moved[1] == max(batch.moved[1], abs(batch.tie_points[0, 0]))
+        for b in range(3):
+            assert_row_matches_scalar(batch, b, spec, eps, deltas[b], U[b],
+                                      prox_settings)
+
+    def test_interpolant_nodes_are_scalar_solves(self):
+        spec, eps, prox_settings, _ = FAMILIES["wiggly"]
+        traj = run_scheme(spec, SchemeParams(eps=eps, tau=eps ** 2, horizon_T=0.1,
+                                             initial_point=pt(0.5)))
+        interp = build_interpolant(spec, traj, prox_settings)
+        nodes, _ = np.polynomial.legendre.leggauss(interp.nodes_per_step)
+        for i in range(traj.n_steps):
+            for k, delta in enumerate(0.5 * traj.tau * (nodes + 1.0)):
+                res = prox(spec, eps, delta, traj.points[i], prox_settings)
+                assert tuple(interp.values[i, k]) == res.minimizer.coords
+                moved = max([res.moved_distance] + [
+                    distance(spec.domain, t, traj.points[i]) for t in res.near_ties])
+                assert interp.g_values[i, k] == moved / delta
+
+
+class TestAgainstLoopReference:
+    EXTRA = {
+        "weighted_wiggly": (wiggly(quadratic(SpaceDescriptor(
+            1, metric_kind="diagonal_weighted", weights=(3.0,)), [2.0], [0.3])),
+            0.1, DEFAULTS, 1.5),
+        # at the kink of eps*|x| the grid values never flatten out, so with
+        # a tiny local_tol the brackets stop only at round-off width
+        "kink_roundoff": (FAMILIES["convex_perturbed"][0], 0.1, ProxSettings(
+            mode=MULTISTART_NUMERIC, local_tol=1e-300), 0.05),
+    }
+
+    @pytest.mark.parametrize("family", ["wiggly", "weighted_wiggly", "kink_roundoff",
+                                        "convex_perturbed", "custom_smooth",
+                                        "double_well"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_batched_zoom_reproduces_the_loop(self, family, data):
+        spec, eps, prox_settings, radius = (self.EXTRA.get(family)
+                                            or FAMILIES[family])
+        rows = data.draw(problems(1, radius))
+        batch = prox_batch(spec, eps, [d for _, d in rows],
+                           [u for u, _ in rows], prox_settings)
+        for b, (u, delta) in enumerate(rows):
+            best, value, ties = reference_prox_1d(spec, eps, delta, u[0],
+                                                  prox_settings)
+            assert batch.minimizers[b, 0] == best
+            assert batch.values[b] == value
+            assert list(batch.tie_points[batch.tie_rows == b, 0]) == ties
+
+
+class TestShortlist:
+    def grids(self):
+        rng = np.random.default_rng(3)
+        vals = rng.normal(size=(40, 257)).cumsum(axis=1)   # minima anywhere
+        vals[:4] = np.linspace(0.0, 1.0, 257)               # lowest at the left end
+        vals[4:8] = np.linspace(1.0, 0.0, 257)              # lowest at the right end
+        vals[8:12, -1] = vals[8:12].min(axis=1) - 1.0       # right end below interior minima
+        vals[12:16, 0] = vals[12:16].min(axis=1) - 1.0      # left end below interior minima
+        vals[16:20] = np.tile([1.0, 0.0], 129)[:257]        # 128 equal minima
+        return vals
+
+    def test_equal_minima_keep_grid_order(self):
+        win, k = _shortlist(self.grids()[16:17], 3)
+        assert list(win) == [0, 0, 0]
+        assert list(k) == [1, 3, 5]
+
+    def test_lowest_minimum_is_the_one_bracket_shortlist(self):
+        vals = self.grids()
+        win, k = _shortlist(vals, 1)
+        assert list(win) == list(range(vals.shape[0]))
+        assert list(_lowest_minimum(vals)) == list(k)
+        # windows without interior minima keep their lowest grid point
+        assert list(k[:8]) == [0] * 4 + [256] * 4
+
+
+class TestAgainstGridOracle:
+    @pytest.mark.parametrize("family", ["wiggly", "convex_perturbed", "custom_smooth"])
+    def test_1d_rows_match_dense_grid(self, family):
+        spec, eps, prox_settings, _ = FAMILIES[family]
+        U = np.array([[0.05], [0.8], [-1.1]])
+        deltas = np.array([1e-3, 2.5e-3, 1e-2])
+        batch = prox_batch(spec, eps, deltas, U, prox_settings)
+        step = 1e-6
+        for b in range(3):
+            oracle = brute_force_prox_1d(spec, eps, deltas[b], U[b, 0],
+                                         radius=0.2, step=step)
+            assert abs(batch.minimizers[b, 0] - oracle) <= step
+
+
+class TestBudget:
+    def test_interpolant_exceeding_budget_raises(self):
+        spec, eps, _, _ = FAMILIES["wiggly"]
+        traj = run_scheme(spec, SchemeParams(eps=eps, tau=eps ** 2, horizon_T=0.05,
+                                             initial_point=pt(0.5)))
+        with pytest.raises(BudgetExhaustedError):
+            build_interpolant(spec, traj, ProxSettings(max_iters=10))
+
+    def test_cli_reports_budget_as_solver_error(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"space": {"dimension": 1},'
+            ' "energy": {"kind": "wiggly", "base": {"kind": "quadratic",'
+            ' "weights": [1.0], "center": [0.0]}},'
+            ' "command": {"run": {"eps": 0.05, "tau": 0.0025, "horizon_T": 0.05,'
+            ' "initial_point": [0.5], "prox_settings": {"max_iters": 10}}}}')
+        assert main(["run", "--config", str(config), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == EXIT_SOLVER
+
+    def test_budget_is_per_problem(self):
+        # The smallest budget one solve fits in also fits a block of 64
+        # copies of it, although the block evaluates 64 times as much; one
+        # 257-point grid less fails for the block as it does for one solve.
+        spec, eps, _, _ = FAMILIES["wiggly"]
+        budget = 257
+        while True:
+            try:
+                prox(spec, eps, 2.5e-3, pt(0.5), ProxSettings(max_iters=budget))
+                break
+            except BudgetExhaustedError:
+                budget += 257
+        U = np.full((64, 1), 0.5)
+        deltas = np.full(64, 2.5e-3)
+        batch = prox_batch(spec, eps, deltas, U, ProxSettings(max_iters=budget))
+        assert (batch.minimizers == batch.minimizers[0]).all()
+        with pytest.raises(BudgetExhaustedError):
+            prox_batch(spec, eps, deltas, U, ProxSettings(max_iters=budget - 257))
+
+
+class TestInputs:
+    def test_rows_must_fit_the_space(self):
+        spec, eps, prox_settings, _ = FAMILIES["wiggly"]
+        with pytest.raises(DimensionMismatchError):
+            prox_batch(spec, eps, [0.1], np.zeros((1, 2)), prox_settings)
+
+    def test_step_sizes_must_be_positive(self):
+        spec, eps, prox_settings, _ = FAMILIES["weighted_2d_quadratic"]
+        with pytest.raises(InvalidDeltaError):
+            prox_batch(spec, eps, [0.1, 0.0], np.zeros((2, 2)), prox_settings)
+
+    def test_one_step_size_per_row(self):
+        spec, eps, prox_settings, _ = FAMILIES["wiggly"]
+        with pytest.raises(ValueError):
+            prox_batch(spec, eps, [0.1, 0.2], np.zeros((1, 1)), prox_settings)

@@ -100,15 +100,6 @@ class TestRunSweep:
             run_sweep(quad_1d, CouplingLaw("tau_of_eps"), [0.1, 0.2],
                       base_params())
 
-    def test_threaded_run_matches_serial(self, quad_1d, monkeypatch):
-        law = CouplingLaw("eps_of_tau", lam=1.0, alpha=1.0)
-        serial = run_sweep(quad_1d, law, [0.02, 0.01], base_params())
-        monkeypatch.setenv("MAXSLOPE_THREADS", "2")
-        threaded = run_sweep(quad_1d, law, [0.02, 0.01], base_params())
-        for a, b in zip(serial.levels, threaded.levels):
-            assert a.trajectory.points == b.trajectory.points
-        assert serial.pairwise_sup_distances == threaded.pairwise_sup_distances
-
 
 class TestPipeline:
     def test_quadratic_limit_is_maximal_slope(self, quad_1d):
