@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .energy import EnergySpec, evaluate
 from .errors import CoverageGapError
@@ -243,6 +242,13 @@ class MaximalSlopeReport:
         }
 
 
+def _cumulative_trapezoid(y, times):
+    """Trapezoid integrals of ``y`` from ``times[0]`` to each sample time,
+    in the summation order of scipy's ``cumulative_trapezoid``."""
+    return np.concatenate(
+        [[0.0], np.cumsum(np.diff(times) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def maximal_slope_check(spec_limit: EnergySpec, curve, space: SpaceDescriptor,
                         slope_schedule=DEFAULT_RADII, interval_grid=None,
                         monotone_tol: float = 1e-9, limit_eps: float = 1.0,
@@ -279,10 +285,8 @@ def maximal_slope_check(spec_limit: EnergySpec, curve, space: SpaceDescriptor,
         good = ~np.isnan(slopes)
         slopes[~good] = np.interp(times[~good], times[good], slopes[good])
 
-    speed_cum = np.concatenate(
-        [[0.0], cumulative_trapezoid(speeds * speeds, times)])
-    slope_cum = np.concatenate(
-        [[0.0], cumulative_trapezoid(slopes * slopes, times)])
+    speed_cum = _cumulative_trapezoid(speeds * speeds, times)
+    slope_cum = _cumulative_trapezoid(slopes * slopes, times)
 
     if interval_grid is None:
         grid_times = np.linspace(times[0], times[-1], 11)

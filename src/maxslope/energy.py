@@ -15,12 +15,12 @@ eps -> 0) raise :class:`CapabilityAbsentError` when a kind lacks them.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .errors import (
     CapabilityAbsentError,
@@ -159,35 +159,63 @@ def custom_smooth(domain: SpaceDescriptor, expression: str) -> EnergySpec:
 
 
 # ---------------------------------------------------------------------------
-# Custom expression compilation (minimal grammar: + - * / ^, sin, cos, exp,
-# abs, variables x and eps).
+# Custom expression compilation (minimal grammar: numbers, the variables x
+# and eps, + - * / ^ (or **), unary signs, and one-argument sin, cos, exp,
+# abs / Abs).  The grammar is checked on the syntax tree before sympy sees
+# the text, because sympify evaluates it as Python.
 # ---------------------------------------------------------------------------
 
-_ALLOWED_LOCALS = {
-    "x": sp.Symbol("x", real=True),
-    "eps": sp.Symbol("eps", positive=True),
-    "sin": sp.sin,
-    "cos": sp.cos,
-    "exp": sp.exp,
-    "abs": sp.Abs,
-    "Abs": sp.Abs,
-}
+_VARIABLES = ("x", "eps")
+_FUNCTIONS = ("sin", "cos", "exp", "abs", "Abs")
+_BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_UNARY_OPS = (ast.UAdd, ast.USub)
+
+
+def _check_grammar(text: str, source: str) -> None:
+    """Raise ConfigError unless ``source`` is a grammar expression."""
+    try:
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, RecursionError) as exc:     # the latter: nested too deep
+        raise ConfigError(f"cannot parse energy expression {text!r}: {exc}") from exc
+    callees = set()
+    for node in ast.walk(tree):     # parents before children
+        if isinstance(node, ast.Call):
+            ok = (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
+                  and len(node.args) == 1 and not node.keywords)
+            callees.add(id(node.func))
+        elif isinstance(node, ast.Name):
+            ok = node.id in _VARIABLES or id(node) in callees
+        elif isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float)
+        elif isinstance(node, ast.BinOp):
+            ok = isinstance(node.op, _BINARY_OPS)
+        elif isinstance(node, ast.UnaryOp):
+            ok = isinstance(node.op, _UNARY_OPS)
+        else:   # the tree root, operators and the load context
+            ok = isinstance(node, (ast.Expression, ast.operator, ast.unaryop,
+                                   ast.Load))
+        if not ok:
+            raise ConfigError(
+                f"energy expression {text!r} uses {ast.unparse(node)!r}; only "
+                f"numbers, x, eps, + - * / ^ and one-argument "
+                f"{', '.join(_FUNCTIONS)} are allowed"
+            )
 
 
 @functools.lru_cache(maxsize=128)
 def _compile_expression(text: str):
     """Parse and lambdify a 1D expression; returns (value_fn, grad_fn)."""
     source = text.replace("^", "**")
+    _check_grammar(text, source)
+    import sympy as sp
+
+    x, eps = sp.Symbol("x", real=True), sp.Symbol("eps", positive=True)
+    names = {"x": x, "eps": eps, "sin": sp.sin, "cos": sp.cos, "exp": sp.exp,
+             "abs": sp.Abs, "Abs": sp.Abs}
     try:
-        expr = sp.sympify(source, locals=dict(_ALLOWED_LOCALS), rational=False)
-    except (sp.SympifyError, SyntaxError, TypeError) as exc:
+        expr = sp.sympify(source, locals=names, rational=False)
+    except (sp.SympifyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot parse energy expression {text!r}: {exc}") from exc
-    free = expr.free_symbols - {_ALLOWED_LOCALS["x"], _ALLOWED_LOCALS["eps"]}
-    if free:
-        raise ConfigError(
-            f"expression {text!r} uses unknown symbols {sorted(map(str, free))}"
-        )
-    x, eps = _ALLOWED_LOCALS["x"], _ALLOWED_LOCALS["eps"]
     value = sp.lambdify((x, eps), expr, modules="numpy")
     grad = sp.lambdify((x, eps), sp.diff(expr, x), modules="numpy")
     return value, grad

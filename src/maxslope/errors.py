@@ -15,7 +15,8 @@ class CapabilityAbsentError(MaxslopeError):
 
 
 class EvaluationError(MaxslopeError):
-    """A custom expression produced a non-finite value.
+    """A non-finite number where a finite one is needed: a custom
+    expression's value or gradient, or a numeric prox search window.
 
     Carries the offending point in ``args[1]`` when available.
     """

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .energy import (
     CONVEX_PERTURBED,
@@ -26,7 +25,12 @@ from .energy import (
     eval_many,
     gradient_many,
 )
-from .errors import BudgetExhaustedError, DimensionMismatchError, InvalidDeltaError
+from .errors import (
+    BudgetExhaustedError,
+    DimensionMismatchError,
+    EvaluationError,
+    InvalidDeltaError,
+)
 from .metric import Point, SpaceDescriptor
 
 EXACT_IF_AVAILABLE = "exact_if_available"
@@ -276,6 +280,12 @@ def _zoom_1d(spec, eps, deltas, U, mw, settings):
         1.0, deltas * np.sqrt((g * g).sum(axis=1)))
     # Live windows: problem row, bounds, base point (W, 1, 1), step (W, 1).
     live, lo, hi = np.arange(B), U[:, 0] - radius, U[:, 0] + radius
+    bad = np.flatnonzero(~np.isfinite(hi - lo))
+    if bad.size:
+        b = bad[0]
+        raise EvaluationError(
+            f"1D prox search window around u={U[b, 0]:g} with delta={deltas[b]:g} "
+            f"is not finite (radius {radius[b]:g})", U[b])
     uw, dw = U[:, None, :], deltas[:, None]
     # The guard rides along with the first round's grid.
     xs = _grid(lo, hi)
@@ -381,9 +391,13 @@ def _multistart_nd(spec, eps, deltas, U, mw, settings):
     """Per-row L-BFGS-B multistart from u and from axis offsets around it.
 
     Returns the candidates as ``_zoom_1d`` does, the guard v = u last.
+    Candidate values are recomputed from their energies as ``prox_batch``
+    computes the chosen row's value, so ranking and reporting agree.
     """
+    from scipy import optimize
+
     n = spec.domain.dimension
-    rows, points, values = [], [], []
+    rows, points = [], []
     for row, (delta, u_arr) in enumerate(zip(deltas, U)):
         g = gradient_many(spec, eps, u_arr[None, :])[0]
         scale = max(1.0, float(np.sqrt((g * g).sum())))
@@ -413,17 +427,18 @@ def _multistart_nd(spec, eps, deltas, U, mw, settings):
             evals += int(res.nfev)
             rows.append(row)
             points.append(np.asarray(res.x, dtype=float))
-            values.append(float(res.fun))
         # Guard the descent property: v = u is always admissible.
         rows.append(row)
         points.append(u_arr)
-        values.append(fun(u_arr))
         if evals > settings.max_iters:
             raise BudgetExhaustedError(
                 f"prox search used {evals} evaluations (budget {settings.max_iters})"
             )
-    points = np.array(points)
-    return np.array(rows), points, np.array(values), eval_many(spec, eps, points)
+    rows, points = np.array(rows), np.array(points)
+    energies = eval_many(spec, eps, points)
+    off = points - U[rows]
+    values = energies + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows])
+    return rows, points, values, energies
 
 
 def prox_selection(candidates, u: Point, space: SpaceDescriptor,

@@ -105,6 +105,18 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "'initial_point'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expression", [
+        "__import__('os').getpid()*0 + x^2", "x.real", "log(x)", "pi*x",
+    ])
+    def test_expression_outside_grammar_is_config_error(self, tmp_path, capsys,
+                                                         expression):
+        doc = quad_run_config(tmp_path / "out")
+        doc["energy"] = {"kind": "custom_smooth", "expression": expression}
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "only numbers, x, eps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_subcommand_for_config(self, tmp_path):
         cfg = write_config(tmp_path, quad_run_config(tmp_path / "out"))
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG

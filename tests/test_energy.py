@@ -177,6 +177,32 @@ class TestCustomExpressions:
         with pytest.raises(ConfigError):
             custom_smooth(line, "x + y")
 
+    @pytest.mark.parametrize("expression", [
+        "__import__('os').getpid()*0 + x^2",    # arbitrary Python
+        "x.real",                               # attribute access
+        "log(x)",                               # function outside the grammar
+        "pi*x",                                 # constant outside the grammar
+        "sin(x, eps)",                          # two arguments
+        "True*x",
+    ])
+    def test_grammar_rejects(self, line, expression):
+        with pytest.raises(ConfigError, match="only numbers, x, eps"):
+            custom_smooth(line, expression)
+
+    def test_deep_nesting_is_config_error(self, line):
+        with pytest.raises(ConfigError, match="recursion"):
+            custom_smooth(line, "-" * 5000 + "x")
+
+    @pytest.mark.parametrize("expression", [
+        "0 * x", "-x", "x^2", "x^4", "x^2 / 2", "x^4 - x^2",
+        "x^4 - x^2 + eps*sin(x)", "exp(1000*x)",
+        "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)",
+        "+abs(x) - Abs(x - 1.5e-3) ** 2",
+    ])
+    def test_grammar_admits(self, line, expression):
+        spec = custom_smooth(line, expression)
+        assert np.isfinite(evaluate(spec, 0.5, pt(0.25)))
+
     def test_caret_power(self, line):
         spec = custom_smooth(line, "x^2 / 2")
         assert evaluate(spec, 1.0, pt(3.0)) == 4.5

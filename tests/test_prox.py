@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxslope.energy import custom_smooth, evaluate, quadratic
-from maxslope.errors import BudgetExhaustedError, InvalidDeltaError
+from maxslope.energy import convex_perturbed, custom_smooth, evaluate, quadratic
+from maxslope.errors import BudgetExhaustedError, EvaluationError, InvalidDeltaError
 from maxslope.metric import SpaceDescriptor, distance
 from maxslope.prox import (
     MULTISTART_NUMERIC,
     ProxSettings,
+    _multistart_nd,
     prox,
+    prox_batch,
     prox_selection,
 )
 
@@ -93,6 +95,26 @@ class TestNumericSearch:
         assert distance(plane, numeric.minimizer, exact.minimizer) < 1e-5
 
 
+    def test_nd_value_is_the_ranked_objective(self, weighted_plane):
+        # Candidates are ranked by energy + d^2 / (2 delta) as the reported
+        # value computes it, and the value is the row's lowest of them.  At
+        # these base points L-BFGS-B's own res.fun differs from that in the
+        # last bit for some candidate (scipy 1.17).
+        spec = convex_perturbed(quadratic(weighted_plane, [1.0, 2.0], [0.3, -0.2]))
+        U = np.array([[-0.573427911842217, -0.6904896434975996],
+                      [0.308546715723349, 0.4653631919741408],
+                      [-1.446325737309074, 0.23991054169228443]])
+        deltas = np.full(len(U), 0.05)
+        mw = weighted_plane.metric_weights()
+        rows, C, cvals, cenergies = _multistart_nd(spec, 0.1, deltas, U, mw, NUMERIC)
+        off = C - U[rows]
+        assert np.array_equal(cvals, cenergies + (mw * off * off).sum(axis=1)
+                              / (2.0 * deltas[rows]))
+        batch = prox_batch(spec, 0.1, deltas, U, NUMERIC)
+        for b in range(len(U)):
+            assert batch.values[b] == cvals[rows == b].min()
+
+
 class TestInvariants:
     def test_descent_property(self, wiggly_1d):
         for u in (0.0, 0.3, 1.1, -2.0):
@@ -135,6 +157,14 @@ class TestFailureModes:
         tight = ProxSettings(max_iters=10)
         with pytest.raises(BudgetExhaustedError):
             prox(wiggly_1d, 0.01, 0.001, pt(0.5), tight)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_nonfinite_search_window_fails_at_once(self, line):
+        # The gradient 1e310 overflows, so the 1D window would be infinite:
+        # every grid point is NaN and the zoom would only end at its budget.
+        spec = quadratic(line, [1e10], [0.0])
+        with pytest.raises(EvaluationError, match=r"u=1e\+300 with delta=0.1"):
+            prox(spec, 1.0, 0.1, pt(1e300), NUMERIC)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
