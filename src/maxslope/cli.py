@@ -9,7 +9,6 @@ configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -20,9 +19,12 @@ from . import diagnostics, regimes, scheme as scheme_mod, slope as slope_mod
 from .config import (
     CHECK_TYPES,
     ExperimentConfig,
-    parse_coupling,
-    parse_levels,
+    expect_mapping,
+    parse_field,
+    parse_point,
     parse_scheme_params,
+    parse_sweep,
+    require,
 )
 from .energy import gamma_limit
 from .errors import ConfigError, MaxslopeError
@@ -47,26 +49,26 @@ def _ensure_outdir(cfg: ExperimentConfig, override: str | None) -> Path:
     return out
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    params = parse_scheme_params(cfg.payload, cfg.space, context="run")
+def _run_with_interpolant(cfg: ExperimentConfig, payload, context: str):
+    params = parse_scheme_params(payload, cfg.space, context)
     traj = run_scheme(cfg.energy, params)
-    interp = build_interpolant(cfg.energy, traj, params.prox_settings,
-                               params.quadrature_nodes_per_step)
+    return traj, build_interpolant(cfg.energy, traj, params.prox_settings,
+                                   params.quadrature_nodes_per_step)
+
+
+def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+    traj, interp = _run_with_interpolant(cfg, cfg.payload, "run")
     scheme_mod.trajectory_to_csv(traj, out / "trajectory.csv")
     scheme_mod.interpolant_to_csv(interp, out / "interpolant.csv")
 
     full = diagnostics.dissipation_identity(cfg.energy, traj, interp,
                                             0, traj.n_steps)
-    consec = [
-        diagnostics.dissipation_identity(cfg.energy, traj, interp, i, i + 1)
-        for i in range(traj.n_steps)
-    ]
     write_json(
         {
             "n_steps": traj.n_steps,
             "full_range": full.to_dict(),
-            "consecutive_max_abs_residual": max(
-                (abs(r.residual) for r in consec), default=0.0),
+            "consecutive_max_abs_residual": float(
+                np.abs(diagnostics.step_residuals(traj, interp)).max()),
         },
         out / "dissipation.json",
     )
@@ -77,13 +79,8 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    coupling = parse_coupling(cfg.payload, "sweep")
-    levels = parse_levels(cfg.payload, "sweep")
-    eps0, tau0 = coupling.resolve(levels[0])
-    base = parse_scheme_params({**cfg.payload.get("params", {}),
-                                "eps": eps0, "tau": tau0},
-                               cfg.space, context="sweep.params")
-    sweep_tol = float(cfg.payload.get("sweep_tol", 1e-2))
+    coupling, levels, base = parse_sweep(cfg.payload, cfg.space, "sweep")
+    sweep_tol = parse_field(float, cfg.payload.get("sweep_tol", 1e-2), "sweep_tol")
     report = regimes.run_sweep(cfg.energy, coupling, levels, base,
                                sweep_tol=sweep_tol)
     for k, level in enumerate(report.levels):
@@ -99,37 +96,28 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def _check_dissipation(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
-    params = parse_scheme_params(payload.get("run", {}), cfg.space,
-                                 context="check.run")
-    tol = float(payload.get("residual_tol", 1e-8))
-    traj = run_scheme(cfg.energy, params)
-    interp = build_interpolant(cfg.energy, traj, params.prox_settings,
-                               params.quadrature_nodes_per_step)
-    if traj.n_steps <= 200:
-        pairs = list(itertools.combinations(range(traj.n_steps + 1), 2))
-    else:
-        pairs = [(i, i + 1) for i in range(traj.n_steps)] + [(0, traj.n_steps)]
-    reports = [diagnostics.dissipation_identity(cfg.energy, traj, interp, i, j)
-               for i, j in pairs]
-    worst = max(reports, key=lambda r: abs(r.residual))
+    tol = parse_field(float, payload.get("residual_tol", 1e-8), "residual_tol")
+    traj, interp = _run_with_interpolant(cfg, payload.get("run", {}), "check.run")
+    # the residual over steps i..j is R[j] - R[i], so the worst of all N(N+1)/2
+    # pairs spans R's minimum and maximum; a constant R keeps the pair (0, 1)
+    R = np.concatenate([[0.0], np.cumsum(diagnostics.step_residuals(traj, interp))])
+    i, j = sorted((int(R.argmin()), int(R.argmax())))
+    worst = diagnostics.dissipation_identity(cfg.energy, traj, interp,
+                                             i, max(j, i + 1))
     passed = abs(worst.residual) < tol
     return passed, {
         "residual_tol": tol,
-        "n_pairs": len(reports),
+        "n_pairs": traj.n_steps * (traj.n_steps + 1) // 2,
         "max_abs_residual": abs(worst.residual),
         "worst_pair": worst.to_dict(),
     }
 
 
 def _check_apriori(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
-    params = parse_scheme_params(payload.get("run", {}), cfg.space,
-                                 context="check.run")
-    traj = run_scheme(cfg.energy, params)
-    interp = build_interpolant(cfg.energy, traj, params.prox_settings,
-                               params.quadrature_nodes_per_step)
+    traj, interp = _run_with_interpolant(cfg, payload.get("run", {}), "check.run")
     report = diagnostics.apriori_bounds(
         cfg.energy, traj, interp,
-        quad_tol=float(payload.get("quad_tol", 1e-8)))
+        quad_tol=parse_field(float, payload.get("quad_tol", 1e-8), "quad_tol"))
     passed = all([report.dist_bound_ok, report.energy_bound_ok,
                   report.tilde_closeness_ok, report.velocity_energy_ok,
                   report.g_energy_ok])
@@ -137,14 +125,12 @@ def _check_apriori(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
 
 
 def _check_slope_cone(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
-    eps = float(payload.get("eps", 1.0))
-    if "x" not in payload:
-        raise ConfigError("check config missing field 'x'")
-    x = Point(tuple(payload["x"]))
-    probes_cfg = payload.get("probes", {})
-    count = int(probes_cfg.get("count", 1000))
-    radius = float(probes_cfg.get("radius", 2.0))
-    cone_tol = float(payload.get("cone_tol", 1e-9))
+    eps = parse_field(float, payload.get("eps", 1.0), "eps")
+    x = parse_point(require(payload, "x", "check"), cfg.space, "x")
+    probes_cfg = expect_mapping(payload.get("probes", {}), "probes")
+    count = parse_field(int, probes_cfg.get("count", 1000), "count")
+    radius = parse_field(float, probes_cfg.get("radius", 2.0), "radius")
+    cone_tol = parse_field(float, payload.get("cone_tol", 1e-9), "cone_tol")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.space.dimension
     offsets = rng.uniform(-radius, radius, size=(count, n))
@@ -164,37 +150,37 @@ def _check_slope_cone(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]
 
 
 def _check_condition_h(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
-    raw_seq = payload.get("sequence")
-    if not raw_seq:
-        raise ConfigError("check config missing field 'sequence'")
-    if "limit_v" not in payload:
-        raise ConfigError("check config missing field 'limit_v'")
-    seq = [(float(e), Point(tuple(coords))) for e, coords in raw_seq]
-    limit_v = Point(tuple(payload["limit_v"]))
+    raw_seq = require(payload, "sequence", "check")
+    if not (isinstance(raw_seq, list) and raw_seq
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in raw_seq)):
+        raise ConfigError("check config field 'sequence' must be a nonempty "
+                          "list of [eps, point] pairs")
+    seq = [(parse_field(float, e, "sequence"), parse_point(v, cfg.space, "sequence"))
+           for e, v in raw_seq]
+    limit_v = parse_point(require(payload, "limit_v", "check"), cfg.space, "limit_v")
     report = slope_mod.check_condition_h(
         cfg.energy, gamma_limit(cfg.energy), seq, limit_v,
-        h_tol=float(payload.get("h_tol", 1e-3)),
-        seq_tol=float(payload.get("seq_tol", 1e-2)),
+        h_tol=parse_field(float, payload.get("h_tol", 1e-3), "h_tol"),
+        seq_tol=parse_field(float, payload.get("seq_tol", 1e-2), "seq_tol"),
     )
     return report.passed, report.to_dict()
 
 
 def _check_maximal_slope(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
-    coupling = parse_coupling(payload, "check")
-    levels = parse_levels(payload, "check")
-    eps0, tau0 = coupling.resolve(levels[0])
-    base = parse_scheme_params({**payload.get("params", {}),
-                                "eps": eps0, "tau": tau0},
-                               cfg.space, context="check.params")
-    check_tol = float(payload.get("check_tol", 5e-3))
+    coupling, levels, base = parse_sweep(payload, cfg.space, "check")
+    check_tol = parse_field(float, payload.get("check_tol", 5e-3), "check_tol")
+    waive = payload.get("waive_condition_h", False)
+    if not isinstance(waive, bool):
+        raise ConfigError("check config field 'waive_condition_h' must be true or false")
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = regimes.maximal_slope_pipeline(
             cfg.energy, coupling, levels, base,
-            waive_condition_h=bool(payload.get("waive_condition_h", False)),
-            monotone_tol=float(payload.get("monotone_tol", 1e-9)),
+            waive_condition_h=waive,
+            monotone_tol=parse_field(float, payload.get("monotone_tol", 1e-9),
+                                     "monotone_tol"),
         )
     passed = result.maximal_slope.passed(check_tol)
     d = result.to_dict()
@@ -251,10 +237,7 @@ def main(argv=None) -> int:
         out = _ensure_outdir(cfg, args.out)
         handler = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check}
         return handler[cfg.command](cfg, out, args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MaxslopeError as exc:

@@ -9,7 +9,7 @@ field, so the CLI can map them to exit code 1 with a usable message.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .energy import EnergySpec
@@ -38,9 +38,15 @@ class ExperimentConfig:
         for name in ("space", "energy", "command"):
             if name not in d:
                 raise ConfigError(f"config missing field {name!r}")
-        space = SpaceDescriptor.from_dict(_expect_mapping(d["space"], "space"))
-        energy = EnergySpec.from_dict(_expect_mapping(d["energy"], "energy"), space)
-        command_block = _expect_mapping(d["command"], "command")
+        raw_space = expect_mapping(d["space"], "space")
+        space = parse_field(SpaceDescriptor.from_dict, {
+            k: v for k, v in raw_space.items() if k != "base_point"}, "space")
+        if "base_point" in raw_space:
+            space = replace(space, base_point=parse_point(
+                raw_space["base_point"], space, "base_point"))
+        energy = parse_field(lambda e: EnergySpec.from_dict(e, space),
+                             expect_mapping(d["energy"], "energy"), "energy")
+        command_block = expect_mapping(d["command"], "command")
         present = [c for c in COMMANDS if c in command_block]
         if len(present) != 1:
             raise ConfigError(
@@ -48,14 +54,14 @@ class ExperimentConfig:
                 f"found {present or 'none'}"
             )
         command = present[0]
-        payload = _expect_mapping(command_block[command], f"command.{command}")
+        payload = expect_mapping(command_block[command], f"command.{command}")
         return cls(
             space=space,
             energy=energy,
             command=command,
             payload=payload,
             output_dir=Path(d.get("output_dir", "out")),
-            seed=int(d.get("seed", 0)),
+            seed=parse_field(int, d.get("seed", 0), "seed"),
         )
 
     @classmethod
@@ -72,58 +78,74 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-def _expect_mapping(value, name: str) -> dict:
+def expect_mapping(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"field {name!r} must be a JSON object")
     return value
 
 
-def _require(payload: dict, name: str, context: str):
+def require(payload: dict, name: str, context: str):
     if name not in payload:
         raise ConfigError(f"{context} config missing field {name!r}")
     return payload[name]
 
 
+def parse_field(kind, value, name: str):
+    """``kind(value)`` for the config field ``name``; a value of the wrong
+    JSON type or range (null, a list for a number) is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {name!r} invalid: {exc}") from exc
+
+
+def parse_point(value, space: SpaceDescriptor, name: str) -> Point:
+    """The config field ``name`` as a Point of ``space``'s dimension."""
+    if not isinstance(value, list):
+        raise ConfigError(f"field {name!r} must be a list of numbers, got {value!r}")
+    point = parse_field(Point, tuple(value), name)
+    if point.dim != space.dimension:
+        raise ConfigError(f"field {name!r} has dimension {point.dim}, "
+                          f"the space has {space.dimension}")
+    return point
+
+
 def parse_scheme_params(payload: dict, space: SpaceDescriptor,
                         context: str = "run") -> SchemeParams:
     """Scheme parameters from a payload dict, checked against ``space``."""
-    eps = float(_require(payload, "eps", context))
-    tau = float(_require(payload, "tau", context))
-    init = _require(payload, "initial_point", context)
-    tau_star = float(payload.get("tau_star", 1.0))
+    def number(name, default=None, kind=float):
+        value = require(payload, name, context) if default is None \
+            else payload.get(name, default)
+        return parse_field(kind, value, name)
+
+    payload = expect_mapping(payload, context)
     try:
-        params = SchemeParams(
-            eps=eps,
-            tau=tau,
-            horizon_T=float(_require(payload, "horizon_T", context)),
-            initial_point=Point(tuple(init)),
-            initial_energy_bound_S=float(payload.get("initial_energy_bound_S", 10.0)),
-            initial_distance_bound_Sprime=float(
-                payload.get("initial_distance_bound_Sprime", 10.0)),
-            prox_settings=ProxSettings.from_dict(payload.get("prox_settings", {})),
-            quadrature_nodes_per_step=int(payload.get("quadrature_nodes_per_step", 8)),
-            tau_star=tau_star,
+        return SchemeParams(
+            eps=number("eps"),
+            tau=number("tau"),
+            horizon_T=number("horizon_T"),
+            initial_point=parse_point(require(payload, "initial_point", context),
+                                      space, "initial_point"),
+            initial_energy_bound_S=number("initial_energy_bound_S", 10.0),
+            initial_distance_bound_Sprime=number("initial_distance_bound_Sprime", 10.0),
+            prox_settings=parse_field(ProxSettings.from_dict, expect_mapping(
+                payload.get("prox_settings", {}), "prox_settings"), "prox_settings"),
+            quadrature_nodes_per_step=number("quadrature_nodes_per_step", 8, int),
+            tau_star=number("tau_star", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"{context} config invalid: {exc}") from exc
-    if params.initial_point.dim != space.dimension:
-        raise ConfigError(
-            f"{context} config field 'initial_point' has dimension "
-            f"{params.initial_point.dim}, the space has {space.dimension}"
-        )
-    return params
 
 
-def parse_coupling(payload: dict, context: str) -> CouplingLaw:
-    try:
-        return CouplingLaw.from_dict(_expect_mapping(
-            _require(payload, "coupling", context), f"{context}.coupling"))
-    except ValueError as exc:
-        raise ConfigError(f"{context} coupling invalid: {exc}") from exc
-
-
-def parse_levels(payload: dict, context: str) -> list[float]:
-    levels = _require(payload, "levels", context)
+def parse_sweep(payload: dict, space: SpaceDescriptor, context: str):
+    """Coupling law, levels and the first level's scheme parameters."""
+    coupling = parse_field(CouplingLaw.from_dict, expect_mapping(
+        require(payload, "coupling", context), "coupling"), "coupling")
+    levels = require(payload, "levels", context)
     if not isinstance(levels, list) or not levels:
         raise ConfigError(f"{context} config field 'levels' must be a nonempty list")
-    return [float(v) for v in levels]
+    levels = [parse_field(float, v, "levels") for v in levels]
+    eps0, tau0 = coupling.resolve(levels[0])
+    base = parse_scheme_params({**expect_mapping(payload.get("params", {}), "params"),
+                                "eps": eps0, "tau": tau0}, space, f"{context}.params")
+    return coupling, levels, base

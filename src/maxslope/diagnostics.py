@@ -11,13 +11,13 @@ functions jump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .energy import EnergySpec, evaluate
 from .errors import CoverageGapError
-from .metric import Point, SpaceDescriptor, distance, squared_distance
+from .metric import Point, SpaceDescriptor, distance
 from .scheme import (
     DiscreteTrajectory,
     VariationalInterpolant,
@@ -47,14 +47,7 @@ class DissipationReport:
     residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "lhs": self.lhs,
-            "velocity_integral": self.velocity_integral,
-            "g_integral": self.g_integral,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def dissipation_identity(spec: EnergySpec, traj: DiscreteTrajectory,
@@ -74,6 +67,22 @@ def dissipation_identity(spec: EnergySpec, traj: DiscreteTrajectory,
         g_integral=g_integral,
         residual=lhs - velocity_integral - g_integral,
     )
+
+
+def step_residuals(traj: DiscreteTrajectory,
+                   interpolant: VariationalInterpolant) -> np.ndarray:
+    """``dissipation_identity(..., i, i + 1).residual`` for every step i,
+    bit for bit, as an (N,) array.  The identity telescopes: up to round-off
+    the residual over steps i..j is the sum of entries i..j-1."""
+    if interpolant.parent is not traj:
+        raise CoverageGapError("interpolant was built for a different trajectory")
+    E = np.asarray(traj.step_energies)
+    d = np.asarray(traj.step_distances)
+    G = interpolant.g_values
+    # stacked (1, K) @ (K,) products sum each step in g_squared_integral's
+    # order; (G * G) @ w and einsum differ from it in the last bit
+    g = 0.5 * np.matmul((G * G)[:, None, :], interpolant.weights)[:, 0]
+    return E[:-1] - E[1:] - 0.5 * (d * d) / traj.tau - g
 
 
 # ---------------------------------------------------------------------------
@@ -108,53 +117,33 @@ class AprioriReport:
     g_margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "dist_bound_ok": self.dist_bound_ok,
-            "energy_bound_ok": self.energy_bound_ok,
-            "tilde_closeness_ok": self.tilde_closeness_ok,
-            "velocity_energy_ok": self.velocity_energy_ok,
-            "g_energy_ok": self.g_energy_ok,
-            "dist_constant": self.dist_constant,
-            "energy_constant": self.energy_constant,
-            "tilde_constant": self.tilde_constant,
-            "energy_drop": self.energy_drop,
-            "velocity_integral_total": self.velocity_integral_total,
-            "g_integral_total": self.g_integral_total,
-            "velocity_margin": self.velocity_margin,
-            "g_margin": self.g_margin,
-        }
+        return asdict(self)
 
 
 def apriori_bounds(spec: EnergySpec, traj: DiscreteTrajectory,
                    interpolant: VariationalInterpolant,
-                   horizon_T: float | None = None,
                    quad_tol: float = 1e-8) -> AprioriReport:
-    space = traj.space
-    u_star = space.base_point
-    pts = traj.points
-    dist_constant = max(squared_distance(space, p, u_star) for p in pts)
-    energy_constant = max(abs(e) for e in traj.step_energies)
+    mw = traj.space.metric_weights()
+    X = traj.coords_matrix()
 
+    def squared_distances(D):
+        # (1, n) @ (n, 1) products round like metric.squared_distance's
+        # np.dot; (mw * D * D).sum(-1) does not
+        return np.matmul((mw * D)[..., None, :], D[..., :, None])
+
+    dist_constant = float(squared_distances(X - traj.space.base_point.array).max())
+    energy_constant = float(np.abs(traj.step_energies).max())
     # closeness of the two interpolants at the quadrature nodes
-    tilde_constant = 0.0
-    N, K = interpolant.node_times.shape
-    for i in range(N):
-        right = pts[i + 1]
-        for k in range(K):
-            d2 = squared_distance(space, interpolant.value_at(i, k), right)
-            tilde_constant = max(tilde_constant, d2 / traj.tau)
+    tilde_constant = float(
+        (squared_distances(interpolant.values - X[1:, None, :]) / traj.tau).max())
 
     # half-integrals, matching the dissipation-report normalization; the
     # exact identity splits the energy drop into exactly these two terms,
     # so each one is bounded by the drop
-    d = np.asarray(traj.step_distances)
-    velocity_total = 0.5 * float((d * d).sum()) / traj.tau
-    g_total = 0.5 * g_squared_integral(interpolant, 0, traj.n_steps)
-    drop = traj.step_energies[0] - traj.step_energies[-1]
-
-    velocity_margin = drop - velocity_total
-    g_margin = drop - g_total
+    full = dissipation_identity(spec, traj, interpolant, 0, traj.n_steps)
+    drop = full.lhs
+    velocity_margin = drop - full.velocity_integral
+    g_margin = drop - full.g_integral
     C = max(dist_constant, energy_constant, tilde_constant, drop, 0.0)
     return AprioriReport(
         C=C,
@@ -167,8 +156,8 @@ def apriori_bounds(spec: EnergySpec, traj: DiscreteTrajectory,
         energy_constant=energy_constant,
         tilde_constant=tilde_constant,
         energy_drop=drop,
-        velocity_integral_total=velocity_total,
-        g_integral_total=g_total,
+        velocity_integral_total=full.velocity_integral,
+        g_integral_total=full.g_integral,
         velocity_margin=velocity_margin,
         g_margin=g_margin,
     )

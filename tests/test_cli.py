@@ -1,19 +1,29 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import maxslope
 from maxslope.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
     main,
 )
-from maxslope.config import ExperimentConfig
+from maxslope.config import ExperimentConfig, parse_scheme_params
+from maxslope.diagnostics import dissipation_identity
 from maxslope.errors import ConfigError
+from maxslope.scheme import build_interpolant, run_scheme
 
 
 def load_schema(name):
@@ -40,6 +50,48 @@ def quad_run_config(out_dir, tau=0.1, T=1.0, **extra_payload):
     }
 
 
+def check_config(out_dir, ctype, payload):
+    return {
+        "space": {"dimension": 1},
+        "energy": {"kind": "quadratic", "weights": [1.0], "center": [0.0]},
+        "command": {"check": {"type": ctype, **payload}},
+        "output_dir": str(out_dir),
+    }
+
+
+def condition_h_config(out_dir):
+    doc = check_config(out_dir, "condition_h", {
+        "sequence": [[0.1, [1.0]], [0.01, [1.0]], [1e-4, [1.0]]],
+        "limit_v": [1.0],
+    })
+    doc["energy"] = {"kind": "convex_perturbed",
+                     "base": {"kind": "quadratic", "weights": [1.0], "center": [0.0]}}
+    return doc
+
+
+def dissipation_config(out_dir):
+    return check_config(out_dir, "dissipation", quad_run_config(out_dir)["command"])
+
+
+def slope_cone_config(out_dir):
+    return check_config(out_dir, "slope_cone", {"eps": 1.0, "x": [1.5]})
+
+
+def maximal_slope_config(out_dir):
+    return check_config(out_dir, "maximal_slope", {
+        "coupling": {"form": "eps_of_tau", "lam": 1.0, "alpha": 1.0},
+        "levels": [0.02, 0.01, 0.005],
+        "params": {"horizon_T": 1.0, "initial_point": [1.0]},
+    })
+
+
+def set_field(doc, path, value):
+    *blocks, name = path
+    for key in blocks:
+        doc = doc[key]
+    doc[name] = value
+
+
 class TestConfigParsing:
     def test_missing_top_level_field(self):
         with pytest.raises(ConfigError, match="'space'"):
@@ -62,6 +114,31 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("build, path, value", [
+        (quad_run_config, ("command", "run", "initial_point"), 5),
+        (quad_run_config, ("command", "run", "eps"), None),
+        (slope_cone_config, ("command", "check", "x"), 1.5),
+        (quad_run_config, ("energy", "weights"), 1.0),
+        (slope_cone_config, ("command", "check", "probes"), "many"),
+        (quad_run_config, ("command", "run", "prox_settings"), [1]),
+        (maximal_slope_config, ("command", "check", "waive_condition_h"), "false"),
+    ], ids=["initial_point", "eps", "x", "weights", "probes", "prox_settings",
+            "waive_condition_h"])
+    def test_wrong_json_type_is_config_error(self, tmp_path, build, path, value):
+        # a real process, so that an escaping exception shows as a traceback
+        doc = build(tmp_path / "out")
+        set_field(doc, path, value)
+        cfg = write_config(tmp_path, doc)
+        src = str(Path(maxslope.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxslope.cli", next(iter(doc["command"])),
+             "--config", cfg], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestRunCommand:
@@ -170,14 +247,6 @@ class TestSweepCommand:
 
 
 class TestCheckCommand:
-    def check_config(self, out_dir, ctype, payload):
-        return {
-            "space": {"dimension": 1},
-            "energy": {"kind": "quadratic", "weights": [1.0], "center": [0.0]},
-            "command": {"check": {"type": ctype, **payload}},
-            "output_dir": str(out_dir),
-        }
-
     def run_payload(self):
         return {"run": {"eps": 1.0, "tau": 0.1, "horizon_T": 1.0,
                         "initial_point": [1.0], "tau_star": 1.0}}
@@ -189,7 +258,7 @@ class TestCheckCommand:
 
     def test_dissipation_passes(self, tmp_path):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, self.check_config(
+        cfg = write_config(tmp_path, check_config(
             out, "dissipation", self.run_payload()))
         assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
         report = self.read_report(out, "dissipation")
@@ -198,7 +267,7 @@ class TestCheckCommand:
 
     def test_apriori_passes(self, tmp_path):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, self.check_config(
+        cfg = write_config(tmp_path, check_config(
             out, "apriori", self.run_payload()))
         assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
         report = self.read_report(out, "apriori")
@@ -206,14 +275,14 @@ class TestCheckCommand:
 
     def test_slope_cone_passes_for_convex(self, tmp_path):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, self.check_config(
+        cfg = write_config(tmp_path, check_config(
             out, "slope_cone", {"eps": 1.0, "x": [1.5]}))
         assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
 
     def test_slope_cone_fails_at_oscillation_trap(self, tmp_path):
         out = tmp_path / "out"
-        doc = self.check_config(out, "slope_cone",
-                                {"eps": 0.1, "x": [0.84232], "cone_tol": 1e-3})
+        doc = check_config(out, "slope_cone",
+                           {"eps": 0.1, "x": [0.84232], "cone_tol": 1e-3})
         doc["energy"] = {"kind": "wiggly",
                          "base": {"kind": "quadratic", "weights": [1.0],
                                   "center": [0.0]}}
@@ -224,42 +293,99 @@ class TestCheckCommand:
         assert report["report"]["min_residual"] < -1e-3
 
     def test_condition_h(self, tmp_path):
-        out = tmp_path / "out"
-        doc = self.check_config(out, "condition_h", {
-            "sequence": [[0.1, [1.0]], [0.01, [1.0]], [1e-4, [1.0]]],
-            "limit_v": [1.0],
-        })
-        doc["energy"] = {"kind": "convex_perturbed",
-                         "base": {"kind": "quadratic", "weights": [1.0],
-                                  "center": [0.0]}}
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, condition_h_config(tmp_path / "out"))
         assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
 
     def test_maximal_slope(self, tmp_path):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, self.check_config(out, "maximal_slope", {
-            "coupling": {"form": "eps_of_tau", "lam": 1.0, "alpha": 1.0},
-            "levels": [0.02, 0.01, 0.005],
-            "params": {"horizon_T": 1.0, "initial_point": [1.0]},
-        }))
+        cfg = write_config(tmp_path, maximal_slope_config(out))
         assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
         report = self.read_report(out, "maximal_slope")
         assert report["report"]["sweep"]["cauchy_flag"] is True
 
-    def test_wrong_dimension_initial_point_is_config_error(self, tmp_path, capsys):
-        payload = self.run_payload()
-        payload["run"]["initial_point"] = [1.0, 0.0]
-        cfg = write_config(tmp_path, self.check_config(
-            tmp_path / "out", "dissipation", payload))
+    @pytest.mark.parametrize("build, path, value", [
+        (dissipation_config, ("command", "check", "run", "initial_point"), [1.0, 0.0]),
+        (slope_cone_config, ("command", "check", "x"), [1.5, 0.0]),
+        (condition_h_config, ("command", "check", "limit_v"), [1.0, 0.0]),
+        (condition_h_config, ("command", "check", "sequence"),
+         [[0.1, [1.0]], [0.01, [1.0, 0.0]]]),
+        (dissipation_config, ("space", "base_point"), [0.0, 0.0]),
+    ], ids=["initial_point", "x", "limit_v", "sequence", "base_point"])
+    def test_wrong_dimension_point_is_config_error(self, tmp_path, capsys,
+                                                   build, path, value):
+        doc = build(tmp_path / "out")
+        set_field(doc, path, value)
+        cfg = write_config(tmp_path, doc)
         assert main(["check", "--config", cfg]) == EXIT_CONFIG
-        assert "'initial_point'" in capsys.readouterr().err
+        assert f"'{path[-1]}' has dimension 2" in capsys.readouterr().err
+
+    def test_dissipation_covers_all_pairs_beyond_200_steps(self, tmp_path):
+        out = tmp_path / "out"
+        payload = {"run": {"eps": 1.0, "tau": 0.005, "horizon_T": 1.01,
+                           "initial_point": [1.0], "tau_star": 1.0}}
+        cfg = write_config(tmp_path, check_config(out, "dissipation", payload))
+        assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
+        n = math.ceil(1.01 / 0.005)
+        assert n > 200
+        assert self.read_report(out, "dissipation")["report"]["n_pairs"] == \
+            n * (n + 1) // 2
+
+    def test_dissipation_from_the_minimizer(self, tmp_path):
+        # every residual is 0.0, so the cumulative residual is constant
+        out = tmp_path / "out"
+        payload = self.run_payload()
+        payload["run"]["initial_point"] = [0.0]
+        cfg = write_config(tmp_path, check_config(out, "dissipation", payload))
+        assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
+        report = self.read_report(out, "dissipation")["report"]
+        assert (report["worst_pair"]["i"], report["worst_pair"]["j"]) == (0, 1)
+        assert report["max_abs_residual"] == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_dissipation_worst_pair_matches_all_pairs(self, data):
+        dim = data.draw(st.integers(1, 2), label="dim")
+        coords = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+        weights = st.lists(st.floats(0.5, 3.0), min_size=dim, max_size=dim)
+        quad = {"kind": "quadratic", "weights": data.draw(weights),
+                "center": data.draw(coords)}
+        energy = data.draw(st.sampled_from(
+            [quad, {"kind": "convex_perturbed", "base": quad}]))
+        space = {"dimension": dim}
+        if dim == 2:
+            space.update(metric_kind="diagonal_weighted", weights=data.draw(weights))
+        tau = data.draw(st.floats(0.01, 0.1))
+        run = {"eps": data.draw(st.floats(0.05, 1.0)), "tau": tau,
+               "horizon_T": tau * data.draw(st.integers(1, 25)),
+               "initial_point": data.draw(coords),
+               "initial_energy_bound_S": 100.0,
+               "initial_distance_bound_Sprime": 100.0}
+        doc = {"space": space, "energy": energy,
+               "command": {"check": {"type": "dissipation", "run": run}}}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), doc)
+            # a kink crossed inside a step leaves a quadrature residual that
+            # can fail the check; the reported worst pair must be right anyway
+            code = main(["check", "--config", cfg, "--out", tmp, "--quiet"])
+            report = json.loads((Path(tmp) / "check_dissipation.json").read_text())
+        parsed = ExperimentConfig.from_dict(doc)
+        params = parse_scheme_params(run, parsed.space, "check.run")
+        traj = run_scheme(parsed.energy, params)
+        interp = build_interpolant(parsed.energy, traj, params.prox_settings)
+        n = traj.n_steps
+        brute = max(abs(dissipation_identity(parsed.energy, traj, interp, i, j).residual)
+                    for i in range(n) for j in range(i + 1, n + 1))
+        bound = 4 * n * sys.float_info.epsilon * max(1.0, abs(traj.step_energies[0]))
+        assert code == (EXIT_OK if report["passed"] else EXIT_CHECK_FAILED)
+        assert report["report"]["n_pairs"] == n * (n + 1) // 2
+        assert abs(report["report"]["max_abs_residual"] - brute) <= bound
 
     def test_unknown_check_type(self, tmp_path):
-        cfg = write_config(tmp_path, self.check_config(
+        cfg = write_config(tmp_path, check_config(
             tmp_path / "out", "entropy", {}))
         assert main(["check", "--config", cfg]) == EXIT_CONFIG
 
     def test_slope_cone_missing_x(self, tmp_path):
-        cfg = write_config(tmp_path, self.check_config(
+        cfg = write_config(tmp_path, check_config(
             tmp_path / "out", "slope_cone", {"eps": 1.0}))
         assert main(["check", "--config", cfg]) == EXIT_CONFIG

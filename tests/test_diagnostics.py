@@ -9,11 +9,12 @@ from maxslope.diagnostics import (
     energy_monotonicity_along_limit,
     maximal_slope_check,
     metric_derivative,
+    step_residuals,
     trajectory_as_curve,
 )
-from maxslope.energy import quadratic
+from maxslope.energy import convex_perturbed, quadratic, wiggly
 from maxslope.errors import CoverageGapError
-from maxslope.metric import SpaceDescriptor
+from maxslope.metric import SpaceDescriptor, squared_distance
 from maxslope.prox import ProxSettings
 from maxslope.scheme import (
     SchemeParams,
@@ -89,7 +90,82 @@ class TestDissipationIdentity:
             dissipation_identity(quad_1d, traj, other_interp, 0, 1)
 
 
+def wiggly_1d_run():
+    spec = wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0]))
+    return (spec,) + make_run(spec, eps=0.05, tau=0.0025, T=0.5, u0=0.9)
+
+
+def weighted_2d_run():
+    space = SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.0, 1.0),
+                            base_point=pt(0.5, 0.25))
+    spec = convex_perturbed(quadratic(space, [1.0, 2.0], [0.1, -0.3]))
+    params = SchemeParams(eps=0.1, tau=0.01, horizon_T=1.0,
+                          initial_point=pt(1.0, -0.7))
+    traj = run_scheme(spec, params)
+    return spec, traj, build_interpolant(spec, traj, SETTINGS)
+
+
+class TestStepResiduals:
+    @pytest.mark.parametrize("build", [wiggly_1d_run, weighted_2d_run],
+                             ids=["wiggly_1d", "weighted_2d"])
+    def test_equals_per_step_identity(self, build):
+        spec, traj, interp = build()
+        r = step_residuals(traj, interp)
+        assert r.shape == (traj.n_steps,)
+        expected = [dissipation_identity(spec, traj, interp, i, i + 1).residual
+                    for i in range(traj.n_steps)]
+        assert r.tolist() == expected
+
+    def test_foreign_interpolant_rejected(self, quad_1d):
+        traj, _ = make_run(quad_1d, tau=0.1, T=0.5)
+        _, other_interp = make_run(quad_1d, tau=0.05, T=0.5)
+        with pytest.raises(CoverageGapError):
+            step_residuals(traj, other_interp)
+
+
+def apriori_reference(traj, interpolant, quad_tol=1e-8):
+    """The a-priori suite as a loop over points and quadrature nodes, one
+    ``squared_distance`` per pair, as ``apriori_bounds`` computed it before
+    it became array expressions."""
+    space, pts = traj.space, traj.points
+    dist_constant = max(squared_distance(space, p, space.base_point) for p in pts)
+    energy_constant = max(abs(e) for e in traj.step_energies)
+    tilde_constant = 0.0
+    N, K = interpolant.node_times.shape
+    for i in range(N):
+        for k in range(K):
+            d2 = squared_distance(space, interpolant.value_at(i, k), pts[i + 1])
+            tilde_constant = max(tilde_constant, d2 / traj.tau)
+    d = np.asarray(traj.step_distances)
+    velocity_total = 0.5 * float((d * d).sum()) / traj.tau
+    g_total = 0.5 * float((interpolant.g_values ** 2 @ interpolant.weights).sum())
+    drop = traj.step_energies[0] - traj.step_energies[-1]
+    return {
+        "C": max(dist_constant, energy_constant, tilde_constant, drop, 0.0),
+        "dist_bound_ok": math.isfinite(dist_constant),
+        "energy_bound_ok": math.isfinite(energy_constant),
+        "tilde_closeness_ok": math.isfinite(tilde_constant),
+        "velocity_energy_ok": drop - velocity_total >= -quad_tol,
+        "g_energy_ok": drop - g_total >= -quad_tol,
+        "dist_constant": dist_constant,
+        "energy_constant": energy_constant,
+        "tilde_constant": tilde_constant,
+        "energy_drop": drop,
+        "velocity_integral_total": velocity_total,
+        "g_integral_total": g_total,
+        "velocity_margin": drop - velocity_total,
+        "g_margin": drop - g_total,
+    }
+
+
 class TestAprioriBounds:
+    @pytest.mark.parametrize("build", [wiggly_1d_run, weighted_2d_run],
+                             ids=["wiggly_1d", "weighted_2d"])
+    def test_matches_per_node_reference(self, build):
+        spec, traj, interp = build()
+        assert apriori_bounds(spec, traj, interp).to_dict() == \
+            apriori_reference(traj, interp)
+
     def test_quadratic_run(self, quad_1d):
         traj, interp = make_run(quad_1d, tau=0.05, T=1.0)
         rep = apriori_bounds(quad_1d, traj, interp)
