@@ -15,7 +15,7 @@ from .energy import (
     wiggly,
 )
 from .metric import Point, SpaceDescriptor, distance, squared_distance
-from .prox import ProxResult, ProxSettings, prox, prox_selection
+from .prox import ProxResult, ProxSettings, prox
 from .regimes import CouplingLaw, SweepReport, compare_to_reference, run_sweep
 from .scheme import (
     DiscreteTrajectory,

@@ -21,6 +21,7 @@ from .config import (
     ExperimentConfig,
     expect_mapping,
     parse_field,
+    parse_int,
     parse_point,
     parse_scheme_params,
     parse_sweep,
@@ -74,7 +75,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     )
     if not quiet:
         print(f"run: {traj.n_steps} steps, final energy "
-              f"{traj.step_energies[-1]!r}, artifacts in {out}")
+              f"{float(traj.step_energies[-1])!r}, artifacts in {out}")
     return EXIT_OK
 
 
@@ -128,7 +129,7 @@ def _check_slope_cone(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]
     eps = parse_field(float, payload.get("eps", 1.0), "eps")
     x = parse_point(require(payload, "x", "check"), cfg.space, "x")
     probes_cfg = expect_mapping(payload.get("probes", {}), "probes")
-    count = parse_field(int, probes_cfg.get("count", 1000), "count")
+    count = parse_int(probes_cfg.get("count", 1000), "count")
     radius = parse_field(float, probes_cfg.get("radius", 2.0), "radius")
     cone_tol = parse_field(float, payload.get("cone_tol", 1e-9), "cone_tol")
     rng = np.random.default_rng(cfg.seed)

@@ -39,8 +39,10 @@ class ExperimentConfig:
             if name not in d:
                 raise ConfigError(f"config missing field {name!r}")
         raw_space = expect_mapping(d["space"], "space")
-        space = parse_field(SpaceDescriptor.from_dict, {
-            k: v for k, v in raw_space.items() if k != "base_point"}, "space")
+        space_fields = {k: v for k, v in raw_space.items() if k != "base_point"}
+        space_fields["dimension"] = parse_int(
+            require(raw_space, "dimension", "space"), "dimension")
+        space = parse_field(SpaceDescriptor.from_dict, space_fields, "space")
         if "base_point" in raw_space:
             space = replace(space, base_point=parse_point(
                 raw_space["base_point"], space, "base_point"))
@@ -55,13 +57,16 @@ class ExperimentConfig:
             )
         command = present[0]
         payload = expect_mapping(command_block[command], f"command.{command}")
+        output_dir = d.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"field 'output_dir' must be a string, got {output_dir!r}")
         return cls(
             space=space,
             energy=energy,
             command=command,
             payload=payload,
-            output_dir=Path(d.get("output_dir", "out")),
-            seed=parse_field(int, d.get("seed", 0), "seed"),
+            output_dir=Path(output_dir),
+            seed=parse_int(d.get("seed", 0), "seed"),
         )
 
     @classmethod
@@ -99,6 +104,15 @@ def parse_field(kind, value, name: str):
         raise ConfigError(f"field {name!r} invalid: {exc}") from exc
 
 
+def parse_int(value, name: str) -> int:
+    """The config field ``name`` as an int.  A bool, a non-number or a
+    number with a fractional part is a ConfigError; 1e6 is 1000000."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_point(value, space: SpaceDescriptor, name: str) -> Point:
     """The config field ``name`` as a Point of ``space``'s dimension."""
     if not isinstance(value, list):
@@ -113,12 +127,16 @@ def parse_point(value, space: SpaceDescriptor, name: str) -> Point:
 def parse_scheme_params(payload: dict, space: SpaceDescriptor,
                         context: str = "run") -> SchemeParams:
     """Scheme parameters from a payload dict, checked against ``space``."""
-    def number(name, default=None, kind=float):
+    def number(name, default=None):
         value = require(payload, name, context) if default is None \
             else payload.get(name, default)
-        return parse_field(kind, value, name)
+        return parse_field(float, value, name)
 
     payload = expect_mapping(payload, context)
+    prox_fields = expect_mapping(payload.get("prox_settings", {}), "prox_settings")
+    for name in ("starts", "max_iters"):
+        if name in prox_fields:
+            parse_int(prox_fields[name], name)
     try:
         return SchemeParams(
             eps=number("eps"),
@@ -128,9 +146,10 @@ def parse_scheme_params(payload: dict, space: SpaceDescriptor,
                                       space, "initial_point"),
             initial_energy_bound_S=number("initial_energy_bound_S", 10.0),
             initial_distance_bound_Sprime=number("initial_distance_bound_Sprime", 10.0),
-            prox_settings=parse_field(ProxSettings.from_dict, expect_mapping(
-                payload.get("prox_settings", {}), "prox_settings"), "prox_settings"),
-            quadrature_nodes_per_step=number("quadrature_nodes_per_step", 8, int),
+            prox_settings=parse_field(ProxSettings.from_dict, prox_fields,
+                                      "prox_settings"),
+            quadrature_nodes_per_step=parse_int(
+                payload.get("quadrature_nodes_per_step", 8), "quadrature_nodes_per_step"),
             tau_star=number("tau_star", 1.0),
         )
     except ValueError as exc:

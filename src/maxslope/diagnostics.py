@@ -10,12 +10,13 @@ functions jump.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .energy import EnergySpec, evaluate
+from .energy import LIMIT_EPS, EnergySpec, evaluate
 from .errors import CoverageGapError
 from .metric import Point, SpaceDescriptor, distance
 from .scheme import (
@@ -23,7 +24,11 @@ from .scheme import (
     VariationalInterpolant,
     g_squared_integral,
 )
-from .slope import DEFAULT_RADII, estimate_slope, slope_value
+from .slope import estimate_slope, slope_value
+
+# Sample times of the maximal-slope check's interval grid: all pairs of an
+# evenly spaced grid of this many times over the curve.
+INTERVAL_GRID_POINTS = 11
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +62,8 @@ def dissipation_identity(spec: EnergySpec, traj: DiscreteTrajectory,
         raise CoverageGapError(f"need 0 <= i < j <= {traj.n_steps}, got ({i}, {j})")
     if interpolant.parent is not traj:
         raise CoverageGapError("interpolant was built for a different trajectory")
-    lhs = traj.step_energies[i] - traj.step_energies[j]
-    d = np.asarray(traj.step_distances[i:j])
+    lhs = float(traj.step_energies[i] - traj.step_energies[j])
+    d = traj.step_distances[i:j]
     velocity_integral = 0.5 * float((d * d).sum()) / traj.tau
     g_integral = 0.5 * g_squared_integral(interpolant, i, j)
     return DissipationReport(
@@ -76,9 +81,7 @@ def step_residuals(traj: DiscreteTrajectory,
     the residual over steps i..j is the sum of entries i..j-1."""
     if interpolant.parent is not traj:
         raise CoverageGapError("interpolant was built for a different trajectory")
-    E = np.asarray(traj.step_energies)
-    d = np.asarray(traj.step_distances)
-    G = interpolant.g_values
+    E, d, G = traj.step_energies, traj.step_distances, interpolant.g_values
     # stacked (1, K) @ (K,) products sum each step in g_squared_integral's
     # order; (G * G) @ w and einsum differ from it in the last bit
     g = 0.5 * np.matmul((G * G)[:, None, :], interpolant.weights)[:, 0]
@@ -124,7 +127,7 @@ def apriori_bounds(spec: EnergySpec, traj: DiscreteTrajectory,
                    interpolant: VariationalInterpolant,
                    quad_tol: float = 1e-8) -> AprioriReport:
     mw = traj.space.metric_weights()
-    X = traj.coords_matrix()
+    X = traj.coords
 
     def squared_distances(D):
         # (1, n) @ (n, 1) products round like metric.squared_distance's
@@ -239,8 +242,7 @@ def _cumulative_trapezoid(y, times):
 
 
 def maximal_slope_check(spec_limit: EnergySpec, curve, space: SpaceDescriptor,
-                        slope_schedule=DEFAULT_RADII, interval_grid=None,
-                        monotone_tol: float = 1e-9, limit_eps: float = 1.0,
+                        monotone_tol: float = 1e-9,
                         use_exact_slope: bool = True) -> MaximalSlopeReport:
     """Check the energy-dissipation inequality along a sampled curve.
 
@@ -248,23 +250,21 @@ def maximal_slope_check(spec_limit: EnergySpec, curve, space: SpaceDescriptor,
     symmetric difference quotients, slope from the limit energy's exact
     formula (or the sampled estimator when ``use_exact_slope`` is off,
     excluding nodes whose estimate does not converge), integrals from the
-    trapezoid rule on the sample grid.  ``interval_grid`` is a list of
-    (s, t) pairs, snapped to sample times; default is all pairs from an
-    11-point uniform grid.
+    trapezoid rule on the sample grid.  The intervals (s, t) are all pairs
+    of ``INTERVAL_GRID_POINTS`` evenly spaced times, snapped to sample times.
     """
     curve = [(float(t), p) for t, p in curve]
     times = np.array([t for t, _ in curve])
     speeds = np.array([v for _, v in metric_derivative(curve, space)])
-    varphi = np.array([evaluate(spec_limit, limit_eps, p) for _, p in curve])
+    varphi = np.array([evaluate(spec_limit, LIMIT_EPS, p) for _, p in curve])
 
     excluded = []
     slopes = np.empty(len(curve))
     for k, (t, p) in enumerate(curve):
         if use_exact_slope:
-            slopes[k] = slope_value(spec_limit, limit_eps, p,
-                                    schedule=slope_schedule)
+            slopes[k] = slope_value(spec_limit, LIMIT_EPS, p)
         else:
-            est = estimate_slope(spec_limit, limit_eps, p, schedule=slope_schedule)
+            est = estimate_slope(spec_limit, LIMIT_EPS, p)
             if not est.converged:
                 excluded.append(t)
                 slopes[k] = math.nan
@@ -277,18 +277,12 @@ def maximal_slope_check(spec_limit: EnergySpec, curve, space: SpaceDescriptor,
     speed_cum = _cumulative_trapezoid(speeds * speeds, times)
     slope_cum = _cumulative_trapezoid(slopes * slopes, times)
 
-    if interval_grid is None:
-        grid_times = np.linspace(times[0], times[-1], 11)
-        interval_grid = [(s, t) for a, s in enumerate(grid_times)
-                         for t in grid_times[a + 1:]]
-
-    def snap(t):
-        return int(np.argmin(np.abs(times - t)))
-
+    # interval ends: the sample nearest to each time of an even grid
+    ends = [int(np.argmin(np.abs(times - t)))
+            for t in np.linspace(times[0], times[-1], INTERVAL_GRID_POINTS)]
     per_interval = []
     min_slack = math.inf
-    for s, t in interval_grid:
-        a, b = snap(s), snap(t)
+    for a, b in itertools.combinations(ends, 2):
         if a >= b:
             continue
         lhs = float(varphi[a] - varphi[b])
@@ -309,10 +303,9 @@ def maximal_slope_check(spec_limit: EnergySpec, curve, space: SpaceDescriptor,
     )
 
 
-def energy_monotonicity_along_limit(spec_limit: EnergySpec, curve,
-                                    check_tol: float = 1e-9,
-                                    limit_eps: float = 1.0) -> tuple[bool, float]:
-    """Is energy(u(t)) <= energy(u(0)) (within tol) at all sample times?
+def energy_monotonicity_along_limit(spec_limit: EnergySpec,
+                                    curve) -> tuple[bool, float]:
+    """Is energy(u(t)) <= energy(u(0)) (within 1e-9) at all sample times?
 
     Returns (verdict, worst margin) where margin = energy(u(0)) - energy(u(t))
     minimized over the samples (negative margin means an increase).
@@ -320,11 +313,11 @@ def energy_monotonicity_along_limit(spec_limit: EnergySpec, curve,
     curve = list(curve)
     if not curve:
         raise ValueError("curve must be nonempty")
-    e0 = evaluate(spec_limit, limit_eps, curve[0][1])
-    worst = min(e0 - evaluate(spec_limit, limit_eps, p) for _, p in curve)
-    return worst >= -check_tol, worst
+    e0 = evaluate(spec_limit, LIMIT_EPS, curve[0][1])
+    worst = min(e0 - evaluate(spec_limit, LIMIT_EPS, p) for _, p in curve)
+    return worst >= -1e-9, worst
 
 
 def trajectory_as_curve(traj: DiscreteTrajectory) -> list[tuple[float, Point]]:
     """Broken-line view of a trajectory: its nodes as (t, point) samples."""
-    return [(i * traj.tau, p) for i, p in enumerate(traj.points)]
+    return [(i * traj.tau, Point.from_array(u)) for i, u in enumerate(traj.coords)]

@@ -242,7 +242,7 @@ def eval_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         bad = X[~np.isfinite(out)][0]
         raise EvaluationError(
-            f"expression {spec.expression!r} not finite at x={bad!r}", bad
+            f"expression {spec.expression!r} not finite at x={bad.tolist()}", point=bad
         )
     return out
 
@@ -270,7 +270,7 @@ def gradient_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         bad = X[~np.isfinite(g)][0]
         raise EvaluationError(
-            f"gradient of {spec.expression!r} not finite at x={bad!r}", bad
+            f"gradient of {spec.expression!r} not finite at x={bad.tolist()}", point=bad
         )
     return g[:, None]
 
@@ -303,6 +303,10 @@ def exact_slope(spec: EnergySpec, eps: float, x: Point) -> float:
         )
         return float(math.sqrt(float((g * g / mw).sum())))
     raise CapabilityAbsentError(f"no exact slope for kind {spec.kind!r}")
+
+
+# The limit family does not depend on eps; it is evaluated at this value.
+LIMIT_EPS = 1.0
 
 
 def gamma_limit(spec: EnergySpec) -> EnergySpec:
@@ -339,14 +343,6 @@ class WellPosednessCertificate:
     c_star: float
     compactness_note: str
     checked_eps_grid: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "tau_star": self.tau_star,
-            "c_star": self.c_star,
-            "compactness_note": self.compactness_note,
-            "checked_eps_grid": list(self.checked_eps_grid),
-        }
 
 
 _COMPACTNESS_NOTE = (

@@ -16,10 +16,12 @@ class CapabilityAbsentError(MaxslopeError):
 
 class EvaluationError(MaxslopeError):
     """A non-finite number where a finite one is needed: a custom
-    expression's value or gradient, or a numeric prox search window.
+    expression's value or gradient, a numeric prox search window or a
+    scheme iterate.  ``point`` is the offending point, when known."""
 
-    Carries the offending point in ``args[1]`` when available.
-    """
+    def __init__(self, message, point=None):
+        super().__init__(message)
+        self.point = point
 
 
 class CertificateFailure(MaxslopeError):

@@ -31,7 +31,7 @@ from .errors import (
     EvaluationError,
     InvalidDeltaError,
 )
-from .metric import Point, SpaceDescriptor
+from .metric import Point
 
 EXACT_IF_AVAILABLE = "exact_if_available"
 MULTISTART_NUMERIC = "multistart_numeric"
@@ -276,8 +276,9 @@ def _zoom_1d(spec, eps, deltas, U, mw, settings):
     """
     B = U.shape[0]
     g = gradient_many(spec, eps, U)
-    radius = settings.search_radius_factor * np.maximum(
-        1.0, deltas * np.sqrt((g * g).sum(axis=1)))
+    with np.errstate(over="ignore"):    # a non-finite window is reported below
+        radius = settings.search_radius_factor * np.maximum(
+            1.0, deltas * np.sqrt((g * g).sum(axis=1)))
     # Live windows: problem row, bounds, base point (W, 1, 1), step (W, 1).
     live, lo, hi = np.arange(B), U[:, 0] - radius, U[:, 0] + radius
     bad = np.flatnonzero(~np.isfinite(hi - lo))
@@ -285,7 +286,7 @@ def _zoom_1d(spec, eps, deltas, U, mw, settings):
         b = bad[0]
         raise EvaluationError(
             f"1D prox search window around u={U[b, 0]:g} with delta={deltas[b]:g} "
-            f"is not finite (radius {radius[b]:g})", U[b])
+            f"is not finite (radius {radius[b]:g})", point=U[b])
     uw, dw = U[:, None, :], deltas[:, None]
     # The guard rides along with the first round's grid.
     xs = _grid(lo, hi)
@@ -440,20 +441,3 @@ def _multistart_nd(spec, eps, deltas, U, mw, settings):
     values = energies + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows])
     return rows, points, values, energies
 
-
-def prox_selection(candidates, u: Point, space: SpaceDescriptor,
-                   local_tol: float) -> Point:
-    """Deterministic representative of a near-optimal candidate set.
-
-    Ordering: lowest objective, then smallest distance to ``u``, then
-    lexicographic coordinates.  Candidates more than ``local_tol`` above
-    the best objective are discarded first; since the objective leads the
-    ordering, that cut never changes which candidate is chosen.
-    """
-    if not candidates:
-        raise ValueError("candidate set must be nonempty")
-    C = np.array([np.atleast_1d(np.asarray(c, dtype=float)) for c, _ in candidates])
-    cvals = np.array([v for _, v in candidates], dtype=float)
-    rows = np.zeros(len(candidates), dtype=int)
-    chosen = _select(rows, C, cvals, u.array[None, :], space.metric_weights())
-    return Point.from_array(C[chosen[0]])

@@ -79,9 +79,9 @@ class LevelResult:
         if self.trajectory is not None:
             traj = self.trajectory
             d["n_steps"] = traj.n_steps
-            d["final_point"] = list(traj.points[-1].coords)
-            d["final_energy"] = traj.step_energies[-1]
-            d["total_path_length"] = float(sum(traj.step_distances))
+            d["final_point"] = traj.coords[-1].tolist()
+            d["final_energy"] = float(traj.step_energies[-1])
+            d["total_path_length"] = float(sum(traj.step_distances.tolist()))
         if self.error is not None:
             d["error"] = self.error
         return d
@@ -120,14 +120,13 @@ class SweepReport:
 
 
 def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
-              base_params: SchemeParams, time_grid=None,
-              sweep_tol: float = 1e-2,
+              base_params: SchemeParams, sweep_tol: float = 1e-2,
               reference: Callable[[float], Point] | None = None) -> SweepReport:
     """One trajectory per level; levels run independently.
 
     ``level_grid`` must decrease strictly; a level failure is recorded and
-    the sweep continues.  The common time grid defaults to the step nodes
-    of the coarsest level.
+    the sweep continues.  The common time grid is the step nodes of the
+    coarsest level.
     """
     levels = [float(v) for v in level_grid]
     if not levels:
@@ -151,13 +150,9 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
         (lv.trajectory.final_time for lv in results if lv.trajectory is not None),
         default=base_params.horizon_T,
     )
-    if time_grid is None:
-        tau0 = pairs[0][1]
-        n0 = int(math.floor(horizon / tau0 + 1e-9))
-        grid = tuple(k * tau0 for k in range(n0 + 1))
-    else:
-        grid = tuple(float(t) for t in time_grid)
-        grid = tuple(t for t in grid if t <= horizon + 1e-12)
+    tau0 = pairs[0][1]
+    n0 = int(math.floor(horizon / tau0 + 1e-9))
+    grid = tuple(k * tau0 for k in range(n0 + 1))
 
     sups = []
     for a, b in zip(results, results[1:]):
@@ -225,9 +220,7 @@ class PipelineResult:
 def maximal_slope_pipeline(spec: EnergySpec, coupling: CouplingLaw, levels,
                            base_params: SchemeParams,
                            waive_condition_h: bool = False,
-                           interval_grid=None,
-                           monotone_tol: float = 1e-9,
-                           h_tol: float = 1e-3) -> PipelineResult:
+                           monotone_tol: float = 1e-9) -> PipelineResult:
     """Sweep, then test the limit candidate against the limit energy.
 
     Condition-(H) evidence is gathered on the constant sample sequence
@@ -242,7 +235,7 @@ def maximal_slope_pipeline(spec: EnergySpec, coupling: CouplingLaw, levels,
         eps_levels = [coupling.resolve(v)[0] for v in levels]
         seq = [(e, base_params.initial_point) for e in eps_levels]
         evidence = check_condition_h(spec, limit_spec, seq,
-                                     base_params.initial_point, h_tol=h_tol)
+                                     base_params.initial_point)
         if not evidence.passed:
             warnings.warn(
                 "condition-(H) evidence failed on the sampled sequence; the "
@@ -257,7 +250,6 @@ def maximal_slope_pipeline(spec: EnergySpec, coupling: CouplingLaw, levels,
         raise MaxslopeError("sweep produced no successful level")
     curve = trajectory_as_curve(sweep.limit_candidate)
     report = maximal_slope_check(limit_spec, curve, spec.domain,
-                                 interval_grid=interval_grid,
                                  monotone_tol=monotone_tol)
     return PipelineResult(
         sweep=sweep,

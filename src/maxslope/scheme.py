@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import EnergySpec, evaluate
-from .errors import CoverageGapError, MaxslopeError
+from .errors import CoverageGapError, EvaluationError, MaxslopeError
 from .metric import Point, SpaceDescriptor, squared_distance
-from .prox import ProxBatch, ProxSettings, prox, prox_batch
+from .prox import ProxBatch, ProxSettings, prox_batch
 
 # Problems per prox_batch call in build_interpolant.  Large enough that
 # numpy's per-call overhead is shared by many rows, small enough that the
@@ -65,44 +65,32 @@ class SchemeParams:
                 "for the a-priori estimates to apply"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "tau": self.tau,
-            "horizon_T": self.horizon_T,
-            "initial_point": list(self.initial_point.coords),
-            "initial_energy_bound_S": self.initial_energy_bound_S,
-            "initial_distance_bound_Sprime": self.initial_distance_bound_Sprime,
-            "prox_settings": self.prox_settings.to_dict(),
-            "quadrature_nodes_per_step": self.quadrature_nodes_per_step,
-            "tau_star": self.tau_star,
-        }
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteTrajectory:
-    """Points u^0..u^N of one run, with per-step energies and distances."""
+    """Iterates u^0..u^N of one run, with per-step energies and distances,
+    as read-only arrays."""
 
     space: SpaceDescriptor
-    points: tuple[Point, ...]
+    coords: np.ndarray          # u^i, (N + 1, n)
     tau: float
     eps: float
-    step_distances: tuple[float, ...]   # d(u^{i+1}, u^i), length N
-    step_energies: tuple[float, ...]    # energy(u^i), length N + 1
+    step_distances: np.ndarray  # d(u^{i+1}, u^i), (N,)
+    step_energies: np.ndarray   # energy(u^i), (N + 1,)
+
+    def __post_init__(self):
+        for name in ("coords", "step_distances", "step_energies"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_steps(self) -> int:
-        return len(self.points) - 1
+        return len(self.coords) - 1
 
     @property
     def final_time(self) -> float:
         return self.n_steps * self.tau
-
-    def times(self) -> np.ndarray:
-        return self.tau * np.arange(self.n_steps + 1)
-
-    def coords_matrix(self) -> np.ndarray:
-        return np.array([p.coords for p in self.points], dtype=float)
 
 
 class SchemeStepError(MaxslopeError):
@@ -132,28 +120,30 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
             f"S={params.initial_energy_bound_S:g}"
         )
 
+    # Each step starts from the last, so the steps are B = 1 solves.
     n_steps = int(math.ceil(params.horizon_T / params.tau))
-    points = [u0]
-    energies = [e0]
-    dists = []
-    u = u0
+    tau = np.array([params.tau])
+    coords, energies, dists = [u0.array], [e0], []
     for i in range(n_steps):
         try:
-            res = prox(spec, params.eps, params.tau, u, params.prox_settings,
-                       tau_star=params.tau_star)
+            res = prox_batch(spec, params.eps, tau, coords[-1][None, :],
+                             params.prox_settings)
+            u = res.minimizers[0]
+            if not np.isfinite(u).all():
+                raise EvaluationError(f"prox minimizer {u.tolist()} is not finite",
+                                      point=u)
         except MaxslopeError as exc:
             raise SchemeStepError(i, exc) from exc
-        points.append(res.minimizer)
-        energies.append(res.energy_at_min)
-        dists.append(res.moved_distance)
-        u = res.minimizer
+        coords.append(u)
+        energies.append(res.energies[0])
+        dists.append(res.moved[0])
     return DiscreteTrajectory(
         space=space,
-        points=tuple(points),
+        coords=np.array(coords),
         tau=params.tau,
         eps=params.eps,
-        step_distances=tuple(dists),
-        step_energies=tuple(energies),
+        step_distances=np.array(dists),
+        step_energies=np.array(energies),
     )
 
 
@@ -175,8 +165,8 @@ def piecewise_constant(traj: DiscreteTrajectory, t: float) -> Point:
     if t <= 0:
         if t < 0:
             raise ValueError(f"t={t:g} is negative")
-        return traj.points[0]
-    return traj.points[_step_index(traj, t) + 1]
+        return Point.from_array(traj.coords[0])
+    return Point.from_array(traj.coords[_step_index(traj, t) + 1])
 
 
 def discrete_velocity(traj: DiscreteTrajectory, t: float) -> float:
@@ -186,8 +176,8 @@ def discrete_velocity(traj: DiscreteTrajectory, t: float) -> float:
     convention irrelevant to every integral built on top).
     """
     if t <= 0:
-        return traj.step_distances[0] / traj.tau if traj.step_distances else 0.0
-    return traj.step_distances[_step_index(traj, t)] / traj.tau
+        return float(traj.step_distances[0]) / traj.tau if traj.n_steps else 0.0
+    return float(traj.step_distances[_step_index(traj, t)]) / traj.tau
 
 
 def _interpolant_prox(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
@@ -197,17 +187,15 @@ def _interpolant_prox(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
     delta = t - i * traj.tau
     if delta <= 0:
         return i, delta, None
-    return i, delta, prox_batch(spec, traj.eps, [delta],
-                                traj.points[i].array[None, :], prox_settings)
+    return i, delta, prox_batch(spec, traj.eps, [delta], traj.coords[i][None, :],
+                                prox_settings)
 
 
 def variational_interpolate(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
                             prox_settings: ProxSettings) -> Point:
     """De Giorgi interpolant: the prox of u^i at step size t - i*tau."""
     i, _, res = _interpolant_prox(spec, traj, t, prox_settings)
-    if res is None:
-        return traj.points[i]
-    return Point.from_array(res.minimizers[0])
+    return Point.from_array(traj.coords[i] if res is None else res.minimizers[0])
 
 
 def g_function(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
@@ -261,7 +249,7 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
     weights = 0.5 * traj.tau * gl_weights
     n = traj.space.dimension
     N = traj.n_steps
-    U = np.repeat(traj.coords_matrix()[:N], nodes_per_step, axis=0)
+    U = np.repeat(traj.coords[:N], nodes_per_step, axis=0)
     D = np.tile(deltas, N)
     values = np.empty((N * nodes_per_step, n))
     g_values = np.empty(N * nodes_per_step)
@@ -305,11 +293,11 @@ def trajectory_to_csv(traj: DiscreteTrajectory, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i, p in enumerate(traj.points):
+        for i, u in enumerate(traj.coords):
             step_d = traj.step_distances[i - 1] if i > 0 else 0.0
             writer.writerow(
                 [str(i), _fmt(i * traj.tau)]
-                + [_fmt(c) for c in p.coords]
+                + [_fmt(c) for c in u]
                 + [_fmt(traj.step_energies[i]), _fmt(step_d)]
             )
 

@@ -16,11 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergySpec, eval_many, evaluate, exact_slope
+from .energy import LIMIT_EPS, EnergySpec, eval_many, evaluate, exact_slope
 from .errors import CapabilityAbsentError, SequenceNotConvergentError
 from .metric import Point, SpaceDescriptor, distance
 
 DEFAULT_RADII = tuple(0.1 * 2.0 ** (-k) for k in range(13))
+# Sampled directions per radius beyond the axes (2D ring, nD cloud).
+DIRECTIONS_PER_RADIUS = 256
+# Agreement of the last three per-radius suprema that counts as converged.
+SLOPE_TOL = 1e-3
+# Condition (H) takes the slope liminf over this many last sequence points.
+LIMINF_TAIL = 3
 
 
 @dataclass(frozen=True)
@@ -37,27 +43,19 @@ class SlopeEstimate:
     per_radius_sup: tuple[float, ...]
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "radii": list(self.radii),
-            "per_radius_sup": list(self.per_radius_sup),
-            "converged": self.converged,
-        }
 
-
-def _direction_set(space: SpaceDescriptor, per_radius: int) -> np.ndarray:
+def _direction_set(space: SpaceDescriptor) -> np.ndarray:
     """Deterministic unit directions (unit in the space's metric).
 
     1D: both signs.  2D: equally spaced angles plus the axes.  Higher
     dimensions: axes plus a fixed pseudorandom sphere sample; coverage is
     coarser there, which only weakens the lower bound.
     """
-    n = space.dimension
+    n, per_radius = space.dimension, DIRECTIONS_PER_RADIUS
     if n == 1:
         dirs = np.array([[1.0], [-1.0]])
     elif n == 2:
-        angles = 2.0 * math.pi * np.arange(per_radius) / max(per_radius, 1)
+        angles = 2.0 * math.pi * np.arange(per_radius) / per_radius
         ring = np.column_stack([np.cos(angles), np.sin(angles)])
         dirs = np.vstack([np.eye(2), -np.eye(2), ring])
     else:
@@ -70,8 +68,7 @@ def _direction_set(space: SpaceDescriptor, per_radius: int) -> np.ndarray:
 
 
 def estimate_slope(spec: EnergySpec, eps: float, x: Point,
-                   schedule=DEFAULT_RADII, directions_per_radius: int = 256,
-                   slope_tol: float = 1e-3) -> SlopeEstimate:
+                   schedule=DEFAULT_RADII) -> SlopeEstimate:
     """Sampled descending slope at ``x``.
 
     ``schedule`` must decrease strictly toward zero; each radius
@@ -82,7 +79,7 @@ def estimate_slope(spec: EnergySpec, eps: float, x: Point,
     if len(radii) < 3 or any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radius schedule must be strictly decreasing, length >= 3")
     spec.domain.validate_point(x)
-    dirs = _direction_set(spec.domain, directions_per_radius)
+    dirs = _direction_set(spec.domain)
     fx = evaluate(spec, eps, x)
     x_arr = x.array
     sups = []
@@ -91,7 +88,7 @@ def estimate_slope(spec: EnergySpec, eps: float, x: Point,
         sups.append(max(0.0, float((fx - vals).max()) / r))
     tail = sups[-3:]
     value = max(tail)
-    converged = max(tail) - min(tail) < slope_tol
+    converged = max(tail) - min(tail) < SLOPE_TOL
     return SlopeEstimate(
         value=value,
         radii=radii,
@@ -100,12 +97,12 @@ def estimate_slope(spec: EnergySpec, eps: float, x: Point,
     )
 
 
-def slope_value(spec: EnergySpec, eps: float, x: Point, **estimate_kwargs) -> float:
+def slope_value(spec: EnergySpec, eps: float, x: Point) -> float:
     """Best available slope: exact formula if the kind has one, else sampled."""
     try:
         return exact_slope(spec, eps, x)
     except CapabilityAbsentError:
-        return estimate_slope(spec, eps, x, **estimate_kwargs).value
+        return estimate_slope(spec, eps, x).value
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +140,8 @@ class ConditionHReport:
 
 def check_condition_h(family: EnergySpec, limit: EnergySpec,
                       sequence, limit_v: Point,
-                      h_tol: float = 1e-3, seq_tol: float = 1e-2,
-                      tail: int = 3, limit_eps: float = 1.0,
-                      **estimate_kwargs) -> ConditionHReport:
+                      h_tol: float = 1e-3,
+                      seq_tol: float = 1e-2) -> ConditionHReport:
     """Refute (or fail to refute) the continuity condition on one sequence.
 
     ``sequence`` is a list of (eps_n, Point) with eps_n decreasing; the
@@ -166,14 +162,12 @@ def check_condition_h(family: EnergySpec, limit: EnergySpec,
             "sample distances to the limit are not (approximately) decreasing"
         )
 
-    slopes = tuple(
-        estimate_slope(family, e, v, **estimate_kwargs).value for e, v in seq
-    )
-    slope_liminf = min(slopes[-tail:])
-    s_limit = estimate_slope(limit, limit_eps, limit_v, **estimate_kwargs).value
+    slopes = tuple(estimate_slope(family, e, v).value for e, v in seq)
+    slope_liminf = min(slopes[-LIMINF_TAIL:])
+    s_limit = estimate_slope(limit, LIMIT_EPS, limit_v).value
     e_last, v_last = seq[-1]
     energy_gap = abs(evaluate(family, e_last, v_last)
-                     - evaluate(limit, limit_eps, limit_v))
+                     - evaluate(limit, LIMIT_EPS, limit_v))
     passed = energy_gap < h_tol and slope_liminf >= s_limit - h_tol
     return ConditionHReport(
         sequence=tuple((e, v.coords) for e, v in seq),

@@ -131,7 +131,7 @@ def pinning_displacement(eps):
     params = SchemeParams(eps=eps, tau=eps * eps, horizon_T=1.0,
                           initial_point=pt(0.5), tau_star=1.0)
     traj = run_scheme(WIGGLY, params)
-    return traj, abs(traj.points[-1].coords[0] - 0.5)
+    return traj, abs(traj.coords[-1, 0] - 0.5)
 
 
 def test_criterion_4_pinning_coarse_levels():
@@ -283,7 +283,7 @@ def test_criterion_8_apriori_bound_suite():
         for i in range(traj.n_steps):
             for k in range(interp.nodes_per_step):
                 gap = distance(LINE, interp.value_at(i, k),
-                               traj.points[i + 1]) ** 2
+                               pt(*traj.coords[i + 1])) ** 2
                 tilde_ok = tilde_ok and gap <= rep.C * tau + 1e-12
     c_stable = max(cs) <= 2.0 * min(cs)
     elapsed = time.perf_counter() - t0

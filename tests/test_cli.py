@@ -18,6 +18,7 @@ from maxslope.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     main,
 )
 from maxslope.config import ExperimentConfig, parse_scheme_params
@@ -85,6 +86,18 @@ def maximal_slope_config(out_dir):
     })
 
 
+def run_cli(tmp_path, doc, *extra):
+    """``python -m maxslope.cli`` on ``doc`` in a fresh process."""
+    cfg = write_config(tmp_path, doc)
+    src = str(Path(maxslope.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-m", "maxslope.cli", next(iter(doc["command"])),
+         "--config", cfg, *extra], capture_output=True, text=True, env=env,
+        timeout=60)
+
+
 def set_field(doc, path, value):
     *blocks, name = path
     for key in blocks:
@@ -123,22 +136,58 @@ class TestConfigParsing:
         (slope_cone_config, ("command", "check", "probes"), "many"),
         (quad_run_config, ("command", "run", "prox_settings"), [1]),
         (maximal_slope_config, ("command", "check", "waive_condition_h"), "false"),
+        (quad_run_config, ("output_dir",), 5),
     ], ids=["initial_point", "eps", "x", "weights", "probes", "prox_settings",
-            "waive_condition_h"])
+            "waive_condition_h", "output_dir"])
     def test_wrong_json_type_is_config_error(self, tmp_path, build, path, value):
         # a real process, so that an escaping exception shows as a traceback
         doc = build(tmp_path / "out")
         set_field(doc, path, value)
-        cfg = write_config(tmp_path, doc)
-        src = str(Path(maxslope.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "maxslope.cli", next(iter(doc["command"])),
-             "--config", cfg], capture_output=True, text=True, env=env, timeout=60)
+        proc = run_cli(tmp_path, doc)
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
+
+    def test_non_string_output_dir_with_out_override(self, tmp_path):
+        doc = quad_run_config(tmp_path / "out")
+        doc["output_dir"] = 5
+        proc = run_cli(tmp_path, doc, "--out", str(tmp_path / "elsewhere"))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error: field 'output_dir'")
+        assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("build, path, value", [
+        (quad_run_config, ("space", "dimension"), 1.9),
+        (quad_run_config, ("space", "dimension"), True),
+        (quad_run_config, ("seed",), 3.9),
+        (quad_run_config, ("command", "run", "quadrature_nodes_per_step"), 2.7),
+        (quad_run_config, ("command", "run", "quadrature_nodes_per_step"), True),
+        (quad_run_config, ("command", "run", "prox_settings"), {"starts": 2.5}),
+        (quad_run_config, ("command", "run", "prox_settings"), {"max_iters": 1e6 + 0.5}),
+        (slope_cone_config, ("command", "check", "probes"), {"count": 10.5}),
+        (slope_cone_config, ("command", "check", "probes"), {"count": False}),
+    ], ids=["dimension", "dimension_bool", "seed", "quadrature_nodes_per_step",
+            "quadrature_nodes_bool", "starts", "max_iters", "count", "count_bool"])
+    def test_non_integer_is_config_error(self, tmp_path, build, path, value):
+        doc = build(tmp_path / "out")
+        set_field(doc, path, value)
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_CONFIG
+        name = next(iter(value)) if isinstance(value, dict) else path[-1]
+        assert proc.stderr.startswith(
+            f"config error: field {name!r} must be an integer, got")
+        assert "Traceback" not in proc.stderr
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        doc = quad_run_config(tmp_path / "out")
+        doc["seed"] = 3.0
+        doc["space"]["dimension"] = 1.0
+        doc["command"]["run"]["prox_settings"] = {"max_iters": 1e6, "starts": 2.0}
+        parsed = ExperimentConfig.from_dict(doc)
+        params = parse_scheme_params(parsed.payload, parsed.space)
+        assert (parsed.seed, parsed.space.dimension) == (3, 1)
+        assert (params.prox_settings.max_iters, params.prox_settings.starts) == \
+            (1_000_000, 2)
 
 
 class TestRunCommand:
@@ -193,6 +242,18 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "only numbers, x, eps" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_unbounded_energy_reports_one_solver_line(self, tmp_path):
+        # -x^4 runs off to -3.7e76 by step 6, where the 1D search window
+        # overflows; the message is the only line, without a warning
+        doc = quad_run_config(tmp_path / "out", tau=0.05)
+        doc["energy"] = {"kind": "custom_smooth", "expression": "-x^4"}
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_SOLVER
+        assert proc.stderr.startswith("solver error: prox failed at step ")
+        assert proc.stderr.count("\n") == 1
+        assert "array(" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_wrong_subcommand_for_config(self, tmp_path):
         cfg = write_config(tmp_path, quad_run_config(tmp_path / "out"))

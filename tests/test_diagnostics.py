@@ -127,7 +127,7 @@ def apriori_reference(traj, interpolant, quad_tol=1e-8):
     """The a-priori suite as a loop over points and quadrature nodes, one
     ``squared_distance`` per pair, as ``apriori_bounds`` computed it before
     it became array expressions."""
-    space, pts = traj.space, traj.points
+    space, pts = traj.space, [pt(*u) for u in traj.coords]
     dist_constant = max(squared_distance(space, p, space.base_point) for p in pts)
     energy_constant = max(abs(e) for e in traj.step_energies)
     tilde_constant = 0.0
@@ -204,11 +204,11 @@ class TestMetricDerivative:
         # equals the discrete speed exactly
         samples = []
         for i in range(traj.n_steps):
-            a, b = traj.points[i].coords[0], traj.points[i + 1].coords[0]
+            a, b = traj.coords[i, 0], traj.coords[i + 1, 0]
             for frac in (0.0, 0.25, 0.5, 0.75):
                 t = (i + frac) * traj.tau
                 samples.append((t, pt(a + frac * (b - a))))
-        samples.append((traj.final_time, traj.points[-1]))
+        samples.append((traj.final_time, pt(*traj.coords[-1])))
         deriv = dict(metric_derivative(samples, line))
         t_mid = 0.05  # interior of step 0, symmetric quotient stays inside
         assert math.isclose(deriv[t_mid], discrete_velocity(traj, t_mid),
@@ -283,5 +283,5 @@ class TestTrajectoryAsCurve:
         traj, _ = make_run(quad_1d, tau=0.1, T=0.3)
         curve = trajectory_as_curve(traj)
         assert len(curve) == traj.n_steps + 1
-        assert curve[0] == (0.0, traj.points[0])
+        assert curve[0] == (0.0, pt(*traj.coords[0]))
         assert math.isclose(curve[-1][0], traj.final_time)

@@ -12,9 +12,9 @@ from maxslope.prox import (
     MULTISTART_NUMERIC,
     ProxSettings,
     _multistart_nd,
+    _select,
     prox,
     prox_batch,
-    prox_selection,
 )
 
 from conftest import brute_force_prox_1d, pt
@@ -172,27 +172,28 @@ class TestFailureModes:
 
 
 class TestSelection:
+    """The ordering rule ``prox_batch`` applies to each row's candidates."""
+
+    @staticmethod
+    def select(candidates, u, space):
+        """The chosen point among (point, objective) candidates of one problem."""
+        C = np.array([np.atleast_1d(c) for c, _ in candidates], dtype=float)
+        cvals = np.array([v for _, v in candidates])
+        rows = np.zeros(len(candidates), dtype=int)
+        chosen = _select(rows, C, cvals, u.array[None, :], space.metric_weights())
+        return tuple(C[chosen[0]])
+
     def test_lowest_value_wins(self, line):
-        chosen = prox_selection([(np.array([2.0]), 1.0),
-                                 (np.array([1.0]), 0.5)],
-                                pt(0.0), line, 1e-9)
-        assert chosen.coords == (1.0,)
+        chosen = self.select([(2.0, 1.0), (1.0, 0.5)], pt(0.0), line)
+        assert chosen == (1.0,)
 
     def test_tie_prefers_closer_point(self, line):
-        chosen = prox_selection([(np.array([2.0]), 1.0),
-                                 (np.array([-1.0]), 1.0)],
-                                pt(0.0), line, 1e-9)
-        assert chosen.coords == (-1.0,)
+        chosen = self.select([(2.0, 1.0), (-1.0, 1.0)], pt(0.0), line)
+        assert chosen == (-1.0,)
 
     def test_full_tie_is_lexicographic(self, line):
-        chosen = prox_selection([(np.array([1.0]), 1.0),
-                                 (np.array([-1.0]), 1.0)],
-                                pt(0.0), line, 1e-9)
-        assert chosen.coords == (-1.0,)
-
-    def test_empty_rejected(self, line):
-        with pytest.raises(ValueError):
-            prox_selection([], pt(0.0), line, 1e-9)
+        chosen = self.select([(1.0, 1.0), (-1.0, 1.0)], pt(0.0), line)
+        assert chosen == (-1.0,)
 
     def test_settings_roundtrip(self):
         s = ProxSettings(starts=5, local_tol=1e-8)

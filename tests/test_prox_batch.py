@@ -167,10 +167,11 @@ class TestBatchEqualsScalar:
         nodes, _ = np.polynomial.legendre.leggauss(interp.nodes_per_step)
         for i in range(traj.n_steps):
             for k, delta in enumerate(0.5 * traj.tau * (nodes + 1.0)):
-                res = prox(spec, eps, delta, traj.points[i], prox_settings)
+                u = pt(*traj.coords[i])
+                res = prox(spec, eps, delta, u, prox_settings)
                 assert tuple(interp.values[i, k]) == res.minimizer.coords
                 moved = max([res.moved_distance] + [
-                    distance(spec.domain, t, traj.points[i]) for t in res.near_ties])
+                    distance(spec.domain, t, u) for t in res.near_ties])
                 assert interp.g_values[i, k] == moved / delta
 
 
@@ -297,3 +298,9 @@ class TestInputs:
         spec, eps, prox_settings, _ = FAMILIES["wiggly"]
         with pytest.raises(ValueError):
             prox_batch(spec, eps, [0.1, 0.2], np.zeros((1, 1)), prox_settings)
+
+    def test_at_least_one_problem(self):
+        # so every row reaching the selection rule has a candidate
+        spec, eps, prox_settings, _ = FAMILIES["wiggly"]
+        with pytest.raises(ValueError, match="at least one point"):
+            prox_batch(spec, eps, [], np.zeros((0, 1)), prox_settings)

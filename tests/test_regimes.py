@@ -57,7 +57,7 @@ class TestRunSweep:
             assert lv.status == "ok"
             solo = run_scheme(quad_1d, SchemeParams(
                 eps=lv.eps, tau=lv.tau, horizon_T=1.0, initial_point=pt(1.0)))
-            assert lv.trajectory.points == solo.points
+            assert np.array_equal(lv.trajectory.coords, solo.coords)
 
     def test_refinement_is_cauchy(self, quad_1d):
         law = CouplingLaw("eps_of_tau", lam=1.0, alpha=1.0)

@@ -1,14 +1,20 @@
 import csv
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from maxslope.errors import CoverageGapError
-from maxslope.prox import ProxSettings
+from maxslope import scheme
+from maxslope.cli import EXIT_SOLVER, main
+from maxslope.energy import convex_perturbed, custom_smooth, evaluate, quadratic, wiggly
+from maxslope.errors import CoverageGapError, EvaluationError
+from maxslope.metric import SpaceDescriptor
+from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox
 from maxslope.scheme import (
-    DiscreteTrajectory,
     SchemeParams,
+    SchemeStepError,
     build_interpolant,
     discrete_velocity,
     g_function,
@@ -43,8 +49,8 @@ class TestRunScheme:
         traj = run_scheme(quad_1d, quad_params(tau=0.1, T=0.3))
         r = 1.0 / 1.1
         expected = [1.0, r, r ** 2, r ** 3]
-        for p, e in zip(traj.points, expected):
-            assert math.isclose(p.coords[0], e, rel_tol=1e-12)
+        for x, e in zip(traj.coords[:, 0], expected):
+            assert math.isclose(x, e, rel_tol=1e-12)
 
     def test_step_count_rounds_up(self, quad_1d):
         traj = run_scheme(quad_1d, quad_params(tau=0.06, T=0.2))
@@ -72,16 +78,101 @@ class TestRunScheme:
             run_scheme(quad_1d, params)
 
 
+
+WEIGHTED_PLANE = SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.0, 1.0))
+# (spec, params) of four runs, one per prox path
+RUNS = {
+    "wiggly_1d": (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])), SchemeParams(
+        eps=0.05, tau=0.0025, horizon_T=0.25, initial_point=pt(0.5))),
+    "weighted_2d_convex_perturbed": (
+        convex_perturbed(quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.0, 0.0])),
+        SchemeParams(eps=0.1, tau=0.005, horizon_T=0.5, initial_point=pt(1.0, -0.5))),
+    "custom_smooth": (custom_smooth(
+        SpaceDescriptor(1), "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)"),
+        SchemeParams(eps=0.05, tau=0.0025, horizon_T=0.1, initial_point=pt(0.5))),
+    "numeric_2d": (quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.3, -0.2]), SchemeParams(
+        eps=0.01, tau=0.01, horizon_T=0.05, initial_point=pt(1.0, -0.8),
+        prox_settings=ProxSettings(mode=MULTISTART_NUMERIC))),
+}
+
+
+def scalar_prox_run(spec, params):
+    """The scheme as a loop of scalar ``prox`` calls, one Point per step."""
+    u = params.initial_point
+    coords, energies, dists = [u.coords], [evaluate(spec, params.eps, u)], []
+    for _ in range(math.ceil(params.horizon_T / params.tau)):
+        res = prox(spec, params.eps, params.tau, u, params.prox_settings,
+                   tau_star=params.tau_star)
+        u = res.minimizer
+        coords.append(u.coords)
+        energies.append(res.energy_at_min)
+        dists.append(res.moved_distance)
+    return np.array(coords), np.array(energies), np.array(dists)
+
+
+class TestArrayTrajectory:
+    @pytest.mark.parametrize("name", RUNS)
+    def test_equals_scalar_prox_loop(self, name):
+        spec, params = RUNS[name]
+        traj = run_scheme(spec, params)
+        coords, energies, dists = scalar_prox_run(spec, params)
+        assert np.array_equal(traj.coords, coords)
+        assert np.array_equal(traj.step_energies, energies)
+        assert np.array_equal(traj.step_distances, dists)
+
+    def test_arrays_are_read_only(self, quad_traj):
+        for arr in (quad_traj.coords, quad_traj.step_energies,
+                    quad_traj.step_distances):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(ValueError):
+            quad_traj.coords[:, 0] *= 2.0
+
+    @staticmethod
+    def nan_at_third_step(monkeypatch):
+        calls = []
+        real = scheme.prox_batch
+
+        def fake(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                res = dataclasses.replace(res, minimizers=np.full_like(
+                    res.minimizers, np.nan))
+            return res
+        monkeypatch.setattr(scheme, "prox_batch", fake)
+
+    def test_non_finite_step_is_step_error(self, quad_1d, monkeypatch):
+        self.nan_at_third_step(monkeypatch)
+        with pytest.raises(SchemeStepError, match="prox failed at step 2") as info:
+            run_scheme(quad_1d, quad_params())
+        assert info.value.step_index == 2
+        assert isinstance(info.value.cause, EvaluationError)
+        assert np.isnan(info.value.cause.point).all()
+
+    def test_non_finite_step_exits_2(self, quad_1d, monkeypatch, tmp_path, capsys):
+        self.nan_at_third_step(monkeypatch)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "space": {"dimension": 1},
+            "energy": {"kind": "quadratic", "weights": [1.0], "center": [0.0]},
+            "command": {"run": {"eps": 1.0, "tau": 0.05, "horizon_T": 0.2,
+                                "initial_point": [1.0]}},
+            "output_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(cfg)]) == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith(
+            "solver error: prox failed at step 2: prox minimizer [nan] is not finite")
+
 class TestPiecewiseConstant:
     def test_value_at_zero_is_initial(self, quad_traj):
-        assert piecewise_constant(quad_traj, 0.0) == quad_traj.points[0]
+        assert piecewise_constant(quad_traj, 0.0) == pt(*quad_traj.coords[0])
 
     def test_right_closed_at_node(self, quad_traj):
         # t = tau belongs to the first interval, so the value is u^1
-        assert piecewise_constant(quad_traj, 0.05) == quad_traj.points[1]
+        assert piecewise_constant(quad_traj, 0.05) == pt(*quad_traj.coords[1])
 
     def test_just_past_node(self, quad_traj):
-        assert piecewise_constant(quad_traj, 0.050001) == quad_traj.points[2]
+        assert piecewise_constant(quad_traj, 0.050001) == pt(*quad_traj.coords[2])
 
     def test_negative_time_rejected(self, quad_traj):
         with pytest.raises(ValueError):
@@ -106,7 +197,7 @@ class TestVelocityAndInterpolant:
 
     def test_interpolate_at_zero_returns_initial(self, quad_1d, quad_traj):
         v = variational_interpolate(quad_1d, quad_traj, 0.0, SETTINGS)
-        assert v == quad_traj.points[0]
+        assert v == pt(*quad_traj.coords[0])
 
     def test_g_closed_form(self, quad_1d):
         traj = run_scheme(quad_1d, quad_params(tau=0.1, T=0.1))
@@ -168,8 +259,8 @@ class TestDeterminism:
                               initial_point=pt(0.5))
         a = run_scheme(wiggly_1d, params)
         b = run_scheme(wiggly_1d, params)
-        assert a.points == b.points
-        assert a.step_energies == b.step_energies
+        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a.step_energies, b.step_energies)
 
 
 class TestCsv:
