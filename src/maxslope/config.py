@@ -97,7 +97,9 @@ def require(payload: dict, name: str, context: str):
 
 def parse_field(kind, value, name: str):
     """``kind(value)`` for the config field ``name``; a value of the wrong
-    JSON type or range (null, a list for a number) is a ConfigError."""
+    JSON type or range (null, a list or a bool for a float) is a ConfigError."""
+    if kind is float and isinstance(value, bool):
+        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -137,6 +139,9 @@ def parse_scheme_params(payload: dict, space: SpaceDescriptor,
     for name in ("starts", "max_iters"):
         if name in prox_fields:
             parse_int(prox_fields[name], name)
+    for name in ("local_tol", "search_radius_factor"):
+        if name in prox_fields:
+            parse_field(float, prox_fields[name], name)
     try:
         return SchemeParams(
             eps=number("eps"),

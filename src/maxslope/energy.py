@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     ConfigError,
     EvaluationError,
 )
-from .metric import Point, SpaceDescriptor
+from .metric import Point, SpaceDescriptor, as_floats
 
 QUADRATIC = "quadratic"
 WIGGLY = "wiggly"
@@ -61,12 +61,12 @@ class EnergySpec:
         if self.kind == QUADRATIC:
             if self.weights is None or self.center is None:
                 raise ValueError("quadratic energy requires weights and center")
-            w = tuple(float(v) for v in self.weights)
+            w = as_floats(self.weights, "quadratic weights")
             if len(w) != self.domain.dimension:
                 raise ValueError("quadratic weights length must equal dimension")
             if any(v <= 0 for v in w):
                 raise ValueError("quadratic weights must be strictly positive")
-            c = tuple(float(v) for v in self.center)
+            c = as_floats(self.center, "quadratic center")
             if len(c) != self.domain.dimension:
                 raise ValueError("quadratic center length must equal dimension")
             object.__setattr__(self, "weights", w)
@@ -156,6 +156,18 @@ def convex_perturbed(base: EnergySpec, perturbation: str = EPS_ABS) -> EnergySpe
 
 def custom_smooth(domain: SpaceDescriptor, expression: str) -> EnergySpec:
     return EnergySpec(kind=CUSTOM_SMOOTH, domain=domain, expression=str(expression))
+
+
+def coordinate(spec: EnergySpec, j: int) -> EnergySpec:
+    """The 1D member of ``spec``'s family on coordinate ``j``, on the
+    Euclidean line: ``spec`` at x is the sum of these at the x_j (a 1D
+    energy, as every ``custom_smooth`` one is, is its own coordinate)."""
+    if spec.domain.dimension == 1:
+        return spec
+    if spec.kind == QUADRATIC:
+        return quadratic(SpaceDescriptor(1), [spec.weights[j]], [spec.center[j]])
+    base = coordinate(spec.base, j)     # wiggly and convex_perturbed
+    return replace(spec, domain=base.domain, base=base)
 
 
 # ---------------------------------------------------------------------------

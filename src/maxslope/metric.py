@@ -17,6 +17,13 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError
 
 
+def as_floats(values, what: str) -> tuple[float, ...]:
+    """``values`` as floats; a bool, such as a JSON true, is no number."""
+    if any(isinstance(v, bool) for v in values):
+        raise TypeError(f"{what} must be numbers, got {list(values)!r}")
+    return tuple(float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class Point:
     """Immutable point with explicit coordinates.
@@ -27,7 +34,7 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
+        coords = as_floats(self.coords, "coordinates")
         if not all(math.isfinite(c) for c in coords):
             raise ValueError(f"non-finite coordinate in {coords!r}")
         object.__setattr__(self, "coords", coords)
@@ -70,7 +77,7 @@ class SpaceDescriptor:
         if self.metric_kind == DIAGONAL_WEIGHTED:
             if self.weights is None:
                 raise ValueError("diagonal_weighted metric requires weights")
-            w = tuple(float(v) for v in self.weights)
+            w = as_floats(self.weights, "metric weights")
             if len(w) != self.dimension:
                 raise ValueError("weights length must equal dimension")
             if any(v <= 0 for v in w):

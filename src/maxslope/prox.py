@@ -6,9 +6,11 @@ Closed forms are used where they exist (quadratic and soft-threshold
 perturbations against diagonal metrics) and are evaluated as single array
 expressions over the rows.  Everything else goes through a deterministic
 global search: a recursive grid zoom in 1D that advances every row's
-windows in one block per round, and per-row multistart quasi-Newton
-descent in higher dimensions.  Selection among near-optimal minimizers is
-deterministic so that whole trajectories are reproducible.
+windows in one block per round, run on each coordinate in nD, where the
+energies are sums over coordinates and the metric is diagonal (the
+separable-sum rule of Parikh and Boyd, Proximal Algorithms, 2014).
+Selection among near-optimal minimizers is deterministic so that whole
+trajectories are reproducible.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .energy import (
     CONVEX_PERTURBED,
     QUADRATIC,
     EnergySpec,
+    coordinate,
     eval_many,
     gradient_many,
 )
@@ -39,7 +42,9 @@ MULTISTART_NUMERIC = "multistart_numeric"
 
 @dataclass(frozen=True)
 class ProxSettings:
-    """Knobs for the numeric search; exact closed forms ignore them."""
+    """Knobs for the numeric search; exact closed forms ignore them.  The
+    zoom's first round shortlists ``starts`` brackets; ``max_iters`` caps
+    the grid points of each row, in nD of each coordinate of a row."""
 
     mode: str = EXACT_IF_AVAILABLE
     starts: int = 3
@@ -54,6 +59,8 @@ class ProxSettings:
             raise ValueError("starts must be >= 1")
         if self.local_tol <= 0:
             raise ValueError("local_tol must be positive")
+        if not 0 < self.search_radius_factor < math.inf:
+            raise ValueError("search_radius_factor must be finite and positive")
 
     def to_dict(self) -> dict:
         return {
@@ -167,7 +174,7 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
         V = _exact_minimizers(spec, eps, deltas, U, mw)
         energies = eval_many(spec, eps, V)
     else:
-        search = _zoom_1d if space.dimension == 1 else _multistart_nd
+        search = _zoom_1d if space.dimension == 1 else _separable_nd
         rows, C, cvals, cenergies = search(spec, eps, deltas, U, mw, settings)
         chosen = _select(rows, C, cvals, U, mw)
         V, energies = C[chosen], cenergies[chosen]
@@ -193,14 +200,12 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
 
 
 def _objective(spec, eps, X, u, delta, mw):
-    """energy(x) + d^2(x, u) / (2 delta), and energy(x), at the points ``X``.
-
-    ``X`` is (B, k, n); ``u`` (B, 1, n) and ``delta`` (B, 1) hold each
-    row's base point and step size.  Returns two (B, k) arrays.
-    """
-    energy = eval_many(spec, eps, X.reshape(-1, X.shape[2])).reshape(X.shape[:2])
+    """energy(x) + m (x - u)^2 / (2 delta), and energy(x), at the (B, k)
+    points ``X`` on the line; the columns ``u`` and ``delta`` hold each
+    row's base point and step size."""
+    energy = eval_many(spec, eps, X.reshape(-1, 1)).reshape(X.shape)
     diff = X - u
-    return energy + (mw * diff * diff).sum(axis=2) / (2.0 * delta), energy
+    return energy + mw * diff * diff / (2.0 * delta), energy
 
 
 def _near_ties(rows, C, cvals, chosen, values, mw, local_tol):
@@ -279,7 +284,7 @@ def _zoom_1d(spec, eps, deltas, U, mw, settings):
     with np.errstate(over="ignore"):    # a non-finite window is reported below
         radius = settings.search_radius_factor * np.maximum(
             1.0, deltas * np.sqrt((g * g).sum(axis=1)))
-    # Live windows: problem row, bounds, base point (W, 1, 1), step (W, 1).
+    # Live windows: problem row, bounds, base point (W, 1), step (W, 1).
     live, lo, hi = np.arange(B), U[:, 0] - radius, U[:, 0] + radius
     bad = np.flatnonzero(~np.isfinite(hi - lo))
     if bad.size:
@@ -287,11 +292,10 @@ def _zoom_1d(spec, eps, deltas, U, mw, settings):
         raise EvaluationError(
             f"1D prox search window around u={U[b, 0]:g} with delta={deltas[b]:g} "
             f"is not finite (radius {radius[b]:g})", point=U[b])
-    uw, dw = U[:, None, :], deltas[:, None]
+    uw, dw = U, deltas[:, None]
     # The guard rides along with the first round's grid.
     xs = _grid(lo, hi)
-    vals, energy = _objective(spec, eps, np.concatenate([xs, U], axis=1)[:, :, None],
-                              uw, dw, mw)
+    vals, energy = _objective(spec, eps, np.concatenate([xs, U], axis=1), uw, dw, mw)
     guard = (np.arange(B), U[:, 0], vals[:, -1], energy[:, -1])
     vals, energy = vals[:, :-1], energy[:, :-1]
     found, searched = [], []
@@ -322,7 +326,7 @@ def _zoom_1d(spec, eps, deltas, U, mw, settings):
         lo, hi = a, b
         first_round = False
         xs = _grid(lo, hi)
-        vals, energy = _objective(spec, eps, xs[:, :, None], uw, dw, mw)
+        vals, energy = _objective(spec, eps, xs, uw, dw, mw)
     found.append(guard)
     rows, x, v, e = (np.concatenate(parts) for parts in zip(*found))
     return rows, x[:, None], v, e
@@ -388,56 +392,25 @@ def _interior_minima(vals):
     return (inner <= vals[:, :-2]) & (inner <= vals[:, 2:])
 
 
-def _multistart_nd(spec, eps, deltas, U, mw, settings):
-    """Per-row L-BFGS-B multistart from u and from axis offsets around it.
-
-    Returns the candidates as ``_zoom_1d`` does, the guard v = u last.
-    Candidate values are recomputed from their energies as ``prox_batch``
-    computes the chosen row's value, so ranking and reporting agree.
-    """
-    from scipy import optimize
-
-    n = spec.domain.dimension
-    rows, points = [], []
-    for row, (delta, u_arr) in enumerate(zip(deltas, U)):
-        g = gradient_many(spec, eps, u_arr[None, :])[0]
-        scale = max(1.0, float(np.sqrt((g * g).sum())))
-        offsets = [np.zeros(n)]
-        for k in range(1, settings.starts):
-            r = delta * k * scale
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = r
-                offsets.append(e.copy())
-                offsets.append(-e)
-        d_row, u_row = deltas[row:row + 1, None], U[row:row + 1, None, :]
-
-        def fun(x):
-            return float(_objective(spec, eps, x[None, None, :], u_row, d_row, mw)[0][0, 0])
-
-        def jac(x):
-            return gradient_many(spec, eps, x[None, :])[0] + mw * (x - u_arr) / delta
-
-        evals = 0
-        for off in offsets:
-            res = optimize.minimize(
-                fun, u_arr + off, jac=jac, method="L-BFGS-B",
-                options={"maxiter": 500, "ftol": settings.local_tol * 1e-2,
-                         "gtol": 1e-12},
-            )
-            evals += int(res.nfev)
-            rows.append(row)
-            points.append(np.asarray(res.x, dtype=float))
-        # Guard the descent property: v = u is always admissible.
-        rows.append(row)
-        points.append(u_arr)
-        if evals > settings.max_iters:
-            raise BudgetExhaustedError(
-                f"prox search used {evals} evaluations (budget {settings.max_iters})"
-            )
-    rows, points = np.array(rows), np.array(points)
+def _separable_nd(spec, eps, deltas, U, mw, settings):
+    """Each row's combinations of its coordinates' zoom candidates within
+    ``local_tol`` of their coordinate's best, valued in nD as ``prox_batch``
+    values the chosen one.  No other combination comes within ``local_tol``
+    of the optimum: the coordinates' excesses over their best add up."""
+    B, n = U.shape
+    rows, points = np.arange(B), np.zeros((B, 0))
+    for j in range(n):
+        u, m = U[:, j:j + 1], mw[j:j + 1]
+        r, x, v, _ = _zoom_1d(coordinate(spec, j), eps, deltas, u, m, settings)
+        keep = np.flatnonzero(v <= v[_select(r, x, v, u, m)][r] + settings.local_tol)
+        keep = keep[np.argsort(r[keep], kind="stable")]
+        # Pair every combination so far with each kept candidate of its row.
+        counts = np.bincount(r[keep], minlength=B)[rows]
+        start = np.searchsorted(r[keep], rows) - np.cumsum(counts) + counts
+        parent = np.repeat(np.arange(rows.size), counts)
+        k = keep[np.repeat(start, counts) + np.arange(parent.size)]
+        rows, points = rows[parent], np.column_stack([points[parent], x[k, 0]])
     energies = eval_many(spec, eps, points)
     off = points - U[rows]
     values = energies + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows])
     return rows, points, values, energies
-

@@ -42,14 +42,15 @@ def perturbed_1d(quad_1d):
     return convex_perturbed(quad_1d)
 
 
-def brute_force_prox_1d(spec, eps, delta, u, radius, step):
-    """Grid argmin of energy(v) + (v - u)^2 / (2 delta) over [u-R, u+R].
+def brute_force_prox_1d(spec, eps, delta, u, radius, step, metric_weight=1.0):
+    """Grid argmin of energy(v) + m (v - u)^2 / (2 delta) over [u-R, u+R].
 
     Independent of the package prox: plain numpy argmin on a dense grid.
-    Assumes the Euclidean metric on the line.
+    ``metric_weight`` is the weight m of the line's metric.
     """
     grid = np.arange(u - radius, u + radius + step, step)
-    obj = eval_many(spec, eps, grid[:, None]) + (grid - u) ** 2 / (2.0 * delta)
+    obj = (eval_many(spec, eps, grid[:, None])
+           + metric_weight * (grid - u) ** 2 / (2.0 * delta))
     return float(grid[np.argmin(obj)])
 
 

@@ -128,25 +128,48 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not valid JSON"):
             ExperimentConfig.from_file(path)
 
-    @pytest.mark.parametrize("build, path, value", [
-        (quad_run_config, ("command", "run", "initial_point"), 5),
-        (quad_run_config, ("command", "run", "eps"), None),
-        (slope_cone_config, ("command", "check", "x"), 1.5),
-        (quad_run_config, ("energy", "weights"), 1.0),
-        (slope_cone_config, ("command", "check", "probes"), "many"),
-        (quad_run_config, ("command", "run", "prox_settings"), [1]),
-        (maximal_slope_config, ("command", "check", "waive_condition_h"), "false"),
-        (quad_run_config, ("output_dir",), 5),
+    @pytest.mark.parametrize("build, path, value, named", [
+        (quad_run_config, ("command", "run", "initial_point"), 5, "initial_point"),
+        (quad_run_config, ("command", "run", "eps"), None, "eps"),
+        (slope_cone_config, ("command", "check", "x"), 1.5, "x"),
+        (quad_run_config, ("energy", "weights"), 1.0, "energy"),
+        (slope_cone_config, ("command", "check", "probes"), "many", "probes"),
+        (quad_run_config, ("command", "run", "prox_settings"), [1], "prox_settings"),
+        (maximal_slope_config, ("command", "check", "waive_condition_h"), "false",
+         "waive_condition_h"),
+        (quad_run_config, ("output_dir",), 5, "output_dir"),
+        # float() takes a bool as 0.0 or 1.0, but a JSON true is no number
+        (quad_run_config, ("command", "run", "eps"), True, "eps"),
+        (quad_run_config, ("command", "run", "initial_point"), [True], "initial_point"),
+        (quad_run_config, ("energy", "weights"), [True], "weights"),
+        (quad_run_config, ("energy", "center"), [False], "center"),
+        (quad_run_config, ("space",), {"dimension": 1, "metric_kind": "diagonal_weighted",
+                                       "weights": [True]}, "weights"),
+        (quad_run_config, ("command", "run", "prox_settings"), {"local_tol": True},
+         "local_tol"),
     ], ids=["initial_point", "eps", "x", "weights", "probes", "prox_settings",
-            "waive_condition_h", "output_dir"])
-    def test_wrong_json_type_is_config_error(self, tmp_path, build, path, value):
+            "waive_condition_h", "output_dir", "eps_bool", "initial_point_bool",
+            "weights_bool", "center_bool", "metric_weights_bool", "local_tol_bool"])
+    def test_wrong_json_type_is_config_error(self, tmp_path, build, path, value, named):
         # a real process, so that an escaping exception shows as a traceback
         doc = build(tmp_path / "out")
         set_field(doc, path, value)
         proc = run_cli(tmp_path, doc)
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("config error:")
+        assert named in proc.stderr.splitlines()[0]
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.inf])
+    def test_search_radius_factor_must_be_positive(self, tmp_path, factor):
+        # at 0 the numeric prox would search an empty window and freeze the
+        # trajectory; at -1 a reversed one
+        doc = quad_run_config(tmp_path / "out", prox_settings={
+            "mode": "multistart_numeric", "search_radius_factor": factor})
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error:")
+        assert "search_radius_factor must be finite and positive" in proc.stderr
 
     def test_non_string_output_dir_with_out_override(self, tmp_path):
         doc = quad_run_config(tmp_path / "out")

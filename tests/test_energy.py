@@ -6,6 +6,8 @@ import pytest
 from maxslope.energy import (
     EnergySpec,
     certify_well_posedness,
+    convex_perturbed,
+    coordinate,
     custom_smooth,
     eval_many,
     evaluate,
@@ -22,6 +24,7 @@ from maxslope.errors import (
     ConfigError,
     EvaluationError,
 )
+from maxslope.metric import SpaceDescriptor
 
 from conftest import finite_difference_gradient, pt
 
@@ -52,6 +55,25 @@ class TestEval:
     def test_wiggly_needs_positive_amplitude(self, quad_1d):
         with pytest.raises(ValueError):
             wiggly(quad_1d, amplitude_scale=0.0)
+
+
+class TestCoordinates:
+    SPACE = SpaceDescriptor(3, metric_kind="diagonal_weighted", weights=(4.0, 1.0, 2.0))
+    BASE = quadratic(SPACE, [1.0, 2.0, 0.5], [0.3, -0.2, 1.0])
+
+    @pytest.mark.parametrize("spec", [BASE, wiggly(BASE, amplitude_scale=0.5),
+                                      convex_perturbed(BASE)],
+                             ids=["quadratic", "wiggly", "convex_perturbed"])
+    def test_energy_is_the_sum_of_its_coordinates(self, spec):
+        X = np.random.default_rng(1).uniform(-2.0, 2.0, (50, 3))
+        parts = [coordinate(spec, j) for j in range(3)]
+        assert all(p.kind == spec.kind and p.domain == SpaceDescriptor(1) for p in parts)
+        total = sum(eval_many(p, 0.1, X[:, j:j + 1]) for j, p in enumerate(parts))
+        assert np.allclose(total, eval_many(spec, 0.1, X), rtol=1e-14, atol=1e-14)
+
+    def test_a_1d_energy_is_its_own_coordinate(self, line):
+        spec = custom_smooth(line, "x^4 - x^2")
+        assert coordinate(spec, 0) is spec
 
 
 class TestGradient:

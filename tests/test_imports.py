@@ -1,5 +1,5 @@
-"""The import footprint is part of the contract: scipy and sympy load only
-on the paths that use them.
+"""The import footprint is part of the contract: no path loads scipy, and
+sympy loads only on the path that uses it.
 
 Each case runs in a fresh interpreter, because the test process itself has
 long since imported both.  Nothing here measures time.
@@ -62,6 +62,16 @@ WEIGHTED_2D_DISSIPATION = {
     }},
 }
 
+WIGGLY_2D_RUN = {
+    "space": {"dimension": 2, "metric_kind": "diagonal_weighted",
+              "weights": [4.0, 1.0]},
+    "energy": {"kind": "wiggly",
+               "base": {"kind": "quadratic", "weights": [1.0, 2.0],
+                        "center": [0.0, 0.0]}},
+    "command": {"run": {"eps": 0.1, "tau": 0.01, "horizon_T": 0.05,
+                        "initial_point": [0.5, -0.3]}},
+}
+
 CUSTOM_RUN = {
     "space": {"dimension": 1},
     "energy": {"kind": "custom_smooth", "expression": "0.5*x^2 + eps*cos(x/eps)"},
@@ -84,12 +94,13 @@ def test_custom_expression_loads_sympy(tmp_path):
     assert "sympy" in heavy_modules_after(cli_calls(tmp_path, ("run", CUSTOM_RUN)))
 
 
-def test_nd_numeric_prox_loads_scipy_optimize():
+def test_no_path_loads_scipy(tmp_path):
+    # the nD numeric prox, called directly and under a CLI run
     code = """
 from maxslope.energy import quadratic
 from maxslope.metric import Point, SpaceDescriptor
 from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox
 spec = quadratic(SpaceDescriptor(2), [4.0, 1.0], [1.0, -1.0])
 prox(spec, 1.0, 0.5, Point((0.0, 0.0)), ProxSettings(mode=MULTISTART_NUMERIC))
-"""
-    assert "scipy.optimize" in heavy_modules_after(code)
+""" + cli_calls(tmp_path, ("run", WIGGLY_2D_RUN))
+    assert heavy_modules_after(code) == []

@@ -5,14 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxslope.energy import convex_perturbed, custom_smooth, evaluate, quadratic
+from maxslope.energy import (
+    convex_perturbed,
+    coordinate,
+    custom_smooth,
+    eval_many,
+    evaluate,
+    quadratic,
+)
 from maxslope.errors import BudgetExhaustedError, EvaluationError, InvalidDeltaError
 from maxslope.metric import SpaceDescriptor, distance
 from maxslope.prox import (
     MULTISTART_NUMERIC,
     ProxSettings,
-    _multistart_nd,
     _select,
+    _separable_nd,
+    _zoom_1d,
     prox,
     prox_batch,
 )
@@ -96,21 +104,32 @@ class TestNumericSearch:
 
 
     def test_nd_value_is_the_ranked_objective(self, weighted_plane):
-        # Candidates are ranked by energy + d^2 / (2 delta) as the reported
-        # value computes it, and the value is the row's lowest of them.  At
-        # these base points L-BFGS-B's own res.fun differs from that in the
-        # last bit for some candidate (scipy 1.17).
+        # The reported value is energy + d^2 / (2 delta) at the chosen point,
+        # and no candidate ranks lower: neither a combination the separable
+        # search valued nor the chosen point with one coordinate swapped for
+        # any other candidate of that coordinate's zoom.
         spec = convex_perturbed(quadratic(weighted_plane, [1.0, 2.0], [0.3, -0.2]))
         U = np.array([[-0.573427911842217, -0.6904896434975996],
                       [0.308546715723349, 0.4653631919741408],
                       [-1.446325737309074, 0.23991054169228443]])
         deltas = np.full(len(U), 0.05)
         mw = weighted_plane.metric_weights()
-        rows, C, cvals, cenergies = _multistart_nd(spec, 0.1, deltas, U, mw, NUMERIC)
-        off = C - U[rows]
-        assert np.array_equal(cvals, cenergies + (mw * off * off).sum(axis=1)
-                              / (2.0 * deltas[rows]))
+
+        def objective(V, rows):
+            off = V - U[rows]
+            return (eval_many(spec, 0.1, V)
+                    + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows]))
+
         batch = prox_batch(spec, 0.1, deltas, U, NUMERIC)
+        assert np.array_equal(batch.values, objective(batch.minimizers, np.arange(3)))
+        rows, C, cvals, _ = _separable_nd(spec, 0.1, deltas, U, mw, NUMERIC)
+        assert np.array_equal(cvals, objective(C, rows))
+        for j in range(2):
+            r, x, _, _ = _zoom_1d(coordinate(spec, j), 0.1, deltas, U[:, j:j + 1],
+                                  mw[j:j + 1], NUMERIC)
+            swapped = batch.minimizers[r]
+            swapped[:, j] = x[:, 0]
+            assert (objective(swapped, r) >= batch.values[r]).all()
         for b in range(len(U)):
             assert batch.values[b] == cvals[rows == b].min()
 

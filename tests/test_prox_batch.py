@@ -2,6 +2,7 @@
 and the dense-grid oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,87 @@ class TestAgainstLoopReference:
             assert batch.minimizers[b, 0] == best
             assert batch.values[b] == value
             assert list(batch.tie_points[batch.tie_rows == b, 0]) == ties
+
+
+class TestSeparable:
+    """The nD numeric prox zooms each coordinate as its own 1D problem."""
+
+    WEIGHTS, CENTER = (1.0, 2.0), (0.3, -0.2)
+    WRAP = {"quadratic": lambda q: q, "wiggly": wiggly,
+            "convex_perturbed": convex_perturbed}
+
+    def spec(self, family, space, weights, center):
+        return self.WRAP[family](quadratic(space, weights, center))
+
+    @pytest.mark.parametrize("family", sorted(WRAP))
+    @settings(max_examples=20, deadline=None)
+    @given(eps=st.floats(0.05, 1.0), delta=st.floats(1e-3, 0.5),
+           u=st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2))
+    def test_weighted_2d_matches_per_coordinate_oracle(self, family, eps, delta, u):
+        spec = self.spec(family, WEIGHTED_PLANE, self.WEIGHTS, self.CENTER)
+        batch = prox_batch(spec, eps, [delta], [u], NUMERIC)
+        step, oracle_value, slack = 1e-4, 0.0, 0.0
+        for j, m in enumerate(WEIGHTED_PLANE.metric_weights()):
+            line_spec = self.spec(family, LINE, [self.WEIGHTS[j]], [self.CENTER[j]])
+            v = brute_force_prox_1d(line_spec, eps, delta, u[j], radius=3.0,
+                                    step=step, metric_weight=m)
+            oracle_value += (eval_many(line_spec, eps, [[v]])[0]
+                             + m * (v - u[j]) ** 2 / (2.0 * delta))
+            # the grid's best lies above the minimum by at most L h^2 / 8,
+            # L the curvature bound, plus eps h next to the kink of eps |x|
+            slack += (self.WEIGHTS[j] + m / delta + 1.0 / eps) * step ** 2 / 8 + eps * step
+            if family != "wiggly":      # strictly convex: one minimizer
+                assert abs(batch.minimizers[0, j] - v) <= step
+        assert oracle_value - slack <= batch.values[0]
+        assert batch.values[0] <= oracle_value + 2 * NUMERIC.local_tol
+
+    def test_mirror_wells_tie_as_a_product(self):
+        # Near u = 0 each coordinate of this wiggly energy has two mirror
+        # wells, so the four corners tie: the chosen one and three ties.  The
+        # offset of u makes the wells differ by less than local_tol, but not
+        # to the bit.
+        spec = self.spec("wiggly", WEIGHTED_PLANE, self.WEIGHTS, (0.0, 0.0))
+        eps, delta, u = 0.1, 1.0, np.array([1e-11, -1e-11])
+        batch = prox_batch(spec, eps, [delta], [u], NUMERIC)
+        assert list(batch.near_tie) == [True]
+        assert list(batch.tie_rows) == [0, 0, 0]
+        found = np.vstack([batch.minimizers, batch.tie_points])
+
+        # Brute force: the local minima of a 2D grid whose value is within
+        # the grid's resolution of its lowest.  Minimality bounds |v - u| in
+        # the metric by sqrt(2 delta (phi(u) - inf phi) / m) <= 0.9 / sqrt(m).
+        h = 2e-3
+        mw = WEIGHTED_PLANE.metric_weights()
+        axes = [np.arange(-0.9 / math.sqrt(m), 0.9 / math.sqrt(m) + h, h) for m in mw]
+        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        off = X.reshape(-1, 2) - u
+        obj = (eval_many(spec, eps, X.reshape(-1, 2))
+               + (mw * off * off).sum(axis=1) / (2.0 * delta)).reshape(X.shape[:2])
+        inner = obj[1:-1, 1:-1]
+        is_min = np.ones(inner.shape, dtype=bool)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di or dj:
+                    is_min &= inner <= obj[1 + di:obj.shape[0] - 1 + di,
+                                           1 + dj:obj.shape[1] - 1 + dj]
+        is_min &= inner <= obj.min() + 1e-4
+        oracle = X[1:-1, 1:-1][is_min]
+        assert len(oracle) == 4
+
+        def lexicographic(P):
+            return P[np.lexsort(P.T[::-1])]
+        assert np.abs(lexicographic(found) - lexicographic(oracle)).max() <= h
+        reach = np.sqrt((mw * (oracle - u) ** 2).sum(axis=1)).max()
+        assert abs(batch.tie_moved[0] - reach) <= h * math.sqrt(mw.sum())
+
+    @pytest.mark.parametrize("family", ["quadratic", "convex_perturbed"])
+    def test_trajectory_stays_near_the_closed_form(self, family):
+        spec = self.spec(family, WEIGHTED_PLANE, self.WEIGHTS, self.CENTER)
+        params = SchemeParams(eps=0.01, tau=0.005, horizon_T=1.0,
+                              initial_point=pt(1.0, -0.8))
+        exact = run_scheme(spec, params)
+        numeric = run_scheme(spec, replace(params, prox_settings=NUMERIC))
+        assert np.abs(numeric.coords - exact.coords).max() <= 1e-6
 
 
 class TestShortlist:
