@@ -44,12 +44,6 @@ def write_json(obj: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _ensure_outdir(cfg: ExperimentConfig, override: str | None) -> Path:
-    out = Path(override) if override else cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _run_with_interpolant(cfg: ExperimentConfig, payload, context: str):
     params = parse_scheme_params(payload, cfg.space, context)
     traj = run_scheme(cfg.energy, params)
@@ -59,6 +53,7 @@ def _run_with_interpolant(cfg: ExperimentConfig, payload, context: str):
 
 def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     traj, interp = _run_with_interpolant(cfg, cfg.payload, "run")
+    out.mkdir(parents=True, exist_ok=True)
     scheme_mod.trajectory_to_csv(traj, out / "trajectory.csv")
     scheme_mod.interpolant_to_csv(interp, out / "interpolant.csv")
 
@@ -84,6 +79,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     sweep_tol = parse_field(float, cfg.payload.get("sweep_tol", 1e-2), "sweep_tol")
     report = regimes.run_sweep(cfg.energy, coupling, levels, base,
                                sweep_tol=sweep_tol)
+    out.mkdir(parents=True, exist_ok=True)
     for k, level in enumerate(report.levels):
         if level.trajectory is not None:
             scheme_mod.trajectory_to_csv(level.trajectory,
@@ -205,6 +201,7 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
             f"check config field 'type' must be one of {CHECK_TYPES}, got {ctype!r}"
         )
     passed, report = _CHECKERS[ctype](cfg, cfg.payload)
+    out.mkdir(parents=True, exist_ok=True)
     write_json({"check": ctype, "passed": passed, "report": report},
                out / f"check_{ctype}.json")
     if not quiet:
@@ -235,7 +232,9 @@ def main(argv=None) -> int:
                 f"config declares command {cfg.command!r} but subcommand "
                 f"{args.subcommand!r} was invoked"
             )
-        out = _ensure_outdir(cfg, args.out)
+        # each command creates it just before writing, so that a command
+        # that fails leaves no directory behind
+        out = Path(args.out) if args.out else cfg.output_dir
         handler = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check}
         return handler[cfg.command](cfg, out, args.quiet)
     except (ConfigError, ValueError) as exc:

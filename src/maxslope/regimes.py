@@ -18,7 +18,7 @@ from typing import Callable
 from .diagnostics import MaximalSlopeReport, maximal_slope_check, trajectory_as_curve
 from .energy import EnergySpec, gamma_limit
 from .errors import ConfigError, MaxslopeError
-from .metric import Point, distance
+from .metric import Point, as_floats, distance
 from .scheme import DiscreteTrajectory, SchemeParams, piecewise_constant, run_scheme
 from .slope import ConditionHReport, check_condition_h
 
@@ -62,8 +62,8 @@ class CouplingLaw:
             form = d["form"]
         except KeyError as exc:
             raise ConfigError("coupling config missing field 'form'") from exc
-        return cls(form=form, lam=float(d.get("lam", 1.0)),
-                   alpha=float(d.get("alpha", 1.0)))
+        return cls(form=form, lam=as_floats([d.get("lam", 1.0)], "lam")[0],
+                   alpha=as_floats([d.get("alpha", 1.0)], "alpha")[0])
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ tests compare two independent routes to the same number.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from maxslope.energy import eval_many, quadratic, wiggly, convex_perturbed
 from maxslope.metric import Point, SpaceDescriptor
@@ -68,3 +69,20 @@ def finite_difference_gradient(spec, eps, x, step=1e-5):
 
 def pt(*coords):
     return Point(tuple(float(c) for c in coords))
+
+
+def grammar_expressions(numbers, depth=4):
+    """Texts of custom_smooth grammar expressions nested at most ``depth``
+    deep, with literals drawn from ``numbers``."""
+    literal = numbers.map(lambda v: f"({v!r})" if v < 0 else repr(v))
+    leaf = st.one_of(st.sampled_from(["x", "eps"]), literal)
+    if depth == 0:
+        return leaf
+    inner = grammar_expressions(numbers, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds("({} {} {})".format, inner,
+                  st.sampled_from(["+", "-", "*", "/", "^", "**"]), inner),
+        st.builds("{}({})".format,
+                  st.sampled_from(["-", "+", "sin", "cos", "exp", "abs", "Abs"]), inner),
+    )

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -25,6 +27,8 @@ from maxslope.config import ExperimentConfig, parse_scheme_params
 from maxslope.diagnostics import dissipation_identity
 from maxslope.errors import ConfigError
 from maxslope.scheme import build_interpolant, run_scheme
+
+from conftest import grammar_expressions
 
 
 def load_schema(name):
@@ -147,9 +151,15 @@ class TestConfigParsing:
                                        "weights": [True]}, "weights"),
         (quad_run_config, ("command", "run", "prox_settings"), {"local_tol": True},
          "local_tol"),
+        (quad_run_config, ("energy",), {"kind": "wiggly", "amplitude_scale": True,
+                                        "base": {"kind": "quadratic", "weights": [1.0],
+                                                 "center": [0.0]}}, "amplitude_scale"),
+        (maximal_slope_config, ("command", "check", "coupling", "lam"), True, "lam"),
+        (maximal_slope_config, ("command", "check", "coupling", "alpha"), True, "alpha"),
     ], ids=["initial_point", "eps", "x", "weights", "probes", "prox_settings",
             "waive_condition_h", "output_dir", "eps_bool", "initial_point_bool",
-            "weights_bool", "center_bool", "metric_weights_bool", "local_tol_bool"])
+            "weights_bool", "center_bool", "metric_weights_bool", "local_tol_bool",
+            "amplitude_scale_bool", "lam_bool", "alpha_bool"])
     def test_wrong_json_type_is_config_error(self, tmp_path, build, path, value, named):
         # a real process, so that an escaping exception shows as a traceback
         doc = build(tmp_path / "out")
@@ -170,6 +180,7 @@ class TestConfigParsing:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("config error:")
         assert "search_radius_factor must be finite and positive" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_non_string_output_dir_with_out_override(self, tmp_path):
         doc = quad_run_config(tmp_path / "out")
@@ -265,6 +276,40 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "only numbers, x, eps" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("expression", [
+        "10^400*x^2", "x^2/0", "0^-1 + x^2",
+        "(-8)^(1/3) + x^2",     # a float power has no real cube root of -8
+        "2^2^2^2^2^2*x",        # 2^65536 overflows; exact integers would exhaust memory
+    ])
+    def test_nonfinite_constant_is_an_error(self, tmp_path, capsys, expression):
+        doc = quad_run_config(tmp_path / "out")
+        doc["energy"] = {"kind": "custom_smooth", "expression": expression}
+        assert main(["run", "--config", write_config(tmp_path, doc)]) in (
+            EXIT_CONFIG, EXIT_SOLVER)
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(("config error:", "solver error:"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(expression=grammar_expressions(
+        st.sampled_from([0, 1e300, -1e300, 1e-300, -1e-300])
+        | st.floats(allow_nan=False, allow_infinity=False) | st.integers(-1000, 1000)))
+    def test_fuzzed_expression_exits_cleanly(self, expression):
+        # in-process, so that any escaping exception fails the test
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = quad_run_config(Path(tmp) / "out", tau=0.05, T=0.1,
+                                  initial_energy_bound_S=1e300)
+            doc["energy"] = {"kind": "custom_smooth", "expression": expression}
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", write_config(Path(tmp), doc), "--quiet"])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_CHECK_FAILED)
+        if code != EXIT_OK:
+            assert err.getvalue().splitlines()[-1].startswith(
+                ("config error:", "solver error:"))
 
     def test_unbounded_energy_reports_one_solver_line(self, tmp_path):
         # -x^4 runs off to -3.7e76 by step 6, where the 1D search window

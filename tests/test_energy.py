@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, reject, settings
+from hypothesis import strategies as st
 
 from maxslope.energy import (
     EnergySpec,
+    _compile_expression,
     certify_well_posedness,
     convex_perturbed,
     coordinate,
@@ -14,6 +18,7 @@ from maxslope.energy import (
     exact_slope,
     gamma_limit,
     gradient,
+    gradient_many,
     nearest_stable_critical_point,
     quadratic,
     wiggly,
@@ -26,7 +31,7 @@ from maxslope.errors import (
 )
 from maxslope.metric import SpaceDescriptor
 
-from conftest import finite_difference_gradient, pt
+from conftest import finite_difference_gradient, grammar_expressions, pt
 
 
 class TestEval:
@@ -190,6 +195,46 @@ class TestCertificate:
             certify_well_posedness(quad_1d, [], 100)
 
 
+def round_off(sympy, expr, at):
+    """``expr``'s float64 value at the symbol values ``at`` and its round-off
+    scale: a first-order bound on the rounding error in units of the unit
+    round-off (running error analysis, Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3).  The scale is inf for a node this does not
+    know, and for a sign whose argument is within round-off of 0."""
+    if expr in at:
+        return at[expr], 0.0
+    if not expr.args:                   # a number, or the imaginary unit
+        try:
+            return np.float64(float(expr)), abs(float(expr))
+        except TypeError:
+            return np.nan, np.inf
+    v, s = zip(*(round_off(sympy, arg, at) for arg in expr.args))
+    with np.errstate(all="ignore"):
+        if expr.is_Add:
+            return sum(v), sum(s) + sum(map(abs, v))
+        if expr.is_Mul:
+            value = math.prod(v)
+            return value, abs(value) + sum(
+                s[i] * math.prod(abs(w) for j, w in enumerate(v) if j != i)
+                for i in range(len(v)))
+        if expr.is_Pow:
+            (a, b), (sa, sb) = v, s
+            value = a ** b
+            return value, (abs(value) + abs(b * a ** (b - 1)) * sa
+                           + abs(value * np.log(abs(a))) * sb)
+        if isinstance(expr, (sympy.sin, sympy.cos)):
+            return getattr(np, type(expr).__name__)(v[0]), 1.0 + s[0]
+        if isinstance(expr, sympy.exp):
+            return np.exp(v[0]), np.exp(v[0]) * (1.0 + s[0])
+        if isinstance(expr, sympy.log):
+            return np.log(v[0]), 1.0 + s[0] / abs(v[0])
+        if isinstance(expr, sympy.Abs):
+            return abs(v[0]), s[0]
+        if isinstance(expr, sympy.sign):
+            return np.sign(v[0]), 0.0 if abs(v[0]) > 1e-9 * max(1.0, s[0]) else np.inf
+    return np.nan, np.inf
+
+
 class TestCustomExpressions:
     def test_parse_error(self, line):
         with pytest.raises(ConfigError):
@@ -224,6 +269,55 @@ class TestCustomExpressions:
     def test_grammar_admits(self, line, expression):
         spec = custom_smooth(line, expression)
         assert np.isfinite(evaluate(spec, 0.5, pt(0.25)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(expression=grammar_expressions(
+               st.just(0.0) | st.floats(0.125, 4.0, width=32)
+               | st.floats(-4.0, -0.125, width=32)).filter(
+               lambda text: re.search(r"\bx\b", text)),
+           x=st.floats(0.01, 2.0) | st.floats(-2.0, -0.01), eps=st.floats(0.05, 2.0))
+    @example(expression="0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)", x=0.6, eps=0.05)
+    @example(expression="2.5*(3*x)^3 - x/(1 + x^2) + eps*sin(-x)", x=-0.8, eps=0.3)
+    @example(expression="cos(cos(x)) * abs(x - 0.5) + x^x + eps^(2*x)", x=1.3, eps=0.7)
+    def test_matches_sympy(self, expression, x, eps):
+        """The value and derivative agree with sympy's, where both are finite.
+
+        Sympy sorts and merges terms and folds constants, so the two round
+        differently: the tolerance is 1e-9 relative to the larger of the
+        value and sympy's round-off scale (see ``round_off``), plus four
+        times our own round-off."""
+        sympy = pytest.importorskip("sympy")
+        X, E = sympy.Symbol("x", real=True), sympy.Symbol("eps", positive=True)
+        try:
+            expr = sympy.sympify(expression.replace("^", "**"), rational=False,
+                                 locals={"x": X, "eps": E, "abs": sympy.Abs,
+                                         "Abs": sympy.Abs})
+        except ZeroDivisionError:       # sympy's 0.0/0.0
+            reject()
+        assume(not expr.has(sympy.zoo, sympy.nan, sympy.oo, -sympy.oo))
+        spec = custom_smooth(SpaceDescriptor(1), expression)
+        compiled = _compile_expression(expression)
+        for ours, fn, theirs in ((eval_many, compiled[0], expr),
+                                 (gradient_many, compiled[1], sympy.diff(expr, X))):
+            for point in (x, 0.37, -1.21, 1.73):
+                ref, scale = round_off(sympy, theirs, {X: np.float64(point),
+                                                       E: np.float64(eps)})
+                try:
+                    value = float(np.ravel(ours(spec, eps, np.array([[point]])))[0])
+                except EvaluationError:
+                    continue    # e.g. x^0.5 - x^0.5 at x < 0, which sympy cancels
+                # our own round-off, which terms that sympy cancels (the
+                # derivative of x/x) can leave: against the same lambda in
+                # extended precision, on platforms with one
+                with np.errstate(all="ignore"):
+                    extended = float(np.ravel(fn(np.array([point], dtype=np.longdouble),
+                                                 np.longdouble(eps)))[0])
+                own = np.nan_to_num(abs(value - extended), nan=0.0, posinf=0.0)
+                if np.isfinite(ref) and np.isfinite(scale):
+                    tol = 1e-9 * max(1.0, abs(ref), scale) + 4 * own
+                    assert abs(value - ref) <= tol, (ours.__name__, point, value, ref)
 
     def test_caret_power(self, line):
         spec = custom_smooth(line, "x^2 / 2")

@@ -1,5 +1,5 @@
-"""The import footprint is part of the contract: no path loads scipy, and
-sympy loads only on the path that uses it.
+"""The import footprint is part of the contract: no path loads scipy or
+sympy; the package needs numpy alone.
 
 Each case runs in a fresh interpreter, because the test process itself has
 long since imported both.  Nothing here measures time.
@@ -90,8 +90,17 @@ def test_closed_form_and_grid_zoom_runs_load_neither(tmp_path):
     assert heavy_modules_after(code) == []
 
 
-def test_custom_expression_loads_sympy(tmp_path):
-    assert "sympy" in heavy_modules_after(cli_calls(tmp_path, ("run", CUSTOM_RUN)))
+def test_no_path_loads_sympy(tmp_path):
+    # custom expressions are compiled from their syntax tree, with and
+    # without eps in them
+    sweep = {**CUSTOM_RUN, "command": {"sweep": {
+        "coupling": {"form": "tau_of_eps", "lam": 1.0, "alpha": 2.0},
+        "levels": [0.1, 0.05],
+        "params": {"horizon_T": 0.05, "initial_point": [0.5]}}}}
+    run = {**CUSTOM_RUN, "energy": {"kind": "custom_smooth",
+                                    "expression": "x^4 - x^2 + abs(x)/4"}}
+    code = cli_calls(tmp_path, ("run", CUSTOM_RUN), ("sweep", sweep), ("run", run))
+    assert heavy_modules_after(code) == []
 
 
 def test_no_path_loads_scipy(tmp_path):
