@@ -44,6 +44,16 @@ def write_json(obj: dict, path: Path) -> None:
         fh.write("\n")
 
 
+def _make_outdir(out: Path) -> None:
+    """Create the output directory; a path that cannot be one is a config
+    error."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(out)!r}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _run_with_interpolant(cfg: ExperimentConfig, payload, context: str):
     params = parse_scheme_params(payload, cfg.space, context)
     traj = run_scheme(cfg.energy, params)
@@ -53,7 +63,7 @@ def _run_with_interpolant(cfg: ExperimentConfig, payload, context: str):
 
 def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     traj, interp = _run_with_interpolant(cfg, cfg.payload, "run")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_outdir(out)
     scheme_mod.trajectory_to_csv(traj, out / "trajectory.csv")
     scheme_mod.interpolant_to_csv(interp, out / "interpolant.csv")
 
@@ -79,7 +89,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     sweep_tol = parse_field(float, cfg.payload.get("sweep_tol", 1e-2), "sweep_tol")
     report = regimes.run_sweep(cfg.energy, coupling, levels, base,
                                sweep_tol=sweep_tol)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_outdir(out)
     for k, level in enumerate(report.levels):
         if level.trajectory is not None:
             scheme_mod.trajectory_to_csv(level.trajectory,
@@ -201,7 +211,7 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
             f"check config field 'type' must be one of {CHECK_TYPES}, got {ctype!r}"
         )
     passed, report = _CHECKERS[ctype](cfg, cfg.payload)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_outdir(out)
     write_json({"check": ctype, "passed": passed, "report": report},
                out / f"check_{ctype}.json")
     if not quiet:
@@ -236,7 +246,10 @@ def main(argv=None) -> int:
         # that fails leaves no directory behind
         out = Path(args.out) if args.out else cfg.output_dir
         handler = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check}
-        return handler[cfg.command](cfg, out, args.quiet)
+        # a non-finite value ends in one error line where it matters, so
+        # numpy's floating-point warnings are not printed
+        with np.errstate(all="ignore"):
+            return handler[cfg.command](cfg, out, args.quiet)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -139,9 +139,8 @@ def parse_scheme_params(payload: dict, space: SpaceDescriptor,
     for name in ("starts", "max_iters"):
         if name in prox_fields:
             parse_int(prox_fields[name], name)
-    for name in ("local_tol", "search_radius_factor"):
-        if name in prox_fields:
-            parse_field(float, prox_fields[name], name)
+    if "local_tol" in prox_fields:
+        parse_field(float, prox_fields["local_tol"], "local_tol")
     try:
         return SchemeParams(
             eps=number("eps"),

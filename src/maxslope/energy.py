@@ -9,8 +9,9 @@ The built-in zoo:
 
 Every kind is finite everywhere; the extended-real branch of the slope
 definition exists in the type system but is unreachable for built-ins.
-Optional capabilities (gradient, exact descending slope, limit family as
-eps -> 0) raise :class:`CapabilityAbsentError` when a kind lacks them.
+Optional capabilities (gradient, closed-form curvature, exact descending
+slope, limit family as eps -> 0) raise :class:`CapabilityAbsentError` when
+a kind lacks them; the energy and curvature floors are None there.
 """
 
 from __future__ import annotations
@@ -291,6 +292,10 @@ def _differentiate(text: str, node):
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
         a, da = _differentiate(text, node.left)
         b, db = _differentiate(text, node.right)
+        if isinstance(node.op, ast.Pow) and _literal(b) and b.value == 0:
+            # a^0 is 1 wherever a is (numpy's 0^0, inf^0 and nan^0 are 1),
+            # so the power rule's 0 a^(-1) a' must not appear
+            return _constant(1.0), None
         value = _binop(a, node.op, b)
         if isinstance(node.op, ast.Add):
             return value, _add(da, db)
@@ -391,6 +396,46 @@ def gradient_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
             f"gradient of {spec.expression!r} not finite at x={bad.tolist()}", point=bad
         )
     return g[:, None]
+
+
+def energy_floor(spec: EnergySpec, eps: float) -> float | None:
+    """A lower bound of the energy on the whole space, or None for
+    ``custom_smooth``, which declares none: 0 for a quadratic, the base's
+    minus a eps per coordinate for ``wiggly``, the base's for
+    ``convex_perturbed``."""
+    if spec.kind == QUADRATIC:
+        return 0.0
+    if spec.kind == WIGGLY:
+        return (energy_floor(spec.base, eps)
+                - spec.amplitude_scale * eps * spec.domain.dimension)
+    if spec.kind == CONVEX_PERTURBED:
+        return energy_floor(spec.base, eps)
+    return None
+
+
+def curvature_floor(spec: EnergySpec, eps: float) -> float | None:
+    """A lower bound of every second derivative along a coordinate, or None
+    where the family has none: ``convex_perturbed`` has a kink and
+    ``custom_smooth`` declares none.  It is the smallest weight for a
+    quadratic and the base's minus a / eps for ``wiggly``."""
+    if spec.kind == QUADRATIC:
+        return min(spec.weights)
+    if spec.kind == WIGGLY:
+        return curvature_floor(spec.base, eps) - spec.amplitude_scale / eps
+    return None
+
+
+def curvature_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
+    """Second derivatives along each coordinate at rows of ``X`` (m, n), for
+    the families with a curvature floor.  Every energy is a sum over
+    coordinates, so its Hessian is diagonal and these are its diagonal."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if spec.kind == QUADRATIC:
+        return np.asarray(spec.weights) * np.ones_like(X)
+    if spec.kind == WIGGLY:
+        return (curvature_many(spec.base, eps, X)
+                - spec.amplitude_scale / eps * np.cos(X / eps))
+    raise CapabilityAbsentError(f"no closed-form curvature for kind {spec.kind!r}")
 
 
 def gradient(spec: EnergySpec, eps: float, x: Point) -> Point:

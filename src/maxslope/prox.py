@@ -4,11 +4,20 @@ One engine, ``prox_batch``, solves B independent problems (one step size
 and one base point per row); the scalar ``prox`` is its B = 1 case.
 Closed forms are used where they exist (quadratic and soft-threshold
 perturbations against diagonal metrics) and are evaluated as single array
-expressions over the rows.  Everything else goes through a deterministic
-global search: a recursive grid zoom in 1D that advances every row's
-windows in one block per round, run on each coordinate in nD, where the
-energies are sums over coordinates and the metric is diagonal (the
-separable-sum rule of Parikh and Boyd, Proximal Algorithms, 2014).
+expressions over the rows.  Everything else is a numeric search in 1D,
+run on each coordinate in nD, where the energies are sums over
+coordinates and the metric is diagonal (the separable-sum rule of Parikh
+and Boyd, Proximal Algorithms, 2014).  In 1D each row searches a window
+that minimality certifies from the energy's floor, or a heuristic one for
+``custom_smooth``, and takes one of two routes:
+
+* the Newton route, where the energy's curvature floor makes the
+  objective strictly convex: a safeguarded Newton iteration on its
+  derivative, inside the window;
+* the grid route everywhere else: a recursive grid zoom that advances
+  every row's windows in one block per round.  ``ProxSettings.starts``
+  and the stop rule of ``local_tol`` apply to this route only.
+
 Selection among near-optimal minimizers is deterministic so that whole
 trajectories are reproducible.
 """
@@ -25,6 +34,9 @@ from .energy import (
     QUADRATIC,
     EnergySpec,
     coordinate,
+    curvature_floor,
+    curvature_many,
+    energy_floor,
     eval_many,
     gradient_many,
 )
@@ -42,14 +54,19 @@ MULTISTART_NUMERIC = "multistart_numeric"
 
 @dataclass(frozen=True)
 class ProxSettings:
-    """Knobs for the numeric search; exact closed forms ignore them.  The
-    zoom's first round shortlists ``starts`` brackets; ``max_iters`` caps
-    the grid points of each row, in nD of each coordinate of a row."""
+    """Knobs for the numeric search; exact closed forms ignore them.
+
+    ``starts`` and ``local_tol`` govern the grid route only: its first
+    round shortlists ``starts`` brackets, and a bracket whose grid values
+    spread by at most ``local_tol`` stops.  ``local_tol`` is also the
+    near-tie margin of every numeric row.  ``max_iters`` caps the
+    evaluations of each row (in nD of each coordinate of a row): grid
+    points on the grid route, Newton iterates on the Newton route.
+    """
 
     mode: str = EXACT_IF_AVAILABLE
     starts: int = 3
     local_tol: float = 1e-9
-    search_radius_factor: float = 2.0
     max_iters: int = 200_000
 
     def __post_init__(self):
@@ -59,25 +76,26 @@ class ProxSettings:
             raise ValueError("starts must be >= 1")
         if self.local_tol <= 0:
             raise ValueError("local_tol must be positive")
-        if not 0 < self.search_radius_factor < math.inf:
-            raise ValueError("search_radius_factor must be finite and positive")
 
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
             "starts": self.starts,
             "local_tol": self.local_tol,
-            "search_radius_factor": self.search_radius_factor,
             "max_iters": self.max_iters,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProxSettings":
+        fields = ("mode", "starts", "local_tol", "max_iters")
+        unknown = [name for name in d if name not in fields]
+        if unknown:
+            raise ValueError(f"unknown field {unknown[0]!r} "
+                             f"(known: {', '.join(fields)})")
         return cls(
             mode=d.get("mode", EXACT_IF_AVAILABLE),
             starts=int(d.get("starts", 3)),
             local_tol=float(d.get("local_tol", 1e-9)),
-            search_radius_factor=float(d.get("search_radius_factor", 2.0)),
             max_iters=int(d.get("max_iters", 200_000)),
         )
 
@@ -199,13 +217,13 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
     )
 
 
-def _objective(spec, eps, X, u, delta, mw):
+def _objective(spec, eps, X, u, delta, m):
     """energy(x) + m (x - u)^2 / (2 delta), and energy(x), at the (B, k)
-    points ``X`` on the line; the columns ``u`` and ``delta`` hold each
-    row's base point and step size."""
+    points ``X`` on the line of metric weight ``m``; the columns ``u`` and
+    ``delta`` hold each row's base point and step size."""
     energy = eval_many(spec, eps, X.reshape(-1, 1)).reshape(X.shape)
     diff = X - u
-    return energy + mw * diff * diff / (2.0 * delta), energy
+    return energy + m * diff * diff / (2.0 * delta), energy
 
 
 def _near_ties(rows, C, cvals, chosen, values, mw, local_tol):
@@ -264,8 +282,130 @@ _GRID_POINTS = 257
 _GRID_STEPS = np.arange(_GRID_POINTS, dtype=float)
 
 
+# Window of the energies without a floor (custom_smooth): u +- this times
+# max(1, delta |grad phi(u)|), a heuristic that certifies nothing.
+_FALLBACK_RADIUS = 2.0
+# Round-off allowed in phi(u) - phi_low, relative to 1 + |phi(u)| + |phi_low|,
+# when sizing the certified window.
+_WINDOW_SLACK = 1e-12
+# A Newton step this small relative to max(1, |u| + radius), the scale of
+# the row's bracket, is at round-off.
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+
+
 def _zoom_1d(spec, eps, deltas, U, mw, settings):
-    """Recursive grid zoom with a shortlist of the best brackets.
+    """Global 1D search of every row, on the Newton or the grid route.
+
+    Every family with an energy floor phi_low searches the certified window
+    |v - u| <= sqrt(2 delta (phi(u) - phi_low) / m), which minimality
+    gives (Ambrosio-Gigli-Savare, Gradient Flows, ch. 2-3); ``custom_smooth``
+    searches u +- 2 max(1, delta |grad phi(u)|).  A row whose objective has
+    a positive curvature floor (phi'' >= kappa with kappa + m / delta > 0)
+    is strictly convex there and takes ``_newton_1d``; every other row
+    takes ``_grid_zoom_1d``.
+
+    Returns the candidates' rows, points (C, 1), objective values and
+    energies.  Each route gives its candidates in the order it found them,
+    then the stay-put guard v = u of each of its rows, which keeps the
+    descent property.
+    """
+    m, u = mw[0], U[:, 0]
+    floor = energy_floor(spec, eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        if floor is None:
+            g = gradient_many(spec, eps, U)
+            radius = _FALLBACK_RADIUS * np.maximum(
+                1.0, deltas * np.sqrt((g * g).sum(axis=1)))
+        else:
+            energy_u = eval_many(spec, eps, U)
+            slack = _WINDOW_SLACK * (1.0 + np.abs(energy_u) + abs(floor))
+            radius = np.sqrt(2.0 * deltas * (energy_u - floor + slack) / m)
+        finite = np.isfinite((u + radius) - (u - radius))
+    if not finite.all():
+        b = np.flatnonzero(~finite)[0]
+        raise EvaluationError(
+            f"1D prox search window around u={u[b]:g} with delta={deltas[b]:g} "
+            f"is not finite (radius {radius[b]:g})", point=U[b])
+    kappa = curvature_floor(spec, eps)
+    newton = (np.zeros(u.size, dtype=bool) if kappa is None
+              else kappa + m / deltas > 0)
+    found = []
+    for route, take in ((_newton_1d, newton), (_grid_zoom_1d, ~newton)):
+        if take.all():
+            found.append(route(spec, eps, deltas, u, radius, m, settings))
+        elif take.any():
+            rows = np.flatnonzero(take)
+            r, x, v, e = route(spec, eps, deltas[rows], u[rows], radius[rows],
+                               m, settings)
+            found.append((rows[r], x, v, e))
+    rows, x, v, e = found[0] if len(found) == 1 else (
+        np.concatenate(parts) for parts in zip(*found))
+    return rows, x[:, None], v, e
+
+
+def _newton_1d(spec, eps, deltas, u, radius, m, settings):
+    """Safeguarded Newton iteration (rtsafe: Press et al., Numerical Recipes,
+    3rd ed., section 9.4) on the objective's derivative
+    F(v) = phi'(v) + c (v - u), c = m / delta, which the curvature floor
+    makes increasing, inside the certified bracket u +- radius.
+
+    A step that would leave the bracket, or that is more than half the
+    step before last, is a bisection step instead.  A row stops once its
+    step is at round-off on the scale max(1, |u| + radius) of its bracket,
+    and is frozen from then on, so each row gets exactly what it gets
+    alone.  Each iterate costs every live row one evaluation of phi' and
+    phi'' against ``settings.max_iters``.  Returns the rows, points,
+    objective values and energies of the minimizers, then of the guards.
+    """
+    B = u.size
+    c = m / deltas
+    tol = _NEWTON_TOL * np.maximum(1.0, np.abs(u) + radius)
+    live, x, u_live, c_live = np.arange(B), u, u, c
+    lo, hi = u - radius, u + radius
+    step_old = step = hi - lo           # sizes of the last two steps
+    out = np.empty(B)
+    evals = 0
+    while True:
+        evals += 1
+        if evals > settings.max_iters:
+            raise BudgetExhaustedError(
+                f"1D prox Newton iteration did not converge within "
+                f"{settings.max_iters} evaluations (budget {settings.max_iters})")
+        X = x[:, None]
+        f = gradient_many(spec, eps, X)[:, 0] + c_live * (x - u_live)
+        df = curvature_many(spec, eps, X)[:, 0] + c_live
+        # F(x) < 0 puts the root above x, else at or below it (a nan F
+        # shrinks the bracket towards lo, so the iteration still ends)
+        below = f < 0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        newton_step = f / df
+        newton = x - newton_step
+        size = np.abs(newton_step)
+        ok = (size <= 0.5 * step_old) & (lo <= newton) & (newton <= hi)
+        half = 0.5 * (hi - lo)
+        x = np.where(ok, newton, lo + half)
+        step_old, step = step, np.where(ok, size, half)
+        done = step <= tol
+        if done.any():
+            out[live[done]] = x[done]
+            if done.all():
+                break
+            go = ~done
+            live, x, lo, hi, step_old, step, u_live, c_live, tol = (
+                arr[go] for arr in (live, x, lo, hi, step_old, step,
+                                    u_live, c_live, tol))
+    # the guard v = u rides along with the minimizers
+    vals, energy = _objective(spec, eps, np.column_stack([out, u]), u[:, None],
+                              deltas[:, None], m)
+    rows = np.arange(B)
+    return (np.concatenate([rows, rows]), np.concatenate([out, u]),
+            vals.T.ravel(), energy.T.ravel())
+
+
+def _grid_zoom_1d(spec, eps, deltas, u, radius, m, settings):
+    """Recursive grid zoom on u +- radius with a shortlist of the best
+    brackets.
 
     Each round samples an even grid on every live window of every row in
     one block, keeps the ``starts`` lowest local minima (later rounds: the
@@ -274,29 +414,17 @@ def _zoom_1d(spec, eps, deltas, U, mw, settings):
     becomes a candidate once it has shrunk to round-off width or, after
     the first round, once its grid values spread by at most ``local_tol``.
     ``settings.max_iters`` bounds the grid points evaluated for each row.
-
-    Returns the candidates' rows, points (C, 1), objective values and
-    energies, in the order they were found, ending with the stay-put guard
-    v = u of every row: it keeps the descent property.
+    Returns the candidates' rows, points, objective values and energies,
+    in the order they were found, then the guards.
     """
-    B = U.shape[0]
-    g = gradient_many(spec, eps, U)
-    with np.errstate(over="ignore"):    # a non-finite window is reported below
-        radius = settings.search_radius_factor * np.maximum(
-            1.0, deltas * np.sqrt((g * g).sum(axis=1)))
+    B = u.size
     # Live windows: problem row, bounds, base point (W, 1), step (W, 1).
-    live, lo, hi = np.arange(B), U[:, 0] - radius, U[:, 0] + radius
-    bad = np.flatnonzero(~np.isfinite(hi - lo))
-    if bad.size:
-        b = bad[0]
-        raise EvaluationError(
-            f"1D prox search window around u={U[b, 0]:g} with delta={deltas[b]:g} "
-            f"is not finite (radius {radius[b]:g})", point=U[b])
-    uw, dw = U, deltas[:, None]
+    live, lo, hi = np.arange(B), u - radius, u + radius
+    uw, dw = u[:, None], deltas[:, None]
     # The guard rides along with the first round's grid.
     xs = _grid(lo, hi)
-    vals, energy = _objective(spec, eps, np.concatenate([xs, U], axis=1), uw, dw, mw)
-    guard = (np.arange(B), U[:, 0], vals[:, -1], energy[:, -1])
+    vals, energy = _objective(spec, eps, np.concatenate([xs, uw], axis=1), uw, dw, m)
+    guard = (np.arange(B), u, vals[:, -1], energy[:, -1])
     vals, energy = vals[:, :-1], energy[:, :-1]
     found, searched = [], []
     first_round = True
@@ -326,10 +454,9 @@ def _zoom_1d(spec, eps, deltas, U, mw, settings):
         lo, hi = a, b
         first_round = False
         xs = _grid(lo, hi)
-        vals, energy = _objective(spec, eps, xs, uw, dw, mw)
+        vals, energy = _objective(spec, eps, xs, uw, dw, m)
     found.append(guard)
-    rows, x, v, e = (np.concatenate(parts) for parts in zip(*found))
-    return rows, x[:, None], v, e
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def _check_budget(searched, B, settings):

@@ -170,16 +170,18 @@ class TestConfigParsing:
         assert named in proc.stderr.splitlines()[0]
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("factor", [0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, 2.0])
     def test_search_radius_factor_must_be_positive(self, tmp_path, factor):
-        # at 0 the numeric prox would search an empty window and freeze the
-        # trajectory; at -1 a reversed one
+        # The field is gone: the numeric prox sizes its window from the
+        # energy floor.  Any value, the old default 2 included, is a config
+        # error that names it, so a config written for it does not run
+        # silently with another window.
         doc = quad_run_config(tmp_path / "out", prox_settings={
             "mode": "multistart_numeric", "search_radius_factor": factor})
         proc = run_cli(tmp_path, doc)
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("config error:")
-        assert "search_radius_factor must be finite and positive" in proc.stderr
+        assert "unknown field 'search_radius_factor'" in proc.stderr.splitlines()[0]
         assert not (tmp_path / "out").exists()
 
     def test_non_string_output_dir_with_out_override(self, tmp_path):
@@ -322,6 +324,32 @@ class TestRunCommand:
         assert proc.stderr.count("\n") == 1
         assert "array(" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_solver_error_is_the_only_stderr_line(self, tmp_path):
+        # x^2/0 is nan at 0: numpy's RuntimeWarning must not precede the line
+        doc = quad_run_config(tmp_path / "out", tau=0.05)
+        doc["energy"] = {"kind": "custom_smooth", "expression": "x^2/0"}
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_SOLVER
+        assert proc.stderr.startswith("solver error:")
+        assert proc.stderr.count("\n") == 1
+
+    def test_zero_power_of_x_is_one(self, tmp_path):
+        # the power rule's 0 x^(-1) would make the gradient nan at x = 0
+        doc = quad_run_config(tmp_path / "out", tau=0.05, T=0.1)
+        doc["energy"] = {"kind": "custom_smooth", "expression": "x^0 + x^2"}
+        doc["command"]["run"]["initial_point"] = [0.0]
+        assert main(["run", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "out" / "trajectory.csv").open()))
+        assert {float(row["energy"]) for row in rows} == {1.0}
+
+    def test_output_path_under_a_file_is_config_error(self, tmp_path):
+        (tmp_path / "afile").write_text("")
+        proc = run_cli(tmp_path, quad_run_config(tmp_path / "out"),
+                       "--out", str(tmp_path / "afile" / "sub"))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error: cannot create output directory")
+        assert proc.stderr.count("\n") == 1
 
     def test_wrong_subcommand_for_config(self, tmp_path):
         cfg = write_config(tmp_path, quad_run_config(tmp_path / "out"))

@@ -12,7 +12,10 @@ from maxslope.energy import (
     certify_well_posedness,
     convex_perturbed,
     coordinate,
+    curvature_floor,
+    curvature_many,
     custom_smooth,
+    energy_floor,
     eval_many,
     evaluate,
     exact_slope,
@@ -108,6 +111,49 @@ class TestGradient:
             fd = finite_difference_gradient(spec, eps, x)
             scale = max(1.0, float(np.linalg.norm(fd)))
             assert np.linalg.norm(g - fd) <= 1e-6 * scale
+
+
+class TestFloors:
+    """The energy and curvature floors that certify the numeric prox."""
+
+    SPACE = SpaceDescriptor(2)
+    BASE = quadratic(SPACE, [1.0, 3.0], [0.3, -0.2])
+    FAMILIES = {"quadratic": BASE, "wiggly": wiggly(BASE, amplitude_scale=0.5),
+                "convex_perturbed": convex_perturbed(BASE)}
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_energy_floor_is_below_every_value(self, family):
+        spec, eps = self.FAMILIES[family], 0.05
+        X = np.random.default_rng(2).uniform(-3.0, 3.0, (20000, 2))
+        values = eval_many(spec, eps, X)
+        floor = energy_floor(spec, eps)
+        assert floor <= values.min()
+        # the base's floor 0 less the amplitude a eps of each coordinate
+        assert floor == (-0.5 * eps * 2 if family == "wiggly" else 0.0)
+
+    @pytest.mark.parametrize("family", ["quadratic", "wiggly"])
+    def test_curvature_matches_differences_and_its_floor(self, family):
+        spec, eps, h = self.FAMILIES[family], 0.05, 1e-6
+        X = np.random.default_rng(3).uniform(-2.0, 2.0, (200, 2))
+        curvature = curvature_many(spec, eps, X)
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            fd = (gradient_many(spec, eps, X + e)[:, j]
+                  - gradient_many(spec, eps, X - e)[:, j]) / (2 * h)
+            assert np.abs(curvature[:, j] - fd).max() <= 1e-3
+        assert curvature_floor(spec, eps) <= curvature.min()
+
+    def test_families_without_floors(self, line):
+        custom = custom_smooth(line, "x^2")
+        assert energy_floor(custom, 1.0) is None
+        assert curvature_floor(custom, 1.0) is None
+        kinked = self.FAMILIES["convex_perturbed"]
+        assert energy_floor(kinked, 0.1) == 0.0
+        assert curvature_floor(kinked, 0.1) is None
+        for spec in (custom, kinked):
+            with pytest.raises(CapabilityAbsentError):
+                curvature_many(spec, 0.1, np.zeros((1, spec.domain.dimension)))
 
 
 class TestGammaLimit:
@@ -277,17 +323,26 @@ class TestCustomExpressions:
                st.just(0.0) | st.floats(0.125, 4.0, width=32)
                | st.floats(-4.0, -0.125, width=32)).filter(
                lambda text: re.search(r"\bx\b", text)),
-           x=st.floats(0.01, 2.0) | st.floats(-2.0, -0.01), eps=st.floats(0.05, 2.0))
-    @example(expression="0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)", x=0.6, eps=0.05)
-    @example(expression="2.5*(3*x)^3 - x/(1 + x^2) + eps*sin(-x)", x=-0.8, eps=0.3)
-    @example(expression="cos(cos(x)) * abs(x - 0.5) + x^x + eps^(2*x)", x=1.3, eps=0.7)
-    def test_matches_sympy(self, expression, x, eps):
+           x=st.floats(0.01, 2.0) | st.floats(-2.0, -0.01), eps=st.floats(0.05, 2.0),
+           finite=st.just(False))
+    @example(expression="0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)", x=0.6, eps=0.05,
+             finite=True)
+    @example(expression="2.5*(3*x)^3 - x/(1 + x^2) + eps*sin(-x)", x=-0.8, eps=0.3,
+             finite=True)
+    @example(expression="cos(cos(x)) * abs(x - 0.5) + x^x + eps^(2*x)", x=1.3, eps=0.7,
+             finite=False)
+    # a literal exponent 0 is the constant 1, with no 0 x^(-1) in the derivative
+    @example(expression="x^0 + x^2", x=0.0, eps=0.5, finite=True)
+    @example(expression="3*(x - 1)^(1 - 1) - x*eps^0", x=1.0, eps=0.5, finite=True)
+    def test_matches_sympy(self, expression, x, eps, finite):
         """The value and derivative agree with sympy's, where both are finite.
 
         Sympy sorts and merges terms and folds constants, so the two round
         differently: the tolerance is 1e-9 relative to the larger of the
         value and sympy's round-off scale (see ``round_off``), plus four
-        times our own round-off."""
+        times our own round-off.  Ours may be non-finite where sympy's
+        cancels a term (x^0.5 - x^0.5 at x < 0), except in the examples
+        marked ``finite``."""
         sympy = pytest.importorskip("sympy")
         X, E = sympy.Symbol("x", real=True), sympy.Symbol("eps", positive=True)
         try:
@@ -307,7 +362,8 @@ class TestCustomExpressions:
                 try:
                     value = float(np.ravel(ours(spec, eps, np.array([[point]])))[0])
                 except EvaluationError:
-                    continue    # e.g. x^0.5 - x^0.5 at x < 0, which sympy cancels
+                    assert not finite, (ours.__name__, point)
+                    continue
                 # our own round-off, which terms that sympy cancels (the
                 # derivative of x/x) can leave: against the same lambda in
                 # extended precision, on platforms with one

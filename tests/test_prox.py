@@ -173,9 +173,18 @@ class TestFailureModes:
             prox(quad_1d, 1.0, 1.0, pt(1.0), DEFAULTS, tau_star=1.0)
 
     def test_budget_exhausted(self, wiggly_1d):
+        # 1 + 1 / delta < 1 / eps: not certified convex, so the grid zoom runs
         tight = ProxSettings(max_iters=10)
         with pytest.raises(BudgetExhaustedError):
-            prox(wiggly_1d, 0.01, 0.001, pt(0.5), tight)
+            prox(wiggly_1d, 0.01, 0.02, pt(0.5), tight)
+
+    def test_newton_budget_exhausted(self, wiggly_1d):
+        # 1 + 1 / delta > 1 / eps: the Newton route, whose iterates count
+        # against the budget; three are too few from u = 0.5
+        with pytest.raises(BudgetExhaustedError, match="Newton"):
+            prox(wiggly_1d, 0.01, 0.001, pt(0.5), ProxSettings(max_iters=3))
+        res = prox(wiggly_1d, 0.01, 0.001, pt(0.5), ProxSettings(max_iters=20))
+        assert res.moved_distance > 0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_search_window_fails_at_once(self, line):

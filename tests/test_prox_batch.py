@@ -3,16 +3,20 @@ and the dense-grid oracle."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxslope.cli import EXIT_SOLVER, main
 from maxslope.energy import (
     convex_perturbed,
+    curvature_floor,
+    curvature_many,
     custom_smooth,
+    energy_floor,
     eval_many,
     gradient_many,
     quadratic,
@@ -74,12 +78,15 @@ def assert_row_matches_scalar(batch, b, spec, eps, delta, u, prox_settings):
 
 
 def reference_prox_1d(spec, eps, delta, u, prox_settings):
-    """The 1D grid zoom as a plain loop over windows, one problem at a time.
+    """The 1D resolvent one problem at a time, as plain loops: the window,
+    then the Newton iteration where the curvature floor certifies the
+    objective convex, else the grid zoom over windows.
 
     Returns the minimizer, the objective there and the near ties; the
-    batched zoom must reproduce all three bit for bit.
+    batched engine must reproduce all three bit for bit.
     """
     mw = spec.domain.metric_weights()
+    m = float(mw[0])
     tol = prox_settings.local_tol
 
     def objective(xs):
@@ -91,10 +98,43 @@ def reference_prox_1d(spec, eps, delta, u, prox_settings):
         d = np.array([a - b])
         return math.sqrt(float(np.dot(mw * d, d)))
 
-    g = gradient_many(spec, eps, np.array([[u]]))[0]
-    radius = prox_settings.search_radius_factor * max(
-        1.0, delta * float(np.sqrt((g * g).sum())))
-    windows, candidates, first = [(u - radius, u + radius)], [], True
+    def at(function, x):
+        return float(function(spec, eps, np.array([[x]]))[0, 0])
+
+    floor = energy_floor(spec, eps)
+    if floor is None:
+        g = gradient_many(spec, eps, np.array([[u]]))[0]
+        radius = 2.0 * max(1.0, delta * float(np.sqrt((g * g).sum())))
+    else:
+        # |v - u| <= sqrt(2 delta (phi(u) - phi_low) / m), with round-off slack
+        energy_u = float(eval_many(spec, eps, np.array([[u]]))[0])
+        slack = 1e-12 * (1.0 + abs(energy_u) + abs(floor))
+        radius = math.sqrt(2.0 * delta * (energy_u - floor + slack) / m)
+    kappa = curvature_floor(spec, eps)
+    newton_route = kappa is not None and kappa + m / delta > 0
+    candidates = []
+    if newton_route:
+        # rtsafe on F(v) = phi'(v) + c (v - u), c = m / delta
+        c = m / delta
+        round_off = 4 * 2.0 ** -52 * max(1.0, abs(u) + radius)
+        x, lo, hi = u, u - radius, u + radius
+        step_old = step = hi - lo
+        while True:
+            f = at(gradient_many, x) + c * (x - u)
+            df = at(curvature_many, x) + c
+            if f < 0:
+                lo = x
+            else:
+                hi = x
+            newton = x - f / df
+            ok = abs(f / df) <= 0.5 * step_old and lo <= newton <= hi
+            half = 0.5 * (hi - lo)
+            x = newton if ok else lo + half
+            step_old, step = step, abs(f / df) if ok else half
+            if step <= round_off:
+                break
+        candidates.append((x, float(objective(np.array([x]))[0])))
+    windows, first = [] if newton_route else [(u - radius, u + radius)], True
     while windows:
         next_windows = []
         for lo, hi in windows:
@@ -181,6 +221,8 @@ class TestAgainstLoopReference:
         "weighted_wiggly": (wiggly(quadratic(SpaceDescriptor(
             1, metric_kind="diagonal_weighted", weights=(3.0,)), [2.0], [0.3])),
             0.1, DEFAULTS, 1.5),
+        # every row on the Newton route
+        "numeric_quadratic": (quadratic(LINE, [2.0], [0.3]), 1.0, NUMERIC, 1.5),
         # at the kink of eps*|x| the grid values never flatten out, so with
         # a tiny local_tol the brackets stop only at round-off width
         "kink_roundoff": (FAMILIES["convex_perturbed"][0], 0.1, ProxSettings(
@@ -189,7 +231,7 @@ class TestAgainstLoopReference:
 
     @pytest.mark.parametrize("family", ["wiggly", "weighted_wiggly", "kink_roundoff",
                                         "convex_perturbed", "custom_smooth",
-                                        "double_well"])
+                                        "double_well", "numeric_quadratic"])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_batched_zoom_reproduces_the_loop(self, family, data):
@@ -287,6 +329,51 @@ class TestSeparable:
         assert np.abs(numeric.coords - exact.coords).max() <= 1e-6
 
 
+class TestNewtonRoute:
+    """Rows whose objective the curvature floor certifies strictly convex:
+    w + m / delta > 0 for a quadratic, w + m / delta - a / eps > 0 for wiggly."""
+
+    @pytest.mark.parametrize("family", ["quadratic", "wiggly"])
+    @settings(max_examples=40, deadline=None)
+    @given(eps=st.floats(0.02, 1.0), delta=st.floats(1e-4, 0.5),
+           u=st.floats(-1.5, 1.5), m=st.sampled_from([0.25, 1.0, 4.0]),
+           w=st.floats(0.5, 2.0))
+    def test_matches_dense_grid_and_is_stationary(self, family, eps, delta, u, m, w):
+        space = SpaceDescriptor(1, metric_kind="diagonal_weighted", weights=(m,))
+        spec = quadratic(space, [w], [0.3])
+        if family == "wiggly":
+            spec = wiggly(spec)
+        mu = curvature_floor(spec, eps) + m / delta     # objective'' >= mu
+        assume(mu > 0)
+        with mock.patch("maxslope.prox._grid_zoom_1d",
+                        side_effect=AssertionError("grid route taken")):
+            batch = prox_batch(spec, eps, [delta], [[u]], NUMERIC)
+        v = batch.minimizers[0, 0]
+
+        # stationarity at round-off: a few ulps of the terms of
+        # F(v) = phi'(v) + m (v - u) / delta and of F' times |v|
+        lipschitz = w + (1.0 / eps if family == "wiggly" else 0.0) + m / delta
+        g = gradient_many(spec, eps, [[v]])[0, 0]
+        pull = m * (v - u) / delta
+        ulp = np.finfo(float).eps
+        assert abs(g + pull) <= 8 * ulp * (abs(g) + abs(pull) + 1.0
+                                           + lipschitz * max(1.0, abs(v)))
+
+        # the dense grid over the certified window: its best point is within
+        # (h / 2) sqrt(L / mu) of the minimizer and above it by at most
+        # L h^2 / 8, L the objective's curvature bound
+        phi_u = eval_many(spec, eps, [[u]])[0]
+        radius = math.sqrt(2.0 * delta * (phi_u - energy_floor(spec, eps)) / m)
+        step = max(radius, 1e-9) / 2000
+        oracle = brute_force_prox_1d(spec, eps, delta, u, radius=radius + 2 * step,
+                                     step=step, metric_weight=m)
+        oracle_value = eval_many(spec, eps, [[oracle]])[0] + m * (oracle - u) ** 2 / (2 * delta)
+        assert abs(v - oracle) <= 0.5 * step * math.sqrt(lipschitz / mu) + 1e-12
+        slack = 1e-12 * (1.0 + abs(oracle_value))
+        assert oracle_value - lipschitz * step ** 2 / 8 - slack <= batch.values[0]
+        assert batch.values[0] <= oracle_value + slack
+
+
 class TestShortlist:
     def grids(self):
         rng = np.random.default_rng(3)
@@ -327,8 +414,10 @@ class TestAgainstGridOracle:
 
 
 class TestBudget:
+    """The grid route's budget; custom_smooth rows always take that route."""
+
     def test_interpolant_exceeding_budget_raises(self):
-        spec, eps, _, _ = FAMILIES["wiggly"]
+        spec, eps, _, _ = FAMILIES["custom_smooth"]
         traj = run_scheme(spec, SchemeParams(eps=eps, tau=eps ** 2, horizon_T=0.05,
                                              initial_point=pt(0.5)))
         with pytest.raises(BudgetExhaustedError):
@@ -338,8 +427,8 @@ class TestBudget:
         config = tmp_path / "config.json"
         config.write_text(
             '{"space": {"dimension": 1},'
-            ' "energy": {"kind": "wiggly", "base": {"kind": "quadratic",'
-            ' "weights": [1.0], "center": [0.0]}},'
+            ' "energy": {"kind": "custom_smooth",'
+            ' "expression": "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)"},'
             ' "command": {"run": {"eps": 0.05, "tau": 0.0025, "horizon_T": 0.05,'
             ' "initial_point": [0.5], "prox_settings": {"max_iters": 10}}}}')
         assert main(["run", "--config", str(config), "--out",
@@ -349,16 +438,17 @@ class TestBudget:
         # The smallest budget one solve fits in also fits a block of 64
         # copies of it, although the block evaluates 64 times as much; one
         # 257-point grid less fails for the block as it does for one solve.
+        # At delta = 0.1, 1 + 1 / delta < 1 / eps: the grid route.
         spec, eps, _, _ = FAMILIES["wiggly"]
         budget = 257
         while True:
             try:
-                prox(spec, eps, 2.5e-3, pt(0.5), ProxSettings(max_iters=budget))
+                prox(spec, eps, 0.1, pt(0.5), ProxSettings(max_iters=budget))
                 break
             except BudgetExhaustedError:
                 budget += 257
         U = np.full((64, 1), 0.5)
-        deltas = np.full(64, 2.5e-3)
+        deltas = np.full(64, 0.1)
         batch = prox_batch(spec, eps, deltas, U, ProxSettings(max_iters=budget))
         assert (batch.minimizers == batch.minimizers[0]).all()
         with pytest.raises(BudgetExhaustedError):
