@@ -9,6 +9,7 @@ field, so the CLI can map them to exit code 1 with a usable message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -97,13 +98,17 @@ def require(payload: dict, name: str, context: str):
 
 def parse_field(kind, value, name: str):
     """``kind(value)`` for the config field ``name``; a value of the wrong
-    JSON type or range (null, a list or a bool for a float) is a ConfigError."""
+    JSON type or range (null, a list or a bool for a float, or a float
+    that is NaN or infinite) is a ConfigError."""
     if kind is float and isinstance(value, bool):
         raise ConfigError(f"field {name!r} must be a number, got {value!r}")
     try:
-        return kind(value)
+        parsed = kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field {name!r} invalid: {exc}") from exc
+    if kind is float and not math.isfinite(parsed):
+        raise ConfigError(f"field {name!r} must be finite, got {value!r}")
+    return parsed
 
 
 def parse_int(value, name: str) -> int:

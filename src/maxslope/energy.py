@@ -7,11 +7,17 @@ The built-in zoo:
 * ``convex_perturbed``   base(x) + eps * sum_i |x_i|
 * ``custom_smooth``      a 1D expression in ``x`` and ``eps``
 
+Each energy is a sum over coordinates of 1D members phi_j, and the numeric
+prox solves its problems as rows of these: ``coordinate_values`` and
+``coordinate_derivatives`` evaluate phi_j, phi_j' and phi_j'' row by row on
+(R, k) arrays, and ``energy_floors`` and ``curvature_floors`` bound each
+phi_j and phi_j'' from below.
+
 Every kind is finite everywhere; the extended-real branch of the slope
 definition exists in the type system but is unreachable for built-ins.
-Optional capabilities (gradient, closed-form curvature, exact descending
-slope, limit family as eps -> 0) raise :class:`CapabilityAbsentError` when
-a kind lacks them; the energy and curvature floors are None there.
+Optional capabilities (exact descending slope, limit family as eps -> 0)
+raise :class:`CapabilityAbsentError` when a kind lacks them; the
+closed-form curvature and the floors are None where a kind has none.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,18 +164,6 @@ def convex_perturbed(base: EnergySpec, perturbation: str = EPS_ABS) -> EnergySpe
 
 def custom_smooth(domain: SpaceDescriptor, expression: str) -> EnergySpec:
     return EnergySpec(kind=CUSTOM_SMOOTH, domain=domain, expression=str(expression))
-
-
-def coordinate(spec: EnergySpec, j: int) -> EnergySpec:
-    """The 1D member of ``spec``'s family on coordinate ``j``, on the
-    Euclidean line: ``spec`` at x is the sum of these at the x_j (a 1D
-    energy, as every ``custom_smooth`` one is, is its own coordinate)."""
-    if spec.domain.dimension == 1:
-        return spec
-    if spec.kind == QUADRATIC:
-        return quadratic(SpaceDescriptor(1), [spec.weights[j]], [spec.center[j]])
-    base = coordinate(spec.base, j)     # wiggly and convex_perturbed
-    return replace(spec, domain=base.domain, base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +355,9 @@ def eval_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
         return eval_many(spec.base, eps, X) + eps * np.abs(X).sum(axis=1)
     value_fn, _ = _compile_expression(spec.expression)
     out = np.asarray(value_fn(X[:, 0], np.float64(eps)), dtype=float)
-    out = np.broadcast_to(out, (X.shape[0],)).copy()
-    if not np.all(np.isfinite(out)):
+    # a copy: the expression ``x`` gives back a view of X
+    out = out.copy() if out.shape == X.shape[:1] else np.full(X.shape[0], out)
+    if not np.isfinite(out).all():
         bad = X[~np.isfinite(out)][0]
         raise EvaluationError(
             f"expression {spec.expression!r} not finite at x={bad.tolist()}", point=bad
@@ -389,8 +384,8 @@ def gradient_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
         return gradient_many(spec.base, eps, X) + eps * np.sign(X)
     _, grad_fn = _compile_expression(spec.expression)
     g = np.asarray(grad_fn(X[:, 0], np.float64(eps)), dtype=float)
-    g = np.broadcast_to(g, (X.shape[0],)).copy()
-    if not np.all(np.isfinite(g)):
+    g = g.copy() if g.shape == X.shape[:1] else np.full(X.shape[0], g)
+    if not np.isfinite(g).all():
         bad = X[~np.isfinite(g)][0]
         raise EvaluationError(
             f"gradient of {spec.expression!r} not finite at x={bad.tolist()}", point=bad
@@ -398,44 +393,78 @@ def gradient_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
     return g[:, None]
 
 
-def energy_floor(spec: EnergySpec, eps: float) -> float | None:
-    """A lower bound of the energy on the whole space, or None for
-    ``custom_smooth``, which declares none: 0 for a quadratic, the base's
-    minus a eps per coordinate for ``wiggly``, the base's for
-    ``convex_perturbed``."""
-    if spec.kind == QUADRATIC:
-        return 0.0
+# ---------------------------------------------------------------------------
+# Coordinate members.  Every energy is a sum over coordinates,
+# spec(x) = sum_j phi_j(x_j), of 1D members of its family on the Euclidean
+# line (a 1D energy, as every custom_smooth one is, is its own phi_0).  The
+# functions below evaluate the members row by row: row r of an (R,) or
+# (R, k) array X holds points of phi_cols[r], and each call gathers the
+# rows' parameters (w_j, b_j; a and eps are shared) once.
+# ---------------------------------------------------------------------------
+
+def _row_parameters(values, cols, X):
+    p = np.asarray(values)[cols]
+    return p if X.ndim == 1 else p[:, None]
+
+
+def coordinate_values(spec: EnergySpec, eps: float, cols, X) -> np.ndarray:
+    """phi_cols[r] at each point of row r of ``X``, in the shape of ``X``."""
+    if spec.kind == CUSTOM_SMOOTH:
+        return eval_many(spec, eps, X.reshape(-1, 1)).reshape(X.shape)
+    quad = spec if spec.kind == QUADRATIC else spec.base
+    w = _row_parameters(quad.weights, cols, X)
+    diff = X - _row_parameters(quad.center, cols, X)
+    value = 0.5 * (w * diff * diff)
     if spec.kind == WIGGLY:
-        return (energy_floor(spec.base, eps)
-                - spec.amplitude_scale * eps * spec.domain.dimension)
+        return value + spec.amplitude_scale * eps * np.cos(X / eps)
     if spec.kind == CONVEX_PERTURBED:
-        return energy_floor(spec.base, eps)
+        return value + eps * np.abs(X)
+    return value
+
+
+def coordinate_derivatives(spec: EnergySpec, eps: float, cols, X):
+    """(phi', phi'') of phi_cols[r] at each point of row r of ``X``; sign(0)
+    is taken as 0.  phi'' is None for the kinked ``convex_perturbed`` and
+    for ``custom_smooth``, which have no closed-form curvature, and a
+    quadratic's is its row weights, which broadcast against ``X``.  For
+    ``wiggly``, sin and cos share one x / eps."""
+    if spec.kind == CUSTOM_SMOOTH:
+        return gradient_many(spec, eps, X.reshape(-1, 1)).reshape(X.shape), None
+    quad = spec if spec.kind == QUADRATIC else spec.base
+    w = _row_parameters(quad.weights, cols, X)
+    slope = w * (X - _row_parameters(quad.center, cols, X))
+    if spec.kind == WIGGLY:
+        t = X / eps
+        a = spec.amplitude_scale
+        return slope - a * np.sin(t), w - a / eps * np.cos(t)
+    if spec.kind == CONVEX_PERTURBED:
+        return slope + eps * np.sign(X), None
+    return slope, w
+
+
+def energy_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:
+    """A lower bound of each coordinate member phi_j on the whole line, or
+    None for ``custom_smooth``, which declares none: 0 for a quadratic and
+    for ``convex_perturbed``, -a eps for ``wiggly``.  Their sum bounds the
+    energy."""
+    if spec.kind == QUADRATIC:
+        return np.zeros(spec.domain.dimension)
+    if spec.kind == WIGGLY:
+        return energy_floors(spec.base, eps) - spec.amplitude_scale * eps
+    if spec.kind == CONVEX_PERTURBED:
+        return energy_floors(spec.base, eps)
     return None
 
 
-def curvature_floor(spec: EnergySpec, eps: float) -> float | None:
-    """A lower bound of every second derivative along a coordinate, or None
-    where the family has none: ``convex_perturbed`` has a kink and
-    ``custom_smooth`` declares none.  It is the smallest weight for a
-    quadratic and the base's minus a / eps for ``wiggly``."""
+def curvature_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:
+    """A lower bound of each phi_j'', or None where the family has none:
+    ``convex_perturbed`` has a kink and ``custom_smooth`` declares none.
+    It is w_j for a quadratic and w_j - a / eps for ``wiggly``."""
     if spec.kind == QUADRATIC:
-        return min(spec.weights)
+        return np.asarray(spec.weights)
     if spec.kind == WIGGLY:
-        return curvature_floor(spec.base, eps) - spec.amplitude_scale / eps
+        return curvature_floors(spec.base, eps) - spec.amplitude_scale / eps
     return None
-
-
-def curvature_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
-    """Second derivatives along each coordinate at rows of ``X`` (m, n), for
-    the families with a curvature floor.  Every energy is a sum over
-    coordinates, so its Hessian is diagonal and these are its diagonal."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if spec.kind == QUADRATIC:
-        return np.asarray(spec.weights) * np.ones_like(X)
-    if spec.kind == WIGGLY:
-        return (curvature_many(spec.base, eps, X)
-                - spec.amplitude_scale / eps * np.cos(X / eps))
-    raise CapabilityAbsentError(f"no closed-form curvature for kind {spec.kind!r}")
 
 
 def gradient(spec: EnergySpec, eps: float, x: Point) -> Point:

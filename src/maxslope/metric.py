@@ -18,10 +18,14 @@ from .errors import ConfigError, DimensionMismatchError
 
 
 def as_floats(values, what: str) -> tuple[float, ...]:
-    """``values`` as floats; a bool, such as a JSON true, is no number."""
+    """``values`` as finite floats; a bool, such as a JSON true, is no
+    number, and a JSON NaN or Infinity is not finite."""
     if any(isinstance(v, bool) for v in values):
         raise TypeError(f"{what} must be numbers, got {list(values)!r}")
-    return tuple(float(v) for v in values)
+    floats = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in floats):
+        raise ValueError(f"{what} must be finite, got {list(floats)!r}")
+    return floats
 
 
 @dataclass(frozen=True)
@@ -34,10 +38,7 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        coords = as_floats(self.coords, "coordinates")
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"non-finite coordinate in {coords!r}")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", as_floats(self.coords, "coordinates"))
 
     @property
     def dim(self) -> int:

@@ -4,11 +4,12 @@ One engine, ``prox_batch``, solves B independent problems (one step size
 and one base point per row); the scalar ``prox`` is its B = 1 case.
 Closed forms are used where they exist (quadratic and soft-threshold
 perturbations against diagonal metrics) and are evaluated as single array
-expressions over the rows.  Everything else is a numeric search in 1D,
-run on each coordinate in nD, where the energies are sums over
-coordinates and the metric is diagonal (the separable-sum rule of Parikh
-and Boyd, Proximal Algorithms, 2014).  In 1D each row searches a window
-that minimality certifies from the energy's floor, or a heuristic one for
+expressions over the rows.  Everything else is one search over the B n
+coordinate rows of the B problems in n dimensions: every energy is a sum
+over coordinates and the metric is diagonal, so each problem separates
+into n 1D problems (the separable-sum rule of Parikh and Boyd, Proximal
+Algorithms, 2014).  Each coordinate row searches a window that minimality
+certifies from its coordinate's energy floor, or a heuristic one for
 ``custom_smooth``, and takes one of two routes:
 
 * the Newton route, where the energy's curvature floor makes the
@@ -18,8 +19,9 @@ that minimality certifies from the energy's floor, or a heuristic one for
   every row's windows in one block per round.  ``ProxSettings.starts``
   and the stop rule of ``local_tol`` apply to this route only.
 
-Selection among near-optimal minimizers is deterministic so that whole
-trajectories are reproducible.
+A problem's candidates are the combinations of its coordinate rows'
+near-optimal candidates.  Selection among near-optimal minimizers is
+deterministic so that whole trajectories are reproducible.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ from .energy import (
     CONVEX_PERTURBED,
     QUADRATIC,
     EnergySpec,
-    coordinate,
-    curvature_floor,
-    curvature_many,
-    energy_floor,
+    coordinate_derivatives,
+    coordinate_values,
+    curvature_floors,
+    energy_floors,
     eval_many,
-    gradient_many,
 )
 from .errors import (
     BudgetExhaustedError,
@@ -60,8 +61,9 @@ class ProxSettings:
     round shortlists ``starts`` brackets, and a bracket whose grid values
     spread by at most ``local_tol`` stops.  ``local_tol`` is also the
     near-tie margin of every numeric row.  ``max_iters`` caps the
-    evaluations of each row (in nD of each coordinate of a row): grid
-    points on the grid route, Newton iterates on the Newton route.
+    evaluations of each coordinate row (one per problem in 1D, n per
+    problem in nD): grid points on the grid route, Newton iterates on the
+    Newton route.
     """
 
     mode: str = EXACT_IF_AVAILABLE
@@ -74,8 +76,11 @@ class ProxSettings:
             raise ValueError(f"unknown prox mode {self.mode!r}")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.local_tol <= 0:
-            raise ValueError("local_tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not (math.isfinite(self.local_tol) and self.local_tol > 0):
+            raise ValueError(f"local_tol must be finite and positive, "
+                             f"got {self.local_tol!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -192,18 +197,20 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
         V = _exact_minimizers(spec, eps, deltas, U, mw)
         energies = eval_many(spec, eps, V)
     else:
-        search = _zoom_1d if space.dimension == 1 else _separable_nd
-        rows, C, cvals, cenergies = search(spec, eps, deltas, U, mw, settings)
-        chosen = _select(rows, C, cvals, U, mw)
-        V, energies = C[chosen], cenergies[chosen]
+        rows, C, cvals, cenergies = _separable_nd(spec, eps, deltas, U, mw, settings)
+        if rows.size == B:      # each row's one candidate: chosen, and untied
+            V, energies = C, cenergies
+        else:
+            chosen = _select(rows, C, cvals, U, mw)
+            V, energies = C[chosen], cenergies[chosen]
     diff = V - U
     d2 = (mw * diff * diff).sum(axis=1)
-    values = energies + d2 / (2.0 * deltas)     # as _objective computes it
+    values = energies + d2 / (2.0 * deltas)     # as the search values candidates
     moved = np.sqrt(d2)
 
     tie_moved, near_tie = moved.copy(), np.zeros(B, dtype=bool)
     tie_rows, tie_points = np.zeros(0, dtype=int), V[:0]
-    if not exact:
+    if not exact and rows.size > B:
         tie = _near_ties(rows, C, cvals, chosen, values, mw, settings.local_tol)
         if tie.size:
             tie_rows, tie_points = rows[tie], C[tie]
@@ -217,11 +224,12 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
     )
 
 
-def _objective(spec, eps, X, u, delta, m):
-    """energy(x) + m (x - u)^2 / (2 delta), and energy(x), at the (B, k)
-    points ``X`` on the line of metric weight ``m``; the columns ``u`` and
-    ``delta`` hold each row's base point and step size."""
-    energy = eval_many(spec, eps, X.reshape(-1, 1)).reshape(X.shape)
+def _objective(spec, eps, X, cols, u, delta, m):
+    """phi_j(x) + m (x - u)^2 / (2 delta), and phi_j(x), at the (R, k)
+    points ``X``, where row r lies on coordinate j = cols[r]; the columns
+    ``u``, ``delta`` and ``m`` hold each row's base point, step size and
+    metric weight."""
+    energy = coordinate_values(spec, eps, cols, X)
     diff = X - u
     return energy + m * diff * diff / (2.0 * delta), energy
 
@@ -293,77 +301,78 @@ _WINDOW_SLACK = 1e-12
 _NEWTON_TOL = 4.0 * np.finfo(float).eps
 
 
-def _zoom_1d(spec, eps, deltas, U, mw, settings):
-    """Global 1D search of every row, on the Newton or the grid route.
+def _zoom_1d(spec, eps, cols, deltas, u, m, settings):
+    """Global 1D search of every coordinate row, on the Newton or the grid
+    route.
 
-    Every family with an energy floor phi_low searches the certified window
-    |v - u| <= sqrt(2 delta (phi(u) - phi_low) / m), which minimality
+    Row r minimizes phi_j(v) + m (v - u)^2 / (2 delta) over the line, where
+    j = cols[r], u = u[r], delta = deltas[r] and m = m[r].  Every family
+    with energy floors phi_low searches the certified window
+    |v - u| <= sqrt(2 delta (phi_j(u) - phi_low) / m), which minimality
     gives (Ambrosio-Gigli-Savare, Gradient Flows, ch. 2-3); ``custom_smooth``
-    searches u +- 2 max(1, delta |grad phi(u)|).  A row whose objective has
-    a positive curvature floor (phi'' >= kappa with kappa + m / delta > 0)
-    is strictly convex there and takes ``_newton_1d``; every other row
+    searches u +- 2 max(1, delta |phi'(u)|).  A row whose objective has a
+    positive curvature floor (phi_j'' >= kappa_j with kappa_j + m / delta
+    > 0) is strictly convex there and takes ``_newton_1d``; every other row
     takes ``_grid_zoom_1d``.
 
-    Returns the candidates' rows, points (C, 1), objective values and
-    energies.  Each route gives its candidates in the order it found them,
+    Returns the candidates' rows, points, objective values and energies
+    phi_j.  Each route gives its candidates in the order it found them,
     then the stay-put guard v = u of each of its rows, which keeps the
     descent property.
     """
-    m, u = mw[0], U[:, 0]
-    floor = energy_floor(spec, eps)
+    floor = energy_floors(spec, eps)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if floor is None:
-            g = gradient_many(spec, eps, U)
-            radius = _FALLBACK_RADIUS * np.maximum(
-                1.0, deltas * np.sqrt((g * g).sum(axis=1)))
+            g, _ = coordinate_derivatives(spec, eps, cols, u)
+            radius = _FALLBACK_RADIUS * np.maximum(1.0, deltas * np.sqrt(g * g))
         else:
-            energy_u = eval_many(spec, eps, U)
-            slack = _WINDOW_SLACK * (1.0 + np.abs(energy_u) + abs(floor))
+            floor = floor[cols]
+            energy_u = coordinate_values(spec, eps, cols, u)
+            slack = _WINDOW_SLACK * (1.0 + np.abs(energy_u) + np.abs(floor))
             radius = np.sqrt(2.0 * deltas * (energy_u - floor + slack) / m)
         finite = np.isfinite((u + radius) - (u - radius))
     if not finite.all():
-        b = np.flatnonzero(~finite)[0]
+        r = np.flatnonzero(~finite)[0]
         raise EvaluationError(
-            f"1D prox search window around u={u[b]:g} with delta={deltas[b]:g} "
-            f"is not finite (radius {radius[b]:g})", point=U[b])
-    kappa = curvature_floor(spec, eps)
+            f"1D prox search window around u={u[r]:g} with delta={deltas[r]:g} "
+            f"is not finite (radius {radius[r]:g})", point=u[r:r + 1])
+    kappa = curvature_floors(spec, eps)
     newton = (np.zeros(u.size, dtype=bool) if kappa is None
-              else kappa + m / deltas > 0)
+              else kappa[cols] + m / deltas > 0)
     found = []
     for route, take in ((_newton_1d, newton), (_grid_zoom_1d, ~newton)):
         if take.all():
-            found.append(route(spec, eps, deltas, u, radius, m, settings))
+            found.append(route(spec, eps, cols, deltas, u, radius, m, settings))
         elif take.any():
             rows = np.flatnonzero(take)
-            r, x, v, e = route(spec, eps, deltas[rows], u[rows], radius[rows],
-                               m, settings)
+            r, x, v, e = route(spec, eps, cols[rows], deltas[rows], u[rows],
+                               radius[rows], m[rows], settings)
             found.append((rows[r], x, v, e))
-    rows, x, v, e = found[0] if len(found) == 1 else (
+    return found[0] if len(found) == 1 else tuple(
         np.concatenate(parts) for parts in zip(*found))
-    return rows, x[:, None], v, e
 
 
-def _newton_1d(spec, eps, deltas, u, radius, m, settings):
+def _newton_1d(spec, eps, cols, deltas, u, radius, m, settings):
     """Safeguarded Newton iteration (rtsafe: Press et al., Numerical Recipes,
     3rd ed., section 9.4) on the objective's derivative
-    F(v) = phi'(v) + c (v - u), c = m / delta, which the curvature floor
+    F(v) = phi_j'(v) + c (v - u), c = m / delta, which the curvature floor
     makes increasing, inside the certified bracket u +- radius.
 
     A step that would leave the bracket, or that is more than half the
     step before last, is a bisection step instead.  A row stops once its
     step is at round-off on the scale max(1, |u| + radius) of its bracket,
     and is frozen from then on, so each row gets exactly what it gets
-    alone.  Each iterate costs every live row one evaluation of phi' and
-    phi'' against ``settings.max_iters``.  Returns the rows, points,
+    alone.  Each iterate costs every live row one evaluation of phi_j' and
+    phi_j'' against ``settings.max_iters``.  Returns the rows, points,
     objective values and energies of the minimizers, then of the guards.
     """
-    B = u.size
+    R = u.size
     c = m / deltas
     tol = _NEWTON_TOL * np.maximum(1.0, np.abs(u) + radius)
-    live, x, u_live, c_live = np.arange(B), u, u, c
+    live, x, u_live, c_live, cols_live = np.arange(R), u, u, c, cols
     lo, hi = u - radius, u + radius
     step_old = step = hi - lo           # sizes of the last two steps
-    out = np.empty(B)
+    out = np.empty(R)
     evals = 0
     while True:
         evals += 1
@@ -371,9 +380,9 @@ def _newton_1d(spec, eps, deltas, u, radius, m, settings):
             raise BudgetExhaustedError(
                 f"1D prox Newton iteration did not converge within "
                 f"{settings.max_iters} evaluations (budget {settings.max_iters})")
-        X = x[:, None]
-        f = gradient_many(spec, eps, X)[:, 0] + c_live * (x - u_live)
-        df = curvature_many(spec, eps, X)[:, 0] + c_live
+        slope, curvature = coordinate_derivatives(spec, eps, cols_live, x)
+        f = slope + c_live * (x - u_live)
+        df = curvature + c_live
         # F(x) < 0 puts the root above x, else at or below it (a nan F
         # shrinks the bracket towards lo, so the iteration still ends)
         below = f < 0
@@ -392,18 +401,18 @@ def _newton_1d(spec, eps, deltas, u, radius, m, settings):
             if done.all():
                 break
             go = ~done
-            live, x, lo, hi, step_old, step, u_live, c_live, tol = (
+            live, x, lo, hi, step_old, step, u_live, c_live, cols_live, tol = (
                 arr[go] for arr in (live, x, lo, hi, step_old, step,
-                                    u_live, c_live, tol))
+                                    u_live, c_live, cols_live, tol))
     # the guard v = u rides along with the minimizers
-    vals, energy = _objective(spec, eps, np.column_stack([out, u]), u[:, None],
-                              deltas[:, None], m)
-    rows = np.arange(B)
+    vals, energy = _objective(spec, eps, np.column_stack([out, u]), cols, u[:, None],
+                              deltas[:, None], m[:, None])
+    rows = np.arange(R)
     return (np.concatenate([rows, rows]), np.concatenate([out, u]),
             vals.T.ravel(), energy.T.ravel())
 
 
-def _grid_zoom_1d(spec, eps, deltas, u, radius, m, settings):
+def _grid_zoom_1d(spec, eps, cols, deltas, u, radius, m, settings):
     """Recursive grid zoom on u +- radius with a shortlist of the best
     brackets.
 
@@ -417,25 +426,28 @@ def _grid_zoom_1d(spec, eps, deltas, u, radius, m, settings):
     Returns the candidates' rows, points, objective values and energies,
     in the order they were found, then the guards.
     """
-    B = u.size
-    # Live windows: problem row, bounds, base point (W, 1), step (W, 1).
-    live, lo, hi = np.arange(B), u - radius, u + radius
-    uw, dw = u[:, None], deltas[:, None]
+    R = u.size
+    # Live windows: row, bounds, and the row's coordinate, base point (W, 1),
+    # step (W, 1) and metric weight (W, 1).
+    live, lo, hi = np.arange(R), u - radius, u + radius
+    params = (cols, u[:, None], deltas[:, None], m[:, None])
     # The guard rides along with the first round's grid.
     xs = _grid(lo, hi)
-    vals, energy = _objective(spec, eps, np.concatenate([xs, uw], axis=1), uw, dw, m)
-    guard = (np.arange(B), u, vals[:, -1], energy[:, -1])
+    vals, energy = _objective(spec, eps, np.concatenate([xs, params[1]], axis=1),
+                              *params)
+    guard = (live, u, vals[:, -1], energy[:, -1])
     vals, energy = vals[:, :-1], energy[:, :-1]
     found, searched = [], []
     first_round = True
     while True:
         searched.append(live)
-        _check_budget(searched, B, settings)
+        _check_budget(searched, R, settings)
         h = xs[:, 1] - xs[:, 0]
         if first_round and settings.starts > 1:
             win, k = _shortlist(vals, settings.starts)
             if win.size > live.size:    # some window keeps several brackets
-                live, lo, hi, h, uw, dw = (arr[win] for arr in (live, lo, hi, h, uw, dw))
+                live, lo, hi, h = (arr[win] for arr in (live, lo, hi, h))
+                params = tuple(arr[win] for arr in params)
         else:
             win, k = np.arange(live.size), _lowest_minimum(vals)
         x = xs[win, k]
@@ -448,18 +460,19 @@ def _grid_zoom_1d(spec, eps, deltas, u, radius, m, settings):
             wd, kd = win[done], k[done]
             found.append((live[done], x[done], vals[wd, kd], energy[wd, kd]))
             go = ~done
-            live, a, b, uw, dw = live[go], a[go], b[go], uw[go], dw[go]
+            live, a, b = live[go], a[go], b[go]
+            params = tuple(arr[go] for arr in params)
         if not live.size:
             break
         lo, hi = a, b
         first_round = False
         xs = _grid(lo, hi)
-        vals, energy = _objective(spec, eps, xs, uw, dw, m)
+        vals, energy = _objective(spec, eps, xs, *params)
     found.append(guard)
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _check_budget(searched, B, settings):
+def _check_budget(searched, R, settings):
     """Raise once a row has evaluated more than ``max_iters`` grid points.
 
     ``searched`` holds the rows of each round's windows.  A row has at most
@@ -468,7 +481,7 @@ def _check_budget(searched, B, settings):
     after max_iters / 257 rounds, which bounds the search.
     """
     if len(searched) * settings.starts * _GRID_POINTS > settings.max_iters:
-        evals = _GRID_POINTS * np.bincount(np.concatenate(searched), minlength=B)
+        evals = _GRID_POINTS * np.bincount(np.concatenate(searched), minlength=R)
         if evals.max() > settings.max_iters:
             raise BudgetExhaustedError(
                 f"1D prox search used {evals.max()} evaluations "
@@ -520,23 +533,39 @@ def _interior_minima(vals):
 
 
 def _separable_nd(spec, eps, deltas, U, mw, settings):
-    """Each row's combinations of its coordinates' zoom candidates within
-    ``local_tol`` of their coordinate's best, valued in nD as ``prox_batch``
-    values the chosen one.  No other combination comes within ``local_tol``
-    of the optimum: the coordinates' excesses over their best add up."""
+    """One search over the B n coordinate rows of the B problems, then each
+    problem's combinations of its coordinates' candidates within
+    ``local_tol`` of their row's best, valued in nD as ``prox_batch``
+    values the chosen one (in 1D a row's values are already that).  Row
+    r = b n + j holds problem b's coordinate j.  No other combination
+    comes within ``local_tol`` of the optimum: the coordinates' excesses
+    over their best add up.  Returns the candidates' problems, points,
+    values and energies, grouped by problem."""
     B, n = U.shape
-    rows, points = np.arange(B), np.zeros((B, 0))
-    for j in range(n):
-        u, m = U[:, j:j + 1], mw[j:j + 1]
-        r, x, v, _ = _zoom_1d(coordinate(spec, j), eps, deltas, u, m, settings)
-        keep = np.flatnonzero(v <= v[_select(r, x, v, u, m)][r] + settings.local_tol)
-        keep = keep[np.argsort(r[keep], kind="stable")]
-        # Pair every combination so far with each kept candidate of its row.
-        counts = np.bincount(r[keep], minlength=B)[rows]
-        start = np.searchsorted(r[keep], rows) - np.cumsum(counts) + counts
-        parent = np.repeat(np.arange(rows.size), counts)
-        k = keep[np.repeat(start, counts) + np.arange(parent.size)]
-        rows, points = rows[parent], np.column_stack([points[parent], x[k, 0]])
+    R = B * n
+    cols = np.arange(R) % n
+    r, x, v, e = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(),
+                          mw[cols], settings)
+    best = np.full(R, np.inf)
+    np.fmin.at(best, r, v)          # a nan value ranks last, as in _select
+    keep = np.flatnonzero(v <= best[r] + settings.local_tol)
+    keep = keep[np.argsort(r[keep], kind="stable")]
+    if n == 1:                      # a 1D energy is its one member
+        return r[keep], x[keep, None], v[keep], e[keep]
+    if keep.size == R:              # one candidate per coordinate row
+        rows, points = np.arange(B), x[keep].reshape(B, n)
+    else:
+        # Pair every combination so far with each kept candidate of its
+        # problem's coordinate j, in candidate order.
+        counts = np.bincount(r[keep], minlength=R).reshape(B, n)
+        first = (np.cumsum(counts) - counts.ravel()).reshape(B, n)
+        rows, points = np.arange(B), np.zeros((B, 0))
+        for j in range(n):
+            c = counts[rows, j]
+            parent = np.repeat(np.arange(rows.size), c)
+            offset = np.arange(parent.size) - np.repeat(np.cumsum(c) - c, c)
+            k = keep[np.repeat(first[rows, j], c) + offset]
+            rows, points = rows[parent], np.column_stack([points[parent], x[k]])
     energies = eval_many(spec, eps, points)
     off = points - U[rows]
     values = energies + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows])

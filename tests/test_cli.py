@@ -184,6 +184,41 @@ class TestConfigParsing:
         assert "unknown field 'search_radius_factor'" in proc.stderr.splitlines()[0]
         assert not (tmp_path / "out").exists()
 
+    WIGGLY = {"kind": "wiggly", "base": {"kind": "quadratic", "weights": [1.0],
+                                         "center": [0.0]}}
+
+    @pytest.mark.parametrize("build, path, value, named", [
+        (quad_run_config, ("command", "run", "horizon_T"), math.inf, "horizon_T"),
+        (quad_run_config, ("command", "run", "prox_settings"), {"local_tol": math.nan},
+         "local_tol"),
+        (quad_run_config, ("command", "run", "initial_energy_bound_S"), math.nan,
+         "initial_energy_bound_S"),
+        (quad_run_config, ("command", "run", "eps"), math.nan, "eps"),
+        (quad_run_config, ("energy", "weights"), [math.nan], "weights"),
+        (quad_run_config, ("energy",), {**WIGGLY, "amplitude_scale": math.nan},
+         "amplitude_scale"),
+    ], ids=["horizon_T_inf", "local_tol_nan", "initial_energy_bound_S_nan", "eps_nan",
+            "weights_nan", "amplitude_scale_nan"])
+    def test_nonfinite_number_is_config_error(self, tmp_path, build, path, value, named):
+        # json reads NaN and Infinity; a number field must be finite
+        doc = build(tmp_path / "out")
+        set_field(doc, path, value)
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_CONFIG
+        first = proc.stderr.splitlines()[0]
+        assert first.startswith("config error:")
+        assert named in first and "finite" in first
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_max_iters_must_be_positive(self, tmp_path):
+        doc = quad_run_config(tmp_path / "out", prox_settings={
+            "mode": "multistart_numeric", "max_iters": 0})
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error:")
+        assert "max_iters must be >= 1" in proc.stderr.splitlines()[0]
+
     def test_non_string_output_dir_with_out_override(self, tmp_path):
         doc = quad_run_config(tmp_path / "out")
         doc["output_dir"] = 5

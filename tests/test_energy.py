@@ -11,11 +11,11 @@ from maxslope.energy import (
     _compile_expression,
     certify_well_posedness,
     convex_perturbed,
-    coordinate,
-    curvature_floor,
-    curvature_many,
+    coordinate_derivatives,
+    coordinate_values,
+    curvature_floors,
     custom_smooth,
-    energy_floor,
+    energy_floors,
     eval_many,
     evaluate,
     exact_slope,
@@ -74,14 +74,31 @@ class TestCoordinates:
                              ids=["quadratic", "wiggly", "convex_perturbed"])
     def test_energy_is_the_sum_of_its_coordinates(self, spec):
         X = np.random.default_rng(1).uniform(-2.0, 2.0, (50, 3))
-        parts = [coordinate(spec, j) for j in range(3)]
-        assert all(p.kind == spec.kind and p.domain == SpaceDescriptor(1) for p in parts)
-        total = sum(eval_many(p, 0.1, X[:, j:j + 1]) for j, p in enumerate(parts))
-        assert np.allclose(total, eval_many(spec, 0.1, X), rtol=1e-14, atol=1e-14)
+        # row j of X.T holds points of coordinate j's member phi_j
+        parts = coordinate_values(spec, 0.1, np.arange(3), X.T.copy())
+        assert parts.shape == (3, 50)
+        assert np.allclose(parts.sum(axis=0), eval_many(spec, 0.1, X),
+                           rtol=1e-14, atol=1e-14)
+        slope, _ = coordinate_derivatives(spec, 0.1, np.arange(3), X.T.copy())
+        assert np.array_equal(slope, gradient_many(spec, 0.1, X).T)
+        # rows in any order, flat or in blocks, give each row its own member
+        cols = np.array([2, 0, 1, 0, 2])
+        block = np.random.default_rng(4).uniform(-2.0, 2.0, (5, 4))
+        for r, j in enumerate(cols):
+            assert np.array_equal(coordinate_values(spec, 0.1, cols, block)[r],
+                                  coordinate_values(spec, 0.1, np.full(4, j), block[r]))
+        assert np.array_equal(coordinate_values(spec, 0.1, cols, block[:, 0]),
+                              coordinate_values(spec, 0.1, cols, block)[:, 0])
 
     def test_a_1d_energy_is_its_own_coordinate(self, line):
         spec = custom_smooth(line, "x^4 - x^2")
-        assert coordinate(spec, 0) is spec
+        X = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        cols = np.zeros(3, dtype=int)
+        assert np.array_equal(coordinate_values(spec, 1.0, cols, X),
+                              eval_many(spec, 1.0, X.reshape(-1, 1)).reshape(3, 4))
+        slope, curvature = coordinate_derivatives(spec, 1.0, cols, X)
+        assert np.array_equal(slope, gradient_many(spec, 1.0, X.reshape(-1, 1)).reshape(3, 4))
+        assert curvature is None
 
 
 class TestGradient:
@@ -125,35 +142,36 @@ class TestFloors:
     def test_energy_floor_is_below_every_value(self, family):
         spec, eps = self.FAMILIES[family], 0.05
         X = np.random.default_rng(2).uniform(-3.0, 3.0, (20000, 2))
-        values = eval_many(spec, eps, X)
-        floor = energy_floor(spec, eps)
-        assert floor <= values.min()
-        # the base's floor 0 less the amplitude a eps of each coordinate
-        assert floor == (-0.5 * eps * 2 if family == "wiggly" else 0.0)
+        floors = energy_floors(spec, eps)
+        assert floors.sum() <= eval_many(spec, eps, X).min()
+        parts = coordinate_values(spec, eps, np.arange(2), X.T.copy())
+        assert (floors <= parts.min(axis=1)).all()
+        # the base's floor 0 less the amplitude a eps
+        assert list(floors) == [-0.5 * eps if family == "wiggly" else 0.0] * 2
 
     @pytest.mark.parametrize("family", ["quadratic", "wiggly"])
     def test_curvature_matches_differences_and_its_floor(self, family):
         spec, eps, h = self.FAMILIES[family], 0.05, 1e-6
         X = np.random.default_rng(3).uniform(-2.0, 2.0, (200, 2))
-        curvature = curvature_many(spec, eps, X)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            fd = (gradient_many(spec, eps, X + e)[:, j]
-                  - gradient_many(spec, eps, X - e)[:, j]) / (2 * h)
-            assert np.abs(curvature[:, j] - fd).max() <= 1e-3
-        assert curvature_floor(spec, eps) <= curvature.min()
+        cols = np.arange(2)
+        _, curvature = coordinate_derivatives(spec, eps, cols, X.T.copy())
+        curvature = np.broadcast_to(curvature, (2, 200))
+        fd = (coordinate_derivatives(spec, eps, cols, X.T + h)[0]
+              - coordinate_derivatives(spec, eps, cols, X.T - h)[0]) / (2 * h)
+        assert np.abs(curvature - fd).max() <= 1e-3
+        assert (curvature_floors(spec, eps)[:, None] <= curvature).all()
 
     def test_families_without_floors(self, line):
         custom = custom_smooth(line, "x^2")
-        assert energy_floor(custom, 1.0) is None
-        assert curvature_floor(custom, 1.0) is None
+        assert energy_floors(custom, 1.0) is None
+        assert curvature_floors(custom, 1.0) is None
         kinked = self.FAMILIES["convex_perturbed"]
-        assert energy_floor(kinked, 0.1) == 0.0
-        assert curvature_floor(kinked, 0.1) is None
+        assert list(energy_floors(kinked, 0.1)) == [0.0, 0.0]
+        assert curvature_floors(kinked, 0.1) is None
         for spec in (custom, kinked):
-            with pytest.raises(CapabilityAbsentError):
-                curvature_many(spec, 0.1, np.zeros((1, spec.domain.dimension)))
+            n = spec.domain.dimension
+            _, curvature = coordinate_derivatives(spec, 0.1, np.arange(n), np.zeros(n))
+            assert curvature is None
 
 
 class TestGammaLimit:

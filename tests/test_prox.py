@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from maxslope.energy import (
     convex_perturbed,
-    coordinate,
+    coordinate_values,
     custom_smooth,
     eval_many,
     evaluate,
@@ -107,7 +107,7 @@ class TestNumericSearch:
         # The reported value is energy + d^2 / (2 delta) at the chosen point,
         # and no candidate ranks lower: neither a combination the separable
         # search valued nor the chosen point with one coordinate swapped for
-        # any other candidate of that coordinate's zoom.
+        # any other candidate of that coordinate's row in the one search.
         spec = convex_perturbed(quadratic(weighted_plane, [1.0, 2.0], [0.3, -0.2]))
         U = np.array([[-0.573427911842217, -0.6904896434975996],
                       [0.308546715723349, 0.4653631919741408],
@@ -124,12 +124,17 @@ class TestNumericSearch:
         assert np.array_equal(batch.values, objective(batch.minimizers, np.arange(3)))
         rows, C, cvals, _ = _separable_nd(spec, 0.1, deltas, U, mw, NUMERIC)
         assert np.array_equal(cvals, objective(C, rows))
-        for j in range(2):
-            r, x, _, _ = _zoom_1d(coordinate(spec, j), 0.1, deltas, U[:, j:j + 1],
-                                  mw[j:j + 1], NUMERIC)
-            swapped = batch.minimizers[r]
-            swapped[:, j] = x[:, 0]
-            assert (objective(swapped, r) >= batch.values[r]).all()
+        # the six coordinate rows: row r = 2 b + j is problem b's coordinate j
+        cols = np.arange(6) % 2
+        r, x, v, _ = _zoom_1d(spec, 0.1, cols, np.repeat(deltas, 2), U.ravel(),
+                           mw[cols], NUMERIC)
+        b, j = r // 2, cols[r]
+        off = x - U[b, j]
+        assert np.array_equal(v, coordinate_values(spec, 0.1, j, x)
+                              + mw[j] * off * off / (2.0 * deltas[b]))
+        swapped = batch.minimizers[b]
+        swapped[np.arange(r.size), j] = x
+        assert (objective(swapped, b) >= batch.values[b]).all()
         for b in range(len(U)):
             assert batch.values[b] == cvals[rows == b].min()
 
@@ -197,6 +202,16 @@ class TestFailureModes:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             ProxSettings(mode="guess")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iters", 0, "max_iters must be >= 1"),
+        ("local_tol", math.nan, "local_tol must be finite"),
+        ("local_tol", math.inf, "local_tol must be finite"),
+        ("local_tol", 0.0, "local_tol must be finite and positive"),
+    ])
+    def test_bad_budget_or_tolerance_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ProxSettings(**{field: value})
 
 
 class TestSelection:

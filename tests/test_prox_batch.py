@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from maxslope.cli import EXIT_SOLVER, main
 from maxslope.energy import (
     convex_perturbed,
-    curvature_floor,
-    curvature_many,
+    coordinate_derivatives,
+    curvature_floors,
     custom_smooth,
-    energy_floor,
+    energy_floors,
     eval_many,
     gradient_many,
     quadratic,
@@ -32,7 +32,10 @@ from maxslope.prox import (
     MULTISTART_NUMERIC,
     ProxSettings,
     _lowest_minimum,
+    _near_ties,
+    _select,
     _shortlist,
+    _zoom_1d,
     prox,
     prox_batch,
 )
@@ -101,17 +104,22 @@ def reference_prox_1d(spec, eps, delta, u, prox_settings):
     def at(function, x):
         return float(function(spec, eps, np.array([[x]]))[0, 0])
 
-    floor = energy_floor(spec, eps)
-    if floor is None:
+    def curvature_at(x):
+        _, curvature = coordinate_derivatives(spec, eps, [0], np.array([x]))
+        return float(curvature[0])
+
+    floors = energy_floors(spec, eps)
+    if floors is None:
         g = gradient_many(spec, eps, np.array([[u]]))[0]
         radius = 2.0 * max(1.0, delta * float(np.sqrt((g * g).sum())))
     else:
         # |v - u| <= sqrt(2 delta (phi(u) - phi_low) / m), with round-off slack
         energy_u = float(eval_many(spec, eps, np.array([[u]]))[0])
+        floor = float(floors[0])
         slack = 1e-12 * (1.0 + abs(energy_u) + abs(floor))
         radius = math.sqrt(2.0 * delta * (energy_u - floor + slack) / m)
-    kappa = curvature_floor(spec, eps)
-    newton_route = kappa is not None and kappa + m / delta > 0
+    kappas = curvature_floors(spec, eps)
+    newton_route = kappas is not None and kappas[0] + m / delta > 0
     candidates = []
     if newton_route:
         # rtsafe on F(v) = phi'(v) + c (v - u), c = m / delta
@@ -121,7 +129,7 @@ def reference_prox_1d(spec, eps, delta, u, prox_settings):
         step_old = step = hi - lo
         while True:
             f = at(gradient_many, x) + c * (x - u)
-            df = at(curvature_many, x) + c
+            df = curvature_at(x) + c
             if f < 0:
                 lo = x
             else:
@@ -329,6 +337,118 @@ class TestSeparable:
         assert np.abs(numeric.coords - exact.coords).max() <= 1e-6
 
 
+def coordinate_member(spec, j):
+    """The 1D member of ``spec``'s family on coordinate ``j``, on the
+    Euclidean line: ``spec`` at x is the sum of these at the x_j."""
+    if spec.kind == "quadratic":
+        return quadratic(LINE, [spec.weights[j]], [spec.center[j]])
+    return replace(spec, domain=LINE, base=coordinate_member(spec.base, j))
+
+
+def reference_separable(spec, eps, deltas, U, prox_settings):
+    """The nD numeric resolvent as a loop over coordinates: coordinate j's
+    B rows searched on their own as a 1D energy, each problem's product of
+    its coordinates' kept candidates valued in nD, then ``prox_batch``'s
+    selection and near-tie rules.
+
+    Returns the minimizers, values, near-tie flags, tie rows, tie points
+    and tie displacements; the one search over all B n coordinate rows
+    must reproduce them bit for bit.
+    """
+    B, n = U.shape
+    mw = spec.domain.metric_weights()
+    tol = prox_settings.local_tol
+    rows, points = np.arange(B), np.zeros((B, 0))
+    for j in range(n):
+        u, m = U[:, j:j + 1], mw[j:j + 1]
+        r, x, v, _ = _zoom_1d(coordinate_member(spec, j), eps, np.zeros(B, dtype=int),
+                           deltas, U[:, j], np.full(B, mw[j]), prox_settings)
+        keep = np.flatnonzero(v <= v[_select(r, x[:, None], v, u, m)][r] + tol)
+        keep = keep[np.argsort(r[keep], kind="stable")]
+        # pair every combination so far with each kept candidate of its row
+        counts = np.bincount(r[keep], minlength=B)[rows]
+        start = np.searchsorted(r[keep], rows) - np.cumsum(counts) + counts
+        parent = np.repeat(np.arange(rows.size), counts)
+        k = keep[np.repeat(start, counts) + np.arange(parent.size)]
+        rows, points = rows[parent], np.column_stack([points[parent], x[k]])
+    energies = eval_many(spec, eps, points)
+    off = points - U[rows]
+    cvals = energies + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows])
+    chosen = _select(rows, points, cvals, U, mw)
+    V = points[chosen]
+    diff = V - U
+    d2 = (mw * diff * diff).sum(axis=1)
+    values = energies[chosen] + d2 / (2.0 * deltas)
+    tie = _near_ties(rows, points, cvals, chosen, values, mw, tol)
+    tie_rows, tie_points = rows[tie], points[tie]
+    tie_moved, near_tie = np.sqrt(d2), np.zeros(B, dtype=bool)
+    off = tie_points - U[tie_rows]
+    np.maximum.at(tie_moved, tie_rows, np.sqrt((mw * off * off).sum(axis=1)))
+    near_tie[tie_rows] = True
+    return V, values, near_tie, tie_rows, tie_points, tie_moved
+
+
+class TestAgainstCoordinateLoop:
+    """The one search over the B n coordinate rows of a batch against the
+    loop that searches each coordinate on its own, bit for bit."""
+
+    WRAP = TestSeparable.WRAP
+
+    @staticmethod
+    def assert_matches_loop(spec, eps, deltas, U):
+        batch = prox_batch(spec, eps, deltas, U, NUMERIC)
+        V, values, near_tie, tie_rows, tie_points, tie_moved = reference_separable(
+            spec, eps, deltas, U, NUMERIC)
+        assert np.array_equal(batch.minimizers, V)
+        assert np.array_equal(batch.values, values)
+        assert np.array_equal(batch.near_tie, near_tie)
+        assert np.array_equal(batch.tie_rows, tie_rows)
+        assert np.array_equal(batch.tie_points, tie_points)
+        assert np.array_equal(batch.tie_moved, tie_moved)
+        return batch
+
+    @pytest.mark.parametrize("family", sorted(WRAP))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_coordinate_loop(self, family, data):
+        n = data.draw(st.sampled_from([2, 3]), label="n")
+        if data.draw(st.booleans(), label="weighted"):
+            space = SpaceDescriptor(n, metric_kind="diagonal_weighted", weights=tuple(
+                data.draw(st.lists(st.sampled_from([0.25, 1.0, 4.0]),
+                                   min_size=n, max_size=n), label="metric")))
+        else:
+            space = SpaceDescriptor(n)
+        # centres and coordinates at 0 put a wiggly coordinate's wells in
+        # mirror pairs that tie
+        center = st.lists(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+                          min_size=n, max_size=n)
+        weights = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        spec = self.WRAP[family](quadratic(space, weights, data.draw(center)))
+        eps = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.3]), label="eps")
+        # steps on both sides of a / eps - w - m, so that wiggly batches mix
+        # Newton and grid rows
+        problems = st.lists(st.tuples(
+            st.lists(st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+                     min_size=n, max_size=n),
+            st.sampled_from([1e-4, 2.5e-3, 0.01, 0.1, 1.0])), min_size=1, max_size=8)
+        rows = data.draw(problems, label="problems")
+        U = np.array([u for u, _ in rows], dtype=float)
+        deltas = np.array([d for _, d in rows])
+        self.assert_matches_loop(spec, eps, deltas, U)
+
+    def test_mirror_wells_match_the_coordinate_loop(self):
+        # The 2D double well of TestSeparable: near u = 0 each coordinate
+        # has two mirror wells, so four corners tie (row 1), or two where
+        # only one coordinate sits between wells (row 2).  Row 0 takes the
+        # Newton route, the others the grid.
+        spec = wiggly(quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.0, 0.0]))
+        U = np.array([[0.4, -0.3], [1e-11, -1e-11], [0.6, 1e-11]])
+        deltas = np.array([1e-4, 1.0, 1.0])
+        batch = self.assert_matches_loop(spec, 0.1, deltas, U)
+        assert list(batch.near_tie) == [False, True, True]
+        assert list(batch.tie_rows) == [1, 1, 1, 2]
+
+
 class TestNewtonRoute:
     """Rows whose objective the curvature floor certifies strictly convex:
     w + m / delta > 0 for a quadratic, w + m / delta - a / eps > 0 for wiggly."""
@@ -343,7 +463,7 @@ class TestNewtonRoute:
         spec = quadratic(space, [w], [0.3])
         if family == "wiggly":
             spec = wiggly(spec)
-        mu = curvature_floor(spec, eps) + m / delta     # objective'' >= mu
+        mu = curvature_floors(spec, eps)[0] + m / delta     # objective'' >= mu
         assume(mu > 0)
         with mock.patch("maxslope.prox._grid_zoom_1d",
                         side_effect=AssertionError("grid route taken")):
@@ -363,7 +483,7 @@ class TestNewtonRoute:
         # (h / 2) sqrt(L / mu) of the minimizer and above it by at most
         # L h^2 / 8, L the objective's curvature bound
         phi_u = eval_many(spec, eps, [[u]])[0]
-        radius = math.sqrt(2.0 * delta * (phi_u - energy_floor(spec, eps)) / m)
+        radius = math.sqrt(2.0 * delta * (phi_u - energy_floors(spec, eps)[0]) / m)
         step = max(radius, 1e-9) / 2000
         oracle = brute_force_prox_1d(spec, eps, delta, u, radius=radius + 2 * step,
                                      step=step, metric_weight=m)
