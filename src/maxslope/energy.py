@@ -9,15 +9,17 @@ The built-in zoo:
 
 Each energy is a sum over coordinates of 1D members phi_j, and the numeric
 prox solves its problems as rows of these: ``coordinate_values`` and
-``coordinate_derivatives`` evaluate phi_j, phi_j' and phi_j'' row by row on
-(R, k) arrays, and ``energy_floors`` and ``curvature_floors`` bound each
-phi_j and phi_j'' from below.
+``coordinate_derivatives`` evaluate phi_j and phi_j' row by row on (R, k)
+arrays, ``coordinate_scalars`` gives phi_j, phi_j' and phi_j'' on Python
+floats for the families with a closed-form curvature, and
+``energy_floors`` and ``curvature_floors`` bound each phi_j and phi_j''
+from below.
 
 Every kind is finite everywhere; the extended-real branch of the slope
 definition exists in the type system but is unreachable for built-ins.
-Optional capabilities (exact descending slope, limit family as eps -> 0)
-raise :class:`CapabilityAbsentError` when a kind lacks them; the
-closed-form curvature and the floors are None where a kind has none.
+Optional capabilities (exact descending slope, limit family as eps -> 0,
+closed-form curvature) raise :class:`CapabilityAbsentError` when a kind
+lacks them; the floors are None where a kind has none.
 """
 
 from __future__ import annotations
@@ -422,24 +424,52 @@ def coordinate_values(spec: EnergySpec, eps: float, cols, X) -> np.ndarray:
     return value
 
 
-def coordinate_derivatives(spec: EnergySpec, eps: float, cols, X):
-    """(phi', phi'') of phi_cols[r] at each point of row r of ``X``; sign(0)
-    is taken as 0.  phi'' is None for the kinked ``convex_perturbed`` and
-    for ``custom_smooth``, which have no closed-form curvature, and a
-    quadratic's is its row weights, which broadcast against ``X``.  For
-    ``wiggly``, sin and cos share one x / eps."""
+def coordinate_derivatives(spec: EnergySpec, eps: float, cols, X) -> np.ndarray:
+    """phi' of phi_cols[r] at each point of row r of ``X``, in the shape of
+    ``X``; sign(0) is taken as 0."""
     if spec.kind == CUSTOM_SMOOTH:
-        return gradient_many(spec, eps, X.reshape(-1, 1)).reshape(X.shape), None
+        return gradient_many(spec, eps, X.reshape(-1, 1)).reshape(X.shape)
     quad = spec if spec.kind == QUADRATIC else spec.base
     w = _row_parameters(quad.weights, cols, X)
     slope = w * (X - _row_parameters(quad.center, cols, X))
     if spec.kind == WIGGLY:
-        t = X / eps
-        a = spec.amplitude_scale
-        return slope - a * np.sin(t), w - a / eps * np.cos(t)
+        return slope - spec.amplitude_scale * np.sin(X / eps)
     if spec.kind == CONVEX_PERTURBED:
-        return slope + eps * np.sign(X), None
-    return slope, w
+        return slope + eps * np.sign(X)
+    return slope
+
+
+def coordinate_scalars(spec: EnergySpec, eps: float, j: int):
+    """phi_j and x -> (phi_j'(x), phi_j''(x)) on one Python float, for the
+    families with a closed-form curvature, ``quadratic`` and ``wiggly``
+    (for ``wiggly``, sin and cos share one x / eps).  They do the arithmetic
+    of ``coordinate_values`` and ``coordinate_derivatives`` in the same
+    order, so they give the same numbers."""
+    if spec.kind not in (QUADRATIC, WIGGLY):
+        raise CapabilityAbsentError(f"no closed-form curvature for kind {spec.kind!r}")
+    quad = spec if spec.kind == QUADRATIC else spec.base
+    w, b = quad.weights[j], quad.center[j]
+    if spec.kind == QUADRATIC:
+        def value(x):
+            diff = x - b
+            return 0.5 * (w * diff * diff)
+
+        def derivatives(x):
+            return w * (x - b), w
+        return value, derivatives
+    eps = float(eps)
+    a = spec.amplitude_scale
+    a_eps, a_over_eps = a * eps, a / eps
+    sin, cos = math.sin, math.cos
+
+    def value(x):
+        diff = x - b
+        return 0.5 * (w * diff * diff) + a_eps * cos(x / eps)
+
+    def derivatives(x):
+        t = x / eps
+        return w * (x - b) - a * sin(t), w - a_over_eps * cos(t)
+    return value, derivatives
 
 
 def energy_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:

@@ -14,7 +14,10 @@ certifies from its coordinate's energy floor, or a heuristic one for
 
 * the Newton route, where the energy's curvature floor makes the
   objective strictly convex: a safeguarded Newton iteration on its
-  derivative, inside the window;
+  derivative, inside the window, run row by row on Python floats.  It
+  weighs the stay-put guard v = u itself and returns one candidate per
+  row, two only when the guard is within ``local_tol`` of the minimizer
+  and, in a 1D problem, a near tie of it;
 * the grid route everywhere else: a recursive grid zoom that advances
   every row's windows in one block per round.  ``ProxSettings.starts``
   and the stop rule of ``local_tol`` apply to this route only.
@@ -36,6 +39,7 @@ from .energy import (
     QUADRATIC,
     EnergySpec,
     coordinate_derivatives,
+    coordinate_scalars,
     coordinate_values,
     curvature_floors,
     energy_floors,
@@ -234,16 +238,22 @@ def _objective(spec, eps, X, cols, u, delta, m):
     return energy + m * diff * diff / (2.0 * delta), energy
 
 
+def _tie_gap(local_tol):
+    """The distance beyond which a candidate within ``local_tol`` of the
+    optimum is a near tie of the chosen minimizer, not the same well."""
+    return 10.0 * math.sqrt(local_tol)
+
+
 def _near_ties(rows, C, cvals, chosen, values, mw, local_tol):
     """Candidates within ``local_tol`` of their row's optimum ``values`` and
-    more than 10 sqrt(local_tol) away from its chosen minimizer, grouped by
-    row in candidate order."""
+    more than ``_tie_gap(local_tol)`` away from its chosen minimizer,
+    grouped by row in candidate order."""
     near = cvals <= values[rows] + local_tol
     near[chosen] = False
     tie = np.flatnonzero(near)
     if tie.size:
         off = C[tie] - C[chosen][rows[tie]]
-        tie = tie[np.sqrt((mw * off * off).sum(axis=1)) > 10.0 * math.sqrt(local_tol)]
+        tie = tie[np.sqrt((mw * off * off).sum(axis=1)) > _tie_gap(local_tol)]
     return tie[np.argsort(rows[tie], kind="stable")]
 
 
@@ -251,13 +261,28 @@ def _select(rows, C, cvals, U, mw):
     """Index of the chosen candidate of each row, in row order.
 
     Ordering: lowest objective, then smallest d^2 to ``u``, then
-    lexicographic coordinates.  Every row must have a candidate.
+    lexicographic coordinates, then candidate order; a nan key ranks last.
+    ``_precedes`` is this order for two candidates on one coordinate.
+    Every row must have a candidate.
     """
     off = C - U[rows]
     d2 = (mw * off ** 2).sum(axis=1)
     keys = [C[:, j] for j in range(C.shape[1] - 1, -1, -1)] + [d2, cvals, rows]
     order = np.lexsort(keys)
     return order[np.searchsorted(rows[order], np.arange(U.shape[0]))]
+
+
+def _precedes(a, b):
+    """Whether candidate ``a`` = (objective, d^2, coordinate) of a 1D row,
+    listed before candidate ``b``, comes first in ``_select``'s order: key
+    by key the lower first, a nan after any number and two nans equal, as
+    numpy sorts them; a full tie goes to ``a``."""
+    for p, q in zip(a, b):
+        if p < q or (q != q and p == p):
+            return True
+        if q < p or (p != p and q == q):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +322,12 @@ _FALLBACK_RADIUS = 2.0
 # when sizing the certified window.
 _WINDOW_SLACK = 1e-12
 # A Newton step this small relative to max(1, |u| + radius), the scale of
-# the row's bracket, is at round-off.
-_NEWTON_TOL = 4.0 * np.finfo(float).eps
+# the row's bracket, is at round-off.  Four machine epsilons, as a Python
+# float, which the rows iterate on.
+_NEWTON_TOL = 4.0 * 2.0 ** -52
 
 
-def _zoom_1d(spec, eps, cols, deltas, u, m, settings):
+def _zoom_1d(spec, eps, cols, deltas, u, m, settings, tie_gap=None):
     """Global 1D search of every coordinate row, on the Newton or the grid
     route.
 
@@ -316,14 +342,16 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings):
     takes ``_grid_zoom_1d``.
 
     Returns the candidates' rows, points, objective values and energies
-    phi_j.  Each route gives its candidates in the order it found them,
-    then the stay-put guard v = u of each of its rows, which keeps the
-    descent property.
+    phi_j.  Every row also weighs the stay-put guard v = u, which keeps the
+    descent property: the grid route gives its candidates in the order it
+    found them, then the guard of each of its rows; the Newton route
+    settles the guard itself, by the ``tie_gap`` it is handed.
     """
     floor = energy_floors(spec, eps)
+    energy_u = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if floor is None:
-            g, _ = coordinate_derivatives(spec, eps, cols, u)
+            g = coordinate_derivatives(spec, eps, cols, u)
             radius = _FALLBACK_RADIUS * np.maximum(1.0, deltas * np.sqrt(g * g))
         else:
             floor = floor[cols]
@@ -336,80 +364,112 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings):
         raise EvaluationError(
             f"1D prox search window around u={u[r]:g} with delta={deltas[r]:g} "
             f"is not finite (radius {radius[r]:g})", point=u[r:r + 1])
-    kappa = curvature_floors(spec, eps)
+    kappa = curvature_floors(spec, eps)     # a family with these has floors too
     newton = (np.zeros(u.size, dtype=bool) if kappa is None
               else kappa[cols] + m / deltas > 0)
-    found = []
-    for route, take in ((_newton_1d, newton), (_grid_zoom_1d, ~newton)):
-        if take.all():
-            found.append(route(spec, eps, cols, deltas, u, radius, m, settings))
-        elif take.any():
-            rows = np.flatnonzero(take)
-            r, x, v, e = route(spec, eps, cols[rows], deltas[rows], u[rows],
-                               radius[rows], m[rows], settings)
-            found.append((rows[r], x, v, e))
-    return found[0] if len(found) == 1 else tuple(
-        np.concatenate(parts) for parts in zip(*found))
+    if newton.all():
+        return _newton_1d(spec, eps, cols, deltas, u, energy_u, radius, m, settings,
+                          tie_gap)
+    if not newton.any():
+        return _grid_zoom_1d(spec, eps, cols, deltas, u, radius, m, settings)
+    # each route on its own rows
+    a, b = np.flatnonzero(newton), np.flatnonzero(~newton)
+    ra, *found_a = _newton_1d(spec, eps, cols[a], deltas[a], u[a], energy_u[a],
+                              radius[a], m[a], settings, tie_gap)
+    rb, *found_b = _grid_zoom_1d(spec, eps, cols[b], deltas[b], u[b], radius[b],
+                                 m[b], settings)
+    return (np.concatenate([a[ra], b[rb]]),
+            *(np.concatenate(parts) for parts in zip(found_a, found_b)))
 
 
-def _newton_1d(spec, eps, cols, deltas, u, radius, m, settings):
+def _newton_1d(spec, eps, cols, deltas, u, energy_u, radius, m, settings, tie_gap):
     """Safeguarded Newton iteration (rtsafe: Press et al., Numerical Recipes,
     3rd ed., section 9.4) on the objective's derivative
     F(v) = phi_j'(v) + c (v - u), c = m / delta, which the curvature floor
     makes increasing, inside the certified bracket u +- radius.
 
-    A step that would leave the bracket, or that is more than half the
-    step before last, is a bisection step instead.  A row stops once its
-    step is at round-off on the scale max(1, |u| + radius) of its bracket,
-    and is frozen from then on, so each row gets exactly what it gets
-    alone.  Each iterate costs every live row one evaluation of phi_j' and
-    phi_j'' against ``settings.max_iters``.  Returns the rows, points,
-    objective values and energies of the minimizers, then of the guards.
+    The rows run one after another on Python floats, through the energy's
+    ``coordinate_scalars``, so each row gets what it gets alone.  A step
+    that would leave the bracket, or that is more than half the step before
+    last, is a bisection step instead.  A row stops once its step is at
+    round-off on the scale max(1, |u| + radius) of its bracket; each
+    iterate costs the row one evaluation of phi_j' and phi_j'' against
+    ``settings.max_iters``.
+
+    The row then weighs the stay-put guard v = u, which keeps the descent
+    property.  The window has computed its energy, ``energy_u``; the
+    minimizer is valued as ``_objective`` values it.  If the two are within
+    ``local_tol`` of each other and more than ``tie_gap`` apart (at any
+    distance for a None ``tie_gap``), the row returns both, the minimizer
+    first, for ``prox_batch`` to rank.  Otherwise it returns the one that
+    ``_precedes`` the other.  With ``tie_gap = _tie_gap(local_tol)`` a 1D
+    problem so gets what ``_select`` and ``_near_ties`` would make of both:
+    one candidate, unless its guard is a near tie.  In nD a coordinate's
+    guard may join a near tie of the whole problem at any distance, so
+    ``_separable_nd`` passes None there.  Returns the candidates' rows,
+    points, objective values and energies: each row's first candidate in
+    row order, then the guards of the rows that keep two.
     """
-    R = u.size
-    c = m / deltas
-    tol = _NEWTON_TOL * np.maximum(1.0, np.abs(u) + radius)
-    live, x, u_live, c_live, cols_live = np.arange(R), u, u, c, cols
-    lo, hi = u - radius, u + radius
-    step_old = step = hi - lo           # sizes of the last two steps
-    out = np.empty(R)
-    evals = 0
-    while True:
-        evals += 1
-        if evals > settings.max_iters:
+    local_tol = settings.local_tol
+    iterations = range(settings.max_iters)
+    members = {}
+    # each row's first candidate, then the guards kept as second ones
+    xs, vals, energies = [], [], []
+    tie_rows, tie_vals, tie_energies = [], [], []
+    for r, (j, delta, ur, eu, rad, mr) in enumerate(zip(
+            cols.tolist(), deltas.tolist(), u.tolist(), energy_u.tolist(),
+            radius.tolist(), m.tolist())):
+        if j not in members:
+            members[j] = coordinate_scalars(spec, eps, j)
+        phi, derivatives = members[j]
+        c = mr / delta
+        scale = abs(ur) + rad
+        tol = _NEWTON_TOL * (scale if scale > 1.0 else 1.0)
+        x, lo, hi = ur, ur - rad, ur + rad
+        step_old = step = hi - lo       # sizes of the last two steps
+        for _ in iterations:
+            slope, curvature = derivatives(x)
+            f = slope + c * (x - ur)
+            # F(x) < 0 puts the root above x, else at or below it (a nan F
+            # shrinks the bracket towards lo, so the iteration still ends)
+            if f < 0:
+                lo = x
+            else:
+                hi = x
+            newton_step = f / (curvature + c)
+            newton = x - newton_step
+            size = abs(newton_step)
+            if size <= 0.5 * step_old and lo <= newton <= hi:
+                x, step_old, step = newton, step, size
+            else:
+                half = 0.5 * (hi - lo)
+                x, step_old, step = lo + half, step, half
+            if step <= tol:
+                break
+        else:
             raise BudgetExhaustedError(
                 f"1D prox Newton iteration did not converge within "
                 f"{settings.max_iters} evaluations (budget {settings.max_iters})")
-        slope, curvature = coordinate_derivatives(spec, eps, cols_live, x)
-        f = slope + c_live * (x - u_live)
-        df = curvature + c_live
-        # F(x) < 0 puts the root above x, else at or below it (a nan F
-        # shrinks the bracket towards lo, so the iteration still ends)
-        below = f < 0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        newton_step = f / df
-        newton = x - newton_step
-        size = np.abs(newton_step)
-        ok = (size <= 0.5 * step_old) & (lo <= newton) & (newton <= hi)
-        half = 0.5 * (hi - lo)
-        x = np.where(ok, newton, lo + half)
-        step_old, step = step, np.where(ok, size, half)
-        done = step <= tol
-        if done.any():
-            out[live[done]] = x[done]
-            if done.all():
-                break
-            go = ~done
-            live, x, lo, hi, step_old, step, u_live, c_live, cols_live, tol = (
-                arr[go] for arr in (live, x, lo, hi, step_old, step,
-                                    u_live, c_live, cols_live, tol))
-    # the guard v = u rides along with the minimizers
-    vals, energy = _objective(spec, eps, np.column_stack([out, u]), cols, u[:, None],
-                              deltas[:, None], m[:, None])
-    rows = np.arange(R)
-    return (np.concatenate([rows, rows]), np.concatenate([out, u]),
-            vals.T.ravel(), energy.T.ravel())
+        diff = x - ur
+        energy_x = phi(x)
+        value_x = energy_x + mr * diff * diff / (2.0 * delta)
+        value_u = eu + 0.0              # the guard's d^2 / (2 delta) is 0
+        if (value_x <= value_u + local_tol and value_u <= value_x + local_tol
+                and (tie_gap is None or math.sqrt(mr * diff * diff) > tie_gap)):
+            tie_rows.append(r)          # the minimizer first, the guard second
+            tie_vals.append(value_u)
+            tie_energies.append(eu)
+        elif not (value_x < value_u        # _precedes' common case, inline
+                  or _precedes((value_x, mr * (diff * diff), x), (value_u, 0.0, ur))):
+            x, value_x, energy_x = ur, value_u, eu
+        xs.append(x)
+        vals.append(value_x)
+        energies.append(energy_x)
+    if tie_rows:
+        rows = np.concatenate([np.arange(u.size), tie_rows])
+        return (rows, np.concatenate([xs, u[tie_rows]]), np.array(vals + tie_vals),
+                np.array(energies + tie_energies))
+    return np.arange(u.size), np.array(xs), np.array(vals), np.array(energies)
 
 
 def _grid_zoom_1d(spec, eps, cols, deltas, u, radius, m, settings):
@@ -544,27 +604,33 @@ def _separable_nd(spec, eps, deltas, U, mw, settings):
     B, n = U.shape
     R = B * n
     cols = np.arange(R) % n
+    # a 1D problem is its row, so the Newton route may drop a guard that is
+    # no near tie; in nD only the combinations' nD values can tell
+    tie_gap = _tie_gap(settings.local_tol) if n == 1 else None
     r, x, v, e = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(),
-                          mw[cols], settings)
-    best = np.full(R, np.inf)
-    np.fmin.at(best, r, v)          # a nan value ranks last, as in _select
-    keep = np.flatnonzero(v <= best[r] + settings.local_tol)
-    keep = keep[np.argsort(r[keep], kind="stable")]
+                          mw[cols], settings, tie_gap)
+    if r.size > R:
+        best = np.full(R, np.inf)
+        np.fmin.at(best, r, v)      # a nan value ranks last, as in _select
+        keep = np.flatnonzero(v <= best[r] + settings.local_tol)
+        keep = keep[np.argsort(r[keep], kind="stable")]
+        r, x, v, e = r[keep], x[keep], v[keep], e[keep]
+    # else every row has one candidate, from the Newton route, in row order
     if n == 1:                      # a 1D energy is its one member
-        return r[keep], x[keep, None], v[keep], e[keep]
-    if keep.size == R:              # one candidate per coordinate row
-        rows, points = np.arange(B), x[keep].reshape(B, n)
+        return r, x[:, None], v, e
+    if r.size == R:                 # one candidate per coordinate row
+        rows, points = np.arange(B), x.reshape(B, n)
     else:
         # Pair every combination so far with each kept candidate of its
         # problem's coordinate j, in candidate order.
-        counts = np.bincount(r[keep], minlength=R).reshape(B, n)
+        counts = np.bincount(r, minlength=R).reshape(B, n)
         first = (np.cumsum(counts) - counts.ravel()).reshape(B, n)
         rows, points = np.arange(B), np.zeros((B, 0))
         for j in range(n):
             c = counts[rows, j]
             parent = np.repeat(np.arange(rows.size), c)
             offset = np.arange(parent.size) - np.repeat(np.cumsum(c) - c, c)
-            k = keep[np.repeat(first[rows, j], c) + offset]
+            k = np.repeat(first[rows, j], c) + offset
             rows, points = rows[parent], np.column_stack([points[parent], x[k]])
     energies = eval_many(spec, eps, points)
     off = points - U[rows]

@@ -57,6 +57,9 @@ class SchemeParams:
             raise ValueError("tau must be positive")
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be positive")
+        if not math.isfinite(self.horizon_T / self.tau):
+            raise ValueError(f"horizon_T / tau = {self.horizon_T:g} / {self.tau:g} "
+                             f"overflows; the number of steps must be finite")
         if self.quadrature_nodes_per_step < 1:
             raise ValueError("quadrature_nodes_per_step must be >= 1")
         if not self.tau < self.tau_star / 8.0:
@@ -282,38 +285,31 @@ def g_squared_integral(interp: VariationalInterpolant, i: int, j: int) -> float:
 # CSV export
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def trajectory_to_csv(traj: DiscreteTrajectory, path) -> None:
-    """Columns: i, t, coords..., energy, step_distance (arriving step)."""
+    """Columns: i, t, coords..., energy, step_distance (arriving step).
+
+    ``csv`` writes a float as ``repr``, the shortest text that reads back
+    as the same float.  Rows are converted one at a time, so no list of
+    the whole table is built.
+    """
     n = traj.space.dimension
     header = ["i", "t"] + [f"x{j}" for j in range(n)] + ["energy", "step_distance"]
+    steps = np.arange(traj.n_steps + 1)
+    table = np.column_stack([steps * traj.tau, traj.coords, traj.step_energies,
+                             np.concatenate([[0.0], traj.step_distances])])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i, u in enumerate(traj.coords):
-            step_d = traj.step_distances[i - 1] if i > 0 else 0.0
-            writer.writerow(
-                [str(i), _fmt(i * traj.tau)]
-                + [_fmt(c) for c in u]
-                + [_fmt(traj.step_energies[i]), _fmt(step_d)]
-            )
+        writer.writerows([i, *row.tolist()] for i, row in enumerate(table))
 
 
 def interpolant_to_csv(interp: VariationalInterpolant, path) -> None:
     """Columns: t, coords..., g_value."""
     n = interp.parent.space.dimension
     header = ["t"] + [f"x{j}" for j in range(n)] + ["g_value"]
+    table = np.column_stack([interp.node_times.ravel(), interp.values.reshape(-1, n),
+                             interp.g_values.ravel()])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        N, K = interp.node_times.shape
-        for i in range(N):
-            for k in range(K):
-                writer.writerow(
-                    [_fmt(interp.node_times[i, k])]
-                    + [_fmt(c) for c in interp.values[i, k]]
-                    + [_fmt(interp.g_values[i, k])]
-                )
+        writer.writerows(row.tolist() for row in table)

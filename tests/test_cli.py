@@ -211,6 +211,17 @@ class TestConfigParsing:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_step_count_must_be_finite(self, tmp_path):
+        # 0.5 / 1e-320 overflows to inf, which no number of steps reaches
+        doc = quad_run_config(tmp_path / "out", tau=1e-320, T=0.5)
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_CONFIG
+        first = proc.stderr.splitlines()[0]
+        assert first.startswith("config error:")
+        assert "horizon_T / tau" in first and "finite" in first
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_max_iters_must_be_positive(self, tmp_path):
         doc = quad_run_config(tmp_path / "out", prox_settings={
             "mode": "multistart_numeric", "max_iters": 0})

@@ -12,6 +12,7 @@ from maxslope.energy import (
     certify_well_posedness,
     convex_perturbed,
     coordinate_derivatives,
+    coordinate_scalars,
     coordinate_values,
     curvature_floors,
     custom_smooth,
@@ -79,7 +80,7 @@ class TestCoordinates:
         assert parts.shape == (3, 50)
         assert np.allclose(parts.sum(axis=0), eval_many(spec, 0.1, X),
                            rtol=1e-14, atol=1e-14)
-        slope, _ = coordinate_derivatives(spec, 0.1, np.arange(3), X.T.copy())
+        slope = coordinate_derivatives(spec, 0.1, np.arange(3), X.T.copy())
         assert np.array_equal(slope, gradient_many(spec, 0.1, X).T)
         # rows in any order, flat or in blocks, give each row its own member
         cols = np.array([2, 0, 1, 0, 2])
@@ -96,9 +97,57 @@ class TestCoordinates:
         cols = np.zeros(3, dtype=int)
         assert np.array_equal(coordinate_values(spec, 1.0, cols, X),
                               eval_many(spec, 1.0, X.reshape(-1, 1)).reshape(3, 4))
-        slope, curvature = coordinate_derivatives(spec, 1.0, cols, X)
+        slope = coordinate_derivatives(spec, 1.0, cols, X)
         assert np.array_equal(slope, gradient_many(spec, 1.0, X.reshape(-1, 1)).reshape(3, 4))
-        assert curvature is None
+
+    @pytest.mark.parametrize("family", ["quadratic", "wiggly"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scalar_members_match_the_row_evaluators_bitwise(self, family, data):
+        """The Newton route runs on coordinate_scalars, the grid route and
+        the window on the row evaluators; both must see the same numbers.
+
+        For ``wiggly`` this rests on the platform: libm's sin/cos (``math``)
+        must round as numpy's vector sin/cos do.  They agreed in every draw
+        on numpy 2.4.6 on an x86-64 CPU with AVX-512.  Where they differ at
+        a point, that point is held to a few ulps of the trig term instead,
+        and the Newton route may then differ from the grid route in the
+        last bits.
+        """
+        n = data.draw(st.integers(1, 3), label="n")
+        if data.draw(st.booleans(), label="weighted"):
+            space = SpaceDescriptor(n, metric_kind="diagonal_weighted", weights=tuple(
+                data.draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))))
+            weights = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))
+        else:
+            space, weights = SpaceDescriptor(n), [1.0] * n
+        center = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+        spec = quadratic(space, weights, center)
+        if family == "wiggly":
+            spec = wiggly(spec, amplitude_scale=data.draw(st.floats(0.1, 3.0)))
+        eps = data.draw(st.floats(1e-3, 1.0), label="eps")
+        # a long row goes through numpy's vector loops, a short one may not
+        k = data.draw(st.sampled_from([1, 3, 64]), label="k")
+        X = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n * k,
+                                        max_size=n * k))).reshape(n, k)
+        cols = np.arange(n)
+        values = coordinate_values(spec, eps, cols, X)
+        slopes = coordinate_derivatives(spec, eps, cols, X)
+        # where libm and numpy round sin or cos differently
+        t = X / eps
+        libm_differs = ((np.sin(t) != np.vectorize(math.sin)(t))
+                        | (np.cos(t) != np.vectorize(math.cos)(t)))
+        a = spec.amplitude_scale if family == "wiggly" else 0.0
+        for j in range(n):
+            value, derivatives = coordinate_scalars(spec, eps, j)
+            for x, v, g, differs in zip(X[j].tolist(), values[j].tolist(),
+                                        slopes[j].tolist(), libm_differs[j].tolist()):
+                if differs and family == "wiggly":
+                    assert abs(value(x) - v) <= 4 * math.ulp(max(abs(v), a * eps))
+                    assert abs(derivatives(x)[0] - g) <= 4 * math.ulp(max(abs(g), a))
+                else:
+                    assert value(x) == v
+                    assert derivatives(x)[0] == g
 
 
 class TestGradient:
@@ -153,13 +202,13 @@ class TestFloors:
     def test_curvature_matches_differences_and_its_floor(self, family):
         spec, eps, h = self.FAMILIES[family], 0.05, 1e-6
         X = np.random.default_rng(3).uniform(-2.0, 2.0, (200, 2))
-        cols = np.arange(2)
-        _, curvature = coordinate_derivatives(spec, eps, cols, X.T.copy())
-        curvature = np.broadcast_to(curvature, (2, 200))
-        fd = (coordinate_derivatives(spec, eps, cols, X.T + h)[0]
-              - coordinate_derivatives(spec, eps, cols, X.T - h)[0]) / (2 * h)
-        assert np.abs(curvature - fd).max() <= 1e-3
-        assert (curvature_floors(spec, eps)[:, None] <= curvature).all()
+        for j, floor in enumerate(curvature_floors(spec, eps)):
+            _, derivatives = coordinate_scalars(spec, eps, j)
+            for x in X[:, j].tolist():
+                curvature = derivatives(x)[1]
+                fd = (derivatives(x + h)[0] - derivatives(x - h)[0]) / (2 * h)
+                assert abs(curvature - fd) <= 1e-3
+                assert floor <= curvature
 
     def test_families_without_floors(self, line):
         custom = custom_smooth(line, "x^2")
@@ -169,9 +218,8 @@ class TestFloors:
         assert list(energy_floors(kinked, 0.1)) == [0.0, 0.0]
         assert curvature_floors(kinked, 0.1) is None
         for spec in (custom, kinked):
-            n = spec.domain.dimension
-            _, curvature = coordinate_derivatives(spec, 0.1, np.arange(n), np.zeros(n))
-            assert curvature is None
+            with pytest.raises(CapabilityAbsentError):
+                coordinate_scalars(spec, 0.1, 0)
 
 
 class TestGammaLimit:

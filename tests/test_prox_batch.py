@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from maxslope.cli import EXIT_SOLVER, main
 from maxslope.energy import (
     convex_perturbed,
-    coordinate_derivatives,
+    coordinate_scalars,
     curvature_floors,
     custom_smooth,
     energy_floors,
@@ -33,6 +33,7 @@ from maxslope.prox import (
     ProxSettings,
     _lowest_minimum,
     _near_ties,
+    _precedes,
     _select,
     _shortlist,
     _zoom_1d,
@@ -105,8 +106,8 @@ def reference_prox_1d(spec, eps, delta, u, prox_settings):
         return float(function(spec, eps, np.array([[x]]))[0, 0])
 
     def curvature_at(x):
-        _, curvature = coordinate_derivatives(spec, eps, [0], np.array([x]))
-        return float(curvature[0])
+        _, derivatives = coordinate_scalars(spec, eps, 0)
+        return derivatives(x)[1]
 
     floors = energy_floors(spec, eps)
     if floors is None:
@@ -448,6 +449,22 @@ class TestAgainstCoordinateLoop:
         assert list(batch.near_tie) == [False, True, True]
         assert list(batch.tie_rows) == [1, 1, 1, 2]
 
+    @pytest.mark.parametrize("center", [0.025, 0.05])
+    def test_flat_rows_leave_their_guards_to_the_nd_ranking(self, center):
+        # Curvature 1e-8 + 1 / 1e6 on both coordinates: from u = 0 each
+        # coordinate's minimizer lies 0.99 center / 100 away, under 1e-9
+        # below its guard.  At center 0.025 that is 2.5e-4, inside the 1D
+        # tie gap 10 sqrt(local_tol) = 3.2e-4, but the corner u is 3.5e-4
+        # from the minimizer in 2D and within local_tol: a near tie only the
+        # nD ranking finds.  Every row takes the Newton route.
+        spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [center, center])
+        U = np.array([[0.0, 0.0], [0.3, -0.2]])
+        with mock.patch("maxslope.prox._grid_zoom_1d",
+                        side_effect=AssertionError("grid route taken")):
+            batch = self.assert_matches_loop(spec, 1.0, np.array([1e6, 1.0]), U)
+        assert list(batch.near_tie) == [True, False]
+        assert [0.0, 0.0] in batch.tie_points[batch.tie_rows == 0].tolist()
+
 
 class TestNewtonRoute:
     """Rows whose objective the curvature floor certifies strictly convex:
@@ -492,6 +509,56 @@ class TestNewtonRoute:
         slack = 1e-12 * (1.0 + abs(oracle_value))
         assert oracle_value - lipschitz * step ** 2 / 8 - slack <= batch.values[0]
         assert batch.values[0] <= oracle_value + slack
+
+    @pytest.mark.parametrize("u, center", [(0.0, 0.3), (0.2, -0.1), (-0.5, -0.2)])
+    def test_flat_row_keeps_its_guard_as_a_near_tie(self, u, center):
+        # Curvature 1e-8 + 1 / 1e6: the minimizer lies about 0.003 from u
+        # but under 1e-9 below it, so the guard v = u is a near tie that
+        # the kernel must hand on, bit for bit as the loop reference finds it.
+        spec, delta = quadratic(LINE, [1e-8], [center]), 1e6
+        with mock.patch("maxslope.prox._grid_zoom_1d",
+                        side_effect=AssertionError("grid route taken")):
+            batch = prox_batch(spec, 1.0, [delta], [[u]], NUMERIC)
+        best, value, ties = reference_prox_1d(spec, 1.0, delta, u, NUMERIC)
+        assert ties == [u]
+        assert batch.minimizers[0, 0] == best
+        assert batch.values[0] == value
+        assert list(batch.near_tie) == [True]
+        assert list(batch.tie_points[:, 0]) == ties
+        assert batch.tie_moved[0] == max(abs(best - u), *(abs(t - u) for t in ties))
+        assert_row_matches_scalar(batch, 0, spec, 1.0, delta, [u], NUMERIC)
+
+    def test_pinned_steps_skip_the_selection(self):
+        # The pinning run's B = 1 steps sit in wells, where the Newton
+        # minimizer and the guard v = u are within local_tol of each other
+        # but no near tie: the kernel hands prox_batch one candidate.
+        spec, eps, _, _ = FAMILIES["wiggly"]
+        with mock.patch("maxslope.prox._select", wraps=_select) as select:
+            traj = run_scheme(spec, SchemeParams(eps=eps, tau=eps ** 2, horizon_T=1.0,
+                                                 initial_point=pt(0.5)))
+        assert traj.n_steps == 400
+        assert select.call_count == 0
+
+
+class TestPrecedes:
+    """The Newton route settles a row's minimizer against its guard by
+    ``_precedes``, which must be ``_select``'s order for two candidates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_select_on_two_candidates(self, data):
+        u = data.draw(st.sampled_from([0.0, -0.5, 0.25]), label="u")
+        m = data.draw(st.sampled_from([0.25, 1.0, 4.0]), label="m")
+        # few distinct numbers, so that values, d^2 and coordinates tie
+        value = st.sampled_from([0.0, -0.0, 1.0, 1.0 + 2.0 ** -52, math.nan, math.inf])
+        point = st.sampled_from([u, u + 1e-3, u - 1e-3, u + 2.0 ** -40, 1.0])
+        (va, a), (vb, b) = data.draw(st.tuples(value, point)), data.draw(
+            st.tuples(value, point))
+        chosen = _select(np.array([0, 0]), np.array([[a], [b]]), np.array([va, vb]),
+                         np.array([[u]]), np.array([m]))
+        first = _precedes((va, m * ((a - u) * (a - u)), a),
+                          (vb, m * ((b - u) * (b - u)), b))
+        assert first == (chosen[0] == 0)
 
 
 class TestShortlist:
