@@ -29,7 +29,6 @@ from .config import (
 )
 from .energy import gamma_limit
 from .errors import ConfigError, MaxslopeError
-from .metric import Point
 from .scheme import build_interpolant, run_scheme
 
 EXIT_OK = 0
@@ -139,20 +138,17 @@ def _check_slope_cone(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]
     radius = parse_field(float, probes_cfg.get("radius", 2.0), "radius")
     cone_tol = parse_field(float, payload.get("cone_tol", 1e-9), "cone_tol")
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.space.dimension
-    offsets = rng.uniform(-radius, radius, size=(count, n))
-    probes = [Point.from_array(x.array + off) for off in offsets]
+    probes = x.array + rng.uniform(-radius, radius, size=(count, cfg.space.dimension))
     residuals = slope_mod.check_slope_cone(cfg.energy, eps, x, probes)
-    min_res = min(residuals)
-    witness = probes[int(np.argmin(residuals))]
-    passed = min_res >= -cone_tol
-    return passed, {
+    k = int(np.argmin(residuals))
+    min_res = float(residuals[k])
+    return min_res >= -cone_tol, {
         "eps": eps,
         "x": list(x.coords),
         "cone_tol": cone_tol,
         "n_probes": count,
         "min_residual": min_res,
-        "witness": list(witness.coords),
+        "witness": probes[k].tolist(),
     }
 
 

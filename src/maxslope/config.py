@@ -141,9 +141,8 @@ def parse_scheme_params(payload: dict, space: SpaceDescriptor,
 
     payload = expect_mapping(payload, context)
     prox_fields = expect_mapping(payload.get("prox_settings", {}), "prox_settings")
-    for name in ("starts", "max_iters"):
-        if name in prox_fields:
-            parse_int(prox_fields[name], name)
+    if "max_iters" in prox_fields:
+        parse_int(prox_fields["max_iters"], "max_iters")
     if "local_tol" in prox_fields:
         parse_field(float, prox_fields["local_tol"], "local_tol")
     try:

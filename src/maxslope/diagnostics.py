@@ -3,9 +3,11 @@
 Covers the exact dissipation identity of the variational interpolant,
 the a-priori bound suite behind it, metric-derivative estimation for
 sampled curves, the maximal-slope inequality checker, and the
-energy-monotonicity check along limit curves.  All a.e. statements are
-asserted on sample grids only; grids avoid step nodes where the relevant
-functions jump.
+energy-monotonicity check along limit curves.  A sampled curve is a pair
+of arrays: its increasing times (K,) and its points (K, n), as a
+trajectory's node times i * tau and its ``coords``.  All a.e. statements
+are asserted on sample grids only; grids avoid step nodes where the
+relevant functions jump.
 """
 
 from __future__ import annotations
@@ -16,15 +18,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .energy import LIMIT_EPS, EnergySpec, evaluate
+from .energy import LIMIT_EPS, EnergySpec, eval_many, exact_slopes
 from .errors import CoverageGapError
-from .metric import Point, SpaceDescriptor, distance
+from .metric import SpaceDescriptor, distances, squared_distances
 from .scheme import (
     DiscreteTrajectory,
     VariationalInterpolant,
     g_squared_integral,
 )
-from .slope import estimate_slope, slope_value
+from .slope import estimate_slope_row
 
 # Sample times of the maximal-slope check's interval grid: all pairs of an
 # evenly spaced grid of this many times over the curve.
@@ -126,19 +128,12 @@ class AprioriReport:
 def apriori_bounds(spec: EnergySpec, traj: DiscreteTrajectory,
                    interpolant: VariationalInterpolant,
                    quad_tol: float = 1e-8) -> AprioriReport:
-    mw = traj.space.metric_weights()
-    X = traj.coords
-
-    def squared_distances(D):
-        # (1, n) @ (n, 1) products round like metric.squared_distance's
-        # np.dot; (mw * D * D).sum(-1) does not
-        return np.matmul((mw * D)[..., None, :], D[..., :, None])
-
-    dist_constant = float(squared_distances(X - traj.space.base_point.array).max())
+    space, X = traj.space, traj.coords
+    dist_constant = float(squared_distances(space, X, space.base_point.array).max())
     energy_constant = float(np.abs(traj.step_energies).max())
     # closeness of the two interpolants at the quadrature nodes
     tilde_constant = float(
-        (squared_distances(interpolant.values - X[1:, None, :]) / traj.tau).max())
+        (squared_distances(space, interpolant.values, X[1:, None, :]) / traj.tau).max())
 
     # half-integrals, matching the dissipation-report normalization; the
     # exact identity splits the energy drop into exactly these two terms,
@@ -170,31 +165,21 @@ def apriori_bounds(spec: EnergySpec, traj: DiscreteTrajectory,
 # Metric derivative of a sampled curve
 # ---------------------------------------------------------------------------
 
-def metric_derivative(samples, space: SpaceDescriptor) -> list[tuple[float, float]]:
+def metric_derivative(times, coords, space: SpaceDescriptor) -> np.ndarray:
     """Symmetric difference quotients d(v(t-h), v(t+h)) / (t+h - (t-h)).
 
-    One-sided quotients at the two ends.  ``samples`` is a time-sorted
-    list of (t, Point) with at least three entries and distinct times.
+    One-sided quotients at the two ends.  ``times`` (K,) must increase
+    strictly, with K >= 3; ``coords`` (K, n) holds the curve's points.
+    Returns the (K,) quotients.
     """
-    samples = list(samples)
-    if len(samples) < 3:
-        raise ValueError("need at least 3 samples")
-    times = [float(t) for t, _ in samples]
-    if any(b <= a for a, b in zip(times, times[1:])):
+    times, coords = np.asarray(times, dtype=float), np.asarray(coords, dtype=float)
+    if len(times) < 3 or len(coords) != len(times):
+        raise ValueError("need at least 3 samples, one point per time")
+    if not (times[1:] > times[:-1]).all():
         raise ValueError("sample times must be strictly increasing (no duplicates)")
-    pts = [p for _, p in samples]
-    out = []
-    for k in range(len(samples)):
-        if k == 0:
-            lo, hi = 0, 1
-        elif k == len(samples) - 1:
-            lo, hi = k - 1, k
-        else:
-            lo, hi = k - 1, k + 1
-        out.append(
-            (times[k], distance(space, pts[lo], pts[hi]) / (times[hi] - times[lo]))
-        )
-    return out
+    k = np.arange(len(times))
+    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, len(times) - 1)
+    return distances(space, coords[lo], coords[hi]) / (times[hi] - times[lo])
 
 
 # ---------------------------------------------------------------------------
@@ -241,38 +226,31 @@ def _cumulative_trapezoid(y, times):
         [[0.0], np.cumsum(np.diff(times) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def maximal_slope_check(spec_limit: EnergySpec, curve, space: SpaceDescriptor,
-                        monotone_tol: float = 1e-9,
+def maximal_slope_check(spec_limit: EnergySpec, times, coords,
+                        space: SpaceDescriptor, monotone_tol: float = 1e-9,
                         use_exact_slope: bool = True) -> MaximalSlopeReport:
     """Check the energy-dissipation inequality along a sampled curve.
 
-    ``curve`` is a time-sorted list of (t, Point).  Speed comes from
-    symmetric difference quotients, slope from the limit energy's exact
-    formula (or the sampled estimator when ``use_exact_slope`` is off,
-    excluding nodes whose estimate does not converge), integrals from the
-    trapezoid rule on the sample grid.  The intervals (s, t) are all pairs
-    of ``INTERVAL_GRID_POINTS`` evenly spaced times, snapped to sample times.
+    The curve is sampled at the increasing ``times`` (K,) with points
+    ``coords`` (K, n).  Speed comes from symmetric difference quotients,
+    slope from the limit energy's exact formula (or the sampled estimator
+    when ``use_exact_slope`` is off, excluding nodes whose estimate does
+    not converge), integrals from the trapezoid rule on the sample grid.
+    The intervals (s, t) are all pairs of ``INTERVAL_GRID_POINTS`` evenly
+    spaced times, snapped to sample times.
     """
-    curve = [(float(t), p) for t, p in curve]
-    times = np.array([t for t, _ in curve])
-    speeds = np.array([v for _, v in metric_derivative(curve, space)])
-    varphi = np.array([evaluate(spec_limit, LIMIT_EPS, p) for _, p in curve])
+    times, coords = np.asarray(times, dtype=float), np.asarray(coords, dtype=float)
+    speeds = metric_derivative(times, coords, space)
+    varphi = eval_many(spec_limit, LIMIT_EPS, coords)
 
-    excluded = []
-    slopes = np.empty(len(curve))
-    for k, (t, p) in enumerate(curve):
-        if use_exact_slope:
-            slopes[k] = slope_value(spec_limit, LIMIT_EPS, p)
-        else:
-            est = estimate_slope(spec_limit, LIMIT_EPS, p)
-            if not est.converged:
-                excluded.append(t)
-                slopes[k] = math.nan
-            else:
-                slopes[k] = est.value
-    if excluded:
-        good = ~np.isnan(slopes)
-        slopes[~good] = np.interp(times[~good], times[good], slopes[good])
+    excluded = np.zeros(len(times), dtype=bool)
+    if use_exact_slope:
+        slopes = exact_slopes(spec_limit, LIMIT_EPS, coords)
+    else:
+        estimates = [estimate_slope_row(spec_limit, LIMIT_EPS, x) for x in coords]
+        slopes = np.array([est.value for est in estimates])
+        excluded = ~np.array([est.converged for est in estimates])
+        slopes[excluded] = np.interp(times[excluded], times[~excluded], slopes[~excluded])
 
     speed_cum = _cumulative_trapezoid(speeds * speeds, times)
     slope_cum = _cumulative_trapezoid(slopes * slopes, times)
@@ -299,25 +277,19 @@ def maximal_slope_check(spec_limit: EnergySpec, curve, space: SpaceDescriptor,
         per_interval=tuple(per_interval),
         monotone_ok=monotone_ok,
         min_slack=min_slack,
-        excluded_times=tuple(excluded),
+        excluded_times=tuple(times[excluded].tolist()),
     )
 
 
 def energy_monotonicity_along_limit(spec_limit: EnergySpec,
-                                    curve) -> tuple[bool, float]:
-    """Is energy(u(t)) <= energy(u(0)) (within 1e-9) at all sample times?
+                                    coords) -> tuple[bool, float]:
+    """Is energy(u(t)) <= energy(u(0)) (within 1e-9) at every row of ``coords``?
 
     Returns (verdict, worst margin) where margin = energy(u(0)) - energy(u(t))
     minimized over the samples (negative margin means an increase).
     """
-    curve = list(curve)
-    if not curve:
+    if len(coords) == 0:
         raise ValueError("curve must be nonempty")
-    e0 = evaluate(spec_limit, LIMIT_EPS, curve[0][1])
-    worst = min(e0 - evaluate(spec_limit, LIMIT_EPS, p) for _, p in curve)
+    energies = eval_many(spec_limit, LIMIT_EPS, coords)
+    worst = float((energies[0] - energies).min())
     return worst >= -1e-9, worst
-
-
-def trajectory_as_curve(traj: DiscreteTrajectory) -> list[tuple[float, Point]]:
-    """Broken-line view of a trajectory: its nodes as (t, point) samples."""
-    return [(i * traj.tau, Point.from_array(u)) for i, u in enumerate(traj.coords)]

@@ -503,28 +503,30 @@ def gradient(spec: EnergySpec, eps: float, x: Point) -> Point:
     return Point.from_array(gradient_many(spec, eps, x.array[None, :])[0])
 
 
-def exact_slope(spec: EnergySpec, eps: float, x: Point) -> float:
-    """Closed-form descending slope in the space's metric.
+def exact_slopes(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
+    """Closed-form descending slope in the space's metric at each row of
+    ``X`` (m, n); returns shape (m,).
 
     For smooth kinds this is the dual norm of the gradient; for the
     eps*|x| perturbation the minimal-norm subgradient is used at kinks.
     Raises :class:`CapabilityAbsentError` where no formula applies.
     """
-    spec.domain.validate_point(x)
-    mw = spec.domain.metric_weights()
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     if spec.kind in (QUADRATIC, WIGGLY, CUSTOM_SMOOTH):
-        g = gradient_many(spec, eps, x.array[None, :])[0]
-        return float(math.sqrt(float((g * g / mw).sum())))
-    if spec.kind == CONVEX_PERTURBED:
-        a = gradient_many(spec.base, eps, x.array[None, :])[0]
-        x_arr = x.array
-        g = np.where(
-            x_arr != 0.0,
-            a + eps * np.sign(x_arr),
-            np.sign(a) * np.maximum(0.0, np.abs(a) - eps),
-        )
-        return float(math.sqrt(float((g * g / mw).sum())))
-    raise CapabilityAbsentError(f"no exact slope for kind {spec.kind!r}")
+        G = gradient_many(spec, eps, X)
+    elif spec.kind == CONVEX_PERTURBED:
+        A = gradient_many(spec.base, eps, X)
+        G = np.where(X != 0.0, A + eps * np.sign(X),
+                     np.sign(A) * np.maximum(0.0, np.abs(A) - eps))
+    else:
+        raise CapabilityAbsentError(f"no exact slope for kind {spec.kind!r}")
+    return np.sqrt((G * G / spec.domain.metric_weights()).sum(axis=1))
+
+
+def exact_slope(spec: EnergySpec, eps: float, x: Point) -> float:
+    """``exact_slopes`` at one point."""
+    spec.domain.validate_point(x)
+    return float(exact_slopes(spec, eps, x.array[None, :])[0])
 
 
 # The limit family does not depend on eps; it is evaluated at this value.

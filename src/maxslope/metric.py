@@ -10,7 +10,7 @@ Euclidean one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,14 +128,29 @@ class SpaceDescriptor:
         return cls(dimension=dim, metric_kind=kind, weights=weights, base_point=base)
 
 
+def squared_distances(space: SpaceDescriptor, X, Y) -> np.ndarray:
+    """Squared metric distances between the rows of ``X`` and ``Y``, which
+    broadcast: (m, n) and (n,) give (m,).  Each is a (1, n) @ (n, 1)
+    product, which rounds like ``np.dot``; ``(w * D * D).sum(-1)`` does not.
+    """
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    for A in (X, Y):
+        if A.shape[-1:] != (space.dimension,):
+            raise DimensionMismatchError(
+                f"points of shape {A.shape}, space has dim {space.dimension}")
+    D = X - Y
+    return np.matmul((space.metric_weights() * D)[..., None, :],
+                     D[..., :, None])[..., 0, 0]
+
+
+def distances(space: SpaceDescriptor, X, Y) -> np.ndarray:
+    return np.sqrt(squared_distances(space, X, Y))
+
+
 def squared_distance(space: SpaceDescriptor, x: Point, y: Point) -> float:
     """Squared metric distance, computed without a square root."""
-    space.validate_point(x)
-    space.validate_point(y)
-    diff = x.array - y.array
-    return float(np.dot(space.metric_weights() * diff, diff))
+    return float(squared_distances(space, x.array, y.array))
 
 
 def distance(space: SpaceDescriptor, x: Point, y: Point) -> float:
     return math.sqrt(squared_distance(space, x, y))
-

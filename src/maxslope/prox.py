@@ -19,8 +19,9 @@ certifies from its coordinate's energy floor, or a heuristic one for
   row, two only when the guard is within ``local_tol`` of the minimizer
   and, in a 1D problem, a near tie of it;
 * the grid route everywhere else: a recursive grid zoom that advances
-  every row's windows in one block per round.  ``ProxSettings.starts``
-  and the stop rule of ``local_tol`` apply to this route only.
+  every row's windows in one block per round.  Its first-round shortlist
+  of ``_GRID_STARTS`` brackets and the stop rule of ``local_tol`` apply
+  to this route only.
 
 A problem's candidates are the combinations of its coordinate rows'
 near-optimal candidates.  Selection among near-optimal minimizers is
@@ -61,25 +62,20 @@ MULTISTART_NUMERIC = "multistart_numeric"
 class ProxSettings:
     """Knobs for the numeric search; exact closed forms ignore them.
 
-    ``starts`` and ``local_tol`` govern the grid route only: its first
-    round shortlists ``starts`` brackets, and a bracket whose grid values
-    spread by at most ``local_tol`` stops.  ``local_tol`` is also the
-    near-tie margin of every numeric row.  ``max_iters`` caps the
-    evaluations of each coordinate row (one per problem in 1D, n per
-    problem in nD): grid points on the grid route, Newton iterates on the
-    Newton route.
+    ``local_tol`` is the near-tie margin of every numeric row, and on the
+    grid route a bracket whose grid values spread by at most it stops.
+    ``max_iters`` caps the evaluations of each coordinate row (one per
+    problem in 1D, n per problem in nD): grid points on the grid route,
+    Newton iterates on the Newton route.
     """
 
     mode: str = EXACT_IF_AVAILABLE
-    starts: int = 3
     local_tol: float = 1e-9
     max_iters: int = 200_000
 
     def __post_init__(self):
         if self.mode not in (EXACT_IF_AVAILABLE, MULTISTART_NUMERIC):
             raise ValueError(f"unknown prox mode {self.mode!r}")
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(self.local_tol) and self.local_tol > 0):
@@ -89,21 +85,19 @@ class ProxSettings:
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "starts": self.starts,
             "local_tol": self.local_tol,
             "max_iters": self.max_iters,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProxSettings":
-        fields = ("mode", "starts", "local_tol", "max_iters")
+        fields = ("mode", "local_tol", "max_iters")
         unknown = [name for name in d if name not in fields]
         if unknown:
             raise ValueError(f"unknown field {unknown[0]!r} "
                              f"(known: {', '.join(fields)})")
         return cls(
             mode=d.get("mode", EXACT_IF_AVAILABLE),
-            starts=int(d.get("starts", 3)),
             local_tol=float(d.get("local_tol", 1e-9)),
             max_iters=int(d.get("max_iters", 200_000)),
         )
@@ -312,6 +306,8 @@ def _exact_minimizers(spec, eps, deltas, U, mw):
 # ---------------------------------------------------------------------------
 
 _GRID_POINTS = 257
+# Brackets the grid route's first round keeps per window.
+_GRID_STARTS = 3
 _GRID_STEPS = np.arange(_GRID_POINTS, dtype=float)
 
 
@@ -477,7 +473,7 @@ def _grid_zoom_1d(spec, eps, cols, deltas, u, radius, m, settings):
     brackets.
 
     Each round samples an even grid on every live window of every row in
-    one block, keeps the ``starts`` lowest local minima (later rounds: the
+    one block, keeps the ``_GRID_STARTS`` lowest local minima (later rounds: the
     lowest one) and zooms into their brackets, so progressively finer
     oscillation wells are resolved without an a-priori scale.  A bracket
     becomes a candidate once it has shrunk to round-off width or, after
@@ -503,8 +499,8 @@ def _grid_zoom_1d(spec, eps, cols, deltas, u, radius, m, settings):
         searched.append(live)
         _check_budget(searched, R, settings)
         h = xs[:, 1] - xs[:, 0]
-        if first_round and settings.starts > 1:
-            win, k = _shortlist(vals, settings.starts)
+        if first_round:
+            win, k = _shortlist(vals, _GRID_STARTS)
             if win.size > live.size:    # some window keeps several brackets
                 live, lo, hi, h = (arr[win] for arr in (live, lo, hi, h))
                 params = tuple(arr[win] for arr in params)
@@ -536,11 +532,11 @@ def _check_budget(searched, R, settings):
     """Raise once a row has evaluated more than ``max_iters`` grid points.
 
     ``searched`` holds the rows of each round's windows.  A row has at most
-    ``starts`` windows per round, so the count is only needed once that
+    ``_GRID_STARTS`` windows per round, so the count is only needed once that
     bound passes the budget; a row live in every round exceeds the budget
     after max_iters / 257 rounds, which bounds the search.
     """
-    if len(searched) * settings.starts * _GRID_POINTS > settings.max_iters:
+    if len(searched) * _GRID_STARTS * _GRID_POINTS > settings.max_iters:
         evals = _GRID_POINTS * np.bincount(np.concatenate(searched), minlength=R)
         if evals.max() > settings.max_iters:
             raise BudgetExhaustedError(

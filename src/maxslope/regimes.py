@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
-from .diagnostics import MaximalSlopeReport, maximal_slope_check, trajectory_as_curve
+import numpy as np
+
+from .diagnostics import MaximalSlopeReport, maximal_slope_check
 from .energy import EnergySpec, gamma_limit
 from .errors import ConfigError, MaxslopeError
-from .metric import Point, as_floats, distance
-from .scheme import DiscreteTrajectory, SchemeParams, piecewise_constant, run_scheme
+from .metric import as_floats, distances
+from .scheme import DiscreteTrajectory, SchemeParams, piecewise_constant_many, run_scheme
 from .slope import ConditionHReport, check_condition_h
 
 TAU_OF_EPS = "tau_of_eps"
@@ -121,7 +123,7 @@ class SweepReport:
 
 def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
               base_params: SchemeParams, sweep_tol: float = 1e-2,
-              reference: Callable[[float], Point] | None = None) -> SweepReport:
+              reference: Callable[[float], Sequence[float]] | None = None) -> SweepReport:
     """One trajectory per level; levels run independently.
 
     ``level_grid`` must decrease strictly; a level failure is recorded and
@@ -152,18 +154,14 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
     )
     tau0 = pairs[0][1]
     n0 = int(math.floor(horizon / tau0 + 1e-9))
-    grid = tuple(k * tau0 for k in range(n0 + 1))
+    grid = np.arange(n0 + 1) * tau0
 
-    sups = []
-    for a, b in zip(results, results[1:]):
-        if a.trajectory is None or b.trajectory is None:
-            sups.append(math.inf)
-            continue
-        sups.append(max(
-            distance(spec.domain, piecewise_constant(a.trajectory, t),
-                     piecewise_constant(b.trajectory, t))
-            for t in grid
-        ))
+    sups = [
+        math.inf if a.trajectory is None or b.trajectory is None
+        else float(distances(spec.domain, piecewise_constant_many(a.trajectory, grid),
+                             piecewise_constant_many(b.trajectory, grid)).max())
+        for a, b in zip(results, results[1:])
+    ]
     cauchy = bool(
         sups
         and all(math.isfinite(s) for s in sups)
@@ -175,7 +173,7 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
                   if lv.trajectory is not None), None)
     report = SweepReport(
         levels=tuple(results),
-        time_grid=grid,
+        time_grid=tuple(grid.tolist()),
         pairwise_sup_distances=tuple(sups),
         cauchy_flag=cauchy,
         limit_candidate=limit,
@@ -187,17 +185,15 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
 
 
 def compare_to_reference(report: SweepReport,
-                         reference: Callable[[float], Point]) -> float:
+                         reference: Callable[[float], Sequence[float]]) -> float:
     """Sup distance over the common grid between the finest level and a
-    reference curve."""
+    reference curve, given as the coordinates of its point at each time."""
     traj = report.limit_candidate
     if traj is None:
         raise ValueError("sweep produced no successful level to compare")
-    space = traj.space
-    return max(
-        distance(space, piecewise_constant(traj, t), reference(t))
-        for t in report.time_grid
-    )
+    expected = np.array([reference(t) for t in report.time_grid], dtype=float)
+    return float(distances(traj.space, piecewise_constant_many(traj, report.time_grid),
+                           expected).max())
 
 
 @dataclass(frozen=True)
@@ -248,9 +244,9 @@ def maximal_slope_pipeline(spec: EnergySpec, coupling: CouplingLaw, levels,
     sweep = run_sweep(spec, coupling, levels, base_params)
     if sweep.limit_candidate is None:
         raise MaxslopeError("sweep produced no successful level")
-    curve = trajectory_as_curve(sweep.limit_candidate)
-    report = maximal_slope_check(limit_spec, curve, spec.domain,
-                                 monotone_tol=monotone_tol)
+    traj = sweep.limit_candidate
+    report = maximal_slope_check(limit_spec, np.arange(traj.n_steps + 1) * traj.tau,
+                                 traj.coords, spec.domain, monotone_tol=monotone_tol)
     return PipelineResult(
         sweep=sweep,
         maximal_slope=report,

@@ -29,6 +29,12 @@ from .prox import ProxBatch, ProxSettings, prox_batch
 # 8..3200, at +1.6 MB peak memory; one block of all 3200 nodes took +64 MB.
 INTERPOLANT_BLOCK = 64
 
+# Floats a run may hold in its work arrays: the trajectory's (N + 1) n, the
+# interpolant's N K n for K quadrature nodes per step and the K x K matrix
+# that builds the Gauss-Legendre rule.  10^8 float64 are 800 MB; a larger
+# run is a config error, not a run that goes on until it is killed.
+MAX_RUN_FLOATS = 10**8
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -57,11 +63,17 @@ class SchemeParams:
             raise ValueError("tau must be positive")
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be positive")
-        if not math.isfinite(self.horizon_T / self.tau):
-            raise ValueError(f"horizon_T / tau = {self.horizon_T:g} / {self.tau:g} "
-                             f"overflows; the number of steps must be finite")
         if self.quadrature_nodes_per_step < 1:
             raise ValueError("quadrature_nodes_per_step must be >= 1")
+        # capped first, so that an infinite or huge count fails without overflow
+        N = math.ceil(min(self.horizon_T / self.tau, MAX_RUN_FLOATS))
+        K = min(self.quadrature_nodes_per_step, MAX_RUN_FLOATS)
+        n = self.initial_point.dim
+        if (N + 1) * n + N * K * n + K * K > MAX_RUN_FLOATS:
+            raise ValueError(
+                f"horizon_T / tau = {self.horizon_T:g} / {self.tau:g} steps with "
+                f"quadrature_nodes_per_step = {self.quadrature_nodes_per_step} must be "
+                f"a finite run of (N + 1) n + N K n + K^2 <= {MAX_RUN_FLOATS:.0e} floats")
         if not self.tau < self.tau_star / 8.0:
             raise ValueError(
                 f"tau={self.tau:g} must be below tau_star/8={self.tau_star / 8.0:g} "
@@ -150,26 +162,30 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
     )
 
 
-def _step_index(traj: DiscreteTrajectory, t: float) -> int:
-    """Index i with t in (i*tau, (i+1)*tau]; t = 0 maps to step 0."""
-    if t < 0 or t > traj.final_time + 1e-12 * traj.tau:
-        raise ValueError(f"t={t:g} outside [0, {traj.final_time:g}]")
-    if t <= 0:
-        return 0
-    i = int(math.ceil(t / traj.tau)) - 1
+def _step_indices(traj: DiscreteTrajectory, times) -> np.ndarray:
+    """Index i with t in (i*tau, (i+1)*tau] for each time t; t = 0 maps to
+    step 0."""
+    t = np.asarray(times, dtype=float)
+    outside = ~((t >= 0) & (t <= traj.final_time + 1e-12 * traj.tau))
+    if outside.any():
+        raise ValueError(f"t={t[outside][0]:g} outside [0, {traj.final_time:g}]")
+    i = np.ceil(t / traj.tau).astype(int) - 1
     # guard roundoff at interval edges: t must exceed i*tau
-    while i > 0 and t <= i * traj.tau:
-        i -= 1
-    return min(i, traj.n_steps - 1)
+    while (edge := (i > 0) & (t <= i * traj.tau)).any():
+        i -= edge
+    return np.clip(i, 0, traj.n_steps - 1)
+
+
+def piecewise_constant_many(traj: DiscreteTrajectory, times) -> np.ndarray:
+    """Rows of the right-closed piecewise-constant interpolant at ``times``:
+    u^{i+1} on (i*tau, (i+1)*tau], and u^0 at t = 0."""
+    rows = _step_indices(traj, times) + 1
+    return traj.coords[np.where(np.asarray(times) > 0, rows, 0)]
 
 
 def piecewise_constant(traj: DiscreteTrajectory, t: float) -> Point:
-    """Right-closed piecewise-constant interpolant: u^{i+1} on (i*tau, (i+1)*tau]."""
-    if t <= 0:
-        if t < 0:
-            raise ValueError(f"t={t:g} is negative")
-        return Point.from_array(traj.coords[0])
-    return Point.from_array(traj.coords[_step_index(traj, t) + 1])
+    """``piecewise_constant_many`` at one time."""
+    return Point.from_array(piecewise_constant_many(traj, t))
 
 
 def discrete_velocity(traj: DiscreteTrajectory, t: float) -> float:
@@ -178,15 +194,13 @@ def discrete_velocity(traj: DiscreteTrajectory, t: float) -> float:
     At interval endpoints the left interval's value is used (a measure-zero
     convention irrelevant to every integral built on top).
     """
-    if t <= 0:
-        return float(traj.step_distances[0]) / traj.tau if traj.n_steps else 0.0
-    return float(traj.step_distances[_step_index(traj, t)]) / traj.tau
+    return float(traj.step_distances[_step_indices(traj, max(t, 0.0))]) / traj.tau
 
 
 def _interpolant_prox(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
                       prox_settings: ProxSettings) -> tuple[int, float, ProxBatch | None]:
     """Step index i, step size t - i*tau and, if positive, its prox from u^i."""
-    i = _step_index(traj, t)
+    i = int(_step_indices(traj, t))
     delta = t - i * traj.tau
     if delta <= 0:
         return i, delta, None

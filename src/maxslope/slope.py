@@ -18,7 +18,7 @@ import numpy as np
 
 from .energy import LIMIT_EPS, EnergySpec, eval_many, evaluate, exact_slope
 from .errors import CapabilityAbsentError, SequenceNotConvergentError
-from .metric import Point, SpaceDescriptor, distance
+from .metric import Point, SpaceDescriptor, distances
 
 DEFAULT_RADII = tuple(0.1 * 2.0 ** (-k) for k in range(13))
 # Sampled directions per radius beyond the axes (2D ring, nD cloud).
@@ -75,16 +75,23 @@ def estimate_slope(spec: EnergySpec, eps: float, x: Point,
     contributes the supremum of (f(x) - f(y))^+ / r over the direction
     set scaled to metric radius r.
     """
+    spec.domain.validate_point(x)
+    return estimate_slope_row(spec, eps, x.array, schedule)
+
+
+def estimate_slope_row(spec: EnergySpec, eps: float, x: np.ndarray,
+                       schedule=DEFAULT_RADII) -> SlopeEstimate:
+    """``estimate_slope`` at the coordinate row ``x`` (n,)."""
     radii = tuple(float(r) for r in schedule)
     if len(radii) < 3 or any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radius schedule must be strictly decreasing, length >= 3")
-    spec.domain.validate_point(x)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     dirs = _direction_set(spec.domain)
-    fx = evaluate(spec, eps, x)
-    x_arr = x.array
+    fx = float(eval_many(spec, eps, x[None, :])[0])
     sups = []
     for r in radii:
-        vals = eval_many(spec, eps, x_arr + r * dirs)
+        vals = eval_many(spec, eps, x + r * dirs)
         sups.append(max(0.0, float((fx - vals).max()) / r))
     tail = sups[-3:]
     value = max(tail)
@@ -151,8 +158,7 @@ def check_condition_h(family: EnergySpec, limit: EnergySpec,
     seq = [(float(e), v) for e, v in sequence]
     if not seq:
         raise ValueError("sequence must be nonempty")
-    space = family.domain
-    dists = [distance(space, v, limit_v) for _, v in seq]
+    dists = distances(family.domain, [v.coords for _, v in seq], limit_v.array).tolist()
     if dists[-1] > seq_tol:
         raise SequenceNotConvergentError(
             f"terminal distance {dists[-1]:g} to the limit exceeds seq_tol={seq_tol:g}"
@@ -184,9 +190,10 @@ def check_condition_h(family: EnergySpec, limit: EnergySpec,
 # Slope Cone Property
 # ---------------------------------------------------------------------------
 
-def check_slope_cone(spec: EnergySpec, eps: float, x: Point, probe_points,
-                     slope_at_x: float | None = None) -> list[float]:
-    """Residuals f(y) - f(x) + d(x, y) * slope(x) for each probe.
+def check_slope_cone(spec: EnergySpec, eps: float, x: Point, probes,
+                     slope_at_x: float | None = None) -> np.ndarray:
+    """Residuals f(y) - f(x) + d(x, y) * slope(x) for each row y of the
+    (m, n) array ``probes``; returns shape (m,).
 
     The cone property holds on the probes iff all residuals are >= 0 (up
     to the caller's tolerance).  ``slope_at_x`` overrides the built-in
@@ -196,9 +203,7 @@ def check_slope_cone(spec: EnergySpec, eps: float, x: Point, probe_points,
     s = slope_value(spec, eps, x) if slope_at_x is None else float(slope_at_x)
     if not (math.isfinite(fx) and math.isfinite(s)):
         raise ValueError("cone check requires finite energy and slope at x")
-    space = spec.domain
-    residuals = []
-    for y in probe_points:
-        fy = evaluate(spec, eps, y)
-        residuals.append(fy - fx + distance(space, x, y) * s)
-    return residuals
+    probes = np.asarray(probes, dtype=float)
+    if not np.isfinite(probes).all():
+        raise ValueError("probe points must be finite")
+    return eval_many(spec, eps, probes) - fx + distances(spec.domain, x.array, probes) * s

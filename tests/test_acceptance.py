@@ -18,7 +18,6 @@ from maxslope.diagnostics import (
     apriori_bounds,
     dissipation_identity,
     maximal_slope_check,
-    trajectory_as_curve,
 )
 from maxslope.energy import (
     convex_perturbed,
@@ -113,8 +112,9 @@ def test_criterion_3_maximal_slope_equality():
     params = SchemeParams(eps=1.0, tau=0.01, horizon_T=1.0,
                           initial_point=pt(1.0), tau_star=1.0)
     sweep = run_sweep(QUAD, law, [0.02, 0.01, 0.005], params)
-    curve = trajectory_as_curve(sweep.limit_candidate)
-    ms = maximal_slope_check(QUAD, curve, LINE)
+    traj = sweep.limit_candidate
+    ms = maximal_slope_check(QUAD, np.arange(traj.n_steps + 1) * traj.tau,
+                             traj.coords, LINE)
     slacks = [s for *_, s in ms.per_interval]
     elapsed = time.perf_counter() - t0
     slack_ok = all(abs(s) <= 5e-3 for s in slacks)
@@ -225,11 +225,11 @@ def test_criterion_6_slope_cone():
     for spec, eps in ((QUAD, 1.0), (PERTURBED, 0.3)):
         for _ in range(5):
             x = pt(rng.uniform(-2.0, 2.0))
-            probes = [pt(v) for v in rng.uniform(-4.0, 4.0, 200)]
+            probes = rng.uniform(-4.0, 4.0, (200, 1))
             worst = min(worst, min(check_slope_cone(spec, eps, x, probes)))
     trap = nearest_stable_critical_point(WIGGLY, 0.1, pt(0.8))
     trap_res = min(check_slope_cone(
-        WIGGLY, 0.1, trap, [pt(v) for v in rng.uniform(-2.0, 2.0, 200)]))
+        WIGGLY, 0.1, trap, rng.uniform(-2.0, 2.0, (200, 1))))
     elapsed = time.perf_counter() - t0
     convex_ok = worst >= -1e-9
     witness_ok = trap_res < -1e-3

@@ -184,6 +184,16 @@ class TestConfigParsing:
         assert "unknown field 'search_radius_factor'" in proc.stderr.splitlines()[0]
         assert not (tmp_path / "out").exists()
 
+    def test_starts_is_an_unknown_field(self, tmp_path):
+        # The grid route's first-round shortlist is a constant of the prox.
+        doc = quad_run_config(tmp_path / "out", prox_settings={
+            "mode": "multistart_numeric", "starts": 3})
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error:")
+        assert "unknown field 'starts'" in proc.stderr.splitlines()[0]
+        assert not (tmp_path / "out").exists()
+
     WIGGLY = {"kind": "wiggly", "base": {"kind": "quadratic", "weights": [1.0],
                                          "center": [0.0]}}
 
@@ -222,6 +232,18 @@ class TestConfigParsing:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_run_size_is_capped(self, tmp_path):
+        # 0.5 / 1e-300 steps is a finite count that no run finishes
+        doc = quad_run_config(tmp_path / "out", tau=1e-300, T=0.5)
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_CONFIG
+        first = proc.stderr.splitlines()[0]
+        assert first.startswith("config error:")
+        for name in ("horizon_T", "tau", "quadrature_nodes_per_step"):
+            assert name in first
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_max_iters_must_be_positive(self, tmp_path):
         doc = quad_run_config(tmp_path / "out", prox_settings={
             "mode": "multistart_numeric", "max_iters": 0})
@@ -244,12 +266,13 @@ class TestConfigParsing:
         (quad_run_config, ("seed",), 3.9),
         (quad_run_config, ("command", "run", "quadrature_nodes_per_step"), 2.7),
         (quad_run_config, ("command", "run", "quadrature_nodes_per_step"), True),
-        (quad_run_config, ("command", "run", "prox_settings"), {"starts": 2.5}),
+        (quad_run_config, ("command", "run", "prox_settings"), {"max_iters": 2.5}),
         (quad_run_config, ("command", "run", "prox_settings"), {"max_iters": 1e6 + 0.5}),
         (slope_cone_config, ("command", "check", "probes"), {"count": 10.5}),
         (slope_cone_config, ("command", "check", "probes"), {"count": False}),
     ], ids=["dimension", "dimension_bool", "seed", "quadrature_nodes_per_step",
-            "quadrature_nodes_bool", "starts", "max_iters", "count", "count_bool"])
+            "quadrature_nodes_bool", "max_iters_small", "max_iters", "count",
+            "count_bool"])
     def test_non_integer_is_config_error(self, tmp_path, build, path, value):
         doc = build(tmp_path / "out")
         set_field(doc, path, value)
@@ -264,11 +287,12 @@ class TestConfigParsing:
         doc = quad_run_config(tmp_path / "out")
         doc["seed"] = 3.0
         doc["space"]["dimension"] = 1.0
-        doc["command"]["run"]["prox_settings"] = {"max_iters": 1e6, "starts": 2.0}
+        doc["command"]["run"]["prox_settings"] = {"max_iters": 1e6}
+        doc["command"]["run"]["quadrature_nodes_per_step"] = 2.0
         parsed = ExperimentConfig.from_dict(doc)
         params = parse_scheme_params(parsed.payload, parsed.space)
         assert (parsed.seed, parsed.space.dimension) == (3, 1)
-        assert (params.prox_settings.max_iters, params.prox_settings.starts) == \
+        assert (params.prox_settings.max_iters, params.quadrature_nodes_per_step) == \
             (1_000_000, 2)
 
 

@@ -10,7 +10,6 @@ from maxslope.diagnostics import (
     maximal_slope_check,
     metric_derivative,
     step_residuals,
-    trajectory_as_curve,
 )
 from maxslope.energy import convex_perturbed, quadratic, wiggly
 from maxslope.errors import CoverageGapError
@@ -193,8 +192,8 @@ class TestAprioriBounds:
 class TestMetricDerivative:
     def test_exponential_decay_speed(self, line):
         ts = np.linspace(0.0, 1.0, 2001)
-        samples = [(t, pt(math.exp(-t))) for t in ts]
-        vals = dict(metric_derivative(samples, line))
+        coords = [[math.exp(-t)] for t in ts]
+        vals = dict(zip(ts, metric_derivative(ts, coords, line)))
         # |u'|(0.5) = e^{-0.5}
         assert abs(vals[0.5] - math.exp(-0.5)) < 1e-6
 
@@ -202,35 +201,39 @@ class TestMetricDerivative:
         traj, _ = make_run(quad_1d, tau=0.1, T=0.5)
         # refine each step linearly: within a step the broken-line speed
         # equals the discrete speed exactly
-        samples = []
+        times, coords = [], []
         for i in range(traj.n_steps):
             a, b = traj.coords[i, 0], traj.coords[i + 1, 0]
             for frac in (0.0, 0.25, 0.5, 0.75):
-                t = (i + frac) * traj.tau
-                samples.append((t, pt(a + frac * (b - a))))
-        samples.append((traj.final_time, pt(*traj.coords[-1])))
-        deriv = dict(metric_derivative(samples, line))
+                times.append((i + frac) * traj.tau)
+                coords.append([a + frac * (b - a)])
+        times.append(traj.final_time)
+        coords.append(traj.coords[-1])
+        deriv = dict(zip(times, metric_derivative(times, coords, line)))
         t_mid = 0.05  # interior of step 0, symmetric quotient stays inside
         assert math.isclose(deriv[t_mid], discrete_velocity(traj, t_mid),
                             rel_tol=1e-12)
 
     def test_needs_three_samples(self, line):
         with pytest.raises(ValueError):
-            metric_derivative([(0.0, pt(0.0)), (1.0, pt(1.0))], line)
+            metric_derivative([0.0, 1.0], [[0.0], [1.0]], line)
+
+    def test_needs_one_point_per_time(self, line):
+        with pytest.raises(ValueError):
+            metric_derivative([0.0, 1.0, 2.0], [[0.0], [1.0]], line)
 
     def test_rejects_duplicate_times(self, line):
         with pytest.raises(ValueError):
-            metric_derivative([(0.0, pt(0.0)), (0.0, pt(1.0)), (1.0, pt(2.0))],
-                              line)
+            metric_derivative([0.0, 0.0, 1.0], [[0.0], [1.0], [2.0]], line)
 
 
 class TestMaximalSlopeCheck:
     def gradient_flow_curve(self, n=1601, T=2.0):
         ts = np.linspace(0.0, T, n)
-        return [(t, pt(math.exp(-t))) for t in ts]
+        return ts, [[math.exp(-t)] for t in ts]
 
     def test_exact_gradient_flow_passes(self, quad_1d, line):
-        report = maximal_slope_check(quad_1d, self.gradient_flow_curve(), line)
+        report = maximal_slope_check(quad_1d, *self.gradient_flow_curve(), line)
         assert report.monotone_ok
         assert report.passed(5e-3)
         assert abs(report.min_slack) < 1e-4
@@ -238,24 +241,24 @@ class TestMaximalSlopeCheck:
     def test_too_fast_curve_fails(self, quad_1d, line):
         # doubling the speed breaks the inequality
         ts = np.linspace(0.0, 1.0, 801)
-        curve = [(t, pt(math.exp(-2.0 * t))) for t in ts]
-        report = maximal_slope_check(quad_1d, curve, line)
+        coords = [[math.exp(-2.0 * t)] for t in ts]
+        report = maximal_slope_check(quad_1d, ts, coords, line)
         assert not report.passed(5e-3)
         assert report.min_slack < -0.05
 
     def test_energy_increase_flagged(self, quad_1d, line):
         ts = np.linspace(0.0, 1.0, 101)
-        curve = [(t, pt(1.0 + t)) for t in ts]
-        report = maximal_slope_check(quad_1d, curve, line)
+        coords = [[1.0 + t] for t in ts]
+        report = maximal_slope_check(quad_1d, ts, coords, line)
         assert not report.monotone_ok
 
     def test_estimated_slope_mode(self, quad_1d, line):
-        report = maximal_slope_check(quad_1d, self.gradient_flow_curve(801, 1.0),
+        report = maximal_slope_check(quad_1d, *self.gradient_flow_curve(801, 1.0),
                                      line, use_exact_slope=False)
         assert report.passed(5e-3)
 
     def test_report_dict_shape(self, quad_1d, line):
-        report = maximal_slope_check(quad_1d, self.gradient_flow_curve(201, 1.0),
+        report = maximal_slope_check(quad_1d, *self.gradient_flow_curve(201, 1.0),
                                      line)
         d = report.to_dict()
         assert {"s", "t", "lhs", "rhs", "slack"} == set(d["per_interval"][0])
@@ -264,24 +267,16 @@ class TestMaximalSlopeCheck:
 
 class TestEnergyMonotonicity:
     def test_decaying_curve(self, quad_1d):
-        curve = [(t, pt(math.exp(-t))) for t in np.linspace(0, 1, 50)]
-        ok, margin = energy_monotonicity_along_limit(quad_1d, curve)
+        coords = [[math.exp(-t)] for t in np.linspace(0, 1, 50)]
+        ok, margin = energy_monotonicity_along_limit(quad_1d, coords)
         assert ok and margin >= 0.0
 
     def test_rising_curve_fails(self, quad_1d):
-        curve = [(t, pt(1.0 + t)) for t in np.linspace(0, 1, 50)]
-        ok, margin = energy_monotonicity_along_limit(quad_1d, curve)
+        coords = [[1.0 + t] for t in np.linspace(0, 1, 50)]
+        ok, margin = energy_monotonicity_along_limit(quad_1d, coords)
         assert not ok and margin < 0.0
 
     def test_empty_curve_rejected(self, quad_1d):
         with pytest.raises(ValueError):
             energy_monotonicity_along_limit(quad_1d, [])
 
-
-class TestTrajectoryAsCurve:
-    def test_node_samples(self, quad_1d):
-        traj, _ = make_run(quad_1d, tau=0.1, T=0.3)
-        curve = trajectory_as_curve(traj)
-        assert len(curve) == traj.n_steps + 1
-        assert curve[0] == (0.0, pt(*traj.coords[0]))
-        assert math.isclose(curve[-1][0], traj.final_time)

@@ -20,6 +20,7 @@ from maxslope.energy import (
     eval_many,
     evaluate,
     exact_slope,
+    exact_slopes,
     gamma_limit,
     gradient,
     gradient_many,
@@ -281,6 +282,39 @@ class TestExactSlope:
 
     def test_perturbed_away_from_kink(self, perturbed_1d):
         assert math.isclose(exact_slope(perturbed_1d, 0.1, pt(1.0)), 1.1)
+
+    @staticmethod
+    def one_point_slope(spec, eps, x):
+        """The per-point formula the rows replace, as a reference."""
+        mw = spec.domain.metric_weights()
+        base = spec.base if spec.kind == "convex_perturbed" else spec
+        g = gradient_many(base, eps, x[None, :])[0]
+        if spec.kind == "convex_perturbed":
+            g = np.where(x != 0.0, g + eps * np.sign(x),
+                         np.sign(g) * np.maximum(0.0, np.abs(g) - eps))
+        return math.sqrt(float((g * g / mw).sum()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           kind=st.sampled_from(["quadratic", "wiggly", "convex_perturbed", "custom"]))
+    def test_rows_match_the_one_point_formula(self, data, dim, kind):
+        weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
+        space = SpaceDescriptor(dim, metric_kind="diagonal_weighted",
+                                weights=tuple(weights))
+        base = quadratic(space, [1.0] * dim, [0.3] * dim)
+        spec = {"quadratic": base, "wiggly": wiggly(base),
+                "convex_perturbed": convex_perturbed(base),
+                "custom": custom_smooth(SpaceDescriptor(1), "0.5*x^2 + eps*cos(x/eps)")
+                }[kind]
+        n = spec.domain.dimension
+        coord = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+        X = np.array(data.draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                                        min_size=1, max_size=8)))
+        eps = data.draw(st.floats(0.01, 1.0))
+        rows = exact_slopes(spec, eps, X)
+        for k, x in enumerate(X):
+            assert rows[k] == self.one_point_slope(spec, eps, x) \
+                == exact_slope(spec, eps, pt(*x))
 
 
 class TestCertificate:

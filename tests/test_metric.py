@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxslope.errors import DimensionMismatchError
-from maxslope.metric import Point, SpaceDescriptor, distance, squared_distance
+from maxslope.metric import (
+    Point,
+    SpaceDescriptor,
+    distance,
+    squared_distance,
+    squared_distances,
+)
 
 from conftest import pt
 
@@ -81,6 +87,29 @@ class TestDistance:
     def test_dimension_mismatch(self, plane):
         with pytest.raises(DimensionMismatchError):
             distance(plane, pt(0, 0), pt(0, 0, 0))
+
+    def test_rows_of_another_dimension_rejected(self, plane):
+        with pytest.raises(DimensionMismatchError):
+            squared_distances(plane, np.zeros((4, 2)), np.zeros((4, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3))
+def test_squared_distances_match_squared_distance(data, dim):
+    # the row kernel rounds as the one-row case and as np.dot, in which
+    # every artifact's distances were computed
+    weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
+    sp = SpaceDescriptor(dim, metric_kind="diagonal_weighted", weights=tuple(weights))
+    row = st.lists(finite_coord, min_size=dim, max_size=dim)
+    X = np.array(data.draw(st.lists(row, min_size=1, max_size=8)))
+    Y = np.array(data.draw(st.lists(row, min_size=len(X), max_size=len(X))))
+    rows = squared_distances(sp, X, Y)
+    against_first = squared_distances(sp, X[0], Y)
+    mw = sp.metric_weights()
+    for k, (x, y) in enumerate(zip(X, Y)):
+        one = squared_distance(sp, pt(*x), pt(*y))
+        assert rows[k] == one == float(np.dot(mw * (x - y), x - y))
+        assert against_first[k] == squared_distance(sp, pt(*X[0]), pt(*y))
 
 
 @settings(max_examples=200, deadline=None)

@@ -239,5 +239,5 @@ class TestSelection:
         assert chosen == (-1.0,)
 
     def test_settings_roundtrip(self):
-        s = ProxSettings(starts=5, local_tol=1e-8)
+        s = ProxSettings(local_tol=1e-8, max_iters=5000)
         assert ProxSettings.from_dict(s.to_dict()) == s

@@ -30,6 +30,7 @@ from maxslope.errors import (
 from maxslope.metric import SpaceDescriptor, distance
 from maxslope.prox import (
     MULTISTART_NUMERIC,
+    _GRID_STARTS,
     ProxSettings,
     _lowest_minimum,
     _near_ties,
@@ -155,7 +156,7 @@ def reference_prox_1d(spec, eps, delta, u, prox_settings):
             if interior.size == 0:
                 interior = np.array([int(np.argmin(vals))])
             order = interior[np.argsort(vals[interior], kind="stable")]
-            for k in order[:prox_settings.starts] if first else order[:1]:
+            for k in order[:_GRID_STARTS] if first else order[:1]:
                 a, b = max(lo, xs[k] - h), min(hi, xs[k] + h)
                 spread = float(vals.max() - vals.min())
                 if (b - a) <= 1e-14 * max(1.0, abs(xs[k])) or (
@@ -258,7 +259,8 @@ class TestAgainstLoopReference:
 
 
 class TestSeparable:
-    """The nD numeric prox zooms each coordinate as its own 1D problem."""
+    """The numeric prox solves each coordinate as its own 1D problem; the
+    dense-grid oracle checks 1D problems and each coordinate of 2D ones."""
 
     WEIGHTS, CENTER = (1.0, 2.0), (0.3, -0.2)
     WRAP = {"quadratic": lambda q: q, "wiggly": wiggly,
@@ -286,6 +288,32 @@ class TestSeparable:
             slack += (self.WEIGHTS[j] + m / delta + 1.0 / eps) * step ** 2 / 8 + eps * step
             if family != "wiggly":      # strictly convex: one minimizer
                 assert abs(batch.minimizers[0, j] - v) <= step
+        assert oracle_value - slack <= batch.values[0]
+        assert batch.values[0] <= oracle_value + 2 * NUMERIC.local_tol
+
+    @pytest.mark.parametrize("family, eps_range, route", [
+        ("quadratic", (0.05, 1.0), "newton"),
+        ("wiggly", (0.5, 1.0), "newton"),       # w - 1/eps + m/delta > 0
+        ("wiggly", (0.02, 0.05), "grid"),       # many wells in the window
+        ("convex_perturbed", (0.05, 1.0), "grid"),
+    ])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_1d_value_matches_oracle(self, family, eps_range, route, data):
+        eps = data.draw(st.floats(*eps_range))
+        delta = data.draw(st.floats(0.1, 0.5) if route == "grid" and family == "wiggly"
+                          else st.floats(1e-3, 0.5))
+        u = data.draw(st.floats(-1.5, 1.5))
+        w, m = self.WEIGHTS[0], 1.0
+        spec = self.spec(family, LINE, [w], [self.CENTER[0]])
+        kappas = curvature_floors(spec, eps)
+        assert (route == "newton") == (kappas is not None and kappas[0] + m / delta > 0)
+        batch = prox_batch(spec, eps, [delta], [[u]], NUMERIC)
+        step = 1e-4
+        v = brute_force_prox_1d(spec, eps, delta, u, radius=3.0, step=step)
+        oracle_value = eval_many(spec, eps, [[v]])[0] + m * (v - u) ** 2 / (2.0 * delta)
+        # values, not points: a near tie may pick either well
+        slack = (w + m / delta + 1.0 / eps) * step ** 2 / 8 + eps * step
         assert oracle_value - slack <= batch.values[0]
         assert batch.values[0] <= oracle_value + 2 * NUMERIC.local_tol
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from maxslope.energy import quadratic
+from maxslope.energy import evaluate, quadratic
 from maxslope.metric import Point
 from maxslope.regimes import (
     CouplingLaw,
@@ -70,14 +70,14 @@ class TestRunSweep:
     def test_reference_comparison(self, quad_1d):
         law = CouplingLaw("eps_of_tau", lam=1.0, alpha=1.0)
         report = run_sweep(quad_1d, law, [0.02, 0.01, 0.005], base_params(),
-                           reference=lambda t: pt(math.exp(-t)))
+                           reference=lambda t: [math.exp(-t)])
         # implicit Euler converges to the gradient flow e^{-t}
         assert report.comparison_to_reference < 2e-2
 
     def test_offset_reference_is_far(self, quad_1d):
         law = CouplingLaw("eps_of_tau", lam=1.0, alpha=1.0)
         report = run_sweep(quad_1d, law, [0.02, 0.01], base_params(),
-                           reference=lambda t: pt(math.exp(-t) + 0.5))
+                           reference=lambda t: [math.exp(-t) + 0.5])
         assert report.comparison_to_reference > 0.4
 
     def test_failing_level_recorded(self, quad_1d):
@@ -111,6 +111,16 @@ class TestPipeline:
         assert not result.condition_h_waived
         assert result.sweep.cauchy_flag
         assert result.maximal_slope.passed(5e-3)
+
+    def test_limit_curve_is_sampled_at_the_step_nodes(self, quad_1d):
+        law = CouplingLaw("eps_of_tau", lam=1.0, alpha=1.0)
+        result = maximal_slope_pipeline(quad_1d, law, [0.02, 0.01], base_params())
+        traj = result.sweep.limit_candidate
+        times = result.maximal_slope.sample_times
+        assert times == tuple(i * traj.tau for i in range(traj.n_steps + 1))
+        assert math.isclose(times[-1], traj.final_time)
+        assert result.maximal_slope.varphi_values[0] == evaluate(
+            quad_1d, 1.0, pt(*traj.coords[0]))
 
     def test_oscillatory_family_warns(self, wiggly_1d):
         # at a pinned point the slopes collapse, so the evidence fails

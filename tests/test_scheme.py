@@ -110,6 +110,39 @@ def scalar_prox_run(spec, params):
     return np.array(coords), np.array(energies), np.array(dists)
 
 
+class TestRunSize:
+    """(N + 1) n + N K n + K^2 floats must fit in MAX_RUN_FLOATS = 10^8.
+    The parameters are only built, so no test here allocates a run or the
+    K x K matrix of the Gauss rule."""
+
+    @pytest.mark.parametrize("steps, nodes, dim, fits", [
+        (49_999_999, 1, 1, True),       # 2 N + 2 = 10^8
+        (50_000_000, 1, 1, False),
+        (5_555_551, 8, 2, True),        # 18 N + 66 = 99 999 984
+        (5_555_552, 8, 2, False),
+        (1, 9_999, 1, True),            # K^2 + K + 2 = 99 990 002
+        (1, 10_000, 1, False),
+    ])
+    def test_cap_boundary(self, steps, nodes, dim, fits):
+        assert scheme.MAX_RUN_FLOATS == 10**8
+
+        def params():
+            return SchemeParams(eps=1.0, tau=1.0, horizon_T=float(steps),
+                                initial_point=pt(*[0.5] * dim),
+                                quadrature_nodes_per_step=nodes, tau_star=16.0)
+        if fits:
+            params()
+        else:
+            with pytest.raises(ValueError, match="quadrature_nodes_per_step"):
+                params()
+
+    def test_overflowing_counts_fail_the_cap(self):
+        for T, nodes in ((1e300, 8), (1.0, 10**400)):
+            with pytest.raises(ValueError, match="horizon_T / tau"):
+                SchemeParams(eps=1.0, tau=1e-3, horizon_T=T, initial_point=pt(0.5),
+                             quadrature_nodes_per_step=nodes)
+
+
 class TestArrayTrajectory:
     @pytest.mark.parametrize("name", RUNS)
     def test_equals_scalar_prox_loop(self, name):
@@ -181,6 +214,27 @@ class TestPiecewiseConstant:
     def test_past_horizon_rejected(self, quad_traj):
         with pytest.raises(ValueError):
             piecewise_constant(quad_traj, quad_traj.final_time + 1.0)
+
+    @staticmethod
+    def one_time_row(traj, t):
+        """The per-time step search the rows replace, as a reference."""
+        if t <= 0:
+            return 0
+        i = int(math.ceil(t / traj.tau)) - 1
+        while i > 0 and t <= i * traj.tau:
+            i -= 1
+        return min(i, traj.n_steps - 1) + 1
+
+    def test_rows_match_the_one_time_search(self, quad_1d):
+        # the sweep's common grid (multiples of a coarser tau) read on a
+        # finer level, with node times and their round-off neighbours
+        traj = run_scheme(quad_1d, quad_params(tau=0.01, T=0.5))
+        grid = np.arange(26) * 0.02
+        times = np.concatenate([grid, np.nextafter(grid, 1.0)[:-1],
+                                np.nextafter(grid, -1.0)[1:], np.arange(51) * 0.01])
+        rows = scheme.piecewise_constant_many(traj, times)
+        for t, row in zip(times, rows):
+            assert np.array_equal(row, traj.coords[self.one_time_row(traj, float(t))])
 
 
 class TestVelocityAndInterpolant:

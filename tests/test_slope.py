@@ -107,7 +107,7 @@ class TestConditionH:
 class TestSlopeCone:
     def probes(self, lo, hi, n=200, seed=2):
         rng = np.random.default_rng(seed)
-        return [pt(v) for v in rng.uniform(lo, hi, n)]
+        return rng.uniform(lo, hi, (n, 1))
 
     def test_convex_quadratic_holds(self, quad_1d):
         residuals = check_slope_cone(quad_1d, 1.0, pt(1.5),
@@ -127,7 +127,7 @@ class TestSlopeCone:
         assert min(residuals) < -1e-3
 
     def test_slope_override(self, quad_1d):
-        with_zero = check_slope_cone(quad_1d, 1.0, pt(1.0), [pt(0.0)],
+        with_zero = check_slope_cone(quad_1d, 1.0, pt(1.0), [[0.0]],
                                      slope_at_x=0.0)
         # f(0) - f(1) + 0 = -0.5
         assert math.isclose(with_zero[0], -0.5)
