@@ -8,25 +8,22 @@ from .energy import (
     certify_well_posedness,
     convex_perturbed,
     custom_smooth,
-    evaluate,
+    eval_many,
     gamma_limit,
-    gradient,
+    gradient_many,
     quadratic,
     wiggly,
 )
-from .metric import Point, SpaceDescriptor, distance, squared_distance
-from .prox import ProxResult, ProxSettings, prox
+from .metric import Point, SpaceDescriptor, distances, squared_distances
+from .prox import ProxBatch, ProxSettings, prox_batch
 from .regimes import CouplingLaw, SweepReport, compare_to_reference, run_sweep
 from .scheme import (
     DiscreteTrajectory,
     SchemeParams,
     VariationalInterpolant,
     build_interpolant,
-    discrete_velocity,
-    g_function,
-    piecewise_constant,
+    piecewise_constant_many,
     run_scheme,
-    variational_interpolate,
 )
 from .slope import (
     ConditionHReport,

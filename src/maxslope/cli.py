@@ -17,8 +17,12 @@ import numpy as np
 
 from . import diagnostics, regimes, scheme as scheme_mod, slope as slope_mod
 from .config import (
+    CHECK_FIELDS,
     CHECK_TYPES,
+    PROBES_FIELDS,
+    SWEEP_FIELDS,
     ExperimentConfig,
+    expect_fields,
     expect_mapping,
     parse_field,
     parse_int,
@@ -84,6 +88,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+    expect_fields(cfg.payload, SWEEP_FIELDS, "sweep")
     coupling, levels, base = parse_sweep(cfg.payload, cfg.space, "sweep")
     sweep_tol = parse_field(float, cfg.payload.get("sweep_tol", 1e-2), "sweep_tol")
     report = regimes.run_sweep(cfg.energy, coupling, levels, base,
@@ -132,19 +137,20 @@ def _check_apriori(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
 
 def _check_slope_cone(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
     eps = parse_field(float, payload.get("eps", 1.0), "eps")
-    x = parse_point(require(payload, "x", "check"), cfg.space, "x")
-    probes_cfg = expect_mapping(payload.get("probes", {}), "probes")
+    x = parse_point(require(payload, "x", "check"), cfg.space, "x").array
+    probes_cfg = expect_fields(expect_mapping(payload.get("probes", {}), "probes"),
+                               PROBES_FIELDS, "probes")
     count = parse_int(probes_cfg.get("count", 1000), "count")
     radius = parse_field(float, probes_cfg.get("radius", 2.0), "radius")
     cone_tol = parse_field(float, payload.get("cone_tol", 1e-9), "cone_tol")
     rng = np.random.default_rng(cfg.seed)
-    probes = x.array + rng.uniform(-radius, radius, size=(count, cfg.space.dimension))
+    probes = x + rng.uniform(-radius, radius, size=(count, cfg.space.dimension))
     residuals = slope_mod.check_slope_cone(cfg.energy, eps, x, probes)
     k = int(np.argmin(residuals))
     min_res = float(residuals[k])
     return min_res >= -cone_tol, {
         "eps": eps,
-        "x": list(x.coords),
+        "x": x.tolist(),
         "cone_tol": cone_tol,
         "n_probes": count,
         "min_residual": min_res,
@@ -158,9 +164,10 @@ def _check_condition_h(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict
             and all(isinstance(pair, list) and len(pair) == 2 for pair in raw_seq)):
         raise ConfigError("check config field 'sequence' must be a nonempty "
                           "list of [eps, point] pairs")
-    seq = [(parse_field(float, e, "sequence"), parse_point(v, cfg.space, "sequence"))
-           for e, v in raw_seq]
-    limit_v = parse_point(require(payload, "limit_v", "check"), cfg.space, "limit_v")
+    seq = [(parse_field(float, e, "sequence"),
+            parse_point(v, cfg.space, "sequence").array) for e, v in raw_seq]
+    limit_v = parse_point(require(payload, "limit_v", "check"), cfg.space,
+                          "limit_v").array
     report = slope_mod.check_condition_h(
         cfg.energy, gamma_limit(cfg.energy), seq, limit_v,
         h_tol=parse_field(float, payload.get("h_tol", 1e-3), "h_tol"),
@@ -206,6 +213,7 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         raise ConfigError(
             f"check config field 'type' must be one of {CHECK_TYPES}, got {ctype!r}"
         )
+    expect_fields(cfg.payload, CHECK_FIELDS[ctype], f"check {ctype}")
     passed, report = _CHECKERS[ctype](cfg, cfg.payload)
     _make_outdir(out)
     write_json({"check": ctype, "passed": passed, "report": report},

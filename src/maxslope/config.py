@@ -3,7 +3,10 @@
 The document carries the space, the energy, exactly one command payload
 (``run`` | ``sweep`` | ``check``), an output directory and a seed.  All
 parsing errors are raised as :class:`ConfigError` naming the offending
-field, so the CLI can map them to exit code 1 with a usable message.
+field, so the CLI can map them to exit code 1 with a usable message.  Every
+JSON object has a fixed set of fields, listed below; any other field, such
+as a misspelled one, is such an error, not a field ignored in favour of
+its default.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .energy import EnergySpec
+from .energy import CONVEX_PERTURBED, CUSTOM_SMOOTH, QUADRATIC, WIGGLY, EnergySpec
 from .errors import ConfigError
 from .metric import Point, SpaceDescriptor
 from .prox import ProxSettings
@@ -21,8 +24,31 @@ from .regimes import CouplingLaw
 from .scheme import SchemeParams
 
 COMMANDS = ("run", "sweep", "check")
-CHECK_TYPES = ("dissipation", "apriori", "slope_cone", "condition_h",
-               "maximal_slope")
+# The fields of each JSON object.
+CONFIG_FIELDS = ("space", "energy", "command", "output_dir", "seed")
+SPACE_FIELDS = ("dimension", "metric_kind", "weights", "base_point")
+ENERGY_FIELDS = {QUADRATIC: ("kind", "weights", "center"),
+                 WIGGLY: ("kind", "base", "amplitude_scale"),
+                 CONVEX_PERTURBED: ("kind", "base"),
+                 CUSTOM_SMOOTH: ("kind", "expression")}
+# a sweep level's eps and tau come from the coupling, so its params omit them
+PARAMS_FIELDS = ("horizon_T", "initial_point", "initial_energy_bound_S",
+                 "initial_distance_bound_Sprime", "prox_settings",
+                 "quadrature_nodes_per_step", "tau_star")
+RUN_FIELDS = ("eps", "tau") + PARAMS_FIELDS
+PROX_FIELDS = ("mode", "local_tol", "max_iters")
+COUPLING_FIELDS = ("form", "lam", "alpha")
+SWEEP_FIELDS = ("coupling", "levels", "params", "sweep_tol")
+PROBES_FIELDS = ("count", "radius")
+CHECK_FIELDS = {
+    "dissipation": ("type", "run", "residual_tol"),
+    "apriori": ("type", "run", "quad_tol"),
+    "slope_cone": ("type", "eps", "x", "probes", "cone_tol"),
+    "condition_h": ("type", "sequence", "limit_v", "h_tol", "seq_tol"),
+    "maximal_slope": ("type", "coupling", "levels", "params", "check_tol",
+                      "waive_condition_h", "monotone_tol"),
+}
+CHECK_TYPES = tuple(CHECK_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -36,10 +62,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        expect_fields(d, CONFIG_FIELDS, "config")
         for name in ("space", "energy", "command"):
             if name not in d:
                 raise ConfigError(f"config missing field {name!r}")
-        raw_space = expect_mapping(d["space"], "space")
+        raw_space = expect_fields(expect_mapping(d["space"], "space"), SPACE_FIELDS,
+                                  "space")
         space_fields = {k: v for k, v in raw_space.items() if k != "base_point"}
         space_fields["dimension"] = parse_int(
             require(raw_space, "dimension", "space"), "dimension")
@@ -48,8 +76,9 @@ class ExperimentConfig:
             space = replace(space, base_point=parse_point(
                 raw_space["base_point"], space, "base_point"))
         energy = parse_field(lambda e: EnergySpec.from_dict(e, space),
-                             expect_mapping(d["energy"], "energy"), "energy")
-        command_block = expect_mapping(d["command"], "command")
+                             expect_energy_fields(d["energy"], "energy"), "energy")
+        command_block = expect_fields(expect_mapping(d["command"], "command"),
+                                      COMMANDS, "command")
         present = [c for c in COMMANDS if c in command_block]
         if len(present) != 1:
             raise ConfigError(
@@ -87,6 +116,28 @@ class ExperimentConfig:
 def expect_mapping(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"field {name!r} must be a JSON object")
+    return value
+
+
+def expect_fields(value: dict, known, context: str) -> dict:
+    """``value``, whose every field is one of ``known``; any other field,
+    such as a misspelled one, is a ConfigError that names it."""
+    for name in value:
+        if name not in known:
+            raise ConfigError(f"unknown field {name!r} in {context} "
+                              f"(known: {', '.join(known)})")
+    return value
+
+
+def expect_energy_fields(value, context: str) -> dict:
+    """The energy object ``value`` with its kind's fields only, and so its
+    base's; an unknown or missing kind is left to ``EnergySpec.from_dict``."""
+    value = expect_mapping(value, context)
+    kind = value.get("kind")
+    if isinstance(kind, str) and kind in ENERGY_FIELDS:
+        expect_fields(value, ENERGY_FIELDS[kind], context)
+        if "base" in value:
+            expect_energy_fields(value["base"], f"{context}.base")
     return value
 
 
@@ -139,8 +190,10 @@ def parse_scheme_params(payload: dict, space: SpaceDescriptor,
             else payload.get(name, default)
         return parse_field(float, value, name)
 
-    payload = expect_mapping(payload, context)
-    prox_fields = expect_mapping(payload.get("prox_settings", {}), "prox_settings")
+    payload = expect_fields(expect_mapping(payload, context), RUN_FIELDS, context)
+    prox_fields = expect_fields(expect_mapping(payload.get("prox_settings", {}),
+                                               "prox_settings"),
+                                PROX_FIELDS, "prox_settings")
     if "max_iters" in prox_fields:
         parse_int(prox_fields["max_iters"], "max_iters")
     if "local_tol" in prox_fields:
@@ -166,13 +219,16 @@ def parse_scheme_params(payload: dict, space: SpaceDescriptor,
 
 def parse_sweep(payload: dict, space: SpaceDescriptor, context: str):
     """Coupling law, levels and the first level's scheme parameters."""
-    coupling = parse_field(CouplingLaw.from_dict, expect_mapping(
-        require(payload, "coupling", context), "coupling"), "coupling")
+    coupling = parse_field(CouplingLaw.from_dict, expect_fields(expect_mapping(
+        require(payload, "coupling", context), "coupling"), COUPLING_FIELDS,
+        "coupling"), "coupling")
     levels = require(payload, "levels", context)
     if not isinstance(levels, list) or not levels:
         raise ConfigError(f"{context} config field 'levels' must be a nonempty list")
     levels = [parse_field(float, v, "levels") for v in levels]
     eps0, tau0 = coupling.resolve(levels[0])
-    base = parse_scheme_params({**expect_mapping(payload.get("params", {}), "params"),
-                                "eps": eps0, "tau": tau0}, space, f"{context}.params")
+    params = expect_fields(expect_mapping(payload.get("params", {}), "params"),
+                           PARAMS_FIELDS, f"{context}.params")
+    base = parse_scheme_params({**params, "eps": eps0, "tau": tau0}, space,
+                               f"{context}.params")
     return coupling, levels, base

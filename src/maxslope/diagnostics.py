@@ -26,7 +26,7 @@ from .scheme import (
     VariationalInterpolant,
     g_squared_integral,
 )
-from .slope import estimate_slope_row
+from .slope import estimate_slope
 
 # Sample times of the maximal-slope check's interval grid: all pairs of an
 # evenly spaced grid of this many times over the curve.
@@ -247,7 +247,7 @@ def maximal_slope_check(spec_limit: EnergySpec, times, coords,
     if use_exact_slope:
         slopes = exact_slopes(spec_limit, LIMIT_EPS, coords)
     else:
-        estimates = [estimate_slope_row(spec_limit, LIMIT_EPS, x) for x in coords]
+        estimates = [estimate_slope(spec_limit, LIMIT_EPS, x) for x in coords]
         slopes = np.array([est.value for est in estimates])
         excluded = ~np.array([est.converged for est in estimates])
         slopes[excluded] = np.interp(times[excluded], times[~excluded], slopes[~excluded])

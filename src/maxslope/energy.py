@@ -15,11 +15,10 @@ floats for the families with a closed-form curvature, and
 ``energy_floors`` and ``curvature_floors`` bound each phi_j and phi_j''
 from below.
 
-Every kind is finite everywhere; the extended-real branch of the slope
-definition exists in the type system but is unreachable for built-ins.
-Optional capabilities (exact descending slope, limit family as eps -> 0,
-closed-form curvature) raise :class:`CapabilityAbsentError` when a kind
-lacks them; the floors are None where a kind has none.
+Every kind is finite everywhere and has a closed-form descending slope.
+Optional capabilities (limit family as eps -> 0, closed-form curvature)
+raise :class:`CapabilityAbsentError` when a kind lacks them; the floors are
+None where a kind has none.
 """
 
 from __future__ import annotations
@@ -35,17 +34,15 @@ from .errors import (
     CapabilityAbsentError,
     CertificateFailure,
     ConfigError,
+    DimensionMismatchError,
     EvaluationError,
 )
-from .metric import Point, SpaceDescriptor, as_floats
+from .metric import SpaceDescriptor, as_floats
 
 QUADRATIC = "quadratic"
 WIGGLY = "wiggly"
 CONVEX_PERTURBED = "convex_perturbed"
 CUSTOM_SMOOTH = "custom_smooth"
-
-COS_XI_OVER_EPS = "cos_xi_over_eps"
-EPS_ABS = "eps_abs"
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,6 @@ class EnergySpec:
     center: tuple[float, ...] | None = None       # quadratic
     base: "EnergySpec | None" = None              # wiggly / convex_perturbed
     amplitude_scale: float = 1.0                  # wiggly
-    oscillation: str = COS_XI_OVER_EPS            # wiggly
-    perturbation: str = EPS_ABS                   # convex_perturbed
     expression: str | None = None                 # custom_smooth
 
     def __post_init__(self):
@@ -83,13 +78,8 @@ class EnergySpec:
         elif self.kind in (WIGGLY, CONVEX_PERTURBED):
             if self.base is None or self.base.kind != QUADRATIC:
                 raise ValueError(f"{self.kind} energy requires a quadratic base")
-            if self.kind == WIGGLY:
-                if self.amplitude_scale <= 0:
-                    raise ValueError("amplitude_scale must be positive")
-                if self.oscillation != COS_XI_OVER_EPS:
-                    raise ValueError(f"unknown oscillation {self.oscillation!r}")
-            elif self.perturbation != EPS_ABS:
-                raise ValueError(f"unknown perturbation {self.perturbation!r}")
+            if self.kind == WIGGLY and self.amplitude_scale <= 0:
+                raise ValueError("amplitude_scale must be positive")
         elif self.kind == CUSTOM_SMOOTH:
             if self.domain.dimension != 1:
                 raise ValueError("custom_smooth energies are one-dimensional")
@@ -98,24 +88,6 @@ class EnergySpec:
             _compile_expression(self.expression)  # fail fast on parse errors
         else:
             raise ValueError(f"unknown energy kind {self.kind!r}")
-
-    # -- config serialization -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == QUADRATIC:
-            d["weights"] = list(self.weights)
-            d["center"] = list(self.center)
-        elif self.kind == WIGGLY:
-            d["base"] = self.base.to_dict()
-            d["amplitude_scale"] = self.amplitude_scale
-            d["oscillation"] = self.oscillation
-        elif self.kind == CONVEX_PERTURBED:
-            d["base"] = self.base.to_dict()
-            d["perturbation"] = self.perturbation
-        else:
-            d["expression"] = self.expression
-        return d
 
     @classmethod
     def from_dict(cls, d: dict, domain: SpaceDescriptor) -> "EnergySpec":
@@ -131,11 +103,8 @@ class EnergySpec:
         if kind == WIGGLY:
             if "base" not in d:
                 raise ConfigError("wiggly energy config missing field 'base'")
-            return wiggly(
-                cls.from_dict(d["base"], domain),
-                amplitude_scale=d.get("amplitude_scale", 1.0),
-                oscillation=d.get("oscillation", COS_XI_OVER_EPS),
-            )
+            return wiggly(cls.from_dict(d["base"], domain),
+                          amplitude_scale=d.get("amplitude_scale", 1.0))
         if kind == CONVEX_PERTURBED:
             if "base" not in d:
                 raise ConfigError("convex_perturbed energy config missing field 'base'")
@@ -152,16 +121,13 @@ def quadratic(domain: SpaceDescriptor, weights, center) -> EnergySpec:
                       weights=tuple(weights), center=tuple(center))
 
 
-def wiggly(base: EnergySpec, amplitude_scale: float = 1.0,
-           oscillation: str = COS_XI_OVER_EPS) -> EnergySpec:
+def wiggly(base: EnergySpec, amplitude_scale: float = 1.0) -> EnergySpec:
     return EnergySpec(kind=WIGGLY, domain=base.domain, base=base,
-                      amplitude_scale=as_floats([amplitude_scale], "amplitude_scale")[0],
-                      oscillation=oscillation)
+                      amplitude_scale=as_floats([amplitude_scale], "amplitude_scale")[0])
 
 
-def convex_perturbed(base: EnergySpec, perturbation: str = EPS_ABS) -> EnergySpec:
-    return EnergySpec(kind=CONVEX_PERTURBED, domain=base.domain, base=base,
-                      perturbation=perturbation)
+def convex_perturbed(base: EnergySpec) -> EnergySpec:
+    return EnergySpec(kind=CONVEX_PERTURBED, domain=base.domain, base=base)
 
 
 def custom_smooth(domain: SpaceDescriptor, expression: str) -> EnergySpec:
@@ -344,9 +310,21 @@ def _compile_expression(text: str):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def eval_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
-    """Evaluate the energy at each row of ``X`` (m, n); returns shape (m,)."""
+def _rows(spec: EnergySpec, X) -> np.ndarray:
+    """``X`` as (m, n) coordinate rows of ``spec``'s space."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1:] != (spec.domain.dimension,):
+        raise DimensionMismatchError(
+            f"points of shape {X.shape}, space has dim {spec.domain.dimension}")
+    return X
+
+
+def eval_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
+    """Evaluate the energy at each row of ``X`` (m, n); returns shape (m,).
+    ``eps`` must be positive."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    X = _rows(spec, X)
     if spec.kind == QUADRATIC:
         diff = X - np.asarray(spec.center)
         return 0.5 * (np.asarray(spec.weights) * diff * diff).sum(axis=1)
@@ -367,17 +345,9 @@ def eval_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(spec: EnergySpec, eps: float, x: Point) -> float:
-    """Energy value at a single point."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    spec.domain.validate_point(x)
-    return float(eval_many(spec, eps, x.array[None, :])[0])
-
-
 def gradient_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
     """(Sub)gradient rows for rows of ``X``; sign(0) taken as 0."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _rows(spec, X)
     if spec.kind == QUADRATIC:
         return np.asarray(spec.weights) * (X - np.asarray(spec.center))
     if spec.kind == WIGGLY:
@@ -497,36 +467,21 @@ def curvature_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:
     return None
 
 
-def gradient(spec: EnergySpec, eps: float, x: Point) -> Point:
-    """Gradient at a point, where the kind is smooth there."""
-    spec.domain.validate_point(x)
-    return Point.from_array(gradient_many(spec, eps, x.array[None, :])[0])
-
-
 def exact_slopes(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
     """Closed-form descending slope in the space's metric at each row of
     ``X`` (m, n); returns shape (m,).
 
     For smooth kinds this is the dual norm of the gradient; for the
     eps*|x| perturbation the minimal-norm subgradient is used at kinks.
-    Raises :class:`CapabilityAbsentError` where no formula applies.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if spec.kind in (QUADRATIC, WIGGLY, CUSTOM_SMOOTH):
-        G = gradient_many(spec, eps, X)
-    elif spec.kind == CONVEX_PERTURBED:
+    X = _rows(spec, X)
+    if spec.kind == CONVEX_PERTURBED:
         A = gradient_many(spec.base, eps, X)
         G = np.where(X != 0.0, A + eps * np.sign(X),
                      np.sign(A) * np.maximum(0.0, np.abs(A) - eps))
     else:
-        raise CapabilityAbsentError(f"no exact slope for kind {spec.kind!r}")
+        G = gradient_many(spec, eps, X)
     return np.sqrt((G * G / spec.domain.metric_weights()).sum(axis=1))
-
-
-def exact_slope(spec: EnergySpec, eps: float, x: Point) -> float:
-    """``exact_slopes`` at one point."""
-    spec.domain.validate_point(x)
-    return float(exact_slopes(spec, eps, x.array[None, :])[0])
 
 
 # The limit family does not depend on eps; it is evaluated at this value.
@@ -614,7 +569,7 @@ def certify_well_posedness(spec: EnergySpec, eps_grid, sample_budget: int,
             shell_argmins.append(Y[k])
         tail = shell_mins[-3:]
         if tail[-1] == min(shell_mins) and tail[0] > tail[1] > tail[2]:
-            witness = (eps, Point.from_array(shell_argmins[-1]))
+            witness = (eps, shell_argmins[-1])
             raise CertificateFailure(
                 "penalized energy still decreasing at radius "
                 f"{radii[-1]:g} for eps={eps:g}: objective appears unbounded "
@@ -636,9 +591,10 @@ def certify_well_posedness(spec: EnergySpec, eps_grid, sample_budget: int,
 # Critical-point helper for oscillatory landscapes (1D)
 # ---------------------------------------------------------------------------
 
-def nearest_stable_critical_point(spec: EnergySpec, eps: float, x: Point,
-                                  span: float | None = None) -> Point:
-    """Nearest local minimizer of a 1D energy around ``x``.
+def nearest_stable_critical_point(spec: EnergySpec, eps: float, x,
+                                  span: float | None = None) -> np.ndarray:
+    """Nearest local minimizer of a 1D energy around the row ``x`` (1,),
+    as a row (1,).
 
     Scans the gradient for sign changes with positive second difference and
     polishes the closest one by bisection.  Used to build trap-point
@@ -646,7 +602,7 @@ def nearest_stable_critical_point(spec: EnergySpec, eps: float, x: Point,
     """
     if spec.domain.dimension != 1:
         raise ValueError("critical-point scan implemented for 1D only")
-    x0 = float(x.coords[0])
+    x0 = float(x[0])
     if span is None:
         span = 8.0 * math.pi * eps if spec.kind == WIGGLY else max(1.0, abs(x0))
     grid = np.linspace(x0 - span, x0 + span, 20001)
@@ -666,4 +622,4 @@ def nearest_stable_critical_point(spec: EnergySpec, eps: float, x: Point,
             hi = mid
         if hi - lo < 1e-15 * max(1.0, abs(mid)):
             break
-    return Point.of(0.5 * (lo + hi))
+    return np.array([0.5 * (lo + hi)])

@@ -10,8 +10,8 @@ class DimensionMismatchError(MaxslopeError):
 
 
 class CapabilityAbsentError(MaxslopeError):
-    """An optional closed-form capability (gradient, limit, exact prox) is
-    not available for the requested energy kind."""
+    """An optional closed-form capability (limit family, curvature) is not
+    available for the requested energy kind."""
 
 
 class EvaluationError(MaxslopeError):
@@ -26,7 +26,7 @@ class EvaluationError(MaxslopeError):
 
 class CertificateFailure(MaxslopeError):
     """Well-posedness certification found a witness violating the coercivity
-    bound.  ``witness`` is the offending ``(eps, point)`` pair."""
+    bound.  ``witness`` is the offending ``(eps, coordinate row)`` pair."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
@@ -34,7 +34,7 @@ class CertificateFailure(MaxslopeError):
 
 
 class InvalidDeltaError(MaxslopeError):
-    """Proximal step size at or beyond the certified upper threshold."""
+    """A proximal step size that is not positive."""
 
 
 class BudgetExhaustedError(MaxslopeError):

@@ -48,14 +48,6 @@ class Point:
     def array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=float)
 
-    @classmethod
-    def of(cls, *coords: float) -> "Point":
-        return cls(tuple(coords))
-
-    @classmethod
-    def from_array(cls, arr) -> "Point":
-        return cls(tuple(float(v) for v in np.atleast_1d(arr)))
-
 
 EUCLIDEAN = "euclidean"
 DIAGONAL_WEIGHTED = "diagonal_weighted"
@@ -107,15 +99,6 @@ class SpaceDescriptor:
                 f"point has dim {p.dim}, space has {self.dimension}"
             )
 
-    # -- config serialization -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d = {"dimension": self.dimension, "metric_kind": self.metric_kind,
-             "base_point": list(self.base_point.coords)}
-        if self.weights is not None:
-            d["weights"] = list(self.weights)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "SpaceDescriptor":
         try:
@@ -146,11 +129,3 @@ def squared_distances(space: SpaceDescriptor, X, Y) -> np.ndarray:
 def distances(space: SpaceDescriptor, X, Y) -> np.ndarray:
     return np.sqrt(squared_distances(space, X, Y))
 
-
-def squared_distance(space: SpaceDescriptor, x: Point, y: Point) -> float:
-    """Squared metric distance, computed without a square root."""
-    return float(squared_distances(space, x.array, y.array))
-
-
-def distance(space: SpaceDescriptor, x: Point, y: Point) -> float:
-    return math.sqrt(squared_distance(space, x, y))

@@ -1,7 +1,7 @@
 """Proximal (resolvent) map: minimize energy(v) + d^2(v, u) / (2 * delta).
 
 One engine, ``prox_batch``, solves B independent problems (one step size
-and one base point per row); the scalar ``prox`` is its B = 1 case.
+and one base point per row).
 Closed forms are used where they exist (quadratic and soft-threshold
 perturbations against diagonal metrics) and are evaluated as single array
 expressions over the rows.  Everything else is one search over the B n
@@ -52,8 +52,6 @@ from .errors import (
     EvaluationError,
     InvalidDeltaError,
 )
-from .metric import Point
-
 EXACT_IF_AVAILABLE = "exact_if_available"
 MULTISTART_NUMERIC = "multistart_numeric"
 
@@ -82,43 +80,13 @@ class ProxSettings:
             raise ValueError(f"local_tol must be finite and positive, "
                              f"got {self.local_tol!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "local_tol": self.local_tol,
-            "max_iters": self.max_iters,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ProxSettings":
-        fields = ("mode", "local_tol", "max_iters")
-        unknown = [name for name in d if name not in fields]
-        if unknown:
-            raise ValueError(f"unknown field {unknown[0]!r} "
-                             f"(known: {', '.join(fields)})")
         return cls(
             mode=d.get("mode", EXACT_IF_AVAILABLE),
             local_tol=float(d.get("local_tol", 1e-9)),
             max_iters=int(d.get("max_iters", 200_000)),
         )
-
-
-@dataclass(frozen=True)
-class ProxResult:
-    """Outcome of one resolvent solve.
-
-    ``near_ties`` lists additional minimizers whose objective is within
-    ``local_tol`` of the best one; a nonempty list flags that the scaled
-    displacement bound downstream is only a conservative representative of
-    the full minimizer set.
-    """
-
-    minimizer: Point
-    value: float
-    energy_at_min: float
-    moved_distance: float
-    certified_exact: bool
-    near_ties: tuple[Point, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -142,26 +110,6 @@ class ProxBatch:
     certified_exact: bool
     tie_rows: np.ndarray        # (T,)
     tie_points: np.ndarray      # (T, n)
-
-
-def prox(spec: EnergySpec, eps: float, delta: float, u: Point,
-         settings: ProxSettings, tau_star: float | None = None) -> ProxResult:
-    """One resolvent step from ``u`` with step size ``delta``: the B = 1
-    case of ``prox_batch``."""
-    if tau_star is not None and delta >= tau_star:
-        raise InvalidDeltaError(
-            f"delta={delta:g} must stay below the certified tau_star={tau_star:g}"
-        )
-    batch = prox_batch(spec, eps, np.array([delta], dtype=float),
-                       u.array[None, :], settings)
-    return ProxResult(
-        minimizer=Point.from_array(batch.minimizers[0]),
-        value=float(batch.values[0]),
-        energy_at_min=float(batch.energies[0]),
-        moved_distance=float(batch.moved[0]),
-        certified_exact=batch.certified_exact,
-        near_ties=tuple(Point.from_array(p) for p in batch.tie_points),
-    )
 
 
 def prox_batch(spec: EnergySpec, eps: float, deltas, U,

@@ -55,9 +55,6 @@ class CouplingLaw:
             return level, self.lam * level ** self.alpha
         return self.lam * level ** self.alpha, level
 
-    def to_dict(self) -> dict:
-        return {"form": self.form, "lam": self.lam, "alpha": self.alpha}
-
     @classmethod
     def from_dict(cls, d: dict) -> "CouplingLaw":
         try:
@@ -229,9 +226,8 @@ def maximal_slope_pipeline(spec: EnergySpec, coupling: CouplingLaw, levels,
     evidence = None
     if not waive_condition_h:
         eps_levels = [coupling.resolve(v)[0] for v in levels]
-        seq = [(e, base_params.initial_point) for e in eps_levels]
-        evidence = check_condition_h(spec, limit_spec, seq,
-                                     base_params.initial_point)
+        v = base_params.initial_point.array
+        evidence = check_condition_h(spec, limit_spec, [(e, v) for e in eps_levels], v)
         if not evidence.passed:
             warnings.warn(
                 "condition-(H) evidence failed on the sampled sequence; the "

@@ -1,12 +1,13 @@
 """Minimizing-movement iteration and its interpolants.
 
 ``run_scheme`` produces the discrete trajectory u^0..u^N with step
-u^{i+1} = prox(u^i) at step size tau.  On top of it live the
-piecewise-constant interpolant (right-closed intervals), the De Giorgi
-variational interpolant obtained by re-solving the prox at intermediate
-step sizes, the discrete speed d(u^{i+1}, u^i)/tau, and the scaled
-displacement function g(t) = d(interp(t), u^i)/(t - i*tau) that dominates
-the descending slope along the interpolant.
+u^{i+1} = prox(u^i) at step size tau, and the step distances
+d(u^{i+1}, u^i) of its discrete speed.  On top of it live the
+piecewise-constant interpolant (right-closed intervals) and the De Giorgi
+variational interpolant, obtained by re-solving the prox at intermediate
+step sizes on quadrature nodes, with the scaled displacement
+g(t) = d(interp(t), u^i)/(t - i*tau) that dominates the descending slope
+along the interpolant.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergySpec, evaluate
+from .energy import EnergySpec, eval_many
 from .errors import CoverageGapError, EvaluationError, MaxslopeError
-from .metric import Point, SpaceDescriptor, squared_distance
-from .prox import ProxBatch, ProxSettings, prox_batch
+from .metric import Point, SpaceDescriptor, squared_distances
+from .prox import ProxSettings, prox_batch
 
 # Problems per prox_batch call in build_interpolant.  Large enough that
 # numpy's per-call overhead is shared by many rows, small enough that the
@@ -29,10 +30,12 @@ from .prox import ProxBatch, ProxSettings, prox_batch
 # 8..3200, at +1.6 MB peak memory; one block of all 3200 nodes took +64 MB.
 INTERPOLANT_BLOCK = 64
 
-# Floats a run may hold in its work arrays: the trajectory's (N + 1) n, the
-# interpolant's N K n for K quadrature nodes per step and the K x K matrix
-# that builds the Gauss-Legendre rule.  10^8 float64 are 800 MB; a larger
-# run is a config error, not a run that goes on until it is killed.
+# Floats a run may hold in its arrays: the trajectory's (N + 1) n points,
+# N + 1 energies and N distances, at most (N + 1)(n + 2); the interpolant's
+# N K points, g values and node times for K quadrature nodes per step,
+# N K (n + 2); and the K x K matrix that builds the Gauss-Legendre rule.
+# 10^8 float64 are 800 MB; a larger run is a config error, not a run that
+# goes on until it is killed.
 MAX_RUN_FLOATS = 10**8
 
 
@@ -68,12 +71,13 @@ class SchemeParams:
         # capped first, so that an infinite or huge count fails without overflow
         N = math.ceil(min(self.horizon_T / self.tau, MAX_RUN_FLOATS))
         K = min(self.quadrature_nodes_per_step, MAX_RUN_FLOATS)
-        n = self.initial_point.dim
-        if (N + 1) * n + N * K * n + K * K > MAX_RUN_FLOATS:
+        row = self.initial_point.dim + 2
+        if (N + 1) * row + N * K * row + K * K > MAX_RUN_FLOATS:
             raise ValueError(
                 f"horizon_T / tau = {self.horizon_T:g} / {self.tau:g} steps with "
                 f"quadrature_nodes_per_step = {self.quadrature_nodes_per_step} must be "
-                f"a finite run of (N + 1) n + N K n + K^2 <= {MAX_RUN_FLOATS:.0e} floats")
+                f"a finite run of (N + 1)(n + 2) + N K (n + 2) + K^2 <= "
+                f"{MAX_RUN_FLOATS:.0e} floats")
         if not self.tau < self.tau_star / 8.0:
             raise ValueError(
                 f"tau={self.tau:g} must be below tau_star/8={self.tau_star / 8.0:g} "
@@ -122,13 +126,13 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
     space = spec.domain
     u0 = params.initial_point
     space.validate_point(u0)
-    d2 = squared_distance(space, u0, space.base_point)
+    d2 = float(squared_distances(space, u0.array, space.base_point.array))
     if d2 > params.initial_distance_bound_Sprime:
         raise ValueError(
             f"d^2(u0, u*)={d2:g} exceeds declared bound "
             f"S'={params.initial_distance_bound_Sprime:g}"
         )
-    e0 = evaluate(spec, params.eps, u0)
+    e0 = float(eval_many(spec, params.eps, u0.array[None, :])[0])
     if abs(e0) > params.initial_energy_bound_S:
         raise ValueError(
             f"|energy(u0)|={abs(e0):g} exceeds declared bound "
@@ -138,10 +142,12 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
     # Each step starts from the last, so the steps are B = 1 solves.
     n_steps = int(math.ceil(params.horizon_T / params.tau))
     tau = np.array([params.tau])
-    coords, energies, dists = [u0.array], [e0], []
+    coords = np.empty((n_steps + 1, space.dimension))
+    energies, dists = np.empty(n_steps + 1), np.empty(n_steps)
+    coords[0], energies[0] = u0.array, e0
     for i in range(n_steps):
         try:
-            res = prox_batch(spec, params.eps, tau, coords[-1][None, :],
+            res = prox_batch(spec, params.eps, tau, coords[i:i + 1],
                              params.prox_settings)
             u = res.minimizers[0]
             if not np.isfinite(u).all():
@@ -149,16 +155,14 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
                                       point=u)
         except MaxslopeError as exc:
             raise SchemeStepError(i, exc) from exc
-        coords.append(u)
-        energies.append(res.energies[0])
-        dists.append(res.moved[0])
+        coords[i + 1], energies[i + 1], dists[i] = u, res.energies[0], res.moved[0]
     return DiscreteTrajectory(
         space=space,
-        coords=np.array(coords),
+        coords=coords,
         tau=params.tau,
         eps=params.eps,
-        step_distances=np.array(dists),
-        step_energies=np.array(energies),
+        step_distances=dists,
+        step_energies=energies,
     )
 
 
@@ -183,52 +187,6 @@ def piecewise_constant_many(traj: DiscreteTrajectory, times) -> np.ndarray:
     return traj.coords[np.where(np.asarray(times) > 0, rows, 0)]
 
 
-def piecewise_constant(traj: DiscreteTrajectory, t: float) -> Point:
-    """``piecewise_constant_many`` at one time."""
-    return Point.from_array(piecewise_constant_many(traj, t))
-
-
-def discrete_velocity(traj: DiscreteTrajectory, t: float) -> float:
-    """Piecewise-constant speed d(u^{i+1}, u^i)/tau.
-
-    At interval endpoints the left interval's value is used (a measure-zero
-    convention irrelevant to every integral built on top).
-    """
-    return float(traj.step_distances[_step_indices(traj, max(t, 0.0))]) / traj.tau
-
-
-def _interpolant_prox(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
-                      prox_settings: ProxSettings) -> tuple[int, float, ProxBatch | None]:
-    """Step index i, step size t - i*tau and, if positive, its prox from u^i."""
-    i = int(_step_indices(traj, t))
-    delta = t - i * traj.tau
-    if delta <= 0:
-        return i, delta, None
-    return i, delta, prox_batch(spec, traj.eps, [delta], traj.coords[i][None, :],
-                                prox_settings)
-
-
-def variational_interpolate(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
-                            prox_settings: ProxSettings) -> Point:
-    """De Giorgi interpolant: the prox of u^i at step size t - i*tau."""
-    i, _, res = _interpolant_prox(spec, traj, t, prox_settings)
-    return Point.from_array(traj.coords[i] if res is None else res.minimizers[0])
-
-
-def g_function(spec: EnergySpec, traj: DiscreteTrajectory, t: float,
-               prox_settings: ProxSettings) -> float:
-    """Scaled displacement d(interp(t), u^i)/(t - i*tau); nonnegative.
-
-    The supremum over the full minimizer set is approximated by the
-    deterministic representative; near-ties are reflected by taking the
-    largest displacement among them (conservative bound).
-    """
-    _, delta, res = _interpolant_prox(spec, traj, t, prox_settings)
-    if res is None:
-        return 0.0
-    return float(res.tie_moved[0] / delta)
-
-
 @dataclass(frozen=True)
 class VariationalInterpolant:
     """Variational interpolant sampled on Gauss-Legendre nodes per step.
@@ -249,9 +207,6 @@ class VariationalInterpolant:
     def nodes_per_step(self) -> int:
         return self.node_times.shape[1]
 
-    def value_at(self, i: int, k: int) -> Point:
-        return Point.from_array(self.values[i, k])
-
 
 def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
                       prox_settings: ProxSettings,
@@ -259,30 +214,36 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
     """Solve the prox on every quadrature node of every step.
 
     Once u^i is known the N * K node problems are independent, so they go
-    through ``prox_batch`` in blocks of ``INTERPOLANT_BLOCK``.
+    through ``prox_batch`` in blocks of ``INTERPOLANT_BLOCK``.  Node r is
+    node r % K of step r // K, so a block that starts at node s = q K + p
+    reads its step sizes, and its base rows' step offsets from q, from one
+    pattern starting at p.
     """
-    nodes, gl_weights = np.polynomial.legendre.leggauss(nodes_per_step)
+    K = nodes_per_step
+    nodes, gl_weights = np.polynomial.legendre.leggauss(K)
     deltas = 0.5 * traj.tau * (nodes + 1.0)          # in (0, tau)
     weights = 0.5 * traj.tau * gl_weights
     n = traj.space.dimension
     N = traj.n_steps
-    U = np.repeat(traj.coords[:N], nodes_per_step, axis=0)
-    D = np.tile(deltas, N)
-    values = np.empty((N * nodes_per_step, n))
-    g_values = np.empty(N * nodes_per_step)
+    offsets, k = np.divmod(np.arange(INTERPOLANT_BLOCK + K), K)
+    delta_pattern = deltas[k]
+    values = np.empty((N * K, n))
+    g_values = np.empty(N * K)
     any_ties = False
-    for s in range(0, D.size, INTERPOLANT_BLOCK):
-        block = slice(s, s + INTERPOLANT_BLOCK)
-        res = prox_batch(spec, traj.eps, D[block], U[block], prox_settings)
-        values[block] = res.minimizers
-        g_values[block] = res.tie_moved / D[block]
+    for s in range(0, N * K, INTERPOLANT_BLOCK):
+        (q, p), m = divmod(s, K), min(INTERPOLANT_BLOCK, N * K - s)
+        D = delta_pattern[p:p + m]
+        res = prox_batch(spec, traj.eps, D, traj.coords[q:][offsets[p:p + m]],
+                         prox_settings)
+        values[s:s + m] = res.minimizers
+        g_values[s:s + m] = res.tie_moved / D
         any_ties = any_ties or bool(res.near_tie.any())
     return VariationalInterpolant(
         parent=traj,
         node_times=np.arange(N)[:, None] * traj.tau + deltas,
         weights=weights,
-        values=values.reshape(N, nodes_per_step, n),
-        g_values=g_values.reshape(N, nodes_per_step),
+        values=values.reshape(N, K, n),
+        g_values=g_values.reshape(N, K),
         has_near_ties=any_ties,
     )
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import LIMIT_EPS, EnergySpec, eval_many, evaluate, exact_slope
-from .errors import CapabilityAbsentError, SequenceNotConvergentError
-from .metric import Point, SpaceDescriptor, distances
+from .energy import LIMIT_EPS, EnergySpec, eval_many, exact_slopes
+from .errors import SequenceNotConvergentError
+from .metric import SpaceDescriptor, distances
 
 DEFAULT_RADII = tuple(0.1 * 2.0 ** (-k) for k in range(13))
 # Sampled directions per radius beyond the axes (2D ring, nD cloud).
@@ -67,21 +67,15 @@ def _direction_set(space: SpaceDescriptor) -> np.ndarray:
     return dirs / norms[:, None]
 
 
-def estimate_slope(spec: EnergySpec, eps: float, x: Point,
+def estimate_slope(spec: EnergySpec, eps: float, x: np.ndarray,
                    schedule=DEFAULT_RADII) -> SlopeEstimate:
-    """Sampled descending slope at ``x``.
+    """Sampled descending slope at the coordinate row ``x`` (n,).
 
     ``schedule`` must decrease strictly toward zero; each radius
     contributes the supremum of (f(x) - f(y))^+ / r over the direction
     set scaled to metric radius r.
     """
-    spec.domain.validate_point(x)
-    return estimate_slope_row(spec, eps, x.array, schedule)
-
-
-def estimate_slope_row(spec: EnergySpec, eps: float, x: np.ndarray,
-                       schedule=DEFAULT_RADII) -> SlopeEstimate:
-    """``estimate_slope`` at the coordinate row ``x`` (n,)."""
+    x = np.asarray(x, dtype=float)
     radii = tuple(float(r) for r in schedule)
     if len(radii) < 3 or any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radius schedule must be strictly decreasing, length >= 3")
@@ -104,14 +98,6 @@ def estimate_slope_row(spec: EnergySpec, eps: float, x: np.ndarray,
     )
 
 
-def slope_value(spec: EnergySpec, eps: float, x: Point) -> float:
-    """Best available slope: exact formula if the kind has one, else sampled."""
-    try:
-        return exact_slope(spec, eps, x)
-    except CapabilityAbsentError:
-        return estimate_slope(spec, eps, x).value
-
-
 # ---------------------------------------------------------------------------
 # Condition (H): joint energy continuity + slope lower semicontinuity
 # ---------------------------------------------------------------------------
@@ -126,7 +112,7 @@ class ConditionHReport:
     """
 
     sequence: tuple[tuple[float, tuple[float, ...]], ...]
-    limit_v: Point
+    limit_v: tuple[float, ...]
     energy_gap: float
     slope_liminf_estimate: float
     slope_at_limit: float
@@ -136,7 +122,7 @@ class ConditionHReport:
     def to_dict(self) -> dict:
         return {
             "sequence": [[e, list(c)] for e, c in self.sequence],
-            "limit_v": list(self.limit_v.coords),
+            "limit_v": list(self.limit_v),
             "energy_gap": self.energy_gap,
             "slope_liminf_estimate": self.slope_liminf_estimate,
             "slope_at_limit": self.slope_at_limit,
@@ -146,19 +132,21 @@ class ConditionHReport:
 
 
 def check_condition_h(family: EnergySpec, limit: EnergySpec,
-                      sequence, limit_v: Point,
+                      sequence, limit_v,
                       h_tol: float = 1e-3,
                       seq_tol: float = 1e-2) -> ConditionHReport:
     """Refute (or fail to refute) the continuity condition on one sequence.
 
-    ``sequence`` is a list of (eps_n, Point) with eps_n decreasing; the
-    points must approach ``limit_v``: distances non-increasing within
-    ``seq_tol`` slack and terminal distance below ``seq_tol``.
+    ``sequence`` is a list of (eps_n, v_n) with eps_n decreasing and v_n a
+    coordinate row (n,); the rows must approach the row ``limit_v``:
+    distances non-increasing within ``seq_tol`` slack and terminal
+    distance below ``seq_tol``.
     """
-    seq = [(float(e), v) for e, v in sequence]
+    seq = [(float(e), np.asarray(v, dtype=float)) for e, v in sequence]
     if not seq:
         raise ValueError("sequence must be nonempty")
-    dists = distances(family.domain, [v.coords for _, v in seq], limit_v.array).tolist()
+    limit_v = np.asarray(limit_v, dtype=float)
+    dists = distances(family.domain, [v for _, v in seq], limit_v).tolist()
     if dists[-1] > seq_tol:
         raise SequenceNotConvergentError(
             f"terminal distance {dists[-1]:g} to the limit exceeds seq_tol={seq_tol:g}"
@@ -172,12 +160,12 @@ def check_condition_h(family: EnergySpec, limit: EnergySpec,
     slope_liminf = min(slopes[-LIMINF_TAIL:])
     s_limit = estimate_slope(limit, LIMIT_EPS, limit_v).value
     e_last, v_last = seq[-1]
-    energy_gap = abs(evaluate(family, e_last, v_last)
-                     - evaluate(limit, LIMIT_EPS, limit_v))
+    energy_gap = abs(float(eval_many(family, e_last, v_last[None, :])[0])
+                     - float(eval_many(limit, LIMIT_EPS, limit_v[None, :])[0]))
     passed = energy_gap < h_tol and slope_liminf >= s_limit - h_tol
     return ConditionHReport(
-        sequence=tuple((e, v.coords) for e, v in seq),
-        limit_v=limit_v,
+        sequence=tuple((e, tuple(v.tolist())) for e, v in seq),
+        limit_v=tuple(limit_v.tolist()),
         energy_gap=energy_gap,
         slope_liminf_estimate=slope_liminf,
         slope_at_limit=s_limit,
@@ -190,20 +178,22 @@ def check_condition_h(family: EnergySpec, limit: EnergySpec,
 # Slope Cone Property
 # ---------------------------------------------------------------------------
 
-def check_slope_cone(spec: EnergySpec, eps: float, x: Point, probes,
+def check_slope_cone(spec: EnergySpec, eps: float, x, probes,
                      slope_at_x: float | None = None) -> np.ndarray:
     """Residuals f(y) - f(x) + d(x, y) * slope(x) for each row y of the
-    (m, n) array ``probes``; returns shape (m,).
+    (m, n) array ``probes``, at the coordinate row ``x`` (n,); returns
+    shape (m,).
 
     The cone property holds on the probes iff all residuals are >= 0 (up
-    to the caller's tolerance).  ``slope_at_x`` overrides the built-in
-    slope; by default the exact formula is used when the kind has one.
+    to the caller's tolerance).  ``slope_at_x`` overrides the exact slope.
     """
-    fx = evaluate(spec, eps, x)
-    s = slope_value(spec, eps, x) if slope_at_x is None else float(slope_at_x)
+    x = np.asarray(x, dtype=float)
+    fx = float(eval_many(spec, eps, x[None, :])[0])
+    s = float(exact_slopes(spec, eps, x[None, :])[0]) if slope_at_x is None \
+        else float(slope_at_x)
     if not (math.isfinite(fx) and math.isfinite(s)):
         raise ValueError("cone check requires finite energy and slope at x")
     probes = np.asarray(probes, dtype=float)
     if not np.isfinite(probes).all():
         raise ValueError("probe points must be finite")
-    return eval_many(spec, eps, probes) - fx + distances(spec.domain, x.array, probes) * s
+    return eval_many(spec, eps, probes) - fx + distances(spec.domain, x, probes) * s

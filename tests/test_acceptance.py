@@ -26,13 +26,13 @@ from maxslope.energy import (
     quadratic,
     wiggly,
 )
-from maxslope.metric import SpaceDescriptor, distance
+from maxslope.metric import SpaceDescriptor, distances
 from maxslope.prox import ProxSettings
 from maxslope.regimes import CouplingLaw, run_sweep
 from maxslope.scheme import (
     SchemeParams,
     build_interpolant,
-    piecewise_constant,
+    piecewise_constant_many,
     run_scheme,
 )
 from maxslope.slope import check_condition_h, check_slope_cone, estimate_slope
@@ -90,7 +90,7 @@ def test_criterion_2_classical_limit_rate():
     for tau in (1e-1, 1e-2, 1e-3):
         traj = quad_traj(tau=tau)
         sups.append(max(
-            abs(piecewise_constant(traj, t).coords[0] - math.exp(-t))
+            abs(piecewise_constant_many(traj, t)[0] - math.exp(-t))
             for t in grid if t <= traj.final_time
         ))
     ratios = [a / b for a, b in zip(sups, sups[1:])]
@@ -182,7 +182,7 @@ def test_criterion_4_flat_flow_levels():
                               initial_point=pt(0.5), tau_star=1.0)
         traj = run_scheme(WIGGLY, params)
         sups.append(max(
-            abs(piecewise_constant(traj, t).coords[0] - 0.5 * math.exp(-t))
+            abs(piecewise_constant_many(traj, t)[0] - 0.5 * math.exp(-t))
             for t in grid if t <= traj.final_time
         ))
     elapsed = time.perf_counter() - t0
@@ -198,12 +198,12 @@ def test_criterion_4_flat_flow_levels():
 
 def test_criterion_5_condition_h():
     t0 = time.perf_counter()
-    seq = [(e, nearest_stable_critical_point(WIGGLY, e, pt(0.5)))
+    seq = [(e, nearest_stable_critical_point(WIGGLY, e, [0.5]))
            for e in (0.1, 0.05, 0.02, 0.01)]
-    refuted = check_condition_h(WIGGLY, QUAD, seq, pt(0.5), seq_tol=0.15)
+    refuted = check_condition_h(WIGGLY, QUAD, seq, [0.5], seq_tol=0.15)
     upheld = check_condition_h(
-        PERTURBED, QUAD, [(e, pt(1.0)) for e in (0.1, 0.01, 1e-3, 1e-4)],
-        pt(1.0), h_tol=1e-3, seq_tol=1e-3)
+        PERTURBED, QUAD, [(e, [1.0]) for e in (0.1, 0.01, 1e-3, 1e-4)],
+        [1.0], h_tol=1e-3, seq_tol=1e-3)
     elapsed = time.perf_counter() - t0
     refute_ok = (not refuted.passed
                  and refuted.slope_liminf_estimate
@@ -224,10 +224,10 @@ def test_criterion_6_slope_cone():
     worst = math.inf
     for spec, eps in ((QUAD, 1.0), (PERTURBED, 0.3)):
         for _ in range(5):
-            x = pt(rng.uniform(-2.0, 2.0))
+            x = [rng.uniform(-2.0, 2.0)]
             probes = rng.uniform(-4.0, 4.0, (200, 1))
             worst = min(worst, min(check_slope_cone(spec, eps, x, probes)))
-    trap = nearest_stable_critical_point(WIGGLY, 0.1, pt(0.8))
+    trap = nearest_stable_critical_point(WIGGLY, 0.1, [0.8])
     trap_res = min(check_slope_cone(
         WIGGLY, 0.1, trap, rng.uniform(-2.0, 2.0, (200, 1))))
     elapsed = time.perf_counter() - t0
@@ -251,9 +251,9 @@ def test_criterion_7_slope_estimator_fidelity():
     worst = 0.0
     for spec, eps, grad_mag in cases:
         for x in rng.uniform(-1.5, 1.5, 34):
-            est = estimate_slope(spec, eps, pt(x))
+            est = estimate_slope(spec, eps, [x])
             worst = max(worst, abs(est.value - grad_mag(x)))
-    at_min = estimate_slope(QUAD, 1.0, pt(0.0)).value
+    at_min = estimate_slope(QUAD, 1.0, [0.0]).value
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-3 and at_min <= 1e-12 and elapsed < 5.0
     report(7, "slope estimator fidelity", passed,
@@ -282,8 +282,7 @@ def test_criterion_8_apriori_bound_suite():
         # every quadrature node
         for i in range(traj.n_steps):
             for k in range(interp.nodes_per_step):
-                gap = distance(LINE, interp.value_at(i, k),
-                               pt(*traj.coords[i + 1])) ** 2
+                gap = distances(LINE, interp.values[i, k], traj.coords[i + 1]) ** 2
                 tilde_ok = tilde_ok and gap <= rep.C * tau + 1e-12
     c_stable = max(cs) <= 2.0 * min(cs)
     elapsed = time.perf_counter() - t0

@@ -221,6 +221,36 @@ class TestConfigParsing:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    SWEEP = {"coupling": {"form": "eps_of_tau"}, "levels": [0.04, 0.02],
+             "params": {"horizon_T": 0.2, "initial_point": [1.0]}}
+
+    @pytest.mark.parametrize("build, path, value, named", [
+        (quad_run_config, ("energy",), {**WIGGLY, "amplitude": 0.001}, "amplitude"),
+        (quad_run_config, ("space", "metric"), "euclidean", "metric"),
+        (quad_run_config, ("energy", "centre"), [1.0], "centre"),
+        (quad_run_config, ("command", "run", "quadrature_nodes"), 2, "quadrature_nodes"),
+        (quad_run_config, ("command", "run", "horizon"), 2.0, "horizon"),
+        (quad_run_config, ("command",), {"sweep": {
+            **SWEEP, "coupling": {"form": "eps_of_tau", "lambda": 2.0}}}, "lambda"),
+        (quad_run_config, ("command",), {"sweep": {**SWEEP, "sweep_tolerance": 1.0}},
+         "sweep_tolerance"),
+        (quad_run_config, ("sede",), 1, "sede"),
+        (dissipation_config, ("command", "check", "residual_tolerance"), 1e-6,
+         "residual_tolerance"),
+        (slope_cone_config, ("command", "check", "radius"), 0.5, "radius"),
+    ], ids=["amplitude", "space_metric", "centre", "quadrature_nodes", "horizon",
+            "lambda", "sweep_tolerance", "sede", "residual_tolerance", "radius"])
+    def test_unknown_field_is_config_error(self, tmp_path, capsys, build, path, value,
+                                           named):
+        # a misspelled field must not run silently with the default
+        doc = build(tmp_path / "out")
+        set_field(doc, path, value)
+        subcommand = next(iter(doc["command"]))
+        assert main([subcommand, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith(f"config error: unknown field {named!r}")
+        assert not (tmp_path / "out").exists()
+
     def test_step_count_must_be_finite(self, tmp_path):
         # 0.5 / 1e-320 overflows to inf, which no number of steps reaches
         doc = quad_run_config(tmp_path / "out", tau=1e-320, T=0.5)
@@ -518,6 +548,13 @@ class TestCheckCommand:
         report = self.read_report(out, "slope_cone")
         assert report["passed"] is False
         assert report["report"]["min_residual"] < -1e-3
+
+    @pytest.mark.parametrize("eps", [0, -1])
+    def test_slope_cone_eps_must_be_positive(self, tmp_path, capsys, eps):
+        doc = check_config(tmp_path / "out", "slope_cone", {"eps": eps, "x": [1.5]})
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: eps must be positive\n"
+        assert not (tmp_path / "out").exists()
 
     def test_condition_h(self, tmp_path):
         cfg = write_config(tmp_path, condition_h_config(tmp_path / "out"))

@@ -13,14 +13,9 @@ from maxslope.diagnostics import (
 )
 from maxslope.energy import convex_perturbed, quadratic, wiggly
 from maxslope.errors import CoverageGapError
-from maxslope.metric import SpaceDescriptor, squared_distance
+from maxslope.metric import SpaceDescriptor, squared_distances
 from maxslope.prox import ProxSettings
-from maxslope.scheme import (
-    SchemeParams,
-    build_interpolant,
-    discrete_velocity,
-    run_scheme,
-)
+from maxslope.scheme import SchemeParams, build_interpolant, run_scheme
 
 from conftest import pt
 
@@ -124,16 +119,17 @@ class TestStepResiduals:
 
 def apriori_reference(traj, interpolant, quad_tol=1e-8):
     """The a-priori suite as a loop over points and quadrature nodes, one
-    ``squared_distance`` per pair, as ``apriori_bounds`` computed it before
-    it became array expressions."""
-    space, pts = traj.space, [pt(*u) for u in traj.coords]
-    dist_constant = max(squared_distance(space, p, space.base_point) for p in pts)
+    one-row ``squared_distances`` per pair, as ``apriori_bounds`` computed
+    it before it became array expressions."""
+    space, pts = traj.space, traj.coords
+    dist_constant = max(float(squared_distances(space, p, space.base_point.array))
+                        for p in pts)
     energy_constant = max(abs(e) for e in traj.step_energies)
     tilde_constant = 0.0
     N, K = interpolant.node_times.shape
     for i in range(N):
         for k in range(K):
-            d2 = squared_distance(space, interpolant.value_at(i, k), pts[i + 1])
+            d2 = float(squared_distances(space, interpolant.values[i, k], pts[i + 1]))
             tilde_constant = max(tilde_constant, d2 / traj.tau)
     d = np.asarray(traj.step_distances)
     velocity_total = 0.5 * float((d * d).sum()) / traj.tau
@@ -211,7 +207,7 @@ class TestMetricDerivative:
         coords.append(traj.coords[-1])
         deriv = dict(zip(times, metric_derivative(times, coords, line)))
         t_mid = 0.05  # interior of step 0, symmetric quotient stays inside
-        assert math.isclose(deriv[t_mid], discrete_velocity(traj, t_mid),
+        assert math.isclose(deriv[t_mid], traj.step_distances[0] / traj.tau,
                             rel_tol=1e-12)
 
     def test_needs_three_samples(self, line):

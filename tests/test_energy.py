@@ -18,11 +18,8 @@ from maxslope.energy import (
     custom_smooth,
     energy_floors,
     eval_many,
-    evaluate,
-    exact_slope,
     exact_slopes,
     gamma_limit,
-    gradient,
     gradient_many,
     nearest_stable_critical_point,
     quadratic,
@@ -32,31 +29,41 @@ from maxslope.errors import (
     CapabilityAbsentError,
     CertificateFailure,
     ConfigError,
+    DimensionMismatchError,
     EvaluationError,
 )
 from maxslope.metric import SpaceDescriptor
 
-from conftest import finite_difference_gradient, grammar_expressions, pt
+from conftest import finite_difference_gradient, grammar_expressions
 
 
 class TestEval:
     def test_quadratic_minimum(self, quad_1d):
-        assert evaluate(quad_1d, 1.0, pt(0.0)) == 0.0
+        assert eval_many(quad_1d, 1.0, [[0.0]])[0] == 0.0
 
     def test_quadratic_value(self, quad_1d):
         # 0.5 * 1 * 2^2
-        assert evaluate(quad_1d, 1.0, pt(2.0)) == 2.0
+        assert eval_many(quad_1d, 1.0, [[2.0]])[0] == 2.0
 
     def test_wiggly_at_origin(self, wiggly_1d):
         # 0.5 x^2 + eps cos(x/eps) at x = 0 gives eps
-        assert math.isclose(evaluate(wiggly_1d, 0.1, pt(0.0)), 0.1)
+        assert math.isclose(eval_many(wiggly_1d, 0.1, [[0.0]])[0], 0.1)
 
     def test_perturbed_value(self, perturbed_1d):
-        assert math.isclose(evaluate(perturbed_1d, 0.1, pt(1.0)), 0.6)
+        assert math.isclose(eval_many(perturbed_1d, 0.1, [[1.0]])[0], 0.6)
 
     def test_eps_must_be_positive(self, quad_1d):
         with pytest.raises(ValueError):
-            evaluate(quad_1d, 0.0, pt(1.0))
+            eval_many(quad_1d, 0.0, [[1.0]])
+
+    def test_rows_must_fit_the_space(self, quad_1d, plane):
+        # a row of another length would broadcast against the weights
+        spec = wiggly(quadratic(plane, [1.0, 2.0], [0.0, 0.0]))
+        for kernel in (eval_many, gradient_many, exact_slopes):
+            with pytest.raises(DimensionMismatchError):
+                kernel(quad_1d, 1.0, [[1.0, 2.0]])
+            with pytest.raises(DimensionMismatchError):
+                kernel(spec, 0.1, [[1.0]])
 
     def test_quadratic_needs_positive_weights(self, line):
         with pytest.raises(ValueError):
@@ -153,15 +160,15 @@ class TestCoordinates:
 
 class TestGradient:
     def test_quadratic(self, quad_1d):
-        assert gradient(quad_1d, 1.0, pt(2.0)).coords == (2.0,)
+        assert gradient_many(quad_1d, 1.0, [[2.0]])[0].tolist() == [2.0]
 
     def test_wiggly_at_origin(self, wiggly_1d):
         # x - sin(x/eps) vanishes at 0
-        assert gradient(wiggly_1d, 0.1, pt(0.0)).coords == (0.0,)
+        assert gradient_many(wiggly_1d, 0.1, [[0.0]])[0].tolist() == [0.0]
 
     def test_quadratic_2d_at_minimum(self, plane):
         spec = quadratic(plane, [4.0, 1.0], [1.0, 0.0])
-        assert gradient(spec, 1.0, pt(1.0, 0.0)).coords == (0.0, 0.0)
+        assert gradient_many(spec, 1.0, [[1.0, 0.0]])[0].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("case", ["quad2d", "wiggly", "custom"])
     def test_matches_finite_differences(self, case, plane, line):
@@ -174,7 +181,7 @@ class TestGradient:
         rng = np.random.default_rng(7)
         X = rng.uniform(-2.0, 2.0, size=(100, dim))
         for x in X:
-            g = gradient(spec, eps, pt(*x)).array
+            g = gradient_many(spec, eps, x[None, :])[0]
             fd = finite_difference_gradient(spec, eps, x)
             scale = max(1.0, float(np.linalg.norm(fd)))
             assert np.linalg.norm(g - fd) <= 1e-6 * scale
@@ -232,7 +239,7 @@ class TestGammaLimit:
         assert limit == quad_1d
         # pointwise convergence cross-check
         for x in (-1.3, 0.0, 0.7, 2.0):
-            gaps = [abs(evaluate(wiggly_1d, e, pt(x)) - evaluate(limit, e, pt(x)))
+            gaps = [abs(eval_many(wiggly_1d, e, [[x]])[0] - eval_many(limit, e, [[x]])[0])
                     for e in (1e-1, 1e-2, 1e-3)]
             assert all(b < a or a == 0.0 for a, b in zip(gaps, gaps[1:]))
             assert gaps[-1] <= 1e-3
@@ -261,27 +268,27 @@ class TestContinuitySampling:
             changes = []
             for h in (1e-2, 1e-4, 1e-6):
                 changes.append(max(
-                    abs(evaluate(wiggly_1d, eps, pt(x + h))
-                        - evaluate(wiggly_1d, eps, pt(x))) for x in xs))
+                    abs(eval_many(wiggly_1d, eps, [[x + h]])[0]
+                        - eval_many(wiggly_1d, eps, [[x]])[0]) for x in xs))
             assert changes[0] > changes[1] > changes[2]
             assert changes[-1] < 1e-4
 
 
 class TestExactSlope:
     def test_quadratic(self, quad_1d):
-        assert exact_slope(quad_1d, 1.0, pt(2.0)) == 2.0
+        assert exact_slopes(quad_1d, 1.0, [[2.0]])[0] == 2.0
 
     def test_weighted_metric_dual_norm(self, weighted_plane):
         spec = quadratic(weighted_plane, [1.0, 1.0], [0.0, 0.0])
         # gradient (2, 0); metric weight 4 on the first axis -> slope 1
-        assert math.isclose(exact_slope(spec, 1.0, pt(2.0, 0.0)), 1.0)
+        assert math.isclose(exact_slopes(spec, 1.0, [[2.0, 0.0]])[0], 1.0)
 
     def test_perturbed_kink_minimal_subgradient(self, perturbed_1d):
         # at x = 0 the subgradient interval [-eps, eps] contains 0
-        assert exact_slope(perturbed_1d, 0.5, pt(0.0)) == 0.0
+        assert exact_slopes(perturbed_1d, 0.5, [[0.0]])[0] == 0.0
 
     def test_perturbed_away_from_kink(self, perturbed_1d):
-        assert math.isclose(exact_slope(perturbed_1d, 0.1, pt(1.0)), 1.1)
+        assert math.isclose(exact_slopes(perturbed_1d, 0.1, [[1.0]])[0], 1.1)
 
     @staticmethod
     def one_point_slope(spec, eps, x):
@@ -314,7 +321,7 @@ class TestExactSlope:
         rows = exact_slopes(spec, eps, X)
         for k, x in enumerate(X):
             assert rows[k] == self.one_point_slope(spec, eps, x) \
-                == exact_slope(spec, eps, pt(*x))
+                == exact_slopes(spec, eps, x[None, :])[0]
 
 
 class TestCertificate:
@@ -334,7 +341,7 @@ class TestCertificate:
             certify_well_posedness(spec, [1.0], 200, tau_star=2.0)
         eps, witness = exc_info.value.witness
         assert eps == 1.0
-        assert abs(witness.coords[0]) >= 100.0
+        assert abs(witness[0]) >= 100.0
 
     def test_empty_grid_rejected(self, quad_1d):
         with pytest.raises(ValueError):
@@ -414,7 +421,7 @@ class TestCustomExpressions:
     ])
     def test_grammar_admits(self, line, expression):
         spec = custom_smooth(line, expression)
-        assert np.isfinite(evaluate(spec, 0.5, pt(0.25)))
+        assert np.isfinite(eval_many(spec, 0.5, [[0.25]])[0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=300, deadline=None,
@@ -477,30 +484,32 @@ class TestCustomExpressions:
 
     def test_caret_power(self, line):
         spec = custom_smooth(line, "x^2 / 2")
-        assert evaluate(spec, 1.0, pt(3.0)) == 4.5
+        assert eval_many(spec, 1.0, [[3.0]])[0] == 4.5
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_value_reported(self, line):
         spec = custom_smooth(line, "exp(1000*x)")
         with pytest.raises(EvaluationError):
-            evaluate(spec, 1.0, pt(10.0))
+            eval_many(spec, 1.0, [[10.0]])
 
     def test_custom_requires_1d(self, plane):
         with pytest.raises(ValueError):
             custom_smooth(plane, "x^2")
 
     def test_roundtrip_dict(self, line, wiggly_1d):
-        d = wiggly_1d.to_dict()
+        # the config object that the energy was written as
+        d = {"kind": "wiggly", "amplitude_scale": 1.0,
+             "base": {"kind": "quadratic", "weights": [1.0], "center": [0.0]}}
         assert EnergySpec.from_dict(d, line) == wiggly_1d
 
 
 class TestCriticalPoints:
     def test_wiggly_trap_is_stationary(self, wiggly_1d):
-        trap = nearest_stable_critical_point(wiggly_1d, 0.1, pt(0.5))
-        x = trap.coords[0]
+        trap = nearest_stable_critical_point(wiggly_1d, 0.1, [0.5])
+        x = trap[0]
         assert abs(x - math.sin(x / 0.1)) < 1e-10
         assert abs(x - 0.5) < 4 * math.pi * 0.1
 
     def test_quadratic_min_found(self, quad_1d):
-        trap = nearest_stable_critical_point(quad_1d, 1.0, pt(0.3))
-        assert abs(trap.coords[0]) < 1e-12
+        trap = nearest_stable_critical_point(quad_1d, 1.0, [0.3])
+        assert abs(trap[0]) < 1e-12

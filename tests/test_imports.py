@@ -107,9 +107,9 @@ def test_no_path_loads_scipy(tmp_path):
     # the nD numeric prox, called directly and under a CLI run
     code = """
 from maxslope.energy import quadratic
-from maxslope.metric import Point, SpaceDescriptor
-from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox
+from maxslope.metric import SpaceDescriptor
+from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox_batch
 spec = quadratic(SpaceDescriptor(2), [4.0, 1.0], [1.0, -1.0])
-prox(spec, 1.0, 0.5, Point((0.0, 0.0)), ProxSettings(mode=MULTISTART_NUMERIC))
+prox_batch(spec, 1.0, [0.5], [[0.0, 0.0]], ProxSettings(mode=MULTISTART_NUMERIC))
 """ + cli_calls(tmp_path, ("run", WIGGLY_2D_RUN))
     assert heavy_modules_after(code) == []

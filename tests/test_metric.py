@@ -9,8 +9,7 @@ from maxslope.errors import DimensionMismatchError
 from maxslope.metric import (
     Point,
     SpaceDescriptor,
-    distance,
-    squared_distance,
+    distances,
     squared_distances,
 )
 
@@ -60,33 +59,36 @@ class TestSpaceDescriptor:
     def test_roundtrip_dict(self):
         sp = SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.0, 1.0),
                              base_point=pt(1.0, 2.0))
-        assert SpaceDescriptor.from_dict(sp.to_dict()) == sp
+        # the config object that the space was written as
+        d = {"dimension": 2, "metric_kind": "diagonal_weighted", "weights": [4.0, 1.0],
+             "base_point": [1.0, 2.0]}
+        assert SpaceDescriptor.from_dict(d) == sp
 
 
 class TestDistance:
     def test_identity(self, plane):
-        assert distance(plane, pt(0, 0), pt(0, 0)) == 0.0
+        assert distances(plane, [0, 0], [0, 0]) == 0.0
 
     def test_pythagorean(self, plane):
-        assert distance(plane, pt(0, 0), pt(3, 4)) == 5.0
+        assert distances(plane, [0, 0], [3, 4]) == 5.0
 
     def test_weighted(self, weighted_plane):
         # sqrt(4 * 1^2 + 1 * 0^2) = 2
-        assert distance(weighted_plane, pt(0, 0), pt(1, 0)) == 2.0
+        assert distances(weighted_plane, [0, 0], [1, 0]) == 2.0
 
     def test_squared_identity(self, plane):
-        assert squared_distance(plane, pt(1, 1), pt(1, 1)) == 0.0
+        assert squared_distances(plane, [1, 1], [1, 1]) == 0.0
 
     def test_squared_pythagorean(self, plane):
-        assert squared_distance(plane, pt(0, 0), pt(3, 4)) == 25.0
+        assert squared_distances(plane, [0, 0], [3, 4]) == 25.0
 
     def test_squared_weighted(self, weighted_plane):
         # 4 * 1 + 1 * 1 = 5
-        assert squared_distance(weighted_plane, pt(0, 0), pt(1, 1)) == 5.0
+        assert squared_distances(weighted_plane, [0, 0], [1, 1]) == 5.0
 
     def test_dimension_mismatch(self, plane):
         with pytest.raises(DimensionMismatchError):
-            distance(plane, pt(0, 0), pt(0, 0, 0))
+            distances(plane, [0, 0], [0, 0, 0])
 
     def test_rows_of_another_dimension_rejected(self, plane):
         with pytest.raises(DimensionMismatchError):
@@ -96,8 +98,8 @@ class TestDistance:
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 3))
 def test_squared_distances_match_squared_distance(data, dim):
-    # the row kernel rounds as the one-row case and as np.dot, in which
-    # every artifact's distances were computed
+    # the rows round as the one-row case and as np.dot, in which every
+    # artifact's distances were computed
     weights = data.draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
     sp = SpaceDescriptor(dim, metric_kind="diagonal_weighted", weights=tuple(weights))
     row = st.lists(finite_coord, min_size=dim, max_size=dim)
@@ -107,26 +109,26 @@ def test_squared_distances_match_squared_distance(data, dim):
     against_first = squared_distances(sp, X[0], Y)
     mw = sp.metric_weights()
     for k, (x, y) in enumerate(zip(X, Y)):
-        one = squared_distance(sp, pt(*x), pt(*y))
+        one = squared_distances(sp, x, y)
         assert rows[k] == one == float(np.dot(mw * (x - y), x - y))
-        assert against_first[k] == squared_distance(sp, pt(*X[0]), pt(*y))
+        assert against_first[k] == squared_distances(sp, X[0], y)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(finite_coord, min_size=6, max_size=6))
 def test_triangle_inequality(coords):
     sp = SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.0, 1.0))
-    x, y, z = pt(*coords[0:2]), pt(*coords[2:4]), pt(*coords[4:6])
-    lhs = abs(distance(sp, x, z) - distance(sp, x, y))
-    assert lhs <= distance(sp, y, z) + 1e-7 * max(1.0, lhs)
+    x, y, z = coords[0:2], coords[2:4], coords[4:6]
+    lhs = abs(distances(sp, x, z) - distances(sp, x, y))
+    assert lhs <= distances(sp, y, z) + 1e-7 * max(1.0, lhs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(finite_coord, min_size=4, max_size=4))
 def test_symmetry_and_square_consistency(coords):
     sp = SpaceDescriptor(2)
-    x, y = pt(*coords[0:2]), pt(*coords[2:4])
-    d_xy, d_yx = distance(sp, x, y), distance(sp, y, x)
+    x, y = coords[0:2], coords[2:4]
+    d_xy, d_yx = distances(sp, x, y), distances(sp, y, x)
     assert d_xy == d_yx
-    sq = squared_distance(sp, x, y)
+    sq = squared_distances(sp, x, y)
     assert math.isclose(sq, d_xy * d_xy, rel_tol=1e-12, abs_tol=1e-300)

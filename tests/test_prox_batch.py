@@ -27,7 +27,7 @@ from maxslope.errors import (
     DimensionMismatchError,
     InvalidDeltaError,
 )
-from maxslope.metric import SpaceDescriptor, distance
+from maxslope.metric import SpaceDescriptor, distances
 from maxslope.prox import (
     MULTISTART_NUMERIC,
     _GRID_STARTS,
@@ -38,7 +38,6 @@ from maxslope.prox import (
     _select,
     _shortlist,
     _zoom_1d,
-    prox,
     prox_batch,
 )
 from maxslope.scheme import SchemeParams, build_interpolant, run_scheme
@@ -68,17 +67,17 @@ FAMILIES = {
 
 def assert_row_matches_scalar(batch, b, spec, eps, delta, u, prox_settings):
     """Row ``b`` of a batch is bit for bit the B = 1 solve of its problem."""
-    res = prox(spec, eps, delta, pt(*u), prox_settings)
-    assert tuple(batch.minimizers[b]) == res.minimizer.coords
-    assert batch.values[b] == res.value
-    assert batch.energies[b] == res.energy_at_min
-    assert batch.moved[b] == res.moved_distance
+    res = prox_batch(spec, eps, [delta], [u], prox_settings)
+    assert tuple(batch.minimizers[b]) == tuple(res.minimizers[0])
+    assert batch.values[b] == res.values[0]
+    assert batch.energies[b] == res.energies[0]
+    assert batch.moved[b] == res.moved[0]
     assert batch.certified_exact == res.certified_exact
     ties = [tuple(p) for p in batch.tie_points[batch.tie_rows == b]]
-    assert ties == [t.coords for t in res.near_ties]
-    assert batch.near_tie[b] == bool(res.near_ties)
-    largest = max([res.moved_distance]
-                  + [distance(spec.domain, t, pt(*u)) for t in res.near_ties])
+    assert ties == [tuple(t) for t in res.tie_points]
+    assert batch.near_tie[b] == bool(len(res.tie_points))
+    largest = max([res.moved[0]]
+                  + [distances(spec.domain, t, u) for t in res.tie_points])
     assert batch.tie_moved[b] == largest
 
 
@@ -218,11 +217,11 @@ class TestBatchEqualsScalar:
         nodes, _ = np.polynomial.legendre.leggauss(interp.nodes_per_step)
         for i in range(traj.n_steps):
             for k, delta in enumerate(0.5 * traj.tau * (nodes + 1.0)):
-                u = pt(*traj.coords[i])
-                res = prox(spec, eps, delta, u, prox_settings)
-                assert tuple(interp.values[i, k]) == res.minimizer.coords
-                moved = max([res.moved_distance] + [
-                    distance(spec.domain, t, u) for t in res.near_ties])
+                u = traj.coords[i]
+                res = prox_batch(spec, eps, [delta], [u], prox_settings)
+                assert tuple(interp.values[i, k]) == tuple(res.minimizers[0])
+                moved = max([res.moved[0]] + [
+                    distances(spec.domain, t, u) for t in res.tie_points])
                 assert interp.g_values[i, k] == moved / delta
 
 
@@ -658,7 +657,7 @@ class TestBudget:
         budget = 257
         while True:
             try:
-                prox(spec, eps, 0.1, pt(0.5), ProxSettings(max_iters=budget))
+                prox_batch(spec, eps, [0.1], [[0.5]], ProxSettings(max_iters=budget))
                 break
             except BudgetExhaustedError:
                 budget += 257

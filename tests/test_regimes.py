@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from maxslope.energy import evaluate, quadratic
-from maxslope.metric import Point
+from maxslope.energy import eval_many, quadratic
 from maxslope.regimes import (
     CouplingLaw,
     maximal_slope_pipeline,
     run_sweep,
 )
-from maxslope.scheme import SchemeParams, piecewise_constant, run_scheme
+from maxslope.scheme import SchemeParams, run_scheme
 
 from conftest import pt
 
@@ -44,7 +43,9 @@ class TestCouplingLaw:
 
     def test_roundtrip_dict(self):
         law = CouplingLaw("eps_of_tau", lam=3.0, alpha=0.5)
-        assert CouplingLaw.from_dict(law.to_dict()) == law
+        # the config object that the law was written as
+        assert CouplingLaw.from_dict(
+            {"form": "eps_of_tau", "lam": 3.0, "alpha": 0.5}) == law
 
 
 class TestRunSweep:
@@ -119,8 +120,8 @@ class TestPipeline:
         times = result.maximal_slope.sample_times
         assert times == tuple(i * traj.tau for i in range(traj.n_steps + 1))
         assert math.isclose(times[-1], traj.final_time)
-        assert result.maximal_slope.varphi_values[0] == evaluate(
-            quad_1d, 1.0, pt(*traj.coords[0]))
+        assert result.maximal_slope.varphi_values[0] == eval_many(
+            quad_1d, 1.0, traj.coords[:1])[0]
 
     def test_oscillatory_family_warns(self, wiggly_1d):
         # at a pinned point the slopes collapse, so the evidence fails

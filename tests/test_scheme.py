@@ -8,22 +8,19 @@ import pytest
 
 from maxslope import scheme
 from maxslope.cli import EXIT_SOLVER, main
-from maxslope.energy import convex_perturbed, custom_smooth, evaluate, quadratic, wiggly
+from maxslope.energy import convex_perturbed, custom_smooth, eval_many, quadratic, wiggly
 from maxslope.errors import CoverageGapError, EvaluationError
 from maxslope.metric import SpaceDescriptor
-from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox
+from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox_batch
 from maxslope.scheme import (
     SchemeParams,
     SchemeStepError,
     build_interpolant,
-    discrete_velocity,
-    g_function,
     g_squared_integral,
     interpolant_to_csv,
-    piecewise_constant,
+    piecewise_constant_many,
     run_scheme,
     trajectory_to_csv,
-    variational_interpolate,
 )
 from maxslope.slope import estimate_slope
 
@@ -97,31 +94,31 @@ RUNS = {
 
 
 def scalar_prox_run(spec, params):
-    """The scheme as a loop of scalar ``prox`` calls, one Point per step."""
-    u = params.initial_point
-    coords, energies, dists = [u.coords], [evaluate(spec, params.eps, u)], []
+    """The scheme as a loop of B = 1 ``prox_batch`` calls that appends one
+    row per step, as a reference for ``run_scheme``'s preallocated arrays."""
+    u = params.initial_point.array
+    coords, energies, dists = [u], [eval_many(spec, params.eps, u[None, :])[0]], []
     for _ in range(math.ceil(params.horizon_T / params.tau)):
-        res = prox(spec, params.eps, params.tau, u, params.prox_settings,
-                   tau_star=params.tau_star)
-        u = res.minimizer
-        coords.append(u.coords)
-        energies.append(res.energy_at_min)
-        dists.append(res.moved_distance)
+        res = prox_batch(spec, params.eps, [params.tau], [u], params.prox_settings)
+        u = res.minimizers[0]
+        coords.append(u)
+        energies.append(res.energies[0])
+        dists.append(res.moved[0])
     return np.array(coords), np.array(energies), np.array(dists)
 
 
 class TestRunSize:
-    """(N + 1) n + N K n + K^2 floats must fit in MAX_RUN_FLOATS = 10^8.
-    The parameters are only built, so no test here allocates a run or the
-    K x K matrix of the Gauss rule."""
+    """(N + 1)(n + 2) + N K (n + 2) + K^2 floats must fit in MAX_RUN_FLOATS
+    = 10^8.  The parameters are only built, so no test here allocates a run
+    or the K x K matrix of the Gauss rule."""
 
     @pytest.mark.parametrize("steps, nodes, dim, fits", [
-        (49_999_999, 1, 1, True),       # 2 N + 2 = 10^8
-        (50_000_000, 1, 1, False),
-        (5_555_551, 8, 2, True),        # 18 N + 66 = 99 999 984
-        (5_555_552, 8, 2, False),
-        (1, 9_999, 1, True),            # K^2 + K + 2 = 99 990 002
-        (1, 10_000, 1, False),
+        (16_666_666, 1, 1, True),       # 6 N + 4 = 10^8
+        (16_666_667, 1, 1, False),
+        (2_777_775, 8, 2, True),        # 36 N + 68 = 99 999 968
+        (2_777_776, 8, 2, False),
+        (1, 9_998, 1, True),            # K^2 + 3 K + 6 = 99 990 004
+        (1, 9_999, 1, False),
     ])
     def test_cap_boundary(self, steps, nodes, dim, fits):
         assert scheme.MAX_RUN_FLOATS == 10**8
@@ -198,22 +195,25 @@ class TestArrayTrajectory:
 
 class TestPiecewiseConstant:
     def test_value_at_zero_is_initial(self, quad_traj):
-        assert piecewise_constant(quad_traj, 0.0) == pt(*quad_traj.coords[0])
+        assert np.array_equal(piecewise_constant_many(quad_traj, 0.0),
+                              quad_traj.coords[0])
 
     def test_right_closed_at_node(self, quad_traj):
         # t = tau belongs to the first interval, so the value is u^1
-        assert piecewise_constant(quad_traj, 0.05) == pt(*quad_traj.coords[1])
+        assert np.array_equal(piecewise_constant_many(quad_traj, 0.05),
+                              quad_traj.coords[1])
 
     def test_just_past_node(self, quad_traj):
-        assert piecewise_constant(quad_traj, 0.050001) == pt(*quad_traj.coords[2])
+        assert np.array_equal(piecewise_constant_many(quad_traj, 0.050001),
+                              quad_traj.coords[2])
 
     def test_negative_time_rejected(self, quad_traj):
         with pytest.raises(ValueError):
-            piecewise_constant(quad_traj, -0.01)
+            piecewise_constant_many(quad_traj, -0.01)
 
     def test_past_horizon_rejected(self, quad_traj):
         with pytest.raises(ValueError):
-            piecewise_constant(quad_traj, quad_traj.final_time + 1.0)
+            piecewise_constant_many(quad_traj, quad_traj.final_time + 1.0)
 
     @staticmethod
     def one_time_row(traj, t):
@@ -232,7 +232,7 @@ class TestPiecewiseConstant:
         grid = np.arange(26) * 0.02
         times = np.concatenate([grid, np.nextafter(grid, 1.0)[:-1],
                                 np.nextafter(grid, -1.0)[1:], np.arange(51) * 0.01])
-        rows = scheme.piecewise_constant_many(traj, times)
+        rows = piecewise_constant_many(traj, times)
         for t, row in zip(times, rows):
             assert np.array_equal(row, traj.coords[self.one_time_row(traj, float(t))])
 
@@ -241,31 +241,27 @@ class TestVelocityAndInterpolant:
     def test_discrete_velocity_closed_form(self, quad_1d):
         traj = run_scheme(quad_1d, quad_params(tau=0.1, T=0.1))
         # first step moves 1 - 1/1.1 = 1/11 over tau = 0.1
-        assert math.isclose(discrete_velocity(traj, 0.05), (1.0 / 11.0) / 0.1)
+        assert math.isclose(traj.step_distances[0] / traj.tau, (1.0 / 11.0) / 0.1)
 
     def test_variational_interpolate_closed_form(self, quad_1d):
         traj = run_scheme(quad_1d, quad_params(tau=0.1, T=0.1))
-        # prox of u0 = 1 at delta = 0.025: 1 / (1 + 0.025)
-        v = variational_interpolate(quad_1d, traj, 0.025, SETTINGS)
-        assert math.isclose(v.coords[0], 1.0 / 1.025, rel_tol=1e-12)
-
-    def test_interpolate_at_zero_returns_initial(self, quad_1d, quad_traj):
-        v = variational_interpolate(quad_1d, quad_traj, 0.0, SETTINGS)
-        assert v == pt(*quad_traj.coords[0])
+        interp = build_interpolant(quad_1d, traj, SETTINGS)
+        # prox of u0 = 1 at delta = t: 1 / (1 + t) on the first step
+        for t, v in zip(interp.node_times[0], interp.values[0, :, 0]):
+            assert math.isclose(v, 1.0 / (1.0 + t), rel_tol=1e-12)
 
     def test_g_closed_form(self, quad_1d):
         traj = run_scheme(quad_1d, quad_params(tau=0.1, T=0.1))
+        interp = build_interpolant(quad_1d, traj, SETTINGS)
         # d(prox_delta(1), 1) / delta = 1 / (1 + delta) for the unit quadratic
-        for delta in (0.02, 0.05, 0.09):
-            g = g_function(quad_1d, traj, delta, SETTINGS)
+        for delta, g in zip(interp.node_times[0], interp.g_values[0]):
             assert math.isclose(g, 1.0 / (1.0 + delta), rel_tol=1e-12)
 
     def test_g_dominates_slope_along_interpolant(self, wiggly_1d):
         traj = run_scheme(wiggly_1d, SchemeParams(
             eps=0.2, tau=0.05, horizon_T=0.2, initial_point=pt(1.0)))
-        for t in (0.012, 0.037, 0.081, 0.153):
-            v = variational_interpolate(wiggly_1d, traj, t, SETTINGS)
-            g = g_function(wiggly_1d, traj, t, SETTINGS)
+        interp = build_interpolant(wiggly_1d, traj, SETTINGS)
+        for v, g in zip(interp.values.reshape(-1, 1), interp.g_values.ravel()):
             slope = estimate_slope(wiggly_1d, 0.2, v).value
             assert g >= slope - 1e-3
 
@@ -297,13 +293,11 @@ class TestBuildInterpolant:
             g_squared_integral(interp, 2, 2)
 
     def test_interpolant_energy_monotone_within_step(self, wiggly_1d):
-        from maxslope.energy import evaluate
         traj = run_scheme(wiggly_1d, SchemeParams(
             eps=0.2, tau=0.05, horizon_T=0.1, initial_point=pt(1.0)))
         interp = build_interpolant(wiggly_1d, traj, SETTINGS)
         for i in range(traj.n_steps):
-            vals = [evaluate(wiggly_1d, 0.2, interp.value_at(i, k))
-                    for k in range(interp.nodes_per_step)]
+            vals = eval_many(wiggly_1d, 0.2, interp.values[i]).tolist()
             assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 

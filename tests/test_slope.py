@@ -10,48 +10,49 @@ from maxslope.slope import (
     check_condition_h,
     check_slope_cone,
     estimate_slope,
-    slope_value,
 )
-
-from conftest import pt
 
 
 class TestEstimateSlope:
     def test_quadratic_matches_exact(self, quad_1d):
-        est = estimate_slope(quad_1d, 1.0, pt(2.0))
+        est = estimate_slope(quad_1d, 1.0, [2.0])
         assert est.converged
         assert abs(est.value - 2.0) < 1e-3
 
     def test_zero_at_minimum(self, quad_1d):
-        est = estimate_slope(quad_1d, 1.0, pt(0.0))
+        est = estimate_slope(quad_1d, 1.0, [0.0])
         assert est.value < 1e-4
 
     def test_underestimates_convex(self, quad_1d):
         # sampled sups approach |f'| from below for a convex energy
-        est = estimate_slope(quad_1d, 1.0, pt(2.0))
+        est = estimate_slope(quad_1d, 1.0, [2.0])
         assert all(s <= 2.0 + 1e-12 for s in est.per_radius_sup)
 
     def test_weighted_metric(self, weighted_plane):
         spec = quadratic(weighted_plane, [1.0, 1.0], [0.0, 0.0])
-        est = estimate_slope(spec, 1.0, pt(2.0, 0.0))
+        est = estimate_slope(spec, 1.0, [2.0, 0.0])
         # dual-norm slope is 1 when the heavy axis carries the gradient
         assert abs(est.value - 1.0) < 1e-3
 
     def test_custom_energy(self, line):
         spec = custom_smooth(line, "x^4")
-        est = estimate_slope(spec, 1.0, pt(1.0))
+        est = estimate_slope(spec, 1.0, [1.0])
         assert abs(est.value - 4.0) < 1e-2
 
+    def test_custom_quadratic_matches_exact(self, line):
+        spec = custom_smooth(line, "x^2 / 2")
+        assert abs(estimate_slope(spec, 1.0, [2.0]).value - 2.0) < 1e-3
+
     def test_wiggly_trap_has_small_slope(self, wiggly_1d):
-        trap = nearest_stable_critical_point(wiggly_1d, 0.1, pt(0.5))
+        trap = nearest_stable_critical_point(wiggly_1d, 0.1, [0.5])
         est = estimate_slope(wiggly_1d, 0.1, trap)
         assert est.value < 1e-2
 
     def test_schedule_validation(self, quad_1d):
         with pytest.raises(ValueError):
-            estimate_slope(quad_1d, 1.0, pt(1.0), schedule=(0.1, 0.2, 0.05))
+            estimate_slope(quad_1d, 1.0, [1.0], schedule=(0.1, 0.2, 0.05))
         with pytest.raises(ValueError):
-            estimate_slope(quad_1d, 1.0, pt(1.0), schedule=(0.1, 0.05))
+            estimate_slope(quad_1d, 1.0, [1.0], schedule=(0.1, 0.05))
 
     def test_default_schedule_shape(self):
         assert len(DEFAULT_RADII) == 13
@@ -60,45 +61,36 @@ class TestEstimateSlope:
                    zip(DEFAULT_RADII, DEFAULT_RADII[1:]))
 
 
-class TestSlopeValue:
-    def test_prefers_exact_formula(self, quad_1d):
-        assert slope_value(quad_1d, 1.0, pt(2.0)) == 2.0
-
-    def test_falls_back_to_estimate(self, line):
-        spec = custom_smooth(line, "x^2 / 2")
-        assert abs(slope_value(spec, 1.0, pt(2.0)) - 2.0) < 1e-3
-
-
 class TestConditionH:
     def test_wiggly_traps_refute(self, wiggly_1d, quad_1d):
         # stable critical points of the oscillatory family sit near 0.5
         # with vanishing slope, while the limit has slope ~0.5 there
         seq = []
         for e in (0.1, 0.05, 0.02, 0.01):
-            seq.append((e, nearest_stable_critical_point(wiggly_1d, e, pt(0.5))))
-        report = check_condition_h(wiggly_1d, quad_1d, seq, pt(0.5),
+            seq.append((e, nearest_stable_critical_point(wiggly_1d, e, [0.5])))
+        report = check_condition_h(wiggly_1d, quad_1d, seq, [0.5],
                                    seq_tol=0.15)
         assert not report.passed
         assert report.slope_liminf_estimate < 0.5 - 1e-3
 
     def test_perturbed_family_passes(self, perturbed_1d, quad_1d):
-        seq = [(e, pt(1.0)) for e in (0.1, 0.01, 1e-3, 1e-4)]
-        report = check_condition_h(perturbed_1d, quad_1d, seq, pt(1.0))
+        seq = [(e, [1.0]) for e in (0.1, 0.01, 1e-3, 1e-4)]
+        report = check_condition_h(perturbed_1d, quad_1d, seq, [1.0])
         assert report.passed
         assert report.energy_gap < 1e-3
 
     def test_divergent_sequence_rejected(self, wiggly_1d, quad_1d):
-        seq = [(0.1, pt(0.5)), (0.05, pt(2.0))]
+        seq = [(0.1, [0.5]), (0.05, [2.0])]
         with pytest.raises(SequenceNotConvergentError):
-            check_condition_h(wiggly_1d, quad_1d, seq, pt(0.5))
+            check_condition_h(wiggly_1d, quad_1d, seq, [0.5])
 
     def test_empty_sequence_rejected(self, wiggly_1d, quad_1d):
         with pytest.raises(ValueError):
-            check_condition_h(wiggly_1d, quad_1d, [], pt(0.0))
+            check_condition_h(wiggly_1d, quad_1d, [], [0.0])
 
     def test_report_roundtrips_to_dict(self, perturbed_1d, quad_1d):
-        seq = [(e, pt(1.0)) for e in (0.1, 1e-4)]
-        report = check_condition_h(perturbed_1d, quad_1d, seq, pt(1.0))
+        seq = [(e, [1.0]) for e in (0.1, 1e-4)]
+        report = check_condition_h(perturbed_1d, quad_1d, seq, [1.0])
         d = report.to_dict()
         assert d["passed"] is True
         assert len(d["sequence"]) == 2
@@ -110,24 +102,24 @@ class TestSlopeCone:
         return rng.uniform(lo, hi, (n, 1))
 
     def test_convex_quadratic_holds(self, quad_1d):
-        residuals = check_slope_cone(quad_1d, 1.0, pt(1.5),
+        residuals = check_slope_cone(quad_1d, 1.0, [1.5],
                                      self.probes(-4.0, 4.0))
         assert min(residuals) >= -1e-9
 
     def test_convex_perturbed_holds(self, perturbed_1d):
-        residuals = check_slope_cone(perturbed_1d, 0.3, pt(-0.7),
+        residuals = check_slope_cone(perturbed_1d, 0.3, [-0.7],
                                      self.probes(-4.0, 4.0))
         assert min(residuals) >= -1e-9
 
     def test_wiggly_trap_violates(self, wiggly_1d):
-        trap = nearest_stable_critical_point(wiggly_1d, 0.1, pt(0.8))
+        trap = nearest_stable_critical_point(wiggly_1d, 0.1, [0.8])
         residuals = check_slope_cone(wiggly_1d, 0.1, trap,
                                      self.probes(-2.0, 2.0))
         # a trap has near-zero slope but far lower energy elsewhere
         assert min(residuals) < -1e-3
 
     def test_slope_override(self, quad_1d):
-        with_zero = check_slope_cone(quad_1d, 1.0, pt(1.0), [[0.0]],
+        with_zero = check_slope_cone(quad_1d, 1.0, [1.0], [[0.0]],
                                      slope_at_x=0.0)
         # f(0) - f(1) + 0 = -0.5
         assert math.isclose(with_zero[0], -0.5)
