@@ -42,14 +42,14 @@ class BudgetExhaustedError(MaxslopeError):
     requested tolerance."""
 
 
-class SequenceNotConvergentError(MaxslopeError):
-    """A sample sequence handed to a checker does not approach its declared
-    limit point."""
-
-
 class CoverageGapError(MaxslopeError):
     """An interpolant does not cover the requested step range."""
 
 
 class ConfigError(MaxslopeError):
     """Malformed or incomplete experiment configuration."""
+
+
+class SequenceNotConvergentError(ConfigError):
+    """A sample sequence handed to a checker does not approach its declared
+    limit point: the input is at fault, so it is a config error."""

@@ -13,19 +13,26 @@ certifies from its coordinate's energy floor, or a heuristic one for
 ``custom_smooth``, and takes one of two routes:
 
 * the Newton route, where the energy's curvature floor makes the
-  objective strictly convex: a safeguarded Newton iteration on its
-  derivative, inside the window, run row by row on Python floats.  It
-  weighs the stay-put guard v = u itself and returns one candidate per
-  row, two only when the guard is within ``local_tol`` of the minimizer
-  and, in a 1D problem, a near tie of it;
-* the grid route everywhere else: a recursive grid zoom that advances
-  every row's windows in one block per round.  Its first-round shortlist
-  of ``_GRID_STARTS`` brackets and the stop rule of ``local_tol`` apply
-  to this route only.
+  objective strictly convex: one row kernel, ``_newton_row``, does a
+  row's whole work on Python floats, from its window to a safeguarded
+  Newton iteration on the objective's derivative.  It weighs the stay-put
+  guard v = u itself and returns one candidate per row, two only when the
+  guard is within ``local_tol`` of the minimizer and, in a 1D problem, a
+  near tie of it;
+* the grid route everywhere else: a recursive grid zoom that sizes its
+  rows' windows and advances them in one block per round.  Its
+  first-round shortlist of ``_GRID_STARTS`` brackets and the stop rule of
+  ``local_tol`` apply to this route only.
 
 A problem's candidates are the combinations of its coordinate rows'
 near-optimal candidates.  Selection among near-optimal minimizers is
 deterministic so that whole trajectories are reproducible.
+
+The scheme's steps are B = 1 problems, one after another, where numpy's
+per-call cost would be most of a step.  ``newton_stepper`` solves such a
+step on the row kernel alone when every coordinate takes the Newton
+route, and leaves a step that keeps a guard as a second candidate to
+``prox_batch``.
 """
 
 from __future__ import annotations
@@ -137,8 +144,7 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
         raise InvalidDeltaError(f"delta must be positive, got {bad}")
     mw = space.metric_weights()
     B = U.shape[0]
-    exact = settings.mode == EXACT_IF_AVAILABLE and spec.kind in (QUADRATIC,
-                                                                  CONVEX_PERTURBED)
+    exact = _closed_form(spec, settings)
     if exact:
         V = _exact_minimizers(spec, eps, deltas, U, mw)
         energies = eval_many(spec, eps, V)
@@ -168,6 +174,57 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
         tie_moved=tie_moved, near_tie=near_tie, certified_exact=exact,
         tie_rows=tie_rows, tie_points=tie_points,
     )
+
+
+def newton_stepper(spec: EnergySpec, eps: float, delta: float,
+                   settings: ProxSettings):
+    """The resolvent step of one problem at step size ``delta`` on the
+    Newton route, for a run of B = 1 steps: a function of the (n,) row u
+    that returns the minimizer, its energy and its distance to u, bit for
+    bit as ``prox_batch(spec, eps, [delta], [u], settings)`` returns them.
+
+    Each coordinate row is one ``_newton_row`` on Python floats.  In 1D the
+    energy is the row's phi_0 at the minimizer; in nD the energy and the
+    distance are summed as ``prox_batch`` sums them.  The function returns
+    None for a step in which some coordinate keeps its stay-put guard as a
+    second candidate: ranking those is ``prox_batch``'s work.
+
+    Returns None instead of a function when no step is all-Newton: a closed
+    form answers, the family has no curvature floor, or some coordinate's
+    kappa_j + m_j / delta is not positive.
+    """
+    kappa = curvature_floors(spec, eps)
+    mw = spec.domain.metric_weights()
+    if (kappa is None or _closed_form(spec, settings)
+            or not (kappa + mw / delta > 0).all()):
+        return None
+    members, m = _members(spec, eps), mw.tolist()
+    n = len(m)
+    iterations, local_tol = range(settings.max_iters), settings.local_tol
+    tie_gap = _tie_gap(local_tol) if n == 1 else None
+
+    def step(u):
+        xs = []
+        for member, uj, mj in zip(members, u.tolist(), m):
+            x, _, energy, guard = _newton_row(member, uj, delta, mj, iterations,
+                                              local_tol, tie_gap)
+            if guard is not None:
+                return None
+            xs.append(x)
+        if n == 1:                  # a 1D problem is its row
+            diff = x - uj
+            return np.array(xs), energy, math.sqrt(mj * diff * diff)
+        V = np.array([xs])
+        diff = V - u
+        d2 = (mw * diff * diff).sum(axis=1)
+        return V[0], eval_many(spec, eps, V)[0], np.sqrt(d2)[0]
+    return step
+
+
+def _closed_form(spec, settings):
+    """Whether ``prox_batch`` solves ``spec``'s problems in closed form."""
+    return settings.mode == EXACT_IF_AVAILABLE and spec.kind in (QUADRATIC,
+                                                                 CONVEX_PERTURBED)
 
 
 def _objective(spec, eps, X, cols, u, delta, m):
@@ -283,7 +340,7 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings, tie_gap=None):
     searches u +- 2 max(1, delta |phi'(u)|).  A row whose objective has a
     positive curvature floor (phi_j'' >= kappa_j with kappa_j + m / delta
     > 0) is strictly convex there and takes ``_newton_1d``; every other row
-    takes ``_grid_zoom_1d``.
+    takes ``_grid_zoom_1d``.  Each route sizes its rows' windows itself.
 
     Returns the candidates' rows, points, objective values and energies
     phi_j.  Every row also weighs the stay-put guard v = u, which keeps the
@@ -291,8 +348,168 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings, tie_gap=None):
     found them, then the guard of each of its rows; the Newton route
     settles the guard itself, by the ``tie_gap`` it is handed.
     """
+    kappa = curvature_floors(spec, eps)     # a family with these has floors too
+    newton = (np.zeros(u.size, dtype=bool) if kappa is None
+              else kappa[cols] + m / deltas > 0)
+    if newton.all():
+        return _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap)
+    if not newton.any():
+        return _grid_zoom_1d(spec, eps, cols, deltas, u, m, settings)
+    # each route on its own rows
+    a, b = np.flatnonzero(newton), np.flatnonzero(~newton)
+    ra, *found_a = _newton_1d(spec, eps, cols[a], deltas[a], u[a], m[a], settings,
+                              tie_gap)
+    rb, *found_b = _grid_zoom_1d(spec, eps, cols[b], deltas[b], u[b], m[b], settings)
+    return (np.concatenate([a[ra], b[rb]]),
+            *(np.concatenate(parts) for parts in zip(found_a, found_b)))
+
+
+def _window_error(u, delta, radius):
+    """The error of a row whose search window u +- radius is not finite."""
+    return EvaluationError(
+        f"1D prox search window around u={u:g} with delta={delta:g} "
+        f"is not finite (radius {radius:g})", point=np.array([u]))
+
+
+def _members(spec, eps):
+    """Each coordinate's (phi_j, x -> (phi_j'(x), phi_j''(x)), energy floor),
+    the Newton route's view of a family with a curvature floor."""
+    return [(*coordinate_scalars(spec, eps, j), floor)
+            for j, floor in enumerate(energy_floors(spec, eps).tolist())]
+
+
+def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
+    """The Newton route's whole work on one coordinate row, on Python floats.
+
+    The row minimizes phi(v) + m (v - u)^2 / (2 delta), for the coordinate
+    ``member`` = (phi, derivatives, floor) of ``_members``, whose curvature
+    floor makes that strictly convex.  Its certified window is
+    u +- sqrt(2 delta (phi(u) - floor + slack) / m), as ``_zoom_1d`` gives
+    it; a window that is not finite raises ``EvaluationError``.
+
+    Safeguarded Newton iteration (rtsafe: Press et al., Numerical Recipes,
+    3rd ed., section 9.4) then finds the root of the objective's derivative
+    F(v) = phi'(v) + c (v - u), c = m / delta, which is increasing, inside
+    the window.  A step that would leave the bracket, or that is more than
+    half the step before last, is a bisection step instead.  The iteration
+    stops once its step is at round-off on the scale max(1, |u| + radius)
+    of the bracket.  Each iterate costs one evaluation of phi' and phi''
+    against the budget ``iterations``, range(max_iters) of the settings,
+    and ``BudgetExhaustedError`` ends a row that runs out.
+
+    The row then weighs the stay-put guard v = u, which keeps the descent
+    property.  If the minimizer and the guard are within ``local_tol`` of
+    each other and more than ``tie_gap`` apart (at any distance for a None
+    ``tie_gap``), the row keeps both for ``prox_batch`` to rank.  Otherwise
+    it keeps the one that ``_precedes`` the other.  Returns the kept point,
+    its objective value (as ``_objective`` values it) and its energy, then
+    the guard's (value, energy) if the row keeps it as a second candidate,
+    else None.
+    """
+    phi, derivatives, floor = member
+    try:
+        energy_u = phi(u)
+    except ValueError:              # cos of an infinite u / eps, nan in numpy
+        energy_u = math.nan
+    slack = _WINDOW_SLACK * (1.0 + abs(energy_u) + abs(floor))
+    square = 2.0 * delta * (energy_u - floor + slack) / m
+    radius = math.sqrt(square) if square >= 0.0 else math.nan
+    x, lo, hi = u, u - radius, u + radius
+    step_old = step = hi - lo       # sizes of the last two steps
+    if not math.isfinite(step):
+        raise _window_error(u, delta, radius)
+    c = m / delta
+    scale = abs(u) + radius
+    tol = _NEWTON_TOL * (scale if scale > 1.0 else 1.0)
+    for _ in iterations:
+        slope, curvature = derivatives(x)
+        f = slope + c * (x - u)
+        # F(x) < 0 puts the root above x, else at or below it (a nan F
+        # shrinks the bracket towards lo, so the iteration still ends)
+        if f < 0:
+            lo = x
+        else:
+            hi = x
+        newton_step = f / (curvature + c)
+        newton = x - newton_step
+        size = abs(newton_step)
+        if size <= 0.5 * step_old and lo <= newton <= hi:
+            x, step_old, step = newton, step, size
+        else:
+            half = 0.5 * (hi - lo)
+            x, step_old, step = lo + half, step, half
+        if step <= tol:
+            break
+    else:
+        raise BudgetExhaustedError(
+            f"1D prox Newton iteration did not converge within "
+            f"{len(iterations)} evaluations (budget {len(iterations)})")
+    diff = x - u
+    energy_x = phi(x)
+    value_x = energy_x + m * diff * diff / (2.0 * delta)
+    value_u = energy_u + 0.0        # the guard's d^2 / (2 delta) is 0
+    if (value_x <= value_u + local_tol and value_u <= value_x + local_tol
+            and (tie_gap is None or math.sqrt(m * diff * diff) > tie_gap)):
+        return x, value_x, energy_x, (value_u, energy_u)
+    if value_x < value_u or _precedes((value_x, m * (diff * diff), x),
+                                      (value_u, 0.0, u)):   # common case inline
+        return x, value_x, energy_x, None
+    return u, value_u, energy_u, None
+
+
+def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
+    """``_newton_row`` on every row, one after another, so each row gets
+    what it gets alone.
+
+    With ``tie_gap = _tie_gap(local_tol)`` a 1D problem gets what
+    ``_select`` and ``_near_ties`` would make of a row's minimizer and
+    guard: one candidate, unless its guard is a near tie.  In nD a
+    coordinate's guard may join a near tie of the whole problem at any
+    distance, so ``_separable_nd`` passes None there.  Returns the
+    candidates' rows, points, objective values and energies: each row's
+    first candidate in row order, then the guards of the rows that keep
+    two.
+    """
+    members = _members(spec, eps)
+    iterations, local_tol = range(settings.max_iters), settings.local_tol
+    # each row's first candidate, then the guards kept as second ones
+    xs, vals, energies = [], [], []
+    tie_rows, tie_vals, tie_energies = [], [], []
+    for r, (j, delta, ur, mr) in enumerate(zip(
+            cols.tolist(), deltas.tolist(), u.tolist(), m.tolist())):
+        x, value, energy, guard = _newton_row(members[j], ur, delta, mr, iterations,
+                                              local_tol, tie_gap)
+        if guard is not None:       # the minimizer first, the guard second
+            tie_rows.append(r)
+            tie_vals.append(guard[0])
+            tie_energies.append(guard[1])
+        xs.append(x)
+        vals.append(value)
+        energies.append(energy)
+    if tie_rows:
+        rows = np.concatenate([np.arange(u.size), tie_rows])
+        return (rows, np.concatenate([xs, u[tie_rows]]), np.array(vals + tie_vals),
+                np.array(energies + tie_energies))
+    return np.arange(u.size), np.array(xs), np.array(vals), np.array(energies)
+
+
+def _grid_zoom_1d(spec, eps, cols, deltas, u, m, settings):
+    """Recursive grid zoom on each row's window with a shortlist of the best
+    brackets.
+
+    The rows' windows are sized in one block, as ``_zoom_1d`` states them;
+    one that is not finite raises ``EvaluationError``.  Each round samples
+    an even grid on every live window of every row in one block, keeps the
+    ``_GRID_STARTS`` lowest local minima (later rounds: the lowest one) and
+    zooms into their brackets, so progressively finer
+    oscillation wells are resolved without an a-priori scale.  A bracket
+    becomes a candidate once it has shrunk to round-off width or, after
+    the first round, once its grid values spread by at most ``local_tol``.
+    ``settings.max_iters`` bounds the grid points evaluated for each row.
+    Returns the candidates' rows, points, objective values and energies,
+    in the order they were found, then the guards.
+    """
     floor = energy_floors(spec, eps)
-    energy_u = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if floor is None:
             g = coordinate_derivatives(spec, eps, cols, u)
@@ -305,131 +522,7 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings, tie_gap=None):
         finite = np.isfinite((u + radius) - (u - radius))
     if not finite.all():
         r = np.flatnonzero(~finite)[0]
-        raise EvaluationError(
-            f"1D prox search window around u={u[r]:g} with delta={deltas[r]:g} "
-            f"is not finite (radius {radius[r]:g})", point=u[r:r + 1])
-    kappa = curvature_floors(spec, eps)     # a family with these has floors too
-    newton = (np.zeros(u.size, dtype=bool) if kappa is None
-              else kappa[cols] + m / deltas > 0)
-    if newton.all():
-        return _newton_1d(spec, eps, cols, deltas, u, energy_u, radius, m, settings,
-                          tie_gap)
-    if not newton.any():
-        return _grid_zoom_1d(spec, eps, cols, deltas, u, radius, m, settings)
-    # each route on its own rows
-    a, b = np.flatnonzero(newton), np.flatnonzero(~newton)
-    ra, *found_a = _newton_1d(spec, eps, cols[a], deltas[a], u[a], energy_u[a],
-                              radius[a], m[a], settings, tie_gap)
-    rb, *found_b = _grid_zoom_1d(spec, eps, cols[b], deltas[b], u[b], radius[b],
-                                 m[b], settings)
-    return (np.concatenate([a[ra], b[rb]]),
-            *(np.concatenate(parts) for parts in zip(found_a, found_b)))
-
-
-def _newton_1d(spec, eps, cols, deltas, u, energy_u, radius, m, settings, tie_gap):
-    """Safeguarded Newton iteration (rtsafe: Press et al., Numerical Recipes,
-    3rd ed., section 9.4) on the objective's derivative
-    F(v) = phi_j'(v) + c (v - u), c = m / delta, which the curvature floor
-    makes increasing, inside the certified bracket u +- radius.
-
-    The rows run one after another on Python floats, through the energy's
-    ``coordinate_scalars``, so each row gets what it gets alone.  A step
-    that would leave the bracket, or that is more than half the step before
-    last, is a bisection step instead.  A row stops once its step is at
-    round-off on the scale max(1, |u| + radius) of its bracket; each
-    iterate costs the row one evaluation of phi_j' and phi_j'' against
-    ``settings.max_iters``.
-
-    The row then weighs the stay-put guard v = u, which keeps the descent
-    property.  The window has computed its energy, ``energy_u``; the
-    minimizer is valued as ``_objective`` values it.  If the two are within
-    ``local_tol`` of each other and more than ``tie_gap`` apart (at any
-    distance for a None ``tie_gap``), the row returns both, the minimizer
-    first, for ``prox_batch`` to rank.  Otherwise it returns the one that
-    ``_precedes`` the other.  With ``tie_gap = _tie_gap(local_tol)`` a 1D
-    problem so gets what ``_select`` and ``_near_ties`` would make of both:
-    one candidate, unless its guard is a near tie.  In nD a coordinate's
-    guard may join a near tie of the whole problem at any distance, so
-    ``_separable_nd`` passes None there.  Returns the candidates' rows,
-    points, objective values and energies: each row's first candidate in
-    row order, then the guards of the rows that keep two.
-    """
-    local_tol = settings.local_tol
-    iterations = range(settings.max_iters)
-    members = {}
-    # each row's first candidate, then the guards kept as second ones
-    xs, vals, energies = [], [], []
-    tie_rows, tie_vals, tie_energies = [], [], []
-    for r, (j, delta, ur, eu, rad, mr) in enumerate(zip(
-            cols.tolist(), deltas.tolist(), u.tolist(), energy_u.tolist(),
-            radius.tolist(), m.tolist())):
-        if j not in members:
-            members[j] = coordinate_scalars(spec, eps, j)
-        phi, derivatives = members[j]
-        c = mr / delta
-        scale = abs(ur) + rad
-        tol = _NEWTON_TOL * (scale if scale > 1.0 else 1.0)
-        x, lo, hi = ur, ur - rad, ur + rad
-        step_old = step = hi - lo       # sizes of the last two steps
-        for _ in iterations:
-            slope, curvature = derivatives(x)
-            f = slope + c * (x - ur)
-            # F(x) < 0 puts the root above x, else at or below it (a nan F
-            # shrinks the bracket towards lo, so the iteration still ends)
-            if f < 0:
-                lo = x
-            else:
-                hi = x
-            newton_step = f / (curvature + c)
-            newton = x - newton_step
-            size = abs(newton_step)
-            if size <= 0.5 * step_old and lo <= newton <= hi:
-                x, step_old, step = newton, step, size
-            else:
-                half = 0.5 * (hi - lo)
-                x, step_old, step = lo + half, step, half
-            if step <= tol:
-                break
-        else:
-            raise BudgetExhaustedError(
-                f"1D prox Newton iteration did not converge within "
-                f"{settings.max_iters} evaluations (budget {settings.max_iters})")
-        diff = x - ur
-        energy_x = phi(x)
-        value_x = energy_x + mr * diff * diff / (2.0 * delta)
-        value_u = eu + 0.0              # the guard's d^2 / (2 delta) is 0
-        if (value_x <= value_u + local_tol and value_u <= value_x + local_tol
-                and (tie_gap is None or math.sqrt(mr * diff * diff) > tie_gap)):
-            tie_rows.append(r)          # the minimizer first, the guard second
-            tie_vals.append(value_u)
-            tie_energies.append(eu)
-        elif not (value_x < value_u        # _precedes' common case, inline
-                  or _precedes((value_x, mr * (diff * diff), x), (value_u, 0.0, ur))):
-            x, value_x, energy_x = ur, value_u, eu
-        xs.append(x)
-        vals.append(value_x)
-        energies.append(energy_x)
-    if tie_rows:
-        rows = np.concatenate([np.arange(u.size), tie_rows])
-        return (rows, np.concatenate([xs, u[tie_rows]]), np.array(vals + tie_vals),
-                np.array(energies + tie_energies))
-    return np.arange(u.size), np.array(xs), np.array(vals), np.array(energies)
-
-
-def _grid_zoom_1d(spec, eps, cols, deltas, u, radius, m, settings):
-    """Recursive grid zoom on u +- radius with a shortlist of the best
-    brackets.
-
-    Each round samples an even grid on every live window of every row in
-    one block, keeps the ``_GRID_STARTS`` lowest local minima (later rounds: the
-    lowest one) and zooms into their brackets, so progressively finer
-    oscillation wells are resolved without an a-priori scale.  A bracket
-    becomes a candidate once it has shrunk to round-off width or, after
-    the first round, once its grid values spread by at most ``local_tol``.
-    ``settings.max_iters`` bounds the grid points evaluated for each row.
-    Returns the candidates' rows, points, objective values and energies,
-    in the order they were found, then the guards.
-    """
+        raise _window_error(u[r], deltas[r], radius[r])
     R = u.size
     # Live windows: row, bounds, and the row's coordinate, base point (W, 1),
     # step (W, 1) and metric weight (W, 1).

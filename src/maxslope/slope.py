@@ -149,11 +149,13 @@ def check_condition_h(family: EnergySpec, limit: EnergySpec,
     dists = distances(family.domain, [v for _, v in seq], limit_v).tolist()
     if dists[-1] > seq_tol:
         raise SequenceNotConvergentError(
-            f"terminal distance {dists[-1]:g} to the limit exceeds seq_tol={seq_tol:g}"
+            f"the last point of 'sequence' is at distance {dists[-1]:g} from "
+            f"'limit_v', more than seq_tol={seq_tol:g}"
         )
     if any(b > a + seq_tol for a, b in zip(dists, dists[1:])):
         raise SequenceNotConvergentError(
-            "sample distances to the limit are not (approximately) decreasing"
+            f"the distances of 'sequence' to 'limit_v' are not decreasing "
+            f"within seq_tol={seq_tol:g}"
         )
 
     slopes = tuple(estimate_slope(family, e, v).value for e, v in seq)

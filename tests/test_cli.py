@@ -560,6 +560,24 @@ class TestCheckCommand:
         cfg = write_config(tmp_path, condition_h_config(tmp_path / "out"))
         assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
 
+    @pytest.mark.parametrize("sequence, says", [
+        ([[0.1, [0.5]], [0.05, [0.9]]], "distance 0.4 from 'limit_v'"),
+        ([[0.1, [0.5]], [0.05, [0.7]], [0.02, [0.5]]], "not decreasing"),
+    ], ids=["terminal", "rising"])
+    def test_non_convergent_sequence_is_config_error(self, tmp_path, capsys,
+                                                     sequence, says):
+        # nothing was solved: the input is at fault
+        doc = check_config(tmp_path / "out", "condition_h",
+                           {"sequence": sequence, "limit_v": [0.5]})
+        doc["energy"] = {"kind": "wiggly",
+                         "base": {"kind": "quadratic", "weights": [1.0],
+                                  "center": [0.0]}}
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("config error:")
+        assert "'sequence'" in first and "'limit_v'" in first and says in first
+        assert not (tmp_path / "out").exists()
+
     def test_maximal_slope(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, maximal_slope_config(out))
@@ -653,3 +671,95 @@ class TestCheckCommand:
         cfg = write_config(tmp_path, check_config(
             tmp_path / "out", "slope_cone", {"eps": 1.0}))
         assert main(["check", "--config", cfg]) == EXIT_CONFIG
+
+
+class TestConfigFuzz:
+    """Every field of every command's config, replaced, dropped or joined
+    by an unknown one: the CLI exits 0-3 without a traceback, and a command
+    that fails (exit 1 or 2) leaves no output directory.
+
+    The values are a fixed pool.  Its only small positive numbers are 0.5
+    and 1e-320, so that a drawn run has a few hundred steps at most or is
+    refused before it starts: tau = 1e-320 needs more steps than the run
+    cap allows.
+    """
+
+    QUAD = {"kind": "quadratic", "weights": [1.0], "center": [0.0]}
+    RUN = {"eps": 1.0, "tau": 0.05, "horizon_T": 0.2, "initial_point": [1.0],
+           "initial_energy_bound_S": 10.0, "initial_distance_bound_Sprime": 10.0,
+           "prox_settings": {"mode": "multistart_numeric", "local_tol": 1e-9,
+                             "max_iters": 1000},
+           "quadrature_nodes_per_step": 2, "tau_star": 1.0}
+    SWEEP = {"coupling": {"form": "eps_of_tau", "lam": 1.0, "alpha": 1.0},
+             "levels": [0.1, 0.05],
+             "params": {k: v for k, v in RUN.items() if k not in ("eps", "tau")}}
+    COMMANDS = (
+        {"run": RUN},
+        {"sweep": {**SWEEP, "sweep_tol": 1e-2}},
+        {"check": {"type": "dissipation", "run": RUN, "residual_tol": 1e-8}},
+        {"check": {"type": "apriori", "run": RUN, "quad_tol": 1e-8}},
+        {"check": {"type": "slope_cone", "eps": 1.0, "x": [1.5],
+                   "probes": {"count": 20, "radius": 2.0}, "cone_tol": 1e-9}},
+        {"check": {"type": "condition_h", "sequence": [[0.1, [1.0]], [0.01, [1.0]]],
+                   "limit_v": [1.0], "h_tol": 1e-3, "seq_tol": 1e-2}},
+        {"check": {"type": "maximal_slope", **SWEEP, "check_tol": 5e-3,
+                   "waive_condition_h": False, "monotone_tol": 1e-9}},
+    )
+    ENERGIES = (
+        QUAD,
+        {"kind": "wiggly", "base": QUAD, "amplitude_scale": 1.0},
+        {"kind": "convex_perturbed", "base": QUAD},
+        {"kind": "custom_smooth", "expression": "0.5*x^2 + eps*cos(x/eps)"},
+    )
+    VALUES = st.sampled_from([
+        None, True, False, 0, 1, -1, 2, 0.5, 1e-320, 1e300, -1e300,
+        math.nan, math.inf, -math.inf, "", "x", "wiggly", "euclidean",
+        "diagonal_weighted", "multistart_numeric", "tau_of_eps", "dissipation",
+        [], [0.5], [0.5, -0.5], [[0.1, [1.0]]], {}, {"kind": "quadratic"}]
+    ).map(lambda value: json.loads(json.dumps(value)))   # a copy to mutate
+
+    @staticmethod
+    def paths(node, prefix=()):
+        """The path of every value under ``node``, by key or list index."""
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, value in items:
+            yield prefix + (key,)
+            yield from TestConfigFuzz.paths(value, prefix + (key,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_exits_cleanly(self, data):
+        doc = json.loads(json.dumps({
+            "space": {"dimension": 1, "metric_kind": "diagonal_weighted",
+                      "weights": [1.0], "base_point": [0.0]},
+            "energy": data.draw(st.sampled_from(self.ENERGIES), label="energy"),
+            "command": data.draw(st.sampled_from(self.COMMANDS), label="command"),
+            "output_dir": "unused", "seed": 0}))
+        subcommand = next(iter(doc["command"]))
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            *parents, key = data.draw(st.sampled_from(list(self.paths(doc))),
+                                      label="path")
+            parent = doc
+            for step in parents:
+                parent = parent[step]
+            action = data.draw(st.sampled_from(["replace", "drop", "unknown"]),
+                               label="action")
+            if action == "replace":
+                parent[key] = data.draw(self.VALUES, label="value")
+            elif isinstance(parent, dict) and action == "drop":
+                del parent[key]
+            elif isinstance(parent, dict):
+                parent["unknown_field"] = data.draw(self.VALUES, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([subcommand, "--config", write_config(Path(tmp), doc),
+                             "--out", str(out), "--quiet"])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_CHECK_FAILED)
+            assert "Traceback" not in err.getvalue()
+            if code in (EXIT_CONFIG, EXIT_SOLVER):
+                assert err.getvalue().startswith(("config error:", "solver error:"))
+                assert not out.exists()

@@ -25,6 +25,7 @@ from maxslope.energy import (
 from maxslope.errors import (
     BudgetExhaustedError,
     DimensionMismatchError,
+    EvaluationError,
     InvalidDeltaError,
 )
 from maxslope.metric import SpaceDescriptor, distances
@@ -36,8 +37,10 @@ from maxslope.prox import (
     _near_ties,
     _precedes,
     _select,
+    _separable_nd,
     _shortlist,
     _zoom_1d,
+    newton_stepper,
     prox_batch,
 )
 from maxslope.scheme import SchemeParams, build_interpolant, run_scheme
@@ -565,6 +568,121 @@ class TestNewtonRoute:
                                                  initial_point=pt(0.5)))
         assert traj.n_steps == 400
         assert select.call_count == 0
+
+
+class TestNewtonStepper:
+    """The scheme's B = 1 step on the Newton row kernel against
+    ``prox_batch``, bit for bit, and its fall-backs."""
+
+    @staticmethod
+    def assert_step_matches(spec, eps, delta, u, prox_settings):
+        """The stepper's step from ``u`` is ``prox_batch``'s, or None where
+        ``prox_batch`` ranks more than one candidate.  Returns the step."""
+        step = newton_stepper(spec, eps, delta, prox_settings)
+        mw = spec.domain.metric_weights()
+        if step is None:
+            assert not (curvature_floors(spec, eps) + mw / delta > 0).all()
+            return None
+        u = np.asarray(u, dtype=float)
+        found = step(u)
+        if found is None:
+            rows, *_ = _separable_nd(spec, eps, np.array([delta]), u[None, :], mw,
+                                     prox_settings)
+            assert rows.size > 1
+            return None
+        x, energy, moved = found
+        res = prox_batch(spec, eps, [delta], [u], prox_settings)
+        assert tuple(x) == tuple(res.minimizers[0])
+        assert energy == res.energies[0]
+        assert moved == res.moved[0]
+        return found
+
+    @pytest.mark.parametrize("family", ["quadratic", "wiggly"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_prox_batch(self, family, n, data):
+        if data.draw(st.booleans(), label="weighted"):
+            space = SpaceDescriptor(n, metric_kind="diagonal_weighted", weights=tuple(
+                data.draw(st.lists(st.sampled_from([0.25, 1.0, 4.0]),
+                                   min_size=n, max_size=n), label="metric")))
+        else:
+            space = SpaceDescriptor(n)
+        center = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+                                    min_size=n, max_size=n), label="center")
+        weights = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n),
+                            label="weights")
+        spec = quadratic(space, weights, center)
+        if family == "wiggly":
+            spec = wiggly(spec)
+        eps = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.3, 1.0]), label="eps")
+        delta = data.draw(st.sampled_from([1e-4, 1e-3, 2.5e-3, 0.01, 0.1, 1.0])
+                          | st.floats(1e-6, 1.0), label="delta")
+        offsets = data.draw(st.lists(st.floats(0.01, 1.0) | st.floats(-1.0, -0.01),
+                                     min_size=n, max_size=n), label="offsets")
+        u = [c + d for c, d in zip(center, offsets)]
+        # a coordinate at its centre has its minimizer at u: a guard tie
+        at_center = data.draw(st.none() | st.integers(0, n - 1), label="at_center")
+        if at_center is not None:
+            u[at_center] = center[at_center]
+        self.assert_step_matches(spec, eps, delta, u, NUMERIC)
+
+    def test_flat_2d_guard_falls_back(self):
+        # TestAgainstCoordinateLoop's flat rows: from u = 0 each coordinate
+        # keeps its guard, and the corner u is a near tie only the nD
+        # ranking finds, so the step is prox_batch's.
+        spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [0.025, 0.025])
+        step = newton_stepper(spec, 1.0, 1e6, NUMERIC)
+        assert step(np.array([0.0, 0.0])) is None
+        assert prox_batch(spec, 1.0, [1e6], [[0.0, 0.0]], NUMERIC).near_tie[0]
+        assert self.assert_step_matches(spec, 1.0, 1e6, [0.0, 0.0], NUMERIC) \
+            is None
+
+    def test_1d_near_tie_falls_back(self):
+        # TestNewtonRoute's flat row: its guard is a near tie
+        spec = quadratic(LINE, [1e-8], [0.3])
+        assert newton_stepper(spec, 1.0, 1e6, NUMERIC)(np.array([0.0])) is None
+        assert self.assert_step_matches(spec, 1.0, 1e6, [0.0], NUMERIC) is None
+
+    @pytest.mark.parametrize("spec, eps, delta, prox_settings", [
+        (quadratic(LINE, [1.0], [0.0]), 1.0, 0.1, DEFAULTS),        # closed form
+        (FAMILIES["weighted_2d_convex_perturbed"][0], 0.1, 0.01, DEFAULTS),
+        (FAMILIES["convex_perturbed"][0], 0.1, 0.01, NUMERIC),    # no floor
+        (FAMILIES["custom_smooth"][0], 0.05, 0.0025, DEFAULTS),
+        # 1 - 1 / 0.05 + 1 / 0.1 < 0: not convex
+        (FAMILIES["wiggly"][0], 0.05, 0.1, DEFAULTS),
+        (wiggly(quadratic(SpaceDescriptor(2), [1.0, 30.0], [0.0, 0.0])), 0.05,
+         0.1, DEFAULTS),
+    ], ids=["quadratic", "convex_perturbed", "convex_perturbed_numeric",
+            "custom_smooth", "wiggly_grid", "wiggly_2d_one_grid_row"])
+    def test_no_stepper_off_the_newton_route(self, spec, eps, delta, prox_settings):
+        assert newton_stepper(spec, eps, delta, prox_settings) is None
+
+    def test_budget_error_is_prox_batch_error(self):
+        spec, eps, _, _ = FAMILIES["wiggly"]
+        budget = ProxSettings(max_iters=1)
+        with pytest.raises(BudgetExhaustedError) as stepped:
+            newton_stepper(spec, eps, eps ** 2, budget)(np.array([0.5]))
+        with pytest.raises(BudgetExhaustedError) as batched:
+            prox_batch(spec, eps, [eps ** 2], [[0.5]], budget)
+        assert str(stepped.value) == str(batched.value) == (
+            "1D prox Newton iteration did not converge within 1 evaluations "
+            "(budget 1)")
+
+    @pytest.mark.parametrize("spec, eps, delta, u, radius", [
+        # phi(u) overflows to inf
+        (quadratic(LINE, [1.0], [0.0]), 1.0, 0.1, 1e200, "inf"),
+        # u / eps overflows, so cos(u / eps) is nan
+        (FAMILIES["wiggly"][0], 1e-200, 1e-201, 1e150, "nan"),
+    ], ids=["inf", "nan"])
+    def test_window_error_is_prox_batch_error(self, spec, eps, delta, u, radius):
+        with pytest.raises(EvaluationError) as stepped:
+            newton_stepper(spec, eps, delta, NUMERIC)(np.array([u]))
+        with pytest.raises(EvaluationError) as batched:
+            prox_batch(spec, eps, [delta], [[u]], NUMERIC)
+        assert str(stepped.value) == str(batched.value)
+        assert str(stepped.value).endswith(f"is not finite (radius {radius})")
+        assert list(stepped.value.point) == list(batched.value.point) == [u]
 
 
 class TestPrecedes:

@@ -77,7 +77,10 @@ class TestRunScheme:
 
 
 WEIGHTED_PLANE = SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.0, 1.0))
-# (spec, params) of four runs, one per prox path
+WEIGHTED_9D = SpaceDescriptor(9, metric_kind="diagonal_weighted",
+                              weights=(0.25, 1.0, 4.0) * 3)
+# (spec, params) of runs over every prox path: the closed form, the grid, and
+# the Newton stepper with and without prox_batch steps between its own
 RUNS = {
     "wiggly_1d": (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])), SchemeParams(
         eps=0.05, tau=0.0025, horizon_T=0.25, initial_point=pt(0.5))),
@@ -89,6 +92,17 @@ RUNS = {
         SchemeParams(eps=0.05, tau=0.0025, horizon_T=0.1, initial_point=pt(0.5))),
     "numeric_2d": (quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.3, -0.2]), SchemeParams(
         eps=0.01, tau=0.01, horizon_T=0.05, initial_point=pt(1.0, -0.8),
+        prox_settings=ProxSettings(mode=MULTISTART_NUMERIC))),
+    "wiggly_2d": (wiggly(quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.0, 0.0])),
+                  SchemeParams(eps=0.05, tau=0.0025, horizon_T=0.25,
+                               initial_point=pt(0.5, -0.3))),
+    # the fast coordinates reach their centres, where their guards tie in
+    # 9D, so some steps are prox_batch's
+    "multistart_9d": (quadratic(WEIGHTED_9D,
+                                [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 1.0, 2.0, 0.5],
+                                [0.1 * j - 0.4 for j in range(9)]), SchemeParams(
+        eps=0.05, tau=0.01, horizon_T=1.0,
+        initial_point=pt(0.5, -0.1, 0.2, 0.7, -0.6, 0.3, 0.05, -0.9, 0.35),
         prox_settings=ProxSettings(mode=MULTISTART_NUMERIC))),
 }
 
@@ -149,6 +163,21 @@ class TestArrayTrajectory:
         assert np.array_equal(traj.coords, coords)
         assert np.array_equal(traj.step_energies, energies)
         assert np.array_equal(traj.step_distances, dists)
+
+    @pytest.mark.parametrize("name, fallbacks", [("wiggly_2d", (0, 0)),
+                                                 ("multistart_9d", (1, 99))])
+    def test_stepper_hands_tied_steps_to_prox_batch(self, name, fallbacks,
+                                                     monkeypatch):
+        calls = []
+        real = scheme.prox_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(scheme, "prox_batch", counted)
+        spec, params = RUNS[name]
+        assert run_scheme(spec, params).n_steps == 100
+        assert fallbacks[0] <= len(calls) <= fallbacks[1]
 
     def test_arrays_are_read_only(self, quad_traj):
         for arr in (quad_traj.coords, quad_traj.step_energies,
