@@ -32,7 +32,7 @@ from .config import (
     require,
 )
 from .energy import gamma_limit
-from .errors import ConfigError, MaxslopeError
+from .errors import CapabilityAbsentError, ConfigError, MaxslopeError
 from .scheme import build_interpolant, run_scheme
 
 EXIT_OK = 0
@@ -158,7 +158,19 @@ def _check_slope_cone(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]
     }
 
 
+def _limit_family(cfg: ExperimentConfig, ctype: str):
+    """The limit energy as eps -> 0 that ``check ctype`` compares against;
+    an energy kind without one makes the config an error."""
+    try:
+        return gamma_limit(cfg.energy)
+    except CapabilityAbsentError as exc:
+        raise ConfigError(f"check {ctype} compares against the limit family as "
+                          f"eps -> 0, which energy kind {cfg.energy.kind!r} does "
+                          f"not declare") from exc
+
+
 def _check_condition_h(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
+    limit = _limit_family(cfg, "condition_h")
     raw_seq = require(payload, "sequence", "check")
     if not (isinstance(raw_seq, list) and raw_seq
             and all(isinstance(pair, list) and len(pair) == 2 for pair in raw_seq)):
@@ -169,7 +181,7 @@ def _check_condition_h(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict
     limit_v = parse_point(require(payload, "limit_v", "check"), cfg.space,
                           "limit_v").array
     report = slope_mod.check_condition_h(
-        cfg.energy, gamma_limit(cfg.energy), seq, limit_v,
+        cfg.energy, limit, seq, limit_v,
         h_tol=parse_field(float, payload.get("h_tol", 1e-3), "h_tol"),
         seq_tol=parse_field(float, payload.get("seq_tol", 1e-2), "seq_tol"),
     )
@@ -177,6 +189,7 @@ def _check_condition_h(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict
 
 
 def _check_maximal_slope(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
+    _limit_family(cfg, "maximal_slope")     # before the sweep
     coupling, levels, base = parse_sweep(payload, cfg.space, "check")
     check_tol = parse_field(float, payload.get("check_tol", 5e-3), "check_tol")
     waive = payload.get("waive_condition_h", False)

@@ -13,7 +13,8 @@ prox solves its problems as rows of these: ``coordinate_values`` and
 arrays, ``coordinate_scalars`` gives phi_j, phi_j' and phi_j'' on Python
 floats for the families with a closed-form curvature, and
 ``energy_floors`` and ``curvature_floors`` bound each phi_j and phi_j''
-from below.
+from below.  ``eval_scalar`` is ``eval_many`` on one point of Python
+floats, summed by ``row_sum`` in numpy's order.
 
 Every kind is finite everywhere and has a closed-form descending slope.
 Optional capabilities (limit family as eps -> 0, closed-form curvature)
@@ -440,6 +441,57 @@ def coordinate_scalars(spec: EnergySpec, eps: float, j: int):
         t = x / eps
         return w * (x - b) - a * sin(t), w - a_over_eps * cos(t)
     return value, derivatives
+
+
+def row_sum(terms) -> float:
+    """The sum of a list of floats as numpy 2.x sums a contiguous (1, n) row
+    along axis 1: 0.0 plus numpy's pairwise sum.  Below 8 terms that is a
+    left-to-right sum; up to 128 it is eight accumulators over a stride of
+    8, combined ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    tail left to right; above 128, the sum of the two halves, split at
+    n / 2 rounded down to a multiple of 8.  A nan result may carry another
+    sign or payload than numpy's."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return row_sum(terms[:half]) + row_sum(terms[half:])
+    if n < 8:
+        return _running_sum(terms, 0.0)
+    head = n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = (_running_sum(terms[k:head:8], 0.0)
+                                      for k in range(8))
+    return _running_sum(terms[head:],
+                        ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+
+
+def _running_sum(terms, total):
+    for t in terms:
+        total += t
+    return total
+
+
+def eval_scalar(spec: EnergySpec, eps: float):
+    """The energy as a function of one point, a list of n Python floats,
+    for ``quadratic``, ``wiggly`` and ``convex_perturbed``.  It does
+    ``eval_many``'s arithmetic in the same order, with ``row_sum`` for its
+    sums, so it gives the same number; for ``wiggly`` that rests on libm's
+    cos (``math``) rounding as numpy's does, as for ``coordinate_scalars``,
+    and x / eps must be finite, where numpy's cos is nan and libm's raises."""
+    if spec.kind == CUSTOM_SMOOTH:
+        raise CapabilityAbsentError("no float evaluation for kind 'custom_smooth'")
+    quad = spec if spec.kind == QUADRATIC else spec.base
+    members = list(zip(quad.weights, quad.center))
+
+    def base(x):
+        return 0.5 * row_sum([w * (xj - b) * (xj - b)
+                              for xj, (w, b) in zip(x, members)])
+    if spec.kind == QUADRATIC:
+        return base
+    eps = float(eps)
+    if spec.kind == CONVEX_PERTURBED:
+        return lambda x: base(x) + eps * row_sum([abs(xj) for xj in x])
+    a_eps, cos = spec.amplitude_scale * eps, math.cos
+    return lambda x: base(x) + a_eps * row_sum([cos(xj / eps) for xj in x])
 
 
 def energy_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:

@@ -17,8 +17,8 @@ certifies from its coordinate's energy floor, or a heuristic one for
   row's whole work on Python floats, from its window to a safeguarded
   Newton iteration on the objective's derivative.  It weighs the stay-put
   guard v = u itself and returns one candidate per row, two only when the
-  guard is within ``local_tol`` of the minimizer and, in a 1D problem, a
-  near tie of it;
+  guard is within ``local_tol`` of the minimizer but not the minimizer
+  itself and, in a 1D problem, a near tie of it;
 * the grid route everywhere else: a recursive grid zoom that sizes its
   rows' windows and advances them in one block per round.  Its
   first-round shortlist of ``_GRID_STARTS`` brackets and the stop rule of
@@ -29,10 +29,11 @@ near-optimal candidates.  Selection among near-optimal minimizers is
 deterministic so that whole trajectories are reproducible.
 
 The scheme's steps are B = 1 problems, one after another, where numpy's
-per-call cost would be most of a step.  ``newton_stepper`` solves such a
-step on the row kernel alone when every coordinate takes the Newton
-route, and leaves a step that keeps a guard as a second candidate to
-``prox_batch``.
+per-call cost would be most of a step.  ``stepper`` solves such a step on
+Python floats when it has a single answer: a closed form, evaluated per
+coordinate, or every coordinate on the Newton route's row kernel.  It
+leaves a step that keeps a guard as a second candidate, and every step on
+the grid route, to ``prox_batch``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ from .energy import (
     curvature_floors,
     energy_floors,
     eval_many,
+    eval_scalar,
+    row_sum,
 )
 from .errors import (
     BudgetExhaustedError,
@@ -146,7 +149,10 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
     B = U.shape[0]
     exact = _closed_form(spec, settings)
     if exact:
-        V = _exact_minimizers(spec, eps, deltas, U, mw)
+        quad = spec if spec.kind == QUADRATIC else spec.base
+        V = _exact_minimizers(spec.kind, np.asarray(quad.weights),
+                              np.asarray(quad.center), eps, deltas[:, None], U, mw,
+                              np.where)
         energies = eval_many(spec, eps, V)
     else:
         rows, C, cvals, cenergies = _separable_nd(spec, eps, deltas, U, mw, settings)
@@ -176,49 +182,61 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
     )
 
 
-def newton_stepper(spec: EnergySpec, eps: float, delta: float,
-                   settings: ProxSettings):
-    """The resolvent step of one problem at step size ``delta`` on the
-    Newton route, for a run of B = 1 steps: a function of the (n,) row u
-    that returns the minimizer, its energy and its distance to u, bit for
-    bit as ``prox_batch(spec, eps, [delta], [u], settings)`` returns them.
+def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
+    """The resolvent step of one problem at step size ``delta``, for a run
+    of B = 1 steps: a function of u, a list of n Python floats, that
+    returns the minimizer (a list), its energy and its distance to u, bit
+    for bit as ``prox_batch(spec, eps, [delta], [u], settings)`` returns
+    them, or None where the step is ``prox_batch``'s work.
 
-    Each coordinate row is one ``_newton_row`` on Python floats.  In 1D the
-    energy is the row's phi_0 at the minimizer; in nD the energy and the
-    distance are summed as ``prox_batch`` sums them.  The function returns
-    None for a step in which some coordinate keeps its stay-put guard as a
-    second candidate: ranking those is ``prox_batch``'s work.
+    * A closed form is ``_exact_minimizers`` on each coordinate's floats.
+    * On the Newton route each coordinate row is one ``_newton_row``.  The
+      function returns None for a step in which some coordinate keeps its
+      stay-put guard as a second candidate: ranking those is
+      ``prox_batch``'s work.  A 1D problem's energy is its row's phi_0.
+    * Otherwise the energy is ``eval_scalar``'s and the distance the square
+      root of ``row_sum`` over m (x - u)^2, numpy's sums on floats.
 
-    Returns None instead of a function when no step is all-Newton: a closed
-    form answers, the family has no curvature floor, or some coordinate's
+    Returns None instead of a function when some step may take the grid
+    route: the family has no curvature floor, or some coordinate's
     kappa_j + m_j / delta is not positive.
     """
-    kappa = curvature_floors(spec, eps)
     mw = spec.domain.metric_weights()
-    if (kappa is None or _closed_form(spec, settings)
-            or not (kappa + mw / delta > 0).all()):
+    closed, kappa = _closed_form(spec, settings), curvature_floors(spec, eps)
+    if not closed and (kappa is None or not (kappa + mw / delta > 0).all()):
         return None
-    members, m = _members(spec, eps), mw.tolist()
+    m, energy = mw.tolist(), eval_scalar(spec, eps)
     n = len(m)
+    if closed:
+        quad = spec if spec.kind == QUADRATIC else spec.base
+        members = list(zip(quad.weights, quad.center, m))
+
+        def closed_step(u):
+            xs = [_exact_minimizers(spec.kind, w, b, eps, delta, uj, mj, _where)
+                  for uj, (w, b, mj) in zip(u, members)]
+            return xs, energy(xs), _moved(xs, u, m)
+        return closed_step
+    members = _members(spec, eps)
     iterations, local_tol = range(settings.max_iters), settings.local_tol
     tie_gap = _tie_gap(local_tol) if n == 1 else None
 
-    def step(u):
+    def newton_step(u):
         xs = []
-        for member, uj, mj in zip(members, u.tolist(), m):
-            x, _, energy, guard = _newton_row(member, uj, delta, mj, iterations,
-                                              local_tol, tie_gap)
+        for member, uj, mj in zip(members, u, m):
+            x, _, phi_x, guard = _newton_row(member, uj, delta, mj, iterations,
+                                             local_tol, tie_gap)
             if guard is not None:
                 return None
             xs.append(x)
         if n == 1:                  # a 1D problem is its row
-            diff = x - uj
-            return np.array(xs), energy, math.sqrt(mj * diff * diff)
-        V = np.array([xs])
-        diff = V - u
-        d2 = (mw * diff * diff).sum(axis=1)
-        return V[0], eval_many(spec, eps, V)[0], np.sqrt(d2)[0]
-    return step
+            return xs, phi_x, _moved(xs, u, m)
+        return xs, energy(xs), _moved(xs, u, m)
+    return newton_step
+
+
+def _moved(xs, u, m):
+    """d(xs, u) on Python floats, as ``prox_batch`` takes it."""
+    return math.sqrt(row_sum([mj * (x - uj) * (x - uj) for x, uj, mj in zip(xs, u, m)]))
 
 
 def _closed_form(spec, settings):
@@ -288,22 +306,27 @@ def _precedes(a, b):
 # Exact paths
 # ---------------------------------------------------------------------------
 
-def _exact_minimizers(spec, eps, deltas, U, mw):
-    delta = deltas[:, None]
-    if spec.kind == QUADRATIC:
-        w = np.asarray(spec.weights)
-        b = np.asarray(spec.center)
+def _exact_minimizers(kind, w, b, eps, delta, u, m, where):
+    """The closed-form minimizer of a ``quadratic`` (weights w, centre b) or
+    ``convex_perturbed`` (over that base) coordinate, by one sequence of
+    operations: on arrays, with ``where`` = np.where, or on one
+    coordinate's floats, with ``_where``, where it gives the same bits."""
+    if kind == QUADRATIC:
         # stationarity per coordinate: w (v - b) + m (v - u) / delta = 0
-        return (mw * U + delta * w * b) / (mw + delta * w)
-    w = np.asarray(spec.base.weights)
-    b = np.asarray(spec.base.center)
-    a = mw / delta
+        return (m * u + delta * w * b) / (m + delta * w)
+    a = m / delta
     # per coordinate: w (v - b) + a (v - u) + eps sign(v) = 0, else v = 0
-    num = w * b + a * U
+    num = w * b + a * u
     den = w + a
     v_plus = (num - eps) / den
     v_minus = (num + eps) / den
-    return np.where(v_plus > 0, v_plus, np.where(v_minus < 0, v_minus, 0.0))
+    return where(v_plus > 0, v_plus, where(v_minus < 0, v_minus, 0.0))
+
+
+def _where(condition, a, b):
+    """np.where on one coordinate's floats; a comparison with nan is False
+    in both, so a nan minimizer falls to the last branch."""
+    return a if condition else b
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +422,10 @@ def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
 
     The row then weighs the stay-put guard v = u, which keeps the descent
     property.  If the minimizer and the guard are within ``local_tol`` of
-    each other and more than ``tie_gap`` apart (at any distance for a None
-    ``tie_gap``), the row keeps both for ``prox_batch`` to rank.  Otherwise
-    it keeps the one that ``_precedes`` the other.  Returns the kept point,
+    each other and more than ``tie_gap`` apart (at any distance but 0, where
+    the guard is the minimizer, for a None ``tie_gap``), the row keeps both
+    for ``prox_batch`` to rank.  Otherwise it keeps the one that
+    ``_precedes`` the other.  Returns the kept point,
     its objective value (as ``_objective`` values it) and its energy, then
     the guard's (value, energy) if the row keeps it as a second candidate,
     else None.
@@ -449,6 +473,7 @@ def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
     value_x = energy_x + m * diff * diff / (2.0 * delta)
     value_u = energy_u + 0.0        # the guard's d^2 / (2 delta) is 0
     if (value_x <= value_u + local_tol and value_u <= value_x + local_tol
+            and diff != 0.0
             and (tie_gap is None or math.sqrt(m * diff * diff) > tie_gap)):
         return x, value_x, energy_x, (value_u, energy_u)
     if value_x < value_u or _precedes((value_x, m * (diff * diff), x),
@@ -465,7 +490,7 @@ def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
     ``_select`` and ``_near_ties`` would make of a row's minimizer and
     guard: one candidate, unless its guard is a near tie.  In nD a
     coordinate's guard may join a near tie of the whole problem at any
-    distance, so ``_separable_nd`` passes None there.  Returns the
+    distance but 0, so ``_separable_nd`` passes None there.  Returns the
     candidates' rows, points, objective values and energies: each row's
     first candidate in row order, then the guards of the rows that keep
     two.

@@ -21,7 +21,7 @@ import numpy as np
 from .energy import EnergySpec, eval_many
 from .errors import CoverageGapError, EvaluationError, MaxslopeError
 from .metric import Point, SpaceDescriptor, squared_distances
-from .prox import ProxSettings, newton_stepper, prox_batch
+from .prox import ProxSettings, prox_batch, stepper
 
 # Problems per prox_batch call in build_interpolant.  Large enough that
 # numpy's per-call overhead is shared by many rows, small enough that the
@@ -139,26 +139,28 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
             f"S={params.initial_energy_bound_S:g}"
         )
 
-    # Each step starts from the last, so the steps are B = 1 solves: on the
-    # Newton route by the stepper, else (or for a step that keeps a guard)
-    # by prox_batch.
+    # Each step starts from the last, so the steps are B = 1 solves on
+    # Python floats: by the stepper, else (on the grid route, or for a step
+    # that keeps a guard) by prox_batch.
     n_steps = int(math.ceil(params.horizon_T / params.tau))
-    step = newton_stepper(spec, params.eps, params.tau, params.prox_settings)
+    step = stepper(spec, params.eps, params.tau, params.prox_settings)
     tau = np.array([params.tau])
     coords = np.empty((n_steps + 1, space.dimension))
     energies, dists = np.empty(n_steps + 1), np.empty(n_steps)
     coords[0], energies[0] = u0.array, e0
+    u = u0.array.tolist()
     for i in range(n_steps):
         try:
-            found = None if step is None else step(coords[i])
+            found = None if step is None else step(u)
             if found is None:
                 res = prox_batch(spec, params.eps, tau, coords[i:i + 1],
                                  params.prox_settings)
-                found = res.minimizers[0], res.energies[0], res.moved[0]
+                found = (res.minimizers[0].tolist(), float(res.energies[0]),
+                         float(res.moved[0]))
             u, energy, dist = found
-            if not np.isfinite(u).all():
-                raise EvaluationError(f"prox minimizer {u.tolist()} is not finite",
-                                      point=u)
+            if not all(map(math.isfinite, u)):
+                raise EvaluationError(f"prox minimizer {u} is not finite",
+                                      point=np.array(u))
         except MaxslopeError as exc:
             raise SchemeStepError(i, exc) from exc
         coords[i + 1], energies[i + 1], dists[i] = u, energy, dist

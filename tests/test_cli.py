@@ -578,6 +578,22 @@ class TestCheckCommand:
         assert "'sequence'" in first and "'limit_v'" in first and says in first
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("build", [condition_h_config, maximal_slope_config],
+                             ids=["condition_h", "maximal_slope"])
+    def test_energy_without_limit_family_is_config_error(self, tmp_path, capsys,
+                                                         monkeypatch, build):
+        # both checks compare against the limit as eps -> 0, which a
+        # custom_smooth energy does not declare: refused before any solve
+        monkeypatch.setattr("maxslope.regimes.run_sweep",
+                            lambda *args, **kwargs: pytest.fail("sweep ran"))
+        doc = build(tmp_path / "out")
+        doc["energy"] = {"kind": "custom_smooth", "expression": "0.5*x^2"}
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("config error:")
+        assert "'custom_smooth'" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_maximal_slope(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, maximal_slope_config(out))

@@ -40,8 +40,8 @@ from maxslope.prox import (
     _separable_nd,
     _shortlist,
     _zoom_1d,
-    newton_stepper,
     prox_batch,
+    stepper,
 )
 from maxslope.scheme import SchemeParams, build_interpolant, run_scheme
 
@@ -571,69 +571,79 @@ class TestNewtonRoute:
 
 
 class TestNewtonStepper:
-    """The scheme's B = 1 step on the Newton row kernel against
-    ``prox_batch``, bit for bit, and its fall-backs."""
+    """The scheme's B = 1 stepper, on the closed forms and the Newton row
+    kernel, against ``prox_batch``, bit for bit, and its fall-backs."""
 
     @staticmethod
     def assert_step_matches(spec, eps, delta, u, prox_settings):
-        """The stepper's step from ``u`` is ``prox_batch``'s, or None where
-        ``prox_batch`` ranks more than one candidate.  Returns the step."""
-        step = newton_stepper(spec, eps, delta, prox_settings)
+        """The stepper's step from ``u`` is ``prox_batch``'s, sign bits
+        included, or None where ``prox_batch`` ranks more than one
+        candidate.  Returns the step."""
+        step = stepper(spec, eps, delta, prox_settings)
         mw = spec.domain.metric_weights()
         if step is None:
             assert not (curvature_floors(spec, eps) + mw / delta > 0).all()
             return None
-        u = np.asarray(u, dtype=float)
+        u = [float(v) for v in u]
         found = step(u)
         if found is None:
-            rows, *_ = _separable_nd(spec, eps, np.array([delta]), u[None, :], mw,
+            rows, *_ = _separable_nd(spec, eps, np.array([delta]), np.array([u]), mw,
                                      prox_settings)
             assert rows.size > 1
             return None
         x, energy, moved = found
         res = prox_batch(spec, eps, [delta], [u], prox_settings)
-        assert tuple(x) == tuple(res.minimizers[0])
-        assert energy == res.energies[0]
-        assert moved == res.moved[0]
+        assert list(map(float.hex, x)) == list(map(float.hex, res.minimizers[0].tolist()))
+        assert float.hex(energy) == float.hex(float(res.energies[0]))
+        assert float.hex(moved) == float.hex(float(res.moved[0]))
         return found
 
-    @pytest.mark.parametrize("family", ["quadratic", "wiggly"])
+    @pytest.mark.parametrize("family", ["quadratic", "wiggly", "closed_quadratic",
+                                        "convex_perturbed"])
     @pytest.mark.parametrize("n", [1, 2, 3, 9])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_matches_prox_batch(self, family, n, data):
         if data.draw(st.booleans(), label="weighted"):
             space = SpaceDescriptor(n, metric_kind="diagonal_weighted", weights=tuple(
-                data.draw(st.lists(st.sampled_from([0.25, 1.0, 4.0]),
+                data.draw(st.lists(st.sampled_from([0.25, 1.0, 4.0]) | st.floats(0.1, 10.0),
                                    min_size=n, max_size=n), label="metric")))
         else:
             space = SpaceDescriptor(n)
-        center = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+        center = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-0.5, 0.5),
                                     min_size=n, max_size=n), label="center")
         weights = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n),
                             label="weights")
         spec = quadratic(space, weights, center)
         if family == "wiggly":
             spec = wiggly(spec)
+        elif family == "convex_perturbed":
+            spec = convex_perturbed(spec)
         eps = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.3, 1.0]), label="eps")
         delta = data.draw(st.sampled_from([1e-4, 1e-3, 2.5e-3, 0.01, 0.1, 1.0])
-                          | st.floats(1e-6, 1.0), label="delta")
+                          | st.floats(1e-6, 100.0), label="delta")
         offsets = data.draw(st.lists(st.floats(0.01, 1.0) | st.floats(-1.0, -0.01),
                                      min_size=n, max_size=n), label="offsets")
         u = [c + d for c, d in zip(center, offsets)]
-        # a coordinate at its centre has its minimizer at u: a guard tie
-        at_center = data.draw(st.none() | st.integers(0, n - 1), label="at_center")
-        if at_center is not None:
-            u[at_center] = center[at_center]
-        self.assert_step_matches(spec, eps, delta, u, NUMERIC)
+        # a coordinate at its centre has its minimizer at u: a guard tie on
+        # the Newton route; one on the kink of eps |x| (+-0), or within eps of
+        # it, has its minimizer at 0
+        at = data.draw(st.none() | st.integers(0, n - 1), label="at")
+        if at is not None:
+            u[at] = data.draw(st.sampled_from([center[at], 0.0, -0.0])
+                              | st.floats(-eps, eps), label="u_at")
+        closed = family in ("closed_quadratic", "convex_perturbed")
+        found = self.assert_step_matches(spec, eps, delta, u,
+                                         DEFAULTS if closed else NUMERIC)
+        assert found is not None or not closed
 
     def test_flat_2d_guard_falls_back(self):
         # TestAgainstCoordinateLoop's flat rows: from u = 0 each coordinate
         # keeps its guard, and the corner u is a near tie only the nD
         # ranking finds, so the step is prox_batch's.
         spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [0.025, 0.025])
-        step = newton_stepper(spec, 1.0, 1e6, NUMERIC)
-        assert step(np.array([0.0, 0.0])) is None
+        step = stepper(spec, 1.0, 1e6, NUMERIC)
+        assert step([0.0, 0.0]) is None
         assert prox_batch(spec, 1.0, [1e6], [[0.0, 0.0]], NUMERIC).near_tie[0]
         assert self.assert_step_matches(spec, 1.0, 1e6, [0.0, 0.0], NUMERIC) \
             is None
@@ -641,28 +651,43 @@ class TestNewtonStepper:
     def test_1d_near_tie_falls_back(self):
         # TestNewtonRoute's flat row: its guard is a near tie
         spec = quadratic(LINE, [1e-8], [0.3])
-        assert newton_stepper(spec, 1.0, 1e6, NUMERIC)(np.array([0.0])) is None
+        assert stepper(spec, 1.0, 1e6, NUMERIC)([0.0]) is None
         assert self.assert_step_matches(spec, 1.0, 1e6, [0.0], NUMERIC) is None
 
+    def test_closed_form_minimizers_on_the_kink(self):
+        # eps |x| pins both coordinates at 0 from u on the kink and from u
+        # within the threshold
+        spec = FAMILIES["weighted_2d_convex_perturbed"][0]
+        for u in ([0.0, -0.0], [-0.0, 1e-4], [1e-4, -1e-4]):
+            x, _, _ = self.assert_step_matches(spec, 0.1, 0.01, u, DEFAULTS)
+            assert list(map(float.hex, x)) == [float.hex(0.0)] * 2
+        # a step size so small that m / delta overflows: inf / inf is nan,
+        # which np.where sends to 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, _, _ = self.assert_step_matches(spec, 0.1, 1e-320, [1.0, -1.0], DEFAULTS)
+        assert list(map(float.hex, x)) == [float.hex(0.0)] * 2
+        # the quadratic keeps a -0.0 minimizer where numpy does
+        spec = quadratic(SpaceDescriptor(2), [1.0, 2.0], [-0.0, 0.0])
+        x, _, _ = self.assert_step_matches(spec, 1.0, 0.1, [-0.0, -0.0], DEFAULTS)
+        assert list(map(float.hex, x)) == [float.hex(-0.0), float.hex(0.0)]
+
     @pytest.mark.parametrize("spec, eps, delta, prox_settings", [
-        (quadratic(LINE, [1.0], [0.0]), 1.0, 0.1, DEFAULTS),        # closed form
-        (FAMILIES["weighted_2d_convex_perturbed"][0], 0.1, 0.01, DEFAULTS),
         (FAMILIES["convex_perturbed"][0], 0.1, 0.01, NUMERIC),    # no floor
         (FAMILIES["custom_smooth"][0], 0.05, 0.0025, DEFAULTS),
         # 1 - 1 / 0.05 + 1 / 0.1 < 0: not convex
         (FAMILIES["wiggly"][0], 0.05, 0.1, DEFAULTS),
         (wiggly(quadratic(SpaceDescriptor(2), [1.0, 30.0], [0.0, 0.0])), 0.05,
          0.1, DEFAULTS),
-    ], ids=["quadratic", "convex_perturbed", "convex_perturbed_numeric",
-            "custom_smooth", "wiggly_grid", "wiggly_2d_one_grid_row"])
+    ], ids=["convex_perturbed_numeric", "custom_smooth", "wiggly_grid",
+            "wiggly_2d_one_grid_row"])
     def test_no_stepper_off_the_newton_route(self, spec, eps, delta, prox_settings):
-        assert newton_stepper(spec, eps, delta, prox_settings) is None
+        assert stepper(spec, eps, delta, prox_settings) is None
 
     def test_budget_error_is_prox_batch_error(self):
         spec, eps, _, _ = FAMILIES["wiggly"]
         budget = ProxSettings(max_iters=1)
         with pytest.raises(BudgetExhaustedError) as stepped:
-            newton_stepper(spec, eps, eps ** 2, budget)(np.array([0.5]))
+            stepper(spec, eps, eps ** 2, budget)([0.5])
         with pytest.raises(BudgetExhaustedError) as batched:
             prox_batch(spec, eps, [eps ** 2], [[0.5]], budget)
         assert str(stepped.value) == str(batched.value) == (
@@ -677,7 +702,7 @@ class TestNewtonStepper:
     ], ids=["inf", "nan"])
     def test_window_error_is_prox_batch_error(self, spec, eps, delta, u, radius):
         with pytest.raises(EvaluationError) as stepped:
-            newton_stepper(spec, eps, delta, NUMERIC)(np.array([u]))
+            stepper(spec, eps, delta, NUMERIC)([u])
         with pytest.raises(EvaluationError) as batched:
             prox_batch(spec, eps, [delta], [[u]], NUMERIC)
         assert str(stepped.value) == str(batched.value)

@@ -1,5 +1,5 @@
 import csv
-import dataclasses
+import hashlib
 import json
 import math
 
@@ -104,6 +104,13 @@ RUNS = {
         eps=0.05, tau=0.01, horizon_T=1.0,
         initial_point=pt(0.5, -0.1, 0.2, 0.7, -0.6, 0.3, 0.05, -0.9, 0.35),
         prox_settings=ProxSettings(mode=MULTISTART_NUMERIC))),
+    # coordinate 1 starts at its centre and stays there: its guard is its
+    # minimizer, at distance 0, so no step needs prox_batch's ranking
+    "centred_3d": (quadratic(SpaceDescriptor(3, metric_kind="diagonal_weighted",
+                                             weights=(4.0, 1.0, 2.0)),
+                             [1.0, 2.0, 4.0], [0.3, -0.2, 0.1]), SchemeParams(
+        eps=0.05, tau=0.01, horizon_T=1.0, initial_point=pt(1.0, -0.2, 0.5),
+        prox_settings=ProxSettings(mode=MULTISTART_NUMERIC))),
 }
 
 
@@ -165,7 +172,8 @@ class TestArrayTrajectory:
         assert np.array_equal(traj.step_distances, dists)
 
     @pytest.mark.parametrize("name, fallbacks", [("wiggly_2d", (0, 0)),
-                                                 ("multistart_9d", (1, 99))])
+                                                 ("multistart_9d", (1, 99)),
+                                                 ("centred_3d", (0, 0))])
     def test_stepper_hands_tied_steps_to_prox_batch(self, name, fallbacks,
                                                      monkeypatch):
         calls = []
@@ -179,6 +187,19 @@ class TestArrayTrajectory:
         assert run_scheme(spec, params).n_steps == 100
         assert fallbacks[0] <= len(calls) <= fallbacks[1]
 
+    def test_centred_run_keeps_its_trajectory(self):
+        # sha256 of the little-endian coords, energies and distances of the
+        # run when all of its steps went through prox_batch; a quadratic's
+        # Newton steps use + - * / and sqrt only, so any IEEE platform
+        # gives these bytes
+        traj = run_scheme(*RUNS["centred_3d"])
+        digest = hashlib.sha256()
+        for arr in (traj.coords, traj.step_energies, traj.step_distances):
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "43d266a91e9bc8d4866ea01bd7728a4a9ef973c6f57ea1ae7d10bceeeeb59fff")
+        assert (traj.coords[:, 1] == -0.2).all()
+
     def test_arrays_are_read_only(self, quad_traj):
         for arr in (quad_traj.coords, quad_traj.step_energies,
                     quad_traj.step_distances):
@@ -189,17 +210,19 @@ class TestArrayTrajectory:
 
     @staticmethod
     def nan_at_third_step(monkeypatch):
+        # a closed-form run takes every step by the stepper
         calls = []
-        real = scheme.prox_batch
+        real = scheme.stepper
 
-        def fake(*args, **kwargs):
-            res = real(*args, **kwargs)
-            calls.append(1)
-            if len(calls) == 3:
-                res = dataclasses.replace(res, minimizers=np.full_like(
-                    res.minimizers, np.nan))
-            return res
-        monkeypatch.setattr(scheme, "prox_batch", fake)
+        def fake(*args):
+            step = real(*args)
+
+            def nan_step(u):
+                x, energy, moved = step(u)
+                calls.append(1)
+                return ([math.nan] * len(x) if len(calls) == 3 else x), energy, moved
+            return nan_step
+        monkeypatch.setattr(scheme, "stepper", fake)
 
     def test_non_finite_step_is_step_error(self, quad_1d, monkeypatch):
         self.nan_at_third_step(monkeypatch)
