@@ -42,9 +42,9 @@ EXIT_CHECK_FAILED = 3
 
 
 def write_json(obj: dict, path: Path) -> None:
+    text = json.dumps(obj, sort_keys=True, indent=2)   # one write, not one per token
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _make_outdir(out: Path) -> None:

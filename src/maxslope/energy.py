@@ -443,6 +443,24 @@ def coordinate_scalars(spec: EnergySpec, eps: float, j: int):
     return value, derivatives
 
 
+def coordinate_curvatures(spec: EnergySpec, eps: float, cols, X):
+    """(phi', phi'') of phi_cols[r] at each point of row r of ``X``, for
+    ``quadratic`` and ``wiggly``: ``coordinate_scalars``' derivatives on
+    arrays, in the same order of operations, so on the same numbers where
+    numpy's sin and cos round as libm's do."""
+    if spec.kind not in (QUADRATIC, WIGGLY):
+        raise CapabilityAbsentError(f"no closed-form curvature for kind {spec.kind!r}")
+    quad = spec if spec.kind == QUADRATIC else spec.base
+    w = _row_parameters(quad.weights, cols, X)
+    slope = w * (X - _row_parameters(quad.center, cols, X))
+    if spec.kind == QUADRATIC:
+        return slope, w
+    eps = float(eps)
+    a = spec.amplitude_scale
+    t = X / eps
+    return slope - a * np.sin(t), w - a / eps * np.cos(t)
+
+
 def row_sum(terms) -> float:
     """The sum of a list of floats as numpy 2.x sums a contiguous (1, n) row
     along axis 1: 0.0 plus numpy's pairwise sum.  Below 8 terms that is a

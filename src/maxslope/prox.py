@@ -13,14 +13,17 @@ certifies from its coordinate's energy floor, or a heuristic one for
 ``custom_smooth``, and takes one of two routes:
 
 * the Newton route, where the energy's curvature floor makes the
-  objective strictly convex: one row kernel, ``_newton_row``, does a
-  row's whole work on Python floats, from its window to a safeguarded
-  Newton iteration on the objective's derivative.  It weighs the stay-put
-  guard v = u itself and returns one candidate per row, two only when the
-  guard is within ``local_tol`` of the minimizer but not the minimizer
-  itself and, in a 1D problem, a near tie of it;
+  objective strictly convex: a row's window and a safeguarded Newton
+  iteration on the objective's derivative, each written once over a
+  row's floats or arrays of rows.  ``_newton_1d`` advances all rows of a
+  ``prox_batch`` call together as arrays; ``_newton_row`` runs the same
+  code on one row's Python floats.  Each weighs the stay-put guard v = u
+  itself and returns one candidate per row, two only when the guard is
+  within ``local_tol`` of the minimizer but not the minimizer itself and,
+  in a 1D problem, a near tie of it;
 * the grid route everywhere else: a recursive grid zoom that sizes its
-  rows' windows and advances them in one block per round.  Its
+  rows' windows and advances them, in chunks of ``_GRID_CHUNK`` rows, one
+  block per round.  Its
   first-round shortlist of ``_GRID_STARTS`` brackets and the stop rule of
   ``local_tol`` apply to this route only.
 
@@ -31,7 +34,7 @@ deterministic so that whole trajectories are reproducible.
 The scheme's steps are B = 1 problems, one after another, where numpy's
 per-call cost would be most of a step.  ``stepper`` solves such a step on
 Python floats when it has a single answer: a closed form, evaluated per
-coordinate, or every coordinate on the Newton route's row kernel.  It
+coordinate, or every coordinate by ``_newton_row``.  It
 leaves a step that keeps a guard as a second candidate, and every step on
 the grid route, to ``prox_batch``.
 """
@@ -47,6 +50,7 @@ from .energy import (
     CONVEX_PERTURBED,
     QUADRATIC,
     EnergySpec,
+    coordinate_curvatures,
     coordinate_derivatives,
     coordinate_scalars,
     coordinate_values,
@@ -336,6 +340,11 @@ def _where(condition, a, b):
 _GRID_POINTS = 257
 # Brackets the grid route's first round keeps per window.
 _GRID_STARTS = 3
+# Rows the grid route zooms together.  A chunk's work arrays are at most
+# (_GRID_STARTS * 64, 257) floats, about 0.4 MB each, however many rows a
+# prox_batch call brings: a block of all 3200 nodes of a 400-step 1D run
+# in one zoom took +64 MB of peak memory.
+_GRID_CHUNK = 64
 _GRID_STEPS = np.arange(_GRID_POINTS, dtype=float)
 
 
@@ -363,7 +372,8 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings, tie_gap=None):
     searches u +- 2 max(1, delta |phi'(u)|).  A row whose objective has a
     positive curvature floor (phi_j'' >= kappa_j with kappa_j + m / delta
     > 0) is strictly convex there and takes ``_newton_1d``; every other row
-    takes ``_grid_zoom_1d``.  Each route sizes its rows' windows itself.
+    takes ``_grid_zoom_1d``.  Each route sizes its rows' windows itself, by
+    ``_certified_window`` where the family has floors.
 
     Returns the candidates' rows, points, objective values and energies
     phi_j.  Every row also weighs the stay-put guard v = u, which keeps the
@@ -394,38 +404,96 @@ def _window_error(u, delta, radius):
         f"is not finite (radius {radius:g})", point=np.array([u]))
 
 
+def _certified_window(energy_u, floor, u, delta, m, sqrt, where):
+    """The certified window u +- radius of a row with energy ``energy_u`` at
+    its base point: radius = sqrt(2 delta (phi(u) - floor + slack) / m), nan
+    where the square is negative or nan.  Also the size below which a Newton
+    step is at round-off: ``_NEWTON_TOL`` on the scale max(1, |u| + radius)
+    of the bracket.  One sequence of operations on a row's floats
+    (``math.sqrt``, ``_where``) or on arrays of rows (``np.sqrt``,
+    ``np.where``)."""
+    slack = _WINDOW_SLACK * (1.0 + abs(energy_u) + abs(floor))
+    square = 2.0 * delta * (energy_u - floor + slack) / m
+    radius = sqrt(where(square >= 0.0, square, math.nan))
+    scale = abs(u) + radius
+    return radius, _NEWTON_TOL * where(scale > 1.0, scale, 1.0)
+
+
+def _rtsafe_step(slope, curvature, c, u, x, lo, hi, step_old, step, where):
+    """One iterate of safeguarded Newton (rtsafe: Press et al., Numerical
+    Recipes, 3rd ed., section 9.4) on the root of the increasing
+    F(v) = phi'(v) + c (v - u), from ``x`` with phi'(x) = ``slope`` and
+    phi''(x) = ``curvature``, inside the bracket [lo, hi].
+
+    A step that would leave the bracket, or that is more than half the
+    step before last, is a bisection step instead.  ``step_old`` and
+    ``step`` are the sizes of the last two steps.  Returns the next x, the
+    bracket and the sizes of the last two steps.  One sequence of
+    operations on a row's floats, with ``where`` = ``_where``, or on arrays
+    of rows, with ``np.where``.
+    """
+    f = slope + c * (x - u)
+    # F(x) < 0 puts the root above x, else at or below it (a nan F shrinks
+    # the bracket towards lo, so the iteration still ends)
+    below = f < 0
+    lo = where(below, x, lo)
+    hi = where(below, hi, x)
+    newton_step = f / (curvature + c)
+    newton = x - newton_step
+    size = abs(newton_step)
+    half = 0.5 * (hi - lo)
+    take = (size <= 0.5 * step_old) & (lo <= newton) & (newton <= hi)
+    return where(take, newton, lo + half), lo, hi, step, where(take, size, half)
+
+
+def _budget_error(max_iters):
+    """The error of a Newton row still moving after ``max_iters`` iterates."""
+    return BudgetExhaustedError(
+        f"1D prox Newton iteration did not converge within "
+        f"{max_iters} evaluations (budget {max_iters})")
+
+
+def _guard_ties(value_x, value_u, diff, m, local_tol, tie_gap, sqrt):
+    """Whether a Newton row keeps its guard v = u as a second candidate
+    beside its minimizer x = u + ``diff``: their values are within
+    ``local_tol`` of each other, x is not u, and (unless ``tie_gap`` is
+    None) x is more than ``tie_gap`` away.  On floats or arrays."""
+    tie = ((value_x <= value_u + local_tol) & (value_u <= value_x + local_tol)
+           & (diff != 0.0))
+    if tie_gap is None:
+        return tie
+    return tie & (sqrt(m * diff * diff) > tie_gap)
+
+
 def _members(spec, eps):
     """Each coordinate's (phi_j, x -> (phi_j'(x), phi_j''(x)), energy floor),
-    the Newton route's view of a family with a curvature floor."""
+    the float kernel's view of a family with a curvature floor."""
     return [(*coordinate_scalars(spec, eps, j), floor)
             for j, floor in enumerate(energy_floors(spec, eps).tolist())]
 
 
 def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
-    """The Newton route's whole work on one coordinate row, on Python floats.
+    """The Newton route's whole work on one coordinate row, on Python
+    floats: the kernel of B = 1 steps, where numpy's per-call cost would be
+    most of the row.  ``_newton_1d`` runs the same window and iterate on
+    arrays of rows and gives every row what this gives it.
 
     The row minimizes phi(v) + m (v - u)^2 / (2 delta), for the coordinate
     ``member`` = (phi, derivatives, floor) of ``_members``, whose curvature
-    floor makes that strictly convex.  Its certified window is
-    u +- sqrt(2 delta (phi(u) - floor + slack) / m), as ``_zoom_1d`` gives
-    it; a window that is not finite raises ``EvaluationError``.
+    floor makes that strictly convex.  Its window is ``_certified_window``'s,
+    as ``_zoom_1d`` states it; a window that is not finite raises
+    ``EvaluationError``.
 
-    Safeguarded Newton iteration (rtsafe: Press et al., Numerical Recipes,
-    3rd ed., section 9.4) then finds the root of the objective's derivative
-    F(v) = phi'(v) + c (v - u), c = m / delta, which is increasing, inside
-    the window.  A step that would leave the bracket, or that is more than
-    half the step before last, is a bisection step instead.  The iteration
-    stops once its step is at round-off on the scale max(1, |u| + radius)
-    of the bracket.  Each iterate costs one evaluation of phi' and phi''
-    against the budget ``iterations``, range(max_iters) of the settings,
-    and ``BudgetExhaustedError`` ends a row that runs out.
+    ``_rtsafe_step`` then finds the root of the objective's derivative
+    F(v) = phi'(v) + c (v - u), c = m / delta, inside the window, until its
+    step is at round-off.  Each iterate costs one evaluation of phi' and
+    phi'' against the budget ``iterations``, range(max_iters) of the
+    settings, and ``BudgetExhaustedError`` ends a row that runs out.
 
     The row then weighs the stay-put guard v = u, which keeps the descent
-    property.  If the minimizer and the guard are within ``local_tol`` of
-    each other and more than ``tie_gap`` apart (at any distance but 0, where
-    the guard is the minimizer, for a None ``tie_gap``), the row keeps both
-    for ``prox_batch`` to rank.  Otherwise it keeps the one that
-    ``_precedes`` the other.  Returns the kept point,
+    property.  If ``_guard_ties`` (at any distance but 0 for a None
+    ``tie_gap``), the row keeps both for ``prox_batch`` to rank.  Otherwise
+    it keeps the one that ``_precedes`` the other.  Returns the kept point,
     its objective value (as ``_objective`` values it) and its energy, then
     the guard's (value, energy) if the row keeps it as a second candidate,
     else None.
@@ -435,46 +503,25 @@ def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
         energy_u = phi(u)
     except ValueError:              # cos of an infinite u / eps, nan in numpy
         energy_u = math.nan
-    slack = _WINDOW_SLACK * (1.0 + abs(energy_u) + abs(floor))
-    square = 2.0 * delta * (energy_u - floor + slack) / m
-    radius = math.sqrt(square) if square >= 0.0 else math.nan
+    radius, tol = _certified_window(energy_u, floor, u, delta, m, math.sqrt, _where)
     x, lo, hi = u, u - radius, u + radius
     step_old = step = hi - lo       # sizes of the last two steps
     if not math.isfinite(step):
         raise _window_error(u, delta, radius)
     c = m / delta
-    scale = abs(u) + radius
-    tol = _NEWTON_TOL * (scale if scale > 1.0 else 1.0)
     for _ in iterations:
         slope, curvature = derivatives(x)
-        f = slope + c * (x - u)
-        # F(x) < 0 puts the root above x, else at or below it (a nan F
-        # shrinks the bracket towards lo, so the iteration still ends)
-        if f < 0:
-            lo = x
-        else:
-            hi = x
-        newton_step = f / (curvature + c)
-        newton = x - newton_step
-        size = abs(newton_step)
-        if size <= 0.5 * step_old and lo <= newton <= hi:
-            x, step_old, step = newton, step, size
-        else:
-            half = 0.5 * (hi - lo)
-            x, step_old, step = lo + half, step, half
+        x, lo, hi, step_old, step = _rtsafe_step(slope, curvature, c, u, x, lo, hi,
+                                                 step_old, step, _where)
         if step <= tol:
             break
     else:
-        raise BudgetExhaustedError(
-            f"1D prox Newton iteration did not converge within "
-            f"{len(iterations)} evaluations (budget {len(iterations)})")
+        raise _budget_error(len(iterations))
     diff = x - u
     energy_x = phi(x)
     value_x = energy_x + m * diff * diff / (2.0 * delta)
     value_u = energy_u + 0.0        # the guard's d^2 / (2 delta) is 0
-    if (value_x <= value_u + local_tol and value_u <= value_x + local_tol
-            and diff != 0.0
-            and (tie_gap is None or math.sqrt(m * diff * diff) > tie_gap)):
+    if _guard_ties(value_x, value_u, diff, m, local_tol, tie_gap, math.sqrt):
         return x, value_x, energy_x, (value_u, energy_u)
     if value_x < value_u or _precedes((value_x, m * (diff * diff), x),
                                       (value_u, 0.0, u)):   # common case inline
@@ -483,8 +530,16 @@ def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
 
 
 def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
-    """``_newton_row`` on every row, one after another, so each row gets
-    what it gets alone.
+    """``_newton_row`` on all rows at once: the same window, iterate and
+    guard on float64 arrays, so each row gets what it gets alone.
+
+    Every row takes its iterates together with the others and is frozen
+    once its step is at round-off.  Of the rows that fail, the first in
+    row order raises its error: ``EvaluationError`` for a window that is
+    not finite, else ``BudgetExhaustedError`` for a row still moving after
+    ``max_iters`` iterates.  A row's guard goes by ``_guard_ties`` and, where
+    the values of its minimizer and guard neither differ nor tie, by
+    ``_precedes``.
 
     With ``tie_gap = _tie_gap(local_tol)`` a 1D problem gets what
     ``_select`` and ``_near_ties`` would make of a row's minimizer and
@@ -495,30 +550,77 @@ def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
     first candidate in row order, then the guards of the rows that keep
     two.
     """
-    members = _members(spec, eps)
-    iterations, local_tol = range(settings.max_iters), settings.local_tol
-    # each row's first candidate, then the guards kept as second ones
-    xs, vals, energies = [], [], []
-    tie_rows, tie_vals, tie_energies = [], [], []
-    for r, (j, delta, ur, mr) in enumerate(zip(
-            cols.tolist(), deltas.tolist(), u.tolist(), m.tolist())):
-        x, value, energy, guard = _newton_row(members[j], ur, delta, mr, iterations,
-                                              local_tol, tie_gap)
-        if guard is not None:       # the minimizer first, the guard second
-            tie_rows.append(r)
-            tie_vals.append(guard[0])
-            tie_energies.append(guard[1])
-        xs.append(x)
-        vals.append(value)
-        energies.append(energy)
-    if tie_rows:
-        rows = np.concatenate([np.arange(u.size), tie_rows])
-        return (rows, np.concatenate([xs, u[tie_rows]]), np.array(vals + tie_vals),
-                np.array(energies + tie_energies))
-    return np.arange(u.size), np.array(xs), np.array(vals), np.array(energies)
+    # nan and inf as the float kernel meets them; a failing row is reported
+    # below, and the values of the others do not depend on it
+    with np.errstate(all="ignore"):
+        energy_u = coordinate_values(spec, eps, cols, u)
+        radius, tol = _certified_window(energy_u, energy_floors(spec, eps)[cols], u,
+                                        deltas, m, np.sqrt, np.where)
+        lo, hi = u - radius, u + radius
+        step = hi - lo
+        finite = np.isfinite(step)
+        # The live rows: their iterate, bracket and last two step sizes,
+        # and their coordinate, u, c = m / delta and round-off stop.
+        live = np.flatnonzero(finite)
+        state = [u[live], lo[live], hi[live], step[live], step[live]]
+        row = [cols[live], u[live], (m / deltas)[live], tol[live]]
+        x = u.copy()
+        for _ in range(settings.max_iters):
+            if not live.size:
+                break
+            j, u_live, c, stop = row
+            slope, curvature = coordinate_curvatures(spec, eps, j, state[0])
+            state = _rtsafe_step(slope, curvature, c, u_live, *state, np.where)
+            done = state[4] <= stop
+            if done.any():          # freeze these rows at their iterate
+                x[live[done]] = state[0][done]
+                go = ~done
+                live = live[go]
+                state = [a[go] for a in state]
+                row = [a[go] for a in row]
+        failed = np.concatenate([np.flatnonzero(~finite), live])
+        if failed.size:
+            r = failed.min()
+            if finite[r]:
+                raise _budget_error(settings.max_iters)
+            raise _window_error(u[r].item(), deltas[r].item(), radius[r].item())
+        diff = x - u
+        energy_x = coordinate_values(spec, eps, cols, x)
+        value_x = energy_x + m * diff * diff / (2.0 * deltas)
+        value_u = energy_u + 0.0
+        tie = _guard_ties(value_x, value_u, diff, m, settings.local_tol, tie_gap, np.sqrt)
+    # the clear cases by value, the others (equal values, a nan) by _precedes
+    stay = ~tie & (value_u < value_x)
+    for r in np.flatnonzero(~tie & ~(value_x < value_u) & ~(value_u < value_x)).tolist():
+        d = diff[r].item()
+        stay[r] = not _precedes((value_x[r].item(), m[r].item() * (d * d), x[r].item()),
+                                (value_u[r].item(), 0.0, u[r].item()))
+    points = np.where(stay, u, x)
+    values = np.where(stay, value_u, value_x)
+    energies = np.where(stay, energy_u, energy_x)
+    rows = np.arange(u.size)
+    if tie.any():                   # the minimizer first, the guard second
+        t = np.flatnonzero(tie)
+        return (np.concatenate([rows, t]), np.concatenate([points, u[t]]),
+                np.concatenate([values, value_u[t]]),
+                np.concatenate([energies, energy_u[t]]))
+    return rows, points, values, energies
 
 
 def _grid_zoom_1d(spec, eps, cols, deltas, u, m, settings):
+    """``_grid_zoom_rows`` on each chunk of ``_GRID_CHUNK`` rows in turn.
+    Returns the candidates' rows, points, objective values and energies,
+    chunk by chunk."""
+    parts = []
+    for s in range(0, u.size, _GRID_CHUNK):
+        chunk = slice(s, s + _GRID_CHUNK)
+        rows, *found = _grid_zoom_rows(spec, eps, cols[chunk], deltas[chunk], u[chunk],
+                                       m[chunk], settings)
+        parts.append((rows + s, *found))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _grid_zoom_rows(spec, eps, cols, deltas, u, m, settings):
     """Recursive grid zoom on each row's window with a shortlist of the best
     brackets.
 
@@ -542,8 +644,8 @@ def _grid_zoom_1d(spec, eps, cols, deltas, u, m, settings):
         else:
             floor = floor[cols]
             energy_u = coordinate_values(spec, eps, cols, u)
-            slack = _WINDOW_SLACK * (1.0 + np.abs(energy_u) + np.abs(floor))
-            radius = np.sqrt(2.0 * deltas * (energy_u - floor + slack) / m)
+            radius, _ = _certified_window(energy_u, floor, u, deltas, m, np.sqrt,
+                                          np.where)
         finite = np.isfinite((u + radius) - (u - radius))
     if not finite.all():
         r = np.flatnonzero(~finite)[0]

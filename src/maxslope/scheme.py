@@ -12,7 +12,6 @@ along the interpolant.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -23,12 +22,24 @@ from .errors import CoverageGapError, EvaluationError, MaxslopeError
 from .metric import Point, SpaceDescriptor, squared_distances
 from .prox import ProxSettings, prox_batch, stepper
 
-# Problems per prox_batch call in build_interpolant.  Large enough that
-# numpy's per-call overhead is shared by many rows, small enough that the
-# zoom's (3 * 64, 257) work arrays stay near half a megabyte.  On the
-# 400-step wiggly run (eps = 0.05, tau = eps^2) 64 was the fastest of
-# 8..3200, at +1.6 MB peak memory; one block of all 3200 nodes took +64 MB.
-INTERPOLANT_BLOCK = 64
+# Coordinate rows per prox_batch call in build_interpolant: a block holds
+# INTERPOLANT_BLOCK // n node problems of n coordinates (at least one).  The
+# grid route chunks its rows itself (prox._GRID_CHUNK), so its work arrays
+# do not grow with the block.  Measured on the 400-step wiggly run
+# (eps = 0.05, tau = eps^2, 3200 Newton-route nodes; 2-core VM, Python
+# 3.11, numpy 2.4.6): build_interpolant in-process, and the peak RSS that
+# the benchmark reports (perfbench/run.py, 10 s runs; mostly the heap that
+# its warm calls leave in the benchmark process):
+#   rows per block          64     256    512    1024   3200
+#   build_interpolant (ms)  11.2   4.0    2.9    2.0    1.6
+#   peak RSS (MB)           42.2   42.1   42.1   42.3   -
+# (medians of 6 to 21 runs).
+# 512 is as fast end to end as 1024, with less heap.  The block counts
+# rows, not problems, because an nD problem whose coordinates each keep
+# their guard is ranked over up to 2^n combinations: a 9D wiggly run in its
+# wells peaks at 36.1 MB with 64 problems a block, 35.3 MB with 56 (512
+# rows) and 47.8 MB with 1024 problems.
+INTERPOLANT_BLOCK = 512
 
 # Floats a run may hold in its arrays: the trajectory's (N + 1) n points,
 # N + 1 energies and N distances, at most (N + 1)(n + 2); the interpolant's
@@ -222,10 +233,10 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
     """Solve the prox on every quadrature node of every step.
 
     Once u^i is known the N * K node problems are independent, so they go
-    through ``prox_batch`` in blocks of ``INTERPOLANT_BLOCK``.  Node r is
-    node r % K of step r // K, so a block that starts at node s = q K + p
-    reads its step sizes, and its base rows' step offsets from q, from one
-    pattern starting at p.
+    through ``prox_batch`` in blocks of ``INTERPOLANT_BLOCK`` coordinate
+    rows.  Node r is node r % K of step r // K, so a block that starts at
+    node s = q K + p reads its step sizes, and its base rows' step offsets
+    from q, from one pattern starting at p.
     """
     K = nodes_per_step
     nodes, gl_weights = np.polynomial.legendre.leggauss(K)
@@ -233,13 +244,14 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
     weights = 0.5 * traj.tau * gl_weights
     n = traj.space.dimension
     N = traj.n_steps
-    offsets, k = np.divmod(np.arange(INTERPOLANT_BLOCK + K), K)
+    block = max(1, INTERPOLANT_BLOCK // n)
+    offsets, k = np.divmod(np.arange(block + K), K)
     delta_pattern = deltas[k]
     values = np.empty((N * K, n))
     g_values = np.empty(N * K)
     any_ties = False
-    for s in range(0, N * K, INTERPOLANT_BLOCK):
-        (q, p), m = divmod(s, K), min(INTERPOLANT_BLOCK, N * K - s)
+    for s in range(0, N * K, block):
+        (q, p), m = divmod(s, K), min(block, N * K - s)
         D = delta_pattern[p:p + m]
         res = prox_batch(spec, traj.eps, D, traj.coords[q:][offsets[p:p + m]],
                          prox_settings)
@@ -269,21 +281,13 @@ def g_squared_integral(interp: VariationalInterpolant, i: int, j: int) -> float:
 # ---------------------------------------------------------------------------
 
 def trajectory_to_csv(traj: DiscreteTrajectory, path) -> None:
-    """Columns: i, t, coords..., energy, step_distance (arriving step).
-
-    ``csv`` writes a float as ``repr``, the shortest text that reads back
-    as the same float.  Rows are converted one at a time, so no list of
-    the whole table is built.
-    """
+    """Columns: i, t, coords..., energy, step_distance (arriving step)."""
     n = traj.space.dimension
     header = ["i", "t"] + [f"x{j}" for j in range(n)] + ["energy", "step_distance"]
     steps = np.arange(traj.n_steps + 1)
-    table = np.column_stack([steps * traj.tau, traj.coords, traj.step_energies,
+    table = np.column_stack([steps, steps * traj.tau, traj.coords, traj.step_energies,
                              np.concatenate([[0.0], traj.step_distances])])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([i, *row.tolist()] for i, row in enumerate(table))
+    _write_csv(path, header, table, "%d" + ",%r" * (n + 3) + "\n")
 
 
 def interpolant_to_csv(interp: VariationalInterpolant, path) -> None:
@@ -292,7 +296,28 @@ def interpolant_to_csv(interp: VariationalInterpolant, path) -> None:
     header = ["t"] + [f"x{j}" for j in range(n)] + ["g_value"]
     table = np.column_stack([interp.node_times.ravel(), interp.values.reshape(-1, n),
                              interp.g_values.ravel()])
+    _write_csv(path, header, table, "%r" + ",%r" * (n + 1) + "\n")
+
+
+# Rows formatted per write by _write_csv.  Larger chunks are no faster (a
+# 3200-row interpolant.csv took 7.1-7.9 ms for 16 to 1024 rows a chunk),
+# but each holds its table's floats as Python objects: with 1024 rows a
+# process that had written the pinning run's files kept 0.1-0.2 MB more
+# heap than with 64.
+_CSV_CHUNK = 64
+
+
+def _write_csv(path, header, table, row_format) -> None:
+    """The header, then each row of ``table`` by ``row_format``, formatted
+    ``_CSV_CHUNK`` rows at a time, so no text of the whole table is built.
+
+    The bytes are those of ``csv.writer`` with "\n" line ends: it writes a
+    float as ``repr``, the shortest text that reads back as the same float
+    (and "nan", "inf" or "-inf"), an integer as ``%d`` does, and quotes none
+    of these fields or the header's names.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(row.tolist() for row in table)
+        fh.write(",".join(header) + "\n")
+        for s in range(0, len(table), _CSV_CHUNK):
+            chunk = table[s:s + _CSV_CHUNK]
+            fh.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))

@@ -11,6 +11,7 @@ from maxslope.energy import (
     _compile_expression,
     certify_well_posedness,
     convex_perturbed,
+    coordinate_curvatures,
     coordinate_derivatives,
     coordinate_scalars,
     coordinate_values,
@@ -143,6 +144,9 @@ class TestCoordinates:
         cols = np.arange(n)
         values = coordinate_values(spec, eps, cols, X)
         slopes = coordinate_derivatives(spec, eps, cols, X)
+        # the Newton route's array sweep evaluates (phi', phi'') by rows
+        first, second = (np.broadcast_to(d, X.shape)
+                         for d in coordinate_curvatures(spec, eps, cols, X))
         # where libm and numpy round sin or cos differently
         t = X / eps
         libm_differs = ((np.sin(t) != np.vectorize(math.sin)(t))
@@ -150,14 +154,19 @@ class TestCoordinates:
         a = spec.amplitude_scale if family == "wiggly" else 0.0
         for j in range(n):
             value, derivatives = coordinate_scalars(spec, eps, j)
-            for x, v, g, differs in zip(X[j].tolist(), values[j].tolist(),
-                                        slopes[j].tolist(), libm_differs[j].tolist()):
+            for x, v, g, g1, g2, differs in zip(
+                    X[j].tolist(), values[j].tolist(), slopes[j].tolist(),
+                    first[j].tolist(), second[j].tolist(), libm_differs[j].tolist()):
                 if differs and family == "wiggly":
                     assert abs(value(x) - v) <= 4 * math.ulp(max(abs(v), a * eps))
                     assert abs(derivatives(x)[0] - g) <= 4 * math.ulp(max(abs(g), a))
+                    assert abs(derivatives(x)[1] - g2) <= 4 * math.ulp(max(abs(g2), a / eps))
                 else:
                     assert value(x) == v
                     assert derivatives(x)[0] == g
+                    # the array sweep's (phi', phi''), sign bits included
+                    assert list(map(float.hex, derivatives(x))) == [float.hex(g1),
+                                                                    float.hex(g2)]
 
 
 class TestFloatSums:

@@ -34,11 +34,14 @@ from maxslope.prox import (
     _GRID_STARTS,
     ProxSettings,
     _lowest_minimum,
+    _members,
     _near_ties,
+    _newton_row,
     _precedes,
     _select,
     _separable_nd,
     _shortlist,
+    _tie_gap,
     _zoom_1d,
     prox_batch,
     stepper,
@@ -709,6 +712,130 @@ class TestNewtonStepper:
         assert str(stepped.value).endswith(f"is not finite (radius {radius})")
         assert list(stepped.value.point) == list(batched.value.point) == [u]
 
+
+class TestArraySweep:
+    """``_newton_1d`` advances all Newton rows of a ``prox_batch`` call
+    together as arrays; each row must get what the float kernel
+    ``_newton_row`` gives it alone.  On ``wiggly`` this rests, as
+    ``eval_scalar`` does, on numpy's float64 sin and cos rounding as libm's:
+    on a platform where they round apart, this test fails."""
+
+    @staticmethod
+    def kernel_rows(spec, eps, deltas, U, prox_settings):
+        """The candidates of ``_newton_1d``'s layout, by ``_newton_row``
+        one coordinate row at a time: each row's first, then the guards."""
+        B, n = U.shape
+        m = spec.domain.metric_weights().tolist()
+        members, budget = _members(spec, eps), range(prox_settings.max_iters)
+        tie_gap = _tie_gap(prox_settings.local_tol) if n == 1 else None
+        first, guards = [], []
+        for b in range(B):
+            for j in range(n):
+                u = float(U[b, j])
+                x, value, energy, guard = _newton_row(
+                    members[j], u, float(deltas[b]), m[j], budget,
+                    prox_settings.local_tol, tie_gap)
+                first.append((b * n + j, x, value, energy))
+                if guard is not None:
+                    guards.append((b * n + j, u, *guard))
+        return first + guards
+
+    @staticmethod
+    def pinned(spec, eps, delta, u, j):
+        """Coordinate j's fixed point of the resolvent step from u, the
+        bottom of the well a run at step size ``delta`` settles in."""
+        member, m = _members(spec, eps)[j], float(spec.domain.metric_weights()[j])
+        for _ in range(60):
+            x, *_ = _newton_row(member, u, delta, m, range(200), 1e-9, None)
+            if x == u:
+                break
+            u = x
+        return u
+
+    @pytest.mark.parametrize("family", ["quadratic", "wiggly", "flat"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_the_float_kernel(self, family, n, data):
+        if data.draw(st.booleans(), label="weighted"):
+            space = SpaceDescriptor(n, metric_kind="diagonal_weighted", weights=tuple(
+                data.draw(st.lists(st.sampled_from([0.25, 1.0, 4.0]) | st.floats(0.25, 10.0),
+                                   min_size=n, max_size=n), label="metric")))
+        else:
+            space = SpaceDescriptor(n)
+        center = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-0.5, 0.5),
+                                    min_size=n, max_size=n), label="center")
+        if family == "flat":
+            # curvature 1e-8 + m / 1e6: guards within local_tol of the
+            # minimizer, near ties in 1D and kept by every coordinate in nD
+            spec, eps = quadratic(space, [1e-8] * n, center), 1.0
+            delta = st.sampled_from([1e6, 1e5])
+        else:
+            weights = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n),
+                                label="weights")
+            spec = quadratic(space, weights, center)
+            eps = data.draw(st.sampled_from([0.05, 0.1, 0.3, 1.0]), label="eps")
+            if family == "wiggly":
+                spec = wiggly(spec)
+            # w - a / eps + m / delta > 0 for every m >= 0.25: the Newton route
+            delta = st.sampled_from([1e-4, 1e-3, 2.5e-3, 0.01]) | st.floats(1e-6, 0.012)
+        B = data.draw(st.integers(1, 300 // n), label="B")
+        deltas = np.array(data.draw(st.lists(delta, min_size=B, max_size=B), label="deltas"))
+        U = np.array(center) + np.array(data.draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=B * n, max_size=B * n),
+            label="offsets")).reshape(B, n)
+        # some coordinates at their centre, some pinned in a well
+        for b, j, kind in data.draw(st.lists(st.tuples(
+                st.integers(0, B - 1), st.integers(0, n - 1),
+                st.sampled_from(["centre", "pinned"])), max_size=8), label="special"):
+            U[b, j] = center[j] if kind == "centre" else self.pinned(
+                spec, eps, float(deltas[b]), float(U[b, j]), j)
+        cols = np.arange(B * n) % n
+        mw = spec.domain.metric_weights()
+        tie_gap = _tie_gap(NUMERIC.local_tol) if n == 1 else None
+        with mock.patch("maxslope.prox._grid_zoom_1d",
+                        side_effect=AssertionError("grid route taken")):
+            found = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
+                             NUMERIC, tie_gap)
+            batch = prox_batch(spec, eps, deltas, U, NUMERIC)
+        # rows, points, values and energies
+        expected = [list(column) for column in
+                    zip(*self.kernel_rows(spec, eps, deltas, U, NUMERIC))]
+        assert found[0].tolist() == expected[0]
+        for got, want in zip(found[1:], expected[1:]):
+            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+        # a 1D problem is its row: prox_batch takes a row's one candidate
+        if n == 1:
+            alone = np.setdiff1d(np.arange(B), expected[0][B:])
+            assert list(map(float.hex, batch.minimizers[alone, 0].tolist())) == [
+                float.hex(expected[1][b]) for b in alone]
+            assert list(map(float.hex, batch.energies[alone].tolist())) == [
+                float.hex(expected[3][b]) for b in alone]
+
+    @pytest.mark.parametrize("window_first", [True, False])
+    def test_first_failing_row_raises(self, window_first):
+        # Budget 1: the centred row 0.0 converges in its one iterate, 0.5
+        # does not; phi(1e200) overflows, so its window is not finite.
+        spec, budget = quadratic(LINE, [1.0], [0.0]), ProxSettings(
+            mode=MULTISTART_NUMERIC, max_iters=1)
+        failing = [1e200, 0.5] if window_first else [0.5, 1e200]
+        U = np.array([[0.0], [failing[0]], [0.0], [failing[1]]])
+        error = EvaluationError if window_first else BudgetExhaustedError
+        with pytest.raises(error) as batched:
+            prox_batch(spec, 1.0, np.full(4, 0.1), U, budget)
+        # the first failing row's own error, as it fails alone and as the
+        # float kernel fails
+        with pytest.raises(error) as alone:
+            prox_batch(spec, 1.0, [0.1], [[failing[0]]], budget)
+        with pytest.raises(error) as stepped:
+            stepper(spec, 1.0, 0.1, budget)([failing[0]])
+        assert str(batched.value) == str(alone.value) == str(stepped.value)
+        if window_first:
+            assert list(batched.value.point) == [1e200]
+            assert str(batched.value).endswith("is not finite (radius inf)")
+        else:
+            assert str(batched.value) == ("1D prox Newton iteration did not converge "
+                                          "within 1 evaluations (budget 1)")
 
 class TestPrecedes:
     """The Newton route settles a row's minimizer against its guard by

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 
@@ -353,6 +354,33 @@ class TestBuildInterpolant:
             assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
+    @pytest.mark.parametrize("name", ["wiggly", "closed_form_2d", "custom_smooth"])
+    def test_block_size_leaves_the_nodes_alone(self, name, monkeypatch):
+        """Node problems are independent, so the block size may change only
+        the speed: 1600 Newton rows, 1600 closed-form rows of 2D problems
+        and 160 grid-route rows (chunked by the grid route itself) come out
+        bit for bit the same."""
+        if name == "wiggly":
+            spec, eps, tau, T, u0 = (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])),
+                                     0.05, 0.0025, 0.5, [0.5])
+        elif name == "closed_form_2d":
+            spec, eps, tau, T, u0 = (convex_perturbed(quadratic(
+                SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.0, 1.0)),
+                [1.0, 2.0], [0.0, 0.0])), 0.1, 0.005, 0.5, [1.0, -0.5])
+        else:
+            spec, eps, tau, T, u0 = (custom_smooth(
+                SpaceDescriptor(1), "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)"),
+                0.1, 0.01, 0.2, [0.5])
+        traj = run_scheme(spec, SchemeParams(eps=eps, tau=tau, horizon_T=T,
+                                             initial_point=pt(*u0)))
+        found = []
+        for block in (7, 64, scheme.INTERPOLANT_BLOCK):
+            monkeypatch.setattr(scheme, "INTERPOLANT_BLOCK", block)
+            interp = build_interpolant(spec, traj, SETTINGS)
+            found.append((interp.values.tobytes(), interp.g_values.tobytes(),
+                          interp.has_near_ties))
+        assert found[0] == found[1] == found[2]
+
 class TestDeterminism:
     def test_rerun_is_bit_identical(self, wiggly_1d):
         params = SchemeParams(eps=0.1, tau=0.02, horizon_T=0.3,
@@ -387,3 +415,49 @@ class TestCsv:
         assert len(rows) == 1 + traj.n_steps * 4
         ts = [float(r[0]) for r in rows[1:]]
         assert ts == sorted(ts)
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1]
+
+    @staticmethod
+    def csv_writer_bytes(header, rows):
+        """The bytes ``csv.writer`` writes for a header and rows."""
+        with io.StringIO(newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return fh.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("chunk", [2, 1024])
+    def test_trajectory_bytes_are_csv_writers(self, tmp_path, monkeypatch, chunk):
+        # every special value in every column, across chunk boundaries
+        monkeypatch.setattr(scheme, "_CSV_CHUNK", chunk)
+        n, values = 2, self.SPECIAL
+        coords = np.array([[values[(i + j) % 8] for j in range(n)] for i in range(9)])
+        traj = scheme.DiscreteTrajectory(
+            space=SpaceDescriptor(n), coords=coords, tau=0.1, eps=1.0,
+            step_distances=np.array(values[3:] + values[:3][::-1])[:8],
+            step_energies=np.array(values + [1.0]))
+        path = tmp_path / "traj.csv"
+        trajectory_to_csv(traj, path)
+        rows = [[i, i * 0.1, *coords[i].tolist(), traj.step_energies[i].item(),
+                 0.0 if i == 0 else traj.step_distances[i - 1].item()]
+                for i in range(9)]
+        assert path.read_bytes() == self.csv_writer_bytes(
+            ["i", "t", "x0", "x1", "energy", "step_distance"], rows)
+
+    @pytest.mark.parametrize("chunk", [3, 1024])
+    def test_interpolant_bytes_are_csv_writers(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(scheme, "_CSV_CHUNK", chunk)
+        traj = run_scheme(quadratic(SpaceDescriptor(1), [1.0], [0.0]),
+                          quad_params(tau=0.1, T=0.2))
+        values = np.array(self.SPECIAL).reshape(2, 4, 1)
+        interp = scheme.VariationalInterpolant(
+            parent=traj, node_times=np.array(self.SPECIAL[::-1]).reshape(2, 4),
+            weights=np.full(4, 0.025), values=values,
+            g_values=np.roll(self.SPECIAL, 3).reshape(2, 4))
+        path = tmp_path / "interp.csv"
+        interpolant_to_csv(interp, path)
+        rows = [[t, x, g] for t, x, g in zip(interp.node_times.ravel().tolist(),
+                                             values.ravel().tolist(),
+                                             interp.g_values.ravel().tolist())]
+        assert path.read_bytes() == self.csv_writer_bytes(["t", "x0", "g_value"], rows)
