@@ -16,21 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, regimes, scheme as scheme_mod, slope as slope_mod
-from .config import (
-    CHECK_FIELDS,
-    CHECK_TYPES,
-    PROBES_FIELDS,
-    SWEEP_FIELDS,
-    ExperimentConfig,
-    expect_fields,
-    expect_mapping,
-    parse_field,
-    parse_int,
-    parse_point,
-    parse_scheme_params,
-    parse_sweep,
-    require,
-)
+from .config import ExperimentConfig
 from .energy import gamma_limit
 from .errors import CapabilityAbsentError, ConfigError, MaxslopeError
 from .scheme import build_interpolant, run_scheme
@@ -57,15 +43,14 @@ def _make_outdir(out: Path) -> None:
                           f"{exc.strerror or exc}") from exc
 
 
-def _run_with_interpolant(cfg: ExperimentConfig, payload, context: str):
-    params = parse_scheme_params(payload, cfg.space, context)
+def _run_with_interpolant(cfg: ExperimentConfig, params):
     traj = run_scheme(cfg.energy, params)
     return traj, build_interpolant(cfg.energy, traj, params.prox_settings,
                                    params.quadrature_nodes_per_step)
 
 
 def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    traj, interp = _run_with_interpolant(cfg, cfg.payload, "run")
+    traj, interp = _run_with_interpolant(cfg, cfg.args["run"])
     _make_outdir(out)
     scheme_mod.trajectory_to_csv(traj, out / "trajectory.csv")
     scheme_mod.interpolant_to_csv(interp, out / "interpolant.csv")
@@ -88,11 +73,9 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    expect_fields(cfg.payload, SWEEP_FIELDS, "sweep")
-    coupling, levels, base = parse_sweep(cfg.payload, cfg.space, "sweep")
-    sweep_tol = parse_field(float, cfg.payload.get("sweep_tol", 1e-2), "sweep_tol")
-    report = regimes.run_sweep(cfg.energy, coupling, levels, base,
-                               sweep_tol=sweep_tol)
+    args = cfg.args
+    report = regimes.run_sweep(cfg.energy, args["coupling"], args["levels"],
+                               args["params"], **args["options"])
     _make_outdir(out)
     for k, level in enumerate(report.levels):
         if level.trajectory is not None:
@@ -106,9 +89,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _check_dissipation(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
-    tol = parse_field(float, payload.get("residual_tol", 1e-8), "residual_tol")
-    traj, interp = _run_with_interpolant(cfg, payload.get("run", {}), "check.run")
+def _check_dissipation(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
+    tol = args["residual_tol"]
+    traj, interp = _run_with_interpolant(cfg, args["run"])
     # the residual over steps i..j is R[j] - R[i], so the worst of all N(N+1)/2
     # pairs spans R's minimum and maximum; a constant R keeps the pair (0, 1)
     R = np.concatenate([[0.0], np.cumsum(diagnostics.step_residuals(traj, interp))])
@@ -124,25 +107,18 @@ def _check_dissipation(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict
     }
 
 
-def _check_apriori(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
-    traj, interp = _run_with_interpolant(cfg, payload.get("run", {}), "check.run")
-    report = diagnostics.apriori_bounds(
-        cfg.energy, traj, interp,
-        quad_tol=parse_field(float, payload.get("quad_tol", 1e-8), "quad_tol"))
+def _check_apriori(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
+    traj, interp = _run_with_interpolant(cfg, args["run"])
+    report = diagnostics.apriori_bounds(cfg.energy, traj, interp, **args["options"])
     passed = all([report.dist_bound_ok, report.energy_bound_ok,
                   report.tilde_closeness_ok, report.velocity_energy_ok,
                   report.g_energy_ok])
     return passed, report.to_dict()
 
 
-def _check_slope_cone(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
-    eps = parse_field(float, payload.get("eps", 1.0), "eps")
-    x = parse_point(require(payload, "x", "check"), cfg.space, "x").array
-    probes_cfg = expect_fields(expect_mapping(payload.get("probes", {}), "probes"),
-                               PROBES_FIELDS, "probes")
-    count = parse_int(probes_cfg.get("count", 1000), "count")
-    radius = parse_field(float, probes_cfg.get("radius", 2.0), "radius")
-    cone_tol = parse_field(float, payload.get("cone_tol", 1e-9), "cone_tol")
+def _check_slope_cone(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
+    eps, x, cone_tol = args["eps"], args["x"], args["cone_tol"]
+    count, radius = args["probes"]["count"], args["probes"]["radius"]
     rng = np.random.default_rng(cfg.seed)
     probes = x + rng.uniform(-radius, radius, size=(count, cfg.space.dimension))
     residuals = slope_mod.check_slope_cone(cfg.energy, eps, x, probes)
@@ -169,45 +145,25 @@ def _limit_family(cfg: ExperimentConfig, ctype: str):
                           f"not declare") from exc
 
 
-def _check_condition_h(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
-    limit = _limit_family(cfg, "condition_h")
-    raw_seq = require(payload, "sequence", "check")
-    if not (isinstance(raw_seq, list) and raw_seq
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in raw_seq)):
-        raise ConfigError("check config field 'sequence' must be a nonempty "
-                          "list of [eps, point] pairs")
-    seq = [(parse_field(float, e, "sequence"),
-            parse_point(v, cfg.space, "sequence").array) for e, v in raw_seq]
-    limit_v = parse_point(require(payload, "limit_v", "check"), cfg.space,
-                          "limit_v").array
+def _check_condition_h(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
     report = slope_mod.check_condition_h(
-        cfg.energy, limit, seq, limit_v,
-        h_tol=parse_field(float, payload.get("h_tol", 1e-3), "h_tol"),
-        seq_tol=parse_field(float, payload.get("seq_tol", 1e-2), "seq_tol"),
-    )
+        cfg.energy, _limit_family(cfg, "condition_h"), args["sequence"],
+        args["limit_v"], **args["options"])
     return report.passed, report.to_dict()
 
 
-def _check_maximal_slope(cfg: ExperimentConfig, payload: dict) -> tuple[bool, dict]:
+def _check_maximal_slope(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
     _limit_family(cfg, "maximal_slope")     # before the sweep
-    coupling, levels, base = parse_sweep(payload, cfg.space, "check")
-    check_tol = parse_field(float, payload.get("check_tol", 5e-3), "check_tol")
-    waive = payload.get("waive_condition_h", False)
-    if not isinstance(waive, bool):
-        raise ConfigError("check config field 'waive_condition_h' must be true or false")
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = regimes.maximal_slope_pipeline(
-            cfg.energy, coupling, levels, base,
-            waive_condition_h=waive,
-            monotone_tol=parse_field(float, payload.get("monotone_tol", 1e-9),
-                                     "monotone_tol"),
-        )
-    passed = result.maximal_slope.passed(check_tol)
+            cfg.energy, args["coupling"], args["levels"], args["params"],
+            **args["options"])
+    passed = result.maximal_slope.passed(args["check_tol"])
     d = result.to_dict()
-    d["check_tol"] = check_tol
+    d["check_tol"] = args["check_tol"]
     return passed, d
 
 
@@ -221,13 +177,8 @@ _CHECKERS = {
 
 
 def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    ctype = cfg.payload.get("type")
-    if ctype not in CHECK_TYPES:
-        raise ConfigError(
-            f"check config field 'type' must be one of {CHECK_TYPES}, got {ctype!r}"
-        )
-    expect_fields(cfg.payload, CHECK_FIELDS[ctype], f"check {ctype}")
-    passed, report = _CHECKERS[ctype](cfg, cfg.payload)
+    ctype = cfg.args["type"]
+    passed, report = _CHECKERS[ctype](cfg, cfg.args)
     _make_outdir(out)
     write_json({"check": ctype, "passed": passed, "report": report},
                out / f"check_{ctype}.json")

@@ -1,109 +1,193 @@
-"""Experiment configuration: one JSON document describing one command.
+"""Experiment configuration: the one module that reads config JSON.
 
 The document carries the space, the energy, exactly one command payload
-(``run`` | ``sweep`` | ``check``), an output directory and a seed.  All
-parsing errors are raised as :class:`ConfigError` naming the offending
-field, so the CLI can map them to exit code 1 with a usable message.  Every
-JSON object has a fixed set of fields, listed below; any other field, such
-as a misspelled one, is such an error, not a field ignored in favour of
-its default.
+(``run`` | ``sweep`` | ``check``), an output directory and a seed.  Each
+JSON object has a table below of its fields, their JSON types and which
+are required, and each field is parsed once: a number is a finite JSON
+number within float64, not a bool or a string, a list of numbers an array
+of them, and an integer goes through ``parse_int``.  Any other field,
+such as a misspelled one, is an error.  A field left out is not passed
+on, so the Python API's default applies.  The objects are built from the
+parsed values by their constructors and factories.  Every error is a
+:class:`ConfigError` that names the field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from .energy import CONVEX_PERTURBED, CUSTOM_SMOOTH, QUADRATIC, WIGGLY, EnergySpec
+from .energy import (CONVEX_PERTURBED, CUSTOM_SMOOTH, QUADRATIC, WIGGLY, EnergySpec,
+                     convex_perturbed, custom_smooth, quadratic, wiggly)
 from .errors import ConfigError
 from .metric import Point, SpaceDescriptor
 from .prox import ProxSettings
 from .regimes import CouplingLaw
-from .scheme import SchemeParams
+from .scheme import MAX_RUN_FLOATS, SchemeParams
 
-COMMANDS = ("run", "sweep", "check")
-# The fields of each JSON object.
-CONFIG_FIELDS = ("space", "energy", "command", "output_dir", "seed")
-SPACE_FIELDS = ("dimension", "metric_kind", "weights", "base_point")
-ENERGY_FIELDS = {QUADRATIC: ("kind", "weights", "center"),
-                 WIGGLY: ("kind", "base", "amplitude_scale"),
-                 CONVEX_PERTURBED: ("kind", "base"),
-                 CUSTOM_SMOOTH: ("kind", "expression")}
-# a sweep level's eps and tau come from the coupling, so its params omit them
-PARAMS_FIELDS = ("horizon_T", "initial_point", "initial_energy_bound_S",
-                 "initial_distance_bound_Sprime", "prox_settings",
-                 "quadrature_nodes_per_step", "tau_star")
-RUN_FIELDS = ("eps", "tau") + PARAMS_FIELDS
-PROX_FIELDS = ("mode", "local_tol", "max_iters")
-COUPLING_FIELDS = ("form", "lam", "alpha")
-SWEEP_FIELDS = ("coupling", "levels", "params", "sweep_tol")
-PROBES_FIELDS = ("count", "radius")
-CHECK_FIELDS = {
-    "dissipation": ("type", "run", "residual_tol"),
-    "apriori": ("type", "run", "quad_tol"),
-    "slope_cone": ("type", "eps", "x", "probes", "cone_tol"),
-    "condition_h": ("type", "sequence", "limit_v", "h_tol", "seq_tol"),
-    "maximal_slope": ("type", "coupling", "levels", "params", "check_tol",
-                      "waive_condition_h", "monotone_tol"),
+
+_NUMBER = {int, float}    # the types of a JSON number; a bool is neither
+
+
+def _finite(values, value, name: str) -> None:
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        raise ConfigError(f"field {name!r} must be finite, got an integer "
+                          f"too large for float64") from None
+    if not finite:
+        raise ConfigError(f"field {name!r} must be finite, got {value!r}")
+
+
+def number(value, name: str) -> float:
+    if type(value) not in _NUMBER:
+        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
+    if type(value) is not float or not math.isfinite(value):   # or an int
+        _finite((value,), value, name)                          # beyond float64
+    return float(value)
+
+
+def numbers(value, name: str) -> tuple:
+    """Finite JSON numbers, as given: whatever takes them makes them floats."""
+    if type(value) is not list or not _NUMBER.issuperset(map(type, value)):
+        raise ConfigError(f"field {name!r} must be a list of numbers, got {value!r}")
+    _finite(value, value, name)
+    return tuple(value)
+
+
+def pairs(value, name: str) -> list:
+    if not (isinstance(value, list) and value
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in value)):
+        raise ConfigError(f"check config field {name!r} must be a nonempty "
+                          f"list of [eps, point] pairs")
+    return [(number(e, name), numbers(v, name)) for e, v in value]
+
+
+def parse_int(value, name: str) -> int:
+    """The config field ``name`` as an int.  A bool, a non-number or a
+    number with a fractional part is a ConfigError; 1e6 is 1000000."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_type(kind, what: str):
+    def parse(value, name: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"field {name!r} must be {what}, got {value!r}")
+        return value
+    return parse
+
+
+string, boolean = _json_type(str, "a string"), _json_type(bool, "true or false")
+expect_mapping = _json_type(dict, "a JSON object")
+
+
+# Each table maps a field to its type and to REQUIRED, to API (left out,
+# the Python API's default applies) or to the default that only the
+# config has.
+REQUIRED, API = "required", None
+CONFIG_FIELDS = {"space": (expect_mapping, REQUIRED),
+                 "energy": (expect_mapping, REQUIRED),
+                 "command": (expect_mapping, REQUIRED),
+                 "output_dir": (string, "out"), "seed": (parse_int, API)}
+SPACE_FIELDS = {"dimension": (parse_int, REQUIRED), "metric_kind": (string, API),
+                "weights": (numbers, API), "base_point": (numbers, API)}
+KIND = {"kind": (string, REQUIRED)}
+BASE = {**KIND, "base": (expect_mapping, REQUIRED)}
+ENERGY_FIELDS = {
+    QUADRATIC: {**KIND, "weights": (numbers, REQUIRED), "center": (numbers, REQUIRED)},
+    WIGGLY: {**BASE, "amplitude_scale": (number, API)},
+    CONVEX_PERTURBED: BASE,
+    CUSTOM_SMOOTH: {**KIND, "expression": (string, REQUIRED)},
 }
+ENERGY_FACTORIES = {QUADRATIC: quadratic, WIGGLY: wiggly,
+                    CONVEX_PERTURBED: convex_perturbed, CUSTOM_SMOOTH: custom_smooth}
+# a sweep level's eps and tau come from the coupling, so its params omit them
+PARAMS_FIELDS = {"horizon_T": (number, REQUIRED), "initial_point": (numbers, REQUIRED),
+                 "initial_energy_bound_S": (number, API),
+                 "initial_distance_bound_Sprime": (number, API),
+                 "prox_settings": (expect_mapping, API),
+                 "quadrature_nodes_per_step": (parse_int, API),
+                 "tau_star": (number, API)}
+RUN_FIELDS = {"eps": (number, REQUIRED), "tau": (number, REQUIRED), **PARAMS_FIELDS}
+PROX_FIELDS = {"mode": (string, API), "local_tol": (number, API),
+               "max_iters": (parse_int, API)}
+COUPLING_FIELDS = {"form": (string, REQUIRED), "lam": (number, API),
+                   "alpha": (number, API)}
+SWEEP_FIELDS = {"coupling": (expect_mapping, REQUIRED), "levels": (numbers, REQUIRED),
+                "params": (expect_mapping, REQUIRED)}
+PROBES_FIELDS = {"count": (parse_int, 1000), "radius": (number, 2.0)}
+TYPE = {"type": (string, REQUIRED)}
+CHECK_FIELDS = {
+    "dissipation": {**TYPE, "run": (expect_mapping, REQUIRED),
+                    "residual_tol": (number, 1e-8)},
+    "apriori": {**TYPE, "run": (expect_mapping, REQUIRED), "quad_tol": (number, API)},
+    "slope_cone": {**TYPE, "eps": (number, 1.0), "x": (numbers, REQUIRED),
+                   "probes": (expect_mapping, {}), "cone_tol": (number, 1e-9)},
+    "condition_h": {**TYPE, "sequence": (pairs, REQUIRED),
+                    "limit_v": (numbers, REQUIRED), "h_tol": (number, API),
+                    "seq_tol": (number, API)},
+    "maximal_slope": {**TYPE, **SWEEP_FIELDS, "check_tol": (number, 5e-3),
+                      "waive_condition_h": (boolean, API),
+                      "monotone_tol": (number, API)},
+}
+COMMAND_FIELDS = {"sweep": {**SWEEP_FIELDS, "sweep_tol": (number, API)},
+                  **{f"check {ctype}": table for ctype, table in CHECK_FIELDS.items()}}
+COMMANDS = ("run", "sweep", "check")
+COMMAND_BLOCK = {command: (expect_mapping, API) for command in COMMANDS}
 CHECK_TYPES = tuple(CHECK_FIELDS)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config.  ``payload`` is the command's JSON object as
+    written; ``args`` its fields parsed, ``run`` and ``params`` as
+    SchemeParams, ``coupling`` as a CouplingLaw and points as arrays."""
+
     space: SpaceDescriptor
     energy: EnergySpec
     command: str
     payload: dict
+    args: dict
     output_dir: Path
     seed: int = 0
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        expect_fields(d, CONFIG_FIELDS, "config")
-        for name in ("space", "energy", "command"):
-            if name not in d:
-                raise ConfigError(f"config missing field {name!r}")
-        raw_space = expect_fields(expect_mapping(d["space"], "space"), SPACE_FIELDS,
-                                  "space")
-        space_fields = {k: v for k, v in raw_space.items() if k != "base_point"}
-        space_fields["dimension"] = parse_int(
-            require(raw_space, "dimension", "space"), "dimension")
-        space = parse_field(SpaceDescriptor.from_dict, space_fields, "space")
-        if "base_point" in raw_space:
-            space = replace(space, base_point=parse_point(
-                raw_space["base_point"], space, "base_point"))
-        energy = parse_field(lambda e: EnergySpec.from_dict(e, space),
-                             expect_energy_fields(d["energy"], "energy"), "energy")
-        command_block = expect_fields(expect_mapping(d["command"], "command"),
-                                      COMMANDS, "command")
-        present = [c for c in COMMANDS if c in command_block]
-        if len(present) != 1:
-            raise ConfigError(
-                f"command block must contain exactly one of {COMMANDS}, "
-                f"found {present or 'none'}"
-            )
-        command = present[0]
-        payload = expect_mapping(command_block[command], f"command.{command}")
-        output_dir = d.get("output_dir", "out")
-        if not isinstance(output_dir, str):
-            raise ConfigError(f"field 'output_dir' must be a string, got {output_dir!r}")
-        return cls(
-            space=space,
-            energy=energy,
-            command=command,
-            payload=payload,
-            output_dir=Path(output_dir),
-            seed=parse_int(d.get("seed", 0), "seed"),
-        )
+        fields = parse_object(d, CONFIG_FIELDS, "config", "config")
+        if "seed" in fields and fields["seed"] < 0:
+            raise ConfigError(f"field 'seed' must be a non-negative integer, "
+                              f"got {fields['seed']}")
+        space_fields = parse_object(fields["space"], SPACE_FIELDS, "space")
+        energy_fields = parse_energy(fields["energy"], "energy")
+        dimension = space_fields["dimension"]
+        if dimension != _dimension(energy_fields):
+            raise ConfigError(f"field 'dimension' is {dimension}, the energy has "
+                              f"dimension {_dimension(energy_fields)}")
+        if "base_point" in space_fields:
+            space_fields["base_point"] = as_point(space_fields["base_point"], dimension,
+                                                  "base_point")
+        space = build(SpaceDescriptor, "field 'space' invalid", **space_fields)
+        energy = build(_energy, "field 'energy' invalid", energy_fields, space)
+        block = parse_object(fields["command"], COMMAND_BLOCK, "command", prefix="command.")
+        if len(block) != 1:
+            raise ConfigError(f"command block must contain exactly one of {COMMANDS}, "
+                              f"found {[c for c in COMMANDS if c in block] or 'none'}")
+        (command, payload), = block.items()
+        seed = {"seed": fields["seed"]} if "seed" in fields else {}
+        return cls(space=space, energy=energy, command=command, payload=payload,
+                   args=parse_command(command, payload, space),
+                   output_dir=Path(fields["output_dir"]), **seed)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+            with open(path, "rb") as fh:      # no text layer: one decode
+                raw = json.loads(fh.read().decode("utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
@@ -111,12 +195,6 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         return cls.from_dict(raw)
-
-
-def expect_mapping(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"field {name!r} must be a JSON object")
-    return value
 
 
 def expect_fields(value: dict, known, context: str) -> dict:
@@ -129,106 +207,122 @@ def expect_fields(value: dict, known, context: str) -> dict:
     return value
 
 
-def expect_energy_fields(value, context: str) -> dict:
-    """The energy object ``value`` with its kind's fields only, and so its
-    base's; an unknown or missing kind is left to ``EnergySpec.from_dict``."""
-    value = expect_mapping(value, context)
-    kind = value.get("kind")
-    if isinstance(kind, str) and kind in ENERGY_FIELDS:
-        expect_fields(value, ENERGY_FIELDS[kind], context)
-        if "base" in value:
-            expect_energy_fields(value["base"], f"{context}.base")
-    return value
-
-
-def require(payload: dict, name: str, context: str):
-    if name not in payload:
-        raise ConfigError(f"{context} config missing field {name!r}")
-    return payload[name]
-
-
-def parse_field(kind, value, name: str):
-    """``kind(value)`` for the config field ``name``; a value of the wrong
-    JSON type or range (null, a list or a bool for a float, or a float
-    that is NaN or infinite) is a ConfigError."""
-    if kind is float and isinstance(value, bool):
-        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
-    try:
-        parsed = kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {name!r} invalid: {exc}") from exc
-    if kind is float and not math.isfinite(parsed):
-        raise ConfigError(f"field {name!r} must be finite, got {value!r}")
+def parse_object(value, table: dict, context: str, owner: str | None = None,
+                 prefix: str = "") -> dict:
+    """The JSON object ``value``'s fields, each parsed by its type in
+    ``table``; a field left out takes the table's default, or is absent
+    where the Python API has it.  Errors name the object as ``context``,
+    a missing field's as ``owner``, and a field as ``prefix`` + its name."""
+    if not value.keys() <= table.keys():
+        expect_fields(value, table, context)
+    parsed = {}
+    for name, raw in value.items():
+        parsed[name] = table[name][0](raw, prefix + name)
+    for name, (_, default) in table.items():
+        if name not in parsed and default is not API:
+            if default is REQUIRED:
+                raise ConfigError(f"{owner or context + ' config'} missing field {name!r}")
+            parsed[name] = default
     return parsed
 
 
-def parse_int(value, name: str) -> int:
-    """The config field ``name`` as an int.  A bool, a non-number or a
-    number with a fractional part is a ConfigError; 1e6 is 1000000."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
-    return int(value)
+def parse_energy(value, context: str) -> dict:
+    """The energy object's fields, and so its base's.  They are named by
+    their path, such as 'energy.base.weights': the space has weights too."""
+    if "kind" not in value:
+        raise ConfigError("energy config missing field 'kind'")
+    kind = value["kind"]
+    if not isinstance(kind, str) or kind not in ENERGY_FIELDS:
+        raise ConfigError(f"unknown energy kind {kind!r}")
+    fields = parse_object(value, ENERGY_FIELDS[kind], context, f"{kind} energy config",
+                          f"{context}.")
+    if "base" in fields:
+        fields["base"] = parse_energy(fields["base"], f"{context}.base")
+    return fields
 
 
-def parse_point(value, space: SpaceDescriptor, name: str) -> Point:
-    """The config field ``name`` as a Point of ``space``'s dimension."""
-    if not isinstance(value, list):
-        raise ConfigError(f"field {name!r} must be a list of numbers, got {value!r}")
-    point = parse_field(Point, tuple(value), name)
-    if point.dim != space.dimension:
-        raise ConfigError(f"field {name!r} has dimension {point.dim}, "
-                          f"the space has {space.dimension}")
-    return point
+def _dimension(fields: dict) -> int:
+    """The energy's dimension: its weights' length, 1 for custom_smooth."""
+    while "base" in fields:
+        fields = fields["base"]
+    return 1 if fields["kind"] == CUSTOM_SMOOTH else len(fields["weights"])
 
 
-def parse_scheme_params(payload: dict, space: SpaceDescriptor,
-                        context: str = "run") -> SchemeParams:
-    """Scheme parameters from a payload dict, checked against ``space``."""
-    def number(name, default=None):
-        value = require(payload, name, context) if default is None \
-            else payload.get(name, default)
-        return parse_field(float, value, name)
+def _energy(fields: dict, space: SpaceDescriptor) -> EnergySpec:
+    """The energy of the parsed ``fields``, which it consumes."""
+    factory = ENERGY_FACTORIES[fields.pop("kind")]
+    if "base" in fields:
+        fields["base"] = _energy(fields["base"], space)
+        return factory(**fields)
+    return factory(space, **fields)
 
-    payload = expect_fields(expect_mapping(payload, context), RUN_FIELDS, context)
-    prox_fields = expect_fields(expect_mapping(payload.get("prox_settings", {}),
-                                               "prox_settings"),
-                                PROX_FIELDS, "prox_settings")
-    if "max_iters" in prox_fields:
-        parse_int(prox_fields["max_iters"], "max_iters")
-    if "local_tol" in prox_fields:
-        parse_field(float, prox_fields["local_tol"], "local_tol")
+
+def build(factory, invalid: str, *args, **kwargs):
+    """``factory(*args, **kwargs)``; a ValueError becomes ``invalid: ...``."""
     try:
-        return SchemeParams(
-            eps=number("eps"),
-            tau=number("tau"),
-            horizon_T=number("horizon_T"),
-            initial_point=parse_point(require(payload, "initial_point", context),
-                                      space, "initial_point"),
-            initial_energy_bound_S=number("initial_energy_bound_S", 10.0),
-            initial_distance_bound_Sprime=number("initial_distance_bound_Sprime", 10.0),
-            prox_settings=parse_field(ProxSettings.from_dict, prox_fields,
-                                      "prox_settings"),
-            quadrature_nodes_per_step=parse_int(
-                payload.get("quadrature_nodes_per_step", 8), "quadrature_nodes_per_step"),
-            tau_star=number("tau_star", 1.0),
-        )
+        return factory(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{context} config invalid: {exc}") from exc
+        raise ConfigError(f"{invalid}: {exc}") from exc
 
 
-def parse_sweep(payload: dict, space: SpaceDescriptor, context: str):
-    """Coupling law, levels and the first level's scheme parameters."""
-    coupling = parse_field(CouplingLaw.from_dict, expect_fields(expect_mapping(
-        require(payload, "coupling", context), "coupling"), COUPLING_FIELDS,
-        "coupling"), "coupling")
-    levels = require(payload, "levels", context)
-    if not isinstance(levels, list) or not levels:
-        raise ConfigError(f"{context} config field 'levels' must be a nonempty list")
-    levels = [parse_field(float, v, "levels") for v in levels]
-    eps0, tau0 = coupling.resolve(levels[0])
-    params = expect_fields(expect_mapping(payload.get("params", {}), "params"),
-                           PARAMS_FIELDS, f"{context}.params")
-    base = parse_scheme_params({**params, "eps": eps0, "tau": tau0}, space,
-                               f"{context}.params")
-    return coupling, levels, base
+def as_point(coords, dimension: int, name: str) -> Point:
+    """The parsed field ``name`` as a Point of the space's ``dimension``."""
+    if len(coords) != dimension:
+        raise ConfigError(f"field {name!r} has dimension {len(coords)}, "
+                          f"the space has {dimension}")
+    return Point(coords)
+
+
+def parse_scheme_params(payload: dict, space: SpaceDescriptor, context: str = "run",
+                        table=RUN_FIELDS, **given) -> SchemeParams:
+    """SchemeParams from a run's JSON object and the fields ``given``."""
+    fields = {**parse_object(payload, table, context), **given}
+    fields["initial_point"] = as_point(fields["initial_point"], space.dimension,
+                                       "initial_point")
+    if "prox_settings" in fields:
+        fields["prox_settings"] = build(
+            ProxSettings, "field 'prox_settings' invalid",
+            **parse_object(fields["prox_settings"], PROX_FIELDS, "prox_settings"))
+    return build(SchemeParams, f"{context} config invalid", **fields)
+
+
+def parse_command(command: str, payload: dict, space: SpaceDescriptor) -> dict:
+    """The payload's fields, parsed against ``space``; those with a Python
+    API default, where given, are the keywords in ``options``."""
+    if command == "check":
+        ctype = payload.get("type")
+        if ctype not in CHECK_TYPES:
+            raise ConfigError(f"check config field 'type' must be one of "
+                              f"{CHECK_TYPES}, got {ctype!r}")
+        command = f"check {ctype}"
+    if command == "run":
+        return {"run": parse_scheme_params(payload, space)}
+    base = command.split()[0]
+    table = COMMAND_FIELDS[command]
+    args = parse_object(payload, table, command, f"{base} config")
+    args["options"] = {name: args.pop(name) for name, (_, default) in table.items()
+                       if default is API and name in args}
+    n = space.dimension
+    if "run" in args:
+        args["run"] = parse_scheme_params(args["run"], space, f"{base}.run")
+    if "coupling" in args:
+        args["coupling"] = build(CouplingLaw, "field 'coupling' invalid", **parse_object(
+            args["coupling"], COUPLING_FIELDS, "coupling"))
+        if not args["levels"]:
+            raise ConfigError("field 'levels' must be a nonempty list of numbers")
+        eps, tau = args["coupling"].resolve(args["levels"][0])
+        args["params"] = parse_scheme_params(args["params"], space, f"{base}.params",
+                                             PARAMS_FIELDS, eps=eps, tau=tau)
+    for name in ("x", "limit_v"):
+        if name in args:
+            args[name] = as_point(args[name], n, name).array
+    if "sequence" in args:
+        args["sequence"] = [(e, as_point(v, n, "sequence").array)
+                            for e, v in args["sequence"]]
+    if "probes" in args:
+        args["probes"] = parse_object(args["probes"], PROBES_FIELDS, "probes")
+        count = args["probes"]["count"]
+        if not 1 <= count <= MAX_RUN_FLOATS // n:
+            raise ConfigError(f"field 'count' must be at least 1 and count * n at "
+                              f"most {MAX_RUN_FLOATS:.0e}, got {count}")
+    return args

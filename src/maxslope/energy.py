@@ -51,7 +51,8 @@ class EnergySpec:
     """One member of the energy zoo, tied to its ambient space.
 
     Only the fields relevant to ``kind`` are populated; use the factory
-    functions below instead of constructing directly.
+    functions below, as ``config`` does for a config's energy object,
+    instead of constructing directly.
     """
 
     kind: str
@@ -69,7 +70,7 @@ class EnergySpec:
             w = as_floats(self.weights, "quadratic weights")
             if len(w) != self.domain.dimension:
                 raise ValueError("quadratic weights length must equal dimension")
-            if any(v <= 0 for v in w):
+            if min(w) <= 0:
                 raise ValueError("quadratic weights must be strictly positive")
             c = as_floats(self.center, "quadratic center")
             if len(c) != self.domain.dimension:
@@ -89,32 +90,6 @@ class EnergySpec:
             _compile_expression(self.expression)  # fail fast on parse errors
         else:
             raise ValueError(f"unknown energy kind {self.kind!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict, domain: SpaceDescriptor) -> "EnergySpec":
-        try:
-            kind = d["kind"]
-        except KeyError as exc:
-            raise ConfigError("energy config missing field 'kind'") from exc
-        if kind == QUADRATIC:
-            for name in ("weights", "center"):
-                if name not in d:
-                    raise ConfigError(f"quadratic energy config missing field {name!r}")
-            return quadratic(domain, d["weights"], d["center"])
-        if kind == WIGGLY:
-            if "base" not in d:
-                raise ConfigError("wiggly energy config missing field 'base'")
-            return wiggly(cls.from_dict(d["base"], domain),
-                          amplitude_scale=d.get("amplitude_scale", 1.0))
-        if kind == CONVEX_PERTURBED:
-            if "base" not in d:
-                raise ConfigError("convex_perturbed energy config missing field 'base'")
-            return convex_perturbed(cls.from_dict(d["base"], domain))
-        if kind == CUSTOM_SMOOTH:
-            if "expression" not in d:
-                raise ConfigError("custom_smooth energy config missing field 'expression'")
-            return custom_smooth(domain, d["expression"])
-        raise ConfigError(f"unknown energy kind {kind!r}")
 
 
 def quadratic(domain: SpaceDescriptor, weights, center) -> EnergySpec:

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 
 def as_floats(values, what: str) -> tuple[float, ...]:
     """``values`` as finite floats; a bool, such as a JSON true, is no
     number, and a JSON NaN or Infinity is not finite."""
-    if any(isinstance(v, bool) for v in values):
+    if bool in map(type, values):
         raise TypeError(f"{what} must be numbers, got {list(values)!r}")
-    floats = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in floats):
+    floats = tuple(map(float, values))
+    if not all(map(math.isfinite, floats)):
         raise ValueError(f"{what} must be finite, got {list(floats)!r}")
     return floats
 
@@ -55,7 +55,8 @@ DIAGONAL_WEIGHTED = "diagonal_weighted"
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Ambient space: dimension, metric kind and the reference point u*."""
+    """Ambient space: dimension, metric kind and reference point u*, as
+    ``config`` builds it from a config's space object."""
 
     dimension: int
     metric_kind: str = EUCLIDEAN
@@ -73,15 +74,13 @@ class SpaceDescriptor:
             w = as_floats(self.weights, "metric weights")
             if len(w) != self.dimension:
                 raise ValueError("weights length must equal dimension")
-            if any(v <= 0 for v in w):
+            if min(w) <= 0:
                 raise ValueError("metric weights must all be positive")
             object.__setattr__(self, "weights", w)
         elif self.weights is not None:
             raise ValueError("weights only allowed with diagonal_weighted")
         if self.base_point is None:
-            object.__setattr__(
-                self, "base_point", Point(tuple(0.0 for _ in range(self.dimension)))
-            )
+            object.__setattr__(self, "base_point", Point((0.0,) * self.dimension))
         elif self.base_point.dim != self.dimension:
             raise DimensionMismatchError(
                 f"base point has dim {self.base_point.dim}, space has {self.dimension}"
@@ -98,17 +97,6 @@ class SpaceDescriptor:
             raise DimensionMismatchError(
                 f"point has dim {p.dim}, space has {self.dimension}"
             )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpaceDescriptor":
-        try:
-            dim = int(d["dimension"])
-        except KeyError as exc:
-            raise ConfigError("space config missing field 'dimension'") from exc
-        kind = d.get("metric_kind", EUCLIDEAN)
-        weights = tuple(d["weights"]) if "weights" in d else None
-        base = Point(tuple(d["base_point"])) if "base_point" in d else None
-        return cls(dimension=dim, metric_kind=kind, weights=weights, base_point=base)
 
 
 def squared_distances(space: SpaceDescriptor, X, Y) -> np.ndarray:

@@ -72,7 +72,8 @@ MULTISTART_NUMERIC = "multistart_numeric"
 
 @dataclass(frozen=True)
 class ProxSettings:
-    """Knobs for the numeric search; exact closed forms ignore them.
+    """Knobs for the numeric search, a config's ``prox_settings`` object;
+    exact closed forms ignore them.
 
     ``local_tol`` is the near-tie margin of every numeric row, and on the
     grid route a bracket whose grid values spread by at most it stops.
@@ -93,14 +94,6 @@ class ProxSettings:
         if not (math.isfinite(self.local_tol) and self.local_tol > 0):
             raise ValueError(f"local_tol must be finite and positive, "
                              f"got {self.local_tol!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProxSettings":
-        return cls(
-            mode=d.get("mode", EXACT_IF_AVAILABLE),
-            local_tol=float(d.get("local_tol", 1e-9)),
-            max_iters=int(d.get("max_iters", 200_000)),
-        )
 
 
 @dataclass(frozen=True)

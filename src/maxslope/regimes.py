@@ -19,8 +19,8 @@ import numpy as np
 
 from .diagnostics import MaximalSlopeReport, maximal_slope_check
 from .energy import EnergySpec, gamma_limit
-from .errors import ConfigError, MaxslopeError
-from .metric import as_floats, distances
+from .errors import MaxslopeError
+from .metric import distances
 from .scheme import DiscreteTrajectory, SchemeParams, piecewise_constant_many, run_scheme
 from .slope import ConditionHReport, check_condition_h
 
@@ -30,7 +30,8 @@ EPS_OF_TAU = "eps_of_tau"
 
 @dataclass(frozen=True)
 class CouplingLaw:
-    """Power-law coupling between the two small parameters.
+    """Power-law coupling between the two small parameters: a sweep's
+    ``coupling`` object in a config, which ``config`` builds.
 
     ``tau_of_eps``: levels are eps values, tau = lam * eps**alpha.
     ``eps_of_tau``: levels are tau values, eps = lam * tau**alpha.
@@ -51,18 +52,12 @@ class CouplingLaw:
         level = float(level)
         if level <= 0:
             raise ValueError("level values must be positive")
-        if self.form == TAU_OF_EPS:
-            return level, self.lam * level ** self.alpha
-        return self.lam * level ** self.alpha, level
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CouplingLaw":
         try:
-            form = d["form"]
-        except KeyError as exc:
-            raise ConfigError("coupling config missing field 'form'") from exc
-        return cls(form=form, lam=as_floats([d.get("lam", 1.0)], "lam")[0],
-                   alpha=as_floats([d.get("alpha", 1.0)], "alpha")[0])
+            scaled = self.lam * level ** self.alpha
+        except OverflowError:
+            raise ValueError(f"lam * level**alpha overflows at level {level:g} "
+                             f"with alpha {self.alpha:g}") from None
+        return (level, scaled) if self.form == TAU_OF_EPS else (scaled, level)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ along the interpolant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class SchemeParams:
     initial_point: Point
     initial_energy_bound_S: float = 10.0
     initial_distance_bound_Sprime: float = 10.0
-    prox_settings: ProxSettings = field(default_factory=ProxSettings)
+    prox_settings: ProxSettings = ProxSettings()     # frozen, so one is shared
     quadrature_nodes_per_step: int = 8
     tau_star: float = 1.0
 

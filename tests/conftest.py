@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from maxslope.config import ExperimentConfig
 from maxslope.energy import eval_many, quadratic, wiggly, convex_perturbed
 from maxslope.metric import Point, SpaceDescriptor
 
@@ -69,6 +70,18 @@ def finite_difference_gradient(spec, eps, x, step=1e-5):
 
 def pt(*coords):
     return Point(tuple(float(c) for c in coords))
+
+
+def parse_config(space=None, energy=None, command=None):
+    """``ExperimentConfig.from_dict`` of a run config on a quadratic energy,
+    with ``space``, ``energy`` or ``command`` in place of its own."""
+    n = (space or {}).get("dimension", 1)
+    return ExperimentConfig.from_dict({
+        "space": space or {"dimension": n},
+        "energy": energy or {"kind": "quadratic", "weights": [1.0] * n,
+                             "center": [0.0] * n},
+        "command": command or {"run": {"eps": 1.0, "tau": 0.01, "horizon_T": 0.1,
+                                       "initial_point": [1.0] * n}}})
 
 
 def grammar_expressions(numbers, depth=4):

@@ -55,6 +55,15 @@ def quad_run_config(out_dir, tau=0.1, T=1.0, **extra_payload):
     }
 
 
+def weighted_plane_config(out_dir):
+    doc = quad_run_config(out_dir)
+    doc["space"] = {"dimension": 2, "metric_kind": "diagonal_weighted",
+                    "weights": [4.0, 1.0]}
+    doc["energy"] = {"kind": "quadratic", "weights": [1.0, 2.0], "center": [0.0, 0.0]}
+    doc["command"]["run"]["initial_point"] = [1.0, -0.5]
+    return doc
+
+
 def check_config(out_dir, ctype, payload):
     return {
         "space": {"dimension": 1},
@@ -90,7 +99,7 @@ def maximal_slope_config(out_dir):
     })
 
 
-def run_cli(tmp_path, doc, *extra):
+def run_cli(tmp_path, doc, *extra, timeout=60):
     """``python -m maxslope.cli`` on ``doc`` in a fresh process."""
     cfg = write_config(tmp_path, doc)
     src = str(Path(maxslope.__file__).resolve().parents[1])
@@ -99,7 +108,7 @@ def run_cli(tmp_path, doc, *extra):
     return subprocess.run(
         [sys.executable, "-m", "maxslope.cli", next(iter(doc["command"])),
          "--config", cfg, *extra], capture_output=True, text=True, env=env,
-        timeout=60)
+        timeout=timeout)
 
 
 def set_field(doc, path, value):
@@ -156,10 +165,32 @@ class TestConfigParsing:
                                                  "center": [0.0]}}, "amplitude_scale"),
         (maximal_slope_config, ("command", "check", "coupling", "lam"), True, "lam"),
         (maximal_slope_config, ("command", "check", "coupling", "alpha"), True, "alpha"),
+        # a string is no number, however it reads, and an integer literal
+        # beyond float64 is a number that no float holds
+        (slope_cone_config, ("command", "check", "eps"), "1.0", "eps"),
+        (quad_run_config, ("command", "run", "horizon_T"), 10**400, "horizon_T"),
+        (maximal_slope_config, ("command", "check", "levels"), ["0.1"], "levels"),
+        (quad_run_config, ("command", "run", "initial_point"), ["1.0"], "initial_point"),
+        (weighted_plane_config, ("energy", "weights"), "41", "weights"),
+        (quad_run_config, ("energy", "weights"), {"1": 0}, "weights"),
+        (quad_run_config, ("energy", "weights"), [10**400], "weights"),
+        (weighted_plane_config, ("space", "weights"), "41", "weights"),
+        (quad_run_config, ("energy", "center"), "0", "center"),
+        (maximal_slope_config, ("command", "check", "coupling", "lam"), "1", "lam"),
+        (quad_run_config, ("energy",), {"kind": "wiggly", "amplitude_scale": "2",
+                                        "base": {"kind": "quadratic", "weights": [1.0],
+                                                 "center": [0.0]}}, "amplitude_scale"),
+        (quad_run_config, ("command", "run", "prox_settings"), {"local_tol": "1e-9"},
+         "local_tol"),
+        (quad_run_config, ("energy",), {"kind": "custom_smooth", "expression": 5},
+         "expression"),
     ], ids=["initial_point", "eps", "x", "weights", "probes", "prox_settings",
             "waive_condition_h", "output_dir", "eps_bool", "initial_point_bool",
             "weights_bool", "center_bool", "metric_weights_bool", "local_tol_bool",
-            "amplitude_scale_bool", "lam_bool", "alpha_bool"])
+            "amplitude_scale_bool", "lam_bool", "alpha_bool", "eps_str",
+            "horizon_T_huge_int", "levels_str", "initial_point_str", "weights_str",
+            "weights_object", "weights_huge_int", "metric_weights_str", "center_str",
+            "lam_str", "amplitude_scale_str", "local_tol_str", "expression_int"])
     def test_wrong_json_type_is_config_error(self, tmp_path, build, path, value, named):
         # a real process, so that an escaping exception shows as a traceback
         doc = build(tmp_path / "out")
@@ -249,6 +280,45 @@ class TestConfigParsing:
         assert main([subcommand, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         first = capsys.readouterr().err.splitlines()[0]
         assert first.startswith(f"config error: unknown field {named!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("build, path, value, named", [
+        (quad_run_config, ("space", "dimension"), 1e9, "dimension"),
+        (quad_run_config, ("space",), {"dimension": 10**9, "weights": [1.0],
+                                       "metric_kind": "diagonal_weighted"}, "dimension"),
+        (quad_run_config, ("space", "dimension"), 2, "dimension"),
+        (slope_cone_config, ("command", "check", "probes"), {"count": 0}, "count"),
+        (slope_cone_config, ("command", "check", "probes"), {"count": -1}, "count"),
+        (slope_cone_config, ("command", "check", "probes"), {"count": 10**9}, "count"),
+        (slope_cone_config, ("seed",), -1, "seed"),
+        (quad_run_config, ("seed",), -1, "seed"),
+    ], ids=["dimension_huge", "dimension_huge_weighted", "dimension_energy",
+            "count_zero", "count_negative", "count_huge", "seed_slope_cone",
+            "seed_run"])
+    def test_out_of_range_is_config_error(self, tmp_path, build, path, value, named):
+        # refused before anything of that size is built: a space of 10^9
+        # coordinates or 10^9 probes would take gigabytes
+        doc = build(tmp_path / "out")
+        set_field(doc, path, value)
+        proc = run_cli(tmp_path, doc, timeout=20)
+        assert proc.returncode == EXIT_CONFIG
+        first = proc.stderr.splitlines()[0]
+        assert first.startswith(f"config error: field {named!r}")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("levels, alpha", [([0.1], -1e300), ([0.1, 0.01], -300)],
+                             ids=["first", "second"])
+    def test_coupling_overflow_is_config_error(self, tmp_path, levels, alpha):
+        # a level^alpha beyond float64, at the first level or a later one
+        doc = maximal_slope_config(tmp_path / "out")
+        doc["command"]["check"].update(levels=levels, coupling={
+            "form": "eps_of_tau", "alpha": alpha})
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_CONFIG
+        first = proc.stderr.splitlines()[0]
+        assert first.startswith("config error:") and "alpha" in first
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_step_count_must_be_finite(self, tmp_path):
@@ -731,7 +801,8 @@ class TestConfigFuzz:
         None, True, False, 0, 1, -1, 2, 0.5, 1e-320, 1e300, -1e300,
         math.nan, math.inf, -math.inf, "", "x", "wiggly", "euclidean",
         "diagonal_weighted", "multistart_numeric", "tau_of_eps", "dissipation",
-        [], [0.5], [0.5, -0.5], [[0.1, [1.0]]], {}, {"kind": "quadratic"}]
+        [], [0.5], [0.5, -0.5], [[0.1, [1.0]]], {}, {"kind": "quadratic"},
+        "0.5", "41", {"1": 0}, 10**400]
     ).map(lambda value: json.loads(json.dumps(value)))   # a copy to mutate
 
     @staticmethod

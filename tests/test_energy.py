@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from maxslope.energy import (
-    EnergySpec,
     _compile_expression,
     certify_well_posedness,
     convex_perturbed,
@@ -37,7 +36,7 @@ from maxslope.errors import (
 )
 from maxslope.metric import SpaceDescriptor
 
-from conftest import finite_difference_gradient, grammar_expressions
+from conftest import finite_difference_gradient, grammar_expressions, parse_config
 
 
 class TestEval:
@@ -572,11 +571,11 @@ class TestCustomExpressions:
         with pytest.raises(ValueError):
             custom_smooth(plane, "x^2")
 
-    def test_roundtrip_dict(self, line, wiggly_1d):
+    def test_roundtrip_dict(self, wiggly_1d):
         # the config object that the energy was written as
         d = {"kind": "wiggly", "amplitude_scale": 1.0,
              "base": {"kind": "quadratic", "weights": [1.0], "center": [0.0]}}
-        assert EnergySpec.from_dict(d, line) == wiggly_1d
+        assert parse_config(energy=d).energy == wiggly_1d
 
 
 class TestCriticalPoints:

@@ -13,7 +13,7 @@ from maxslope.metric import (
     squared_distances,
 )
 
-from conftest import pt
+from conftest import parse_config, pt
 
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
@@ -62,7 +62,7 @@ class TestSpaceDescriptor:
         # the config object that the space was written as
         d = {"dimension": 2, "metric_kind": "diagonal_weighted", "weights": [4.0, 1.0],
              "base_point": [1.0, 2.0]}
-        assert SpaceDescriptor.from_dict(d) == sp
+        assert parse_config(space=d).space == sp
 
 
 class TestDistance:

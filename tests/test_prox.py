@@ -23,7 +23,7 @@ from maxslope.prox import (
     prox_batch,
 )
 
-from conftest import brute_force_prox_1d
+from conftest import brute_force_prox_1d, parse_config
 
 
 DEFAULTS = ProxSettings()
@@ -240,5 +240,7 @@ class TestSelection:
     def test_settings_roundtrip(self):
         # the config object that the settings were written as
         s = ProxSettings(local_tol=1e-8, max_iters=5000)
-        assert ProxSettings.from_dict(
-            {"mode": "exact_if_available", "local_tol": 1e-8, "max_iters": 5000}) == s
+        run = {"eps": 1.0, "tau": 0.01, "horizon_T": 0.1, "initial_point": [1.0],
+               "prox_settings": {"mode": "exact_if_available", "local_tol": 1e-8,
+                                 "max_iters": 5000}}
+        assert parse_config(command={"run": run}).args["run"].prox_settings == s

@@ -12,7 +12,7 @@ from maxslope.regimes import (
 )
 from maxslope.scheme import SchemeParams, run_scheme
 
-from conftest import pt
+from conftest import parse_config, pt
 
 
 def base_params(u0=1.0, T=1.0):
@@ -44,8 +44,9 @@ class TestCouplingLaw:
     def test_roundtrip_dict(self):
         law = CouplingLaw("eps_of_tau", lam=3.0, alpha=0.5)
         # the config object that the law was written as
-        assert CouplingLaw.from_dict(
-            {"form": "eps_of_tau", "lam": 3.0, "alpha": 0.5}) == law
+        sweep = {"coupling": {"form": "eps_of_tau", "lam": 3.0, "alpha": 0.5},
+                 "levels": [0.01], "params": {"horizon_T": 0.1, "initial_point": [1.0]}}
+        assert parse_config(command={"sweep": sweep}).args["coupling"] == law
 
 
 class TestRunSweep:
