@@ -190,8 +190,13 @@ class ExperimentConfig:
                 raw = json.loads(fh.read().decode("utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:     # int's limit on the digits it converts
+            raise ConfigError(f"config file {path} has a number literal too long "
+                              f"to read: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config file {path} nests too deeply to read") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         return cls.from_dict(raw)
@@ -321,8 +326,11 @@ def parse_command(command: str, payload: dict, space: SpaceDescriptor) -> dict:
                             for e, v in args["sequence"]]
     if "probes" in args:
         args["probes"] = parse_object(args["probes"], PROBES_FIELDS, "probes")
-        count = args["probes"]["count"]
+        count, radius = args["probes"]["count"], args["probes"]["radius"]
         if not 1 <= count <= MAX_RUN_FLOATS // n:
             raise ConfigError(f"field 'count' must be at least 1 and count * n at "
                               f"most {MAX_RUN_FLOATS:.0e}, got {count}")
+        if not (radius > 0 and math.isfinite(2.0 * radius)):   # probes span 2 radius
+            raise ConfigError(f"field 'probes.radius' must be positive with 2 radius "
+                              f"finite, got {radius!r}")
     return args

@@ -31,6 +31,8 @@ from .slope import estimate_slope
 # Sample times of the maximal-slope check's interval grid: all pairs of an
 # evenly spaced grid of this many times over the curve.
 INTERVAL_GRID_POINTS = 11
+# Round-off allowed in a rise of the limit energy between samples.
+MONOTONE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +229,7 @@ def _cumulative_trapezoid(y, times):
 
 
 def maximal_slope_check(spec_limit: EnergySpec, times, coords,
-                        space: SpaceDescriptor, monotone_tol: float = 1e-9,
+                        space: SpaceDescriptor, monotone_tol: float = MONOTONE_TOL,
                         use_exact_slope: bool = True) -> MaximalSlopeReport:
     """Check the energy-dissipation inequality along a sampled curve.
 

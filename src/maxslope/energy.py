@@ -7,14 +7,12 @@ The built-in zoo:
 * ``convex_perturbed``   base(x) + eps * sum_i |x_i|
 * ``custom_smooth``      a 1D expression in ``x`` and ``eps``
 
-Each energy is a sum over coordinates of 1D members phi_j, and the numeric
-prox solves its problems as rows of these: ``coordinate_values`` and
-``coordinate_derivatives`` evaluate phi_j and phi_j' row by row on (R, k)
-arrays, ``coordinate_scalars`` gives phi_j, phi_j' and phi_j'' on Python
-floats for the families with a closed-form curvature, and
-``energy_floors`` and ``curvature_floors`` bound each phi_j and phi_j''
-from below.  ``eval_scalar`` is ``eval_many`` on one point of Python
-floats, summed by ``row_sum`` in numpy's order.
+Each energy is a sum over coordinates of 1D members phi_j, and each
+built-in family defines its member once (see Members below).  Every
+evaluator reads it: ``eval_many`` and ``gradient_many`` on rows of points,
+for the numeric prox ``coordinate_values`` and ``coordinate_curvatures``
+on (R, k) arrays of rows and ``coordinate_scalars`` and ``eval_scalar`` on
+Python floats, and ``energy_floors`` and ``curvature_floors``.
 
 Every kind is finite everywhere and has a closed-form descending slope.
 Optional capabilities (limit family as eps -> 0, closed-form curvature)
@@ -27,6 +25,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,8 @@ def quadratic(domain: SpaceDescriptor, weights, center) -> EnergySpec:
                       weights=tuple(weights), center=tuple(center))
 
 
-def wiggly(base: EnergySpec, amplitude_scale: float = 1.0) -> EnergySpec:
+def wiggly(base: EnergySpec,
+           amplitude_scale: float = EnergySpec.amplitude_scale) -> EnergySpec:
     return EnergySpec(kind=WIGGLY, domain=base.domain, base=base,
                       amplitude_scale=as_floats([amplitude_scale], "amplitude_scale")[0])
 
@@ -283,6 +283,102 @@ def _compile_expression(text: str):
 
 
 # ---------------------------------------------------------------------------
+# Members.  spec(x) = sum_j phi_j(x_j) over 1D members on the line (a 1D
+# energy, as every custom_smooth one is, is its own phi_0).  A built-in
+# family's is phi_j(x) = 1/2 w_j (x - b_j)^2 + s term(x); _FAMILIES holds
+# each family's term, written once over a numeric namespace ``xp`` (numpy
+# for arrays of rows, ``math`` for one float), and its closed-form
+# resolvent, and ``_member`` writes phi_j, phi_j' and phi_j'' over both.
+# ---------------------------------------------------------------------------
+
+# A family's s term(x) over one namespace: s, term, the term's parts of
+# phi_j' and phi_j'' and of the energy and curvature floors (None at a kink)
+_Term = namedtuple("_Term", "scale value slope curvature floor kappa")
+
+
+def _wiggly(spec: EnergySpec, eps: float, xp) -> _Term:
+    """a eps cos(x / eps), whose wells 2 pi eps apart pin the scheme."""
+    a, sin, cos = spec.amplitude_scale, xp.sin, xp.cos
+    minus_a, minus_a_over_eps = -a, -a / eps
+    return _Term(a * eps, lambda x: cos(x / eps), lambda x: minus_a * sin(x / eps),
+                 lambda x: minus_a_over_eps * cos(x / eps), -a * eps, minus_a_over_eps)
+
+
+def _kink(spec: EnergySpec, eps: float, xp) -> _Term:
+    """eps |x|; its slope takes sign(0) = 0 at the kink, by np.sign alone."""
+    return _Term(eps, abs, lambda x: eps * np.sign(x), None, 0.0, None)
+
+
+def _quadratic_resolvent(w, b, eps, delta, u, m, where):
+    # stationarity per coordinate: w (v - b) + m (v - u) / delta = 0
+    return (m * u + delta * w * b) / (m + delta * w)
+
+
+def _kink_resolvent(w, b, eps, delta, u, m, where):
+    a = m / delta
+    # per coordinate: w (v - b) + a (v - u) + eps sign(v) = 0, else v = 0
+    num = w * b + a * u
+    den = w + a
+    v_plus = (num - eps) / den
+    v_minus = (num + eps) / den
+    return where(v_plus > 0, v_plus, where(v_minus < 0, v_minus, 0.0))
+
+
+# kind: (term, closed-form resolvent), None where the family has none
+_FAMILIES = {QUADRATIC: (None, _quadratic_resolvent), WIGGLY: (_wiggly, None),
+             CONVEX_PERTURBED: (_kink, _kink_resolvent)}
+
+
+def base_quadratic(spec: EnergySpec) -> EnergySpec:
+    """The quadratic base of a built-in family; a quadratic is its own."""
+    return spec if spec.kind == QUADRATIC else spec.base
+
+
+def resolvent(spec: EnergySpec):
+    """The family's closed-form resolvent, or None: ``solve(w, b, eps, delta,
+    u, m, where)``, the minimizer of phi(v) + m (v - u)^2 / (2 delta) for the
+    member of weight w and centre b, on arrays (np.where) or floats."""
+    return _FAMILIES.get(spec.kind, (None, None))[1]
+
+
+def _term(spec: EnergySpec, eps: float, xp) -> _Term | None:
+    """The built-in ``spec``'s family term over ``xp``, None for a quadratic."""
+    make = _FAMILIES[spec.kind][0]
+    return make and make(spec, float(eps), xp)
+
+
+def _curved_term(spec: EnergySpec, eps: float, xp) -> _Term | None:
+    """``_term`` of a family with a closed-form curvature."""
+    if spec.kind != CUSTOM_SMOOTH:
+        term = _term(spec, eps, xp)
+        if term is None or term.curvature is not None:
+            return term
+    raise CapabilityAbsentError(f"no closed-form curvature for kind {spec.kind!r}")
+
+
+def _member(w, b, term: _Term | None):
+    """phi and x -> (phi'(x), phi''(x) or None at a kink) of the members of
+    weights ``w`` and centres ``b``, on arrays or floats, picked once here."""
+    if term is None:
+        def value(x):
+            diff = x - b
+            return 0.5 * (w * diff * diff)
+
+        def derivatives(x):
+            return w * (x - b), w
+        return value, derivatives
+    s, t, slope, curvature = term[:4]
+
+    def value(x):
+        diff = x - b
+        return 0.5 * (w * diff * diff) + s * t(x)
+
+    def derivatives(x):
+        return w * (x - b) + slope(x), curvature and w + curvature(x)
+    return value, derivatives
+
+
+# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
@@ -295,145 +391,72 @@ def _rows(spec: EnergySpec, X) -> np.ndarray:
     return X
 
 
+def _expression(spec: EnergySpec, eps: float, X: np.ndarray, k: int, what: str):
+    """The custom expression's value (k = 0) or derivative (k = 1) at the
+    (m, 1) rows ``X``, shape (m,); EvaluationError where not finite."""
+    out = np.asarray(_compile_expression(spec.expression)[k](X[:, 0], np.float64(eps)),
+                     dtype=float)
+    # a copy: the expression ``x`` gives back a view of X
+    out = out.copy() if out.shape == X.shape[:1] else np.full(X.shape[0], out)
+    if not np.isfinite(out).all():
+        bad = X[~np.isfinite(out)][0]
+        raise EvaluationError(f"{what} not finite at x={bad.tolist()}", point=bad)
+    return out
+
+
 def eval_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
     """Evaluate the energy at each row of ``X`` (m, n); returns shape (m,).
     ``eps`` must be positive."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     X = _rows(spec, X)
-    if spec.kind == QUADRATIC:
-        diff = X - np.asarray(spec.center)
-        return 0.5 * (np.asarray(spec.weights) * diff * diff).sum(axis=1)
-    if spec.kind == WIGGLY:
-        osc = spec.amplitude_scale * eps * np.cos(X / eps).sum(axis=1)
-        return eval_many(spec.base, eps, X) + osc
-    if spec.kind == CONVEX_PERTURBED:
-        return eval_many(spec.base, eps, X) + eps * np.abs(X).sum(axis=1)
-    value_fn, _ = _compile_expression(spec.expression)
-    out = np.asarray(value_fn(X[:, 0], np.float64(eps)), dtype=float)
-    # a copy: the expression ``x`` gives back a view of X
-    out = out.copy() if out.shape == X.shape[:1] else np.full(X.shape[0], out)
-    if not np.isfinite(out).all():
-        bad = X[~np.isfinite(out)][0]
-        raise EvaluationError(
-            f"expression {spec.expression!r} not finite at x={bad.tolist()}", point=bad
-        )
-    return out
+    if spec.kind == CUSTOM_SMOOTH:
+        return _expression(spec, eps, X, 0, f"expression {spec.expression!r}")
+    (w, b), term = _parameters(spec), _term(spec, eps, np)
+    diff = X - b
+    value = 0.5 * (w * diff * diff).sum(axis=1)
+    return value if term is None else value + term.scale * term.value(X).sum(axis=1)
 
 
 def gradient_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
     """(Sub)gradient rows for rows of ``X``; sign(0) taken as 0."""
     X = _rows(spec, X)
-    if spec.kind == QUADRATIC:
-        return np.asarray(spec.weights) * (X - np.asarray(spec.center))
-    if spec.kind == WIGGLY:
-        return gradient_many(spec.base, eps, X) - spec.amplitude_scale * np.sin(X / eps)
-    if spec.kind == CONVEX_PERTURBED:
-        return gradient_many(spec.base, eps, X) + eps * np.sign(X)
-    _, grad_fn = _compile_expression(spec.expression)
-    g = np.asarray(grad_fn(X[:, 0], np.float64(eps)), dtype=float)
-    g = g.copy() if g.shape == X.shape[:1] else np.full(X.shape[0], g)
-    if not np.isfinite(g).all():
-        bad = X[~np.isfinite(g)][0]
-        raise EvaluationError(
-            f"gradient of {spec.expression!r} not finite at x={bad.tolist()}", point=bad
-        )
-    return g[:, None]
+    if spec.kind == CUSTOM_SMOOTH:
+        return _expression(spec, eps, X, 1, f"gradient of {spec.expression!r}")[:, None]
+    return _member(*_parameters(spec), _term(spec, eps, np))[1](X)[0]
 
 
-# ---------------------------------------------------------------------------
-# Coordinate members.  Every energy is a sum over coordinates,
-# spec(x) = sum_j phi_j(x_j), of 1D members of its family on the Euclidean
-# line (a 1D energy, as every custom_smooth one is, is its own phi_0).  The
-# functions below evaluate the members row by row: row r of an (R,) or
-# (R, k) array X holds points of phi_cols[r], and each call gathers the
-# rows' parameters (w_j, b_j; a and eps are shared) once.
-# ---------------------------------------------------------------------------
-
-def _row_parameters(values, cols, X):
-    p = np.asarray(values)[cols]
-    return p if X.ndim == 1 else p[:, None]
+def _parameters(spec: EnergySpec, cols=slice(None), columns=False):
+    """The weights and centres of the members phi_cols[r] as arrays, or as
+    (R, 1) columns, which broadcast against the rows of an (R, k) array."""
+    quad = base_quadratic(spec)
+    w, b = np.asarray(quad.weights)[cols], np.asarray(quad.center)[cols]
+    return (w[:, None], b[:, None]) if columns else (w, b)
 
 
 def coordinate_values(spec: EnergySpec, eps: float, cols, X) -> np.ndarray:
     """phi_cols[r] at each point of row r of ``X``, in the shape of ``X``."""
     if spec.kind == CUSTOM_SMOOTH:
         return eval_many(spec, eps, X.reshape(-1, 1)).reshape(X.shape)
-    quad = spec if spec.kind == QUADRATIC else spec.base
-    w = _row_parameters(quad.weights, cols, X)
-    diff = X - _row_parameters(quad.center, cols, X)
-    value = 0.5 * (w * diff * diff)
-    if spec.kind == WIGGLY:
-        return value + spec.amplitude_scale * eps * np.cos(X / eps)
-    if spec.kind == CONVEX_PERTURBED:
-        return value + eps * np.abs(X)
-    return value
-
-
-def coordinate_derivatives(spec: EnergySpec, eps: float, cols, X) -> np.ndarray:
-    """phi' of phi_cols[r] at each point of row r of ``X``, in the shape of
-    ``X``; sign(0) is taken as 0."""
-    if spec.kind == CUSTOM_SMOOTH:
-        return gradient_many(spec, eps, X.reshape(-1, 1)).reshape(X.shape)
-    quad = spec if spec.kind == QUADRATIC else spec.base
-    w = _row_parameters(quad.weights, cols, X)
-    slope = w * (X - _row_parameters(quad.center, cols, X))
-    if spec.kind == WIGGLY:
-        return slope - spec.amplitude_scale * np.sin(X / eps)
-    if spec.kind == CONVEX_PERTURBED:
-        return slope + eps * np.sign(X)
-    return slope
-
-
-def coordinate_scalars(spec: EnergySpec, eps: float, j: int):
-    """phi_j and x -> (phi_j'(x), phi_j''(x)) on one Python float, for the
-    families with a closed-form curvature, ``quadratic`` and ``wiggly``
-    (for ``wiggly``, sin and cos share one x / eps).  They do the arithmetic
-    of ``coordinate_values`` and ``coordinate_derivatives`` in the same
-    order, so they give the same numbers."""
-    if spec.kind not in (QUADRATIC, WIGGLY):
-        raise CapabilityAbsentError(f"no closed-form curvature for kind {spec.kind!r}")
-    quad = spec if spec.kind == QUADRATIC else spec.base
-    w, b = quad.weights[j], quad.center[j]
-    if spec.kind == QUADRATIC:
-        def value(x):
-            diff = x - b
-            return 0.5 * (w * diff * diff)
-
-        def derivatives(x):
-            return w * (x - b), w
-        return value, derivatives
-    eps = float(eps)
-    a = spec.amplitude_scale
-    a_eps, a_over_eps = a * eps, a / eps
-    sin, cos = math.sin, math.cos
-
-    def value(x):
-        diff = x - b
-        return 0.5 * (w * diff * diff) + a_eps * cos(x / eps)
-
-    def derivatives(x):
-        t = x / eps
-        return w * (x - b) - a * sin(t), w - a_over_eps * cos(t)
-    return value, derivatives
+    return _member(*_parameters(spec, cols, X.ndim == 2), _term(spec, eps, np))[0](X)
 
 
 def coordinate_curvatures(spec: EnergySpec, eps: float, cols, X):
     """(phi', phi'') of phi_cols[r] at each point of row r of ``X``, for
     ``quadratic`` and ``wiggly``: ``coordinate_scalars``' derivatives on
-    arrays, in the same order of operations, so on the same numbers where
-    numpy's sin and cos round as libm's do."""
-    if spec.kind not in (QUADRATIC, WIGGLY):
-        raise CapabilityAbsentError(f"no closed-form curvature for kind {spec.kind!r}")
-    quad = spec if spec.kind == QUADRATIC else spec.base
-    w = _row_parameters(quad.weights, cols, X)
-    slope = w * (X - _row_parameters(quad.center, cols, X))
-    if spec.kind == QUADRATIC:
-        return slope, w
-    eps = float(eps)
-    a = spec.amplitude_scale
-    t = X / eps
-    return slope - a * np.sin(t), w - a / eps * np.cos(t)
+    arrays, so on the same numbers where numpy's sin and cos round as
+    libm's do."""
+    term = _curved_term(spec, eps, np)
+    return _member(*_parameters(spec, cols, X.ndim == 2), term)[1](X)
+
+
+def coordinate_scalars(spec: EnergySpec, eps: float, j: int):
+    """phi_j and x -> (phi_j'(x), phi_j''(x)) on one Python float, for the
+    families with a closed-form curvature, ``quadratic`` and ``wiggly``:
+    ``_member`` of coordinate j, as ``coordinate_values`` and
+    ``coordinate_curvatures`` evaluate it on arrays."""
+    quad, term = base_quadratic(spec), _curved_term(spec, eps, math)
+    return _member(quad.weights[j], quad.center[j], term)
 
 
 def row_sum(terms) -> float:
@@ -472,44 +495,39 @@ def eval_scalar(spec: EnergySpec, eps: float):
     and x / eps must be finite, where numpy's cos is nan and libm's raises."""
     if spec.kind == CUSTOM_SMOOTH:
         raise CapabilityAbsentError("no float evaluation for kind 'custom_smooth'")
-    quad = spec if spec.kind == QUADRATIC else spec.base
+    quad, term = base_quadratic(spec), _term(spec, eps, math)
     members = list(zip(quad.weights, quad.center))
 
     def base(x):
         return 0.5 * row_sum([w * (xj - b) * (xj - b)
                               for xj, (w, b) in zip(x, members)])
-    if spec.kind == QUADRATIC:
+    if term is None:
         return base
-    eps = float(eps)
-    if spec.kind == CONVEX_PERTURBED:
-        return lambda x: base(x) + eps * row_sum([abs(xj) for xj in x])
-    a_eps, cos = spec.amplitude_scale * eps, math.cos
-    return lambda x: base(x) + a_eps * row_sum([cos(xj / eps) for xj in x])
+    s, t = term.scale, term.value
+    return lambda x: base(x) + s * row_sum([t(xj) for xj in x])
 
 
 def energy_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:
     """A lower bound of each coordinate member phi_j on the whole line, or
-    None for ``custom_smooth``, which declares none: 0 for a quadratic and
-    for ``convex_perturbed``, -a eps for ``wiggly``.  Their sum bounds the
-    energy."""
-    if spec.kind == QUADRATIC:
-        return np.zeros(spec.domain.dimension)
-    if spec.kind == WIGGLY:
-        return energy_floors(spec.base, eps) - spec.amplitude_scale * eps
-    if spec.kind == CONVEX_PERTURBED:
-        return energy_floors(spec.base, eps)
-    return None
+    None for ``custom_smooth``, which declares none: 0 for a quadratic,
+    plus the term's floor (-a eps for ``wiggly``, 0 for
+    ``convex_perturbed``).  Their sum bounds the energy."""
+    if spec.kind == CUSTOM_SMOOTH:
+        return None
+    term = _term(spec, eps, np)
+    return np.zeros(spec.domain.dimension) + (0.0 if term is None else term.floor)
 
 
 def curvature_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:
     """A lower bound of each phi_j'', or None where the family has none:
     ``convex_perturbed`` has a kink and ``custom_smooth`` declares none.
     It is w_j for a quadratic and w_j - a / eps for ``wiggly``."""
-    if spec.kind == QUADRATIC:
-        return np.asarray(spec.weights)
-    if spec.kind == WIGGLY:
-        return curvature_floors(spec.base, eps) - spec.amplitude_scale / eps
-    return None
+    if spec.kind == CUSTOM_SMOOTH:
+        return None
+    (weights, _), term = _parameters(spec), _term(spec, eps, np)
+    if term is None:
+        return weights
+    return None if term.kappa is None else weights + term.kappa
 
 
 def exact_slopes(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
@@ -520,12 +538,10 @@ def exact_slopes(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
     eps*|x| perturbation the minimal-norm subgradient is used at kinks.
     """
     X = _rows(spec, X)
+    G = gradient_many(spec, eps, X)
     if spec.kind == CONVEX_PERTURBED:
-        A = gradient_many(spec.base, eps, X)
-        G = np.where(X != 0.0, A + eps * np.sign(X),
-                     np.sign(A) * np.maximum(0.0, np.abs(A) - eps))
-    else:
-        G = gradient_many(spec, eps, X)
+        A = gradient_many(base_quadratic(spec), eps, X)
+        G = np.where(X != 0.0, G, np.sign(A) * np.maximum(0.0, np.abs(A) - eps))
     return np.sqrt((G * G / spec.domain.metric_weights()).sum(axis=1))
 
 
@@ -540,13 +556,9 @@ def gamma_limit(spec: EnergySpec) -> EnergySpec:
     bounded by a constant times eps), so the limit is the base quadratic;
     a quadratic family is eps-independent and its own limit.
     """
-    if spec.kind == QUADRATIC:
-        return spec
-    if spec.kind in (WIGGLY, CONVEX_PERTURBED):
-        return spec.base
-    raise CapabilityAbsentError(
-        f"kind {spec.kind!r} declares no limit family"
-    )
+    if spec.kind == CUSTOM_SMOOTH:
+        raise CapabilityAbsentError(f"kind {spec.kind!r} declares no limit family")
+    return base_quadratic(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """Proximal (resolvent) map: minimize energy(v) + d^2(v, u) / (2 * delta).
 
 One engine, ``prox_batch``, solves B independent problems (one step size
-and one base point per row).
-Closed forms are used where they exist (quadratic and soft-threshold
-perturbations against diagonal metrics) and are evaluated as single array
-expressions over the rows.  Everything else is one search over the B n
+and one base point per row).  A closed form is used where the energy's
+family has one (``energy.resolvent``), evaluated as a single array
+expression over the rows.  Everything else is one search over the B n
 coordinate rows of the B problems in n dimensions: every energy is a sum
 over coordinates and the metric is diagonal, so each problem separates
 into n 1D problems (the separable-sum rule of Parikh and Boyd, Proximal
 Algorithms, 2014).  Each coordinate row searches a window that minimality
-certifies from its coordinate's energy floor, or a heuristic one for
-``custom_smooth``, and takes one of two routes:
+certifies from its coordinate's energy floor, or a heuristic one for an
+energy without floors, and takes one of two routes:
 
 * the Newton route, where the energy's curvature floor makes the
   objective strictly convex: a row's window and a safeguarded Newton
@@ -47,17 +46,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (
-    CONVEX_PERTURBED,
-    QUADRATIC,
     EnergySpec,
+    base_quadratic,
     coordinate_curvatures,
-    coordinate_derivatives,
     coordinate_scalars,
     coordinate_values,
     curvature_floors,
     energy_floors,
     eval_many,
     eval_scalar,
+    gradient_many,
+    resolvent,
     row_sum,
 )
 from .errors import (
@@ -144,12 +143,11 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
         raise InvalidDeltaError(f"delta must be positive, got {bad}")
     mw = space.metric_weights()
     B = U.shape[0]
-    exact = _closed_form(spec, settings)
-    if exact:
-        quad = spec if spec.kind == QUADRATIC else spec.base
-        V = _exact_minimizers(spec.kind, np.asarray(quad.weights),
-                              np.asarray(quad.center), eps, deltas[:, None], U, mw,
-                              np.where)
+    solve = _closed_form(spec, settings)
+    if solve is not None:
+        quad = base_quadratic(spec)
+        V = solve(np.asarray(quad.weights), np.asarray(quad.center), eps,
+                  deltas[:, None], U, mw, np.where)
         energies = eval_many(spec, eps, V)
     else:
         rows, C, cvals, cenergies = _separable_nd(spec, eps, deltas, U, mw, settings)
@@ -165,7 +163,7 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
 
     tie_moved, near_tie = moved.copy(), np.zeros(B, dtype=bool)
     tie_rows, tie_points = np.zeros(0, dtype=int), V[:0]
-    if not exact and rows.size > B:
+    if solve is None and rows.size > B:
         tie = _near_ties(rows, C, cvals, chosen, values, mw, settings.local_tol)
         if tie.size:
             tie_rows, tie_points = rows[tie], C[tie]
@@ -174,7 +172,7 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
             near_tie[tie_rows] = True
     return ProxBatch(
         minimizers=V, values=values, energies=energies, moved=moved,
-        tie_moved=tie_moved, near_tie=near_tie, certified_exact=exact,
+        tie_moved=tie_moved, near_tie=near_tie, certified_exact=solve is not None,
         tie_rows=tie_rows, tie_points=tie_points,
     )
 
@@ -186,7 +184,7 @@ def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
     for bit as ``prox_batch(spec, eps, [delta], [u], settings)`` returns
     them, or None where the step is ``prox_batch``'s work.
 
-    * A closed form is ``_exact_minimizers`` on each coordinate's floats.
+    * A closed form is ``resolvent`` on each coordinate's floats.
     * On the Newton route each coordinate row is one ``_newton_row``.  The
       function returns None for a step in which some coordinate keeps its
       stay-put guard as a second candidate: ranking those is
@@ -199,17 +197,17 @@ def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
     kappa_j + m_j / delta is not positive.
     """
     mw = spec.domain.metric_weights()
-    closed, kappa = _closed_form(spec, settings), curvature_floors(spec, eps)
-    if not closed and (kappa is None or not (kappa + mw / delta > 0).all()):
+    solve, kappa = _closed_form(spec, settings), curvature_floors(spec, eps)
+    if solve is None and (kappa is None or not (kappa + mw / delta > 0).all()):
         return None
     m, energy = mw.tolist(), eval_scalar(spec, eps)
     n = len(m)
-    if closed:
-        quad = spec if spec.kind == QUADRATIC else spec.base
+    if solve is not None:
+        quad = base_quadratic(spec)
         members = list(zip(quad.weights, quad.center, m))
 
         def closed_step(u):
-            xs = [_exact_minimizers(spec.kind, w, b, eps, delta, uj, mj, _where)
+            xs = [solve(w, b, eps, delta, uj, mj, _where)
                   for uj, (w, b, mj) in zip(u, members)]
             return xs, energy(xs), _moved(xs, u, m)
         return closed_step
@@ -237,9 +235,8 @@ def _moved(xs, u, m):
 
 
 def _closed_form(spec, settings):
-    """Whether ``prox_batch`` solves ``spec``'s problems in closed form."""
-    return settings.mode == EXACT_IF_AVAILABLE and spec.kind in (QUADRATIC,
-                                                                 CONVEX_PERTURBED)
+    """The ``resolvent`` by which ``prox_batch`` solves ``spec``'s problems."""
+    return resolvent(spec) if settings.mode == EXACT_IF_AVAILABLE else None
 
 
 def _objective(spec, eps, X, cols, u, delta, m):
@@ -299,27 +296,6 @@ def _precedes(a, b):
     return True
 
 
-# ---------------------------------------------------------------------------
-# Exact paths
-# ---------------------------------------------------------------------------
-
-def _exact_minimizers(kind, w, b, eps, delta, u, m, where):
-    """The closed-form minimizer of a ``quadratic`` (weights w, centre b) or
-    ``convex_perturbed`` (over that base) coordinate, by one sequence of
-    operations: on arrays, with ``where`` = np.where, or on one
-    coordinate's floats, with ``_where``, where it gives the same bits."""
-    if kind == QUADRATIC:
-        # stationarity per coordinate: w (v - b) + m (v - u) / delta = 0
-        return (m * u + delta * w * b) / (m + delta * w)
-    a = m / delta
-    # per coordinate: w (v - b) + a (v - u) + eps sign(v) = 0, else v = 0
-    num = w * b + a * u
-    den = w + a
-    v_plus = (num - eps) / den
-    v_minus = (num + eps) / den
-    return where(v_plus > 0, v_plus, where(v_minus < 0, v_minus, 0.0))
-
-
 def _where(condition, a, b):
     """np.where on one coordinate's floats; a comparison with nan is False
     in both, so a nan minimizer falls to the last branch."""
@@ -341,7 +317,7 @@ _GRID_CHUNK = 64
 _GRID_STEPS = np.arange(_GRID_POINTS, dtype=float)
 
 
-# Window of the energies without a floor (custom_smooth): u +- this times
+# Window of the energies without floors: u +- this times
 # max(1, delta |grad phi(u)|), a heuristic that certifies nothing.
 _FALLBACK_RADIUS = 2.0
 # Round-off allowed in phi(u) - phi_low, relative to 1 + |phi(u)| + |phi_low|,
@@ -361,8 +337,8 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings, tie_gap=None):
     j = cols[r], u = u[r], delta = deltas[r] and m = m[r].  Every family
     with energy floors phi_low searches the certified window
     |v - u| <= sqrt(2 delta (phi_j(u) - phi_low) / m), which minimality
-    gives (Ambrosio-Gigli-Savare, Gradient Flows, ch. 2-3); ``custom_smooth``
-    searches u +- 2 max(1, delta |phi'(u)|).  A row whose objective has a
+    gives (Ambrosio-Gigli-Savare, Gradient Flows, ch. 2-3); a family
+    without floors searches u +- 2 max(1, delta |phi'(u)|).  A row whose objective has a
     positive curvature floor (phi_j'' >= kappa_j with kappa_j + m / delta
     > 0) is strictly convex there and takes ``_newton_1d``; every other row
     takes ``_grid_zoom_1d``.  Each route sizes its rows' windows itself, by
@@ -632,7 +608,7 @@ def _grid_zoom_rows(spec, eps, cols, deltas, u, m, settings):
     floor = energy_floors(spec, eps)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if floor is None:
-            g = coordinate_derivatives(spec, eps, cols, u)
+            g = gradient_many(spec, eps, u[:, None])[:, 0]
             radius = _FALLBACK_RADIUS * np.maximum(1.0, deltas * np.sqrt(g * g))
         else:
             floor = floor[cols]

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import MaximalSlopeReport, maximal_slope_check
+from .diagnostics import MONOTONE_TOL, MaximalSlopeReport, maximal_slope_check
 from .energy import EnergySpec, gamma_limit
 from .errors import MaxslopeError
 from .metric import distances
@@ -208,7 +208,7 @@ class PipelineResult:
 def maximal_slope_pipeline(spec: EnergySpec, coupling: CouplingLaw, levels,
                            base_params: SchemeParams,
                            waive_condition_h: bool = False,
-                           monotone_tol: float = 1e-9) -> PipelineResult:
+                           monotone_tol: float = MONOTONE_TOL) -> PipelineResult:
     """Sweep, then test the limit candidate against the limit energy.
 
     Condition-(H) evidence is gathered on the constant sample sequence

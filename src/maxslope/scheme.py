@@ -229,7 +229,8 @@ class VariationalInterpolant:
 
 def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
                       prox_settings: ProxSettings,
-                      nodes_per_step: int = 8) -> VariationalInterpolant:
+                      nodes_per_step: int = SchemeParams.quadrature_nodes_per_step
+                      ) -> VariationalInterpolant:
     """Solve the prox on every quadrature node of every step.
 
     Once u^i is known the N * K node problems are independent, so they go

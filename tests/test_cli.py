@@ -100,15 +100,20 @@ def maximal_slope_config(out_dir):
 
 
 def run_cli(tmp_path, doc, *extra, timeout=60):
-    """``python -m maxslope.cli`` on ``doc`` in a fresh process."""
-    cfg = write_config(tmp_path, doc)
+    """``python -m maxslope.cli`` on ``doc`` in a fresh process.  A ``doc``
+    given as JSON text, for a literal that json.dumps cannot write, runs as
+    ``run``."""
+    if isinstance(doc, str):
+        cfg, command = tmp_path / "config.json", "run"
+        cfg.write_text(doc)
+    else:
+        cfg, command = write_config(tmp_path, doc), next(iter(doc["command"]))
     src = str(Path(maxslope.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run(
-        [sys.executable, "-m", "maxslope.cli", next(iter(doc["command"])),
-         "--config", cfg, *extra], capture_output=True, text=True, env=env,
-        timeout=timeout)
+        [sys.executable, "-m", "maxslope.cli", command, "--config", str(cfg), *extra],
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def set_field(doc, path, value):

@@ -11,7 +11,6 @@ from maxslope.energy import (
     certify_well_posedness,
     convex_perturbed,
     coordinate_curvatures,
-    coordinate_derivatives,
     coordinate_scalars,
     coordinate_values,
     curvature_floors,
@@ -76,6 +75,12 @@ class TestEval:
             wiggly(quad_1d, amplitude_scale=0.0)
 
 
+def hexes(a):
+    """The float.hex of each number of ``a``: equal lists are equal bit for
+    bit, signs of zero included."""
+    return [float.hex(v) for v in np.ravel(a).tolist()]
+
+
 class TestCoordinates:
     SPACE = SpaceDescriptor(3, metric_kind="diagonal_weighted", weights=(4.0, 1.0, 2.0))
     BASE = quadratic(SPACE, [1.0, 2.0, 0.5], [0.3, -0.2, 1.0])
@@ -90,8 +95,16 @@ class TestCoordinates:
         assert parts.shape == (3, 50)
         assert np.allclose(parts.sum(axis=0), eval_many(spec, 0.1, X),
                            rtol=1e-14, atol=1e-14)
-        slope = coordinate_derivatives(spec, 0.1, np.arange(3), X.T.copy())
-        assert np.array_equal(slope, gradient_many(spec, 0.1, X).T)
+        # phi_j' is gradient_many's column j, which depends on x_j alone
+        slope = gradient_many(spec, 0.1, X).T
+        others = np.random.default_rng(5).uniform(-2.0, 2.0, (50, 3))
+        for j in range(3):
+            Y = others.copy()
+            Y[:, j] = X[:, j]
+            assert hexes(gradient_many(spec, 0.1, Y)[:, j]) == hexes(slope[j])
+        if curvature_floors(spec, 0.1) is not None:     # a closed-form curvature
+            first, _ = coordinate_curvatures(spec, 0.1, np.arange(3), X.T.copy())
+            assert hexes(first) == hexes(slope)
         # rows in any order, flat or in blocks, give each row its own member
         cols = np.array([2, 0, 1, 0, 2])
         block = np.random.default_rng(4).uniform(-2.0, 2.0, (5, 4))
@@ -107,8 +120,12 @@ class TestCoordinates:
         cols = np.zeros(3, dtype=int)
         assert np.array_equal(coordinate_values(spec, 1.0, cols, X),
                               eval_many(spec, 1.0, X.reshape(-1, 1)).reshape(3, 4))
-        slope = coordinate_derivatives(spec, 1.0, cols, X)
-        assert np.array_equal(slope, gradient_many(spec, 1.0, X.reshape(-1, 1)).reshape(3, 4))
+        # phi_0' on column rows, in one block or row by row, as the grid
+        # route takes it for its windows
+        slope = gradient_many(spec, 1.0, X.reshape(-1, 1)).reshape(3, 4)
+        for r in range(3):
+            assert hexes(gradient_many(spec, 1.0, X[r][:, None])[:, 0]) == hexes(slope[r])
+        assert hexes(gradient_many(spec, 1.0, X[:, 0][:, None])[:, 0]) == hexes(slope[:, 0])
 
     @pytest.mark.parametrize("family", ["quadratic", "wiggly"])
     @settings(max_examples=60, deadline=None)
@@ -142,10 +159,12 @@ class TestCoordinates:
                                         max_size=n * k))).reshape(n, k)
         cols = np.arange(n)
         values = coordinate_values(spec, eps, cols, X)
-        slopes = coordinate_derivatives(spec, eps, cols, X)
+        # phi' of each coordinate on column rows: row j of X is coordinate j
+        slopes = gradient_many(spec, eps, X.T).T
         # the Newton route's array sweep evaluates (phi', phi'') by rows
         first, second = (np.broadcast_to(d, X.shape)
                          for d in coordinate_curvatures(spec, eps, cols, X))
+        assert hexes(first) == hexes(slopes)
         # where libm and numpy round sin or cos differently
         t = X / eps
         libm_differs = ((np.sin(t) != np.vectorize(math.sin)(t))
@@ -162,7 +181,7 @@ class TestCoordinates:
                     assert abs(derivatives(x)[1] - g2) <= 4 * math.ulp(max(abs(g2), a / eps))
                 else:
                     assert value(x) == v
-                    assert derivatives(x)[0] == g
+                    assert float.hex(derivatives(x)[0]) == float.hex(g)
                     # the array sweep's (phi', phi''), sign bits included
                     assert list(map(float.hex, derivatives(x))) == [float.hex(g1),
                                                                     float.hex(g2)]
