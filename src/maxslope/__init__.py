@@ -38,7 +38,6 @@ from .diagnostics import (
     MaximalSlopeReport,
     apriori_bounds,
     dissipation_identity,
-    energy_monotonicity_along_limit,
     maximal_slope_check,
     metric_derivative,
 )

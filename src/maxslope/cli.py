@@ -55,14 +55,13 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     scheme_mod.trajectory_to_csv(traj, out / "trajectory.csv")
     scheme_mod.interpolant_to_csv(interp, out / "interpolant.csv")
 
-    full = diagnostics.dissipation_identity(cfg.energy, traj, interp,
-                                            0, traj.n_steps)
+    full = diagnostics.dissipation_identity(interp, 0, traj.n_steps)
     write_json(
         {
             "n_steps": traj.n_steps,
             "full_range": full.to_dict(),
             "consecutive_max_abs_residual": float(
-                np.abs(diagnostics.step_residuals(traj, interp)).max()),
+                np.abs(diagnostics.step_residuals(interp)).max()),
         },
         out / "dissipation.json",
     )
@@ -94,10 +93,9 @@ def _check_dissipation(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
     traj, interp = _run_with_interpolant(cfg, args["run"])
     # the residual over steps i..j is R[j] - R[i], so the worst of all N(N+1)/2
     # pairs spans R's minimum and maximum; a constant R keeps the pair (0, 1)
-    R = np.concatenate([[0.0], np.cumsum(diagnostics.step_residuals(traj, interp))])
+    R = np.concatenate([[0.0], np.cumsum(diagnostics.step_residuals(interp))])
     i, j = sorted((int(R.argmin()), int(R.argmax())))
-    worst = diagnostics.dissipation_identity(cfg.energy, traj, interp,
-                                             i, max(j, i + 1))
+    worst = diagnostics.dissipation_identity(interp, i, max(j, i + 1))
     passed = abs(worst.residual) < tol
     return passed, {
         "residual_tol": tol,
@@ -108,8 +106,8 @@ def _check_dissipation(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
 
 
 def _check_apriori(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
-    traj, interp = _run_with_interpolant(cfg, args["run"])
-    report = diagnostics.apriori_bounds(cfg.energy, traj, interp, **args["options"])
+    _, interp = _run_with_interpolant(cfg, args["run"])
+    report = diagnostics.apriori_bounds(interp, **args["options"])
     passed = all([report.dist_bound_ok, report.energy_bound_ok,
                   report.tilde_closeness_ok, report.velocity_energy_ok,
                   report.g_energy_ok])
@@ -134,11 +132,11 @@ def _check_slope_cone(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
     }
 
 
-def _limit_family(cfg: ExperimentConfig, ctype: str):
-    """The limit energy as eps -> 0 that ``check ctype`` compares against;
-    an energy kind without one makes the config an error."""
+def _limit_family(cfg: ExperimentConfig, ctype: str) -> None:
+    """``check ctype`` compares against the limit energy as eps -> 0; an
+    energy kind without one makes the config an error."""
     try:
-        return gamma_limit(cfg.energy)
+        gamma_limit(cfg.energy)
     except CapabilityAbsentError as exc:
         raise ConfigError(f"check {ctype} compares against the limit family as "
                           f"eps -> 0, which energy kind {cfg.energy.kind!r} does "
@@ -146,9 +144,9 @@ def _limit_family(cfg: ExperimentConfig, ctype: str):
 
 
 def _check_condition_h(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
+    _limit_family(cfg, "condition_h")
     report = slope_mod.check_condition_h(
-        cfg.energy, _limit_family(cfg, "condition_h"), args["sequence"],
-        args["limit_v"], **args["options"])
+        cfg.energy, args["sequence"], args["limit_v"], **args["options"])
     return report.passed, report.to_dict()
 
 

@@ -1,13 +1,14 @@
 """Identity and bound checks on trajectories and limit curves.
 
-Covers the exact dissipation identity of the variational interpolant,
-the a-priori bound suite behind it, metric-derivative estimation for
-sampled curves, the maximal-slope inequality checker, and the
-energy-monotonicity check along limit curves.  A sampled curve is a pair
-of arrays: its increasing times (K,) and its points (K, n), as a
-trajectory's node times i * tau and its ``coords``.  All a.e. statements
-are asserted on sample grids only; grids avoid step nodes where the
-relevant functions jump.
+Covers the exact dissipation identity of the variational interpolant
+(with the g^2 quadrature over its steps), the a-priori bound suite behind
+it, metric-derivative estimation for sampled curves and the maximal-slope
+inequality checker.  Each check on a run reads the trajectory as its
+interpolant's ``parent``, and the limit curve's space as the limit
+energy's ``domain``.  A sampled curve is a pair of arrays: its increasing
+times (K,) and its points (K, n), as a trajectory's node times i * tau and
+its ``coords``.  All a.e. statements are asserted on sample grids only;
+grids avoid step nodes where the relevant functions jump.
 """
 
 from __future__ import annotations
@@ -21,11 +22,7 @@ import numpy as np
 from .energy import LIMIT_EPS, EnergySpec, eval_many, exact_slopes
 from .errors import CoverageGapError
 from .metric import SpaceDescriptor, distances, squared_distances
-from .scheme import (
-    DiscreteTrajectory,
-    VariationalInterpolant,
-    g_squared_integral,
-)
+from .scheme import VariationalInterpolant
 from .slope import estimate_slope
 
 # Sample times of the maximal-slope check's interval grid: all pairs of an
@@ -59,17 +56,16 @@ class DissipationReport:
         return asdict(self)
 
 
-def dissipation_identity(spec: EnergySpec, traj: DiscreteTrajectory,
-                         interpolant: VariationalInterpolant,
+def dissipation_identity(interpolant: VariationalInterpolant,
                          i: int, j: int) -> DissipationReport:
+    traj = interpolant.parent
     if not (0 <= i < j <= traj.n_steps):
         raise CoverageGapError(f"need 0 <= i < j <= {traj.n_steps}, got ({i}, {j})")
-    if interpolant.parent is not traj:
-        raise CoverageGapError("interpolant was built for a different trajectory")
     lhs = float(traj.step_energies[i] - traj.step_energies[j])
     d = traj.step_distances[i:j]
     velocity_integral = 0.5 * float((d * d).sum()) / traj.tau
-    g_integral = 0.5 * g_squared_integral(interpolant, i, j)
+    g = interpolant.g_values[i:j]
+    g_integral = 0.5 * float((g * g @ interpolant.weights).sum())
     return DissipationReport(
         i=i, j=j, lhs=lhs,
         velocity_integral=velocity_integral,
@@ -78,15 +74,13 @@ def dissipation_identity(spec: EnergySpec, traj: DiscreteTrajectory,
     )
 
 
-def step_residuals(traj: DiscreteTrajectory,
-                   interpolant: VariationalInterpolant) -> np.ndarray:
-    """``dissipation_identity(..., i, i + 1).residual`` for every step i,
-    bit for bit, as an (N,) array.  The identity telescopes: up to round-off
-    the residual over steps i..j is the sum of entries i..j-1."""
-    if interpolant.parent is not traj:
-        raise CoverageGapError("interpolant was built for a different trajectory")
+def step_residuals(interpolant: VariationalInterpolant) -> np.ndarray:
+    """``dissipation_identity(interpolant, i, i + 1).residual`` for every
+    step i, bit for bit, as an (N,) array.  The identity telescopes: up to
+    round-off the residual over steps i..j is the sum of entries i..j-1."""
+    traj = interpolant.parent
     E, d, G = traj.step_energies, traj.step_distances, interpolant.g_values
-    # stacked (1, K) @ (K,) products sum each step in g_squared_integral's
+    # stacked (1, K) @ (K,) products sum each step in dissipation_identity's
     # order; (G * G) @ w and einsum differ from it in the last bit
     g = 0.5 * np.matmul((G * G)[:, None, :], interpolant.weights)[:, 0]
     return E[:-1] - E[1:] - 0.5 * (d * d) / traj.tau - g
@@ -127,9 +121,9 @@ class AprioriReport:
         return asdict(self)
 
 
-def apriori_bounds(spec: EnergySpec, traj: DiscreteTrajectory,
-                   interpolant: VariationalInterpolant,
+def apriori_bounds(interpolant: VariationalInterpolant,
                    quad_tol: float = 1e-8) -> AprioriReport:
+    traj = interpolant.parent
     space, X = traj.space, traj.coords
     dist_constant = float(squared_distances(space, X, space.base_point.array).max())
     energy_constant = float(np.abs(traj.step_energies).max())
@@ -140,7 +134,7 @@ def apriori_bounds(spec: EnergySpec, traj: DiscreteTrajectory,
     # half-integrals, matching the dissipation-report normalization; the
     # exact identity splits the energy drop into exactly these two terms,
     # so each one is bounded by the drop
-    full = dissipation_identity(spec, traj, interpolant, 0, traj.n_steps)
+    full = dissipation_identity(interpolant, 0, traj.n_steps)
     drop = full.lhs
     velocity_margin = drop - full.velocity_integral
     g_margin = drop - full.g_integral
@@ -229,12 +223,13 @@ def _cumulative_trapezoid(y, times):
 
 
 def maximal_slope_check(spec_limit: EnergySpec, times, coords,
-                        space: SpaceDescriptor, monotone_tol: float = MONOTONE_TOL,
+                        monotone_tol: float = MONOTONE_TOL,
                         use_exact_slope: bool = True) -> MaximalSlopeReport:
     """Check the energy-dissipation inequality along a sampled curve.
 
     The curve is sampled at the increasing ``times`` (K,) with points
-    ``coords`` (K, n).  Speed comes from symmetric difference quotients,
+    ``coords`` (K, n) of the limit energy's space ``spec_limit.domain``.
+    Speed comes from symmetric difference quotients in its metric,
     slope from the limit energy's exact formula (or the sampled estimator
     when ``use_exact_slope`` is off, excluding nodes whose estimate does
     not converge), integrals from the trapezoid rule on the sample grid.
@@ -242,7 +237,7 @@ def maximal_slope_check(spec_limit: EnergySpec, times, coords,
     spaced times, snapped to sample times.
     """
     times, coords = np.asarray(times, dtype=float), np.asarray(coords, dtype=float)
-    speeds = metric_derivative(times, coords, space)
+    speeds = metric_derivative(times, coords, spec_limit.domain)
     varphi = eval_many(spec_limit, LIMIT_EPS, coords)
 
     excluded = np.zeros(len(times), dtype=bool)
@@ -282,16 +277,3 @@ def maximal_slope_check(spec_limit: EnergySpec, times, coords,
         excluded_times=tuple(times[excluded].tolist()),
     )
 
-
-def energy_monotonicity_along_limit(spec_limit: EnergySpec,
-                                    coords) -> tuple[bool, float]:
-    """Is energy(u(t)) <= energy(u(0)) (within 1e-9) at every row of ``coords``?
-
-    Returns (verdict, worst margin) where margin = energy(u(0)) - energy(u(t))
-    minimized over the samples (negative margin means an increase).
-    """
-    if len(coords) == 0:
-        raise ValueError("curve must be nonempty")
-    energies = eval_many(spec_limit, LIMIT_EPS, coords)
-    worst = float((energies[0] - energies).min())
-    return worst >= -1e-9, worst

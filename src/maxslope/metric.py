@@ -92,12 +92,6 @@ class SpaceDescriptor:
             return np.asarray(self.weights, dtype=float)
         return np.ones(self.dimension)
 
-    def validate_point(self, p: Point) -> None:
-        if p.dim != self.dimension:
-            raise DimensionMismatchError(
-                f"point has dim {p.dim}, space has {self.dimension}"
-            )
-
 
 def squared_distances(space: SpaceDescriptor, X, Y) -> np.ndarray:
     """Squared metric distances between the rows of ``X`` and ``Y``, which

@@ -113,7 +113,6 @@ class ProxBatch:
     moved: np.ndarray           # (B,) d(minimizer, u)
     tie_moved: np.ndarray       # (B,)
     near_tie: np.ndarray        # (B,) bool
-    certified_exact: bool
     tie_rows: np.ndarray        # (T,)
     tie_points: np.ndarray      # (T, n)
 
@@ -172,7 +171,7 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
             near_tie[tie_rows] = True
     return ProxBatch(
         minimizers=V, values=values, energies=energies, moved=moved,
-        tie_moved=tie_moved, near_tie=near_tie, certified_exact=solve is not None,
+        tie_moved=tie_moved, near_tie=near_tie,
         tie_rows=tie_rows, tie_points=tie_points,
     )
 

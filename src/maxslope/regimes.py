@@ -222,7 +222,7 @@ def maximal_slope_pipeline(spec: EnergySpec, coupling: CouplingLaw, levels,
     if not waive_condition_h:
         eps_levels = [coupling.resolve(v)[0] for v in levels]
         v = base_params.initial_point.array
-        evidence = check_condition_h(spec, limit_spec, [(e, v) for e in eps_levels], v)
+        evidence = check_condition_h(spec, [(e, v) for e in eps_levels], v)
         if not evidence.passed:
             warnings.warn(
                 "condition-(H) evidence failed on the sampled sequence; the "
@@ -237,7 +237,7 @@ def maximal_slope_pipeline(spec: EnergySpec, coupling: CouplingLaw, levels,
         raise MaxslopeError("sweep produced no successful level")
     traj = sweep.limit_candidate
     report = maximal_slope_check(limit_spec, np.arange(traj.n_steps + 1) * traj.tau,
-                                 traj.coords, spec.domain, monotone_tol=monotone_tol)
+                                 traj.coords, monotone_tol=monotone_tol)
     return PipelineResult(
         sweep=sweep,
         maximal_slope=report,

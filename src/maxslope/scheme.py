@@ -7,7 +7,8 @@ piecewise-constant interpolant (right-closed intervals) and the De Giorgi
 variational interpolant, obtained by re-solving the prox at intermediate
 step sizes on quadrature nodes, with the scaled displacement
 g(t) = d(interp(t), u^i)/(t - i*tau) that dominates the descending slope
-along the interpolant.
+along the interpolant.  The quadrature of g^2 over those nodes lives in
+``diagnostics``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergySpec, eval_many
-from .errors import CoverageGapError, EvaluationError, MaxslopeError
+from .errors import EvaluationError, MaxslopeError
 from .metric import Point, SpaceDescriptor, squared_distances
 from .prox import ProxSettings, prox_batch, stepper
 
@@ -136,7 +137,6 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
     """Run N = ceil(T / tau) implicit steps from the initial point."""
     space = spec.domain
     u0 = params.initial_point
-    space.validate_point(u0)
     d2 = float(squared_distances(space, u0.array, space.base_point.array))
     if d2 > params.initial_distance_bound_Sprime:
         raise ValueError(
@@ -220,7 +220,6 @@ class VariationalInterpolant:
     weights: np.ndarray          # (K,)
     values: np.ndarray           # (N, K, n)
     g_values: np.ndarray         # (N, K)
-    has_near_ties: bool = False
 
     @property
     def nodes_per_step(self) -> int:
@@ -250,7 +249,6 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
     delta_pattern = deltas[k]
     values = np.empty((N * K, n))
     g_values = np.empty(N * K)
-    any_ties = False
     for s in range(0, N * K, block):
         (q, p), m = divmod(s, K), min(block, N * K - s)
         D = delta_pattern[p:p + m]
@@ -258,23 +256,13 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
                          prox_settings)
         values[s:s + m] = res.minimizers
         g_values[s:s + m] = res.tie_moved / D
-        any_ties = any_ties or bool(res.near_tie.any())
     return VariationalInterpolant(
         parent=traj,
         node_times=np.arange(N)[:, None] * traj.tau + deltas,
         weights=weights,
         values=values.reshape(N, K, n),
         g_values=g_values.reshape(N, K),
-        has_near_ties=any_ties,
     )
-
-
-def g_squared_integral(interp: VariationalInterpolant, i: int, j: int) -> float:
-    """Quadrature of g^2 over steps i..j-1."""
-    if not (0 <= i < j <= interp.parent.n_steps):
-        raise CoverageGapError(f"step range ({i}, {j}) outside interpolant coverage")
-    block = interp.g_values[i:j]
-    return float((block * block @ interp.weights).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ set.  The estimator bounds the slope from below; it appears on the
 dominated side of every check that consumes it, so a lower bound is the
 safe direction.  ``check_condition_h`` and ``check_slope_cone`` are
 falsification tools: a pass on sampled data is evidence, a fail carries a
-concrete witness.
+concrete witness.  ``check_condition_h`` compares a family with its own
+Gamma-limit, ``gamma_limit(family)``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import LIMIT_EPS, EnergySpec, eval_many, exact_slopes
+from .energy import LIMIT_EPS, EnergySpec, eval_many, exact_slopes, gamma_limit
 from .errors import SequenceNotConvergentError
 from .metric import SpaceDescriptor, distances
 
@@ -131,17 +132,18 @@ class ConditionHReport:
         }
 
 
-def check_condition_h(family: EnergySpec, limit: EnergySpec,
-                      sequence, limit_v,
+def check_condition_h(family: EnergySpec, sequence, limit_v,
                       h_tol: float = 1e-3,
                       seq_tol: float = 1e-2) -> ConditionHReport:
-    """Refute (or fail to refute) the continuity condition on one sequence.
+    """Refute (or fail to refute) the continuity condition on one sequence;
+    a family without a Gamma-limit raises ``CapabilityAbsentError``.
 
     ``sequence`` is a list of (eps_n, v_n) with eps_n decreasing and v_n a
     coordinate row (n,); the rows must approach the row ``limit_v``:
     distances non-increasing within ``seq_tol`` slack and terminal
     distance below ``seq_tol``.
     """
+    limit = gamma_limit(family)
     seq = [(float(e), np.asarray(v, dtype=float)) for e, v in sequence]
     if not seq:
         raise ValueError("sequence must be nonempty")
@@ -180,19 +182,17 @@ def check_condition_h(family: EnergySpec, limit: EnergySpec,
 # Slope Cone Property
 # ---------------------------------------------------------------------------
 
-def check_slope_cone(spec: EnergySpec, eps: float, x, probes,
-                     slope_at_x: float | None = None) -> np.ndarray:
+def check_slope_cone(spec: EnergySpec, eps: float, x, probes) -> np.ndarray:
     """Residuals f(y) - f(x) + d(x, y) * slope(x) for each row y of the
     (m, n) array ``probes``, at the coordinate row ``x`` (n,); returns
     shape (m,).
 
     The cone property holds on the probes iff all residuals are >= 0 (up
-    to the caller's tolerance).  ``slope_at_x`` overrides the exact slope.
+    to the caller's tolerance).
     """
     x = np.asarray(x, dtype=float)
     fx = float(eval_many(spec, eps, x[None, :])[0])
-    s = float(exact_slopes(spec, eps, x[None, :])[0]) if slope_at_x is None \
-        else float(slope_at_x)
+    s = float(exact_slopes(spec, eps, x[None, :])[0])
     if not (math.isfinite(fx) and math.isfinite(s)):
         raise ValueError("cone check requires finite energy and slope at x")
     probes = np.asarray(probes, dtype=float)

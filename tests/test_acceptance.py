@@ -63,12 +63,12 @@ def test_criterion_1_dissipation_identity():
     traj = quad_traj(tau=0.1)
     interp = build_interpolant(QUAD, traj, SETTINGS, nodes_per_step=8)
     worst = max(
-        abs(dissipation_identity(QUAD, traj, interp, i, j).residual)
+        abs(dissipation_identity(interp, i, j).residual)
         for i, j in itertools.combinations(range(traj.n_steps + 1), 2)
     )
     # hand oracle for one step: drop = tau(2+tau)/(2(1+tau)^2) splits into
     # tau/(2(1+tau)^2) + tau/(2(1+tau))
-    one = dissipation_identity(QUAD, traj, interp, 0, 1)
+    one = dissipation_identity(interp, 0, 1)
     oracle_ok = (
         math.isclose(one.lhs, 0.1 * 2.1 / (2 * 1.21))
         and math.isclose(one.velocity_integral, 0.1 / (2 * 1.21))
@@ -114,7 +114,7 @@ def test_criterion_3_maximal_slope_equality():
     sweep = run_sweep(QUAD, law, [0.02, 0.01, 0.005], params)
     traj = sweep.limit_candidate
     ms = maximal_slope_check(QUAD, np.arange(traj.n_steps + 1) * traj.tau,
-                             traj.coords, LINE)
+                             traj.coords)
     slacks = [s for *_, s in ms.per_interval]
     elapsed = time.perf_counter() - t0
     slack_ok = all(abs(s) <= 5e-3 for s in slacks)
@@ -200,9 +200,9 @@ def test_criterion_5_condition_h():
     t0 = time.perf_counter()
     seq = [(e, nearest_stable_critical_point(WIGGLY, e, [0.5]))
            for e in (0.1, 0.05, 0.02, 0.01)]
-    refuted = check_condition_h(WIGGLY, QUAD, seq, [0.5], seq_tol=0.15)
+    refuted = check_condition_h(WIGGLY, seq, [0.5], seq_tol=0.15)
     upheld = check_condition_h(
-        PERTURBED, QUAD, [(e, [1.0]) for e in (0.1, 0.01, 1e-3, 1e-4)],
+        PERTURBED, [(e, [1.0]) for e in (0.1, 0.01, 1e-3, 1e-4)],
         [1.0], h_tol=1e-3, seq_tol=1e-3)
     elapsed = time.perf_counter() - t0
     refute_ok = (not refuted.passed
@@ -272,10 +272,10 @@ def test_criterion_8_apriori_bound_suite():
     for tau in (0.1, 0.05, 0.025):
         traj = quad_traj(tau=tau)
         interp = build_interpolant(QUAD, traj, SETTINGS)
-        rep = apriori_bounds(QUAD, traj, interp)
+        rep = apriori_bounds(interp)
         cs.append(rep.C)
         for i, j in itertools.combinations(range(traj.n_steps + 1), 2):
-            d = dissipation_identity(QUAD, traj, interp, i, j)
+            d = dissipation_identity(interp, i, j)
             pair_ok = pair_ok and (d.velocity_integral <= d.lhs + 1e-10)
             pair_ok = pair_ok and (d.g_integral <= d.lhs + 1e-10)
         # d^2(variational interpolant, piecewise constant) <= C*tau at

@@ -746,7 +746,7 @@ class TestCheckCommand:
         traj = run_scheme(parsed.energy, params)
         interp = build_interpolant(parsed.energy, traj, params.prox_settings)
         n = traj.n_steps
-        brute = max(abs(dissipation_identity(parsed.energy, traj, interp, i, j).residual)
+        brute = max(abs(dissipation_identity(interp, i, j).residual)
                     for i in range(n) for j in range(i + 1, n + 1))
         bound = 4 * n * sys.float_info.epsilon * max(1.0, abs(traj.step_energies[0]))
         assert code == (EXIT_OK if report["passed"] else EXIT_CHECK_FAILED)

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import maxslope
 
 SRC = str(Path(maxslope.__file__).resolve().parents[1])
@@ -79,6 +81,40 @@ CUSTOM_RUN = {
                         "initial_point": [0.5]}},
 }
 
+RUN_ARTIFACTS = ("trajectory.csv", "interpolant.csv", "dissipation.json")
+# (subcommand, config, artifacts) of CLI cases that must exit 0 without scipy
+# or sympy: the multistart nD prox under a maximal-slope check on a weighted
+# plane, a 2D wiggly run and a custom expression with exp
+WITHOUT_HEAVY = {
+    "nd_check": ("check", {
+        "space": {"dimension": 2, "metric_kind": "diagonal_weighted",
+                  "weights": [4.0, 1.0]},
+        "energy": {"kind": "quadratic", "weights": [1.0, 2.0],
+                   "center": [0.3, -0.2]},
+        "command": {"check": {
+            "type": "maximal_slope",
+            "coupling": {"form": "eps_of_tau", "lam": 1.0, "alpha": 1.0},
+            "levels": [0.04, 0.02],
+            "params": {"horizon_T": 0.4, "initial_point": [1.0, -0.8],
+                       "prox_settings": {"mode": "multistart_numeric"}}}},
+    }, ("check_maximal_slope.json",)),
+    "nd_run": ("run", {
+        "space": {"dimension": 2},
+        "energy": {"kind": "wiggly",
+                   "base": {"kind": "quadratic", "weights": [1.0, 2.0],
+                            "center": [0.0, 0.0]}},
+        "command": {"run": {"eps": 0.1, "tau": 0.01, "horizon_T": 0.1,
+                            "initial_point": [0.5, -0.3]}},
+    }, RUN_ARTIFACTS),
+    "custom_run": ("run", {
+        "space": {"dimension": 1},
+        "energy": {"kind": "custom_smooth",
+                   "expression": "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)"},
+        "command": {"run": {"eps": 0.1, "tau": 0.01, "horizon_T": 0.1,
+                            "initial_point": [0.5]}},
+    }, RUN_ARTIFACTS),
+}
+
 
 def test_cli_import_loads_neither():
     assert heavy_modules_after("import maxslope.cli") == []
@@ -113,3 +149,13 @@ spec = quadratic(SpaceDescriptor(2), [4.0, 1.0], [1.0, -1.0])
 prox_batch(spec, 1.0, [0.5], [[0.0, 0.0]], ProxSettings(mode=MULTISTART_NUMERIC))
 """ + cli_calls(tmp_path, ("run", WIGGLY_2D_RUN))
     assert heavy_modules_after(code) == []
+
+
+@pytest.mark.parametrize("name", list(WITHOUT_HEAVY))
+def test_cli_case_runs_without_heavy_modules(name, tmp_path):
+    # stricter than blocking the imports: a fallback that imported scipy or
+    # sympy after a failed import would show up in sys.modules here
+    subcommand, doc, artifacts = WITHOUT_HEAVY[name]
+    assert heavy_modules_after(cli_calls(tmp_path, (subcommand, doc))) == []
+    for artifact in artifacts:
+        assert (tmp_path / "out0" / artifact).is_file()

@@ -9,15 +9,15 @@ import pytest
 
 from maxslope import scheme
 from maxslope.cli import EXIT_SOLVER, main
+from maxslope.diagnostics import dissipation_identity
 from maxslope.energy import convex_perturbed, custom_smooth, eval_many, quadratic, wiggly
-from maxslope.errors import CoverageGapError, EvaluationError
+from maxslope.errors import CoverageGapError, DimensionMismatchError, EvaluationError
 from maxslope.metric import SpaceDescriptor
 from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox_batch
 from maxslope.scheme import (
     SchemeParams,
     SchemeStepError,
     build_interpolant,
-    g_squared_integral,
     interpolant_to_csv,
     piecewise_constant_many,
     run_scheme,
@@ -73,6 +73,12 @@ class TestRunScheme:
     def test_declared_distance_bound_checked(self, quad_1d):
         params = quad_params(u0=2.0, initial_distance_bound_Sprime=1.0)
         with pytest.raises(ValueError):
+            run_scheme(quad_1d, params)
+
+    def test_initial_point_of_another_dimension_rejected(self, quad_1d):
+        params = SchemeParams(eps=1.0, tau=0.05, horizon_T=0.2,
+                              initial_point=pt(1.0, 0.0))
+        with pytest.raises(DimensionMismatchError):
             run_scheme(quad_1d, params)
 
 
@@ -335,15 +341,15 @@ class TestBuildInterpolant:
         # int_0^tau (1/(1+s))^2 ds = tau / (1 + tau)
         traj = run_scheme(quad_1d, quad_params(tau=0.1, T=0.1))
         interp = build_interpolant(quad_1d, traj, SETTINGS)
-        got = g_squared_integral(interp, 0, 1)
-        assert math.isclose(got, 0.1 / 1.1, rel_tol=1e-10)
+        got = dissipation_identity(interp, 0, 1).g_integral
+        assert math.isclose(got, 0.5 * 0.1 / 1.1, rel_tol=1e-10)
 
     def test_integral_range_validated(self, quad_1d, quad_traj):
         interp = build_interpolant(quad_1d, quad_traj, SETTINGS)
         with pytest.raises(CoverageGapError):
-            g_squared_integral(interp, 0, quad_traj.n_steps + 1)
+            dissipation_identity(interp, 0, quad_traj.n_steps + 1)
         with pytest.raises(CoverageGapError):
-            g_squared_integral(interp, 2, 2)
+            dissipation_identity(interp, 2, 2)
 
     def test_interpolant_energy_monotone_within_step(self, wiggly_1d):
         traj = run_scheme(wiggly_1d, SchemeParams(
@@ -377,8 +383,7 @@ class TestBuildInterpolant:
         for block in (7, 64, scheme.INTERPOLANT_BLOCK):
             monkeypatch.setattr(scheme, "INTERPOLANT_BLOCK", block)
             interp = build_interpolant(spec, traj, SETTINGS)
-            found.append((interp.values.tobytes(), interp.g_values.tobytes(),
-                          interp.has_near_ties))
+            found.append((interp.values.tobytes(), interp.g_values.tobytes()))
         assert found[0] == found[1] == found[2]
 
 class TestDeterminism:

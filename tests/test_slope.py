@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxslope.energy import convex_perturbed, custom_smooth, nearest_stable_critical_point, quadratic
-from maxslope.errors import SequenceNotConvergentError
+from maxslope.errors import CapabilityAbsentError, SequenceNotConvergentError
 from maxslope.slope import (
     DEFAULT_RADII,
     check_condition_h,
@@ -62,35 +62,39 @@ class TestEstimateSlope:
 
 
 class TestConditionH:
-    def test_wiggly_traps_refute(self, wiggly_1d, quad_1d):
+    def test_wiggly_traps_refute(self, wiggly_1d):
         # stable critical points of the oscillatory family sit near 0.5
         # with vanishing slope, while the limit has slope ~0.5 there
         seq = []
         for e in (0.1, 0.05, 0.02, 0.01):
             seq.append((e, nearest_stable_critical_point(wiggly_1d, e, [0.5])))
-        report = check_condition_h(wiggly_1d, quad_1d, seq, [0.5],
-                                   seq_tol=0.15)
+        report = check_condition_h(wiggly_1d, seq, [0.5], seq_tol=0.15)
         assert not report.passed
         assert report.slope_liminf_estimate < 0.5 - 1e-3
 
-    def test_perturbed_family_passes(self, perturbed_1d, quad_1d):
+    def test_perturbed_family_passes(self, perturbed_1d):
         seq = [(e, [1.0]) for e in (0.1, 0.01, 1e-3, 1e-4)]
-        report = check_condition_h(perturbed_1d, quad_1d, seq, [1.0])
+        report = check_condition_h(perturbed_1d, seq, [1.0])
         assert report.passed
         assert report.energy_gap < 1e-3
 
-    def test_divergent_sequence_rejected(self, wiggly_1d, quad_1d):
+    def test_divergent_sequence_rejected(self, wiggly_1d):
         seq = [(0.1, [0.5]), (0.05, [2.0])]
         with pytest.raises(SequenceNotConvergentError):
-            check_condition_h(wiggly_1d, quad_1d, seq, [0.5])
+            check_condition_h(wiggly_1d, seq, [0.5])
 
-    def test_empty_sequence_rejected(self, wiggly_1d, quad_1d):
+    def test_empty_sequence_rejected(self, wiggly_1d):
         with pytest.raises(ValueError):
-            check_condition_h(wiggly_1d, quad_1d, [], [0.0])
+            check_condition_h(wiggly_1d, [], [0.0])
 
-    def test_report_roundtrips_to_dict(self, perturbed_1d, quad_1d):
+    def test_family_without_a_limit_rejected(self, line):
+        family = custom_smooth(line, "0.5*x^2 + eps*cos(x/eps)")
+        with pytest.raises(CapabilityAbsentError):
+            check_condition_h(family, [(0.1, [0.5])], [0.5])
+
+    def test_report_roundtrips_to_dict(self, perturbed_1d):
         seq = [(e, [1.0]) for e in (0.1, 1e-4)]
-        report = check_condition_h(perturbed_1d, quad_1d, seq, [1.0])
+        report = check_condition_h(perturbed_1d, seq, [1.0])
         d = report.to_dict()
         assert d["passed"] is True
         assert len(d["sequence"]) == 2
@@ -118,8 +122,7 @@ class TestSlopeCone:
         # a trap has near-zero slope but far lower energy elsewhere
         assert min(residuals) < -1e-3
 
-    def test_slope_override(self, quad_1d):
-        with_zero = check_slope_cone(quad_1d, 1.0, [1.0], [[0.0]],
-                                     slope_at_x=0.0)
-        # f(0) - f(1) + 0 = -0.5
-        assert math.isclose(with_zero[0], -0.5)
+    def test_exact_slope_at_x(self, quad_1d):
+        residuals = check_slope_cone(quad_1d, 1.0, [1.0], [[0.0]])
+        # f(0) - f(1) + d(1, 0) |f'(1)| = 0 - 0.5 + 1
+        assert math.isclose(residuals[0], 0.5)
