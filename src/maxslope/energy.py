@@ -11,8 +11,8 @@ Each energy is a sum over coordinates of 1D members phi_j, and each
 built-in family defines its member once (see Members below).  Every
 evaluator reads it: ``eval_many`` and ``gradient_many`` on rows of points,
 for the numeric prox ``coordinate_values`` and ``coordinate_curvatures``
-on (R, k) arrays of rows and ``coordinate_scalars`` and ``eval_scalar`` on
-Python floats, and ``energy_floors`` and ``curvature_floors``.
+on (R, k) arrays of rows and ``coordinate_scalars`` on Python floats, and
+``energy_floors`` and ``curvature_floors``.
 
 Every kind is finite everywhere and has a closed-form descending slope.
 Optional capabilities (limit family as eps -> 0, closed-form curvature)
@@ -459,54 +459,6 @@ def coordinate_scalars(spec: EnergySpec, eps: float, j: int):
     return _member(quad.weights[j], quad.center[j], term)
 
 
-def row_sum(terms) -> float:
-    """The sum of a list of floats as numpy 2.x sums a contiguous (1, n) row
-    along axis 1: 0.0 plus numpy's pairwise sum.  Below 8 terms that is a
-    left-to-right sum; up to 128 it is eight accumulators over a stride of
-    8, combined ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    tail left to right; above 128, the sum of the two halves, split at
-    n / 2 rounded down to a multiple of 8.  A nan result may carry another
-    sign or payload than numpy's."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return row_sum(terms[:half]) + row_sum(terms[half:])
-    if n < 8:
-        return _running_sum(terms, 0.0)
-    head = n - n % 8
-    r0, r1, r2, r3, r4, r5, r6, r7 = (_running_sum(terms[k:head:8], 0.0)
-                                      for k in range(8))
-    return _running_sum(terms[head:],
-                        ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-
-
-def _running_sum(terms, total):
-    for t in terms:
-        total += t
-    return total
-
-
-def eval_scalar(spec: EnergySpec, eps: float):
-    """The energy as a function of one point, a list of n Python floats,
-    for ``quadratic``, ``wiggly`` and ``convex_perturbed``.  It does
-    ``eval_many``'s arithmetic in the same order, with ``row_sum`` for its
-    sums, so it gives the same number; for ``wiggly`` that rests on libm's
-    cos (``math``) rounding as numpy's does, as for ``coordinate_scalars``,
-    and x / eps must be finite, where numpy's cos is nan and libm's raises."""
-    if spec.kind == CUSTOM_SMOOTH:
-        raise CapabilityAbsentError("no float evaluation for kind 'custom_smooth'")
-    quad, term = base_quadratic(spec), _term(spec, eps, math)
-    members = list(zip(quad.weights, quad.center))
-
-    def base(x):
-        return 0.5 * row_sum([w * (xj - b) * (xj - b)
-                              for xj, (w, b) in zip(x, members)])
-    if term is None:
-        return base
-    s, t = term.scale, term.value
-    return lambda x: base(x) + s * row_sum([t(xj) for xj in x])
-
-
 def energy_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:
     """A lower bound of each coordinate member phi_j on the whole line, or
     None for ``custom_smooth``, which declares none: 0 for a quadratic,
@@ -572,7 +524,10 @@ class WellPosednessCertificate:
     Records tau_star and c_star such that, on every sampled point v and
     every eps of the checked grid,
 
-        energy(v) + d(v, u*) / (2 * tau_star) >= c_star.
+        energy(v) + d^2(v, u*) / (2 * tau_star) >= c_star,
+
+    the coercivity of Ambrosio-Gigli-Savare, Gradient Flows, Assumption
+    2.1.2(b).
     """
 
     tau_star: float
@@ -620,7 +575,7 @@ def certify_well_posedness(spec: EnergySpec, eps_grid, sample_budget: int,
             norms = np.sqrt((space.metric_weights() * dirs * dirs).sum(axis=1))
             dirs = dirs / norms[:, None]
             Y = u_star + r * dirs
-            vals = eval_many(spec, eps, Y) + r / (2.0 * tau_star)
+            vals = eval_many(spec, eps, Y) + r * r / (2.0 * tau_star)
             k = int(np.argmin(vals))
             shell_mins.append(float(vals[k]))
             shell_argmins.append(Y[k])

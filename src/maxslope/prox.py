@@ -31,9 +31,9 @@ near-optimal candidates.  Selection among near-optimal minimizers is
 deterministic so that whole trajectories are reproducible.
 
 The scheme's steps are B = 1 problems, one after another, where numpy's
-per-call cost would be most of a step.  ``stepper`` solves such a step on
-Python floats when it has a single answer: a closed form, evaluated per
-coordinate, or every coordinate by ``_newton_row``.  It
+per-call cost would be most of a step.  ``stepper`` finds such a step's
+minimizer on Python floats when it has a single answer: a closed form,
+evaluated per coordinate, or every coordinate by ``_newton_row``.  It
 leaves a step that keeps a guard as a second candidate, and every step on
 the grid route, to ``prox_batch``.
 """
@@ -54,10 +54,8 @@ from .energy import (
     curvature_floors,
     energy_floors,
     eval_many,
-    eval_scalar,
     gradient_many,
     resolvent,
-    row_sum,
 )
 from .errors import (
     BudgetExhaustedError,
@@ -179,17 +177,15 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
 def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
     """The resolvent step of one problem at step size ``delta``, for a run
     of B = 1 steps: a function of u, a list of n Python floats, that
-    returns the minimizer (a list), its energy and its distance to u, bit
-    for bit as ``prox_batch(spec, eps, [delta], [u], settings)`` returns
-    them, or None where the step is ``prox_batch``'s work.
+    returns the minimizer, a list of n floats, bit for bit as
+    ``prox_batch(spec, eps, [delta], [u], settings)`` returns it, or None
+    where the step is ``prox_batch``'s work.
 
     * A closed form is ``resolvent`` on each coordinate's floats.
     * On the Newton route each coordinate row is one ``_newton_row``.  The
       function returns None for a step in which some coordinate keeps its
       stay-put guard as a second candidate: ranking those is
-      ``prox_batch``'s work.  A 1D problem's energy is its row's phi_0.
-    * Otherwise the energy is ``eval_scalar``'s and the distance the square
-      root of ``row_sum`` over m (x - u)^2, numpy's sums on floats.
+      ``prox_batch``'s work.
 
     Returns None instead of a function when some step may take the grid
     route: the family has no curvature floor, or some coordinate's
@@ -199,38 +195,29 @@ def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
     solve, kappa = _closed_form(spec, settings), curvature_floors(spec, eps)
     if solve is None and (kappa is None or not (kappa + mw / delta > 0).all()):
         return None
-    m, energy = mw.tolist(), eval_scalar(spec, eps)
-    n = len(m)
+    m = mw.tolist()
     if solve is not None:
         quad = base_quadratic(spec)
         members = list(zip(quad.weights, quad.center, m))
 
         def closed_step(u):
-            xs = [solve(w, b, eps, delta, uj, mj, _where)
-                  for uj, (w, b, mj) in zip(u, members)]
-            return xs, energy(xs), _moved(xs, u, m)
+            return [solve(w, b, eps, delta, uj, mj, _where)
+                    for uj, (w, b, mj) in zip(u, members)]
         return closed_step
     members = _members(spec, eps)
     iterations, local_tol = range(settings.max_iters), settings.local_tol
-    tie_gap = _tie_gap(local_tol) if n == 1 else None
+    tie_gap = _tie_gap(local_tol) if len(m) == 1 else None
 
     def newton_step(u):
         xs = []
         for member, uj, mj in zip(members, u, m):
-            x, _, phi_x, guard = _newton_row(member, uj, delta, mj, iterations,
-                                             local_tol, tie_gap)
+            x, _, _, guard = _newton_row(member, uj, delta, mj, iterations,
+                                         local_tol, tie_gap)
             if guard is not None:
                 return None
             xs.append(x)
-        if n == 1:                  # a 1D problem is its row
-            return xs, phi_x, _moved(xs, u, m)
-        return xs, energy(xs), _moved(xs, u, m)
+        return xs
     return newton_step
-
-
-def _moved(xs, u, m):
-    """d(xs, u) on Python floats, as ``prox_batch`` takes it."""
-    return math.sqrt(row_sum([mj * (x - uj) * (x - uj) for x, uj, mj in zip(xs, u, m)]))
 
 
 def _closed_form(spec, settings):

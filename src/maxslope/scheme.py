@@ -1,8 +1,9 @@
 """Minimizing-movement iteration and its interpolants.
 
 ``run_scheme`` produces the discrete trajectory u^0..u^N with step
-u^{i+1} = prox(u^i) at step size tau, and the step distances
-d(u^{i+1}, u^i) of its discrete speed.  On top of it live the
+u^{i+1} = prox(u^i) at step size tau; once the points are known it takes
+their energies and the step distances d(u^{i+1}, u^i) of the discrete
+speed from them, in one array expression each.  On top of it live the
 piecewise-constant interpolant (right-closed intervals) and the De Giorgi
 variational interpolant, obtained by re-solving the prox at intermediate
 step sizes on quadrature nodes, with the scaled displacement
@@ -152,36 +153,35 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
 
     # Each step starts from the last, so the steps are B = 1 solves on
     # Python floats: by the stepper, else (on the grid route, or for a step
-    # that keeps a guard) by prox_batch.
+    # that keeps a guard) by prox_batch.  The energies and distances depend
+    # on the points alone, so they are taken after the loop, as prox_batch
+    # takes them.
     n_steps = int(math.ceil(params.horizon_T / params.tau))
     step = stepper(spec, params.eps, params.tau, params.prox_settings)
     tau = np.array([params.tau])
     coords = np.empty((n_steps + 1, space.dimension))
-    energies, dists = np.empty(n_steps + 1), np.empty(n_steps)
-    coords[0], energies[0] = u0.array, e0
+    coords[0] = u0.array
     u = u0.array.tolist()
     for i in range(n_steps):
         try:
-            found = None if step is None else step(u)
-            if found is None:
-                res = prox_batch(spec, params.eps, tau, coords[i:i + 1],
-                                 params.prox_settings)
-                found = (res.minimizers[0].tolist(), float(res.energies[0]),
-                         float(res.moved[0]))
-            u, energy, dist = found
+            u = None if step is None else step(u)
+            if u is None:
+                u = prox_batch(spec, params.eps, tau, coords[i:i + 1],
+                               params.prox_settings).minimizers[0].tolist()
             if not all(map(math.isfinite, u)):
                 raise EvaluationError(f"prox minimizer {u} is not finite",
                                       point=np.array(u))
         except MaxslopeError as exc:
             raise SchemeStepError(i, exc) from exc
-        coords[i + 1], energies[i + 1], dists[i] = u, energy, dist
+        coords[i + 1] = u
+    D = coords[1:] - coords[:-1]
     return DiscreteTrajectory(
         space=space,
         coords=coords,
         tau=params.tau,
         eps=params.eps,
-        step_distances=dists,
-        step_energies=energies,
+        step_distances=np.sqrt((space.metric_weights() * D * D).sum(axis=1)),
+        step_energies=eval_many(spec, params.eps, coords),
     )
 
 

@@ -17,13 +17,11 @@ from maxslope.energy import (
     custom_smooth,
     energy_floors,
     eval_many,
-    eval_scalar,
     exact_slopes,
     gamma_limit,
     gradient_many,
     nearest_stable_critical_point,
     quadratic,
-    row_sum,
     wiggly,
 )
 from maxslope.errors import (
@@ -185,71 +183,6 @@ class TestCoordinates:
                     # the array sweep's (phi', phi''), sign bits included
                     assert list(map(float.hex, derivatives(x))) == [float.hex(g1),
                                                                     float.hex(g2)]
-
-
-class TestFloatSums:
-    """``row_sum`` and ``eval_scalar`` are numpy's row sums and ``eval_many``
-    on Python floats, bit for bit."""
-
-    @staticmethod
-    def same(a, b):
-        """Equal with the sign of zero, or both nan: a nan's sign and
-        payload follow the operand order of each C addition, which the
-        compiler may swap."""
-        return float.hex(a) == float.hex(b) or (a != a and b != b)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_row_sum_is_numpys_row_sum(self, data):
-        n = data.draw(st.sampled_from([1, 2, 7, 8, 9, 15, 16, 128, 129, 136, 300])
-                      | st.integers(1, 300), label="n")
-        # mixed magnitudes, so that the order of the additions shows
-        term = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0),
-                         st.integers(-20, 20))
-        if data.draw(st.booleans(), label="special"):
-            term = term | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
-        if data.draw(st.booleans(), label="zeros"):     # numpy's sum is +0.0
-            term = st.sampled_from([-0.0, -0.0, -0.0, 0.0])
-        terms = data.draw(st.lists(term, min_size=n, max_size=n), label="terms")
-        with np.errstate(invalid="ignore"):
-            expected = float(np.array([terms]).sum(axis=1)[0])
-        assert self.same(row_sum(terms), expected)
-
-    @pytest.mark.parametrize("family", ["quadratic", "wiggly", "convex_perturbed"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 9])
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_eval_scalar_is_eval_many(self, family, n, data):
-        """For ``wiggly`` this rests on the platform as
-        ``coordinate_scalars`` does: where libm's cos rounds otherwise than
-        numpy's at a point, the energy is held to a few ulps instead."""
-        if data.draw(st.booleans(), label="weighted"):
-            space = SpaceDescriptor(n, metric_kind="diagonal_weighted", weights=tuple(
-                data.draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))))
-        else:
-            space = SpaceDescriptor(n)
-        spec = quadratic(space, data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n,
-                                                   max_size=n), label="weights"),
-                         data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n,
-                                            max_size=n), label="center"))
-        if family == "wiggly":
-            spec = wiggly(spec, amplitude_scale=data.draw(st.floats(0.1, 3.0)))
-        elif family == "convex_perturbed":
-            spec = convex_perturbed(spec)
-        eps = data.draw(st.floats(1e-3, 1.0), label="eps")
-        x = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-50.0, 50.0),
-                               min_size=n, max_size=n), label="x")
-        expected = float(eval_many(spec, eps, [x])[0])
-        got = eval_scalar(spec, eps)(x)
-        t = np.array(x) / eps
-        if family == "wiggly" and (np.cos(t) != [math.cos(v) for v in t]).any():
-            assert abs(got - expected) <= 4 * n * math.ulp(max(abs(expected), eps))
-        else:
-            assert self.same(got, expected)
-
-    def test_eval_scalar_needs_a_closed_form(self, line):
-        with pytest.raises(CapabilityAbsentError):
-            eval_scalar(custom_smooth(line, "x^2"), 0.1)
 
 
 class TestGradient:
@@ -429,13 +362,22 @@ class TestCertificate:
         cert = certify_well_posedness(wiggly_1d, [1e-1, 1e-2, 1e-3], 200)
         assert cert.c_star >= -1.0  # energy bounded below by -eps >= -1
 
-    def test_linear_energy_fails_for_large_tau_star(self, line):
-        spec = custom_smooth(line, "-x")
+    @pytest.mark.parametrize("tau_star", [0.5, 2.0, 100.0])
+    def test_linear_energy_certifies(self, line, tau_star):
+        # -x + x^2 / (2 tau_star) has its minimum -tau_star / 2 at x = tau_star,
+        # which the radial shells sample to within 10 %
+        cert = certify_well_posedness(custom_smooth(line, "-x"), [1.0], 200,
+                                      tau_star=tau_star)
+        assert -0.5 * tau_star <= cert.c_star <= -0.45 * tau_star
+
+    def test_quartic_descent_fails_at_the_largest_radius(self, line):
+        # -x^4 falls faster than any d^2 / (2 tau_star) rises
+        spec = custom_smooth(line, "-x^4")
         with pytest.raises(CertificateFailure) as exc_info:
-            certify_well_posedness(spec, [1.0], 200, tau_star=2.0)
+            certify_well_posedness(spec, [1.0], 200, tau_star=2.0, max_radius=1e3)
         eps, witness = exc_info.value.witness
         assert eps == 1.0
-        assert abs(witness[0]) >= 100.0
+        assert abs(witness[0]) == pytest.approx(1e3)
 
     def test_empty_grid_rejected(self, quad_1d):
         with pytest.raises(ValueError):

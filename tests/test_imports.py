@@ -1,10 +1,12 @@
 """The import footprint is part of the contract: no path loads scipy or
-sympy; the package needs numpy alone.
+sympy; the package needs numpy alone.  And no module imports a name that
+it never uses.
 
-Each case runs in a fresh interpreter, because the test process itself has
-long since imported both.  Nothing here measures time.
+Each footprint case runs in a fresh interpreter, because the test process
+itself has long since imported both.  Nothing here measures time.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,7 +17,9 @@ import pytest
 
 import maxslope
 
-SRC = str(Path(maxslope.__file__).resolve().parents[1])
+PACKAGE = Path(maxslope.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
+TESTS = Path(__file__).resolve().parent
 HEAVY = ("scipy", "scipy.optimize", "sympy")
 
 
@@ -159,3 +163,22 @@ def test_cli_case_runs_without_heavy_modules(name, tmp_path):
     assert heavy_modules_after(cli_calls(tmp_path, (subcommand, doc))) == []
     for artifact in artifacts:
         assert (tmp_path / "out0" / artifact).is_file()
+
+
+def unused_imports(path):
+    """The names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return sorted(imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_no_module_imports_an_unused_name():
+    # the package's __init__ imports only to re-export
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    found = {p.name: unused_imports(p) for p in modules + sorted(TESTS.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -1,10 +1,9 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from maxslope.energy import eval_many, quadratic
+from maxslope.energy import eval_many
 from maxslope.regimes import (
     CouplingLaw,
     maximal_slope_pipeline,

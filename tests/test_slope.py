@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maxslope.energy import convex_perturbed, custom_smooth, nearest_stable_critical_point, quadratic
+from maxslope.energy import custom_smooth, nearest_stable_critical_point, quadratic
 from maxslope.errors import CapabilityAbsentError, SequenceNotConvergentError
 from maxslope.slope import (
     DEFAULT_RADII,
