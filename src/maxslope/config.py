@@ -4,10 +4,11 @@ The document carries the space, the energy, exactly one command payload
 (``run`` | ``sweep`` | ``check``), an output directory and a seed.  Each
 JSON object has a table below of its fields, their JSON types and which
 are required, and each field is parsed once: a number is a finite JSON
-number within float64, not a bool or a string, a list of numbers an array
-of them, and an integer goes through ``parse_int``.  Any other field,
-such as a misspelled one, is an error.  A field left out is not passed
-on, so the Python API's default applies.  The objects are built from the
+number within float64, not a bool or a string, a tolerance or a check's
+eps a ``positive`` number, a list of numbers an array of them, and an
+integer goes through ``parse_int``.  Any other field, such as a
+misspelled one, is an error.  A field left out is not passed on, so the
+Python API's default applies.  The objects are built from the
 parsed values by their constructors and factories.  Every error is a
 :class:`ConfigError` that names the field.
 """
@@ -49,6 +50,14 @@ def number(value, name: str) -> float:
     return float(value)
 
 
+def positive(value, name: str) -> float:
+    """A finite JSON number above 0: a tolerance or an eps."""
+    parsed = number(value, name)
+    if not parsed > 0:
+        raise ConfigError(f"field {name!r} must be positive, got {value!r}")
+    return parsed
+
+
 def numbers(value, name: str) -> tuple:
     """Finite JSON numbers, as given: whatever takes them makes them floats."""
     if type(value) is not list or not _NUMBER.issuperset(map(type, value)):
@@ -62,7 +71,7 @@ def pairs(value, name: str) -> list:
             and all(isinstance(pair, list) and len(pair) == 2 for pair in value)):
         raise ConfigError(f"check config field {name!r} must be a nonempty "
                           f"list of [eps, point] pairs")
-    return [(number(e, name), numbers(v, name)) for e, v in value]
+    return [(positive(e, name), numbers(v, name)) for e, v in value]
 
 
 def parse_int(value, name: str) -> int:
@@ -124,18 +133,18 @@ PROBES_FIELDS = {"count": (parse_int, 1000), "radius": (number, 2.0)}
 TYPE = {"type": (string, REQUIRED)}
 CHECK_FIELDS = {
     "dissipation": {**TYPE, "run": (expect_mapping, REQUIRED),
-                    "residual_tol": (number, 1e-8)},
-    "apriori": {**TYPE, "run": (expect_mapping, REQUIRED), "quad_tol": (number, API)},
-    "slope_cone": {**TYPE, "eps": (number, 1.0), "x": (numbers, REQUIRED),
-                   "probes": (expect_mapping, {}), "cone_tol": (number, 1e-9)},
+                    "residual_tol": (positive, 1e-8)},
+    "apriori": {**TYPE, "run": (expect_mapping, REQUIRED), "quad_tol": (positive, API)},
+    "slope_cone": {**TYPE, "eps": (positive, 1.0), "x": (numbers, REQUIRED),
+                   "probes": (expect_mapping, {}), "cone_tol": (positive, 1e-9)},
     "condition_h": {**TYPE, "sequence": (pairs, REQUIRED),
-                    "limit_v": (numbers, REQUIRED), "h_tol": (number, API),
-                    "seq_tol": (number, API)},
-    "maximal_slope": {**TYPE, **SWEEP_FIELDS, "check_tol": (number, 5e-3),
+                    "limit_v": (numbers, REQUIRED), "h_tol": (positive, API),
+                    "seq_tol": (positive, API)},
+    "maximal_slope": {**TYPE, **SWEEP_FIELDS, "check_tol": (positive, 5e-3),
                       "waive_condition_h": (boolean, API),
-                      "monotone_tol": (number, API)},
+                      "monotone_tol": (positive, API)},
 }
-COMMAND_FIELDS = {"sweep": {**SWEEP_FIELDS, "sweep_tol": (number, API)},
+COMMAND_FIELDS = {"sweep": {**SWEEP_FIELDS, "sweep_tol": (positive, API)},
                   **{f"check {ctype}": table for ctype, table in CHECK_FIELDS.items()}}
 COMMANDS = ("run", "sweep", "check")
 COMMAND_BLOCK = {command: (expect_mapping, API) for command in COMMANDS}

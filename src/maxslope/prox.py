@@ -26,16 +26,20 @@ energy without floors, and takes one of two routes:
   first-round shortlist of ``_GRID_STARTS`` brackets and the stop rule of
   ``local_tol`` apply to this route only.
 
-A problem's candidates are the combinations of its coordinate rows'
-near-optimal candidates.  Selection among near-optimal minimizers is
-deterministic so that whole trajectories are reproducible.
+Each route gives its candidates as (row, point, value), the value being
+the objective.  A problem's candidates are the combinations of its
+coordinate rows' near-optimal candidates.  Selection among near-optimal
+minimizers is deterministic so that whole trajectories are reproducible.
+``prox_batch`` returns a minimizer and, for the De Giorgi interpolant, the
+largest displacement over the minimizer and its near ties
+(Ambrosio-Gigli-Savare, Gradient Flows, Lemma 3.1.2), and no energy.
 
 The scheme's steps are B = 1 problems, one after another, where numpy's
-per-call cost would be most of a step.  ``stepper`` finds such a step's
-minimizer on Python floats when it has a single answer: a closed form,
-evaluated per coordinate, or every coordinate by ``_newton_row``.  It
-leaves a step that keeps a guard as a second candidate, and every step on
-the grid route, to ``prox_batch``.
+per-call cost would be most of a step.  ``stepper`` takes every such
+step: on Python floats when it has a single answer, a closed form
+evaluated per coordinate or every coordinate by ``_newton_row``, and by
+calling ``prox_batch`` for a step that keeps a guard as a second
+candidate and for every step of a run that may take the grid route.
 """
 
 from __future__ import annotations
@@ -95,7 +99,10 @@ class ProxSettings:
 
 @dataclass(frozen=True)
 class ProxBatch:
-    """Outcome of B independent resolvent solves, one row per problem.
+    """Outcome of B independent resolvent solves, one row per problem: the
+    minimizers, and what the De Giorgi interpolant and the telemetry read
+    of the minimizer sets.  It holds no objective value or energy: the
+    scheme takes a trajectory's energies from its points.
 
     ``tie_moved[b]`` is the largest displacement d(w, u_b) over the chosen
     minimizer and its near ties: the conservative representative of the
@@ -106,8 +113,6 @@ class ProxBatch:
     """
 
     minimizers: np.ndarray      # (B, n)
-    values: np.ndarray          # (B,) objective at the minimizer
-    energies: np.ndarray        # (B,) energy at the minimizer
     moved: np.ndarray           # (B,) d(minimizer, u)
     tie_moved: np.ndarray       # (B,)
     near_tie: np.ndarray        # (B,) bool
@@ -145,56 +150,50 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
         quad = base_quadratic(spec)
         V = solve(np.asarray(quad.weights), np.asarray(quad.center), eps,
                   deltas[:, None], U, mw, np.where)
-        energies = eval_many(spec, eps, V)
     else:
-        rows, C, cvals, cenergies = _separable_nd(spec, eps, deltas, U, mw, settings)
+        rows, C, cvals = _separable_nd(spec, eps, deltas, U, mw, settings)
         if rows.size == B:      # each row's one candidate: chosen, and untied
-            V, energies = C, cenergies
+            V = C
         else:
             chosen = _select(rows, C, cvals, U, mw)
-            V, energies = C[chosen], cenergies[chosen]
+            V = C[chosen]
     diff = V - U
-    d2 = (mw * diff * diff).sum(axis=1)
-    values = energies + d2 / (2.0 * deltas)     # as the search values candidates
-    moved = np.sqrt(d2)
+    moved = np.sqrt((mw * diff * diff).sum(axis=1))
 
     tie_moved, near_tie = moved.copy(), np.zeros(B, dtype=bool)
     tie_rows, tie_points = np.zeros(0, dtype=int), V[:0]
     if solve is None and rows.size > B:
-        tie = _near_ties(rows, C, cvals, chosen, values, mw, settings.local_tol)
+        tie = _near_ties(rows, C, cvals, chosen, mw, settings.local_tol)
         if tie.size:
             tie_rows, tie_points = rows[tie], C[tie]
             off = tie_points - U[tie_rows]
             np.maximum.at(tie_moved, tie_rows, np.sqrt((mw * off * off).sum(axis=1)))
             near_tie[tie_rows] = True
-    return ProxBatch(
-        minimizers=V, values=values, energies=energies, moved=moved,
-        tie_moved=tie_moved, near_tie=near_tie,
-        tie_rows=tie_rows, tie_points=tie_points,
-    )
+    return ProxBatch(minimizers=V, moved=moved, tie_moved=tie_moved, near_tie=near_tie,
+                     tie_rows=tie_rows, tie_points=tie_points)
 
 
 def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
     """The resolvent step of one problem at step size ``delta``, for a run
     of B = 1 steps: a function of u, a list of n Python floats, that
     returns the minimizer, a list of n floats, bit for bit as
-    ``prox_batch(spec, eps, [delta], [u], settings)`` returns it, or None
-    where the step is ``prox_batch``'s work.
+    ``prox_batch(spec, eps, [delta], [u], settings)`` returns it.
 
     * A closed form is ``resolvent`` on each coordinate's floats.
-    * On the Newton route each coordinate row is one ``_newton_row``.  The
-      function returns None for a step in which some coordinate keeps its
-      stay-put guard as a second candidate: ranking those is
-      ``prox_batch``'s work.
-
-    Returns None instead of a function when some step may take the grid
-    route: the family has no curvature floor, or some coordinate's
-    kappa_j + m_j / delta is not positive.
+    * On the Newton route each coordinate row is one ``_newton_row``.  A
+      step in which some coordinate keeps its stay-put guard as a second
+      candidate calls ``prox_batch``, whose work ranking those is.
+    * Where some step may take the grid route (the family has no curvature
+      floor, or some coordinate's kappa_j + m_j / delta is not positive)
+      every step calls ``prox_batch``.
     """
+    def batch_step(u):
+        # looked up at each call, so that a wrapper of prox.prox_batch sees it
+        return prox_batch(spec, eps, [delta], [u], settings).minimizers[0].tolist()
     mw = spec.domain.metric_weights()
     solve, kappa = _closed_form(spec, settings), curvature_floors(spec, eps)
     if solve is None and (kappa is None or not (kappa + mw / delta > 0).all()):
-        return None
+        return batch_step
     m = mw.tolist()
     if solve is not None:
         quad = base_quadratic(spec)
@@ -211,10 +210,10 @@ def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
     def newton_step(u):
         xs = []
         for member, uj, mj in zip(members, u, m):
-            x, _, _, guard = _newton_row(member, uj, delta, mj, iterations,
-                                         local_tol, tie_gap)
+            x, _, guard = _newton_row(member, uj, delta, mj, iterations, local_tol,
+                                      tie_gap)
             if guard is not None:
-                return None
+                return batch_step(u)
             xs.append(x)
         return xs
     return newton_step
@@ -226,13 +225,11 @@ def _closed_form(spec, settings):
 
 
 def _objective(spec, eps, X, cols, u, delta, m):
-    """phi_j(x) + m (x - u)^2 / (2 delta), and phi_j(x), at the (R, k)
-    points ``X``, where row r lies on coordinate j = cols[r]; the columns
-    ``u``, ``delta`` and ``m`` hold each row's base point, step size and
-    metric weight."""
-    energy = coordinate_values(spec, eps, cols, X)
+    """phi_j(x) + m (x - u)^2 / (2 delta) at the (R, k) points ``X``, where
+    row r lies on coordinate j = cols[r]; the columns ``u``, ``delta`` and
+    ``m`` hold each row's base point, step size and metric weight."""
     diff = X - u
-    return energy + m * diff * diff / (2.0 * delta), energy
+    return coordinate_values(spec, eps, cols, X) + m * diff * diff / (2.0 * delta)
 
 
 def _tie_gap(local_tol):
@@ -241,11 +238,12 @@ def _tie_gap(local_tol):
     return 10.0 * math.sqrt(local_tol)
 
 
-def _near_ties(rows, C, cvals, chosen, values, mw, local_tol):
-    """Candidates within ``local_tol`` of their row's optimum ``values`` and
-    more than ``_tie_gap(local_tol)`` away from its chosen minimizer,
-    grouped by row in candidate order."""
-    near = cvals <= values[rows] + local_tol
+def _near_ties(rows, C, cvals, chosen, mw, local_tol):
+    """Candidates within ``local_tol`` of their row's optimum, the value
+    ``cvals`` of its ``chosen`` candidate, and more than
+    ``_tie_gap(local_tol)`` away from that candidate, grouped by row in
+    candidate order."""
+    near = cvals <= cvals[chosen][rows] + local_tol
     near[chosen] = False
     tie = np.flatnonzero(near)
     if tie.size:
@@ -330,11 +328,11 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings, tie_gap=None):
     takes ``_grid_zoom_1d``.  Each route sizes its rows' windows itself, by
     ``_certified_window`` where the family has floors.
 
-    Returns the candidates' rows, points, objective values and energies
-    phi_j.  Every row also weighs the stay-put guard v = u, which keeps the
-    descent property: the grid route gives its candidates in the order it
-    found them, then the guard of each of its rows; the Newton route
-    settles the guard itself, by the ``tie_gap`` it is handed.
+    Returns the candidates' rows, points and objective values.  Every row
+    also weighs the stay-put guard v = u, which keeps the descent property:
+    the grid route gives its candidates in the order it found them, then
+    the guard of each of its rows; the Newton route settles the guard
+    itself, by the ``tie_gap`` it is handed.
     """
     kappa = curvature_floors(spec, eps)     # a family with these has floors too
     newton = (np.zeros(u.size, dtype=bool) if kappa is None
@@ -449,9 +447,8 @@ def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
     property.  If ``_guard_ties`` (at any distance but 0 for a None
     ``tie_gap``), the row keeps both for ``prox_batch`` to rank.  Otherwise
     it keeps the one that ``_precedes`` the other.  Returns the kept point,
-    its objective value (as ``_objective`` values it) and its energy, then
-    the guard's (value, energy) if the row keeps it as a second candidate,
-    else None.
+    its objective value (as ``_objective`` values it), and the guard's
+    value if the row keeps it as a second candidate, else None.
     """
     phi, derivatives, floor = member
     try:
@@ -473,15 +470,14 @@ def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
     else:
         raise _budget_error(len(iterations))
     diff = x - u
-    energy_x = phi(x)
-    value_x = energy_x + m * diff * diff / (2.0 * delta)
+    value_x = phi(x) + m * diff * diff / (2.0 * delta)
     value_u = energy_u + 0.0        # the guard's d^2 / (2 delta) is 0
     if _guard_ties(value_x, value_u, diff, m, local_tol, tie_gap, math.sqrt):
-        return x, value_x, energy_x, (value_u, energy_u)
+        return x, value_x, value_u
     if value_x < value_u or _precedes((value_x, m * (diff * diff), x),
                                       (value_u, 0.0, u)):   # common case inline
-        return x, value_x, energy_x, None
-    return u, value_u, energy_u, None
+        return x, value_x, None
+    return u, value_u, None
 
 
 def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
@@ -501,9 +497,8 @@ def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
     guard: one candidate, unless its guard is a near tie.  In nD a
     coordinate's guard may join a near tie of the whole problem at any
     distance but 0, so ``_separable_nd`` passes None there.  Returns the
-    candidates' rows, points, objective values and energies: each row's
-    first candidate in row order, then the guards of the rows that keep
-    two.
+    candidates' rows, points and objective values: each row's first
+    candidate in row order, then the guards of the rows that keep two.
     """
     # nan and inf as the float kernel meets them; a failing row is reported
     # below, and the values of the others do not depend on it
@@ -540,8 +535,7 @@ def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
                 raise _budget_error(settings.max_iters)
             raise _window_error(u[r].item(), deltas[r].item(), radius[r].item())
         diff = x - u
-        energy_x = coordinate_values(spec, eps, cols, x)
-        value_x = energy_x + m * diff * diff / (2.0 * deltas)
+        value_x = coordinate_values(spec, eps, cols, x) + m * diff * diff / (2.0 * deltas)
         value_u = energy_u + 0.0
         tie = _guard_ties(value_x, value_u, diff, m, settings.local_tol, tie_gap, np.sqrt)
     # the clear cases by value, the others (equal values, a nan) by _precedes
@@ -552,20 +546,18 @@ def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
                                 (value_u[r].item(), 0.0, u[r].item()))
     points = np.where(stay, u, x)
     values = np.where(stay, value_u, value_x)
-    energies = np.where(stay, energy_u, energy_x)
     rows = np.arange(u.size)
     if tie.any():                   # the minimizer first, the guard second
         t = np.flatnonzero(tie)
         return (np.concatenate([rows, t]), np.concatenate([points, u[t]]),
-                np.concatenate([values, value_u[t]]),
-                np.concatenate([energies, energy_u[t]]))
-    return rows, points, values, energies
+                np.concatenate([values, value_u[t]]))
+    return rows, points, values
 
 
 def _grid_zoom_1d(spec, eps, cols, deltas, u, m, settings):
     """``_grid_zoom_rows`` on each chunk of ``_GRID_CHUNK`` rows in turn.
-    Returns the candidates' rows, points, objective values and energies,
-    chunk by chunk."""
+    Returns the candidates' rows, points and objective values, chunk by
+    chunk."""
     parts = []
     for s in range(0, u.size, _GRID_CHUNK):
         chunk = slice(s, s + _GRID_CHUNK)
@@ -588,8 +580,8 @@ def _grid_zoom_rows(spec, eps, cols, deltas, u, m, settings):
     becomes a candidate once it has shrunk to round-off width or, after
     the first round, once its grid values spread by at most ``local_tol``.
     ``settings.max_iters`` bounds the grid points evaluated for each row.
-    Returns the candidates' rows, points, objective values and energies,
-    in the order they were found, then the guards.
+    Returns the candidates' rows, points and objective values, in the
+    order they were found, then the guards.
     """
     floor = energy_floors(spec, eps)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -612,10 +604,9 @@ def _grid_zoom_rows(spec, eps, cols, deltas, u, m, settings):
     params = (cols, u[:, None], deltas[:, None], m[:, None])
     # The guard rides along with the first round's grid.
     xs = _grid(lo, hi)
-    vals, energy = _objective(spec, eps, np.concatenate([xs, params[1]], axis=1),
-                              *params)
-    guard = (live, u, vals[:, -1], energy[:, -1])
-    vals, energy = vals[:, :-1], energy[:, :-1]
+    vals = _objective(spec, eps, np.concatenate([xs, params[1]], axis=1), *params)
+    guard = (live, u, vals[:, -1])
+    vals = vals[:, :-1]
     found, searched = [], []
     first_round = True
     while True:
@@ -637,7 +628,7 @@ def _grid_zoom_rows(spec, eps, cols, deltas, u, m, settings):
             done |= vals.max(axis=1) - vals.min(axis=1) <= settings.local_tol
         if done.any():
             wd, kd = win[done], k[done]
-            found.append((live[done], x[done], vals[wd, kd], energy[wd, kd]))
+            found.append((live[done], x[done], vals[wd, kd]))
             go = ~done
             live, a, b = live[go], a[go], b[go]
             params = tuple(arr[go] for arr in params)
@@ -646,7 +637,7 @@ def _grid_zoom_rows(spec, eps, cols, deltas, u, m, settings):
         lo, hi = a, b
         first_round = False
         xs = _grid(lo, hi)
-        vals, energy = _objective(spec, eps, xs, *params)
+        vals = _objective(spec, eps, xs, *params)
     found.append(guard)
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
@@ -714,29 +705,29 @@ def _interior_minima(vals):
 def _separable_nd(spec, eps, deltas, U, mw, settings):
     """One search over the B n coordinate rows of the B problems, then each
     problem's combinations of its coordinates' candidates within
-    ``local_tol`` of their row's best, valued in nD as ``prox_batch``
-    values the chosen one (in 1D a row's values are already that).  Row
+    ``local_tol`` of their row's best, valued in nD by ``eval_many`` as
+    energy + d^2 / (2 delta) (in 1D a row's values are already that).  Row
     r = b n + j holds problem b's coordinate j.  No other combination
     comes within ``local_tol`` of the optimum: the coordinates' excesses
-    over their best add up.  Returns the candidates' problems, points,
-    values and energies, grouped by problem."""
+    over their best add up.  Returns the candidates' problems, points and
+    values, grouped by problem."""
     B, n = U.shape
     R = B * n
     cols = np.arange(R) % n
     # a 1D problem is its row, so the Newton route may drop a guard that is
     # no near tie; in nD only the combinations' nD values can tell
     tie_gap = _tie_gap(settings.local_tol) if n == 1 else None
-    r, x, v, e = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(),
-                          mw[cols], settings, tie_gap)
+    r, x, v = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
+                       settings, tie_gap)
     if r.size > R:
         best = np.full(R, np.inf)
         np.fmin.at(best, r, v)      # a nan value ranks last, as in _select
         keep = np.flatnonzero(v <= best[r] + settings.local_tol)
         keep = keep[np.argsort(r[keep], kind="stable")]
-        r, x, v, e = r[keep], x[keep], v[keep], e[keep]
+        r, x, v = r[keep], x[keep], v[keep]
     # else every row has one candidate, from the Newton route, in row order
     if n == 1:                      # a 1D energy is its one member
-        return r, x[:, None], v, e
+        return r, x[:, None], v
     if r.size == R:                 # one candidate per coordinate row
         rows, points = np.arange(B), x.reshape(B, n)
     else:
@@ -751,7 +742,7 @@ def _separable_nd(spec, eps, deltas, U, mw, settings):
             offset = np.arange(parent.size) - np.repeat(np.cumsum(c) - c, c)
             k = np.repeat(first[rows, j], c) + offset
             rows, points = rows[parent], np.column_stack([points[parent], x[k]])
-    energies = eval_many(spec, eps, points)
     off = points - U[rows]
-    values = energies + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows])
-    return rows, points, values, energies
+    values = (eval_many(spec, eps, points)
+              + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows]))
+    return rows, points, values

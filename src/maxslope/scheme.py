@@ -152,22 +152,17 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
         )
 
     # Each step starts from the last, so the steps are B = 1 solves on
-    # Python floats: by the stepper, else (on the grid route, or for a step
-    # that keeps a guard) by prox_batch.  The energies and distances depend
-    # on the points alone, so they are taken after the loop, as prox_batch
-    # takes them.
+    # Python floats, each taken by the stepper (which hands the ones it
+    # cannot take on floats to prox_batch).  The energies and distances
+    # depend on the points alone, so they are taken after the loop.
     n_steps = int(math.ceil(params.horizon_T / params.tau))
     step = stepper(spec, params.eps, params.tau, params.prox_settings)
-    tau = np.array([params.tau])
     coords = np.empty((n_steps + 1, space.dimension))
     coords[0] = u0.array
     u = u0.array.tolist()
     for i in range(n_steps):
         try:
-            u = None if step is None else step(u)
-            if u is None:
-                u = prox_batch(spec, params.eps, tau, coords[i:i + 1],
-                               params.prox_settings).minimizers[0].tolist()
+            u = step(u)
             if not all(map(math.isfinite, u)):
                 raise EvaluationError(f"prox minimizer {u} is not finite",
                                       point=np.array(u))

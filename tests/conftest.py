@@ -56,6 +56,16 @@ def brute_force_prox_1d(spec, eps, delta, u, radius, step, metric_weight=1.0):
     return float(grid[np.argmin(obj)])
 
 
+def prox_objective(spec, eps, deltas, U, V):
+    """energy(v) + d^2(v, u) / (2 delta) at each row v of ``V``, from the
+    matching row u of ``U`` and step size delta of ``deltas``: the resolvent
+    objective, with the energy by ``eval_many``."""
+    V = np.asarray(V, dtype=float)
+    off = V - np.asarray(U, dtype=float)
+    d2 = (spec.domain.metric_weights() * off * off).sum(axis=1)
+    return eval_many(spec, eps, V) + d2 / (2.0 * np.asarray(deltas, dtype=float))
+
+
 def finite_difference_gradient(spec, eps, x, step=1e-5):
     """Central differences, one coordinate at a time."""
     x = np.asarray(x, dtype=float)

@@ -297,9 +297,27 @@ class TestConfigParsing:
         (slope_cone_config, ("command", "check", "probes"), {"count": 10**9}, "count"),
         (slope_cone_config, ("seed",), -1, "seed"),
         (quad_run_config, ("seed",), -1, "seed"),
+        # a tolerance or an eps must be positive: a negative tolerance would
+        # fail a check that ran, not the config
+        (dissipation_config, ("command", "check", "residual_tol"), -1, "residual_tol"),
+        (quad_run_config, ("command",), {"check": {
+            "type": "apriori", "run": quad_run_config("out")["command"]["run"],
+            "quad_tol": -1}}, "quad_tol"),
+        (slope_cone_config, ("command", "check", "cone_tol"), -1, "cone_tol"),
+        (slope_cone_config, ("command", "check", "eps"), -1, "eps"),
+        (condition_h_config, ("command", "check", "h_tol"), -1, "h_tol"),
+        (condition_h_config, ("command", "check", "seq_tol"), -1, "seq_tol"),
+        (condition_h_config, ("command", "check", "sequence"),
+         [[0.1, [1.0]], [-0.01, [1.0]]], "sequence"),
+        (maximal_slope_config, ("command", "check", "check_tol"), -1, "check_tol"),
+        (maximal_slope_config, ("command", "check", "monotone_tol"), -1, "monotone_tol"),
+        (quad_run_config, ("command",), {"sweep": {**SWEEP, "sweep_tol": -1}},
+         "sweep_tol"),
     ], ids=["dimension_huge", "dimension_huge_weighted", "dimension_energy",
             "count_zero", "count_negative", "count_huge", "seed_slope_cone",
-            "seed_run"])
+            "seed_run", "residual_tol", "quad_tol", "cone_tol", "slope_cone_eps",
+            "h_tol", "seq_tol", "sequence_eps", "check_tol", "monotone_tol",
+            "sweep_tol"])
     def test_out_of_range_is_config_error(self, tmp_path, build, path, value, named):
         # refused before anything of that size is built: a space of 10^9
         # coordinates or 10^9 probes would take gigabytes
@@ -628,7 +646,8 @@ class TestCheckCommand:
     def test_slope_cone_eps_must_be_positive(self, tmp_path, capsys, eps):
         doc = check_config(tmp_path / "out", "slope_cone", {"eps": eps, "x": [1.5]})
         assert main(["check", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: eps must be positive\n"
+        assert capsys.readouterr().err == (
+            f"config error: field 'eps' must be positive, got {eps}\n")
         assert not (tmp_path / "out").exists()
 
     def test_condition_h(self, tmp_path):

@@ -11,6 +11,7 @@ from maxslope.energy import (
     custom_smooth,
     eval_many,
     quadratic,
+    wiggly,
 )
 from maxslope.errors import BudgetExhaustedError, EvaluationError, InvalidDeltaError
 from maxslope.metric import SpaceDescriptor, distances
@@ -23,16 +24,54 @@ from maxslope.prox import (
     prox_batch,
 )
 
-from conftest import brute_force_prox_1d, parse_config
+from conftest import brute_force_prox_1d, parse_config, prox_objective
 
 
 DEFAULTS = ProxSettings()
 NUMERIC = ProxSettings(mode=MULTISTART_NUMERIC)
+LINE = SpaceDescriptor(1)
+WEIGHTED_PLANE = SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.0, 1.0))
 
 
 def prox_one(spec, eps, delta, u, settings):
     """The B = 1 ``prox_batch`` solve from the coordinate row ``u``."""
     return prox_batch(spec, eps, [delta], [u], settings)
+
+
+def value_one(spec, eps, delta, u, res):
+    """The objective at the minimizer of the B = 1 solve ``res``."""
+    return prox_objective(spec, eps, [delta], [u], res.minimizers)[0]
+
+
+# (spec, eps, deltas, U, settings) of batches over every route of the
+# numeric search
+SEARCH_SETUPS = {
+    "nd_convex_perturbed": (
+        convex_perturbed(quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.3, -0.2])), 0.1,
+        [0.05] * 3, [[-0.573427911842217, -0.6904896434975996],
+                     [0.308546715723349, 0.4653631919741408],
+                     [-1.446325737309074, 0.23991054169228443]], NUMERIC),
+    "newton_1d": (quadratic(LINE, [2.0], [0.3]), 1.0, [0.01, 0.1, 0.5],
+                  [[1.2], [-0.7], [0.3]], NUMERIC),
+    # curvature 1e-8 + 1 / 1e6: the guard of the first row is a near tie
+    "newton_1d_kept_guard": (quadratic(LINE, [1e-8], [0.3]), 1.0, [1e6, 0.1],
+                             [[0.0], [0.5]], NUMERIC),
+    # 1 - 1 / 0.05 + 1 / 0.1 < 0: past the curvature floor, the grid route
+    "grid_wiggly": (wiggly(quadratic(LINE, [1.0], [0.0])), 0.05, [0.1, 0.2, 0.1],
+                    [[0.5], [-1.1], [0.0]], DEFAULTS),
+    "grid_convex_perturbed": (convex_perturbed(quadratic(LINE, [1.0], [0.0])), 0.1,
+                              [0.5, 0.01, 0.1], [[1.5], [0.05], [-0.3]], NUMERIC),
+    "custom_smooth": (custom_smooth(LINE, "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)"),
+                      0.05, [0.0025, 0.1], [[0.5], [-0.8]], DEFAULTS),
+    # from u = 0 each coordinate keeps its guard, and the corner u is a near
+    # tie only the nD ranking finds
+    "flat_2d_guards": (quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [0.025, 0.025]), 1.0,
+                       [1e6, 1.0], [[0.0, 0.0], [0.3, -0.2]], NUMERIC),
+    # four corners tie (row 1), or two (row 2); row 0 takes the Newton route
+    "mirror_wells": (wiggly(quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.0, 0.0])), 0.1,
+                     [1e-4, 1.0, 1.0], [[0.4, -0.3], [1e-11, -1e-11], [0.6, 1e-11]],
+                     NUMERIC),
+}
 
 
 class TestExactPaths:
@@ -70,7 +109,8 @@ class TestNumericSearch:
     def test_quadratic_numeric_agrees_with_exact(self, quad_1d):
         exact = prox_one(quad_1d, 1.0, 0.7, [1.3], DEFAULTS)
         numeric = prox_one(quad_1d, 1.0, 0.7, [1.3], NUMERIC)
-        assert numeric.values[0] <= exact.values[0] + 10 * DEFAULTS.local_tol
+        assert (value_one(quad_1d, 1.0, 0.7, [1.3], numeric)
+                <= value_one(quad_1d, 1.0, 0.7, [1.3], exact) + 10 * DEFAULTS.local_tol)
         assert abs(numeric.minimizers[0, 0] - exact.minimizers[0, 0]) < 1e-5
 
     def test_wiggly_against_fine_grid_oracle(self, wiggly_1d):
@@ -99,60 +139,66 @@ class TestNumericSearch:
         spec = quadratic(plane, [4.0, 1.0], [1.0, -1.0])
         numeric = prox_one(spec, 1.0, 0.5, [0.0, 0.0], NUMERIC)
         exact = prox_one(spec, 1.0, 0.5, [0.0, 0.0], DEFAULTS)
-        assert numeric.values[0] <= exact.values[0] + 10 * DEFAULTS.local_tol
+        assert (value_one(spec, 1.0, 0.5, [0.0, 0.0], numeric)
+                <= value_one(spec, 1.0, 0.5, [0.0, 0.0], exact) + 10 * DEFAULTS.local_tol)
         assert distances(plane, numeric.minimizers[0], exact.minimizers[0]) < 1e-5
 
-
-    def test_nd_value_is_the_ranked_objective(self, weighted_plane):
-        # The reported value is energy + d^2 / (2 delta) at the chosen point,
-        # and no candidate ranks lower: neither a combination the separable
-        # search valued nor the chosen point with one coordinate swapped for
-        # any other candidate of that coordinate's row in the one search.
-        spec = convex_perturbed(quadratic(weighted_plane, [1.0, 2.0], [0.3, -0.2]))
-        U = np.array([[-0.573427911842217, -0.6904896434975996],
-                      [0.308546715723349, 0.4653631919741408],
-                      [-1.446325737309074, 0.23991054169228443]])
-        deltas = np.full(len(U), 0.05)
-        mw = weighted_plane.metric_weights()
+    @pytest.mark.parametrize("setup", SEARCH_SETUPS)
+    def test_nd_value_is_the_ranked_objective(self, setup):
+        # The value _select ranks for the chosen candidate, and every
+        # candidate's, is energy + d^2 / (2 delta) at its point, to the bit:
+        # the near-tie margin is measured from it.  No candidate ranks lower:
+        # neither a combination the separable search valued nor the chosen
+        # point with one coordinate swapped for any other candidate of that
+        # coordinate's row in the one search.
+        spec, eps, deltas, U, settings = SEARCH_SETUPS[setup]
+        deltas, U = np.array(deltas), np.array(U)
+        B, n = U.shape
+        mw = spec.domain.metric_weights()
 
         def objective(V, rows):
-            off = V - U[rows]
-            return (eval_many(spec, 0.1, V)
-                    + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows]))
+            return prox_objective(spec, eps, deltas[rows], U[rows], V)
 
-        batch = prox_batch(spec, 0.1, deltas, U, NUMERIC)
-        assert np.array_equal(batch.values, objective(batch.minimizers, np.arange(3)))
-        rows, C, cvals, _ = _separable_nd(spec, 0.1, deltas, U, mw, NUMERIC)
-        assert np.array_equal(cvals, objective(C, rows))
-        # the six coordinate rows: row r = 2 b + j is problem b's coordinate j
-        cols = np.arange(6) % 2
-        r, x, v, _ = _zoom_1d(spec, 0.1, cols, np.repeat(deltas, 2), U.ravel(),
-                           mw[cols], NUMERIC)
-        b, j = r // 2, cols[r]
+        def hexes(a):
+            return list(map(float.hex, a.tolist()))
+
+        batch = prox_batch(spec, eps, deltas, U, settings)
+        rows, C, cvals = _separable_nd(spec, eps, deltas, U, mw, settings)
+        chosen = _select(rows, C, cvals, U, mw)
+        assert C[chosen].tobytes() == batch.minimizers.tobytes()
+        assert hexes(cvals[chosen]) == hexes(objective(batch.minimizers, np.arange(B)))
+        assert hexes(cvals) == hexes(objective(C, rows))
+        # the B n coordinate rows: row r = n b + j is problem b's coordinate j
+        cols = np.arange(B * n) % n
+        r, x, v = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
+                           settings)
+        b, j = r // n, cols[r]
         off = x - U[b, j]
-        assert np.array_equal(v, coordinate_values(spec, 0.1, j, x)
+        assert np.array_equal(v, coordinate_values(spec, eps, j, x)
                               + mw[j] * off * off / (2.0 * deltas[b]))
         swapped = batch.minimizers[b]
         swapped[np.arange(r.size), j] = x
-        assert (objective(swapped, b) >= batch.values[b]).all()
-        for b in range(len(U)):
-            assert batch.values[b] == cvals[rows == b].min()
+        assert (objective(swapped, b) >= cvals[chosen][b]).all()
+        for b in range(B):
+            assert cvals[chosen][b] == cvals[rows == b].min()
 
 
 class TestInvariants:
     def test_descent_property(self, wiggly_1d):
         for u in (0.0, 0.3, 1.1, -2.0):
             res = prox_one(wiggly_1d, 0.07, 0.01, [u], DEFAULTS)
-            assert res.energies[0] <= eval_many(wiggly_1d, 0.07, [[u]])[0] + 1e-12
+            energy = eval_many(wiggly_1d, 0.07, res.minimizers)[0]
+            assert energy <= eval_many(wiggly_1d, 0.07, [[u]])[0] + 1e-12
 
     def test_prox_inequality_against_probes(self, wiggly_1d, line):
         res = prox_one(wiggly_1d, 0.1, 0.05, [0.8], DEFAULTS)
+        value = value_one(wiggly_1d, 0.1, 0.05, [0.8], res)
         rng = np.random.default_rng(5)
         probes = rng.uniform(-3.0, 3.0, 1000)
         for y in probes:
             rival = (eval_many(wiggly_1d, 0.1, [[y]])[0]
                      + (y - 0.8) ** 2 / (2 * 0.05))
-            assert res.values[0] <= rival + 1e-6
+            assert value <= rival + 1e-6
 
     def test_displacement_shrinks_with_delta(self, wiggly_1d):
         moved = [prox_one(wiggly_1d, 0.1, d, [0.9], DEFAULTS).moved[0]
@@ -165,7 +211,7 @@ class TestInvariants:
         line = SpaceDescriptor(1)
         spec = quadratic(line, [1.0], [0.0])
         res = prox_one(spec, 1.0, delta, [u], DEFAULTS)
-        assert res.values[0] <= eval_many(spec, 1.0, [[u]])[0] + 1e-12
+        assert value_one(spec, 1.0, delta, [u], res) <= eval_many(spec, 1.0, [[u]])[0] + 1e-12
 
 
 class TestFailureModes:

@@ -48,7 +48,7 @@ from maxslope.prox import (
 )
 from maxslope.scheme import SchemeParams, build_interpolant, run_scheme
 
-from conftest import brute_force_prox_1d, pt
+from conftest import brute_force_prox_1d, prox_objective, pt
 
 DEFAULTS = ProxSettings()
 NUMERIC = ProxSettings(mode=MULTISTART_NUMERIC)
@@ -75,8 +75,6 @@ def assert_row_matches_scalar(batch, b, spec, eps, delta, u, prox_settings):
     """Row ``b`` of a batch is bit for bit the B = 1 solve of its problem."""
     res = prox_batch(spec, eps, [delta], [u], prox_settings)
     assert tuple(batch.minimizers[b]) == tuple(res.minimizers[0])
-    assert batch.values[b] == res.values[0]
-    assert batch.energies[b] == res.energies[0]
     assert batch.moved[b] == res.moved[0]
     ties = [tuple(p) for p in batch.tie_points[batch.tie_rows == b]]
     assert ties == [tuple(t) for t in res.tie_points]
@@ -91,7 +89,7 @@ def reference_prox_1d(spec, eps, delta, u, prox_settings):
     then the Newton iteration where the curvature floor certifies the
     objective convex, else the grid zoom over windows.
 
-    Returns the minimizer, the objective there and the near ties; the
+    Returns the minimizer, its distance from u and the near ties; the
     batched engine must reproduce all three bit for bit.
     """
     mw = spec.domain.metric_weights()
@@ -175,7 +173,7 @@ def reference_prox_1d(spec, eps, delta, u, prox_settings):
     value = float(objective(np.array([best]))[0])
     ties = [c for c, v in candidates
             if v <= value + tol and dist(c, best) > 10.0 * math.sqrt(tol)]
-    return best, value, ties
+    return best, dist(best, u), ties
 
 
 def problems(dim, radius):
@@ -255,10 +253,10 @@ class TestAgainstLoopReference:
         batch = prox_batch(spec, eps, [d for _, d in rows],
                            [u for u, _ in rows], prox_settings)
         for b, (u, delta) in enumerate(rows):
-            best, value, ties = reference_prox_1d(spec, eps, delta, u[0],
+            best, moved, ties = reference_prox_1d(spec, eps, delta, u[0],
                                                   prox_settings)
             assert batch.minimizers[b, 0] == best
-            assert batch.values[b] == value
+            assert batch.moved[b] == moved
             assert list(batch.tie_points[batch.tie_rows == b, 0]) == ties
 
 
@@ -292,8 +290,9 @@ class TestSeparable:
             slack += (self.WEIGHTS[j] + m / delta + 1.0 / eps) * step ** 2 / 8 + eps * step
             if family != "wiggly":      # strictly convex: one minimizer
                 assert abs(batch.minimizers[0, j] - v) <= step
-        assert oracle_value - slack <= batch.values[0]
-        assert batch.values[0] <= oracle_value + 2 * NUMERIC.local_tol
+        value = prox_objective(spec, eps, [delta], [u], batch.minimizers)[0]
+        assert oracle_value - slack <= value
+        assert value <= oracle_value + 2 * NUMERIC.local_tol
 
     @pytest.mark.parametrize("family, eps_range, route", [
         ("quadratic", (0.05, 1.0), "newton"),
@@ -318,8 +317,9 @@ class TestSeparable:
         oracle_value = eval_many(spec, eps, [[v]])[0] + m * (v - u) ** 2 / (2.0 * delta)
         # values, not points: a near tie may pick either well
         slack = (w + m / delta + 1.0 / eps) * step ** 2 / 8 + eps * step
-        assert oracle_value - slack <= batch.values[0]
-        assert batch.values[0] <= oracle_value + 2 * NUMERIC.local_tol
+        value = prox_objective(spec, eps, [delta], [[u]], batch.minimizers)[0]
+        assert oracle_value - slack <= value
+        assert value <= oracle_value + 2 * NUMERIC.local_tol
 
     def test_mirror_wells_tie_as_a_product(self):
         # Near u = 0 each coordinate of this wiggly energy has two mirror
@@ -384,9 +384,9 @@ def reference_separable(spec, eps, deltas, U, prox_settings):
     its coordinates' kept candidates valued in nD, then ``prox_batch``'s
     selection and near-tie rules.
 
-    Returns the minimizers, values, near-tie flags, tie rows, tie points
-    and tie displacements; the one search over all B n coordinate rows
-    must reproduce them bit for bit.
+    Returns the minimizers, their distances from U, near-tie flags, tie
+    rows, tie points and tie displacements; the one search over all B n
+    coordinate rows must reproduce them bit for bit.
     """
     B, n = U.shape
     mw = spec.domain.metric_weights()
@@ -394,7 +394,7 @@ def reference_separable(spec, eps, deltas, U, prox_settings):
     rows, points = np.arange(B), np.zeros((B, 0))
     for j in range(n):
         u, m = U[:, j:j + 1], mw[j:j + 1]
-        r, x, v, _ = _zoom_1d(coordinate_member(spec, j), eps, np.zeros(B, dtype=int),
+        r, x, v = _zoom_1d(coordinate_member(spec, j), eps, np.zeros(B, dtype=int),
                            deltas, U[:, j], np.full(B, mw[j]), prox_settings)
         keep = np.flatnonzero(v <= v[_select(r, x[:, None], v, u, m)][r] + tol)
         keep = keep[np.argsort(r[keep], kind="stable")]
@@ -404,21 +404,18 @@ def reference_separable(spec, eps, deltas, U, prox_settings):
         parent = np.repeat(np.arange(rows.size), counts)
         k = keep[np.repeat(start, counts) + np.arange(parent.size)]
         rows, points = rows[parent], np.column_stack([points[parent], x[k]])
-    energies = eval_many(spec, eps, points)
-    off = points - U[rows]
-    cvals = energies + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows])
+    cvals = prox_objective(spec, eps, deltas[rows], U[rows], points)
     chosen = _select(rows, points, cvals, U, mw)
     V = points[chosen]
     diff = V - U
-    d2 = (mw * diff * diff).sum(axis=1)
-    values = energies[chosen] + d2 / (2.0 * deltas)
-    tie = _near_ties(rows, points, cvals, chosen, values, mw, tol)
+    moved = np.sqrt((mw * diff * diff).sum(axis=1))
+    tie = _near_ties(rows, points, cvals, chosen, mw, tol)
     tie_rows, tie_points = rows[tie], points[tie]
-    tie_moved, near_tie = np.sqrt(d2), np.zeros(B, dtype=bool)
+    tie_moved, near_tie = moved.copy(), np.zeros(B, dtype=bool)
     off = tie_points - U[tie_rows]
     np.maximum.at(tie_moved, tie_rows, np.sqrt((mw * off * off).sum(axis=1)))
     near_tie[tie_rows] = True
-    return V, values, near_tie, tie_rows, tie_points, tie_moved
+    return V, moved, near_tie, tie_rows, tie_points, tie_moved
 
 
 class TestAgainstCoordinateLoop:
@@ -430,10 +427,10 @@ class TestAgainstCoordinateLoop:
     @staticmethod
     def assert_matches_loop(spec, eps, deltas, U):
         batch = prox_batch(spec, eps, deltas, U, NUMERIC)
-        V, values, near_tie, tie_rows, tie_points, tie_moved = reference_separable(
+        V, moved, near_tie, tie_rows, tie_points, tie_moved = reference_separable(
             spec, eps, deltas, U, NUMERIC)
         assert np.array_equal(batch.minimizers, V)
-        assert np.array_equal(batch.values, values)
+        assert np.array_equal(batch.moved, moved)
         assert np.array_equal(batch.near_tie, near_tie)
         assert np.array_equal(batch.tie_rows, tie_rows)
         assert np.array_equal(batch.tie_points, tie_points)
@@ -539,8 +536,9 @@ class TestNewtonRoute:
         oracle_value = eval_many(spec, eps, [[oracle]])[0] + m * (oracle - u) ** 2 / (2 * delta)
         assert abs(v - oracle) <= 0.5 * step * math.sqrt(lipschitz / mu) + 1e-12
         slack = 1e-12 * (1.0 + abs(oracle_value))
-        assert oracle_value - lipschitz * step ** 2 / 8 - slack <= batch.values[0]
-        assert batch.values[0] <= oracle_value + slack
+        value = prox_objective(spec, eps, [delta], [[u]], batch.minimizers)[0]
+        assert oracle_value - lipschitz * step ** 2 / 8 - slack <= value
+        assert value <= oracle_value + slack
 
     @pytest.mark.parametrize("u, center", [(0.0, 0.3), (0.2, -0.1), (-0.5, -0.2)])
     def test_flat_row_keeps_its_guard_as_a_near_tie(self, u, center):
@@ -551,10 +549,10 @@ class TestNewtonRoute:
         with mock.patch("maxslope.prox._grid_zoom_1d",
                         side_effect=AssertionError("grid route taken")):
             batch = prox_batch(spec, 1.0, [delta], [[u]], NUMERIC)
-        best, value, ties = reference_prox_1d(spec, 1.0, delta, u, NUMERIC)
+        best, moved, ties = reference_prox_1d(spec, 1.0, delta, u, NUMERIC)
         assert ties == [u]
         assert batch.minimizers[0, 0] == best
-        assert batch.values[0] == value
+        assert batch.moved[0] == moved
         assert list(batch.near_tie) == [True]
         assert list(batch.tie_points[:, 0]) == ties
         assert batch.tie_moved[0] == max(abs(best - u), *(abs(t - u) for t in ties))
@@ -574,29 +572,28 @@ class TestNewtonRoute:
 
 class TestNewtonStepper:
     """The scheme's B = 1 stepper, on the closed forms and the Newton row
-    kernel, against ``prox_batch``, bit for bit, and its fall-backs."""
+    kernel, against ``prox_batch``, bit for bit, and its fall-backs to
+    ``prox_batch``."""
 
     @staticmethod
     def assert_step_matches(spec, eps, delta, u, prox_settings):
         """The stepper's minimizer from ``u`` is ``prox_batch``'s, sign bits
-        included, or None where ``prox_batch`` ranks more than one
-        candidate.  Returns the minimizer."""
+        included.  A step that calls ``prox_batch``, looked up in
+        ``maxslope.prox``, is off the Newton route or ranks more than one
+        candidate.  Returns the minimizer and the number of such calls."""
         step = stepper(spec, eps, delta, prox_settings)
-        mw = spec.domain.metric_weights()
-        if step is None:
-            assert not (curvature_floors(spec, eps) + mw / delta > 0).all()
-            return None
         u = [float(v) for v in u]
-        found = step(u)
-        if found is None:
-            rows, *_ = _separable_nd(spec, eps, np.array([delta]), np.array([u]), mw,
-                                     prox_settings)
-            assert rows.size > 1
-            return None
+        with mock.patch("maxslope.prox.prox_batch", wraps=prox_batch) as batched:
+            found = step(u)
         res = prox_batch(spec, eps, [delta], [u], prox_settings)
         assert list(map(float.hex, found)) == list(map(float.hex,
                                                        res.minimizers[0].tolist()))
-        return found
+        mw, kappa = spec.domain.metric_weights(), curvature_floors(spec, eps)
+        if batched.call_count and kappa is not None and (kappa + mw / delta > 0).all():
+            rows, *_ = _separable_nd(spec, eps, np.array([delta]), np.array([u]), mw,
+                                     prox_settings)
+            assert rows.size > 1
+        return found, batched.call_count
 
     @pytest.mark.parametrize("family", ["quadratic", "wiggly", "closed_quadratic",
                                         "convex_perturbed"])
@@ -633,42 +630,40 @@ class TestNewtonStepper:
             u[at] = data.draw(st.sampled_from([center[at], 0.0, -0.0])
                               | st.floats(-eps, eps), label="u_at")
         closed = family in ("closed_quadratic", "convex_perturbed")
-        found = self.assert_step_matches(spec, eps, delta, u,
-                                         DEFAULTS if closed else NUMERIC)
-        assert found is not None or not closed
+        _, batched = self.assert_step_matches(spec, eps, delta, u,
+                                              DEFAULTS if closed else NUMERIC)
+        assert not (closed and batched)
 
     def test_flat_2d_guard_falls_back(self):
         # TestAgainstCoordinateLoop's flat rows: from u = 0 each coordinate
         # keeps its guard, and the corner u is a near tie only the nD
         # ranking finds, so the step is prox_batch's.
         spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [0.025, 0.025])
-        step = stepper(spec, 1.0, 1e6, NUMERIC)
-        assert step([0.0, 0.0]) is None
         assert prox_batch(spec, 1.0, [1e6], [[0.0, 0.0]], NUMERIC).near_tie[0]
-        assert self.assert_step_matches(spec, 1.0, 1e6, [0.0, 0.0], NUMERIC) \
-            is None
+        _, batched = self.assert_step_matches(spec, 1.0, 1e6, [0.0, 0.0], NUMERIC)
+        assert batched == 1
 
     def test_1d_near_tie_falls_back(self):
         # TestNewtonRoute's flat row: its guard is a near tie
         spec = quadratic(LINE, [1e-8], [0.3])
-        assert stepper(spec, 1.0, 1e6, NUMERIC)([0.0]) is None
-        assert self.assert_step_matches(spec, 1.0, 1e6, [0.0], NUMERIC) is None
+        _, batched = self.assert_step_matches(spec, 1.0, 1e6, [0.0], NUMERIC)
+        assert batched == 1
 
     def test_closed_form_minimizers_on_the_kink(self):
         # eps |x| pins both coordinates at 0 from u on the kink and from u
         # within the threshold
         spec = FAMILIES["weighted_2d_convex_perturbed"][0]
         for u in ([0.0, -0.0], [-0.0, 1e-4], [1e-4, -1e-4]):
-            x = self.assert_step_matches(spec, 0.1, 0.01, u, DEFAULTS)
+            x, _ = self.assert_step_matches(spec, 0.1, 0.01, u, DEFAULTS)
             assert list(map(float.hex, x)) == [float.hex(0.0)] * 2
         # a step size so small that m / delta overflows: inf / inf is nan,
         # which np.where sends to 0
         with np.errstate(over="ignore", invalid="ignore"):
-            x = self.assert_step_matches(spec, 0.1, 1e-320, [1.0, -1.0], DEFAULTS)
+            x, _ = self.assert_step_matches(spec, 0.1, 1e-320, [1.0, -1.0], DEFAULTS)
         assert list(map(float.hex, x)) == [float.hex(0.0)] * 2
         # the quadratic keeps a -0.0 minimizer where numpy does
         spec = quadratic(SpaceDescriptor(2), [1.0, 2.0], [-0.0, 0.0])
-        x = self.assert_step_matches(spec, 1.0, 0.1, [-0.0, -0.0], DEFAULTS)
+        x, _ = self.assert_step_matches(spec, 1.0, 0.1, [-0.0, -0.0], DEFAULTS)
         assert list(map(float.hex, x)) == [float.hex(-0.0), float.hex(0.0)]
 
     @pytest.mark.parametrize("spec, eps, delta, prox_settings", [
@@ -681,7 +676,10 @@ class TestNewtonStepper:
     ], ids=["convex_perturbed_numeric", "custom_smooth", "wiggly_grid",
             "wiggly_2d_one_grid_row"])
     def test_no_stepper_off_the_newton_route(self, spec, eps, delta, prox_settings):
-        assert stepper(spec, eps, delta, prox_settings) is None
+        # no step of such a run is on floats: each calls prox_batch
+        u = [0.5] * spec.domain.dimension
+        _, batched = self.assert_step_matches(spec, eps, delta, u, prox_settings)
+        assert batched == 1
 
     def test_budget_error_is_prox_batch_error(self):
         spec, eps, _, _ = FAMILIES["wiggly"]
@@ -729,12 +727,12 @@ class TestArraySweep:
         for b in range(B):
             for j in range(n):
                 u = float(U[b, j])
-                x, value, energy, guard = _newton_row(
+                x, value, guard = _newton_row(
                     members[j], u, float(deltas[b]), m[j], budget,
                     prox_settings.local_tol, tie_gap)
-                first.append((b * n + j, x, value, energy))
+                first.append((b * n + j, x, value))
                 if guard is not None:
-                    guards.append((b * n + j, u, *guard))
+                    guards.append((b * n + j, u, guard))
         return first + guards
 
     @staticmethod
@@ -795,7 +793,7 @@ class TestArraySweep:
             found = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
                              NUMERIC, tie_gap)
             batch = prox_batch(spec, eps, deltas, U, NUMERIC)
-        # rows, points, values and energies
+        # rows, points and values
         expected = [list(column) for column in
                     zip(*self.kernel_rows(spec, eps, deltas, U, NUMERIC))]
         assert found[0].tolist() == expected[0]
@@ -806,8 +804,6 @@ class TestArraySweep:
             alone = np.setdiff1d(np.arange(B), expected[0][B:])
             assert list(map(float.hex, batch.minimizers[alone, 0].tolist())) == [
                 float.hex(expected[1][b]) for b in alone]
-            assert list(map(float.hex, batch.energies[alone].tolist())) == [
-                float.hex(expected[3][b]) for b in alone]
 
     @pytest.mark.parametrize("window_first", [True, False])
     def test_first_failing_row_raises(self, window_first):
