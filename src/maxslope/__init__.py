@@ -16,7 +16,7 @@ from .energy import (
 )
 from .metric import Point, SpaceDescriptor, distances, squared_distances
 from .prox import ProxBatch, ProxSettings, prox_batch
-from .regimes import CouplingLaw, SweepReport, compare_to_reference, run_sweep
+from .regimes import CouplingLaw, SweepReport, run_sweep
 from .scheme import (
     DiscreteTrajectory,
     SchemeParams,
@@ -27,7 +27,6 @@ from .scheme import (
 )
 from .slope import (
     ConditionHReport,
-    SlopeEstimate,
     check_condition_h,
     check_slope_cone,
     estimate_slope,

@@ -23,7 +23,6 @@ from .energy import LIMIT_EPS, EnergySpec, eval_many, exact_slopes
 from .errors import CoverageGapError
 from .metric import SpaceDescriptor, distances, squared_distances
 from .scheme import VariationalInterpolant
-from .slope import estimate_slope
 
 # Sample times of the maximal-slope check's interval grid: all pairs of an
 # evenly spaced grid of this many times over the curve.
@@ -188,7 +187,9 @@ class MaximalSlopeReport:
 
     slack(s, t) = [phi(u(s)) - phi(u(t))] - 0.5 int |u'|^2 - 0.5 int slope^2.
     A curve of maximal slope has slack >= 0 on every interval with the
-    energy along the curve non-increasing.
+    energy along the curve non-increasing.  The slope is exact at every
+    sample, so no time is excluded; ``to_dict`` keeps the key
+    ``excluded_times`` as ``[]`` for the report schema.
     """
 
     sample_times: tuple[float, ...]
@@ -196,7 +197,6 @@ class MaximalSlopeReport:
     per_interval: tuple[tuple[float, float, float, float, float], ...]
     monotone_ok: bool
     min_slack: float
-    excluded_times: tuple[float, ...] = ()
 
     def passed(self, check_tol: float) -> bool:
         return self.monotone_ok and self.min_slack >= -check_tol
@@ -211,7 +211,7 @@ class MaximalSlopeReport:
             ],
             "monotone_ok": self.monotone_ok,
             "min_slack": self.min_slack,
-            "excluded_times": list(self.excluded_times),
+            "excluded_times": [],
         }
 
 
@@ -223,32 +223,21 @@ def _cumulative_trapezoid(y, times):
 
 
 def maximal_slope_check(spec_limit: EnergySpec, times, coords,
-                        monotone_tol: float = MONOTONE_TOL,
-                        use_exact_slope: bool = True) -> MaximalSlopeReport:
+                        monotone_tol: float = MONOTONE_TOL) -> MaximalSlopeReport:
     """Check the energy-dissipation inequality along a sampled curve.
 
     The curve is sampled at the increasing ``times`` (K,) with points
     ``coords`` (K, n) of the limit energy's space ``spec_limit.domain``.
     Speed comes from symmetric difference quotients in its metric,
-    slope from the limit energy's exact formula (or the sampled estimator
-    when ``use_exact_slope`` is off, excluding nodes whose estimate does
-    not converge), integrals from the trapezoid rule on the sample grid.
-    The intervals (s, t) are all pairs of ``INTERVAL_GRID_POINTS`` evenly
-    spaced times, snapped to sample times.
+    slope from the limit energy's exact formula, integrals from the
+    trapezoid rule on the sample grid.  The intervals (s, t) are all pairs
+    of ``INTERVAL_GRID_POINTS`` evenly spaced times, snapped to sample
+    times.
     """
     times, coords = np.asarray(times, dtype=float), np.asarray(coords, dtype=float)
     speeds = metric_derivative(times, coords, spec_limit.domain)
     varphi = eval_many(spec_limit, LIMIT_EPS, coords)
-
-    excluded = np.zeros(len(times), dtype=bool)
-    if use_exact_slope:
-        slopes = exact_slopes(spec_limit, LIMIT_EPS, coords)
-    else:
-        estimates = [estimate_slope(spec_limit, LIMIT_EPS, x) for x in coords]
-        slopes = np.array([est.value for est in estimates])
-        excluded = ~np.array([est.converged for est in estimates])
-        slopes[excluded] = np.interp(times[excluded], times[~excluded], slopes[~excluded])
-
+    slopes = exact_slopes(spec_limit, LIMIT_EPS, coords)
     speed_cum = _cumulative_trapezoid(speeds * speeds, times)
     slope_cum = _cumulative_trapezoid(slopes * slopes, times)
 
@@ -274,6 +263,5 @@ def maximal_slope_check(spec_limit: EnergySpec, times, coords,
         per_interval=tuple(per_interval),
         monotone_ok=monotone_ok,
         min_slack=min_slack,
-        excluded_times=tuple(times[excluded].tolist()),
     )
 

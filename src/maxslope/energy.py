@@ -597,41 +597,3 @@ def certify_well_posedness(spec: EnergySpec, eps_grid, sample_budget: int,
         compactness_note=_COMPACTNESS_NOTE,
         checked_eps_grid=eps_grid,
     )
-
-
-# ---------------------------------------------------------------------------
-# Critical-point helper for oscillatory landscapes (1D)
-# ---------------------------------------------------------------------------
-
-def nearest_stable_critical_point(spec: EnergySpec, eps: float, x,
-                                  span: float | None = None) -> np.ndarray:
-    """Nearest local minimizer of a 1D energy around the row ``x`` (1,),
-    as a row (1,).
-
-    Scans the gradient for sign changes with positive second difference and
-    polishes the closest one by bisection.  Used to build trap-point
-    sequences for the oscillation families.
-    """
-    if spec.domain.dimension != 1:
-        raise ValueError("critical-point scan implemented for 1D only")
-    x0 = float(x[0])
-    if span is None:
-        span = 8.0 * math.pi * eps if spec.kind == WIGGLY else max(1.0, abs(x0))
-    grid = np.linspace(x0 - span, x0 + span, 20001)
-    g = gradient_many(spec, eps, grid[:, None])[:, 0]
-    sign_change = (g[:-1] < 0) & (g[1:] >= 0)  # minus-to-plus: local minimum
-    idx = np.nonzero(sign_change)[0]
-    if idx.size == 0:
-        raise ValueError(f"no stable critical point within span {span:g} of {x0:g}")
-    mids = 0.5 * (grid[idx] + grid[idx + 1])
-    best = idx[int(np.argmin(np.abs(mids - x0)))]
-    lo, hi = grid[best], grid[best + 1]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gradient_many(spec, eps, np.array([[mid]]))[0, 0] < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(mid)):
-            break
-    return np.array([0.5 * (lo + hi)])

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .diagnostics import MONOTONE_TOL, MaximalSlopeReport, maximal_slope_check
 from .energy import EnergySpec, gamma_limit
-from .errors import MaxslopeError
+from .errors import ConfigError, MaxslopeError
 from .metric import distances
 from .scheme import DiscreteTrajectory, SchemeParams, piecewise_constant_many, run_scheme
 from .slope import ConditionHReport, check_condition_h
@@ -87,7 +86,9 @@ class SweepReport:
 
     ``pairwise_sup_distances[k]`` is the sup over the common time grid of
     the distance between levels k and k+1; the Cauchy flag requires those
-    to be non-increasing with the last one below the sweep tolerance.
+    to be non-increasing with the last one below the sweep tolerance.  A
+    sweep compares with no reference curve; ``to_dict`` keeps the key
+    ``comparison_to_reference`` as null for the report schema.
     """
 
     levels: tuple[LevelResult, ...]
@@ -95,7 +96,6 @@ class SweepReport:
     pairwise_sup_distances: tuple[float, ...]
     cauchy_flag: bool
     limit_candidate: DiscreteTrajectory | None
-    comparison_to_reference: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -109,13 +109,12 @@ class SweepReport:
             "limit_candidate_level": next(
                 (k for k in range(len(self.levels) - 1, -1, -1)
                  if self.levels[k].status == "ok"), None),
-            "comparison_to_reference": self.comparison_to_reference,
+            "comparison_to_reference": None,
         }
 
 
 def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
-              base_params: SchemeParams, sweep_tol: float = 1e-2,
-              reference: Callable[[float], Sequence[float]] | None = None) -> SweepReport:
+              base_params: SchemeParams, sweep_tol: float = 1e-2) -> SweepReport:
     """One trajectory per level; levels run independently.
 
     ``level_grid`` must decrease strictly; a level failure is recorded and
@@ -163,29 +162,13 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
 
     limit = next((lv.trajectory for lv in reversed(results)
                   if lv.trajectory is not None), None)
-    report = SweepReport(
+    return SweepReport(
         levels=tuple(results),
         time_grid=tuple(grid.tolist()),
         pairwise_sup_distances=tuple(sups),
         cauchy_flag=cauchy,
         limit_candidate=limit,
     )
-    if reference is not None and limit is not None:
-        report = replace(report,
-                         comparison_to_reference=compare_to_reference(report, reference))
-    return report
-
-
-def compare_to_reference(report: SweepReport,
-                         reference: Callable[[float], Sequence[float]]) -> float:
-    """Sup distance over the common grid between the finest level and a
-    reference curve, given as the coordinates of its point at each time."""
-    traj = report.limit_candidate
-    if traj is None:
-        raise ValueError("sweep produced no successful level to compare")
-    expected = np.array([reference(t) for t in report.time_grid], dtype=float)
-    return float(distances(traj.space, piecewise_constant_many(traj, report.time_grid),
-                           expected).max())
 
 
 @dataclass(frozen=True)
@@ -236,6 +219,12 @@ def maximal_slope_pipeline(spec: EnergySpec, coupling: CouplingLaw, levels,
     if sweep.limit_candidate is None:
         raise MaxslopeError("sweep produced no successful level")
     traj = sweep.limit_candidate
+    if traj.n_steps < 2:
+        # the metric derivative needs three samples, so two steps
+        raise ConfigError(
+            f"field 'horizon_T' = {base_params.horizon_T!r} leaves the finest level "
+            f"that ran (tau = {traj.tau!r}) {traj.n_steps} step(s), fewer than the "
+            f"2 that the maximal-slope check needs")
     report = maximal_slope_check(limit_spec, np.arange(traj.n_steps + 1) * traj.tau,
                                  traj.coords, monotone_tol=monotone_tol)
     return PipelineResult(

@@ -216,10 +216,6 @@ class VariationalInterpolant:
     values: np.ndarray           # (N, K, n)
     g_values: np.ndarray         # (N, K)
 
-    @property
-    def nodes_per_step(self) -> int:
-        return self.node_times.shape[1]
-
 
 def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
                       prox_settings: ProxSettings,

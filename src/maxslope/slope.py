@@ -1,13 +1,14 @@
 """Descending-slope estimation and the hypothesis checkers built on it.
 
 The descending slope limsup_{y->x} (f(x) - f(y))^+ / d(x, y) is estimated
-by sampling spheres of shrinking radius with a deterministic direction
-set.  The estimator bounds the slope from below; it appears on the
-dominated side of every check that consumes it, so a lower bound is the
-safe direction.  ``check_condition_h`` and ``check_slope_cone`` are
-falsification tools: a pass on sampled data is evidence, a fail carries a
-concrete witness.  ``check_condition_h`` compares a family with its own
-Gamma-limit, ``gamma_limit(family)``.
+by sampling the spheres of the three finest radii of ``DEFAULT_RADII``
+with a deterministic direction set, and returned as a float.  The
+estimator bounds the slope from below; it appears on the dominated side
+of every check that consumes it, so a lower bound is the safe direction.
+``check_condition_h`` and ``check_slope_cone`` are falsification tools: a
+pass on sampled data is evidence, a fail carries a concrete witness.
+``check_condition_h`` compares a family with its own Gamma-limit,
+``gamma_limit(family)``.
 """
 
 from __future__ import annotations
@@ -24,25 +25,8 @@ from .metric import SpaceDescriptor, distances
 DEFAULT_RADII = tuple(0.1 * 2.0 ** (-k) for k in range(13))
 # Sampled directions per radius beyond the axes (2D ring, nD cloud).
 DIRECTIONS_PER_RADIUS = 256
-# Agreement of the last three per-radius suprema that counts as converged.
-SLOPE_TOL = 1e-3
 # Condition (H) takes the slope liminf over this many last sequence points.
 LIMINF_TAIL = 3
-
-
-@dataclass(frozen=True)
-class SlopeEstimate:
-    """Slope value with its radius schedule and convergence diagnostics.
-
-    ``value`` is extrapolated as the max of the last three per-radius
-    suprema; ``converged`` requires those three to agree pairwise within
-    the tolerance used at estimation time.
-    """
-
-    value: float
-    radii: tuple[float, ...]
-    per_radius_sup: tuple[float, ...]
-    converged: bool
 
 
 def _direction_set(space: SpaceDescriptor) -> np.ndarray:
@@ -68,35 +52,23 @@ def _direction_set(space: SpaceDescriptor) -> np.ndarray:
     return dirs / norms[:, None]
 
 
-def estimate_slope(spec: EnergySpec, eps: float, x: np.ndarray,
-                   schedule=DEFAULT_RADII) -> SlopeEstimate:
+def estimate_slope(spec: EnergySpec, eps: float, x: np.ndarray) -> float:
     """Sampled descending slope at the coordinate row ``x`` (n,).
 
-    ``schedule`` must decrease strictly toward zero; each radius
-    contributes the supremum of (f(x) - f(y))^+ / r over the direction
-    set scaled to metric radius r.
+    Each of the three finest radii r of ``DEFAULT_RADII`` gives the
+    supremum of (f(x) - f(y))^+ / r over the direction set scaled to
+    metric radius r; the value is the largest of the three.
     """
     x = np.asarray(x, dtype=float)
-    radii = tuple(float(r) for r in schedule)
-    if len(radii) < 3 or any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radius schedule must be strictly decreasing, length >= 3")
     if eps <= 0:
         raise ValueError("eps must be positive")
     dirs = _direction_set(spec.domain)
     fx = float(eval_many(spec, eps, x[None, :])[0])
     sups = []
-    for r in radii:
+    for r in DEFAULT_RADII[-3:]:
         vals = eval_many(spec, eps, x + r * dirs)
         sups.append(max(0.0, float((fx - vals).max()) / r))
-    tail = sups[-3:]
-    value = max(tail)
-    converged = max(tail) - min(tail) < SLOPE_TOL
-    return SlopeEstimate(
-        value=value,
-        radii=radii,
-        per_radius_sup=tuple(sups),
-        converged=converged,
-    )
+    return max(sups)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +132,9 @@ def check_condition_h(family: EnergySpec, sequence, limit_v,
             f"within seq_tol={seq_tol:g}"
         )
 
-    slopes = tuple(estimate_slope(family, e, v).value for e, v in seq)
+    slopes = tuple(estimate_slope(family, e, v) for e, v in seq)
     slope_liminf = min(slopes[-LIMINF_TAIL:])
-    s_limit = estimate_slope(limit, LIMIT_EPS, limit_v).value
+    s_limit = estimate_slope(limit, LIMIT_EPS, limit_v)
     e_last, v_last = seq[-1]
     energy_gap = abs(float(eval_many(family, e_last, v_last[None, :])[0])
                      - float(eval_many(limit, LIMIT_EPS, limit_v[None, :])[0]))

@@ -1,17 +1,30 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles and test-only helpers.
 
 The oracles here (brute-force grid prox, central finite differences,
 dense quadrature) deliberately bypass the package's own solvers so that
-tests compare two independent routes to the same number.
+tests compare two independent routes to the same number.  The helpers
+(trap points of an oscillatory energy, the distance of a sweep to a
+reference curve) build test inputs and read test outputs; no command of
+the package needs them.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from maxslope.config import ExperimentConfig
-from maxslope.energy import eval_many, quadratic, wiggly, convex_perturbed
-from maxslope.metric import Point, SpaceDescriptor
+from maxslope.energy import (
+    WIGGLY,
+    convex_perturbed,
+    eval_many,
+    gradient_many,
+    quadratic,
+    wiggly,
+)
+from maxslope.metric import Point, SpaceDescriptor, distances
+from maxslope.scheme import piecewise_constant_many
 
 
 @pytest.fixture
@@ -76,6 +89,51 @@ def finite_difference_gradient(spec, eps, x, step=1e-5):
         g[j] = (eval_many(spec, eps, (x + e)[None, :])[0]
                 - eval_many(spec, eps, (x - e)[None, :])[0]) / (2.0 * step)
     return g
+
+
+def nearest_stable_critical_point(spec, eps, x, span=None):
+    """Nearest local minimizer of a 1D energy around the row ``x`` (1,),
+    as a row (1,).
+
+    Scans the gradient for sign changes with positive second difference and
+    polishes the closest one by bisection.  Used to build trap-point
+    sequences for the oscillation families.
+    """
+    if spec.domain.dimension != 1:
+        raise ValueError("critical-point scan implemented for 1D only")
+    x0 = float(x[0])
+    if span is None:
+        span = 8.0 * math.pi * eps if spec.kind == WIGGLY else max(1.0, abs(x0))
+    grid = np.linspace(x0 - span, x0 + span, 20001)
+    g = gradient_many(spec, eps, grid[:, None])[:, 0]
+    sign_change = (g[:-1] < 0) & (g[1:] >= 0)  # minus-to-plus: local minimum
+    idx = np.nonzero(sign_change)[0]
+    if idx.size == 0:
+        raise ValueError(f"no stable critical point within span {span:g} of {x0:g}")
+    mids = 0.5 * (grid[idx] + grid[idx + 1])
+    best = idx[int(np.argmin(np.abs(mids - x0)))]
+    lo, hi = grid[best], grid[best + 1]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gradient_many(spec, eps, np.array([[mid]]))[0, 0] < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15 * max(1.0, abs(mid)):
+            break
+    return np.array([0.5 * (lo + hi)])
+
+
+def compare_to_reference(report, reference):
+    """Sup distance over the common grid between the finest level of the
+    sweep ``report`` and a reference curve, given as the coordinates of its
+    point at each time."""
+    traj = report.limit_candidate
+    if traj is None:
+        raise ValueError("sweep produced no successful level to compare")
+    expected = np.array([reference(t) for t in report.time_grid], dtype=float)
+    return float(distances(traj.space, piecewise_constant_many(traj, report.time_grid),
+                           expected).max())
 
 
 def pt(*coords):

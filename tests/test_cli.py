@@ -313,11 +313,15 @@ class TestConfigParsing:
         (maximal_slope_config, ("command", "check", "monotone_tol"), -1, "monotone_tol"),
         (quad_run_config, ("command",), {"sweep": {**SWEEP, "sweep_tol": -1}},
          "sweep_tol"),
+        # one step at the finest level (tau = 0.005) gives two curve samples,
+        # and the metric derivative needs three
+        (maximal_slope_config, ("command", "check", "params", "horizon_T"), 0.005,
+         "horizon_T"),
     ], ids=["dimension_huge", "dimension_huge_weighted", "dimension_energy",
             "count_zero", "count_negative", "count_huge", "seed_slope_cone",
             "seed_run", "residual_tol", "quad_tol", "cone_tol", "slope_cone_eps",
             "h_tol", "seq_tol", "sequence_eps", "check_tol", "monotone_tol",
-            "sweep_tol"])
+            "sweep_tol", "maximal_slope_one_step"])
     def test_out_of_range_is_config_error(self, tmp_path, build, path, value, named):
         # refused before anything of that size is built: a space of 10^9
         # coordinates or 10^9 probes would take gigabytes
@@ -588,6 +592,7 @@ class TestSweepCommand:
         jsonschema.validate(report, load_schema("sweep_report.json"))
         assert report["cauchy_flag"] is True
         assert report["limit_candidate_level"] == 3
+        assert report["comparison_to_reference"] is None
 
     def test_empty_levels_rejected(self, tmp_path):
         doc = self.sweep_config(tmp_path / "out")
@@ -694,6 +699,7 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg, "--quiet"]) == EXIT_OK
         report = self.read_report(out, "maximal_slope")
         assert report["report"]["sweep"]["cauchy_flag"] is True
+        assert report["report"]["maximal_slope"]["excluded_times"] == []
 
     @pytest.mark.parametrize("build, path, value", [
         (dissipation_config, ("command", "check", "run", "initial_point"), [1.0, 0.0]),

@@ -249,11 +249,6 @@ class TestMaximalSlopeCheck:
         assert report.passed(5e-3)
         assert abs(report.min_slack) < 1e-4
 
-    def test_estimated_slope_mode(self, quad_1d):
-        report = maximal_slope_check(quad_1d, *self.gradient_flow_curve(801, 1.0),
-                                     use_exact_slope=False)
-        assert report.passed(5e-3)
-
     def test_report_dict_shape(self, quad_1d):
         report = maximal_slope_check(quad_1d, *self.gradient_flow_curve(201, 1.0))
         d = report.to_dict()

@@ -20,7 +20,6 @@ from maxslope.energy import (
     exact_slopes,
     gamma_limit,
     gradient_many,
-    nearest_stable_critical_point,
     quadratic,
     wiggly,
 )
@@ -33,7 +32,12 @@ from maxslope.errors import (
 )
 from maxslope.metric import SpaceDescriptor
 
-from conftest import finite_difference_gradient, grammar_expressions, parse_config
+from conftest import (
+    finite_difference_gradient,
+    grammar_expressions,
+    nearest_stable_critical_point,
+    parse_config,
+)
 
 
 class TestEval:

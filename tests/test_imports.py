@@ -1,6 +1,7 @@
 """The import footprint is part of the contract: no path loads scipy or
 sympy; the package needs numpy alone.  And no module imports a name that
-it never uses.
+it never uses, and the package defines no function or class that none of
+its modules reads.
 
 Each footprint case runs in a fresh interpreter, because the test process
 itself has long since imported both.  Nothing here measures time.
@@ -182,3 +183,32 @@ def test_no_module_imports_an_unused_name():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     found = {p.name: unused_imports(p) for p in modules + sorted(TESTS.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# Defined in the package for a caller that is still to come, not yet read.
+UNREAD_ALLOWED = {
+    # ROADMAP item 7 certifies well-posedness before step 0
+    "certify_well_posedness",
+}
+
+
+def test_every_function_and_class_is_read():
+    # a read is a load of the name, an attribute of that name or an import
+    # of it; __init__ imports only to re-export, so its imports do not count
+    defined, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update((node.name, path.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unread = {name: module for name, module in defined.items()
+              if name not in read | UNREAD_ALLOWED}
+    assert unread == {}

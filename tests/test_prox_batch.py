@@ -217,7 +217,7 @@ class TestBatchEqualsScalar:
         traj = run_scheme(spec, SchemeParams(eps=eps, tau=eps ** 2, horizon_T=0.1,
                                              initial_point=pt(0.5)))
         interp = build_interpolant(spec, traj, prox_settings)
-        nodes, _ = np.polynomial.legendre.leggauss(interp.nodes_per_step)
+        nodes, _ = np.polynomial.legendre.leggauss(interp.node_times.shape[1])
         for i in range(traj.n_steps):
             for k, delta in enumerate(0.5 * traj.tau * (nodes + 1.0)):
                 u = traj.coords[i]

@@ -11,7 +11,7 @@ from maxslope.regimes import (
 )
 from maxslope.scheme import SchemeParams, run_scheme
 
-from conftest import parse_config, pt
+from conftest import compare_to_reference, parse_config, pt
 
 
 def base_params(u0=1.0, T=1.0):
@@ -70,16 +70,14 @@ class TestRunSweep:
 
     def test_reference_comparison(self, quad_1d):
         law = CouplingLaw("eps_of_tau", lam=1.0, alpha=1.0)
-        report = run_sweep(quad_1d, law, [0.02, 0.01, 0.005], base_params(),
-                           reference=lambda t: [math.exp(-t)])
+        report = run_sweep(quad_1d, law, [0.02, 0.01, 0.005], base_params())
         # implicit Euler converges to the gradient flow e^{-t}
-        assert report.comparison_to_reference < 2e-2
+        assert compare_to_reference(report, lambda t: [math.exp(-t)]) < 2e-2
 
     def test_offset_reference_is_far(self, quad_1d):
         law = CouplingLaw("eps_of_tau", lam=1.0, alpha=1.0)
-        report = run_sweep(quad_1d, law, [0.02, 0.01], base_params(),
-                           reference=lambda t: [math.exp(-t) + 0.5])
-        assert report.comparison_to_reference > 0.4
+        report = run_sweep(quad_1d, law, [0.02, 0.01], base_params())
+        assert compare_to_reference(report, lambda t: [math.exp(-t) + 0.5]) > 0.4
 
     def test_failing_level_recorded(self, quad_1d):
         # level 0.2 gives tau = 0.2 >= tau_star / 8, an invalid scheme run

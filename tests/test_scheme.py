@@ -340,7 +340,7 @@ class TestVelocityAndInterpolant:
             eps=0.2, tau=0.05, horizon_T=0.2, initial_point=pt(1.0)))
         interp = build_interpolant(wiggly_1d, traj, SETTINGS)
         for v, g in zip(interp.values.reshape(-1, 1), interp.g_values.ravel()):
-            slope = estimate_slope(wiggly_1d, 0.2, v).value
+            slope = estimate_slope(wiggly_1d, 0.2, v)
             assert g >= slope - 1e-3
 
 
