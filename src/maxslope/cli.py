@@ -3,7 +3,9 @@
 Exit codes: 0 success (for ``check``: the check passed), 1 config error,
 2 solver failure, 3 check ran and failed.  All artifacts are written with
 stable key order and round-trip float formatting so that identical
-configs produce byte-identical files.
+configs produce byte-identical files.  The handlers that call ``regimes``
+or ``slope`` import them, so that a cold ``run`` or ``check
+dissipation|apriori`` process never loads them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, regimes, scheme as scheme_mod, slope as slope_mod
+from . import diagnostics, scheme as scheme_mod
 from .config import ExperimentConfig
 from .energy import gamma_limit
 from .errors import CapabilityAbsentError, ConfigError, MaxslopeError
@@ -72,9 +74,11 @@ def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
+    from .regimes import run_sweep
+
     args = cfg.args
-    report = regimes.run_sweep(cfg.energy, args["coupling"], args["levels"],
-                               args["params"], **args["options"])
+    report = run_sweep(cfg.energy, args["coupling"], args["levels"], args["params"],
+                       **args["options"])
     _make_outdir(out)
     for k, level in enumerate(report.levels):
         if level.trajectory is not None:
@@ -115,11 +119,13 @@ def _check_apriori(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
 
 
 def _check_slope_cone(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
+    from .slope import check_slope_cone
+
     eps, x, cone_tol = args["eps"], args["x"], args["cone_tol"]
     count, radius = args["probes"]["count"], args["probes"]["radius"]
     rng = np.random.default_rng(cfg.seed)
     probes = x + rng.uniform(-radius, radius, size=(count, cfg.space.dimension))
-    residuals = slope_mod.check_slope_cone(cfg.energy, eps, x, probes)
+    residuals = check_slope_cone(cfg.energy, eps, x, probes)
     k = int(np.argmin(residuals))
     min_res = float(residuals[k])
     return min_res >= -cone_tol, {
@@ -144,19 +150,23 @@ def _limit_family(cfg: ExperimentConfig, ctype: str) -> None:
 
 
 def _check_condition_h(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
+    from .slope import check_condition_h
+
     _limit_family(cfg, "condition_h")
-    report = slope_mod.check_condition_h(
+    report = check_condition_h(
         cfg.energy, args["sequence"], args["limit_v"], **args["options"])
     return report.passed, report.to_dict()
 
 
 def _check_maximal_slope(cfg: ExperimentConfig, args: dict) -> tuple[bool, dict]:
-    _limit_family(cfg, "maximal_slope")     # before the sweep
     import warnings
 
+    from .regimes import maximal_slope_pipeline
+
+    _limit_family(cfg, "maximal_slope")     # before the sweep
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = regimes.maximal_slope_pipeline(
+        result = maximal_slope_pipeline(
             cfg.energy, args["coupling"], args["levels"], args["params"],
             **args["options"])
     passed = result.maximal_slope.passed(args["check_tol"])

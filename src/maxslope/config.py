@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .energy import (CONVEX_PERTURBED, CUSTOM_SMOOTH, QUADRATIC, WIGGLY, EnergySpec,
                      convex_perturbed, custom_smooth, quadratic, wiggly)
 from .errors import ConfigError
 from .metric import Point, SpaceDescriptor
 from .prox import ProxSettings
-from .regimes import CouplingLaw
 from .scheme import MAX_RUN_FLOATS, SchemeParams
 
 
@@ -151,8 +150,7 @@ COMMAND_BLOCK = {command: (expect_mapping, API) for command in COMMANDS}
 CHECK_TYPES = tuple(CHECK_FIELDS)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """A parsed config.  ``payload`` is the command's JSON object as
     written; ``args`` its fields parsed, ``run`` and ``params`` as
     SchemeParams, ``coupling`` as a CouplingLaw and points as arrays."""
@@ -320,6 +318,8 @@ def parse_command(command: str, payload: dict, space: SpaceDescriptor) -> dict:
     if "run" in args:
         args["run"] = parse_scheme_params(args["run"], space, f"{base}.run")
     if "coupling" in args:
+        from .regimes import CouplingLaw     # loaded only for a coupling
+
         args["coupling"] = build(CouplingLaw, "field 'coupling' invalid", **parse_object(
             args["coupling"], COUPLING_FIELDS, "coupling"))
         if not args["levels"]:

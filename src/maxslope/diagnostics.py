@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ MONOTONE_TOL = 1e-9
 # Dissipation identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DissipationReport:
+class DissipationReport(NamedTuple):
     """Both sides of the interpolant dissipation identity over steps i..j.
 
     lhs = energy(u^i) - energy(u^j); the two integrals are half the
@@ -52,7 +51,7 @@ class DissipationReport:
     residual: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def dissipation_identity(interpolant: VariationalInterpolant,
@@ -89,8 +88,7 @@ def step_residuals(interpolant: VariationalInterpolant) -> np.ndarray:
 # A-priori bound suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AprioriReport:
+class AprioriReport(NamedTuple):
     """Empirical constants and flags for the a-priori bound family.
 
     ``C`` is the smallest single constant making all five bounds hold on
@@ -117,7 +115,7 @@ class AprioriReport:
     g_margin: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def apriori_bounds(interpolant: VariationalInterpolant,
@@ -181,8 +179,7 @@ def metric_derivative(times, coords, space: SpaceDescriptor) -> np.ndarray:
 # Maximal-slope inequality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaximalSlopeReport:
+class MaximalSlopeReport(NamedTuple):
     """Per-interval slack of the energy-dissipation inequality.
 
     slack(s, t) = [phi(u(s)) - phi(u(t))] - 0.5 int |u'|^2 - 0.5 int slope^2.

@@ -27,6 +27,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -517,8 +518,7 @@ def gamma_limit(spec: EnergySpec) -> EnergySpec:
 # Well-posedness certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WellPosednessCertificate:
+class WellPosednessCertificate(NamedTuple):
     """Empirical coercivity certificate.
 
     Records tau_star and c_star such that, on every sampled point v and

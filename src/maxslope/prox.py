@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +98,7 @@ class ProxSettings:
                              f"got {self.local_tol!r}")
 
 
-@dataclass(frozen=True)
-class ProxBatch:
+class ProxBatch(NamedTuple):
     """Outcome of B independent resolvent solves, one row per problem: the
     minimizers, and what the De Giorgi interpolant and the telemetry read
     of the minimizer sets.  It holds no objective value or energy: the

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,10 @@ class CouplingLaw:
             raise ValueError(f"unknown coupling form {self.form!r}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
+        for name in ("lam", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def resolve(self, level: float) -> tuple[float, float]:
         """Level value -> (eps, tau)."""
@@ -59,8 +64,7 @@ class CouplingLaw:
         return (level, scaled) if self.form == TAU_OF_EPS else (scaled, level)
 
 
-@dataclass(frozen=True)
-class LevelResult:
+class LevelResult(NamedTuple):
     eps: float
     tau: float
     status: str                     # "ok" | "error"
@@ -80,8 +84,7 @@ class LevelResult:
         return d
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Per-level trajectories plus cross-level convergence diagnostics.
 
     ``pairwise_sup_distances[k]`` is the sup over the common time grid of
@@ -171,8 +174,7 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
     )
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     sweep: SweepReport
     maximal_slope: MaximalSlopeReport
     condition_h: ConditionHReport | None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,12 +74,12 @@ class SchemeParams:
     tau_star: float = 1.0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.horizon_T <= 0:
-            raise ValueError("horizon_T must be positive")
+        for name in ("eps", "tau", "horizon_T"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.quadrature_nodes_per_step < 1:
             raise ValueError("quadrature_nodes_per_step must be >= 1")
         # capped first, so that an infinite or huge count fails without overflow
@@ -201,8 +202,7 @@ def piecewise_constant_many(traj: DiscreteTrajectory, times) -> np.ndarray:
     return traj.coords[np.where(np.asarray(times) > 0, rows, 0)]
 
 
-@dataclass(frozen=True)
-class VariationalInterpolant:
+class VariationalInterpolant(NamedTuple):
     """Variational interpolant sampled on Gauss-Legendre nodes per step.
 
     ``node_times[i, k]`` lies strictly inside (i*tau, (i+1)*tau); the open

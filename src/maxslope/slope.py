@@ -14,7 +14,7 @@ pass on sampled data is evidence, a fail carries a concrete witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ def estimate_slope(spec: EnergySpec, eps: float, x: np.ndarray) -> float:
 # Condition (H): joint energy continuity + slope lower semicontinuity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionHReport:
+class ConditionHReport(NamedTuple):
     """Empirical verdict on one sampled sequence (eps_n, v_n) -> v.
 
     ``passed`` iff the terminal energy gap is below ``h_tol`` and the

@@ -348,6 +348,17 @@ class TestConfigParsing:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_coupling_to_infinite_eps_is_config_error(self, tmp_path, capsys):
+        # 1e300 * 0.01^-10 overflows to an eps of inf, which a report
+        # would write as the non-JSON literal Infinity
+        doc = maximal_slope_config(tmp_path / "out")
+        doc["command"]["check"].update(levels=[0.01], coupling={
+            "form": "eps_of_tau", "lam": 1e300, "alpha": -10})
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: check.params config invalid: eps must be finite, got inf\n")
+        assert not (tmp_path / "out").exists()
+
     def test_step_count_must_be_finite(self, tmp_path):
         # 0.5 / 1e-320 overflows to inf, which no number of steps reaches
         doc = quad_run_config(tmp_path / "out", tau=1e-320, T=0.5)

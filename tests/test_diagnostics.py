@@ -1,20 +1,32 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from maxslope.config import ExperimentConfig
 from maxslope.diagnostics import (
+    AprioriReport,
+    DissipationReport,
+    MaximalSlopeReport,
     apriori_bounds,
     dissipation_identity,
     maximal_slope_check,
     metric_derivative,
     step_residuals,
 )
-from maxslope.energy import convex_perturbed, quadratic, wiggly
+from maxslope.energy import WellPosednessCertificate, convex_perturbed, quadratic, wiggly
 from maxslope.errors import CoverageGapError
 from maxslope.metric import SpaceDescriptor, squared_distances
-from maxslope.prox import ProxSettings
-from maxslope.scheme import SchemeParams, build_interpolant, run_scheme
+from maxslope.prox import ProxBatch, ProxSettings
+from maxslope.regimes import LevelResult, PipelineResult, SweepReport
+from maxslope.scheme import (
+    SchemeParams,
+    VariationalInterpolant,
+    build_interpolant,
+    run_scheme,
+)
+from maxslope.slope import ConditionHReport
 
 from conftest import pt
 
@@ -255,3 +267,24 @@ class TestMaximalSlopeCheck:
         assert {"s", "t", "lhs", "rhs", "slack"} == set(d["per_interval"][0])
         assert len(d["per_interval"]) == 55  # all pairs of an 11-point grid
 
+
+# Every result record, and those whose to_dict is their fields as they are
+RECORDS = (ExperimentConfig, DissipationReport, AprioriReport, MaximalSlopeReport,
+           WellPosednessCertificate, ProxBatch, LevelResult, SweepReport,
+           PipelineResult, VariationalInterpolant, ConditionHReport)
+FIELD_DICTS = (DissipationReport, AprioriReport)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_result_record_is_immutable_and_dicts_are_plain(record):
+    fields = list(inspect.signature(record).parameters)
+    values = {name: k for k, name in enumerate(fields)}
+    built = record(**values)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(built, name, -1)
+    assert [getattr(built, name) for name in fields] == list(values.values())
+    if record in FIELD_DICTS:
+        # a record itself would reach write_json as a JSON array
+        d = built.to_dict()
+        assert type(d) is dict and list(d.items()) == list(values.items())

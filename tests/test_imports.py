@@ -1,7 +1,9 @@
 """The import footprint is part of the contract: no path loads scipy or
-sympy; the package needs numpy alone.  And no module imports a name that
-it never uses, and the package defines no function or class that none of
-its modules reads.
+sympy; the package needs numpy alone.  ``run`` and ``check
+dissipation|apriori`` load neither the sweep layer nor the slope layer,
+which only the commands that call them import.  And no module imports a
+name that it never uses, and the package defines no function or class
+that none of its modules reads.
 
 Each footprint case runs in a fresh interpreter, because the test process
 itself has long since imported both.  Nothing here measures time.
@@ -22,12 +24,14 @@ PACKAGE = Path(maxslope.__file__).resolve().parent
 SRC = str(PACKAGE.parent)
 TESTS = Path(__file__).resolve().parent
 HEAVY = ("scipy", "scipy.optimize", "sympy")
+ON_DEMAND = ("maxslope.regimes", "maxslope.slope")
 
 
-def heavy_modules_after(code):
-    """The heavy modules a fresh interpreter holds after running ``code``."""
+def modules_after(code, modules):
+    """Those of ``modules`` that a fresh interpreter holds after running
+    ``code``."""
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", probe], env=env,
@@ -122,13 +126,13 @@ WITHOUT_HEAVY = {
 
 
 def test_cli_import_loads_neither():
-    assert heavy_modules_after("import maxslope.cli") == []
+    assert modules_after("import maxslope.cli", HEAVY) == []
 
 
 def test_closed_form_and_grid_zoom_runs_load_neither(tmp_path):
     code = cli_calls(tmp_path, ("run", WIGGLY_RUN),
                      ("check", WEIGHTED_2D_DISSIPATION))
-    assert heavy_modules_after(code) == []
+    assert modules_after(code, HEAVY) == []
 
 
 def test_no_path_loads_sympy(tmp_path):
@@ -141,7 +145,7 @@ def test_no_path_loads_sympy(tmp_path):
     run = {**CUSTOM_RUN, "energy": {"kind": "custom_smooth",
                                     "expression": "x^4 - x^2 + abs(x)/4"}}
     code = cli_calls(tmp_path, ("run", CUSTOM_RUN), ("sweep", sweep), ("run", run))
-    assert heavy_modules_after(code) == []
+    assert modules_after(code, HEAVY) == []
 
 
 def test_no_path_loads_scipy(tmp_path):
@@ -153,7 +157,7 @@ from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox_batch
 spec = quadratic(SpaceDescriptor(2), [4.0, 1.0], [1.0, -1.0])
 prox_batch(spec, 1.0, [0.5], [[0.0, 0.0]], ProxSettings(mode=MULTISTART_NUMERIC))
 """ + cli_calls(tmp_path, ("run", WIGGLY_2D_RUN))
-    assert heavy_modules_after(code) == []
+    assert modules_after(code, HEAVY) == []
 
 
 @pytest.mark.parametrize("name", list(WITHOUT_HEAVY))
@@ -161,9 +165,31 @@ def test_cli_case_runs_without_heavy_modules(name, tmp_path):
     # stricter than blocking the imports: a fallback that imported scipy or
     # sympy after a failed import would show up in sys.modules here
     subcommand, doc, artifacts = WITHOUT_HEAVY[name]
-    assert heavy_modules_after(cli_calls(tmp_path, (subcommand, doc))) == []
+    assert modules_after(cli_calls(tmp_path, (subcommand, doc)), HEAVY) == []
     for artifact in artifacts:
         assert (tmp_path / "out0" / artifact).is_file()
+
+
+APRIORI_2D = {**WEIGHTED_2D_DISSIPATION, "command": {"check": {
+    **WEIGHTED_2D_DISSIPATION["command"]["check"], "type": "apriori"}}}
+
+
+@pytest.mark.parametrize("calls", [(), (("run", WIGGLY_RUN),),
+                                   (("check", WEIGHTED_2D_DISSIPATION),),
+                                   (("check", APRIORI_2D),)],
+                         ids=["import", "run", "check_dissipation", "check_apriori"])
+def test_run_and_trajectory_checks_load_neither_sweep_nor_slope(calls, tmp_path):
+    # cli_calls of no config is a bare import of the CLI
+    assert modules_after(cli_calls(tmp_path, *calls), ON_DEMAND) == []
+
+
+def test_sweep_loads_sweep_and_slope(tmp_path):
+    sweep = {**WIGGLY_RUN, "command": {"sweep": {
+        "coupling": {"form": "tau_of_eps", "lam": 1.0, "alpha": 2.0},
+        "levels": [0.1, 0.05],
+        "params": {"horizon_T": 0.05, "initial_point": [0.5]}}}}
+    code = cli_calls(tmp_path, ("sweep", sweep))
+    assert modules_after(code, ON_DEMAND) == list(ON_DEMAND)
 
 
 def unused_imports(path):
@@ -179,9 +205,8 @@ def unused_imports(path):
 
 
 def test_no_module_imports_an_unused_name():
-    # the package's __init__ imports only to re-export
-    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    found = {p.name: unused_imports(p) for p in modules + sorted(TESTS.glob("*.py"))}
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = {p.name: unused_imports(p) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
 
 
@@ -194,11 +219,9 @@ UNREAD_ALLOWED = {
 
 def test_every_function_and_class_is_read():
     # a read is a load of the name, an attribute of that name or an import
-    # of it; __init__ imports only to re-export, so its imports do not count
+    # of it
     defined, read = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined.update((node.name, path.name) for node in tree.body
                        if isinstance(node, (ast.FunctionDef, ast.ClassDef)))

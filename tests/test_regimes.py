@@ -36,6 +36,13 @@ class TestCouplingLaw:
         with pytest.raises(ValueError):
             CouplingLaw("eps_times_tau")
 
+    @pytest.mark.parametrize("name, value", [("lam", math.nan), ("lam", math.inf),
+                                             ("alpha", math.nan), ("alpha", -math.inf)])
+    def test_non_finite_parameter_names_its_field(self, name, value):
+        # a nan alpha would resolve every level to a nan tau
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            CouplingLaw("tau_of_eps", **{name: value})
+
     def test_nonpositive_level(self):
         with pytest.raises(ValueError):
             CouplingLaw("tau_of_eps").resolve(0.0)

@@ -74,6 +74,13 @@ class TestRunScheme:
         with pytest.raises(ValueError):
             run_scheme(quad_1d, params)
 
+    @pytest.mark.parametrize("name", ["eps", "tau", "horizon_T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_names_its_field(self, name, value):
+        fields = {"eps": 1.0, "tau": 0.05, "horizon_T": 0.2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            SchemeParams(initial_point=pt(1.0), **fields)
+
     def test_initial_point_of_another_dimension_rejected(self, quad_1d):
         params = SchemeParams(eps=1.0, tau=0.05, horizon_T=0.2,
                               initial_point=pt(1.0, 0.0))
