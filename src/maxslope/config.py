@@ -151,14 +151,13 @@ CHECK_TYPES = tuple(CHECK_FIELDS)
 
 
 class ExperimentConfig(NamedTuple):
-    """A parsed config.  ``payload`` is the command's JSON object as
-    written; ``args`` its fields parsed, ``run`` and ``params`` as
-    SchemeParams, ``coupling`` as a CouplingLaw and points as arrays."""
+    """A parsed config.  ``args`` holds the fields of the command's JSON
+    object parsed, ``run`` and ``params`` as SchemeParams, ``coupling`` as a
+    CouplingLaw and points as arrays."""
 
     space: SpaceDescriptor
     energy: EnergySpec
     command: str
-    payload: dict
     args: dict
     output_dir: Path
     seed: int = 0
@@ -186,7 +185,7 @@ class ExperimentConfig(NamedTuple):
                               f"found {[c for c in COMMANDS if c in block] or 'none'}")
         (command, payload), = block.items()
         seed = {"seed": fields["seed"]} if "seed" in fields else {}
-        return cls(space=space, energy=energy, command=command, payload=payload,
+        return cls(space=space, energy=energy, command=command,
                    args=parse_command(command, payload, space),
                    output_dir=Path(fields["output_dir"]), **seed)
 

@@ -17,9 +17,9 @@ energy without floors, and takes one of two routes:
   row's floats or arrays of rows.  ``_newton_1d`` advances all rows of a
   ``prox_batch`` call together as arrays; ``_newton_row`` runs the same
   code on one row's Python floats.  Each weighs the stay-put guard v = u
-  itself and returns one candidate per row, two only when the guard is
-  within ``local_tol`` of the minimizer but not the minimizer itself and,
-  in a 1D problem, a near tie of it;
+  itself and returns one candidate per row, the one of the minimizer and
+  the guard that ``_precedes`` the other, and the other as a second
+  candidate only where it is a near tie;
 * the grid route everywhere else: a recursive grid zoom that sizes its
   rows' windows and advances them, in chunks of ``_GRID_CHUNK`` rows, one
   block per round.  Its
@@ -27,19 +27,19 @@ energy without floors, and takes one of two routes:
   ``local_tol`` apply to this route only.
 
 Each route gives its candidates as (row, point, value), the value being
-the objective.  A problem's candidates are the combinations of its
-coordinate rows' near-optimal candidates.  Selection among near-optimal
-minimizers is deterministic so that whole trajectories are reproducible.
-``prox_batch`` returns a minimizer and, for the De Giorgi interpolant, the
-largest displacement over the minimizer and its near ties
-(Ambrosio-Gigli-Savare, Gradient Flows, Lemma 3.1.2), and no energy.
+the objective.  Each coordinate row chooses among its own candidates and
+finds its own near ties; selection is deterministic so that whole
+trajectories are reproducible.  A problem's minimizer set is the product
+of its rows' sets, so ``prox_batch`` returns the rows' choices as the
+minimizer and, for the De Giorgi interpolant, the largest displacement
+over the product of the rows' near-tie sets (Ambrosio-Gigli-Savare,
+Gradient Flows, Lemma 3.1.2), and no energy.
 
 The scheme's steps are B = 1 problems, one after another, where numpy's
 per-call cost would be most of a step.  ``stepper`` takes every such
-step: on Python floats when it has a single answer, a closed form
-evaluated per coordinate or every coordinate by ``_newton_row``, and by
-calling ``prox_batch`` for a step that keeps a guard as a second
-candidate and for every step of a run that may take the grid route.
+step: on Python floats, a closed form evaluated per coordinate or every
+coordinate by ``_newton_row``, and by calling ``prox_batch`` for every
+step of a run that may take the grid route.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .energy import (
     coordinate_values,
     curvature_floors,
     energy_floors,
-    eval_many,
     gradient_many,
     resolvent,
 )
@@ -104,11 +103,13 @@ class ProxBatch(NamedTuple):
     of the minimizer sets.  It holds no objective value or energy: the
     scheme takes a trajectory's energies from its points.
 
-    ``tie_moved[b]`` is the largest displacement d(w, u_b) over the chosen
-    minimizer and its near ties: the conservative representative of the
-    displacement over the whole minimizer set.  ``near_tie[b]`` flags rows
-    with at least one near tie; the ties themselves are the rows of
-    ``tie_points``, with their problem index in ``tie_rows``, in candidate
+    ``tie_moved[b]`` is the largest displacement d(w, u_b) over the product
+    of the coordinate rows' sets of the chosen candidate and its near ties:
+    the conservative representative of the displacement over the whole
+    minimizer set.  ``near_tie[b]`` flags problems with at least one near
+    tie in some coordinate row.  Each such tie is a row of ``tie_points``,
+    the minimizer with that one coordinate swapped to the tie, with its
+    problem index in ``tie_rows``, in (problem, coordinate, candidate)
     order.
     """
 
@@ -144,30 +145,39 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
         bad = deltas[~(deltas > 0)][0]
         raise InvalidDeltaError(f"delta must be positive, got {bad}")
     mw = space.metric_weights()
-    B = U.shape[0]
+    B, n = U.shape
     solve = _closed_form(spec, settings)
     if solve is not None:
         quad = base_quadratic(spec)
         V = solve(np.asarray(quad.weights), np.asarray(quad.center), eps,
                   deltas[:, None], U, mw, np.where)
     else:
-        rows, C, cvals = _separable_nd(spec, eps, deltas, U, mw, settings)
-        if rows.size == B:      # each row's one candidate: chosen, and untied
-            V = C
-        else:
-            chosen = _select(rows, C, cvals, U, mw)
-            V = C[chosen]
+        # row r = b n + j is problem b's coordinate j
+        cols = np.arange(U.size) % n
+        u, m = U.ravel(), mw[cols]
+        rows, x, values = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), u, m,
+                                   settings)
+        # one candidate per row comes only from the Newton route, in row
+        # order, chosen and untied
+        chosen = rows if rows.size == u.size else _select(rows, x, values, u, m)
+        V = x[chosen].reshape(B, n)
     diff = V - U
-    moved = np.sqrt((mw * diff * diff).sum(axis=1))
+    reach = mw * diff * diff
+    moved = np.sqrt(reach.sum(axis=1))
 
     tie_moved, near_tie = moved.copy(), np.zeros(B, dtype=bool)
     tie_rows, tie_points = np.zeros(0, dtype=int), V[:0]
-    if solve is None and rows.size > B:
-        tie = _near_ties(rows, C, cvals, chosen, mw, settings.local_tol)
+    if solve is None and rows.size > u.size:
+        tie = _near_ties(rows, x, values, chosen, m, settings.local_tol)
         if tie.size:
-            tie_rows, tie_points = rows[tie], C[tie]
-            off = tie_points - U[tie_rows]
-            np.maximum.at(tie_moved, tie_rows, np.sqrt((mw * off * off).sum(axis=1)))
+            r = rows[tie]
+            tie_rows, tie_points = r // n, V[r // n]
+            tie_points[np.arange(tie.size), r % n] = x[tie]
+            # the farthest point of the product: each row at its farthest
+            off = x[tie] - u[r]
+            reach = reach.ravel()
+            np.maximum.at(reach, r, m[r] * off * off)
+            tie_moved = np.sqrt(reach.reshape(B, n).sum(axis=1))
             near_tie[tie_rows] = True
     return ProxBatch(minimizers=V, moved=moved, tie_moved=tie_moved, near_tie=near_tie,
                      tie_rows=tie_rows, tie_points=tie_points)
@@ -180,19 +190,19 @@ def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
     ``prox_batch(spec, eps, [delta], [u], settings)`` returns it.
 
     * A closed form is ``resolvent`` on each coordinate's floats.
-    * On the Newton route each coordinate row is one ``_newton_row``.  A
-      step in which some coordinate keeps its stay-put guard as a second
-      candidate calls ``prox_batch``, whose work ranking those is.
+    * On the Newton route each coordinate row is one ``_newton_row``, which
+      chooses between its minimizer and its stay-put guard by ``_select``'s
+      order.
     * Where some step may take the grid route (the family has no curvature
       floor, or some coordinate's kappa_j + m_j / delta is not positive)
       every step calls ``prox_batch``.
     """
-    def batch_step(u):
-        # looked up at each call, so that a wrapper of prox.prox_batch sees it
-        return prox_batch(spec, eps, [delta], [u], settings).minimizers[0].tolist()
     mw = spec.domain.metric_weights()
     solve, kappa = _closed_form(spec, settings), curvature_floors(spec, eps)
     if solve is None and (kappa is None or not (kappa + mw / delta > 0).all()):
+        def batch_step(u):
+            # looked up at each call, so that a wrapper of prox.prox_batch sees it
+            return prox_batch(spec, eps, [delta], [u], settings).minimizers[0].tolist()
         return batch_step
     m = mw.tolist()
     if solve is not None:
@@ -203,19 +213,12 @@ def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
             return [solve(w, b, eps, delta, uj, mj, _where)
                     for uj, (w, b, mj) in zip(u, members)]
         return closed_step
-    members = _members(spec, eps)
+    members = list(zip(_members(spec, eps), m))
     iterations, local_tol = range(settings.max_iters), settings.local_tol
-    tie_gap = _tie_gap(local_tol) if len(m) == 1 else None
 
     def newton_step(u):
-        xs = []
-        for member, uj, mj in zip(members, u, m):
-            x, _, guard = _newton_row(member, uj, delta, mj, iterations, local_tol,
-                                      tie_gap)
-            if guard is not None:
-                return batch_step(u)
-            xs.append(x)
-        return xs
+        return [_newton_row(member, uj, delta, mj, iterations, local_tol)[0]
+                for uj, (member, mj) in zip(u, members)]
     return newton_step
 
 
@@ -238,37 +241,36 @@ def _tie_gap(local_tol):
     return 10.0 * math.sqrt(local_tol)
 
 
-def _near_ties(rows, C, cvals, chosen, mw, local_tol):
-    """Candidates within ``local_tol`` of their row's optimum, the value
-    ``cvals`` of its ``chosen`` candidate, and more than
-    ``_tie_gap(local_tol)`` away from that candidate, grouped by row in
+def _near_ties(rows, x, values, chosen, m, local_tol):
+    """Candidates within ``local_tol`` of their row's optimum, the value of
+    its ``chosen`` candidate, and more than ``_tie_gap(local_tol)`` away
+    from that candidate in the row's metric weight ``m``, grouped by row in
     candidate order."""
-    near = cvals <= cvals[chosen][rows] + local_tol
+    near = values <= values[chosen][rows] + local_tol
     near[chosen] = False
     tie = np.flatnonzero(near)
     if tie.size:
-        off = C[tie] - C[chosen][rows[tie]]
-        tie = tie[np.sqrt((mw * off * off).sum(axis=1)) > _tie_gap(local_tol)]
+        off = x[tie] - x[chosen][rows[tie]]
+        tie = tie[np.sqrt(m[rows[tie]] * off * off) > _tie_gap(local_tol)]
     return tie[np.argsort(rows[tie], kind="stable")]
 
 
-def _select(rows, C, cvals, U, mw):
-    """Index of the chosen candidate of each row, in row order.
+def _select(rows, x, values, u, m):
+    """Index of the chosen candidate of each row, in row order, among the
+    candidates at the points ``x`` of the rows ``rows``, whose base points
+    are ``u`` and metric weights ``m``.
 
-    Ordering: lowest objective, then smallest d^2 to ``u``, then
-    lexicographic coordinates, then candidate order; a nan key ranks last.
-    ``_precedes`` is this order for two candidates on one coordinate.
-    Every row must have a candidate.
+    Ordering: lowest objective, then smallest m (x - u)^2, then smallest
+    x, then candidate order; a nan key ranks last.  ``_precedes`` is this
+    order for two candidates.  Every row must have a candidate.
     """
-    off = C - U[rows]
-    d2 = (mw * off ** 2).sum(axis=1)
-    keys = [C[:, j] for j in range(C.shape[1] - 1, -1, -1)] + [d2, cvals, rows]
-    order = np.lexsort(keys)
-    return order[np.searchsorted(rows[order], np.arange(U.shape[0]))]
+    off = x - u[rows]
+    order = np.lexsort([x, m[rows] * (off * off), values, rows])
+    return order[np.searchsorted(rows[order], np.arange(u.size))]
 
 
 def _precedes(a, b):
-    """Whether candidate ``a`` = (objective, d^2, coordinate) of a 1D row,
+    """Whether candidate ``a`` = (objective, m (x - u)^2, x) of a row,
     listed before candidate ``b``, comes first in ``_select``'s order: key
     by key the lower first, a nan after any number and two nans equal, as
     numpy sorts them; a full tie goes to ``a``."""
@@ -313,7 +315,7 @@ _WINDOW_SLACK = 1e-12
 _NEWTON_TOL = 4.0 * 2.0 ** -52
 
 
-def _zoom_1d(spec, eps, cols, deltas, u, m, settings, tie_gap=None):
+def _zoom_1d(spec, eps, cols, deltas, u, m, settings):
     """Global 1D search of every coordinate row, on the Newton or the grid
     route.
 
@@ -332,19 +334,18 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings, tie_gap=None):
     also weighs the stay-put guard v = u, which keeps the descent property:
     the grid route gives its candidates in the order it found them, then
     the guard of each of its rows; the Newton route settles the guard
-    itself, by the ``tie_gap`` it is handed.
+    itself.
     """
     kappa = curvature_floors(spec, eps)     # a family with these has floors too
     newton = (np.zeros(u.size, dtype=bool) if kappa is None
               else kappa[cols] + m / deltas > 0)
     if newton.all():
-        return _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap)
+        return _newton_1d(spec, eps, cols, deltas, u, m, settings)
     if not newton.any():
         return _grid_zoom_1d(spec, eps, cols, deltas, u, m, settings)
     # each route on its own rows
     a, b = np.flatnonzero(newton), np.flatnonzero(~newton)
-    ra, *found_a = _newton_1d(spec, eps, cols[a], deltas[a], u[a], m[a], settings,
-                              tie_gap)
+    ra, *found_a = _newton_1d(spec, eps, cols[a], deltas[a], u[a], m[a], settings)
     rb, *found_b = _grid_zoom_1d(spec, eps, cols[b], deltas[b], u[b], m[b], settings)
     return (np.concatenate([a[ra], b[rb]]),
             *(np.concatenate(parts) for parts in zip(found_a, found_b)))
@@ -406,16 +407,13 @@ def _budget_error(max_iters):
         f"{max_iters} evaluations (budget {max_iters})")
 
 
-def _guard_ties(value_x, value_u, diff, m, local_tol, tie_gap, sqrt):
-    """Whether a Newton row keeps its guard v = u as a second candidate
-    beside its minimizer x = u + ``diff``: their values are within
-    ``local_tol`` of each other, x is not u, and (unless ``tie_gap`` is
-    None) x is more than ``tie_gap`` away.  On floats or arrays."""
-    tie = ((value_x <= value_u + local_tol) & (value_u <= value_x + local_tol)
-           & (diff != 0.0))
-    if tie_gap is None:
-        return tie
-    return tie & (sqrt(m * diff * diff) > tie_gap)
+def _guard_ties(value_x, value_u, diff, m, local_tol, sqrt):
+    """Whether a Newton row's minimizer x = u + ``diff`` and its guard v = u
+    are near ties of each other, so that the row keeps both: their values
+    are within ``local_tol`` of each other, and x is more than
+    ``_tie_gap(local_tol)`` away from u.  On floats or arrays."""
+    return ((value_x <= value_u + local_tol) & (value_u <= value_x + local_tol)
+            & (sqrt(m * diff * diff) > _tie_gap(local_tol)))
 
 
 def _members(spec, eps):
@@ -425,7 +423,7 @@ def _members(spec, eps):
             for j, floor in enumerate(energy_floors(spec, eps).tolist())]
 
 
-def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
+def _newton_row(member, u, delta, m, iterations, local_tol):
     """The Newton route's whole work on one coordinate row, on Python
     floats: the kernel of B = 1 steps, where numpy's per-call cost would be
     most of the row.  ``_newton_1d`` runs the same window and iterate on
@@ -444,11 +442,10 @@ def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
     settings, and ``BudgetExhaustedError`` ends a row that runs out.
 
     The row then weighs the stay-put guard v = u, which keeps the descent
-    property.  If ``_guard_ties`` (at any distance but 0 for a None
-    ``tie_gap``), the row keeps both for ``prox_batch`` to rank.  Otherwise
-    it keeps the one that ``_precedes`` the other.  Returns the kept point,
-    its objective value (as ``_objective`` values it), and the guard's
-    value if the row keeps it as a second candidate, else None.
+    property, and chooses the one of the minimizer and the guard that
+    ``_precedes`` the other.  Returns the chosen point, its objective value
+    (as ``_objective`` values it), and the other one's (point, value) where
+    ``_guard_ties``, else None.
     """
     phi, derivatives, floor = member
     try:
@@ -472,15 +469,14 @@ def _newton_row(member, u, delta, m, iterations, local_tol, tie_gap):
     diff = x - u
     value_x = phi(x) + m * diff * diff / (2.0 * delta)
     value_u = energy_u + 0.0        # the guard's d^2 / (2 delta) is 0
-    if _guard_ties(value_x, value_u, diff, m, local_tol, tie_gap, math.sqrt):
-        return x, value_x, value_u
+    tie = _guard_ties(value_x, value_u, diff, m, local_tol, math.sqrt)
     if value_x < value_u or _precedes((value_x, m * (diff * diff), x),
                                       (value_u, 0.0, u)):   # common case inline
-        return x, value_x, None
-    return u, value_u, None
+        return x, value_x, (u, value_u) if tie else None
+    return u, value_u, (x, value_x) if tie else None
 
 
-def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
+def _newton_1d(spec, eps, cols, deltas, u, m, settings):
     """``_newton_row`` on all rows at once: the same window, iterate and
     guard on float64 arrays, so each row gets what it gets alone.
 
@@ -488,17 +484,13 @@ def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
     once its step is at round-off.  Of the rows that fail, the first in
     row order raises its error: ``EvaluationError`` for a window that is
     not finite, else ``BudgetExhaustedError`` for a row still moving after
-    ``max_iters`` iterates.  A row's guard goes by ``_guard_ties`` and, where
-    the values of its minimizer and guard neither differ nor tie, by
-    ``_precedes``.
-
-    With ``tie_gap = _tie_gap(local_tol)`` a 1D problem gets what
-    ``_select`` and ``_near_ties`` would make of a row's minimizer and
-    guard: one candidate, unless its guard is a near tie.  In nD a
-    coordinate's guard may join a near tie of the whole problem at any
-    distance but 0, so ``_separable_nd`` passes None there.  Returns the
-    candidates' rows, points and objective values: each row's first
-    candidate in row order, then the guards of the rows that keep two.
+    ``max_iters`` iterates.  A row chooses between its minimizer and its
+    guard by their values and, where these neither differ nor order, by
+    ``_precedes``; the other one stays as a second candidate where
+    ``_guard_ties``.  That is what ``_select`` and ``_near_ties`` make of
+    the two.  Returns the candidates' rows, points and objective values:
+    each row's chosen candidate in row order, then the other candidates of
+    the rows that keep two.
     """
     # nan and inf as the float kernel meets them; a failing row is reported
     # below, and the values of the others do not depend on it
@@ -537,20 +529,21 @@ def _newton_1d(spec, eps, cols, deltas, u, m, settings, tie_gap):
         diff = x - u
         value_x = coordinate_values(spec, eps, cols, x) + m * diff * diff / (2.0 * deltas)
         value_u = energy_u + 0.0
-        tie = _guard_ties(value_x, value_u, diff, m, settings.local_tol, tie_gap, np.sqrt)
+        tie = _guard_ties(value_x, value_u, diff, m, settings.local_tol, np.sqrt)
     # the clear cases by value, the others (equal values, a nan) by _precedes
-    stay = ~tie & (value_u < value_x)
-    for r in np.flatnonzero(~tie & ~(value_x < value_u) & ~(value_u < value_x)).tolist():
+    stay = value_u < value_x
+    for r in np.flatnonzero(~(value_x < value_u) & ~stay).tolist():
         d = diff[r].item()
         stay[r] = not _precedes((value_x[r].item(), m[r].item() * (d * d), x[r].item()),
                                 (value_u[r].item(), 0.0, u[r].item()))
     points = np.where(stay, u, x)
     values = np.where(stay, value_u, value_x)
     rows = np.arange(u.size)
-    if tie.any():                   # the minimizer first, the guard second
+    if tie.any():                   # the chosen candidate first, the other second
         t = np.flatnonzero(tie)
-        return (np.concatenate([rows, t]), np.concatenate([points, u[t]]),
-                np.concatenate([values, value_u[t]]))
+        return (np.concatenate([rows, t]),
+                np.concatenate([points, np.where(stay, x, u)[t]]),
+                np.concatenate([values, np.where(stay, value_x, value_u)[t]]))
     return rows, points, values
 
 
@@ -700,49 +693,3 @@ def _interior_minima(vals):
     """Mask of the grid points 1..-2 that are no higher than either neighbour."""
     inner = vals[:, 1:-1]
     return (inner <= vals[:, :-2]) & (inner <= vals[:, 2:])
-
-
-def _separable_nd(spec, eps, deltas, U, mw, settings):
-    """One search over the B n coordinate rows of the B problems, then each
-    problem's combinations of its coordinates' candidates within
-    ``local_tol`` of their row's best, valued in nD by ``eval_many`` as
-    energy + d^2 / (2 delta) (in 1D a row's values are already that).  Row
-    r = b n + j holds problem b's coordinate j.  No other combination
-    comes within ``local_tol`` of the optimum: the coordinates' excesses
-    over their best add up.  Returns the candidates' problems, points and
-    values, grouped by problem."""
-    B, n = U.shape
-    R = B * n
-    cols = np.arange(R) % n
-    # a 1D problem is its row, so the Newton route may drop a guard that is
-    # no near tie; in nD only the combinations' nD values can tell
-    tie_gap = _tie_gap(settings.local_tol) if n == 1 else None
-    r, x, v = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
-                       settings, tie_gap)
-    if r.size > R:
-        best = np.full(R, np.inf)
-        np.fmin.at(best, r, v)      # a nan value ranks last, as in _select
-        keep = np.flatnonzero(v <= best[r] + settings.local_tol)
-        keep = keep[np.argsort(r[keep], kind="stable")]
-        r, x, v = r[keep], x[keep], v[keep]
-    # else every row has one candidate, from the Newton route, in row order
-    if n == 1:                      # a 1D energy is its one member
-        return r, x[:, None], v
-    if r.size == R:                 # one candidate per coordinate row
-        rows, points = np.arange(B), x.reshape(B, n)
-    else:
-        # Pair every combination so far with each kept candidate of its
-        # problem's coordinate j, in candidate order.
-        counts = np.bincount(r, minlength=R).reshape(B, n)
-        first = (np.cumsum(counts) - counts.ravel()).reshape(B, n)
-        rows, points = np.arange(B), np.zeros((B, 0))
-        for j in range(n):
-            c = counts[rows, j]
-            parent = np.repeat(np.arange(rows.size), c)
-            offset = np.arange(parent.size) - np.repeat(np.cumsum(c) - c, c)
-            k = np.repeat(first[rows, j], c) + offset
-            rows, points = rows[parent], np.column_stack([points[parent], x[k]])
-    off = points - U[rows]
-    values = (eval_many(spec, eps, points)
-              + (mw * off * off).sum(axis=1) / (2.0 * deltas[rows]))
-    return rows, points, values

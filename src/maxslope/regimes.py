@@ -159,7 +159,7 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
     cauchy = bool(
         sups
         and all(math.isfinite(s) for s in sups)
-        and all(b <= a * 1.0 + 1e-12 for a, b in zip(sups, sups[1:]))
+        and all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
         and sups[-1] < sweep_tol
     )
 

@@ -38,10 +38,12 @@ from .prox import ProxSettings, prox_batch, stepper
 #   peak RSS (MB)           42.2   42.1   42.1   42.3   -
 # (medians of 6 to 21 runs).
 # 512 is as fast end to end as 1024, with less heap.  The block counts
-# rows, not problems, because an nD problem whose coordinates each keep
-# their guard is ranked over up to 2^n combinations: a 9D wiggly run in its
-# wells peaks at 36.1 MB with 64 problems a block, 35.3 MB with 56 (512
-# rows) and 47.8 MB with 1024 problems.
+# rows, not problems, because the numeric search holds a few candidates
+# per coordinate row.  On the 9D wiggly run (eps = 0.05, tau = eps^2,
+# T = 0.5; 1600 problems of 9 Newton rows) a process that runs the scheme
+# and builds the interpolant peaks at 30.9, 31.4 and 32.6 MB with 64, 512
+# and 1024 problems a block, and build_interpolant takes about 20, 13 and
+# 13 ms (3 runs each).
 INTERPOLANT_BLOCK = 512
 
 # Floats a run may hold in its arrays: the trajectory's (N + 1) n points,

@@ -428,7 +428,7 @@ class TestConfigParsing:
         doc["command"]["run"]["prox_settings"] = {"max_iters": 1e6}
         doc["command"]["run"]["quadrature_nodes_per_step"] = 2.0
         parsed = ExperimentConfig.from_dict(doc)
-        params = parse_scheme_params(parsed.payload, parsed.space)
+        params = parsed.args["run"]
         assert (parsed.seed, parsed.space.dimension) == (3, 1)
         assert (params.prox_settings.max_iters, params.quadrature_nodes_per_step) == \
             (1_000_000, 2)

@@ -20,6 +20,19 @@ RUN = {"eps": 1.0, "tau": 0.1, "horizon_T": 0.5, "initial_point": [1.0]}
 PINNING = {"eps": 0.05, "tau": 0.0025, "horizon_T": 1.0, "initial_point": [0.5]}
 
 
+def wiggly_9d(metric_weights=None, energy_weights=(1.0,) * 9):
+    """The 9D pinning run: u0_j = 0.5 - 0.1 j and centres 0.1 j, each
+    coordinate in its own wells, for half the 1D run's horizon."""
+    space = {"dimension": 9}
+    if metric_weights is not None:
+        space.update(metric_kind="diagonal_weighted", weights=list(metric_weights))
+    base = {"kind": "quadratic", "weights": list(energy_weights),
+            "center": [0.1 * j for j in range(9)]}
+    energy = {"kind": "wiggly", "base": base}
+    return {"space": space, "energy": energy, "command": {"run": {
+        **PINNING, "horizon_T": 0.5, "initial_point": [0.5 - 0.1 * j for j in range(9)]}}}
+
+
 def run_config(energy=QUAD, **run):
     return {"space": LINE, "energy": energy, "command": {"run": {**RUN, **run}}}
 
@@ -144,6 +157,10 @@ RUNS = {
     # 1600 steps of 8 nodes: 12 800 node rows, in many interpolant blocks
     "smoke_wiggly_long": (run_config(WIGGLY, **{**PINNING, "horizon_T": 4.0}),
                           ["--quiet"], 0, dissipation_residual_below(1e-12, 1600 * 8 + 1)),
+    "smoke_wiggly_9d": (wiggly_9d(), ["--quiet"], 0, dissipation_residual_below(1e-12)),
+    "smoke_wiggly_9d_weighted": (wiggly_9d([1.0 + 0.5 * j for j in range(9)],
+                                           [1.0 + 0.25 * j for j in range(9)]),
+                                 ["--quiet"], 0, dissipation_residual_below(1e-12)),
     "smoke_sweep": ({"space": LINE, "energy": QUAD, "command": {"sweep": {
         "coupling": {"form": "eps_of_tau", "lam": 1.0, "alpha": 1.0},
         "levels": [0.04, 0.02], "params": {"horizon_T": 0.2, "initial_point": [1.0]}}}},

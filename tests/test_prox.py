@@ -19,7 +19,6 @@ from maxslope.prox import (
     MULTISTART_NUMERIC,
     ProxSettings,
     _select,
-    _separable_nd,
     _zoom_1d,
     prox_batch,
 )
@@ -63,8 +62,8 @@ SEARCH_SETUPS = {
                               [0.5, 0.01, 0.1], [[1.5], [0.05], [-0.3]], NUMERIC),
     "custom_smooth": (custom_smooth(LINE, "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)"),
                       0.05, [0.0025, 0.1], [[0.5], [-0.8]], DEFAULTS),
-    # from u = 0 each coordinate keeps its guard, and the corner u is a near
-    # tie only the nD ranking finds
+    # from u = 0 each coordinate's guard is within local_tol of its
+    # minimizer, inside the tie gap
     "flat_2d_guards": (quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [0.025, 0.025]), 1.0,
                        [1e6, 1.0], [[0.0, 0.0], [0.3, -0.2]], NUMERIC),
     # four corners tie (row 1), or two (row 2); row 0 takes the Newton route
@@ -145,42 +144,37 @@ class TestNumericSearch:
 
     @pytest.mark.parametrize("setup", SEARCH_SETUPS)
     def test_nd_value_is_the_ranked_objective(self, setup):
-        # The value _select ranks for the chosen candidate, and every
-        # candidate's, is energy + d^2 / (2 delta) at its point, to the bit:
-        # the near-tie margin is measured from it.  No candidate ranks lower:
-        # neither a combination the separable search valued nor the chosen
-        # point with one coordinate swapped for any other candidate of that
-        # coordinate's row in the one search.
+        # Each coordinate row ranks its candidates by its own objective
+        # phi_j(x) + m_j (x - u_j)^2 / (2 delta), to the bit, and the
+        # minimizer is the rows' choices.  The nD objective is the sum of
+        # the rows' objectives, so at the minimizer it is the sum of the
+        # values ranked, and no candidate ranks lower: the chosen point with
+        # one coordinate swapped for any other candidate of that
+        # coordinate's row is no lower, both up to the round-off of the sum.
         spec, eps, deltas, U, settings = SEARCH_SETUPS[setup]
         deltas, U = np.array(deltas), np.array(U)
         B, n = U.shape
         mw = spec.domain.metric_weights()
-
-        def objective(V, rows):
-            return prox_objective(spec, eps, deltas[rows], U[rows], V)
-
-        def hexes(a):
-            return list(map(float.hex, a.tolist()))
-
         batch = prox_batch(spec, eps, deltas, U, settings)
-        rows, C, cvals = _separable_nd(spec, eps, deltas, U, mw, settings)
-        chosen = _select(rows, C, cvals, U, mw)
-        assert C[chosen].tobytes() == batch.minimizers.tobytes()
-        assert hexes(cvals[chosen]) == hexes(objective(batch.minimizers, np.arange(B)))
-        assert hexes(cvals) == hexes(objective(C, rows))
         # the B n coordinate rows: row r = n b + j is problem b's coordinate j
         cols = np.arange(B * n) % n
-        r, x, v = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
-                           settings)
+        u, m = U.ravel(), mw[cols]
+        r, x, v = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), u, m, settings)
         b, j = r // n, cols[r]
-        off = x - U[b, j]
+        off = x - u[r]
         assert np.array_equal(v, coordinate_values(spec, eps, j, x)
-                              + mw[j] * off * off / (2.0 * deltas[b]))
+                              + m[r] * off * off / (2.0 * deltas[b]))
+        chosen = _select(r, x, v, u, m)
+        assert x[chosen].tobytes() == batch.minimizers.tobytes()
+        for row in range(B * n):
+            assert v[chosen][row] == v[r == row].min()
+        value = prox_objective(spec, eps, deltas, U, batch.minimizers)
+        round_off = 1e-12 * (1.0 + np.abs(value))
+        assert (np.abs(value - v[chosen].reshape(B, n).sum(axis=1)) <= round_off).all()
         swapped = batch.minimizers[b]
         swapped[np.arange(r.size), j] = x
-        assert (objective(swapped, b) >= cvals[chosen][b]).all()
-        for b in range(B):
-            assert cvals[chosen][b] == cvals[rows == b].min()
+        assert (prox_objective(spec, eps, deltas[b], U[b], swapped)
+                >= value[b] - round_off[b]).all()
 
 
 class TestInvariants:
@@ -262,11 +256,11 @@ class TestSelection:
     @staticmethod
     def select(candidates, u, space):
         """The chosen point among (point, objective) candidates of one problem."""
-        C = np.array([np.atleast_1d(c) for c, _ in candidates], dtype=float)
-        cvals = np.array([v for _, v in candidates])
+        x = np.array([c for c, _ in candidates], dtype=float)
+        values = np.array([v for _, v in candidates])
         rows = np.zeros(len(candidates), dtype=int)
-        chosen = _select(rows, C, cvals, np.array([u]), space.metric_weights())
-        return tuple(C[chosen[0]])
+        chosen = _select(rows, x, values, np.array(u, dtype=float), space.metric_weights())
+        return (x[chosen[0]],)
 
     def test_lowest_value_wins(self, line):
         chosen = self.select([(2.0, 1.0), (1.0, 0.5)], [0.0], line)

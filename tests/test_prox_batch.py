@@ -1,6 +1,7 @@
 """The batched resolvent engine against a plain-loop zoom, its own B = 1 case
 and the dense-grid oracle."""
 
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -39,9 +40,7 @@ from maxslope.prox import (
     _newton_row,
     _precedes,
     _select,
-    _separable_nd,
     _shortlist,
-    _tie_gap,
     _zoom_1d,
     prox_batch,
     stepper,
@@ -330,8 +329,14 @@ class TestSeparable:
         eps, delta, u = 0.1, 1.0, np.array([1e-11, -1e-11])
         batch = prox_batch(spec, eps, [delta], [u], NUMERIC)
         assert list(batch.near_tie) == [True]
-        assert list(batch.tie_rows) == [0, 0, 0]
-        found = np.vstack([batch.minimizers, batch.tie_points])
+        # one tie per coordinate, each the minimizer with that coordinate
+        # swapped; the corners are the product of the rows' {choice, tie}
+        assert list(batch.tie_rows) == [0, 0]
+        V = batch.minimizers[0]
+        swapped = [np.flatnonzero(t != V).tolist() for t in batch.tie_points]
+        assert swapped == [[0], [1]]
+        found = np.array(list(itertools.product(*(
+            [V[j], batch.tie_points[j, j]] for j in range(2)))))
 
         # Brute force: the local minima of a 2D grid whose value is within
         # the grid's resolution of its lowest.  Minimality bounds |v - u| in
@@ -380,9 +385,12 @@ def coordinate_member(spec, j):
 
 def reference_separable(spec, eps, deltas, U, prox_settings):
     """The nD numeric resolvent as a loop over coordinates: coordinate j's
-    B rows searched on their own as a 1D energy, each problem's product of
-    its coordinates' kept candidates valued in nD, then ``prox_batch``'s
-    selection and near-tie rules.
+    B rows searched on their own as a 1D energy, then ``prox_batch``'s
+    selection and near-tie rules on each row's own candidates.  A problem's
+    minimizer is its rows' choices, its tie points are the minimizer with
+    one coordinate swapped to one of that row's ties, and its tie
+    displacement is that of the farthest point of the product of its rows'
+    {choice, ties}.
 
     Returns the minimizers, their distances from U, near-tie flags, tie
     rows, tie points and tie displacements; the one search over all B n
@@ -390,32 +398,30 @@ def reference_separable(spec, eps, deltas, U, prox_settings):
     """
     B, n = U.shape
     mw = spec.domain.metric_weights()
-    tol = prox_settings.local_tol
-    rows, points = np.arange(B), np.zeros((B, 0))
+    V, reach, ties = np.empty((B, n)), np.empty((B, n)), []
     for j in range(n):
-        u, m = U[:, j:j + 1], mw[j:j + 1]
+        u, m = U[:, j], np.full(B, mw[j])
         r, x, v = _zoom_1d(coordinate_member(spec, j), eps, np.zeros(B, dtype=int),
-                           deltas, U[:, j], np.full(B, mw[j]), prox_settings)
-        keep = np.flatnonzero(v <= v[_select(r, x[:, None], v, u, m)][r] + tol)
-        keep = keep[np.argsort(r[keep], kind="stable")]
-        # pair every combination so far with each kept candidate of its row
-        counts = np.bincount(r[keep], minlength=B)[rows]
-        start = np.searchsorted(r[keep], rows) - np.cumsum(counts) + counts
-        parent = np.repeat(np.arange(rows.size), counts)
-        k = keep[np.repeat(start, counts) + np.arange(parent.size)]
-        rows, points = rows[parent], np.column_stack([points[parent], x[k]])
-    cvals = prox_objective(spec, eps, deltas[rows], U[rows], points)
-    chosen = _select(rows, points, cvals, U, mw)
-    V = points[chosen]
+                           deltas, u, m, prox_settings)
+        chosen = _select(r, x, v, u, m)
+        V[:, j] = x[chosen]
+        off = x[chosen] - u
+        reach[:, j] = m * off * off
+        for t in _near_ties(r, x, v, chosen, m, prox_settings.local_tol).tolist():
+            b = r[t]
+            ties.append((b, j, x[t]))
+            off = x[t] - u[b]
+            reach[b, j] = max(reach[b, j], m[b] * off * off)
+    ties.sort(key=lambda tie: tie[:2])      # stable: candidate order within a row
+    tie_rows = np.array([b for b, _, _ in ties], dtype=int)
+    tie_points = V[tie_rows]
+    for k, (_, j, point) in enumerate(ties):
+        tie_points[k, j] = point
     diff = V - U
     moved = np.sqrt((mw * diff * diff).sum(axis=1))
-    tie = _near_ties(rows, points, cvals, chosen, mw, tol)
-    tie_rows, tie_points = rows[tie], points[tie]
-    tie_moved, near_tie = moved.copy(), np.zeros(B, dtype=bool)
-    off = tie_points - U[tie_rows]
-    np.maximum.at(tie_moved, tie_rows, np.sqrt((mw * off * off).sum(axis=1)))
+    near_tie = np.zeros(B, dtype=bool)
     near_tie[tie_rows] = True
-    return V, moved, near_tie, tie_rows, tie_points, tie_moved
+    return V, moved, near_tie, tie_rows, tie_points, np.sqrt(reach.sum(axis=1))
 
 
 class TestAgainstCoordinateLoop:
@@ -476,23 +482,30 @@ class TestAgainstCoordinateLoop:
         deltas = np.array([1e-4, 1.0, 1.0])
         batch = self.assert_matches_loop(spec, 0.1, deltas, U)
         assert list(batch.near_tie) == [False, True, True]
-        assert list(batch.tie_rows) == [1, 1, 1, 2]
+        # one tie per tied coordinate: both of row 1's, one of row 2's
+        assert list(batch.tie_rows) == [1, 1, 2]
 
-    @pytest.mark.parametrize("center", [0.025, 0.05])
-    def test_flat_rows_leave_their_guards_to_the_nd_ranking(self, center):
+    def test_flat_guards_never_raise_tie_moved(self):
         # Curvature 1e-8 + 1 / 1e6 on both coordinates: from u = 0 each
         # coordinate's minimizer lies 0.99 center / 100 away, under 1e-9
-        # below its guard.  At center 0.025 that is 2.5e-4, inside the 1D
-        # tie gap 10 sqrt(local_tol) = 3.2e-4, but the corner u is 3.5e-4
-        # from the minimizer in 2D and within local_tol: a near tie only the
-        # nD ranking finds.  Every row takes the Newton route.
-        spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [center, center])
-        U = np.array([[0.0, 0.0], [0.3, -0.2]])
-        with mock.patch("maxslope.prox._grid_zoom_1d",
-                        side_effect=AssertionError("grid route taken")):
-            batch = self.assert_matches_loop(spec, 1.0, np.array([1e6, 1.0]), U)
-        assert list(batch.near_tie) == [True, False]
-        assert [0.0, 0.0] in batch.tie_points[batch.tie_rows == 0].tolist()
+        # below its guard.  At center 0.025 that is 2.5e-4, inside the tie
+        # gap 10 sqrt(local_tol) = 3.2e-4, so each row drops its guard; at
+        # 0.05 it is 5e-4, so each row keeps its guard as a near tie.  A
+        # guard lies at distance 0 from u, so it never raises tie_moved, and
+        # the stepper settles every row on floats.  Every row takes the
+        # Newton route.
+        for center, ties in ((0.025, []), (0.05, [0, 0])):
+            spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [center, center])
+            U = np.array([[0.0, 0.0], [0.3, -0.2]])
+            with mock.patch("maxslope.prox._grid_zoom_1d",
+                            side_effect=AssertionError("grid route taken")):
+                batch = self.assert_matches_loop(spec, 1.0, np.array([1e6, 1.0]), U)
+            assert list(batch.tie_rows) == ties
+            assert np.array_equal(batch.tie_moved, batch.moved)
+            found, batched = TestNewtonStepper.assert_step_matches(
+                spec, 1.0, 1e6, [0.0, 0.0], NUMERIC)
+            assert batched == 0
+            assert found == batch.minimizers[0].tolist()
 
 
 class TestNewtonRoute:
@@ -572,15 +585,15 @@ class TestNewtonRoute:
 
 class TestNewtonStepper:
     """The scheme's B = 1 stepper, on the closed forms and the Newton row
-    kernel, against ``prox_batch``, bit for bit, and its fall-backs to
-    ``prox_batch``."""
+    kernel, against ``prox_batch``, bit for bit, and its calls of
+    ``prox_batch`` off the Newton route."""
 
     @staticmethod
     def assert_step_matches(spec, eps, delta, u, prox_settings):
         """The stepper's minimizer from ``u`` is ``prox_batch``'s, sign bits
         included.  A step that calls ``prox_batch``, looked up in
-        ``maxslope.prox``, is off the Newton route or ranks more than one
-        candidate.  Returns the minimizer and the number of such calls."""
+        ``maxslope.prox``, is off the Newton route.  Returns the minimizer
+        and the number of such calls."""
         step = stepper(spec, eps, delta, prox_settings)
         u = [float(v) for v in u]
         with mock.patch("maxslope.prox.prox_batch", wraps=prox_batch) as batched:
@@ -589,10 +602,8 @@ class TestNewtonStepper:
         assert list(map(float.hex, found)) == list(map(float.hex,
                                                        res.minimizers[0].tolist()))
         mw, kappa = spec.domain.metric_weights(), curvature_floors(spec, eps)
-        if batched.call_count and kappa is not None and (kappa + mw / delta > 0).all():
-            rows, *_ = _separable_nd(spec, eps, np.array([delta]), np.array([u]), mw,
-                                     prox_settings)
-            assert rows.size > 1
+        if batched.call_count:
+            assert kappa is None or not (kappa + mw / delta > 0).all()
         return found, batched.call_count
 
     @pytest.mark.parametrize("family", ["quadratic", "wiggly", "closed_quadratic",
@@ -634,20 +645,46 @@ class TestNewtonStepper:
                                               DEFAULTS if closed else NUMERIC)
         assert not (closed and batched)
 
-    def test_flat_2d_guard_falls_back(self):
-        # TestAgainstCoordinateLoop's flat rows: from u = 0 each coordinate
-        # keeps its guard, and the corner u is a near tie only the nD
-        # ranking finds, so the step is prox_batch's.
-        spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [0.025, 0.025])
-        assert prox_batch(spec, 1.0, [1e6], [[0.0, 0.0]], NUMERIC).near_tie[0]
-        _, batched = self.assert_step_matches(spec, 1.0, 1e6, [0.0, 0.0], NUMERIC)
-        assert batched == 1
-
-    def test_1d_near_tie_falls_back(self):
-        # TestNewtonRoute's flat row: its guard is a near tie
+    def test_1d_near_tie_stays_on_floats(self):
+        # TestNewtonRoute's flat row: its guard is a near tie, which the row
+        # settles by _precedes on floats; at distance 0 from u it cannot
+        # raise tie_moved
         spec = quadratic(LINE, [1e-8], [0.3])
-        _, batched = self.assert_step_matches(spec, 1.0, 1e6, [0.0], NUMERIC)
-        assert batched == 1
+        found, batched = self.assert_step_matches(spec, 1.0, 1e6, [0.0], NUMERIC)
+        assert batched == 0
+        best, moved, ties = reference_prox_1d(spec, 1.0, 1e6, 0.0, NUMERIC)
+        assert ties == [0.0]
+        assert found == [best]
+        res = prox_batch(spec, 1.0, [1e6], [[0.0]], NUMERIC)
+        assert res.tie_moved[0] == moved
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_9d_pinning_run_stays_on_floats(self, weighted):
+        # The 9D wiggly runs of the smoke cases: each coordinate settles in
+        # its wells, where its guard is within local_tol of its minimizer
+        # but no near tie, so every scheme step runs on floats and each
+        # coordinate row of the interpolant's search keeps one candidate.
+        metric = [1.0 + 0.5 * j for j in range(9)] if weighted else [1.0] * 9
+        spec = wiggly(quadratic(
+            SpaceDescriptor(9, metric_kind="diagonal_weighted", weights=metric),
+            [1.0 + 0.25 * j for j in range(9)] if weighted else [1.0] * 9,
+            [0.1 * j for j in range(9)]))
+        params = SchemeParams(eps=0.05, tau=0.0025, horizon_T=0.5,
+                              initial_point=pt(*(0.5 - 0.1 * j for j in range(9))))
+        with mock.patch("maxslope.prox.prox_batch", wraps=prox_batch) as batched:
+            traj = run_scheme(spec, params)
+        assert traj.n_steps == 200
+        assert batched.call_count == 0
+        searched = []
+
+        def search(*args):
+            found = _zoom_1d(*args)
+            searched.append((found[0].size, args[4].size))     # candidates, rows
+            return found
+        with mock.patch("maxslope.prox._zoom_1d", side_effect=search):
+            build_interpolant(spec, traj, params.prox_settings)
+        assert sum(rows for _, rows in searched) == 200 * 8 * 9
+        assert all(found == rows for found, rows in searched)
 
     def test_closed_form_minimizers_on_the_kink(self):
         # eps |x| pins both coordinates at 0 from u on the kink and from u
@@ -718,22 +755,20 @@ class TestArraySweep:
     @staticmethod
     def kernel_rows(spec, eps, deltas, U, prox_settings):
         """The candidates of ``_newton_1d``'s layout, by ``_newton_row``
-        one coordinate row at a time: each row's first, then the guards."""
+        one coordinate row at a time: each row's chosen one, then the
+        others of the rows that keep two."""
         B, n = U.shape
         m = spec.domain.metric_weights().tolist()
         members, budget = _members(spec, eps), range(prox_settings.max_iters)
-        tie_gap = _tie_gap(prox_settings.local_tol) if n == 1 else None
-        first, guards = [], []
+        first, others = [], []
         for b in range(B):
             for j in range(n):
-                u = float(U[b, j])
-                x, value, guard = _newton_row(
-                    members[j], u, float(deltas[b]), m[j], budget,
-                    prox_settings.local_tol, tie_gap)
+                x, value, tie = _newton_row(members[j], float(U[b, j]), float(deltas[b]),
+                                            m[j], budget, prox_settings.local_tol)
                 first.append((b * n + j, x, value))
-                if guard is not None:
-                    guards.append((b * n + j, u, guard))
-        return first + guards
+                if tie is not None:
+                    others.append((b * n + j, *tie))
+        return first + others
 
     @staticmethod
     def pinned(spec, eps, delta, u, j):
@@ -741,7 +776,7 @@ class TestArraySweep:
         bottom of the well a run at step size ``delta`` settles in."""
         member, m = _members(spec, eps)[j], float(spec.domain.metric_weights()[j])
         for _ in range(60):
-            x, *_ = _newton_row(member, u, delta, m, range(200), 1e-9, None)
+            x, *_ = _newton_row(member, u, delta, m, range(200), 1e-9)
             if x == u:
                 break
             u = x
@@ -762,7 +797,7 @@ class TestArraySweep:
                                     min_size=n, max_size=n), label="center")
         if family == "flat":
             # curvature 1e-8 + m / 1e6: guards within local_tol of the
-            # minimizer, near ties in 1D and kept by every coordinate in nD
+            # minimizer, near ties where it lies beyond the tie gap
             spec, eps = quadratic(space, [1e-8] * n, center), 1.0
             delta = st.sampled_from([1e6, 1e5])
         else:
@@ -787,11 +822,10 @@ class TestArraySweep:
                 spec, eps, float(deltas[b]), float(U[b, j]), j)
         cols = np.arange(B * n) % n
         mw = spec.domain.metric_weights()
-        tie_gap = _tie_gap(NUMERIC.local_tol) if n == 1 else None
         with mock.patch("maxslope.prox._grid_zoom_1d",
                         side_effect=AssertionError("grid route taken")):
             found = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
-                             NUMERIC, tie_gap)
+                             NUMERIC)
             batch = prox_batch(spec, eps, deltas, U, NUMERIC)
         # rows, points and values
         expected = [list(column) for column in
@@ -799,11 +833,9 @@ class TestArraySweep:
         assert found[0].tolist() == expected[0]
         for got, want in zip(found[1:], expected[1:]):
             assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
-        # a 1D problem is its row: prox_batch takes a row's one candidate
-        if n == 1:
-            alone = np.setdiff1d(np.arange(B), expected[0][B:])
-            assert list(map(float.hex, batch.minimizers[alone, 0].tolist())) == [
-                float.hex(expected[1][b]) for b in alone]
+        # prox_batch takes each row's chosen candidate
+        assert list(map(float.hex, batch.minimizers.ravel().tolist())) == [
+            float.hex(x) for x in expected[1][:B * n]]
 
     @pytest.mark.parametrize("window_first", [True, False])
     def test_first_failing_row_raises(self, window_first):
@@ -844,8 +876,8 @@ class TestPrecedes:
         point = st.sampled_from([u, u + 1e-3, u - 1e-3, u + 2.0 ** -40, 1.0])
         (va, a), (vb, b) = data.draw(st.tuples(value, point)), data.draw(
             st.tuples(value, point))
-        chosen = _select(np.array([0, 0]), np.array([[a], [b]]), np.array([va, vb]),
-                         np.array([[u]]), np.array([m]))
+        chosen = _select(np.array([0, 0]), np.array([a, b]), np.array([va, vb]),
+                         np.array([u]), np.array([m]))
         first = _precedes((va, m * ((a - u) * (a - u)), a),
                           (vb, m * ((b - u) * (b - u)), b))
         assert first == (chosen[0] == 0)
