@@ -485,15 +485,16 @@ class TestAgainstCoordinateLoop:
         # one tie per tied coordinate: both of row 1's, one of row 2's
         assert list(batch.tie_rows) == [1, 1, 2]
 
-    def test_flat_guards_never_raise_tie_moved(self):
+    def test_flat_rows_leave_their_guards_to_the_nd_ranking(self):
         # Curvature 1e-8 + 1 / 1e6 on both coordinates: from u = 0 each
         # coordinate's minimizer lies 0.99 center / 100 away, under 1e-9
-        # below its guard.  At center 0.025 that is 2.5e-4, inside the tie
-        # gap 10 sqrt(local_tol) = 3.2e-4, so each row drops its guard; at
-        # 0.05 it is 5e-4, so each row keeps its guard as a near tie.  A
-        # guard lies at distance 0 from u, so it never raises tie_moved, and
-        # the stepper settles every row on floats.  Every row takes the
-        # Newton route.
+        # below its guard.  The nD ranking of a separable problem is the
+        # product of its rows' rankings, so each row settles its own guard by
+        # the 1D rule.  At center 0.025 the minimizer is 2.5e-4 from u, inside
+        # the tie gap 10 sqrt(local_tol) = 3.2e-4, so each row drops its
+        # guard; at 0.05 it is 5e-4, so each row keeps its guard as a near
+        # tie.  A guard lies at distance 0 from u, so it never raises
+        # tie_moved.  Every row takes the Newton route.
         for center, ties in ((0.025, []), (0.05, [0, 0])):
             spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [center, center])
             U = np.array([[0.0, 0.0], [0.3, -0.2]])
@@ -502,11 +503,6 @@ class TestAgainstCoordinateLoop:
                 batch = self.assert_matches_loop(spec, 1.0, np.array([1e6, 1.0]), U)
             assert list(batch.tie_rows) == ties
             assert np.array_equal(batch.tie_moved, batch.moved)
-            found, batched = TestNewtonStepper.assert_step_matches(
-                spec, 1.0, 1e6, [0.0, 0.0], NUMERIC)
-            assert batched == 0
-            assert found == batch.minimizers[0].tolist()
-
 
 class TestNewtonRoute:
     """Rows whose objective the curvature floor certifies strictly convex:
@@ -657,6 +653,24 @@ class TestNewtonStepper:
         assert found == [best]
         res = prox_batch(spec, 1.0, [1e6], [[0.0]], NUMERIC)
         assert res.tie_moved[0] == moved
+
+    def test_flat_2d_guard_falls_back(self):
+        # TestAgainstCoordinateLoop's flat rows: from u = 0 each coordinate
+        # row falls back on its own guard rule, settled by _precedes on
+        # floats, so the step calls no prox_batch and takes the coordinate
+        # loop's minimizer and tie_moved, whether the rows drop their guards
+        # (center 0.025) or keep them as near ties (center 0.05).
+        for center in (0.025, 0.05):
+            spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [center, center])
+            found, batched = self.assert_step_matches(spec, 1.0, 1e6, [0.0, 0.0],
+                                                      NUMERIC)
+            assert batched == 0
+            V, moved, _, _, _, tie_moved = reference_separable(
+                spec, 1.0, np.array([1e6]), np.array([[0.0, 0.0]]), NUMERIC)
+            assert found == V[0].tolist()
+            res = prox_batch(spec, 1.0, [1e6], [[0.0, 0.0]], NUMERIC)
+            assert np.array_equal(res.tie_moved, tie_moved)
+            assert np.array_equal(tie_moved, moved)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_9d_pinning_run_stays_on_floats(self, weighted):
