@@ -17,18 +17,18 @@ energy without floors, and takes one of two routes:
   row's floats or arrays of rows.  ``_newton_1d`` advances all rows of a
   ``prox_batch`` call together as arrays; ``_newton_row`` runs the same
   code on one row's Python floats.  Each weighs the stay-put guard v = u
-  itself and returns one candidate per row, the one of the minimizer and
-  the guard that ``_precedes`` the other, and the other as a second
-  candidate only where it is a near tie;
+  itself, chooses the one of the minimizer and the guard that
+  ``_precedes`` the other, and keeps the other as a near tie where it is
+  one;
 * the grid route everywhere else: a recursive grid zoom that sizes its
   rows' windows and advances them, in chunks of ``_GRID_CHUNK`` rows, one
-  block per round.  Its
-  first-round shortlist of ``_GRID_STARTS`` brackets and the stop rule of
-  ``local_tol`` apply to this route only.
+  block per round, and ranks each chunk's candidates by ``_select`` and
+  ``_near_ties``.  Its first-round shortlist of ``_GRID_STARTS`` brackets
+  and the stop rule of ``local_tol`` apply to this route only.
 
-Each route gives its candidates as (row, point, value), the value being
-the objective.  Each coordinate row chooses among its own candidates and
-finds its own near ties; selection is deterministic so that whole
+Each route settles its own rows and returns its decisions: every row's
+chosen point in row order, and the rows' near ties grouped by row; no
+objective value leaves a route.  Selection is deterministic so that whole
 trajectories are reproducible.  A problem's minimizer set is the product
 of its rows' sets, so ``prox_batch`` returns the rows' choices as the
 minimizer and, for the De Giorgi interpolant, the largest displacement
@@ -147,6 +147,7 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
     mw = space.metric_weights()
     B, n = U.shape
     solve = _closed_form(spec, settings)
+    r = np.zeros(0, dtype=int)          # the coordinate rows of the near ties
     if solve is not None:
         quad = base_quadratic(spec)
         V = solve(np.asarray(quad.weights), np.asarray(quad.center), eps,
@@ -155,30 +156,22 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
         # row r = b n + j is problem b's coordinate j
         cols = np.arange(U.size) % n
         u, m = U.ravel(), mw[cols]
-        rows, x, values = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), u, m,
-                                   settings)
-        # one candidate per row comes only from the Newton route, in row
-        # order, chosen and untied
-        chosen = rows if rows.size == u.size else _select(rows, x, values, u, m)
-        V = x[chosen].reshape(B, n)
+        x, r, tie_x = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), u, m, settings)
+        V = x.reshape(B, n)
     diff = V - U
     reach = mw * diff * diff
     moved = np.sqrt(reach.sum(axis=1))
 
     tie_moved, near_tie = moved.copy(), np.zeros(B, dtype=bool)
-    tie_rows, tie_points = np.zeros(0, dtype=int), V[:0]
-    if solve is None and rows.size > u.size:
-        tie = _near_ties(rows, x, values, chosen, m, settings.local_tol)
-        if tie.size:
-            r = rows[tie]
-            tie_rows, tie_points = r // n, V[r // n]
-            tie_points[np.arange(tie.size), r % n] = x[tie]
-            # the farthest point of the product: each row at its farthest
-            off = x[tie] - u[r]
-            reach = reach.ravel()
-            np.maximum.at(reach, r, m[r] * off * off)
-            tie_moved = np.sqrt(reach.reshape(B, n).sum(axis=1))
-            near_tie[tie_rows] = True
+    tie_rows, tie_points = r // n, V[r // n]
+    if r.size:
+        tie_points[np.arange(r.size), r % n] = tie_x
+        # the farthest point of the product: each row at its farthest
+        off = tie_x - u[r]
+        reach = reach.ravel()
+        np.maximum.at(reach, r, m[r] * off * off)
+        tie_moved = np.sqrt(reach.reshape(B, n).sum(axis=1))
+        near_tie[tie_rows] = True
     return ProxBatch(minimizers=V, moved=moved, tie_moved=tie_moved, near_tie=near_tie,
                      tie_rows=tie_rows, tie_points=tie_points)
 
@@ -328,13 +321,12 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings):
     positive curvature floor (phi_j'' >= kappa_j with kappa_j + m / delta
     > 0) is strictly convex there and takes ``_newton_1d``; every other row
     takes ``_grid_zoom_1d``.  Each route sizes its rows' windows itself, by
-    ``_certified_window`` where the family has floors.
+    ``_certified_window`` where the family has floors, and every row also
+    weighs the stay-put guard v = u, which keeps the descent property.
 
-    Returns the candidates' rows, points and objective values.  Every row
-    also weighs the stay-put guard v = u, which keeps the descent property:
-    the grid route gives its candidates in the order it found them, then
-    the guard of each of its rows; the Newton route settles the guard
-    itself.
+    Returns ``(x, tie_rows, tie_x)``, as each route returns them: every
+    row's chosen point in row order, and the rows' near ties, row
+    ``tie_rows[t]`` at ``tie_x[t]``, grouped by row in candidate order.
     """
     kappa = curvature_floors(spec, eps)     # a family with these has floors too
     newton = (np.zeros(u.size, dtype=bool) if kappa is None
@@ -343,12 +335,16 @@ def _zoom_1d(spec, eps, cols, deltas, u, m, settings):
         return _newton_1d(spec, eps, cols, deltas, u, m, settings)
     if not newton.any():
         return _grid_zoom_1d(spec, eps, cols, deltas, u, m, settings)
-    # each route on its own rows
-    a, b = np.flatnonzero(newton), np.flatnonzero(~newton)
-    ra, *found_a = _newton_1d(spec, eps, cols[a], deltas[a], u[a], m[a], settings)
-    rb, *found_b = _grid_zoom_1d(spec, eps, cols[b], deltas[b], u[b], m[b], settings)
-    return (np.concatenate([a[ra], b[rb]]),
-            *(np.concatenate(parts) for parts in zip(found_a, found_b)))
+    # each route on its own rows; a row's ties all come from its one route
+    x, rows, ties = np.empty(u.size), [], []
+    for route, r in ((_newton_1d, np.flatnonzero(newton)),
+                     (_grid_zoom_1d, np.flatnonzero(~newton))):
+        x[r], tie_rows, tie_x = route(spec, eps, cols[r], deltas[r], u[r], m[r], settings)
+        rows.append(r[tie_rows])
+        ties.append(tie_x)
+    rows, ties = np.concatenate(rows), np.concatenate(ties)
+    order = np.argsort(rows, kind="stable")
+    return x, rows[order], ties[order]
 
 
 def _window_error(u, delta, radius):
@@ -443,9 +439,8 @@ def _newton_row(member, u, delta, m, iterations, local_tol):
 
     The row then weighs the stay-put guard v = u, which keeps the descent
     property, and chooses the one of the minimizer and the guard that
-    ``_precedes`` the other.  Returns the chosen point, its objective value
-    (as ``_objective`` values it), and the other one's (point, value) where
-    ``_guard_ties``, else None.
+    ``_precedes`` the other.  Returns the chosen point, and the other one
+    where ``_guard_ties``, else None.
     """
     phi, derivatives, floor = member
     try:
@@ -472,8 +467,8 @@ def _newton_row(member, u, delta, m, iterations, local_tol):
     tie = _guard_ties(value_x, value_u, diff, m, local_tol, math.sqrt)
     if value_x < value_u or _precedes((value_x, m * (diff * diff), x),
                                       (value_u, 0.0, u)):   # common case inline
-        return x, value_x, (u, value_u) if tie else None
-    return u, value_u, (x, value_x) if tie else None
+        return x, u if tie else None
+    return u, x if tie else None
 
 
 def _newton_1d(spec, eps, cols, deltas, u, m, settings):
@@ -486,11 +481,10 @@ def _newton_1d(spec, eps, cols, deltas, u, m, settings):
     not finite, else ``BudgetExhaustedError`` for a row still moving after
     ``max_iters`` iterates.  A row chooses between its minimizer and its
     guard by their values and, where these neither differ nor order, by
-    ``_precedes``; the other one stays as a second candidate where
-    ``_guard_ties``.  That is what ``_select`` and ``_near_ties`` make of
-    the two.  Returns the candidates' rows, points and objective values:
-    each row's chosen candidate in row order, then the other candidates of
-    the rows that keep two.
+    ``_precedes``, and keeps the other one as its near tie where
+    ``_guard_ties``.  Returns ``(x, tie_rows, tie_x)`` as ``_zoom_1d``
+    states it: each row's choice, and the other one of the rows that keep
+    it.
     """
     # nan and inf as the float kernel meets them; a failing row is reported
     # below, and the values of the others do not depend on it
@@ -536,27 +530,22 @@ def _newton_1d(spec, eps, cols, deltas, u, m, settings):
         d = diff[r].item()
         stay[r] = not _precedes((value_x[r].item(), m[r].item() * (d * d), x[r].item()),
                                 (value_u[r].item(), 0.0, u[r].item()))
-    points = np.where(stay, u, x)
-    values = np.where(stay, value_u, value_x)
-    rows = np.arange(u.size)
-    if tie.any():                   # the chosen candidate first, the other second
-        t = np.flatnonzero(tie)
-        return (np.concatenate([rows, t]),
-                np.concatenate([points, np.where(stay, x, u)[t]]),
-                np.concatenate([values, np.where(stay, value_x, value_u)[t]]))
-    return rows, points, values
+    t = np.flatnonzero(tie)
+    return np.where(stay, u, x), t, np.where(stay, x, u)[t]
 
 
 def _grid_zoom_1d(spec, eps, cols, deltas, u, m, settings):
-    """``_grid_zoom_rows`` on each chunk of ``_GRID_CHUNK`` rows in turn.
-    Returns the candidates' rows, points and objective values, chunk by
-    chunk."""
+    """``_grid_zoom_rows`` on each chunk of ``_GRID_CHUNK`` rows in turn,
+    whose candidates ``_select`` and ``_near_ties`` rank row by row.
+    Returns ``(x, tie_rows, tie_x)`` as ``_zoom_1d`` states it."""
     parts = []
     for s in range(0, u.size, _GRID_CHUNK):
         chunk = slice(s, s + _GRID_CHUNK)
-        rows, *found = _grid_zoom_rows(spec, eps, cols[chunk], deltas[chunk], u[chunk],
-                                       m[chunk], settings)
-        parts.append((rows + s, *found))
+        rows, x, values = _grid_zoom_rows(spec, eps, cols[chunk], deltas[chunk], u[chunk],
+                                          m[chunk], settings)
+        chosen = _select(rows, x, values, u[chunk], m[chunk])
+        tie = _near_ties(rows, x, values, chosen, m[chunk], settings.local_tol)
+        parts.append((x[chosen], rows[tie] + s, x[tie]))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -573,8 +562,8 @@ def _grid_zoom_rows(spec, eps, cols, deltas, u, m, settings):
     becomes a candidate once it has shrunk to round-off width or, after
     the first round, once its grid values spread by at most ``local_tol``.
     ``settings.max_iters`` bounds the grid points evaluated for each row.
-    Returns the candidates' rows, points and objective values, in the
-    order they were found, then the guards.
+    Returns the candidates' rows, points and objective values (by
+    ``_objective``), in the order they were found, then the guards.
     """
     floor = energy_floors(spec, eps)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below

@@ -150,10 +150,15 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
     n0 = int(math.floor(horizon / tau0 + 1e-9))
     grid = np.arange(n0 + 1) * tau0
 
+    def on_grid(traj):
+        # the last node n0 tau0 may pass a level's final time n tau by
+        # round-off or by the 1e-9 slack of n0: it stands for that time
+        return piecewise_constant_many(traj, np.minimum(grid, traj.final_time))
+
     sups = [
         math.inf if a.trajectory is None or b.trajectory is None
-        else float(distances(spec.domain, piecewise_constant_many(a.trajectory, grid),
-                             piecewise_constant_many(b.trajectory, grid)).max())
+        else float(distances(spec.domain, on_grid(a.trajectory),
+                             on_grid(b.trajectory)).max())
         for a, b in zip(results, results[1:])
     ]
     cauchy = bool(

@@ -141,6 +141,21 @@ def budget_error(out, proc):
     assert not out.exists()
 
 
+# tau_of_eps at eps = 0.2 and 2^-7: the common time grid steps by tau_0 =
+# 0.04000000000000001, so its last node 25 tau_0 = 1.0000000000000002 passes
+# the finest level's final time 2^14 * 2^-14 = 1.0 by an ulp
+GRID_END_SWEEP = {"coupling": {"form": "tau_of_eps", "lam": 1.0, "alpha": 2.0},
+                  "levels": [0.2, 0.0078125],
+                  "params": {"horizon_T": 1.0, "initial_point": [0.5]}}
+
+
+def sweep_past_final_time(out, proc):
+    doc = report(out, "sweep_report.json")
+    assert [lv["status"] for lv in doc["levels"]] == ["ok", "ok"]
+    assert doc["time_grid"][-1] == 1.0000000000000002
+    assert doc["levels"][1]["n_steps"] * 2.0 ** -14 == 1.0
+
+
 def closed_form_dissipation(out, proc):
     doc = report(out, "check_dissipation.json")
     assert doc["passed"] is True and doc["report"]["n_pairs"] == 20100
@@ -186,6 +201,12 @@ RUNS = {
     "smoke_budget": (run_config(WIGGLY, **{**PINNING, "horizon_T": 0.1},
                                 prox_settings={"max_iters": 1}),
                      [], 2, budget_error),
+    "smoke_sweep_grid_end": ({"space": LINE, "energy": QUAD,
+                              "command": {"sweep": GRID_END_SWEEP}},
+                             ["--quiet"], 0, sweep_past_final_time),
+    "smoke_maximal_slope_grid_end": (check_config(QUAD, type="maximal_slope",
+                                                  **GRID_END_SWEEP),
+                                     ["--quiet"], 0, min_slack_reported),
     "smoke_closed_dissipation": (check_config(
         {"kind": "convex_perturbed", "base": QUAD_2D}, WEIGHTED_PLANE, type="dissipation",
         run={"eps": 0.1, "tau": 0.005, "horizon_T": 1.0, "initial_point": [1.0, -0.5]}),

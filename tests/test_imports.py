@@ -2,8 +2,8 @@
 sympy; the package needs numpy alone.  ``run`` and ``check
 dissipation|apriori`` load neither the sweep layer nor the slope layer,
 which only the commands that call them import.  And no module imports a
-name that it never uses, and the package defines no function or class
-that none of its modules reads.
+name that it never uses, and the package defines no function, class or
+top-level constant that none of its modules reads.
 
 Each footprint case runs in a fresh interpreter, because the test process
 itself has long since imported both.  Nothing here measures time.
@@ -92,8 +92,9 @@ CUSTOM_RUN = {
 
 RUN_ARTIFACTS = ("trajectory.csv", "interpolant.csv", "dissipation.json")
 # (subcommand, config, artifacts) of CLI cases that must exit 0 without scipy
-# or sympy: the multistart nD prox under a maximal-slope check on a weighted
-# plane, a 2D wiggly run and a custom expression with exp
+# or sympy: the numeric 2D prox, coordinate row by coordinate row, under a
+# maximal-slope check on a weighted plane, a 2D wiggly run and a custom
+# expression with exp
 WITHOUT_HEAVY = {
     "nd_check": ("check", {
         "space": {"dimension": 2, "metric_kind": "diagonal_weighted",
@@ -210,21 +211,35 @@ def test_no_module_imports_an_unused_name():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-# Defined in the package for a caller that is still to come, not yet read.
+# Defined in the package for a reader outside it, or for a caller that is
+# still to come, and not read inside it.
 UNREAD_ALLOWED = {
     # ROADMAP item 7 certifies well-posedness before step 0
     "certify_well_posedness",
+    # the installed package's version, for its users
+    "__version__",
 }
 
 
+def top_level_names(node):
+    """The names that a statement of a module's body defines: a function's
+    or class's name, or the names that an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name)]
+
+
 def test_every_function_and_class_is_read():
-    # a read is a load of the name, an attribute of that name or an import
-    # of it
+    # and every top-level constant or table; a read is a load of the name,
+    # an attribute of that name or an import of it
     defined, read = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update((node.name, path.name) for node in tree.body
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        defined.update((name, path.name) for node in tree.body
+                       for name in top_level_names(node))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from maxslope.energy import (
     convex_perturbed,
     coordinate_values,
+    curvature_floors,
     custom_smooth,
     eval_many,
     quadratic,
@@ -18,8 +19,9 @@ from maxslope.metric import SpaceDescriptor, distances
 from maxslope.prox import (
     MULTISTART_NUMERIC,
     ProxSettings,
+    _grid_zoom_rows,
+    _newton_1d,
     _select,
-    _zoom_1d,
     prox_batch,
 )
 
@@ -158,12 +160,22 @@ class TestNumericSearch:
         batch = prox_batch(spec, eps, deltas, U, settings)
         # the B n coordinate rows: row r = n b + j is problem b's coordinate j
         cols = np.arange(B * n) % n
-        u, m = U.ravel(), mw[cols]
-        r, x, v = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), u, m, settings)
+        d, u, m = np.repeat(deltas, n), U.ravel(), mw[cols]
+        kappa = curvature_floors(spec, eps)
+        newton = np.zeros(B * n, dtype=bool) if kappa is None else kappa[cols] + m / d > 0
+        a, g = np.flatnonzero(newton), np.flatnonzero(~newton)
+        # the candidates of a Newton row: its minimizer and its guard v = u,
+        # one of them its choice and the other its near tie if it keeps one;
+        # of a grid row: those that the grid zoom ranks, with their values
+        x_a, tie_a, tie_x = (_newton_1d(spec, eps, cols[a], d[a], u[a], m[a], settings)
+                             if a.size else (u[a], a, u[a]))
+        r_g, x_g, v_g = _grid_zoom_rows(spec, eps, cols[g], d[g], u[g], m[g], settings)
+        r = np.concatenate([a, a[tie_a], a, g[r_g]])
+        x = np.concatenate([x_a, tie_x, u[a], x_g])
         b, j = r // n, cols[r]
         off = x - u[r]
-        assert np.array_equal(v, coordinate_values(spec, eps, j, x)
-                              + m[r] * off * off / (2.0 * deltas[b]))
+        v = coordinate_values(spec, eps, j, x) + m[r] * off * off / (2.0 * d[r])
+        assert np.array_equal(v_g, v[r.size - r_g.size:])
         chosen = _select(r, x, v, u, m)
         assert x[chosen].tobytes() == batch.minimizers.tobytes()
         for row in range(B * n):

@@ -34,9 +34,10 @@ from maxslope.prox import (
     MULTISTART_NUMERIC,
     _GRID_STARTS,
     ProxSettings,
+    _grid_zoom_1d,
     _lowest_minimum,
     _members,
-    _near_ties,
+    _newton_1d,
     _newton_row,
     _precedes,
     _select,
@@ -385,12 +386,11 @@ def coordinate_member(spec, j):
 
 def reference_separable(spec, eps, deltas, U, prox_settings):
     """The nD numeric resolvent as a loop over coordinates: coordinate j's
-    B rows searched on their own as a 1D energy, then ``prox_batch``'s
-    selection and near-tie rules on each row's own candidates.  A problem's
-    minimizer is its rows' choices, its tie points are the minimizer with
-    one coordinate swapped to one of that row's ties, and its tie
-    displacement is that of the farthest point of the product of its rows'
-    {choice, ties}.
+    B rows searched on their own as a 1D energy, each row settled by its
+    route.  A problem's minimizer is its rows' choices, its tie points are
+    the minimizer with one coordinate swapped to one of that row's ties,
+    and its tie displacement is that of the farthest point of the product
+    of its rows' {choice, ties}.
 
     Returns the minimizers, their distances from U, near-tie flags, tie
     rows, tie points and tie displacements; the one search over all B n
@@ -401,16 +401,14 @@ def reference_separable(spec, eps, deltas, U, prox_settings):
     V, reach, ties = np.empty((B, n)), np.empty((B, n)), []
     for j in range(n):
         u, m = U[:, j], np.full(B, mw[j])
-        r, x, v = _zoom_1d(coordinate_member(spec, j), eps, np.zeros(B, dtype=int),
-                           deltas, u, m, prox_settings)
-        chosen = _select(r, x, v, u, m)
-        V[:, j] = x[chosen]
-        off = x[chosen] - u
+        x, tie_rows, tie_x = _zoom_1d(coordinate_member(spec, j), eps,
+                                      np.zeros(B, dtype=int), deltas, u, m, prox_settings)
+        V[:, j] = x
+        off = x - u
         reach[:, j] = m * off * off
-        for t in _near_ties(r, x, v, chosen, m, prox_settings.local_tol).tolist():
-            b = r[t]
-            ties.append((b, j, x[t]))
-            off = x[t] - u[b]
+        for b, point in zip(tie_rows, tie_x):
+            ties.append((b, j, point))
+            off = point - u[b]
             reach[b, j] = max(reach[b, j], m[b] * off * off)
     ties.sort(key=lambda tie: tie[:2])      # stable: candidate order within a row
     tie_rows = np.array([b for b, _, _ in ties], dtype=int)
@@ -504,6 +502,38 @@ class TestAgainstCoordinateLoop:
             assert list(batch.tie_rows) == ties
             assert np.array_equal(batch.tie_moved, batch.moved)
 
+    def test_both_routes_tie_in_one_batch(self):
+        # Curvature floor 1e-8 - 1e-6 on both rows: row 0 (delta 3e5) takes
+        # the Newton route and row 1 (delta 1e7) the grid route, and each
+        # keeps its guard v = u as a near tie, so the search merges the ties
+        # of both routes.
+        spec = wiggly(quadratic(LINE, [1e-8], [0.1]), amplitude_scale=1e-6)
+        deltas, U = np.array([3e5, 1e7]), np.array([[0.0], [3.14159]])
+        decided = {}
+
+        def traced(name, route):
+            def call(*args):
+                decided[name] = route(*args)
+                return decided[name]
+            return call
+        with mock.patch("maxslope.prox._newton_1d",
+                        side_effect=traced("newton", _newton_1d)), \
+                mock.patch("maxslope.prox._grid_zoom_1d",
+                           side_effect=traced("grid", _grid_zoom_1d)):
+            batch = prox_batch(spec, 1.0, deltas, U, NUMERIC)
+        # each route's one row keeps a tie
+        assert [decided[name][1].tolist() for name in ("newton", "grid")] == [[0], [0]]
+        self.assert_matches_loop(spec, 1.0, deltas, U)
+        hexes = [list(map(float.hex, a.ravel().tolist())) for a in (
+            batch.minimizers, batch.moved, batch.tie_points, batch.tie_moved)]
+        assert hexes == [["0x1.bf78d31edf414p-12", "0x1.8e9d41dfe2b39p+1"],
+                         ["0x1.bf78d31edf414p-12", "0x1.c12e90ead9a80p-6"],
+                         ["0x0.0p+0", "0x1.921f9f01b866ep+1"],
+                         ["0x1.bf78d31edf414p-12", "0x1.c12e90ead9a80p-6"]]
+        assert list(batch.tie_rows) == [0, 1]
+        assert list(batch.near_tie) == [True, True]
+
+
 class TestNewtonRoute:
     """Rows whose objective the curvature floor certifies strictly convex:
     w + m / delta > 0 for a quadratic, w + m / delta - a / eps > 0 for wiggly."""
@@ -568,14 +598,17 @@ class TestNewtonRoute:
         assert_row_matches_scalar(batch, 0, spec, 1.0, delta, [u], NUMERIC)
 
     def test_pinned_steps_skip_the_selection(self):
-        # The pinning run's B = 1 steps sit in wells, where the Newton
-        # minimizer and the guard v = u are within local_tol of each other
-        # but no near tie: the kernel hands prox_batch one candidate.
+        # The pinning run's steps and its interpolant's nodes are all on
+        # the Newton route, which settles each row itself, so nothing ranks
+        # candidates, even where the minimizer and the guard v = u are
+        # within local_tol of each other.
         spec, eps, _, _ = FAMILIES["wiggly"]
         with mock.patch("maxslope.prox._select", wraps=_select) as select:
             traj = run_scheme(spec, SchemeParams(eps=eps, tau=eps ** 2, horizon_T=1.0,
                                                  initial_point=pt(0.5)))
+            interp = build_interpolant(spec, traj, DEFAULTS)
         assert traj.n_steps == 400
+        assert interp.values.shape[:2] == (400, 8)
         assert select.call_count == 0
 
 
@@ -676,8 +709,8 @@ class TestNewtonStepper:
     def test_9d_pinning_run_stays_on_floats(self, weighted):
         # The 9D wiggly runs of the smoke cases: each coordinate settles in
         # its wells, where its guard is within local_tol of its minimizer
-        # but no near tie, so every scheme step runs on floats and each
-        # coordinate row of the interpolant's search keeps one candidate.
+        # but no near tie, so every scheme step runs on floats and the
+        # interpolant's search finds no near tie.
         metric = [1.0 + 0.5 * j for j in range(9)] if weighted else [1.0] * 9
         spec = wiggly(quadratic(
             SpaceDescriptor(9, metric_kind="diagonal_weighted", weights=metric),
@@ -693,12 +726,12 @@ class TestNewtonStepper:
 
         def search(*args):
             found = _zoom_1d(*args)
-            searched.append((found[0].size, args[4].size))     # candidates, rows
+            searched.append((found[1].size, args[4].size))     # near ties, rows
             return found
         with mock.patch("maxslope.prox._zoom_1d", side_effect=search):
             build_interpolant(spec, traj, params.prox_settings)
         assert sum(rows for _, rows in searched) == 200 * 8 * 9
-        assert all(found == rows for found, rows in searched)
+        assert all(ties == 0 for ties, _ in searched)
 
     def test_closed_form_minimizers_on_the_kink(self):
         # eps |x| pins both coordinates at 0 from u on the kink and from u
@@ -768,21 +801,22 @@ class TestArraySweep:
 
     @staticmethod
     def kernel_rows(spec, eps, deltas, U, prox_settings):
-        """The candidates of ``_newton_1d``'s layout, by ``_newton_row``
-        one coordinate row at a time: each row's chosen one, then the
-        others of the rows that keep two."""
+        """``_newton_1d``'s decisions, by ``_newton_row`` one coordinate row
+        at a time: each row's choice, and the rows and points of the near
+        ties of the rows that keep one."""
         B, n = U.shape
         m = spec.domain.metric_weights().tolist()
         members, budget = _members(spec, eps), range(prox_settings.max_iters)
-        first, others = [], []
+        chosen, tie_rows, tie_x = [], [], []
         for b in range(B):
             for j in range(n):
-                x, value, tie = _newton_row(members[j], float(U[b, j]), float(deltas[b]),
-                                            m[j], budget, prox_settings.local_tol)
-                first.append((b * n + j, x, value))
+                x, tie = _newton_row(members[j], float(U[b, j]), float(deltas[b]),
+                                     m[j], budget, prox_settings.local_tol)
+                chosen.append(x)
                 if tie is not None:
-                    others.append((b * n + j, *tie))
-        return first + others
+                    tie_rows.append(b * n + j)
+                    tie_x.append(tie)
+        return chosen, tie_rows, tie_x
 
     @staticmethod
     def pinned(spec, eps, delta, u, j):
@@ -841,15 +875,14 @@ class TestArraySweep:
             found = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
                              NUMERIC)
             batch = prox_batch(spec, eps, deltas, U, NUMERIC)
-        # rows, points and values
-        expected = [list(column) for column in
-                    zip(*self.kernel_rows(spec, eps, deltas, U, NUMERIC))]
-        assert found[0].tolist() == expected[0]
-        for got, want in zip(found[1:], expected[1:]):
-            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
-        # prox_batch takes each row's chosen candidate
-        assert list(map(float.hex, batch.minimizers.ravel().tolist())) == [
-            float.hex(x) for x in expected[1][:B * n]]
+        # the choices and the near ties
+        chosen, tie_rows, tie_x = self.kernel_rows(spec, eps, deltas, U, NUMERIC)
+        assert list(map(float.hex, found[0].tolist())) == list(map(float.hex, chosen))
+        assert found[1].tolist() == tie_rows
+        assert list(map(float.hex, found[2].tolist())) == list(map(float.hex, tie_x))
+        # prox_batch takes each row's choice
+        assert list(map(float.hex, batch.minimizers.ravel().tolist())) == list(
+            map(float.hex, chosen))
 
     @pytest.mark.parametrize("window_first", [True, False])
     def test_first_failing_row_raises(self, window_first):

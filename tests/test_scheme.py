@@ -92,8 +92,9 @@ class TestRunScheme:
 WEIGHTED_PLANE = SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.0, 1.0))
 WEIGHTED_9D = SpaceDescriptor(9, metric_kind="diagonal_weighted",
                               weights=(0.25, 1.0, 4.0) * 3)
-# (spec, params) of runs over every prox path: the closed form, the grid, and
-# the Newton stepper with and without prox_batch steps between its own
+# (spec, params) of runs over every prox path: the closed form
+# (weighted_2d_convex_perturbed), the grid route, every step through
+# prox_batch (custom_smooth), and the Newton stepper on floats (the others)
 RUNS = {
     "wiggly_1d": (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])), SchemeParams(
         eps=0.05, tau=0.0025, horizon_T=0.25, initial_point=pt(0.5))),
@@ -118,7 +119,7 @@ RUNS = {
         initial_point=pt(0.5, -0.1, 0.2, 0.7, -0.6, 0.3, 0.05, -0.9, 0.35),
         prox_settings=ProxSettings(mode=MULTISTART_NUMERIC))),
     # coordinate 1 starts at its centre and stays there: its guard is its
-    # minimizer, at distance 0, so no step needs prox_batch's ranking
+    # minimizer, at distance 0, which the Newton row settles by _precedes
     "centred_3d": (quadratic(SpaceDescriptor(3, metric_kind="diagonal_weighted",
                                              weights=(4.0, 1.0, 2.0)),
                              [1.0, 2.0, 4.0], [0.3, -0.2, 0.1]), SchemeParams(
