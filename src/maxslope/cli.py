@@ -1,16 +1,18 @@
 """Command-line entry point: ``maxslope run|sweep|check --config PATH``.
 
-Exit codes: 0 success (for ``check``: the check passed), 1 config error,
-2 solver failure, 3 check ran and failed.  All artifacts are written with
-stable key order and round-trip float formatting so that identical
-configs produce byte-identical files.  The handlers that call ``regimes``
-or ``slope`` import them, so that a cold ``run`` or ``check
-dissipation|apriori`` process never loads them.
+Exit codes: 0 success (for ``check``: the check passed) or ``--help``;
+1 config error or command-line usage error (argparse's ``usage:`` line and
+message go to stderr); 2 solver failure; 3 check ran and failed.  All
+artifacts are written with stable key order and round-trip float
+formatting so that identical configs produce byte-identical files.  The
+handlers that call ``regimes`` or ``slope`` import them, so that a cold
+``run`` or ``check dissipation|apriori`` process never loads them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -195,22 +197,36 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a usage error exiting EXIT_CONFIG: bad input
+    from outside the program, like a bad config."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One flat parser: the subcommand is the first positional."""
+    parser = _Parser(
         prog="maxslope",
         description="Minimizing-movement laboratory: schemes, sweeps and checks.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("run", "sweep", "check"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--quiet", action="store_true")
+    parser.add_argument("subcommand", choices=("run", "sweep", "check"),
+                        help="the command that the config declares")
+    parser.add_argument("--config", required=True, help="JSON experiment config")
+    parser.add_argument("--out", default=None, help="override output directory")
+    parser.add_argument("--quiet", action="store_true",
+                        help="print no summary line")
     return parser
 
 
+# built by the first main call, not at import, and reused by later calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
         if cfg.command != args.subcommand:

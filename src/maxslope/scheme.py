@@ -14,6 +14,7 @@ along the interpolant.  The quadrature of g^2 over those nodes lives in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -219,6 +220,58 @@ class VariationalInterpolant(NamedTuple):
     g_values: np.ndarray         # (N, K)
 
 
+@functools.cache
+def gauss_legendre(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the K-point Gauss-Legendre rule on [-1, 1], as
+    read-only arrays, built once per K.
+
+    The steps, and so the bits, are those of numpy's
+    ``numpy.polynomial.legendre.leggauss``, on ``numpy.linalg`` alone, so
+    that no command imports ``numpy.polynomial``: the eigenvalues of P_K's
+    symmetric companion matrix, one Newton step by Clenshaw sums, then the
+    weights 1 / (P_{K-1} P_K') scaled to sum to 2, with nodes and weights
+    symmetrised about 0.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    scl = 1.0 / np.sqrt(2 * np.arange(K) + 1)
+    companion = np.zeros((K, K))
+    off = np.arange(1, K) * scl[:K - 1] * scl[1:K]
+    companion.reshape(-1)[1::K + 1] = off
+    companion.reshape(-1)[K::K + 1] = off
+    x = np.linalg.eigvalsh(companion)
+    # Legendre coefficients of P_K and of P_K' = sum of (2k + 1) P_k over
+    # k = K - 1, K - 3, ... (the same floats as numpy's legder)
+    p_k = [0.0] * K + [1.0]
+    dp_k = [2.0 * k + 1.0 if (K - 1 - k) % 2 == 0 else 0.0 for k in range(K)]
+    df = _legendre_sum(x, dp_k)
+    x -= _legendre_sum(x, p_k) / df
+    fm = _legendre_sum(x, p_k[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _legendre_sum(x: np.ndarray, c: list) -> np.ndarray:
+    """sum_k c[k] P_k(x), by Clenshaw's recurrence in the order of numpy's
+    ``legval``."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    else:
+        c0, c1 = c[-2], c[-1]
+        nd = len(c)
+        for i in range(3, len(c) + 1):
+            nd -= 1
+            c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
                       prox_settings: ProxSettings,
                       nodes_per_step: int = SchemeParams.quadrature_nodes_per_step
@@ -232,7 +285,7 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
     from q, from one pattern starting at p.
     """
     K = nodes_per_step
-    nodes, gl_weights = np.polynomial.legendre.leggauss(K)
+    nodes, gl_weights = gauss_legendre(K)
     deltas = 0.5 * traj.tau * (nodes + 1.0)          # in (0, tau)
     weights = 0.5 * traj.tau * gl_weights
     n = traj.space.dimension

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxslope
+from maxslope import cli
 from maxslope.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -108,12 +110,16 @@ def run_cli(tmp_path, doc, *extra, timeout=60):
         cfg.write_text(doc)
     else:
         cfg, command = write_config(tmp_path, doc), next(iter(doc["command"]))
+    return cli_process(command, "--config", str(cfg), *extra, timeout=timeout)
+
+
+def cli_process(*argv, timeout=60):
+    """``python -m maxslope.cli`` with ``argv``, in a fresh process."""
     src = str(Path(maxslope.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run(
-        [sys.executable, "-m", "maxslope.cli", command, "--config", str(cfg), *extra],
-        capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, "-m", "maxslope.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def set_field(doc, path, value):
@@ -578,6 +584,41 @@ class TestRunCommand:
         main(["run", "--config", cfg, "--out", str(out_b), "--quiet"])
         for name in ("trajectory.csv", "interpolant.csv", "dissipation.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [(), ("run",), ("bogus", "--config", "x.json")],
+                             ids=["no_arguments", "run_without_config", "bogus"])
+    def test_usage_error_exits_1(self, argv):
+        # bad input from outside the program, like a bad config: 2 is the
+        # solver's code
+        proc = cli_process(*argv)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("usage:")
+        assert "Traceback" not in proc.stderr
+
+    def test_help_exits_0_and_names_the_commands(self):
+        proc = cli_process("--help")
+        assert proc.returncode == EXIT_OK
+        for command in ("run", "sweep", "check"):
+            assert command in proc.stdout
+
+    def test_reused_parser_keeps_no_option(self, tmp_path, capsys, monkeypatch):
+        # two calls in one process: the parser that the first builds serves
+        # the second, which must see neither its --out nor a missing --quiet
+        built = []
+        monkeypatch.setattr(cli, "_parser", functools.cache(
+            lambda: built.append(1) or cli.build_parser()))
+        cfg = write_config(tmp_path, quad_run_config(tmp_path / "configured"))
+        elsewhere = tmp_path / "elsewhere"
+        assert main(["run", "--config", cfg, "--out", str(elsewhere)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("run: ")
+        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "configured" / "trajectory.csv").is_file()
+        assert sorted(p.name for p in elsewhere.iterdir()) == [
+            "dissipation.json", "interpolant.csv", "trajectory.csv"]
+        assert built == [1]
 
 
 class TestSweepCommand:

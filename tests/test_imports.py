@@ -1,9 +1,10 @@
 """The import footprint is part of the contract: no path loads scipy or
 sympy; the package needs numpy alone.  ``run`` and ``check
 dissipation|apriori`` load neither the sweep layer nor the slope layer,
-which only the commands that call them import.  And no module imports a
-name that it never uses, and the package defines no function, class or
-top-level constant that none of its modules reads.
+which only the commands that call them import.  No command loads
+``numpy.polynomial``.  And no module imports a name that it never uses,
+and the package defines no function, class or top-level constant that
+none of its modules reads.
 
 Each footprint case runs in a fresh interpreter, because the test process
 itself has long since imported both.  Nothing here measures time.
@@ -184,13 +185,23 @@ def test_run_and_trajectory_checks_load_neither_sweep_nor_slope(calls, tmp_path)
     assert modules_after(cli_calls(tmp_path, *calls), ON_DEMAND) == []
 
 
+WIGGLY_SWEEP = {**WIGGLY_RUN, "command": {"sweep": {
+    "coupling": {"form": "tau_of_eps", "lam": 1.0, "alpha": 2.0},
+    "levels": [0.1, 0.05],
+    "params": {"horizon_T": 0.05, "initial_point": [0.5]}}}}
+
+
 def test_sweep_loads_sweep_and_slope(tmp_path):
-    sweep = {**WIGGLY_RUN, "command": {"sweep": {
-        "coupling": {"form": "tau_of_eps", "lam": 1.0, "alpha": 2.0},
-        "levels": [0.1, 0.05],
-        "params": {"horizon_T": 0.05, "initial_point": [0.5]}}}}
-    code = cli_calls(tmp_path, ("sweep", sweep))
+    code = cli_calls(tmp_path, ("sweep", WIGGLY_SWEEP))
     assert modules_after(code, ON_DEMAND) == list(ON_DEMAND)
+
+
+def test_no_command_loads_numpy_polynomial(tmp_path):
+    # scheme.gauss_legendre builds the interpolant's Gauss rule itself
+    code = cli_calls(tmp_path, ("run", WIGGLY_RUN), ("sweep", WIGGLY_SWEEP),
+                     ("check", WEIGHTED_2D_DISSIPATION), WITHOUT_HEAVY["nd_check"][:2],
+                     ("run", CUSTOM_RUN))
+    assert modules_after(code, ("numpy.polynomial",)) == []
 
 
 def unused_imports(path):

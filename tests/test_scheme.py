@@ -17,6 +17,7 @@ from maxslope.scheme import (
     SchemeParams,
     SchemeStepError,
     build_interpolant,
+    gauss_legendre,
     interpolant_to_csv,
     piecewise_constant_many,
     run_scheme,
@@ -349,6 +350,29 @@ class TestVelocityAndInterpolant:
         for v, g in zip(interp.values.reshape(-1, 1), interp.g_values.ravel()):
             slope = estimate_slope(wiggly_1d, 0.2, v)
             assert g >= slope - 1e-3
+
+
+class TestGaussLegendre:
+    def test_is_numpys_rule_bit_for_bit(self):
+        # numpy.polynomial is the independent oracle; no command imports it
+        for K in range(1, 129):
+            nodes, weights = gauss_legendre(K)
+            want_nodes, want_weights = np.polynomial.legendre.leggauss(K)
+            assert nodes.tobytes() == want_nodes.tobytes(), K
+            assert weights.tobytes() == want_weights.tobytes(), K
+
+    def test_arrays_are_read_only(self):
+        for arr in gauss_legendre(8):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_second_call_returns_the_cached_arrays(self):
+        first, second = gauss_legendre(5), gauss_legendre(5)
+        assert first[0] is second[0] and first[1] is second[1]
+
+    def test_needs_a_node(self):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            gauss_legendre(0)
 
 
 class TestBuildInterpolant:
