@@ -4,17 +4,41 @@ Exit codes: 0 success (for ``check``: the check passed) or ``--help``;
 1 config error or command-line usage error (argparse's ``usage:`` line and
 message go to stderr); 2 solver failure; 3 check ran and failed.  All
 artifacts are written with stable key order and round-trip float
-formatting so that identical configs produce byte-identical files.  The
-handlers that call ``regimes`` or ``slope`` import them, so that a cold
-``run`` or ``check dissipation|apriori`` process never loads them.
+formatting so that identical configs produce byte-identical files.
+
+A cold process pays only for what its command runs.  Imported before
+numpy, this module asks numpy's OpenBLAS for one thread (below; a set
+``OPENBLAS_NUM_THREADS`` overrides it).  The handlers that call
+``regimes`` or ``slope`` import them, so that a cold ``run`` or ``check
+dissipation|apriori`` process never loads them, and the expression
+compiler (``maxslope.expression``) and the prox's grid route
+(``maxslope.grid``) load only for a ``custom_smooth`` energy and for a
+coordinate row that takes the grid route.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a worker thread at import, which spins for the
+# life of the process; the package's BLAS calls (an 8x8 eigvalsh, stacked
+# (1, n) @ (n, 1) and the interpolant's (N, K) @ (K,) products) are too
+# small to use it.  A cold command process therefore asks for one thread
+# before numpy loads.  CPU time of a cold `python -m maxslope.cli` on the
+# perfbench workloads at seed 0, two threads -> one (medians of 20 shuffled
+# runs each; 2-core VM, Python 3.11.7, numpy 2.4.6): dissipation_check
+# 382 -> 247 ms, pinning_run 400 -> 272 ms, numeric_2d_check 394 -> 259 ms,
+# at the same wall time.  A user's own OPENBLAS_NUM_THREADS wins, and a
+# process that imported numpy first (library use, tests, a benchmark
+# harness) is left as it is, so the processes it starts do not inherit
+# the setting.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import functools
 import json
-import sys
 from pathlib import Path
 
 import numpy as np

@@ -5,7 +5,8 @@ The built-in zoo:
 * ``quadratic``          0.5 * sum_i w_i (x_i - b_i)^2
 * ``wiggly``             base(x) + a * eps * sum_i cos(x_i / eps)
 * ``convex_perturbed``   base(x) + eps * sum_i |x_i|
-* ``custom_smooth``      a 1D expression in ``x`` and ``eps``
+* ``custom_smooth``      a 1D expression in ``x`` and ``eps``, compiled by
+                         ``maxslope.expression``, which loads only for it
 
 Each energy is a sum over coordinates of 1D members phi_j, and each
 built-in family defines its member once (see Members below).  Every
@@ -22,11 +23,8 @@ None where a kind has none.
 
 from __future__ import annotations
 
-import ast
-import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +32,6 @@ import numpy as np
 from .errors import (
     CapabilityAbsentError,
     CertificateFailure,
-    ConfigError,
     DimensionMismatchError,
     EvaluationError,
 )
@@ -46,24 +43,29 @@ CONVEX_PERTURBED = "convex_perturbed"
 CUSTOM_SMOOTH = "custom_smooth"
 
 
-@dataclass(frozen=True)
-class EnergySpec:
-    """One member of the energy zoo, tied to its ambient space.
+class _EnergyFields(NamedTuple):
+    kind: str
+    domain: SpaceDescriptor
+    weights: tuple[float, ...] | None = None      # quadratic
+    center: tuple[float, ...] | None = None       # quadratic
+    base: EnergySpec | None = None                # wiggly / convex_perturbed
+    amplitude_scale: float = 1.0                  # wiggly
+    expression: str | None = None                 # custom_smooth
+
+
+class EnergySpec(_EnergyFields):
+    """One member of the energy zoo, tied to its ambient space, checked on
+    every construction.
 
     Only the fields relevant to ``kind`` are populated; use the factory
     functions below, as ``config`` does for a config's energy object,
     instead of constructing directly.
     """
 
-    kind: str
-    domain: SpaceDescriptor
-    weights: tuple[float, ...] | None = None      # quadratic
-    center: tuple[float, ...] | None = None       # quadratic
-    base: "EnergySpec | None" = None              # wiggly / convex_perturbed
-    amplitude_scale: float = 1.0                  # wiggly
-    expression: str | None = None                 # custom_smooth
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind == QUADRATIC:
             if self.weights is None or self.center is None:
                 raise ValueError("quadratic energy requires weights and center")
@@ -75,9 +77,8 @@ class EnergySpec:
             c = as_floats(self.center, "quadratic center")
             if len(c) != self.domain.dimension:
                 raise ValueError("quadratic center length must equal dimension")
-            object.__setattr__(self, "weights", w)
-            object.__setattr__(self, "center", c)
-        elif self.kind in (WIGGLY, CONVEX_PERTURBED):
+            return self._replace(weights=w, center=c)
+        if self.kind in (WIGGLY, CONVEX_PERTURBED):
             if self.base is None or self.base.kind != QUADRATIC:
                 raise ValueError(f"{self.kind} energy requires a quadratic base")
             if self.kind == WIGGLY and self.amplitude_scale <= 0:
@@ -87,9 +88,12 @@ class EnergySpec:
                 raise ValueError("custom_smooth energies are one-dimensional")
             if not self.expression:
                 raise ValueError("custom_smooth energy requires an expression")
-            _compile_expression(self.expression)  # fail fast on parse errors
+            from .expression import compile_expression
+
+            compile_expression(self.expression)   # fail fast on parse errors
         else:
             raise ValueError(f"unknown energy kind {self.kind!r}")
+        return self
 
 
 def quadratic(domain: SpaceDescriptor, weights, center) -> EnergySpec:
@@ -98,7 +102,8 @@ def quadratic(domain: SpaceDescriptor, weights, center) -> EnergySpec:
 
 
 def wiggly(base: EnergySpec,
-           amplitude_scale: float = EnergySpec.amplitude_scale) -> EnergySpec:
+           amplitude_scale: float = EnergySpec._field_defaults["amplitude_scale"]
+           ) -> EnergySpec:
     return EnergySpec(kind=WIGGLY, domain=base.domain, base=base,
                       amplitude_scale=as_floats([amplitude_scale], "amplitude_scale")[0])
 
@@ -109,178 +114,6 @@ def convex_perturbed(base: EnergySpec) -> EnergySpec:
 
 def custom_smooth(domain: SpaceDescriptor, expression: str) -> EnergySpec:
     return EnergySpec(kind=CUSTOM_SMOOTH, domain=domain, expression=str(expression))
-
-
-# ---------------------------------------------------------------------------
-# Custom expression compilation (minimal grammar: numbers, the variables x
-# and eps, + - * / ^ (or **), unary signs, and one-argument sin, cos, exp,
-# abs / Abs).  One walk over the syntax tree admits a node only through its
-# forward derivative rule (Griewank-Walther, Evaluating Derivatives, ch. 3),
-# so the grammar and the differentiator are the same code.  The value and
-# derivative trees it builds are compiled into lambdas over numpy; the text
-# itself is never evaluated.
-# ---------------------------------------------------------------------------
-
-_VARIABLES = ("x", "eps")
-_FUNCTIONS = ("sin", "cos", "exp", "abs", "Abs")
-_BINARY_OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
-               ast.Div: np.divide, ast.Pow: np.power}
-_UNARY_OPS = (ast.UAdd, ast.USub)
-# The lambdas' globals: the grammar's functions, and sign and log for the
-# derivatives.  eps arrives as a float64 scalar.
-_NAMESPACE = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-              "abs": np.abs, "sign": np.sign, "log": np.log}
-
-
-# Trees are built through these, which fold a node whose operands are all
-# literals into one literal, computed in float64 as numpy computes it at
-# run time (10^400 is inf, (-8)^(1/3) nan, 0^-1 inf), so no arithmetic on
-# literals alone is left to Python floats, which would raise or go complex.
-# A derivative is a tree, or None where it is identically zero.
-
-def _literal(a) -> bool:
-    return isinstance(a, ast.Constant)
-
-
-def _constant(value: float) -> ast.Constant:
-    # a nonzero integral value as an int, which numpy raises to a power
-    # faster; the result is the same
-    return ast.Constant(int(value) if value.is_integer() and 0 < abs(value) < 2 ** 53
-                        else value)
-
-
-def _fold(function, *args) -> ast.Constant:
-    with np.errstate(all="ignore"):
-        return _constant(float(function(*(np.float64(a.value) for a in args))))
-
-
-def _binop(a, op, b):
-    if _literal(a) and _literal(b):
-        return _fold(_BINARY_OPS[type(op)], a, b)
-    if isinstance(op, ast.Pow) and _literal(b) and b.value == 1.0:
-        return a
-    return ast.BinOp(left=a, op=op, right=b)
-
-
-def _call(function: str, a):
-    if _literal(a):
-        return _fold(_NAMESPACE[function], a)
-    return ast.Call(func=ast.Name(id=function, ctx=ast.Load()), args=[a], keywords=[])
-
-
-def _negated(a) -> bool:
-    return isinstance(a, ast.UnaryOp) and isinstance(a.op, ast.USub)
-
-
-def _neg(a):
-    if a is None:
-        return None
-    if _literal(a):
-        return _fold(np.negative, a)
-    return a.operand if _negated(a) else ast.UnaryOp(op=ast.USub(), operand=a)
-
-
-def _add(a, b):
-    if a is None or b is None:
-        return b if a is None else a
-    return _binop(a, ast.Sub(), b.operand) if _negated(b) else _binop(a, ast.Add(), b)
-
-
-def _sub(a, b):
-    return _neg(b) if a is None else _add(a, _neg(b))
-
-
-def _mul(a, b):
-    """a * b in a derivative.  Signs move out and a factor 1 goes, which is
-    exact; a literal times a literal-led product is folded, which may move
-    the last bit."""
-    if a is None or b is None:
-        return None
-    if _negated(a):
-        return _neg(_mul(a.operand, b))
-    if _negated(b):
-        return _neg(_mul(a, b.operand))
-    if _literal(b):
-        a, b = b, a
-    if _literal(a) and a.value == 1:
-        return b
-    if (_literal(a) and isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mult)
-            and _literal(b.left)):
-        return _mul(_fold(np.multiply, a, b.left), b.right)
-    return _binop(a, ast.Mult(), b)
-
-
-def _div(a, b):
-    return None if a is None else _binop(a, ast.Div(), b)
-
-
-def _differentiate(text: str, node):
-    """(value, d/dx) trees of the grammar expression ``node``.  Raise
-    ConfigError at a node outside the grammar."""
-    if isinstance(node, ast.Name) and node.id in _VARIABLES:
-        return (ast.Name(id=node.id, ctx=ast.Load()),
-                _constant(1.0) if node.id == "x" else None)
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        try:
-            return _constant(float(node.value)), None
-        except OverflowError:           # an integer literal beyond float64
-            return _constant(math.inf), None
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY_OPS):
-        a, da = _differentiate(text, node.operand)
-        return (a, da) if isinstance(node.op, ast.UAdd) else (_neg(a), _neg(da))
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-        a, da = _differentiate(text, node.left)
-        b, db = _differentiate(text, node.right)
-        if isinstance(node.op, ast.Pow) and _literal(b) and b.value == 0:
-            # a^0 is 1 wherever a is (numpy's 0^0, inf^0 and nan^0 are 1),
-            # so the power rule's 0 a^(-1) a' must not appear
-            return _constant(1.0), None
-        value = _binop(a, node.op, b)
-        if isinstance(node.op, ast.Add):
-            return value, _add(da, db)
-        if isinstance(node.op, ast.Sub):
-            return value, _sub(da, db)
-        if isinstance(node.op, ast.Mult):
-            return value, _add(_mul(da, b), _mul(a, db))
-        if isinstance(node.op, ast.Div):
-            return value, _sub(_div(da, b), _div(_mul(a, db), _binop(b, ast.Mult(), b)))
-        # a^b: b a^(b-1) a', and a^b log(a) b' where the exponent holds x
-        power = _mul(b, _binop(a, ast.Pow(), _sub(b, _constant(1.0))))
-        return value, _add(_mul(power, da), _mul(_mul(value, _call("log", a)), db))
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in _FUNCTIONS and len(node.args) == 1
-            and not node.keywords):
-        a, da = _differentiate(text, node.args[0])
-        function = node.func.id.lower()
-        value = _call(function, a)
-        outer = (_call("cos", a) if function == "sin" else
-                 _neg(_call("sin", a)) if function == "cos" else
-                 value if function == "exp" else _call("sign", a))
-        return value, _mul(outer, da)       # sign(0) = 0, as in gradient_many
-    raise ConfigError(
-        f"energy expression {text!r} uses {ast.unparse(node)!r}; only "
-        f"numbers, x, eps, + - * / ^ and one-argument "
-        f"{', '.join(_FUNCTIONS)} are allowed"
-    )
-
-
-def _lambda(body) -> ast.Expression:
-    args = ast.arguments(posonlyargs=[], args=[ast.arg("x"), ast.arg("eps")],
-                         kwonlyargs=[], kw_defaults=[], defaults=[])
-    return ast.fix_missing_locations(ast.Expression(ast.Lambda(args=args, body=body)))
-
-
-@functools.lru_cache(maxsize=128)
-def _compile_expression(text: str):
-    """Check and differentiate a 1D expression; returns (value_fn, grad_fn),
-    each a ``lambda x, eps`` over float64 arrays and scalars."""
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-        value, grad = _differentiate(text, tree.body)
-        return tuple(eval(compile(_lambda(body), "<energy expression>", "eval"), _NAMESPACE)
-                     for body in (value, ast.Constant(0.0) if grad is None else grad))
-    except (SyntaxError, ValueError, RecursionError) as exc:   # the last: too deep
-        raise ConfigError(f"cannot compile energy expression {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +228,9 @@ def _rows(spec: EnergySpec, X) -> np.ndarray:
 def _expression(spec: EnergySpec, eps: float, X: np.ndarray, k: int, what: str):
     """The custom expression's value (k = 0) or derivative (k = 1) at the
     (m, 1) rows ``X``, shape (m,); EvaluationError where not finite."""
-    out = np.asarray(_compile_expression(spec.expression)[k](X[:, 0], np.float64(eps)),
+    from .expression import compile_expression
+
+    out = np.asarray(compile_expression(spec.expression)[k](X[:, 0], np.float64(eps)),
                      dtype=float)
     # a copy: the expression ``x`` gives back a view of X
     out = out.copy() if out.shape == X.shape[:1] else np.full(X.shape[0], out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,38 +54,44 @@ EUCLIDEAN = "euclidean"
 DIAGONAL_WEIGHTED = "diagonal_weighted"
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """Ambient space: dimension, metric kind and reference point u*, as
-    ``config`` builds it from a config's space object."""
-
+class _SpaceFields(NamedTuple):
     dimension: int
     metric_kind: str = EUCLIDEAN
     weights: tuple[float, ...] | None = None
     base_point: Point | None = None
 
-    def __post_init__(self):
+
+class SpaceDescriptor(_SpaceFields):
+    """Ambient space: dimension, metric kind and reference point u*, as
+    ``config`` builds it from a config's space object; checked on every
+    construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.metric_kind not in (EUCLIDEAN, DIAGONAL_WEIGHTED):
             raise ValueError(f"unknown metric kind {self.metric_kind!r}")
+        w, base = self.weights, self.base_point
         if self.metric_kind == DIAGONAL_WEIGHTED:
-            if self.weights is None:
+            if w is None:
                 raise ValueError("diagonal_weighted metric requires weights")
-            w = as_floats(self.weights, "metric weights")
+            w = as_floats(w, "metric weights")
             if len(w) != self.dimension:
                 raise ValueError("weights length must equal dimension")
             if min(w) <= 0:
                 raise ValueError("metric weights must all be positive")
-            object.__setattr__(self, "weights", w)
-        elif self.weights is not None:
+        elif w is not None:
             raise ValueError("weights only allowed with diagonal_weighted")
-        if self.base_point is None:
-            object.__setattr__(self, "base_point", Point((0.0,) * self.dimension))
-        elif self.base_point.dim != self.dimension:
+        if base is None:
+            base = Point((0.0,) * self.dimension)
+        elif base.dim != self.dimension:
             raise DimensionMismatchError(
-                f"base point has dim {self.base_point.dim}, space has {self.dimension}"
+                f"base point has dim {base.dim}, space has {self.dimension}"
             )
+        return self._replace(weights=w, base_point=base)
 
     def metric_weights(self) -> np.ndarray:
         """Diagonal weight vector of the metric (ones for Euclidean)."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,20 +27,25 @@ TAU_OF_EPS = "tau_of_eps"
 EPS_OF_TAU = "eps_of_tau"
 
 
-@dataclass(frozen=True)
-class CouplingLaw:
+class _CouplingFields(NamedTuple):
+    form: str
+    lam: float = 1.0
+    alpha: float = 1.0
+
+
+class CouplingLaw(_CouplingFields):
     """Power-law coupling between the two small parameters: a sweep's
-    ``coupling`` object in a config, which ``config`` builds.
+    ``coupling`` object in a config, which ``config`` builds; checked on
+    every construction.
 
     ``tau_of_eps``: levels are eps values, tau = lam * eps**alpha.
     ``eps_of_tau``: levels are tau values, eps = lam * tau**alpha.
     """
 
-    form: str
-    lam: float = 1.0
-    alpha: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.form not in (TAU_OF_EPS, EPS_OF_TAU):
             raise ValueError(f"unknown coupling form {self.form!r}")
         if self.lam <= 0:
@@ -50,6 +54,7 @@ class CouplingLaw:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        return self
 
     def resolve(self, level: float) -> tuple[float, float]:
         """Level value -> (eps, tau)."""
@@ -134,7 +139,8 @@ def run_sweep(spec: EnergySpec, coupling: CouplingLaw, level_grid,
     def run_level(pair):
         eps, tau = pair
         try:
-            params = replace(base_params, eps=eps, tau=tau)
+            # through the constructor, which checks the level's eps and tau
+            params = SchemeParams(**{**base_params._asdict(), "eps": eps, "tau": tau})
             return LevelResult(eps=eps, tau=tau, status="ok",
                                trajectory=run_scheme(spec, params))
         except (MaxslopeError, ValueError) as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,7 @@ from .prox import ProxSettings, prox_batch, stepper
 
 # Coordinate rows per prox_batch call in build_interpolant: a block holds
 # INTERPOLANT_BLOCK // n node problems of n coordinates (at least one).  The
-# grid route chunks its rows itself (prox._GRID_CHUNK), so its work arrays
+# grid route chunks its rows itself (grid._GRID_CHUNK), so its work arrays
 # do not grow with the block.  Measured on the 400-step wiggly run
 # (eps = 0.05, tau = eps^2, 3200 Newton-route nodes; 2-core VM, Python
 # 3.11, numpy 2.4.6): build_interpolant in-process, and the peak RSS that
@@ -56,27 +55,32 @@ INTERPOLANT_BLOCK = 512
 MAX_RUN_FLOATS = 10**8
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Parameters of one scheme run.
-
-    ``initial_energy_bound_S`` and ``initial_distance_bound_Sprime`` are the
-    declared bounds |energy(u0)| <= S and d^2(u0, u*) <= S'; they are
-    validated at run time.  ``tau`` must stay below ``tau_star / 8``, the
-    regime in which the a-priori estimates are available.
-    """
-
+class _SchemeFields(NamedTuple):
     eps: float
     tau: float
     horizon_T: float
     initial_point: Point
     initial_energy_bound_S: float = 10.0
     initial_distance_bound_Sprime: float = 10.0
-    prox_settings: ProxSettings = ProxSettings()     # frozen, so one is shared
+    prox_settings: ProxSettings = ProxSettings()     # immutable, so one is shared
     quadrature_nodes_per_step: int = 8
     tau_star: float = 1.0
 
-    def __post_init__(self):
+
+class SchemeParams(_SchemeFields):
+    """Parameters of one scheme run, checked on every construction.
+
+    ``initial_energy_bound_S`` and ``initial_distance_bound_Sprime`` are the
+    declared bounds |energy(u0)| <= S and d^2(u0, u*) <= S', each at least
+    0; the run checks the initial point against them.  ``tau_star`` must be
+    positive, and ``tau`` must stay below ``tau_star / 8``, the regime in
+    which the a-priori estimates are available.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("eps", "tau", "horizon_T"):
             value = getattr(self, name)
             if value <= 0:
@@ -95,18 +99,21 @@ class SchemeParams:
                 f"quadrature_nodes_per_step = {self.quadrature_nodes_per_step} must be "
                 f"a finite run of (N + 1)(n + 2) + N K (n + 2) + K^2 <= "
                 f"{MAX_RUN_FLOATS:.0e} floats")
+        for name in ("initial_energy_bound_S", "initial_distance_bound_Sprime"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+        if not self.tau_star > 0:
+            raise ValueError(f"tau_star must be positive, got {self.tau_star!r}")
         if not self.tau < self.tau_star / 8.0:
             raise ValueError(
                 f"tau={self.tau:g} must be below tau_star/8={self.tau_star / 8.0:g} "
                 "for the a-priori estimates to apply"
             )
+        return self
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteTrajectory:
-    """Iterates u^0..u^N of one run, with per-step energies and distances,
-    as read-only arrays."""
-
+class _TrajectoryFields(NamedTuple):
     space: SpaceDescriptor
     coords: np.ndarray          # u^i, (N + 1, n)
     tau: float
@@ -114,11 +121,26 @@ class DiscreteTrajectory:
     step_distances: np.ndarray  # d(u^{i+1}, u^i), (N,)
     step_energies: np.ndarray   # energy(u^i), (N + 1,)
 
-    def __post_init__(self):
+
+class DiscreteTrajectory(_TrajectoryFields):
+    """Iterates u^0..u^N of one run, with per-step energies and distances,
+    as read-only arrays: each construction copies them.
+
+    Equality and hashing are by identity, as for an object: a trajectory
+    equals only itself, so ``==`` never compares arrays element by element.
+    """
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        arrays = {}
         for name in ("coords", "step_distances", "step_energies"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arrays[name] = arr
+        return self._replace(**arrays)
 
     @property
     def n_steps(self) -> int:
@@ -274,7 +296,8 @@ def _legendre_sum(x: np.ndarray, c: list) -> np.ndarray:
 
 def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
                       prox_settings: ProxSettings,
-                      nodes_per_step: int = SchemeParams.quadrature_nodes_per_step
+                      nodes_per_step: int = SchemeParams._field_defaults[
+                          "quadrature_nodes_per_step"]
                       ) -> VariationalInterpolant:
     """Solve the prox on every quadrature node of every step.
 

@@ -474,6 +474,20 @@ class TestRunCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("initial_energy_bound_S", -1, "must be non-negative, got -1.0"),
+        ("initial_distance_bound_Sprime", -1, "must be non-negative, got -1.0"),
+        ("tau_star", -1, "must be positive, got -1.0"),
+        ("tau_star", 0, "must be positive, got 0.0"),
+    ], ids=["S_negative", "Sprime_negative", "tau_star_negative", "tau_star_zero"])
+    def test_bad_scheme_bound_names_its_field(self, tmp_path, name, value, message):
+        doc = quad_run_config(tmp_path / "out")
+        doc["command"]["run"][name] = value
+        proc = run_cli(tmp_path, doc)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == f"config error: run config invalid: {name} {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_dimension_initial_point_is_config_error(self, tmp_path, capsys):
         doc = quad_run_config(tmp_path / "out")
         doc["command"]["run"]["initial_point"] = [1.0, 0.0]

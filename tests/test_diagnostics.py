@@ -19,8 +19,9 @@ from maxslope.energy import WellPosednessCertificate, convex_perturbed, quadrati
 from maxslope.errors import CoverageGapError
 from maxslope.metric import SpaceDescriptor, squared_distances
 from maxslope.prox import ProxBatch, ProxSettings
-from maxslope.regimes import LevelResult, PipelineResult, SweepReport
+from maxslope.regimes import CouplingLaw, LevelResult, PipelineResult, SweepReport
 from maxslope.scheme import (
+    DiscreteTrajectory,
     SchemeParams,
     VariationalInterpolant,
     build_interpolant,
@@ -288,3 +289,59 @@ def test_result_record_is_immutable_and_dicts_are_plain(record):
         # a record itself would reach write_json as a JSON array
         d = built.to_dict()
         assert type(d) is dict and list(d.items()) == list(values.items())
+
+
+# The records that check their values on every construction: a builder of
+# each from values that it normalises (ints and lists become float tuples,
+# a missing base point the origin)
+CHECKED_RECORDS = {
+    "EnergySpec": lambda: wiggly(quadratic(SpaceDescriptor(1), [1], [0]), 2),
+    "SpaceDescriptor": lambda: SpaceDescriptor(2, "diagonal_weighted", [4, 1]),
+    "ProxSettings": lambda: ProxSettings(local_tol=1e-6),
+    "SchemeParams": lambda: SchemeParams(eps=0.1, tau=0.01, horizon_T=1.0,
+                                         initial_point=pt(0.5)),
+    "CouplingLaw": lambda: CouplingLaw("tau_of_eps", lam=1.0, alpha=2.0),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_RECORDS)
+def test_checked_record_is_immutable_and_equal_by_value(name):
+    a, b = CHECKED_RECORDS[name](), CHECKED_RECORDS[name]()
+    assert type(a).__name__ == name and a is not b
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, -1)
+    assert a == b and hash(a) == hash(b)
+    # its fields, built again, check and normalise to the same record
+    assert type(a)(**a._asdict()) == a
+
+
+def test_checked_records_normalise_and_reject():
+    space = CHECKED_RECORDS["SpaceDescriptor"]()
+    assert space.weights == (4.0, 1.0) and space.base_point == pt(0.0, 0.0)
+    assert CHECKED_RECORDS["EnergySpec"]().base.weights == (1.0,)
+    # _replace builds no new record, so it checks nothing: rebuild instead
+    params = CHECKED_RECORDS["SchemeParams"]()
+    with pytest.raises(ValueError, match="eps must be finite, got nan"):
+        SchemeParams(**{**params._asdict(), "eps": math.nan})
+    with pytest.raises(ValueError, match="tau_star must be positive, got -1"):
+        SchemeParams(**{**params._asdict(), "tau_star": -1.0})
+
+
+def test_trajectory_equals_only_itself():
+    # A trajectory holds arrays, whose == compares element by element, so
+    # it compares and hashes by identity, as an object does: a twin built
+    # from the same values is another trajectory.
+    traj = DiscreteTrajectory(space=SpaceDescriptor(1), coords=[[1.0], [0.5]], tau=0.1,
+                              eps=1.0, step_distances=[0.5], step_energies=[0.5, 0.125])
+    twin = DiscreteTrajectory(**traj._asdict())
+    for field in traj._fields:
+        with pytest.raises(AttributeError):
+            setattr(traj, field, -1)
+    assert traj == traj and hash(traj) == hash(traj)
+    assert traj != twin and not traj == twin
+    # each construction copies the arrays, read-only
+    assert twin.coords is not traj.coords
+    assert np.array_equal(twin.coords, traj.coords)
+    assert not any(a.flags.writeable for a in (traj.coords, traj.step_distances,
+                                               traj.step_energies))

@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from maxslope.energy import (
-    _compile_expression,
     certify_well_posedness,
     convex_perturbed,
     coordinate_curvatures,
@@ -30,6 +29,7 @@ from maxslope.errors import (
     DimensionMismatchError,
     EvaluationError,
 )
+from maxslope.expression import compile_expression
 from maxslope.metric import SpaceDescriptor
 
 from conftest import (
@@ -500,7 +500,7 @@ class TestCustomExpressions:
             reject()
         assume(not expr.has(sympy.zoo, sympy.nan, sympy.oo, -sympy.oo))
         spec = custom_smooth(SpaceDescriptor(1), expression)
-        compiled = _compile_expression(expression)
+        compiled = compile_expression(expression)
         for ours, fn, theirs in ((eval_many, compiled[0], expr),
                                  (gradient_many, compiled[1], sympy.diff(expr, X))):
             for point in (x, 0.37, -1.21, 1.73):

@@ -1,10 +1,15 @@
 """The import footprint is part of the contract: no path loads scipy or
 sympy; the package needs numpy alone.  ``run`` and ``check
 dissipation|apriori`` load neither the sweep layer nor the slope layer,
-which only the commands that call them import.  No command loads
-``numpy.polynomial``.  And no module imports a name that it never uses,
-and the package defines no function, class or top-level constant that
-none of its modules reads.
+which only the commands that call them import.  The custom-expression
+compiler (``maxslope.expression``) loads only for a ``custom_smooth``
+energy, and the grid route (``maxslope.grid``) only once some coordinate
+row takes it.  No command loads ``numpy.polynomial``.  Importing the CLI
+into a process that has not loaded numpy asks numpy's OpenBLAS for one
+thread, unless the environment already names a count; a process that
+loaded numpy first keeps its environment.  And no module imports a name
+that it never uses, and the package defines no function, class or
+top-level constant that none of its modules reads.
 
 Each footprint case runs in a fresh interpreter, because the test process
 itself has long since imported both.  Nothing here measures time.
@@ -26,19 +31,31 @@ SRC = str(PACKAGE.parent)
 TESTS = Path(__file__).resolve().parent
 HEAVY = ("scipy", "scipy.optimize", "sympy")
 ON_DEMAND = ("maxslope.regimes", "maxslope.slope")
+COMPILED_ON_DEMAND = ("maxslope.expression", "maxslope.grid")
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def probe(code, expression, **env):
+    """The value of the JSON-able ``expression`` in a fresh interpreter
+    after it runs ``code``, with the environment variables ``env`` set, or
+    unset where None."""
+    script = f"{code}\nimport json, os, sys\nprint(json.dumps({expression}))"
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")]))
+    for name, value in env.items():
+        environ.pop(name, None)
+        if value is not None:
+            environ[name] = value
+    done = subprocess.run([sys.executable, "-c", script], env=environ,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def modules_after(code, modules):
     """Those of ``modules`` that a fresh interpreter holds after running
     ``code``."""
-    probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return probe(code, f"[m for m in {modules!r} if m in sys.modules]")
 
 
 def cli_calls(tmp_path, *configs):
@@ -202,6 +219,70 @@ def test_no_command_loads_numpy_polynomial(tmp_path):
                      ("check", WEIGHTED_2D_DISSIPATION), WITHOUT_HEAVY["nd_check"][:2],
                      ("run", CUSTOM_RUN))
     assert modules_after(code, ("numpy.polynomial",)) == []
+
+
+GRID_RUN = {**WIGGLY_RUN, "command": {"run": {
+    "eps": 0.1, "tau": 0.12, "horizon_T": 1.2, "initial_point": [0.0]}}}
+# (subcommand, config) of the commands whose energies are built-in families
+# and whose coordinate rows all take a closed form or the Newton route
+WITHOUT_COMPILED_ON_DEMAND = {
+    "import": (),
+    "run": (("run", WIGGLY_RUN),),
+    "check_dissipation": (("check", WEIGHTED_2D_DISSIPATION),),
+    "check_apriori": (("check", APRIORI_2D),),
+    "check_maximal_slope_2d_numeric": (WITHOUT_HEAVY["nd_check"][:2],),
+}
+
+
+@pytest.mark.parametrize("name", list(WITHOUT_COMPILED_ON_DEMAND))
+def test_builtin_newton_commands_load_neither_expression_nor_grid(name, tmp_path):
+    code = cli_calls(tmp_path, *WITHOUT_COMPILED_ON_DEMAND[name])
+    assert modules_after(code, COMPILED_ON_DEMAND) == []
+
+
+def test_custom_run_loads_the_expression_compiler(tmp_path):
+    # and the grid route, which every custom_smooth row takes: the family
+    # declares no curvature floor
+    code = cli_calls(tmp_path, ("run", CUSTOM_RUN))
+    assert modules_after(code, COMPILED_ON_DEMAND) == list(COMPILED_ON_DEMAND)
+
+
+def test_grid_route_run_loads_the_grid_route(tmp_path):
+    # at tau = 0.12 the steps' objective w + m / tau - a / eps < 0 is not
+    # certified convex, so they take the grid route; the smaller step
+    # sizes of the interpolant's nodes take the Newton route
+    code = cli_calls(tmp_path, ("run", GRID_RUN))
+    assert modules_after(code, COMPILED_ON_DEMAND) == ["maxslope.grid"]
+
+
+def test_cli_import_asks_for_one_blas_thread():
+    found = probe("import maxslope.cli", f"os.environ.get({BLAS_THREADS!r})",
+                  **{BLAS_THREADS: None})
+    assert found == "1"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the process's threads in /proc/self/task, "
+                           "which this platform does not have")
+def test_cli_process_runs_one_thread():
+    # numpy's OpenBLAS would start a worker thread at import otherwise
+    found = probe("import maxslope.cli", "len(os.listdir('/proc/self/task'))",
+                  **{BLAS_THREADS: None})
+    assert found == 1
+
+
+def test_user_blas_thread_count_wins():
+    found = probe("import maxslope.cli", f"os.environ.get({BLAS_THREADS!r})",
+                  **{BLAS_THREADS: "2"})
+    assert found == "2"
+
+
+def test_process_that_loaded_numpy_first_keeps_its_environment():
+    # library use, tests and a benchmark harness: the processes they start
+    # must not inherit a thread count that they did not set
+    found = probe("import numpy\nimport maxslope.cli",
+                  f"os.environ.get({BLAS_THREADS!r})", **{BLAS_THREADS: None})
+    assert found is None
 
 
 def unused_imports(path):

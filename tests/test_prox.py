@@ -15,15 +15,9 @@ from maxslope.energy import (
     wiggly,
 )
 from maxslope.errors import BudgetExhaustedError, EvaluationError, InvalidDeltaError
+from maxslope.grid import _grid_zoom_rows, _select
 from maxslope.metric import SpaceDescriptor, distances
-from maxslope.prox import (
-    MULTISTART_NUMERIC,
-    ProxSettings,
-    _grid_zoom_rows,
-    _newton_1d,
-    _select,
-    prox_batch,
-)
+from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, _newton_1d, prox_batch
 
 from conftest import brute_force_prox_1d, parse_config, prox_objective
 

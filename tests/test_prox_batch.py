@@ -3,7 +3,6 @@ and the dense-grid oracle."""
 
 import itertools
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 from maxslope.cli import EXIT_SOLVER, main
 from maxslope.energy import (
+    EnergySpec,
     convex_perturbed,
     coordinate_scalars,
     curvature_floors,
@@ -29,19 +29,21 @@ from maxslope.errors import (
     EvaluationError,
     InvalidDeltaError,
 )
+from maxslope.grid import (
+    _GRID_STARTS,
+    _grid_zoom_1d,
+    _lowest_minimum,
+    _select,
+    _shortlist,
+)
 from maxslope.metric import SpaceDescriptor, distances
 from maxslope.prox import (
     MULTISTART_NUMERIC,
-    _GRID_STARTS,
     ProxSettings,
-    _grid_zoom_1d,
-    _lowest_minimum,
     _members,
     _newton_1d,
     _newton_row,
     _precedes,
-    _select,
-    _shortlist,
     _zoom_1d,
     prox_batch,
     stepper,
@@ -372,7 +374,9 @@ class TestSeparable:
         params = SchemeParams(eps=0.01, tau=0.005, horizon_T=1.0,
                               initial_point=pt(1.0, -0.8))
         exact = run_scheme(spec, params)
-        numeric = run_scheme(spec, replace(params, prox_settings=NUMERIC))
+        # the records validate on construction, and _replace would skip that
+        numeric = run_scheme(spec, SchemeParams(**{**params._asdict(),
+                                                   "prox_settings": NUMERIC}))
         assert np.abs(numeric.coords - exact.coords).max() <= 1e-6
 
 
@@ -381,7 +385,8 @@ def coordinate_member(spec, j):
     Euclidean line: ``spec`` at x is the sum of these at the x_j."""
     if spec.kind == "quadratic":
         return quadratic(LINE, [spec.weights[j]], [spec.center[j]])
-    return replace(spec, domain=LINE, base=coordinate_member(spec.base, j))
+    return EnergySpec(**{**spec._asdict(), "domain": LINE,
+                         "base": coordinate_member(spec.base, j)})
 
 
 def reference_separable(spec, eps, deltas, U, prox_settings):
@@ -496,7 +501,7 @@ class TestAgainstCoordinateLoop:
         for center, ties in ((0.025, []), (0.05, [0, 0])):
             spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [center, center])
             U = np.array([[0.0, 0.0], [0.3, -0.2]])
-            with mock.patch("maxslope.prox._grid_zoom_1d",
+            with mock.patch("maxslope.grid._grid_zoom_1d",
                             side_effect=AssertionError("grid route taken")):
                 batch = self.assert_matches_loop(spec, 1.0, np.array([1e6, 1.0]), U)
             assert list(batch.tie_rows) == ties
@@ -518,7 +523,7 @@ class TestAgainstCoordinateLoop:
             return call
         with mock.patch("maxslope.prox._newton_1d",
                         side_effect=traced("newton", _newton_1d)), \
-                mock.patch("maxslope.prox._grid_zoom_1d",
+                mock.patch("maxslope.grid._grid_zoom_1d",
                            side_effect=traced("grid", _grid_zoom_1d)):
             batch = prox_batch(spec, 1.0, deltas, U, NUMERIC)
         # each route's one row keeps a tie
@@ -550,7 +555,7 @@ class TestNewtonRoute:
             spec = wiggly(spec)
         mu = curvature_floors(spec, eps)[0] + m / delta     # objective'' >= mu
         assume(mu > 0)
-        with mock.patch("maxslope.prox._grid_zoom_1d",
+        with mock.patch("maxslope.grid._grid_zoom_1d",
                         side_effect=AssertionError("grid route taken")):
             batch = prox_batch(spec, eps, [delta], [[u]], NUMERIC)
         v = batch.minimizers[0, 0]
@@ -585,7 +590,7 @@ class TestNewtonRoute:
         # but under 1e-9 below it, so the guard v = u is a near tie that
         # the kernel must hand on, bit for bit as the loop reference finds it.
         spec, delta = quadratic(LINE, [1e-8], [center]), 1e6
-        with mock.patch("maxslope.prox._grid_zoom_1d",
+        with mock.patch("maxslope.grid._grid_zoom_1d",
                         side_effect=AssertionError("grid route taken")):
             batch = prox_batch(spec, 1.0, [delta], [[u]], NUMERIC)
         best, moved, ties = reference_prox_1d(spec, 1.0, delta, u, NUMERIC)
@@ -603,7 +608,7 @@ class TestNewtonRoute:
         # candidates, even where the minimizer and the guard v = u are
         # within local_tol of each other.
         spec, eps, _, _ = FAMILIES["wiggly"]
-        with mock.patch("maxslope.prox._select", wraps=_select) as select:
+        with mock.patch("maxslope.grid._select", wraps=_select) as select:
             traj = run_scheme(spec, SchemeParams(eps=eps, tau=eps ** 2, horizon_T=1.0,
                                                  initial_point=pt(0.5)))
             interp = build_interpolant(spec, traj, DEFAULTS)
@@ -870,7 +875,7 @@ class TestArraySweep:
                 spec, eps, float(deltas[b]), float(U[b, j]), j)
         cols = np.arange(B * n) % n
         mw = spec.domain.metric_weights()
-        with mock.patch("maxslope.prox._grid_zoom_1d",
+        with mock.patch("maxslope.grid._grid_zoom_1d",
                         side_effect=AssertionError("grid route taken")):
             found = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
                              NUMERIC)
