@@ -196,6 +196,9 @@ class ExperimentConfig(NamedTuple):
                 raw = json.loads(fh.read().decode("utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:      # a directory, no permission, an I/O error
+            raise ConfigError(f"cannot read config file {path}: "
+                              f"{exc.strerror or exc}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         except ValueError as exc:     # int's limit on the digits it converts

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from test_cli import run_cli
+from test_cli import cli_process, run_cli
 
 QUAD = {"kind": "quadratic", "weights": [1.0], "center": [0.0]}
 WIGGLY = {"kind": "wiggly", "base": QUAD}
@@ -91,6 +91,35 @@ def test_config_error_smoke(tmp_path, name):
     assert re.search(first_line, proc.stderr.splitlines()[0])
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "smoke_out").exists()
+
+
+def test_config_directory_smoke(tmp_path):
+    # open() raises IsADirectoryError, an OSError other than FileNotFoundError
+    proc = cli_process("run", "--config", str(tmp_path),
+                       "--out", str(tmp_path / "smoke_out"))
+    assert proc.returncode == 1, proc.stderr
+    assert re.search(rf"^config error: cannot read config file {re.escape(str(tmp_path))}: ",
+                     proc.stderr.splitlines()[0])
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "smoke_out").exists()
+
+
+# subcommand: (config, the artifact that a directory of its name blocks)
+BLOCKED_ARTIFACTS = {
+    "run": (run_config(), "trajectory.csv"),
+    "check": (check_config(QUAD, type="dissipation", run=RUN), "check_dissipation.json"),
+}
+
+
+@pytest.mark.parametrize("name", BLOCKED_ARTIFACTS)
+def test_unwritable_artifact_smoke(tmp_path, name):
+    doc, artifact = BLOCKED_ARTIFACTS[name]
+    out = tmp_path / "smoke_out"
+    (out / artifact).mkdir(parents=True)
+    proc = run_cli(tmp_path, doc, "--out", str(out), timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"config error: cannot write artifact {str(out / artifact)!r}: Is a directory"]
 
 
 def report(out, name):

@@ -6,10 +6,14 @@ compiler (``maxslope.expression``) loads only for a ``custom_smooth``
 energy, and the grid route (``maxslope.grid``) only once some coordinate
 row takes it.  No command loads ``numpy.polynomial``.  Importing the CLI
 into a process that has not loaded numpy asks numpy's OpenBLAS for one
-thread, unless the environment already names a count; a process that
-loaded numpy first keeps its environment.  And no module imports a name
-that it never uses, and the package defines no function, class or
-top-level constant that none of its modules reads.
+thread, unless the environment already names a count, and keeps the
+garbage collector off the heap that the imports made: the collector is
+paused while they run and the heap is then frozen, while the objects made
+after the import are still collected.  A process that loaded numpy first
+keeps its environment and its collector as they are, and a collector that
+the process disabled stays disabled.  And no module imports a name that it
+never uses, and the package defines no function, class or top-level
+constant that none of its modules reads.
 
 Each footprint case runs in a fresh interpreter, because the test process
 itself has long since imported both.  Nothing here measures time.
@@ -283,6 +287,39 @@ def test_process_that_loaded_numpy_first_keeps_its_environment():
     found = probe("import numpy\nimport maxslope.cli",
                   f"os.environ.get({BLAS_THREADS!r})", **{BLAS_THREADS: None})
     assert found is None
+
+
+GC_STATE = "[gc.isenabled(), gc.get_freeze_count()]"
+
+
+def test_cli_import_freezes_its_heap():
+    enabled, frozen = probe("import gc\nimport maxslope.cli", GC_STATE)
+    assert enabled is True
+    assert frozen > 0
+
+
+def test_process_that_loaded_numpy_first_keeps_its_collector():
+    assert probe("import gc\nimport numpy\nimport maxslope.cli", GC_STATE) == [True, 0]
+
+
+def test_disabled_collector_stays_disabled():
+    enabled, _ = probe("import gc\ngc.disable()\nimport maxslope.cli", GC_STATE)
+    assert enabled is False
+
+
+def test_cycle_made_after_cli_import_is_collected():
+    code = """
+import gc, weakref
+import maxslope.cli
+class Node:
+    pass
+node = Node()
+node.self = node
+ref = weakref.ref(node)
+del node
+gc.collect()
+"""
+    assert probe(code, "ref() is None") is True
 
 
 def unused_imports(path):
