@@ -16,9 +16,9 @@ the collector is paused while they run and then enabled again over a
 frozen heap, so that it collects only the command's own objects.  The
 handlers that call ``regimes`` or ``slope`` import them, so that a cold
 ``run`` or ``check dissipation|apriori`` process never loads them, and
-the expression compiler (``maxslope.expression``) and the prox's grid
-route (``maxslope.grid``) load only for a ``custom_smooth`` energy and
-for a coordinate row that takes the grid route.
+the expression compiler (``maxslope.expression``) and the prox's bracket
+route (``maxslope.brackets``) load only for a ``custom_smooth`` energy and
+for a coordinate row whose objective is not certified convex.
 """
 
 from __future__ import annotations

@@ -11,14 +11,14 @@ The built-in zoo:
 Each energy is a sum over coordinates of 1D members phi_j, and each
 built-in family defines its member once (see Members below).  Every
 evaluator reads it: ``eval_many`` and ``gradient_many`` on rows of points,
-for the numeric prox ``coordinate_values`` and ``coordinate_curvatures``
-on (R, k) arrays of rows and ``coordinate_scalars`` on Python floats, and
-``energy_floors`` and ``curvature_floors``.
+for the numeric prox ``coordinate_values``, ``coordinate_slopes`` and
+``coordinate_curvatures`` on (R, k) arrays of rows, ``coordinate_scalars``
+on Python floats, ``energy_floors``, ``curvature_floors``, ``convex_cells``.
 
 Every kind is finite everywhere and has a closed-form descending slope.
-Optional capabilities (limit family as eps -> 0, closed-form curvature)
-raise :class:`CapabilityAbsentError` when a kind lacks them; the floors are
-None where a kind has none.
+Optional capabilities (limit family as eps -> 0, a member on Python
+floats) raise :class:`CapabilityAbsentError` when a kind lacks them; the
+floors and cells are None where a kind has none.
 """
 
 from __future__ import annotations
@@ -126,21 +126,48 @@ def custom_smooth(domain: SpaceDescriptor, expression: str) -> EnergySpec:
 # ---------------------------------------------------------------------------
 
 # A family's s term(x) over one namespace: s, term, the term's parts of
-# phi_j' and phi_j'' and of the energy and curvature floors (None at a kink)
-_Term = namedtuple("_Term", "scale value slope curvature floor kappa")
+# phi_j', phi_j'' and the two floors, and its ``convex_cells`` (None if convex)
+_Term = namedtuple("_Term", "scale value slope curvature floor kappa cells")
 
 
 def _wiggly(spec: EnergySpec, eps: float, xp) -> _Term:
     """a eps cos(x / eps), whose wells 2 pi eps apart pin the scheme."""
     a, sin, cos = spec.amplitude_scale, xp.sin, xp.cos
     minus_a, minus_a_over_eps = -a, -a / eps
+
+    def cells(A, K, lo, hi, pad, margin):
+        # With A = w + c and K = w b + c u, F(v) = A v - K - a sin(v / eps)
+        # vanishes only where |A v - K| <= a, and F' = A - (a / eps)
+        # cos(v / eps) >= 0 on the arcs v / eps in [2 pi k + theta,
+        # 2 pi (k + 1) - theta], theta = arccos(eps A / a).  The objective
+        # is its quadratic part A (v - K / A)^2 / 2 + const within a eps, so
+        # a point within ``margin`` of its least value lies within
+        # sqrt((4 a eps + 2 margin) / A) of K / A.  arccos is
+        # sqrt-conditioned at 1, so the arcs' ends are padded by eps 2^-25
+        # more, and one more arc at either end meets the rounding of k.
+        theta = np.arccos(np.minimum(eps * A / a, 1.0))
+        pad = pad + eps * 2.0 ** -25
+        mid, reach = K / A, np.sqrt((4.0 * a * eps + 2.0 * margin) / A)
+        low = np.maximum(np.maximum(lo, (K - a) / A), mid - reach)
+        high = np.minimum(np.minimum(hi, (K + a) / A), mid + reach)
+        first = np.floor(low / (2.0 * np.pi * eps)) - 2.0
+        count = np.maximum(np.floor(high / (2.0 * np.pi * eps)) - first + 2.0, 0.0)
+
+        def arcs(rows, i):
+            turn, t = 2.0 * np.pi * (first[rows] + i), theta[rows]
+            return (np.maximum(low[rows], eps * (turn + t)) - pad[rows],
+                    np.minimum(high[rows], eps * (turn + 2.0 * np.pi - t)) + pad[rows])
+        return count, arcs
     return _Term(a * eps, lambda x: cos(x / eps), lambda x: minus_a * sin(x / eps),
-                 lambda x: minus_a_over_eps * cos(x / eps), -a * eps, minus_a_over_eps)
+                 lambda x: minus_a_over_eps * cos(x / eps), -a * eps, minus_a_over_eps,
+                 cells)
 
 
 def _kink(spec: EnergySpec, eps: float, xp) -> _Term:
-    """eps |x|; its slope takes sign(0) = 0 at the kink, by np.sign alone."""
-    return _Term(eps, abs, lambda x: eps * np.sign(x), None, 0.0, None)
+    """eps |x|: convex, with curvature 0 off the kink, where its slope
+    eps sign(x) jumps up by 2 eps and takes sign(0) = 0."""
+    return _Term(eps, abs, lambda x: (x > 0) * eps - (x < 0) * eps, lambda x: 0.0,
+                 0.0, 0.0, None)
 
 
 def _quadratic_resolvent(w, b, eps, delta, u, m, where):
@@ -181,18 +208,9 @@ def _term(spec: EnergySpec, eps: float, xp) -> _Term | None:
     return make and make(spec, float(eps), xp)
 
 
-def _curved_term(spec: EnergySpec, eps: float, xp) -> _Term | None:
-    """``_term`` of a family with a closed-form curvature."""
-    if spec.kind != CUSTOM_SMOOTH:
-        term = _term(spec, eps, xp)
-        if term is None or term.curvature is not None:
-            return term
-    raise CapabilityAbsentError(f"no closed-form curvature for kind {spec.kind!r}")
-
-
 def _member(w, b, term: _Term | None):
-    """phi and x -> (phi'(x), phi''(x) or None at a kink) of the members of
-    weights ``w`` and centres ``b``, on arrays or floats, picked once here."""
+    """phi and x -> (phi'(x), phi''(x)) of the members of weights ``w`` and
+    centres ``b``, on arrays or floats, picked once here."""
     if term is None:
         def value(x):
             diff = x - b
@@ -208,7 +226,7 @@ def _member(w, b, term: _Term | None):
         return 0.5 * (w * diff * diff) + s * t(x)
 
     def derivatives(x):
-        return w * (x - b) + slope(x), curvature and w + curvature(x)
+        return w * (x - b) + slope(x), w + curvature(x)
     return value, derivatives
 
 
@@ -226,18 +244,23 @@ def _rows(spec: EnergySpec, X) -> np.ndarray:
 
 
 def _expression(spec: EnergySpec, eps: float, X: np.ndarray, k: int, what: str):
-    """The custom expression's value (k = 0) or derivative (k = 1) at the
-    (m, 1) rows ``X``, shape (m,); EvaluationError where not finite."""
+    """The custom expression's value (k = 0), derivative (k = 1) or both
+    derivatives (k = 2) at the (m, 1) rows ``X``, each of shape (m,):
+    EvaluationError where the first is not finite, and a second derivative
+    nan where it is not finite."""
     from .expression import compile_expression
 
-    out = np.asarray(compile_expression(spec.expression)[k](X[:, 0], np.float64(eps)),
-                     dtype=float)
-    # a copy: the expression ``x`` gives back a view of X
-    out = out.copy() if out.shape == X.shape[:1] else np.full(X.shape[0], out)
-    if not np.isfinite(out).all():
-        bad = X[~np.isfinite(out)][0]
+    out = compile_expression(spec.expression)[k](X[:, 0], np.float64(eps))
+    out = [np.asarray(o, dtype=float) for o in (out if k == 2 else (out,))]
+    # copies: the expression ``x`` gives back a view of X
+    out = [o.copy() if o.shape == X.shape[:1] else np.full(X.shape[0], o) for o in out]
+    finite = np.isfinite(out[0])
+    if not finite.all():
+        bad = X[~finite][0]
         raise EvaluationError(f"{what} not finite at x={bad.tolist()}", point=bad)
-    return out
+    if k == 2:
+        out[1][~np.isfinite(out[1])] = math.nan
+    return out if k == 2 else out[0]
 
 
 def eval_many(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:
@@ -277,22 +300,49 @@ def coordinate_values(spec: EnergySpec, eps: float, cols, X) -> np.ndarray:
     return _member(*_parameters(spec, cols, X.ndim == 2), _term(spec, eps, np))[0](X)
 
 
+def coordinate_slopes(spec: EnergySpec, eps: float, cols, X) -> np.ndarray:
+    """phi_cols[r]' at each point of row r of ``X``, in its shape: the first
+    of ``coordinate_curvatures``, for a custom expression without phi''."""
+    if spec.kind == CUSTOM_SMOOTH:
+        return _expression(spec, eps, X.reshape(-1, 1), 1,
+                           f"gradient of {spec.expression!r}").reshape(X.shape)
+    return coordinate_curvatures(spec, eps, cols, X)[0]
+
+
 def coordinate_curvatures(spec: EnergySpec, eps: float, cols, X):
-    """(phi', phi'') of phi_cols[r] at each point of row r of ``X``, for
-    ``quadratic`` and ``wiggly``: ``coordinate_scalars``' derivatives on
+    """(phi', phi'') of phi_cols[r] at each point of row r of ``X``.  For
+    the built-in families these are ``coordinate_scalars``' derivatives on
     arrays, so on the same numbers where numpy's sin and cos round as
-    libm's do."""
-    term = _curved_term(spec, eps, np)
-    return _member(*_parameters(spec, cols, X.ndim == 2), term)[1](X)
+    libm's do; ``custom_smooth``'s phi'' is its expression's second
+    derivative, nan where that is not finite."""
+    if spec.kind == CUSTOM_SMOOTH:
+        return tuple(d.reshape(X.shape) for d in _expression(
+            spec, eps, X.reshape(-1, 1), 2, f"gradient of {spec.expression!r}"))
+    return _member(*_parameters(spec, cols, X.ndim == 2), _term(spec, eps, np))[1](X)
 
 
 def coordinate_scalars(spec: EnergySpec, eps: float, j: int):
     """phi_j and x -> (phi_j'(x), phi_j''(x)) on one Python float, for the
-    families with a closed-form curvature, ``quadratic`` and ``wiggly``:
-    ``_member`` of coordinate j, as ``coordinate_values`` and
-    ``coordinate_curvatures`` evaluate it on arrays."""
-    quad, term = base_quadratic(spec), _curved_term(spec, eps, math)
-    return _member(quad.weights[j], quad.center[j], term)
+    built-in families: ``_member`` of coordinate j, as
+    ``coordinate_values`` and ``coordinate_curvatures`` evaluate it on
+    arrays."""
+    if spec.kind == CUSTOM_SMOOTH:
+        raise CapabilityAbsentError(f"kind {spec.kind!r} has no member on Python floats")
+    quad = base_quadratic(spec)
+    return _member(quad.weights[j], quad.center[j], _term(spec, eps, math))
+
+
+def convex_cells(spec: EnergySpec, eps: float, cols, c, u, lo, hi, pad, margin):
+    """The cells of the windows [lo_r, hi_r] of the objectives
+    phi_cols[r](v) + c_r (v - u_r)^2 / 2 on which each is convex, padded
+    by ``pad``, that hold every local minimizer within ``margin`` of the
+    row's least value: for ``wiggly`` each row's count of cells, a float,
+    and ``arcs(rows, i)``, the ends of cell i < count of each of the
+    ``rows``, lower above upper where empty; None for ``custom_smooth``."""
+    if spec.kind == CUSTOM_SMOOTH:
+        return None
+    (w, b), term = _parameters(spec, cols), _term(spec, eps, np)
+    return term.cells(w + c, w * b + c * u, lo, hi, pad, margin)
 
 
 def energy_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:
@@ -307,15 +357,13 @@ def energy_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:
 
 
 def curvature_floors(spec: EnergySpec, eps: float) -> np.ndarray | None:
-    """A lower bound of each phi_j'', or None where the family has none:
-    ``convex_perturbed`` has a kink and ``custom_smooth`` declares none.
-    It is w_j for a quadratic and w_j - a / eps for ``wiggly``."""
+    """A lower bound of each phi_j'', or None for ``custom_smooth``, which
+    declares none: w_j for a quadratic and ``convex_perturbed`` (whose kink
+    only adds a jump up of phi_j'), and w_j - a / eps for ``wiggly``."""
     if spec.kind == CUSTOM_SMOOTH:
         return None
     (weights, _), term = _parameters(spec), _term(spec, eps, np)
-    if term is None:
-        return weights
-    return None if term.kappa is None else weights + term.kappa
+    return weights if term is None else weights + term.kappa
 
 
 def exact_slopes(spec: EnergySpec, eps: float, X: np.ndarray) -> np.ndarray:

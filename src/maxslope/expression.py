@@ -4,9 +4,10 @@ The grammar is small: numbers, the variables x and eps, + - * / ^ (or
 **), unary signs, and one-argument sin, cos, exp, abs / Abs.  One walk
 over the syntax tree admits a node only through its forward derivative
 rule (Griewank-Walther, Evaluating Derivatives, ch. 3), so the grammar and
-the differentiator are the same code.  The value and derivative trees it
-builds are compiled into lambdas over numpy; the text itself is never
-evaluated.
+the differentiator are the same code; a second walk over the derivative
+tree, which alone admits the sign and log that derivatives bring in,
+gives the second.  The trees are compiled into lambdas over numpy; the
+text itself is never evaluated.
 
 ``energy`` imports this module where a ``custom_smooth`` energy is built
 or evaluated, so a process whose energies are all built-in families never
@@ -25,6 +26,8 @@ from .errors import ConfigError
 
 _VARIABLES = ("x", "eps")
 _FUNCTIONS = ("sin", "cos", "exp", "abs", "Abs")
+# ... and those of a derivative tree: sign' = 0 and log(a)' = a' / a
+_DERIVATIVE_FUNCTIONS = (*_FUNCTIONS, "sign", "log")
 _BINARY_OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
                ast.Div: np.divide, ast.Pow: np.power}
 _UNARY_OPS = (ast.UAdd, ast.USub)
@@ -116,9 +119,10 @@ def _div(a, b):
     return None if a is None else _binop(a, ast.Div(), b)
 
 
-def _differentiate(text: str, node):
-    """(value, d/dx) trees of the grammar expression ``node``.  Raise
-    ConfigError at a node outside the grammar."""
+def _differentiate(text: str, node, functions=_FUNCTIONS):
+    """(value, d/dx) trees of the grammar expression ``node``, whose calls
+    may be of ``functions``.  Raise ConfigError at a node outside the
+    grammar."""
     if isinstance(node, ast.Name) and node.id in _VARIABLES:
         return (ast.Name(id=node.id, ctx=ast.Load()),
                 _constant(1.0) if node.id == "x" else None)
@@ -128,11 +132,11 @@ def _differentiate(text: str, node):
         except OverflowError:           # an integer literal beyond float64
             return _constant(math.inf), None
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY_OPS):
-        a, da = _differentiate(text, node.operand)
+        a, da = _differentiate(text, node.operand, functions)
         return (a, da) if isinstance(node.op, ast.UAdd) else (_neg(a), _neg(da))
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-        a, da = _differentiate(text, node.left)
-        b, db = _differentiate(text, node.right)
+        a, da = _differentiate(text, node.left, functions)
+        b, db = _differentiate(text, node.right, functions)
         if isinstance(node.op, ast.Pow) and _literal(b) and b.value == 0:
             # a^0 is 1 wherever a is (numpy's 0^0, inf^0 and nan^0 are 1),
             # so the power rule's 0 a^(-1) a' must not appear
@@ -150,11 +154,13 @@ def _differentiate(text: str, node):
         power = _mul(b, _binop(a, ast.Pow(), _sub(b, _constant(1.0))))
         return value, _add(_mul(power, da), _mul(_mul(value, _call("log", a)), db))
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in _FUNCTIONS and len(node.args) == 1
+            and node.func.id in functions and len(node.args) == 1
             and not node.keywords):
-        a, da = _differentiate(text, node.args[0])
+        a, da = _differentiate(text, node.args[0], functions)
         function = node.func.id.lower()
         value = _call(function, a)
+        if function in ("sign", "log"):
+            return value, None if function == "sign" else _div(da, a)
         outer = (_call("cos", a) if function == "sin" else
                  _neg(_call("sin", a)) if function == "cos" else
                  value if function == "exp" else _call("sign", a))
@@ -174,12 +180,15 @@ def _lambda(body) -> ast.Expression:
 
 @functools.lru_cache(maxsize=128)
 def compile_expression(text: str):
-    """Check and differentiate a 1D expression; returns (value_fn, grad_fn),
-    each a ``lambda x, eps`` over float64 arrays and scalars."""
+    """Check and differentiate a 1D expression; returns (value_fn, grad_fn,
+    derivatives_fn), each a ``lambda x, eps`` over float64 arrays and
+    scalars, the last giving (grad, curvature) in one call."""
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
         value, grad = _differentiate(text, tree.body)
+        curvature = grad and _differentiate(text, grad, _DERIVATIVE_FUNCTIONS)[1]
+        grad, curvature = (ast.Constant(0.0) if d is None else d for d in (grad, curvature))
         return tuple(eval(compile(_lambda(body), "<energy expression>", "eval"), _NAMESPACE)
-                     for body in (value, ast.Constant(0.0) if grad is None else grad))
+                     for body in (value, grad, ast.Tuple([grad, curvature], ast.Load())))
     except (SyntaxError, ValueError, RecursionError) as exc:   # the last: too deep
         raise ConfigError(f"cannot compile energy expression {text!r}: {exc}") from exc

@@ -9,20 +9,19 @@ over coordinates and the metric is diagonal, so each problem separates
 into n 1D problems (the separable-sum rule of Parikh and Boyd, Proximal
 Algorithms, 2014).  Each coordinate row searches a window that minimality
 certifies from its coordinate's energy floor, or a heuristic one for an
-energy without floors, and takes one of two routes:
+energy without floors, for the roots of the objective's derivative on
+brackets, each by one safeguarded Newton iteration written once over a
+row's floats or arrays.  A row takes one of two routes:
 
 * the Newton route, where the energy's curvature floor makes the
-  objective strictly convex: a row's window and a safeguarded Newton
-  iteration on the objective's derivative, each written once over a
-  row's floats or arrays of rows.  ``_newton_1d`` advances all rows of a
-  ``prox_batch`` call together as arrays; ``_newton_row`` runs the same
-  code on one row's Python floats.  Each weighs the stay-put guard v = u
-  itself, chooses the one of the minimizer and the guard that
-  ``_precedes`` the other, and keeps the other as a near tie where it is
-  one;
-* the grid route everywhere else: the recursive grid zoom of
-  ``maxslope.grid``, which ``_zoom_1d`` imports when some row takes it,
-  so that a process whose rows never do never compiles it.
+  objective strictly convex and the window is the one bracket:
+  ``_newton_1d`` on arrays of rows, ``_newton_row`` on one row's Python
+  floats.  Each weighs the stay-put guard v = u itself, chooses the one
+  of the minimizer and the guard that ``_precedes`` the other, and keeps
+  the other as a near tie where it is one;
+* the bracket route for every row of a batch in which some row is not
+  certified convex, whose brackets ``maxslope.brackets`` cuts; ``_select``
+  and ``_near_ties`` rank every row's candidates.
 
 Each route settles its own rows and returns its decisions: every row's
 chosen point in row order, and the rows' near ties grouped by row; no
@@ -37,7 +36,7 @@ The scheme's steps are B = 1 problems, one after another, where numpy's
 per-call cost would be most of a step.  ``stepper`` takes every such
 step: on Python floats, a closed form evaluated per coordinate or every
 coordinate by ``_newton_row``, and by calling ``prox_batch`` for every
-step of a run that may take the grid route.
+step of a run that may take the bracket route.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from .energy import (
     base_quadratic,
     coordinate_curvatures,
     coordinate_scalars,
+    coordinate_slopes,
     coordinate_values,
     curvature_floors,
     energy_floors,
@@ -77,11 +77,12 @@ class ProxSettings(_ProxFields):
     """Knobs for the numeric search, a config's ``prox_settings`` object,
     checked on every construction; exact closed forms ignore them.
 
-    ``local_tol`` is the near-tie margin of every numeric row, and on the
-    grid route a bracket whose grid values spread by at most it stops.
-    ``max_iters`` caps the evaluations of each coordinate row (one per
-    problem in 1D, n per problem in nD): grid points on the grid route,
-    Newton iterates on the Newton route.
+    ``local_tol`` is the near-tie margin of every numeric row: candidates
+    whose objective values lie within it of each other, and more than
+    10 sqrt(local_tol) apart, tie.  ``max_iters`` caps the evaluations of
+    phi' of each coordinate row (n per problem in nD): the scan points or
+    both ends of every cell of the bracket route, and every iterate on
+    every bracket.
     """
 
     __slots__ = ()
@@ -186,13 +187,12 @@ def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
     * A closed form is ``resolvent`` on each coordinate's floats.
     * On the Newton route each coordinate row is one ``_newton_row``, which
       chooses between its minimizer and its stay-put guard by ``_precedes``.
-    * Where some step may take the grid route (the family has no curvature
-      floor, or some coordinate's kappa_j + m_j / delta is not positive)
-      every step calls ``prox_batch``.
+    * Where some step may take the bracket route (the family has no
+      curvature floor, or some coordinate's kappa_j + m_j / delta is not
+      positive) every step calls ``prox_batch``.
     """
-    mw = spec.domain.metric_weights()
-    solve, kappa = _closed_form(spec, settings), curvature_floors(spec, eps)
-    if solve is None and (kappa is None or not (kappa + mw / delta > 0).all()):
+    mw, solve = spec.domain.metric_weights(), _closed_form(spec, settings)
+    if solve is None and not _convex(spec, eps, np.arange(mw.size), mw / delta).all():
         def batch_step(u):
             # looked up at each call, so that a wrapper of prox.prox_batch sees it
             return prox_batch(spec, eps, [delta], [u], settings).minimizers[0].tolist()
@@ -228,7 +228,7 @@ def _tie_gap(local_tol):
 
 def _precedes(a, b):
     """Whether candidate ``a`` = (objective, m (x - u)^2, x) of a row,
-    listed before candidate ``b``, comes first in ``grid._select``'s order:
+    listed before candidate ``b``, comes first in ``_select``'s order:
     key by key the lower first, a nan after any number and two nans equal,
     as numpy sorts them; a full tie goes to ``a``."""
     for p, q in zip(a, b):
@@ -256,48 +256,61 @@ _WINDOW_SLACK = 1e-12
 # the row's bracket, is at round-off.  Four machine epsilons, as a Python
 # float, which the rows iterate on.
 _NEWTON_TOL = 4.0 * 2.0 ** -52
+# Window of the energies without floors: u +- this times
+# max(1, delta |phi'(u)|), a heuristic that certifies nothing.
+_FALLBACK_RADIUS = 2.0
 
 
 def _zoom_1d(spec, eps, cols, deltas, u, m, settings):
-    """Global 1D search of every coordinate row, on the Newton or the grid
-    route.
+    """Global 1D search of every coordinate row, on its route.  Row r
+    minimizes phi_j(v) + m (v - u)^2 / (2 delta) over its window
+    (see ``_candidates``), where j = cols[r], u = u[r], delta = deltas[r]
+    and m = m[r].  A row whose objective has a positive curvature floor
+    (phi_j'' >= kappa_j with kappa_j + m / delta > 0) is strictly convex
+    there.  Where every row is, ``_newton_1d`` settles each row's root
+    against its stay-put guard v = u; else ``_select`` and ``_near_ties``
+    rank every row's candidates, as ``_newton_1d`` would a convex row's.
+    Returns ``(x, tie_rows, tie_x)``: every row's chosen point in row
+    order, and the near ties, row ``tie_rows[t]`` at ``tie_x[t]``, grouped
+    by row in candidate order."""
+    convex = _convex(spec, eps, cols, m / deltas)
+    rows, x, values = _candidates(spec, eps, cols, deltas, u, m, settings, convex)
+    if convex.all():
+        return _newton_1d(x, values, u, m, settings.local_tol)
+    chosen = _select(rows, x, values, u, m)
+    tie = _near_ties(rows, x, values, chosen, m, settings.local_tol)
+    return x[chosen], rows[tie], x[tie]
 
-    Row r minimizes phi_j(v) + m (v - u)^2 / (2 delta) over the line, where
-    j = cols[r], u = u[r], delta = deltas[r] and m = m[r].  Every family
-    with energy floors phi_low searches the certified window
-    |v - u| <= sqrt(2 delta (phi_j(u) - phi_low) / m), which minimality
-    gives (Ambrosio-Gigli-Savare, Gradient Flows, ch. 2-3); a family
-    without floors searches u +- 2 max(1, delta |phi'(u)|).  A row whose objective has a
-    positive curvature floor (phi_j'' >= kappa_j with kappa_j + m / delta
-    > 0) is strictly convex there and takes ``_newton_1d``; every other row
-    takes ``grid._grid_zoom_1d``.  Each route sizes its rows' windows
-    itself, by ``_certified_window`` where the family has floors, and every
-    row also weighs the stay-put guard v = u, which keeps the descent
-    property.
 
-    Returns ``(x, tie_rows, tie_x)``, as each route returns them: every
-    row's chosen point in row order, and the rows' near ties, row
-    ``tie_rows[t]`` at ``tie_x[t]``, grouped by row in candidate order.
-    """
+def _select(rows, x, values, u, m):
+    """Index of each row's chosen candidate, in row order, among those at
+    ``x`` of the rows ``rows`` (base points ``u``, metric weights ``m``):
+    lowest objective, then smallest m (x - u)^2, then smallest x, then
+    candidate order, a nan key last, as ``_precedes`` orders two.  Every
+    row must have a candidate."""
+    off = x - u[rows]
+    order = np.lexsort([x, m[rows] * (off * off), values, rows])
+    return order[np.searchsorted(rows[order], np.arange(u.size))]
+
+
+def _near_ties(rows, x, values, chosen, m, local_tol):
+    """Candidates within ``local_tol`` of their row's optimum, the value of
+    its ``chosen`` candidate, and more than ``_tie_gap(local_tol)`` away
+    from that candidate in the row's metric weight ``m``, grouped by row in
+    candidate order."""
+    near = values <= values[chosen][rows] + local_tol
+    near[chosen] = False
+    tie = np.flatnonzero(near)
+    if tie.size:
+        off = x[tie] - x[chosen][rows[tie]]
+        tie = tie[np.sqrt(m[rows[tie]] * off * off) > _tie_gap(local_tol)]
+    return tie[np.argsort(rows[tie], kind="stable")]
+
+
+def _convex(spec, eps, cols, c):
+    """Whether kappa_j + c > 0, c = m / delta, for each row."""
     kappa = curvature_floors(spec, eps)     # a family with these has floors too
-    newton = (np.zeros(u.size, dtype=bool) if kappa is None
-              else kappa[cols] + m / deltas > 0)
-    if newton.all():
-        return _newton_1d(spec, eps, cols, deltas, u, m, settings)
-    from .grid import _grid_zoom_1d     # compiled once some row takes the grid route
-
-    if not newton.any():
-        return _grid_zoom_1d(spec, eps, cols, deltas, u, m, settings)
-    # each route on its own rows; a row's ties all come from its one route
-    x, rows, ties = np.empty(u.size), [], []
-    for route, r in ((_newton_1d, np.flatnonzero(newton)),
-                     (_grid_zoom_1d, np.flatnonzero(~newton))):
-        x[r], tie_rows, tie_x = route(spec, eps, cols[r], deltas[r], u[r], m[r], settings)
-        rows.append(r[tie_rows])
-        ties.append(tie_x)
-    rows, ties = np.concatenate(rows), np.concatenate(ties)
-    order = np.argsort(rows, kind="stable")
-    return x, rows[order], ties[order]
+    return np.zeros(cols.size, dtype=bool) if kappa is None else kappa[cols] + c > 0
 
 
 def _window_error(u, delta, radius):
@@ -324,9 +337,10 @@ def _certified_window(energy_u, floor, u, delta, m, sqrt, where):
 
 def _rtsafe_step(slope, curvature, c, u, x, lo, hi, step_old, step, where):
     """One iterate of safeguarded Newton (rtsafe: Press et al., Numerical
-    Recipes, 3rd ed., section 9.4) on the root of the increasing
+    Recipes, 3rd ed., section 9.4) on the root of
     F(v) = phi'(v) + c (v - u), from ``x`` with phi'(x) = ``slope`` and
-    phi''(x) = ``curvature``, inside the bracket [lo, hi].
+    phi''(x) = ``curvature``, inside the bracket [lo, hi], on which F goes
+    from negative to non-negative.
 
     A step that would leave the bracket, or that is more than half the
     step before last, is a bisection step instead.  ``step_old`` and
@@ -350,10 +364,31 @@ def _rtsafe_step(slope, curvature, c, u, x, lo, hi, step_old, step, where):
 
 
 def _budget_error(max_iters):
-    """The error of a Newton row still moving after ``max_iters`` iterates."""
+    """The error of a row that needs more than ``max_iters`` evaluations."""
     return BudgetExhaustedError(
         f"1D prox Newton iteration did not converge within "
         f"{max_iters} evaluations (budget {max_iters})")
+
+
+def _iterate(spec, eps, brackets, x, lo, hi, owner, spent, max_iters):
+    """Each bracket's root, by ``_rtsafe_step`` on all at once from ``x``
+    in [lo, hi] until the step is at round-off.  ``brackets`` holds each
+    one's coordinate, u, c = m / delta and stop; each iterate adds one to
+    ``spent`` of its row ``owner[b]``, whose brackets stop past ``max_iters``."""
+    step = hi - lo
+    state, live, root = [x, lo, hi, step, step], np.arange(x.size), np.empty(x.size)
+    while live.size:
+        j, u, c, stop = brackets
+        slope, curvature = coordinate_curvatures(spec, eps, j, state[0])
+        state = _rtsafe_step(slope, curvature, c, u, *state, np.where)
+        spent += np.bincount(owner[live], minlength=spent.size)
+        go = (state[4] > stop) & (spent[owner[live]] <= max_iters)
+        if not go.all():        # freeze the others at their iterate
+            root[live[~go]] = state[0][~go]
+            live = live[go]
+            state = [a[go] for a in state]
+            brackets = [a[go] for a in brackets]
+    return root
 
 
 def _guard_ties(value_x, value_u, diff, m, local_tol, sqrt):
@@ -375,25 +410,18 @@ def _members(spec, eps):
 def _newton_row(member, u, delta, m, iterations, local_tol):
     """The Newton route's whole work on one coordinate row, on Python
     floats: the kernel of B = 1 steps, where numpy's per-call cost would be
-    most of the row.  ``_newton_1d`` runs the same window and iterate on
-    arrays of rows and gives every row what this gives it.
+    most of the row.  ``_newton_1d`` gives every row what this gives it.
 
     The row minimizes phi(v) + m (v - u)^2 / (2 delta), for the coordinate
     ``member`` = (phi, derivatives, floor) of ``_members``, whose curvature
-    floor makes that strictly convex.  Its window is ``_certified_window``'s,
-    as ``_zoom_1d`` states it; a window that is not finite raises
-    ``EvaluationError``.
-
-    ``_rtsafe_step`` then finds the root of the objective's derivative
-    F(v) = phi'(v) + c (v - u), c = m / delta, inside the window, until its
-    step is at round-off.  Each iterate costs one evaluation of phi' and
-    phi'' against the budget ``iterations``, range(max_iters) of the
-    settings, and ``BudgetExhaustedError`` ends a row that runs out.
-
-    The row then weighs the stay-put guard v = u, which keeps the descent
-    property, and chooses the one of the minimizer and the guard that
-    ``_precedes`` the other.  Returns the chosen point, and the other one
-    where ``_guard_ties``, else None.
+    floor makes that strictly convex.  ``_rtsafe_step`` finds the root of
+    F(v) = phi'(v) + c (v - u), c = m / delta, inside the certified window
+    until its step is at round-off, each iterate against the budget
+    ``iterations``, range(max_iters); a window that is not finite raises
+    ``EvaluationError``, a row that runs out ``BudgetExhaustedError``.  The
+    row then chooses the one of the minimizer and the stay-put guard v = u
+    that ``_precedes`` the other.  Returns the chosen point, and the other
+    one where ``_guard_ties``, else None.
     """
     phi, derivatives, floor = member
     try:
@@ -424,59 +452,73 @@ def _newton_row(member, u, delta, m, iterations, local_tol):
     return u, x if tie else None
 
 
-def _newton_1d(spec, eps, cols, deltas, u, m, settings):
-    """``_newton_row`` on all rows at once: the same window, iterate and
-    guard on float64 arrays, so each row gets what it gets alone.
-
-    Every row takes its iterates together with the others and is frozen
-    once its step is at round-off.  Of the rows that fail, the first in
-    row order raises its error: ``EvaluationError`` for a window that is
-    not finite, else ``BudgetExhaustedError`` for a row still moving after
-    ``max_iters`` iterates.  A row chooses between its minimizer and its
-    guard by their values and, where these neither differ nor order, by
-    ``_precedes``, and keeps the other one as its near tie where
-    ``_guard_ties``.  Returns ``(x, tie_rows, tie_x)`` as ``_zoom_1d``
-    states it: each row's choice, and the other one of the rows that keep
-    it.
-    """
+def _candidates(spec, eps, cols, deltas, u, m, settings, convex):
+    """Each row's candidates, the roots of its brackets and then its guard
+    v = u: their rows, points and objective values.  A row's window is
+    |v - u| <= sqrt(2 delta (phi(u) - phi_low) / m), which minimality
+    certifies (Ambrosio-Gigli-Savare, Gradient Flows, ch. 2-3), or without
+    energy floors phi_low u +- ``_FALLBACK_RADIUS`` max(1, delta |phi'(u)|).
+    A ``convex`` row's window is its one bracket, iterated from u; the
+    others' come from ``brackets._brackets``, and a root more than
+    ``local_tol`` above its row's least value so far is dropped.  Raises
+    the first failing row's ``EvaluationError`` (a window not finite) or
+    ``BudgetExhaustedError``."""
+    c, local_tol = m / deltas, settings.local_tol
+    max_iters = min(settings.max_iters, 2 ** 62)    # numpy compares no larger int
     # nan and inf as the float kernel meets them; a failing row is reported
     # below, and the values of the others do not depend on it
     with np.errstate(all="ignore"):
-        energy_u = coordinate_values(spec, eps, cols, u)
-        radius, tol = _certified_window(energy_u, energy_floors(spec, eps)[cols], u,
-                                        deltas, m, np.sqrt, np.where)
+        energy_u, floor = coordinate_values(spec, eps, cols, u), energy_floors(spec, eps)
+        if floor is None:
+            radius = _FALLBACK_RADIUS * np.maximum(
+                1.0, deltas * np.abs(coordinate_slopes(spec, eps, cols, u)))
+            tol = _NEWTON_TOL * np.maximum(np.abs(u) + radius, 1.0)
+        else:
+            radius, tol = _certified_window(energy_u, floor[cols], u, deltas, m, np.sqrt,
+                                            np.where)
         lo, hi = u - radius, u + radius
-        step = hi - lo
-        finite = np.isfinite(step)
-        # The live rows: their iterate, bracket and last two step sizes,
-        # and their coordinate, u, c = m / delta and round-off stop.
-        live = np.flatnonzero(finite)
-        state = [u[live], lo[live], hi[live], step[live], step[live]]
-        row = [cols[live], u[live], (m / deltas)[live], tol[live]]
-        x = u.copy()
-        for _ in range(settings.max_iters):
-            if not live.size:
-                break
-            j, u_live, c, stop = row
-            slope, curvature = coordinate_curvatures(spec, eps, j, state[0])
-            state = _rtsafe_step(slope, curvature, c, u_live, *state, np.where)
-            done = state[4] <= stop
-            if done.any():          # freeze these rows at their iterate
-                x[live[done]] = state[0][done]
-                go = ~done
-                live = live[go]
-                state = [a[go] for a in state]
-                row = [a[go] for a in row]
-        failed = np.concatenate([np.flatnonzero(~finite), live])
+        finite = np.isfinite(hi - lo)
+        spent = np.zeros(u.size)
+
+        def solve(owner, start, a, b):
+            if not owner.size:
+                return owner, start, start
+            roots = _iterate(spec, eps, [cols[owner], u[owner], c[owner], tol[owner]],
+                             start, a, b, owner, spent, max_iters)
+            off = roots - u[owner]
+            return owner, roots, (coordinate_values(spec, eps, cols[owner], roots)
+                                  + m[owner] * off * off / (2.0 * deltas[owner]))
+        owner = np.flatnonzero(convex & finite)
+        found = [solve(owner, u[owner], lo[owner], hi[owner])]
+        rest = np.flatnonzero(~convex & finite)
+        if rest.size:
+            from .brackets import _brackets     # compiled once some row takes the route
+
+            best = energy_u + 0.0       # the guard's d^2 / (2 delta) is 0
+            for owner, *start_ends in _brackets(spec, eps, rest, cols, c, u, lo, hi, tol,
+                                                local_tol, spent, max_iters):
+                owner, roots, values = solve(owner, *start_ends)
+                np.fmin.at(best, owner, values)
+                keep = ~(values > best[owner] + local_tol)
+                found.append((owner[keep], roots[keep], values[keep]))
+        failed = np.flatnonzero(~finite | (spent > max_iters))
         if failed.size:
-            r = failed.min()
-            if finite[r]:
-                raise _budget_error(settings.max_iters)
-            raise _window_error(u[r].item(), deltas[r].item(), radius[r].item())
-        diff = x - u
-        value_x = coordinate_values(spec, eps, cols, x) + m * diff * diff / (2.0 * deltas)
-        value_u = energy_u + 0.0
-        tie = _guard_ties(value_x, value_u, diff, m, settings.local_tol, np.sqrt)
+            r = failed[0]
+            raise (_budget_error(settings.max_iters) if finite[r] else
+                   _window_error(u[r].item(), deltas[r].item(), radius[r].item()))
+        owner, roots, values = (np.concatenate(p) for p in zip(*found))
+        return (np.concatenate([owner, np.arange(u.size)]), np.concatenate([roots, u]),
+                np.concatenate([values, energy_u + 0.0]))
+
+
+def _newton_1d(x, values, u, m, local_tol):
+    """``_newton_row``'s choice on all rows at once, every one certified
+    convex, between its root and its guard (``_candidates`` ``x`` with
+    ``values``, in that order), by value, else by ``_precedes``.  Returns
+    ``(x, tie_rows, tie_x)`` as ``_zoom_1d`` does, the tie the other one."""
+    x, value_x, value_u = x[:u.size], values[:u.size], values[u.size:]
+    diff = x - u
+    tie = _guard_ties(value_x, value_u, diff, m, local_tol, np.sqrt)
     # the clear cases by value, the others (equal values, a nan) by _precedes
     stay = value_u < value_x
     for r in np.flatnonzero(~(value_x < value_u) & ~stay).tolist():

@@ -26,9 +26,9 @@ from .metric import Point, SpaceDescriptor, squared_distances
 from .prox import ProxSettings, prox_batch, stepper
 
 # Coordinate rows per prox_batch call in build_interpolant: a block holds
-# INTERPOLANT_BLOCK // n node problems of n coordinates (at least one).  The
-# grid route chunks its rows itself (grid._GRID_CHUNK), so its work arrays
-# do not grow with the block.  Measured on the 400-step wiggly run
+# INTERPOLANT_BLOCK // n node problems of n coordinates (at least one), the
+# only constant that blocks rows (``brackets._CELLS`` blocks the bracket
+# route's cells, whatever the rows).  Measured on the 400-step wiggly run
 # (eps = 0.05, tau = eps^2, 3200 Newton-route nodes; 2-core VM, Python
 # 3.11, numpy 2.4.6): build_interpolant in-process, and the peak RSS that
 # the benchmark reports (perfbench/run.py, 10 s runs; mostly the heap that

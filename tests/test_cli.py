@@ -227,7 +227,7 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
     def test_starts_is_an_unknown_field(self, tmp_path):
-        # The grid route's first-round shortlist is a constant of the prox.
+        # The numeric prox has no multistart: its starts are its brackets.
         doc = quad_run_config(tmp_path / "out", prox_settings={
             "mode": "multistart_numeric", "starts": 3})
         proc = run_cli(tmp_path, doc)

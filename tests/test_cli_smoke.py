@@ -80,6 +80,16 @@ CONFIG_ERRORS = {
                      r"literal too long"),
     "deep_nesting": ("[" * 100_000 + "]" * 100_000, 1,
                      r"^config error: config file \S+config\.json nests too deeply"),
+    "root_not_object": ("[1, 2]", 1, r"^config error: config root must be a JSON object$"),
+    "unknown_kind": (run_config({"kind": "cubic"}), 1,
+                     r"^config error: unknown energy kind 'cubic'$"),
+    "empty_condition_h": (condition_h_config(WIGGLY, []), 1,
+                          r"^config error: .*field 'sequence' must be a nonempty list "
+                          r"of \[eps, point\] pairs$"),
+    "negative_lam": ({"space": LINE, "energy": QUAD, "command": {"sweep": {
+        "coupling": {"form": "eps_of_tau", "lam": -1, "alpha": 1.0},
+        "levels": [0.04, 0.02], "params": {"horizon_T": 0.2, "initial_point": [1.0]}}}},
+        1, r"^config error: field 'coupling' invalid: lam must be positive$"),
 }
 
 
@@ -185,6 +195,39 @@ def sweep_past_final_time(out, proc):
     assert doc["levels"][1]["n_steps"] * 2.0 ** -14 == 1.0
 
 
+def flat_sweep_converges(out, proc):
+    doc = report(out, "sweep_report.json")
+    assert [lv["status"] for lv in doc["levels"]] == ["ok"] * 4
+    assert doc["cauchy_flag"] is True
+    for k in range(4):
+        with open(out / f"trajectory_level_{k:02d}.csv") as fh:
+            energy = [float(row["energy"]) for row in csv.DictReader(fh)]
+        assert not [i for i in range(1, len(energy)) if energy[i] > energy[i - 1]]
+
+
+# eps |x| from u0 = -1 towards the centre 1: the last step lands on the
+# kink, where the numeric mode's bisection meets 0 to round-off
+KINK = {"kind": "convex_perturbed", "base": {"kind": "quadratic", "weights": [1.0],
+                                             "center": [1.0]}}
+KINK_RUN = {"eps": 1.0, "tau": 0.0625, "horizon_T": 0.4375, "initial_point": [-1.0]}
+
+
+def near_the_closed_form(tol):
+    """The run's trajectory lies within ``tol`` of the exact-mode run of
+    the same config, which this runs beside it."""
+    def check(out, proc):
+        exact = run_cli(out.parent, run_config(KINK, **KINK_RUN), "--out",
+                        str(out.parent / "exact"), "--quiet")
+        assert exact.returncode == 0, exact.stderr
+        rows = []
+        for path in (out, out.parent / "exact"):
+            with open(path / "trajectory.csv") as fh:
+                rows.append([float(row["x0"]) for row in csv.DictReader(fh)])
+        assert len(rows[0]) == len(rows[1]) == 8
+        assert max(abs(a - b) for a, b in zip(*rows)) <= tol
+    return check
+
+
 def closed_form_dissipation(out, proc):
     doc = report(out, "check_dissipation.json")
     assert doc["passed"] is True and doc["report"]["n_pairs"] == 20100
@@ -236,6 +279,29 @@ RUNS = {
     "smoke_maximal_slope_grid_end": (check_config(QUAD, type="maximal_slope",
                                                   **GRID_END_SWEEP),
                                      ["--quiet"], 0, min_slack_reported),
+    "smoke_condition_h_3d": (check_config(
+        {"kind": "wiggly", "base": {"kind": "quadratic", "weights": [1.0] * 3,
+                                    "center": [0.0] * 3}}, {"dimension": 3},
+        type="condition_h", limit_v=[0.5, 0.2, 0.1],
+        sequence=[[eps, [0.5, 0.2, 0.1]] for eps in (0.1, 0.05, 0.02)]),
+        ["--quiet"], 3, written("check_condition_h.json")),
+    "smoke_maximal_slope_3d": (check_config(
+        {"kind": "quadratic", "weights": [1.0, 2.0, 0.5], "center": [0.3, -0.2, 0.1]},
+        {"dimension": 3, "metric_kind": "diagonal_weighted", "weights": [4.0, 1.0, 2.0]},
+        type="maximal_slope", coupling={"form": "eps_of_tau", "lam": 1.0, "alpha": 1.0},
+        levels=[0.02, 0.01, 0.005],
+        params={"horizon_T": 1.0, "initial_point": [1.0, -0.8, 0.5]}),
+        ["--quiet"], 0, min_slack_reported),
+    # the flat flow, eps = tau^2: every row of every step past the
+    # curvature floor, on the bracket route
+    "smoke_flat_sweep": ({"space": LINE, "energy": WIGGLY, "command": {"sweep": {
+        "coupling": {"form": "eps_of_tau", "lam": 1.0, "alpha": 2.0},
+        "levels": [0.1, 0.05, 0.025, 0.0125],
+        "params": {"horizon_T": 1.0, "initial_point": [0.5]}}}},
+        ["--quiet"], 0, flat_sweep_converges),
+    # the kink in numeric mode, on the Newton route
+    "smoke_numeric_kink": (run_config(KINK, **KINK_RUN, prox_settings={
+        "mode": "multistart_numeric"}), ["--quiet"], 0, near_the_closed_form(1e-12)),
     "smoke_closed_dissipation": (check_config(
         {"kind": "convex_perturbed", "base": QUAD_2D}, WEIGHTED_PLANE, type="dissipation",
         run={"eps": 0.1, "tau": 0.005, "horizon_T": 1.0, "initial_point": [1.0, -0.5]}),

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from maxslope.energy import (
+    EnergySpec,
     certify_well_posedness,
     convex_perturbed,
     coordinate_curvatures,
@@ -76,6 +77,32 @@ class TestEval:
         with pytest.raises(ValueError):
             wiggly(quad_1d, amplitude_scale=0.0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "quadratic", "center": (0.0,)},
+         "quadratic energy requires weights and center"),
+        ({"kind": "quadratic", "weights": (1.0,)},
+         "quadratic energy requires weights and center"),
+        ({"kind": "quadratic", "weights": (1.0, 2.0), "center": (0.0,)},
+         "quadratic weights length must equal dimension"),
+        ({"kind": "quadratic", "weights": (1.0,), "center": (0.0, 1.0)},
+         "quadratic center length must equal dimension"),
+        ({"kind": "wiggly", "base": None}, "wiggly energy requires a quadratic base"),
+        ({"kind": "convex_perturbed", "base": "custom"},
+         "convex_perturbed energy requires a quadratic base"),
+        ({"kind": "cubic"}, "unknown energy kind 'cubic'"),
+    ], ids=["no_weights", "no_center", "weights_length", "center_length",
+            "wiggly_without_base", "kinked_custom_base", "unknown_kind"])
+    def test_construction_errors_name_their_field(self, line, fields, message):
+        # the Python API's checks, which a config reaches only in part
+        if fields.get("base") == "custom":
+            fields = {**fields, "base": custom_smooth(line, "x^2")}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EnergySpec(domain=line, **fields)
+
+    def test_custom_smooth_is_one_dimensional(self, plane):
+        with pytest.raises(ValueError, match="^custom_smooth energies are one-dimensional$"):
+            custom_smooth(plane, "x^2")
+
 
 def hexes(a):
     """The float.hex of each number of ``a``: equal lists are equal bit for
@@ -122,25 +149,25 @@ class TestCoordinates:
         cols = np.zeros(3, dtype=int)
         assert np.array_equal(coordinate_values(spec, 1.0, cols, X),
                               eval_many(spec, 1.0, X.reshape(-1, 1)).reshape(3, 4))
-        # phi_0' on column rows, in one block or row by row, as the grid
+        # phi_0' on column rows, in one block or row by row, as the bracket
         # route takes it for its windows
         slope = gradient_many(spec, 1.0, X.reshape(-1, 1)).reshape(3, 4)
         for r in range(3):
             assert hexes(gradient_many(spec, 1.0, X[r][:, None])[:, 0]) == hexes(slope[r])
         assert hexes(gradient_many(spec, 1.0, X[:, 0][:, None])[:, 0]) == hexes(slope[:, 0])
 
-    @pytest.mark.parametrize("family", ["quadratic", "wiggly"])
+    @pytest.mark.parametrize("family", ["quadratic", "wiggly", "convex_perturbed"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_scalar_members_match_the_row_evaluators_bitwise(self, family, data):
-        """The Newton route runs on coordinate_scalars, the grid route and
+        """The Newton route runs on coordinate_scalars, the array kernel and
         the window on the row evaluators; both must see the same numbers.
 
         For ``wiggly`` this rests on the platform: libm's sin/cos (``math``)
         must round as numpy's vector sin/cos do.  They agreed in every draw
         on numpy 2.4.6 on an x86-64 CPU with AVX-512.  Where they differ at
         a point, that point is held to a few ulps of the trig term instead,
-        and the Newton route may then differ from the grid route in the
+        and the float kernel may then differ from the array kernel in the
         last bits.
         """
         n = data.draw(st.integers(1, 3), label="n")
@@ -154,6 +181,8 @@ class TestCoordinates:
         spec = quadratic(space, weights, center)
         if family == "wiggly":
             spec = wiggly(spec, amplitude_scale=data.draw(st.floats(0.1, 3.0)))
+        elif family == "convex_perturbed":
+            spec = convex_perturbed(spec)
         eps = data.draw(st.floats(1e-3, 1.0), label="eps")
         # a long row goes through numpy's vector loops, a short one may not
         k = data.draw(st.sampled_from([1, 3, 64]), label="k")
@@ -253,12 +282,15 @@ class TestFloors:
         custom = custom_smooth(line, "x^2")
         assert energy_floors(custom, 1.0) is None
         assert curvature_floors(custom, 1.0) is None
+        with pytest.raises(CapabilityAbsentError):
+            coordinate_scalars(custom, 0.1, 0)
+        # the kink of eps |x| only adds a jump up of phi': the base's floors
         kinked = self.FAMILIES["convex_perturbed"]
         assert list(energy_floors(kinked, 0.1)) == [0.0, 0.0]
-        assert curvature_floors(kinked, 0.1) is None
-        for spec in (custom, kinked):
-            with pytest.raises(CapabilityAbsentError):
-                coordinate_scalars(spec, 0.1, 0)
+        assert list(curvature_floors(kinked, 0.1)) == [1.0, 3.0]
+        _, derivatives = coordinate_scalars(kinked, 0.1, 1)
+        assert derivatives(0.5) == (3.0 * (0.5 + 0.2) + 0.1, 3.0)
+        assert derivatives(0.0) == (3.0 * 0.2, 3.0)
 
 
 class TestGammaLimit:
@@ -521,6 +553,28 @@ class TestCustomExpressions:
                 if np.isfinite(ref) and np.isfinite(scale):
                     tol = 1e-9 * max(1.0, abs(ref), scale) + 4 * own
                     assert abs(value - ref) <= tol, (ours.__name__, point, value, ref)
+
+    @pytest.mark.parametrize("expression", [
+        "x^4 - x^2", "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)",
+        "x^x + abs(x - 0.5)^3", "exp(sin(x)) / (1 + x^2) - eps*x",
+    ])
+    def test_curvature_matches_sympy(self, line, expression):
+        """The Newton iterate's phi'' of a custom expression, the compiled
+        derivative tree differentiated once more, against sympy's."""
+        sympy = pytest.importorskip("sympy")
+        X, E = sympy.Symbol("x", real=True), sympy.Symbol("eps", positive=True)
+        expr = sympy.sympify(expression.replace("^", "**"), rational=False,
+                             locals={"x": X, "eps": E, "abs": sympy.Abs})
+        # abs'' is 0 off its kink, where no point lies
+        second = sympy.lambdify((X, E), sympy.diff(expr, X, 2).replace(
+            sympy.DiracDelta, lambda arg: sympy.S.Zero), "math")
+        spec, points = custom_smooth(line, expression), np.linspace(0.1, 1.9, 7)
+        slope, curvature = coordinate_curvatures(spec, 0.05, np.zeros(7, dtype=int),
+                                                 points)
+        assert np.array_equal(slope, gradient_many(spec, 0.05, points[:, None])[:, 0])
+        for x, ours in zip(points.tolist(), curvature.tolist()):
+            theirs = second(x, 0.05)
+            assert abs(ours - theirs) <= 1e-9 * max(1.0, abs(theirs))
 
     def test_caret_power(self, line):
         spec = custom_smooth(line, "x^2 / 2")

@@ -3,8 +3,8 @@ sympy; the package needs numpy alone.  ``run`` and ``check
 dissipation|apriori`` load neither the sweep layer nor the slope layer,
 which only the commands that call them import.  The custom-expression
 compiler (``maxslope.expression``) loads only for a ``custom_smooth``
-energy, and the grid route (``maxslope.grid``) only once some coordinate
-row takes it.  No command loads ``numpy.polynomial``.  Importing the CLI
+energy, and the prox's bracket route (``maxslope.brackets``) only once
+some coordinate row takes it.  No command loads ``numpy.polynomial``.  Importing the CLI
 into a process that has not loaded numpy asks numpy's OpenBLAS for one
 thread, unless the environment already names a count, and keeps the
 garbage collector off the heap that the imports made: the collector is
@@ -35,7 +35,7 @@ SRC = str(PACKAGE.parent)
 TESTS = Path(__file__).resolve().parent
 HEAVY = ("scipy", "scipy.optimize", "sympy")
 ON_DEMAND = ("maxslope.regimes", "maxslope.slope")
-COMPILED_ON_DEMAND = ("maxslope.expression", "maxslope.grid")
+COMPILED_ON_DEMAND = ("maxslope.expression", "maxslope.brackets")
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
@@ -225,7 +225,7 @@ def test_no_command_loads_numpy_polynomial(tmp_path):
     assert modules_after(code, ("numpy.polynomial",)) == []
 
 
-GRID_RUN = {**WIGGLY_RUN, "command": {"run": {
+BRACKET_RUN = {**WIGGLY_RUN, "command": {"run": {
     "eps": 0.1, "tau": 0.12, "horizon_T": 1.2, "initial_point": [0.0]}}}
 # (subcommand, config) of the commands whose energies are built-in families
 # and whose coordinate rows all take a closed form or the Newton route
@@ -245,7 +245,7 @@ def test_builtin_newton_commands_load_neither_expression_nor_grid(name, tmp_path
 
 
 def test_custom_run_loads_the_expression_compiler(tmp_path):
-    # and the grid route, which every custom_smooth row takes: the family
+    # and the bracket route, which every custom_smooth row takes: the family
     # declares no curvature floor
     code = cli_calls(tmp_path, ("run", CUSTOM_RUN))
     assert modules_after(code, COMPILED_ON_DEMAND) == list(COMPILED_ON_DEMAND)
@@ -253,10 +253,10 @@ def test_custom_run_loads_the_expression_compiler(tmp_path):
 
 def test_grid_route_run_loads_the_grid_route(tmp_path):
     # at tau = 0.12 the steps' objective w + m / tau - a / eps < 0 is not
-    # certified convex, so they take the grid route; the smaller step
+    # certified convex, so they take the bracket route; the smaller step
     # sizes of the interpolant's nodes take the Newton route
-    code = cli_calls(tmp_path, ("run", GRID_RUN))
-    assert modules_after(code, COMPILED_ON_DEMAND) == ["maxslope.grid"]
+    code = cli_calls(tmp_path, ("run", BRACKET_RUN))
+    assert modules_after(code, COMPILED_ON_DEMAND) == ["maxslope.brackets"]
 
 
 def test_cli_import_asks_for_one_blas_thread():

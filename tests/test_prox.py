@@ -15,9 +15,9 @@ from maxslope.energy import (
     wiggly,
 )
 from maxslope.errors import BudgetExhaustedError, EvaluationError, InvalidDeltaError
-from maxslope.grid import _grid_zoom_rows, _select
 from maxslope.metric import SpaceDescriptor, distances
-from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, _newton_1d, prox_batch
+from maxslope.prox import (MULTISTART_NUMERIC, ProxSettings, _candidates, _select, _zoom_1d,
+                           prox_batch)
 
 from conftest import brute_force_prox_1d, parse_config, prox_objective
 
@@ -51,11 +51,13 @@ SEARCH_SETUPS = {
     # curvature 1e-8 + 1 / 1e6: the guard of the first row is a near tie
     "newton_1d_kept_guard": (quadratic(LINE, [1e-8], [0.3]), 1.0, [1e6, 0.1],
                              [[0.0], [0.5]], NUMERIC),
-    # 1 - 1 / 0.05 + 1 / 0.1 < 0: past the curvature floor, the grid route
+    # 1 - 1 / 0.05 + 1 / 0.1 < 0: past the curvature floor, the bracket route
     "grid_wiggly": (wiggly(quadratic(LINE, [1.0], [0.0])), 0.05, [0.1, 0.2, 0.1],
                     [[0.5], [-1.1], [0.0]], DEFAULTS),
+    # convex with a kink: the Newton route, some rows landing on the kink
     "grid_convex_perturbed": (convex_perturbed(quadratic(LINE, [1.0], [0.0])), 0.1,
                               [0.5, 0.01, 0.1], [[1.5], [0.05], [-0.3]], NUMERIC),
+    # the bracket route on a scan of the heuristic window
     "custom_smooth": (custom_smooth(LINE, "0.5*x^2 + eps*cos(x/eps) + 0.25*exp(-x^2)"),
                       0.05, [0.0025, 0.1], [[0.5], [-0.8]], DEFAULTS),
     # from u = 0 each coordinate's guard is within local_tol of its
@@ -160,10 +162,12 @@ class TestNumericSearch:
         a, g = np.flatnonzero(newton), np.flatnonzero(~newton)
         # the candidates of a Newton row: its minimizer and its guard v = u,
         # one of them its choice and the other its near tie if it keeps one;
-        # of a grid row: those that the grid zoom ranks, with their values
-        x_a, tie_a, tie_x = (_newton_1d(spec, eps, cols[a], d[a], u[a], m[a], settings)
+        # of a bracket row: those that the bracket route ranks, with their
+        # values
+        x_a, tie_a, tie_x = (_zoom_1d(spec, eps, cols[a], d[a], u[a], m[a], settings)
                              if a.size else (u[a], a, u[a]))
-        r_g, x_g, v_g = _grid_zoom_rows(spec, eps, cols[g], d[g], u[g], m[g], settings)
+        r_g, x_g, v_g = (_candidates(spec, eps, cols[g], d[g], u[g], m[g], settings, newton[g])
+                         if g.size else (g, u[g], u[g]))
         r = np.concatenate([a, a[tie_a], a, g[r_g]])
         x = np.concatenate([x_a, tie_x, u[a], x_g])
         b, j = r // n, cols[r]
@@ -220,8 +224,9 @@ class TestFailureModes:
             prox_one(quad_1d, 1.0, 0.0, [1.0], DEFAULTS)
 
     def test_budget_exhausted(self, wiggly_1d):
-        # 1 + 1 / delta < 1 / eps: not certified convex, so the grid zoom runs
-        tight = ProxSettings(max_iters=10)
+        # 1 + 1 / delta < 1 / eps: not certified convex, so the bracket route
+        # runs, whose cell ends and iterates count: 7 in all
+        tight = ProxSettings(max_iters=3)
         with pytest.raises(BudgetExhaustedError):
             prox_one(wiggly_1d, 0.01, 0.02, [0.5], tight)
 
@@ -236,7 +241,7 @@ class TestFailureModes:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_search_window_fails_at_once(self, line):
         # The gradient 1e310 overflows, so the 1D window would be infinite:
-        # every grid point is NaN and the zoom would only end at its budget.
+        # every iterate would be NaN and end only at the budget.
         spec = quadratic(line, [1e10], [0.0])
         with pytest.raises(EvaluationError, match=r"u=1e\+300 with delta=0.1"):
             prox_one(spec, 1.0, 0.1, [1e300], NUMERIC)

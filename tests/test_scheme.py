@@ -94,7 +94,7 @@ WEIGHTED_PLANE = SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.
 WEIGHTED_9D = SpaceDescriptor(9, metric_kind="diagonal_weighted",
                               weights=(0.25, 1.0, 4.0) * 3)
 # (spec, params) of runs over every prox path: the closed form
-# (weighted_2d_convex_perturbed), the grid route, every step through
+# (weighted_2d_convex_perturbed), the bracket route with every step through
 # prox_batch (custom_smooth), and the Newton stepper on floats (the others)
 RUNS = {
     "wiggly_1d": (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])), SchemeParams(
@@ -193,7 +193,7 @@ class TestArrayTrajectory:
         ``prox_batch`` gives for that step, whichever route took it.
         ``prox_batch`` reports no energy: ``test_equals_scalar_prox_loop``
         checks the energies.  On ``wiggly_2d_grid`` coordinate 1 takes the
-        grid route (2 - 1 / 0.05 + 1 / 0.1 < 0)."""
+        bracket route (2 - 1 / 0.05 + 1 / 0.1 < 0)."""
         spec, params = RUNS.get(name) or (
             wiggly(quadratic(WEIGHTED_PLANE, [1.0, 2.0], [0.0, 0.0])),
             SchemeParams(eps=0.05, tau=0.1, horizon_T=1.0, initial_point=pt(0.5, -0.3)))
@@ -402,8 +402,7 @@ class TestBuildInterpolant:
         """Node problems are independent, so the block size may change only
         the speed: 1600 Newton rows, 1600 Newton-route problems of 9
         coordinate rows, 1600 closed-form rows of 2D problems and 160
-        grid-route rows (chunked by the grid route itself) come out bit for
-        bit the same."""
+        bracket-route rows come out bit for bit the same."""
         if name == "wiggly":
             spec, eps, tau, T, u0 = (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])),
                                      0.05, 0.0025, 0.5, [0.5])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from maxslope.energy import custom_smooth, quadratic
+from maxslope.energy import custom_smooth, exact_slopes, quadratic
 from maxslope.errors import CapabilityAbsentError, SequenceNotConvergentError
+from maxslope.metric import SpaceDescriptor
 from maxslope.slope import (
     DEFAULT_RADII,
     check_condition_h,
@@ -48,6 +49,16 @@ class TestEstimateSlope:
         trap = nearest_stable_critical_point(wiggly_1d, 0.1, [0.5])
         est = estimate_slope(wiggly_1d, 0.1, trap)
         assert est < 1e-2
+
+    def test_3d_estimate_lies_just_below_the_exact_slope(self):
+        # n >= 3 samples the axes and a fixed cloud of directions, which
+        # misses the gradient's by a small angle: 0.32651 against 0.32787
+        space = SpaceDescriptor(3, metric_kind="diagonal_weighted", weights=(4.0, 1.0, 2.0))
+        spec = quadratic(space, [1.0] * 3, [0.0] * 3)
+        x = np.array([0.5, 0.2, 0.1])
+        exact = exact_slopes(spec, 1.0, x[None, :])[0]
+        est = estimate_slope(spec, 1.0, x)
+        assert exact * (1.0 - 1e-2) <= est <= exact
 
     def test_default_schedule_shape(self):
         assert len(DEFAULT_RADII) == 13
