@@ -28,23 +28,30 @@ from .prox import ProxSettings, prox_batch, stepper
 # Coordinate rows per prox_batch call in build_interpolant: a block holds
 # INTERPOLANT_BLOCK // n node problems of n coordinates (at least one), the
 # only constant that blocks rows (``brackets._CELLS`` blocks the bracket
-# route's cells, whatever the rows).  Measured on the 400-step wiggly run
-# (eps = 0.05, tau = eps^2, 3200 Newton-route nodes; 2-core VM, Python
-# 3.11, numpy 2.4.6): build_interpolant in-process, and the peak RSS that
-# the benchmark reports (perfbench/run.py, 10 s runs; mostly the heap that
-# its warm calls leave in the benchmark process):
-#   rows per block          64     256    512    1024   3200
-#   build_interpolant (ms)  11.2   4.0    2.9    2.0    1.6
-#   peak RSS (MB)           42.2   42.1   42.1   42.3   -
-# (medians of 6 to 21 runs).
-# 512 is as fast end to end as 1024, with less heap.  The block counts
+# route's cells, whatever the rows).  Measured on the pinning workload's
+# run (perfbench pinning_run, seed 0: wiggly, eps = 0.05, tau = eps^2, 400
+# steps, fixed from step 350 on, so 2808 Newton-route node rows are solved;
+# 2-core VM, Python 3.11, numpy 2.4.6): build_interpolant in-process
+# (medians of 20 interleaved rounds), the peak RSS of the CLI process
+# itself (VmHWM, medians of 5), and the peak RSS that the benchmark reports
+# (perfbench/run.py, 10 s runs, two each; mostly the heap that its warm
+# calls leave in the benchmark process):
+#   rows per block          64     256    512    1024   2048   4096   8192
+#   build_interpolant (ms)  10.0   3.3    2.3    1.6    1.3    1.1    1.3
+#   CLI VmHWM (MB)          31.4   31.4   31.4   31.4   31.3   31.4   31.5
+#   benchmark peak RSS (MB) 41.3   -      41.4   41.6   -      42.2   42.2
+# 4096 rows take the interpolants of both listed benchmark runs that build
+# one (pinning_run's, and dissipation_check's 3200 closed-form rows, 0.37
+# -> 0.19 ms) in one call each; more rows gain nothing.  The block counts
 # rows, not problems, because the numeric search holds a few candidates
 # per coordinate row.  On the 9D wiggly run (eps = 0.05, tau = eps^2,
-# T = 0.5; 1600 problems of 9 Newton rows) a process that runs the scheme
-# and builds the interpolant peaks at 30.9, 31.4 and 32.6 MB with 64, 512
-# and 1024 problems a block, and build_interpolant takes about 20, 13 and
-# 13 ms (3 runs each).
-INTERPOLANT_BLOCK = 512
+# T = 0.5; 1600 problems of 9 Newton rows) the CLI peaks at 31.3, 31.5 and
+# 32.2 MB with 64, 512 and 4096 rows a block, and build_interpolant takes
+# about 70, 14 and 7 ms (3 runs each).  A bracket-route row holds its scan
+# or cells: a 400-step custom_smooth run (0.5 x^2 + eps cos(x/eps) +
+# 0.25 exp(-x^2), eps = 0.05, tau = eps^2, 3200 rows) peaks at 32.0, 36.0
+# and 51.7 MB with 64, 512 and 4096 rows, for about 45, 37 and 36 ms.
+INTERPOLANT_BLOCK = 4096
 
 # Floats a run may hold in its arrays: the trajectory's (N + 1) n points,
 # N + 1 energies and N distances, at most (N + 1)(n + 2); the interpolant's
@@ -161,7 +168,12 @@ class SchemeStepError(MaxslopeError):
 
 
 def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
-    """Run N = ceil(T / tau) implicit steps from the initial point."""
+    """Run N = ceil(T / tau) implicit steps from the initial point.
+
+    The first step that returns its input bit for bit is a fixed point of
+    the step map (a pinned run stops at a local minimizer), so the rows
+    after it repeat that point and no further step is solved.
+    """
     space = spec.domain
     u0 = params.initial_point
     d2 = float(squared_distances(space, u0.array, space.base_point.array))
@@ -188,13 +200,19 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
     u = u0.array.tolist()
     for i in range(n_steps):
         try:
-            u = step(u)
-            if not all(map(math.isfinite, u)):
-                raise EvaluationError(f"prox minimizer {u} is not finite",
-                                      point=np.array(u))
+            v = step(u)
+            if not all(map(math.isfinite, v)):
+                raise EvaluationError(f"prox minimizer {v} is not finite",
+                                      point=np.array(v))
         except MaxslopeError as exc:
             raise SchemeStepError(i, exc) from exc
-        coords[i + 1] = u
+        coords[i + 1] = v
+        # A step is a function of u alone, so a step that returns its input
+        # bit for bit (== alone would take -0.0 for 0.0) returns it forever.
+        if v == u and coords[i + 1].tobytes() == coords[i].tobytes():
+            coords[i + 2:] = v
+            break
+        u = v
     D = coords[1:] - coords[:-1]
     return DiscreteTrajectory(
         space=space,
@@ -301,11 +319,14 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
                       ) -> VariationalInterpolant:
     """Solve the prox on every quadrature node of every step.
 
-    Once u^i is known the N * K node problems are independent, so they go
-    through ``prox_batch`` in blocks of ``INTERPOLANT_BLOCK`` coordinate
-    rows.  Node r is node r % K of step r // K, so a block that starts at
-    node s = q K + p reads its step sizes, and its base rows' step offsets
-    from q, from one pattern starting at p.
+    Once u^i is known the node problems are independent, so they go through
+    ``prox_batch`` in blocks of ``INTERPOLANT_BLOCK`` coordinate rows.  Node
+    s is node r = s % K of step q = s // K, so a block that starts at node s
+    reads its step sizes, and its base rows' step offsets from q, from one
+    pattern starting at r.  Only the steps 0..p are solved, where p is the
+    first step whose base point repeats bit for bit up to step N - 1 (a
+    pinned run's tail): each later step poses step p's K problems, so it
+    takes step p's results.
     """
     K = nodes_per_step
     nodes, gl_weights = gauss_legendre(K)
@@ -313,24 +334,31 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
     weights = 0.5 * traj.tau * gl_weights
     n = traj.space.dimension
     N = traj.n_steps
+    bits = traj.coords[:N].view(np.uint64)
+    moved = np.flatnonzero((bits != bits[-1:]).any(axis=1))
+    p = moved[-1] + 1 if moved.size else 0
+    stop = min(p + 1, N) * K          # the nodes of steps 0..p, none if N = 0
     block = max(1, INTERPOLANT_BLOCK // n)
     offsets, k = np.divmod(np.arange(block + K), K)
     delta_pattern = deltas[k]
-    values = np.empty((N * K, n))
-    g_values = np.empty(N * K)
-    for s in range(0, N * K, block):
-        (q, p), m = divmod(s, K), min(block, N * K - s)
-        D = delta_pattern[p:p + m]
-        res = prox_batch(spec, traj.eps, D, traj.coords[q:][offsets[p:p + m]],
+    values = np.empty((N, K, n))
+    g_values = np.empty((N, K))
+    node_values, node_g = values.reshape(N * K, n), g_values.reshape(N * K)
+    for s in range(0, stop, block):
+        (q, r), m = divmod(s, K), min(block, stop - s)
+        D = delta_pattern[r:r + m]
+        res = prox_batch(spec, traj.eps, D, traj.coords[q:][offsets[r:r + m]],
                          prox_settings)
-        values[s:s + m] = res.minimizers
-        g_values[s:s + m] = res.tie_moved / D
+        node_values[s:s + m] = res.minimizers
+        node_g[s:s + m] = res.tie_moved / D
+    values[p + 1:] = values[p:p + 1]
+    g_values[p + 1:] = g_values[p:p + 1]
     return VariationalInterpolant(
         parent=traj,
         node_times=np.arange(N)[:, None] * traj.tau + deltas,
         weights=weights,
-        values=values.reshape(N, K, n),
-        g_values=g_values.reshape(N, K),
+        values=values,
+        g_values=g_values,
     )
 
 

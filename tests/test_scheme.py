@@ -119,6 +119,9 @@ RUNS = {
         eps=0.05, tau=0.01, horizon_T=1.0,
         initial_point=pt(0.5, -0.1, 0.2, 0.7, -0.6, 0.3, 0.05, -0.9, 0.35),
         prox_settings=ProxSettings(mode=MULTISTART_NUMERIC))),
+    # the pinning run, at a fixed point of the step from step 335 on
+    "pinned_1d": (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])), SchemeParams(
+        eps=0.05, tau=0.0025, horizon_T=1.0, initial_point=pt(0.5))),
     # coordinate 1 starts at its centre and stays there: its guard is its
     # minimizer, at distance 0, which the Newton row settles by _precedes
     "centred_3d": (quadratic(SpaceDescriptor(3, metric_kind="diagonal_weighted",
@@ -141,6 +144,85 @@ def scalar_prox_run(spec, params):
         energies.append(eval_many(spec, params.eps, res.minimizers)[0])
         dists.append(res.moved[0])
     return np.array(coords), np.array(energies), np.array(dists)
+
+
+def first_repeated_step(coords):
+    """The first step p whose base point u^p repeats bit for bit up to the
+    last base point u^{N-1}, found row by row as a reference."""
+    rows = [list(map(float.hex, row)) for row in coords[:-1].tolist()]
+    p = len(rows) - 1
+    while p > 0 and rows[p - 1] == rows[-1]:
+        p -= 1
+    return p
+
+
+def count_calls(monkeypatch):
+    """Wrap ``scheme.stepper``'s steps and ``scheme.prox_batch``; return
+    the list of steps taken and the list of row counts solved."""
+    steps, rows = [], []
+    stepper, batch = scheme.stepper, scheme.prox_batch
+
+    def counted_stepper(*args):
+        step = stepper(*args)
+
+        def counted_step(u):
+            steps.append(u)
+            return step(u)
+        return counted_step
+
+    def counted_batch(spec, eps, deltas, U, settings):
+        rows.append(len(deltas))
+        return batch(spec, eps, deltas, U, settings)
+    monkeypatch.setattr(scheme, "stepper", counted_stepper)
+    monkeypatch.setattr(scheme, "prox_batch", counted_batch)
+    return steps, rows
+
+
+class TestFixedPoint:
+    """A step is a function of u alone, so once it returns its input bit
+    for bit it returns it at every later step: ``run_scheme`` stops
+    stepping there, and ``build_interpolant`` solves the nodes of the steps
+    up to it."""
+
+    def test_pinned_run_equals_every_step_solved(self, monkeypatch):
+        # the reference takes all 400 steps with prox.stepper and solves all
+        # N K nodes with prox_batch
+        spec, params = RUNS["pinned_1d"]
+        step = prox.stepper(spec, params.eps, params.tau, params.prox_settings)
+        coords = [params.initial_point.array.tolist()]
+        for _ in range(400):
+            coords.append(step(coords[-1]))
+        coords = np.array(coords)
+        p = first_repeated_step(coords)
+        assert p < 399                          # 335 with numpy 2.4 on x86-64
+        deltas = np.tile(0.5 * params.tau * (gauss_legendre(8)[0] + 1.0), 400)
+        want = prox_batch(spec, params.eps, deltas, np.repeat(coords[:-1], 8, axis=0),
+                          SETTINGS)
+        steps, rows = count_calls(monkeypatch)
+        traj = run_scheme(spec, params)
+        interp = build_interpolant(spec, traj, SETTINGS)
+        assert len(steps) == p + 1
+        assert sum(rows) == (p + 1) * 8
+        assert traj.coords.tobytes() == coords.tobytes()
+        assert interp.values.tobytes() == want.minimizers.tobytes()
+        assert interp.g_values.tobytes() == (want.tie_moved / deltas).tobytes()
+
+    def test_signed_zeros_are_different_points(self, quad_1d, monkeypatch):
+        # 0.0 == -0.0, so a fixed point found by == would end the run after
+        # its first step and solve the nodes of that step alone
+        steps, rows = count_calls(monkeypatch)
+
+        def flip_zeros(*args):
+            def step(u):
+                steps.append(u)
+                return [-x for x in u]
+            return step
+        monkeypatch.setattr(scheme, "stepper", flip_zeros)
+        traj = run_scheme(quad_1d, quad_params(u0=0.0))
+        assert len(steps) == traj.n_steps == 4
+        assert np.signbit(traj.coords[:, 0]).tolist() == [False, True, False, True, False]
+        build_interpolant(quad_1d, traj, SETTINGS)
+        assert sum(rows) == traj.n_steps * 8
 
 
 class TestRunSize:
@@ -396,16 +478,27 @@ class TestBuildInterpolant:
             assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
-    @pytest.mark.parametrize("name", ["wiggly", "wiggly_9d", "closed_form_2d",
+    def test_run_of_no_step_has_no_node(self, quad_1d):
+        # horizon_T / tau rounds to 0 steps, which no node problem follows
+        traj = run_scheme(quad_1d, SchemeParams(eps=1.0, tau=1e300, horizon_T=1e-300,
+                                                initial_point=pt(1.0), tau_star=1e302))
+        interp = build_interpolant(quad_1d, traj, SETTINGS)
+        assert traj.n_steps == 0
+        assert interp.values.shape == (0, 8, 1) and interp.g_values.shape == (0, 8)
+
+    @pytest.mark.parametrize("name", ["wiggly", "pinned", "wiggly_9d", "closed_form_2d",
                                       "custom_smooth"])
     def test_block_size_leaves_the_nodes_alone(self, name, monkeypatch):
         """Node problems are independent, so the block size may change only
-        the speed: 1600 Newton rows, 1600 Newton-route problems of 9
-        coordinate rows, 1600 closed-form rows of 2D problems and 160
-        bracket-route rows come out bit for bit the same."""
-        if name == "wiggly":
+        the speed: 1600 Newton rows, 3200 Newton rows of a run pinned from
+        step 335 on, 1600 Newton-route problems of 9 coordinate rows, 1600
+        closed-form rows of 2D problems and 160 bracket-route rows come out
+        bit for bit the same, from blocks of 7 rows, which end inside steps,
+        to one block of all N K problems."""
+        if name in ("wiggly", "pinned"):
             spec, eps, tau, T, u0 = (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])),
-                                     0.05, 0.0025, 0.5, [0.5])
+                                     0.05, 0.0025, 0.5 if name == "wiggly" else 1.0,
+                                     [0.5])
         elif name == "wiggly_9d":
             spec, eps, tau, T, u0 = (wiggly(quadratic(
                 SpaceDescriptor(9), [1.0] * 9, [0.1 * j for j in range(9)])),
@@ -420,12 +513,13 @@ class TestBuildInterpolant:
                 0.1, 0.01, 0.2, [0.5])
         traj = run_scheme(spec, SchemeParams(eps=eps, tau=tau, horizon_T=T,
                                              initial_point=pt(*u0)))
-        found = []
-        for block in (7, 64, scheme.INTERPOLANT_BLOCK):
+        assert (first_repeated_step(traj.coords) < traj.n_steps - 1) == (name == "pinned")
+        found = set()
+        for block in (7, 64, 512, 4096, traj.n_steps * 8 * len(u0)):
             monkeypatch.setattr(scheme, "INTERPOLANT_BLOCK", block)
             interp = build_interpolant(spec, traj, SETTINGS)
-            found.append((interp.values.tobytes(), interp.g_values.tobytes()))
-        assert found[0] == found[1] == found[2]
+            found.add((interp.values.tobytes(), interp.g_values.tobytes()))
+        assert len(found) == 1
 
 class TestDeterminism:
     def test_rerun_is_bit_identical(self, wiggly_1d):
