@@ -62,7 +62,7 @@ if _GC_PAUSED:
 
 import argparse
 import functools
-import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +84,53 @@ EXIT_CHECK_FAILED = 3
 
 
 def write_json(obj: dict, path: Path) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)   # one write, not one per token
+    """``obj`` as the text of ``json.dumps(obj, sort_keys=True, indent=2)``
+    and a newline, in one write."""
+    text = _json_text(obj, "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+# float.__repr__ of the floats that JSON spells otherwise
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, newline: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for a value whose
+    line starts with ``newline``, the line break and its indent.  On
+    Python 3.10 and 3.11 an indented dump runs json's pure-Python encoder;
+    this is the same text by the same rules: sorted ``str`` keys, strings
+    by ``encode_basestring_ascii``, floats by ``float.__repr__`` (NaN,
+    Infinity, -Infinity), ints by ``int.__repr__``, lists and tuples as
+    arrays.  Any other value, or a key that is not a ``str``, raises
+    ``TypeError``.  Floats, most of a report's values, are tried first."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in obj]) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # encode_basestring_ascii raises TypeError for a key that is no str
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+             for k, v in sorted(obj.items())]) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _make_outdir(out: Path) -> None:

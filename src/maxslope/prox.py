@@ -10,15 +10,16 @@ into n 1D problems (the separable-sum rule of Parikh and Boyd, Proximal
 Algorithms, 2014).  Each coordinate row searches a window that minimality
 certifies from its coordinate's energy floor, or a heuristic one for an
 energy without floors, for the roots of the objective's derivative on
-brackets, each by one safeguarded Newton iteration written once over a
-row's floats or arrays.  A row takes one of two routes:
+brackets, each by one safeguarded Newton iteration (``_rtsafe_step``) on
+arrays of rows.  A row takes one of two routes:
 
 * the Newton route, where the energy's curvature floor makes the
   objective strictly convex and the window is the one bracket:
-  ``_newton_1d`` on arrays of rows, ``_newton_row`` on one row's Python
-  floats.  Each weighs the stay-put guard v = u itself, chooses the one
-  of the minimizer and the guard that ``_precedes`` the other, and keeps
-  the other as a near tie where it is one;
+  ``_newton_1d`` on arrays of rows, and ``_newton_row``, the same
+  operations in the same order written out as plain code on one row's
+  Python floats.  Each weighs the stay-put guard v = u itself, chooses the
+  one of the minimizer and the guard that ``_precedes`` the other, and
+  keeps the other as a near tie where it is one;
 * the bracket route for every row of a batch in which some row is not
   certified convex, whose brackets ``maxslope.brackets`` cuts; ``_select``
   and ``_near_ties`` rank every row's candidates.
@@ -320,47 +321,45 @@ def _window_error(u, delta, radius):
         f"is not finite (radius {radius:g})", point=np.array([u]))
 
 
-def _certified_window(energy_u, floor, u, delta, m, sqrt, where):
-    """The certified window u +- radius of a row with energy ``energy_u`` at
-    its base point: radius = sqrt(2 delta (phi(u) - floor + slack) / m), nan
-    where the square is negative or nan.  Also the size below which a Newton
-    step is at round-off: ``_NEWTON_TOL`` on the scale max(1, |u| + radius)
-    of the bracket.  One sequence of operations on a row's floats
-    (``math.sqrt``, ``_where``) or on arrays of rows (``np.sqrt``,
-    ``np.where``)."""
-    slack = _WINDOW_SLACK * (1.0 + abs(energy_u) + abs(floor))
+def _certified_window(energy_u, floor, u, delta, m):
+    """The certified windows u +- radius of rows with energies ``energy_u``
+    at their base points: radius = sqrt(2 delta (phi(u) - floor + slack) /
+    m), nan where the square is negative or nan.  Also the size below which
+    a Newton step is at round-off: ``_NEWTON_TOL`` on the scale
+    max(1, |u| + radius) of the bracket.  ``_newton_row`` repeats these
+    operations, in this order, on one row's floats."""
+    slack = _WINDOW_SLACK * (1.0 + np.abs(energy_u) + np.abs(floor))
     square = 2.0 * delta * (energy_u - floor + slack) / m
-    radius = sqrt(where(square >= 0.0, square, math.nan))
-    scale = abs(u) + radius
-    return radius, _NEWTON_TOL * where(scale > 1.0, scale, 1.0)
+    radius = np.sqrt(np.where(square >= 0.0, square, math.nan))
+    scale = np.abs(u) + radius
+    return radius, _NEWTON_TOL * np.where(scale > 1.0, scale, 1.0)
 
 
-def _rtsafe_step(slope, curvature, c, u, x, lo, hi, step_old, step, where):
+def _rtsafe_step(slope, curvature, c, u, x, lo, hi, step_old, step):
     """One iterate of safeguarded Newton (rtsafe: Press et al., Numerical
-    Recipes, 3rd ed., section 9.4) on the root of
+    Recipes, 3rd ed., section 9.4) on the roots of
     F(v) = phi'(v) + c (v - u), from ``x`` with phi'(x) = ``slope`` and
-    phi''(x) = ``curvature``, inside the bracket [lo, hi], on which F goes
-    from negative to non-negative.
+    phi''(x) = ``curvature``, inside the brackets [lo, hi], on which F goes
+    from negative to non-negative; arrays of rows.
 
     A step that would leave the bracket, or that is more than half the
     step before last, is a bisection step instead.  ``step_old`` and
     ``step`` are the sizes of the last two steps.  Returns the next x, the
-    bracket and the sizes of the last two steps.  One sequence of
-    operations on a row's floats, with ``where`` = ``_where``, or on arrays
-    of rows, with ``np.where``.
+    bracket and the sizes of the last two steps.  ``_newton_row`` repeats
+    these operations, in this order, on one row's floats.
     """
     f = slope + c * (x - u)
     # F(x) < 0 puts the root above x, else at or below it (a nan F shrinks
     # the bracket towards lo, so the iteration still ends)
     below = f < 0
-    lo = where(below, x, lo)
-    hi = where(below, hi, x)
+    lo = np.where(below, x, lo)
+    hi = np.where(below, hi, x)
     newton_step = f / (curvature + c)
     newton = x - newton_step
-    size = abs(newton_step)
+    size = np.abs(newton_step)
     half = 0.5 * (hi - lo)
     take = (size <= 0.5 * step_old) & (lo <= newton) & (newton <= hi)
-    return where(take, newton, lo + half), lo, hi, step, where(take, size, half)
+    return np.where(take, newton, lo + half), lo, hi, step, np.where(take, size, half)
 
 
 def _budget_error(max_iters):
@@ -374,30 +373,44 @@ def _iterate(spec, eps, brackets, x, lo, hi, owner, spent, max_iters):
     """Each bracket's root, by ``_rtsafe_step`` on all at once from ``x``
     in [lo, hi] until the step is at round-off.  ``brackets`` holds each
     one's coordinate, u, c = m / delta and stop; each iterate adds one to
-    ``spent`` of its row ``owner[b]``, whose brackets stop past ``max_iters``."""
+    ``spent`` of its row ``owner[b]``, whose brackets stop past
+    ``max_iters``.  A round adds at most its number of brackets to a row's
+    count, so until some row could pass ``max_iters`` the iterates are
+    added when their brackets stop; from then on each round adds its own."""
     step = hi - lo
     state, live, root = [x, lo, hi, step, step], np.arange(x.size), np.empty(x.size)
+    top, most = spent[owner].max().item(), np.bincount(owner).max().item()
+    owed, counted, rounds = np.zeros(x.size), 0, 0    # iterates not in spent yet
     while live.size:
         j, u, c, stop = brackets
         slope, curvature = coordinate_curvatures(spec, eps, j, state[0])
-        state = _rtsafe_step(slope, curvature, c, u, *state, np.where)
-        spent += np.bincount(owner[live], minlength=spent.size)
-        go = (state[4] > stop) & (spent[owner[live]] <= max_iters)
+        state = _rtsafe_step(slope, curvature, c, u, *state)
+        rounds += 1
+        go = state[4] > stop
+        if top + most * rounds > max_iters:     # some row may pass its budget
+            owed[live] = rounds - counted
+            spent += np.bincount(owner, weights=owed, minlength=spent.size)
+            owed[:], counted = 0.0, rounds
+            go &= spent[owner[live]] <= max_iters
         if not go.all():        # freeze the others at their iterate
-            root[live[~go]] = state[0][~go]
+            stopped = live[~go]
+            root[stopped] = state[0][~go]
+            owed[stopped] = rounds - counted
             live = live[go]
             state = [a[go] for a in state]
             brackets = [a[go] for a in brackets]
+    spent += np.bincount(owner, weights=owed, minlength=spent.size)
     return root
 
 
-def _guard_ties(value_x, value_u, diff, m, local_tol, sqrt):
-    """Whether a Newton row's minimizer x = u + ``diff`` and its guard v = u
-    are near ties of each other, so that the row keeps both: their values
-    are within ``local_tol`` of each other, and x is more than
-    ``_tie_gap(local_tol)`` away from u.  On floats or arrays."""
+def _guard_ties(value_x, value_u, diff, m, local_tol):
+    """Whether Newton rows' minimizers x = u + ``diff`` and their guards
+    v = u are near ties of each other, so that a row keeps both: their
+    values are within ``local_tol`` of each other, and x is more than
+    ``_tie_gap(local_tol)`` away from u.  On arrays; ``_newton_row``
+    repeats it on one row's floats."""
     return ((value_x <= value_u + local_tol) & (value_u <= value_x + local_tol)
-            & (sqrt(m * diff * diff) > _tie_gap(local_tol)))
+            & (np.sqrt(m * diff * diff) > _tie_gap(local_tol)))
 
 
 def _members(spec, eps):
@@ -408,27 +421,39 @@ def _members(spec, eps):
 
 
 def _newton_row(member, u, delta, m, iterations, local_tol):
-    """The Newton route's whole work on one coordinate row, on Python
-    floats: the kernel of B = 1 steps, where numpy's per-call cost would be
+    """The Newton route's whole work on one coordinate row, as plain float
+    code: the kernel of B = 1 steps, where numpy's per-call cost would be
     most of the row.  ``_newton_1d`` gives every row what this gives it.
 
     The row minimizes phi(v) + m (v - u)^2 / (2 delta), for the coordinate
     ``member`` = (phi, derivatives, floor) of ``_members``, whose curvature
-    floor makes that strictly convex.  ``_rtsafe_step`` finds the root of
-    F(v) = phi'(v) + c (v - u), c = m / delta, inside the certified window
-    until its step is at round-off, each iterate against the budget
+    floor makes that strictly convex.  Safeguarded Newton finds the root
+    of F(v) = phi'(v) + c (v - u), c = m / delta, inside the certified
+    window until its step is at round-off, each iterate against the budget
     ``iterations``, range(max_iters); a window that is not finite raises
     ``EvaluationError``, a row that runs out ``BudgetExhaustedError``.  The
     row then chooses the one of the minimizer and the stay-put guard v = u
     that ``_precedes`` the other.  Returns the chosen point, and the other
-    one where ``_guard_ties``, else None.
+    one where the two are near ties, else None.
+
+    The window, each iterate and the near-tie test are
+    ``_certified_window``, ``_rtsafe_step`` and ``_guard_ties`` written out
+    on floats, operation for operation in the same order, so that a row
+    rounds as it does on arrays.  ``TestArraySweep`` and
+    ``TestNewtonStepper`` compare the two copies bit for bit, and they are
+    what keeps them in step.
     """
     phi, derivatives, floor = member
     try:
         energy_u = phi(u)
     except ValueError:              # cos of an infinite u / eps, nan in numpy
         energy_u = math.nan
-    radius, tol = _certified_window(energy_u, floor, u, delta, m, math.sqrt, _where)
+    # the certified window, nan where its square is negative or nan
+    slack = _WINDOW_SLACK * (1.0 + abs(energy_u) + abs(floor))
+    square = 2.0 * delta * (energy_u - floor + slack) / m
+    radius = math.sqrt(square if square >= 0.0 else math.nan)
+    scale = abs(u) + radius
+    tol = _NEWTON_TOL * (scale if scale > 1.0 else 1.0)
     x, lo, hi = u, u - radius, u + radius
     step_old = step = hi - lo       # sizes of the last two steps
     if not math.isfinite(step):
@@ -436,8 +461,19 @@ def _newton_row(member, u, delta, m, iterations, local_tol):
     c = m / delta
     for _ in iterations:
         slope, curvature = derivatives(x)
-        x, lo, hi, step_old, step = _rtsafe_step(slope, curvature, c, u, x, lo, hi,
-                                                 step_old, step, _where)
+        f = slope + c * (x - u)
+        if f < 0:
+            lo = x
+        else:                       # a nan F shrinks the bracket towards lo
+            hi = x
+        newton_step = f / (curvature + c)
+        newton = x - newton_step
+        size = abs(newton_step)
+        if size <= 0.5 * step_old and lo <= newton <= hi:
+            x, step_old, step = newton, step, size
+        else:
+            half = 0.5 * (hi - lo)
+            x, step_old, step = lo + half, step, half
         if step <= tol:
             break
     else:
@@ -445,7 +481,8 @@ def _newton_row(member, u, delta, m, iterations, local_tol):
     diff = x - u
     value_x = phi(x) + m * diff * diff / (2.0 * delta)
     value_u = energy_u + 0.0        # the guard's d^2 / (2 delta) is 0
-    tie = _guard_ties(value_x, value_u, diff, m, local_tol, math.sqrt)
+    tie = (value_x <= value_u + local_tol and value_u <= value_x + local_tol
+           and math.sqrt(m * diff * diff) > _tie_gap(local_tol))
     if value_x < value_u or _precedes((value_x, m * (diff * diff), x),
                                       (value_u, 0.0, u)):   # common case inline
         return x, u if tie else None
@@ -474,8 +511,7 @@ def _candidates(spec, eps, cols, deltas, u, m, settings, convex):
                 1.0, deltas * np.abs(coordinate_slopes(spec, eps, cols, u)))
             tol = _NEWTON_TOL * np.maximum(np.abs(u) + radius, 1.0)
         else:
-            radius, tol = _certified_window(energy_u, floor[cols], u, deltas, m, np.sqrt,
-                                            np.where)
+            radius, tol = _certified_window(energy_u, floor[cols], u, deltas, m)
         lo, hi = u - radius, u + radius
         finite = np.isfinite(hi - lo)
         spent = np.zeros(u.size)
@@ -518,7 +554,7 @@ def _newton_1d(x, values, u, m, local_tol):
     ``(x, tie_rows, tie_x)`` as ``_zoom_1d`` does, the tie the other one."""
     x, value_x, value_u = x[:u.size], values[:u.size], values[u.size:]
     diff = x - u
-    tie = _guard_ties(value_x, value_u, diff, m, local_tol, np.sqrt)
+    tie = _guard_ties(value_x, value_u, diff, m, local_tol)
     # the clear cases by value, the others (equal values, a nan) by _precedes
     stay = value_u < value_x
     for r in np.flatnonzero(~(value_x < value_u) & ~stay).tolist():

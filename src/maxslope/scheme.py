@@ -26,9 +26,9 @@ from .metric import Point, SpaceDescriptor, squared_distances
 from .prox import ProxSettings, prox_batch, stepper
 
 # Coordinate rows per prox_batch call in build_interpolant: a block holds
-# INTERPOLANT_BLOCK // n node problems of n coordinates (at least one), the
-# only constant that blocks rows (``brackets._CELLS`` blocks the bracket
-# route's cells, whatever the rows).  Measured on the pinning workload's
+# INTERPOLANT_BLOCK // n node problems of n coordinates (at least one).
+# Within a call, ``brackets._CELLS`` and ``brackets._SCAN_ROWS`` block the
+# bracket route's cells and scanned rows.  Measured on the pinning workload's
 # run (perfbench pinning_run, seed 0: wiggly, eps = 0.05, tau = eps^2, 400
 # steps, fixed from step 350 on, so 2808 Newton-route node rows are solved;
 # 2-core VM, Python 3.11, numpy 2.4.6): build_interpolant in-process
@@ -47,10 +47,11 @@ from .prox import ProxSettings, prox_batch, stepper
 # per coordinate row.  On the 9D wiggly run (eps = 0.05, tau = eps^2,
 # T = 0.5; 1600 problems of 9 Newton rows) the CLI peaks at 31.3, 31.5 and
 # 32.2 MB with 64, 512 and 4096 rows a block, and build_interpolant takes
-# about 70, 14 and 7 ms (3 runs each).  A bracket-route row holds its scan
-# or cells: a 400-step custom_smooth run (0.5 x^2 + eps cos(x/eps) +
-# 0.25 exp(-x^2), eps = 0.05, tau = eps^2, 3200 rows) peaks at 32.0, 36.0
-# and 51.7 MB with 64, 512 and 4096 rows, for about 45, 37 and 36 ms.
+# about 70, 14 and 7 ms (3 runs each).  A bracket-route row's scan is
+# blocked by ``brackets._SCAN_ROWS`` and its cells by ``brackets._CELLS``,
+# whatever the rows: a 400-step custom_smooth run (0.5 x^2 + eps
+# cos(x/eps) + 0.25 exp(-x^2), eps = 0.05, tau = eps^2, 3200 rows) peaks at
+# 33.1 MB with 512 or 4096 rows a block and 35.4 MB with 100 000.
 INTERPOLANT_BLOCK = 4096
 
 # Floats a run may hold in its arrays: the trajectory's (N + 1) n points,

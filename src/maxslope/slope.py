@@ -13,6 +13,7 @@ pass on sampled data is evidence, a fail carries a concrete witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -29,8 +30,10 @@ DIRECTIONS_PER_RADIUS = 256
 LIMINF_TAIL = 3
 
 
+@functools.cache
 def _direction_set(space: SpaceDescriptor) -> np.ndarray:
-    """Deterministic unit directions (unit in the space's metric).
+    """Deterministic unit directions (unit in the space's metric), made
+    once per space and read-only.
 
     1D: both signs.  2D: equally spaced angles plus the axes.  Higher
     dimensions: axes plus a fixed pseudorandom sphere sample; coverage is
@@ -49,7 +52,9 @@ def _direction_set(space: SpaceDescriptor) -> np.ndarray:
         cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
         dirs = np.vstack([np.eye(n), -np.eye(n), cloud])
     norms = np.sqrt((space.metric_weights() * dirs * dirs).sum(axis=1))
-    return dirs / norms[:, None]
+    dirs = dirs / norms[:, None]
+    dirs.flags.writeable = False
+    return dirs
 
 
 def estimate_slope(spec: EnergySpec, eps: float, x: np.ndarray) -> float:
@@ -57,18 +62,19 @@ def estimate_slope(spec: EnergySpec, eps: float, x: np.ndarray) -> float:
 
     Each of the three finest radii r of ``DEFAULT_RADII`` gives the
     supremum of (f(x) - f(y))^+ / r over the direction set scaled to
-    metric radius r; the value is the largest of the three.
+    metric radius r; the value is the largest of the three.  One
+    ``eval_many`` call evaluates the probes of all three radii.
     """
     x = np.asarray(x, dtype=float)
     if eps <= 0:
         raise ValueError("eps must be positive")
     dirs = _direction_set(spec.domain)
     fx = float(eval_many(spec, eps, x[None, :])[0])
-    sups = []
-    for r in DEFAULT_RADII[-3:]:
-        vals = eval_many(spec, eps, x + r * dirs)
-        sups.append(max(0.0, float((fx - vals).max()) / r))
-    return max(sups)
+    radii = DEFAULT_RADII[-3:]
+    probes = x + np.array(radii)[:, None, None] * dirs
+    vals = eval_many(spec, eps, probes.reshape(-1, dirs.shape[1]))
+    drops = (fx - vals).reshape(len(radii), -1).max(axis=1).tolist()
+    return max(max(0.0, drop / r) for drop, r in zip(drops, radii))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -633,6 +634,48 @@ class TestCommandLine:
         assert sorted(p.name for p in elsewhere.iterdir()) == [
             "dissipation.json", "interpolant.csv", "trajectory.csv"]
         assert built == [1]
+
+
+class TestWriteJson:
+    """``write_json`` builds its text itself; it must be the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline."""
+
+    SCALARS = (st.floats(allow_nan=True, allow_infinity=True)
+               | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+               | st.floats().map(np.float64)
+               | st.integers(-10 ** 40, 10 ** 40) | st.booleans() | st.none()
+               | st.text(max_size=8))
+    TREES = st.recursive(
+        SCALARS,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.lists(inner, max_size=4).map(tuple)
+                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=30)
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=st.dictionaries(st.text(max_size=6), TREES, max_size=5))
+    def test_bytes_are_json_dumps(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            cli.write_json(obj, path)
+            written = path.read_bytes()
+        assert written == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+    def test_fixed_tree(self, tmp_path):
+        # each kind of value at least once, beside its neighbours
+        obj = {"z": [], "\u00e9\u4e2d": {}, "a": (1, True, 0, False, None, 2 ** 80),
+               "f": [math.nan, math.inf, -math.inf, -0.0, np.float64(0.1), 1e300],
+               "s": ["\u00fc\n\"", ""], "t": {"b": [[]], "a": ({},)}}
+        cli.write_json(obj, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text(encoding="utf-8") == json.dumps(
+            obj, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [{"a": {1, 2}}, {"a": [np.int64(3)]}, {"a": {1: 2.0}},
+                                     {1: "a"}], ids=["set", "int64", "int_key",
+                                                     "top_int_key"])
+    def test_unserializable_raises_type_error(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            cli.write_json(obj, tmp_path / "r.json")
 
 
 class TestSweepCommand:

@@ -625,7 +625,9 @@ class TestNewtonRoute:
 class TestNewtonStepper:
     """The scheme's B = 1 stepper, on the closed forms and the Newton row
     kernel, against ``prox_batch``, bit for bit, and its calls of
-    ``prox_batch`` off the Newton route."""
+    ``prox_batch`` off the Newton route.  With ``TestArraySweep`` this
+    keeps ``_newton_row``, plain float code, in step with the array
+    kernel."""
 
     @staticmethod
     def assert_step_matches(spec, eps, delta, u, prox_settings):
@@ -814,9 +816,11 @@ class TestNewtonStepper:
 class TestArraySweep:
     """``_newton_1d`` advances all Newton rows of a ``prox_batch`` call
     together as arrays; each row must get what the float kernel
-    ``_newton_row`` gives it alone.  On ``wiggly`` this rests on numpy's
-    float64 sin and cos rounding as libm's: on a platform where they round
-    apart, this test fails."""
+    ``_newton_row`` gives it alone.  ``_newton_row`` writes the window,
+    the iterate and the near-tie test out again as plain float code, so
+    this test and ``TestNewtonStepper`` are what keep the two copies in
+    step.  On ``wiggly`` this rests on numpy's float64 sin and cos rounding
+    as libm's: on a platform where they round apart, this test fails."""
 
     @staticmethod
     def kernel_rows(spec, eps, deltas, U, prox_settings):
@@ -849,7 +853,7 @@ class TestArraySweep:
             u = x
         return u
 
-    @pytest.mark.parametrize("family", ["quadratic", "wiggly", "flat"])
+    @pytest.mark.parametrize("family", ["quadratic", "wiggly", "flat", "convex_perturbed"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -874,6 +878,10 @@ class TestArraySweep:
             eps = data.draw(st.sampled_from([0.05, 0.1, 0.3, 1.0]), label="eps")
             if family == "wiggly":
                 spec = wiggly(spec)
+            elif family == "convex_perturbed":
+                # eps |x| in numeric mode: F jumps up by 2 eps at the kink,
+                # so iterates on either side of it take opposite branches
+                spec = convex_perturbed(spec)
             # w - a / eps + m / delta > 0 for every m >= 0.25: the Newton route
             delta = st.sampled_from([1e-4, 1e-3, 2.5e-3, 0.01]) | st.floats(1e-6, 0.012)
         B = data.draw(st.integers(1, 300 // n), label="B")
@@ -881,12 +889,17 @@ class TestArraySweep:
         U = np.array(center) + np.array(data.draw(
             st.lists(st.floats(-1.0, 1.0), min_size=B * n, max_size=B * n),
             label="offsets")).reshape(B, n)
-        # some coordinates at their centre, some pinned in a well
+        # some coordinates at their centre, some pinned in a well, and on
+        # the kink some at +-0
+        kinds = ["centre", "pinned"] + (["kink"] if family == "convex_perturbed" else [])
         for b, j, kind in data.draw(st.lists(st.tuples(
                 st.integers(0, B - 1), st.integers(0, n - 1),
-                st.sampled_from(["centre", "pinned"])), max_size=8), label="special"):
-            U[b, j] = center[j] if kind == "centre" else self.pinned(
-                spec, eps, float(deltas[b]), float(U[b, j]), j)
+                st.sampled_from(kinds)), max_size=8), label="special"):
+            if kind == "kink":
+                U[b, j] = data.draw(st.sampled_from([0.0, -0.0]), label="kink")
+            else:
+                U[b, j] = center[j] if kind == "centre" else self.pinned(
+                    spec, eps, float(deltas[b]), float(U[b, j]), j)
         cols = np.arange(B * n) % n
         mw = spec.domain.metric_weights()
         with mock.patch("maxslope.prox._select",
@@ -1194,6 +1207,48 @@ class TestWigglyCells:
         assert (batch.minimizers == batch.minimizers[0]).all()
         assert abs(batch.minimizers[0, 0] - 0.25) <= 2.0 * math.sqrt(1e-9 / 2.0)
         assert peak < 32 * 2 ** 20
+
+
+class TestScanBlocks:
+    """``custom_smooth`` rows, which have no cells, are scanned
+    ``brackets._SCAN_ROWS`` rows at a time: every block size gives every
+    row its brackets in the same order, and so every row's result bit for
+    bit, while the scan's memory stays bounded."""
+
+    @staticmethod
+    def rows(spec, eps):
+        # steps from the pinning step to past the wells' spacing, from
+        # points on both sides of the centre and on it, some with near ties
+        u = np.concatenate([np.linspace(-1.5, 1.5, 37), [0.0, -0.0]])
+        deltas = np.resize([eps ** 2, 0.1, 1.0], u.size)
+        return deltas, u[:, None]
+
+    @pytest.mark.parametrize("family", ["custom_smooth", "double_well", "quartic"])
+    def test_block_size_leaves_the_rows_alone(self, monkeypatch, family):
+        from maxslope import brackets
+
+        if family == "quartic":
+            # F points outward at both ends of most windows: brackets of
+            # width 0 there
+            spec, eps, prox_settings = custom_smooth(LINE, "x^2 - x^4"), 1.0, DEFAULTS
+        else:
+            spec, eps, prox_settings, _ = FAMILIES[family]
+        deltas, U = self.rows(spec, eps)
+        found = {}
+        for block in (1, 7, 128, U.shape[0]):
+            monkeypatch.setattr(brackets, "_SCAN_ROWS", block)
+            batch = prox_batch(spec, eps, deltas, U, prox_settings)
+            found[block] = [a.tobytes() for a in batch]
+        assert all(f == found[1] for f in found.values())
+        assert batch.near_tie.any()         # the ties' order is compared too
+
+    def test_scan_memory_is_bounded_by_the_block(self):
+        # 4096 rows in one call: scanned at once they hold about 33 MB
+        spec, eps, prox_settings, _ = FAMILIES["custom_smooth"]
+        U = np.linspace(-1.5, 1.5, 4096)[:, None]
+        _, peak = TestWigglyCells.peak_bytes(lambda: prox_batch(
+            spec, eps, np.full(4096, eps ** 2), U, prox_settings))
+        assert peak < 8 * 2 ** 20
 
 
 class TestInputs:

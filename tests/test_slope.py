@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxslope.energy import custom_smooth, exact_slopes, quadratic
+from maxslope.energy import (
+    convex_perturbed,
+    custom_smooth,
+    eval_many,
+    exact_slopes,
+    quadratic,
+    wiggly,
+)
 from maxslope.errors import CapabilityAbsentError, SequenceNotConvergentError
 from maxslope.metric import SpaceDescriptor
 from maxslope.slope import (
     DEFAULT_RADII,
+    _direction_set,
     check_condition_h,
     check_slope_cone,
     estimate_slope,
@@ -59,6 +69,53 @@ class TestEstimateSlope:
         exact = exact_slopes(spec, 1.0, x[None, :])[0]
         est = estimate_slope(spec, 1.0, x)
         assert exact * (1.0 - 1e-2) <= est <= exact
+
+    @staticmethod
+    def reference_slope(spec, eps, x):
+        """The estimate as one ``eval_many`` call per radius, from a
+        direction set built afresh."""
+        x = np.asarray(x, dtype=float)
+        dirs = _direction_set.__wrapped__(spec.domain)
+        fx = float(eval_many(spec, eps, x[None, :])[0])
+        sups = []
+        for r in DEFAULT_RADII[-3:]:
+            vals = eval_many(spec, eps, x + r * dirs)
+            sups.append(max(0.0, float((fx - vals).max()) / r))
+        return max(sups)
+
+    @pytest.mark.parametrize("family", ["quadratic", "wiggly", "convex_perturbed"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_radius_loop(self, family, n, data):
+        # all radii in one call give each radius's supremum bit for bit,
+        # on the 1D pair, the 2D ring and the nD cloud
+        if data.draw(st.booleans(), label="weighted"):
+            space = SpaceDescriptor(n, metric_kind="diagonal_weighted", weights=tuple(
+                data.draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n),
+                          label="metric")))
+        else:
+            space = SpaceDescriptor(n)
+        spec = quadratic(space, data.draw(st.lists(st.floats(0.5, 2.0), min_size=n,
+                                                   max_size=n), label="weights"),
+                         data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n),
+                                   label="center"))
+        if family != "quadratic":
+            spec = (wiggly if family == "wiggly" else convex_perturbed)(spec)
+        eps = data.draw(st.sampled_from([1e-3, 0.05, 0.1, 1.0]), label="eps")
+        x = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0),
+                               min_size=n, max_size=n), label="x")
+        est = estimate_slope(spec, eps, x)
+        assert float.hex(est) == float.hex(self.reference_slope(spec, eps, x))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_direction_set_is_built_once_and_read_only(self, n):
+        space = SpaceDescriptor(n, metric_kind="diagonal_weighted",
+                                weights=tuple(1.0 + j for j in range(n)))
+        dirs = _direction_set(space)
+        assert _direction_set(SpaceDescriptor(*space)) is dirs
+        assert np.array_equal(dirs, _direction_set.__wrapped__(space))
+        assert not dirs.flags.writeable
 
     def test_default_schedule_shape(self):
         assert len(DEFAULT_RADII) == 13
