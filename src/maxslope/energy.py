@@ -170,19 +170,26 @@ def _kink(spec: EnergySpec, eps: float, xp) -> _Term:
                  0.0, 0.0, None)
 
 
-def _quadratic_resolvent(w, b, eps, delta, u, m, where):
+def _quadratic_resolvent(w, b, eps, delta, m, where):
     # stationarity per coordinate: w (v - b) + m (v - u) / delta = 0
-    return (m * u + delta * w * b) / (m + delta * w)
+    pull, den = delta * w * b, m + delta * w
+
+    def solve(u):
+        return (m * u + pull) / den
+    return solve
 
 
-def _kink_resolvent(w, b, eps, delta, u, m, where):
+def _kink_resolvent(w, b, eps, delta, m, where):
     a = m / delta
     # per coordinate: w (v - b) + a (v - u) + eps sign(v) = 0, else v = 0
-    num = w * b + a * u
-    den = w + a
-    v_plus = (num - eps) / den
-    v_minus = (num + eps) / den
-    return where(v_plus > 0, v_plus, where(v_minus < 0, v_minus, 0.0))
+    wb, den = w * b, w + a
+
+    def solve(u):
+        num = wb + a * u
+        v_plus = (num - eps) / den
+        v_minus = (num + eps) / den
+        return where(v_plus > 0, v_plus, where(v_minus < 0, v_minus, 0.0))
+    return solve
 
 
 # kind: (term, closed-form resolvent), None where the family has none
@@ -196,9 +203,13 @@ def base_quadratic(spec: EnergySpec) -> EnergySpec:
 
 
 def resolvent(spec: EnergySpec):
-    """The family's closed-form resolvent, or None: ``solve(w, b, eps, delta,
-    u, m, where)``, the minimizer of phi(v) + m (v - u)^2 / (2 delta) for the
-    member of weight w and centre b, on arrays (np.where) or floats."""
+    """The family's closed-form resolvent, or None: ``solve(w, b, eps,
+    delta, m, where)`` returns u -> the minimizer of phi(v) + m (v - u)^2 /
+    (2 delta) for the member of weight w and centre b, on arrays (np.where)
+    or floats.  What depends on u alone is left to u -> v, so that a run
+    fixes the rest once per coordinate; the hoisted parts are the same
+    operations in the same order, so an array and a float give the same
+    bits."""
     return _FAMILIES.get(spec.kind, (None, None))[1]
 
 

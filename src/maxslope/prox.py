@@ -34,10 +34,12 @@ over the product of the rows' near-tie sets (Ambrosio-Gigli-Savare,
 Gradient Flows, Lemma 3.1.2), and no energy.
 
 The scheme's steps are B = 1 problems, one after another, where numpy's
-per-call cost would be most of a step.  ``stepper`` takes every such
-step: on Python floats, a closed form evaluated per coordinate or every
-coordinate by ``_newton_row``, and by calling ``prox_batch`` for every
-step of a run that may take the bracket route.
+per-call cost would be most of a step.  Coordinate j of a step depends on
+coordinate j of its base point alone, so a run is n independent 1D
+recurrences, and ``stepper`` gives each coordinate its own kernel on
+Python floats: the family's closed form curried once per run, else
+``_newton_row`` specialised once on a row the Newton route takes, else a
+one-row ``_zoom_1d`` call on the bracket route.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
     if solve is not None:
         quad = base_quadratic(spec)
         V = solve(np.asarray(quad.weights), np.asarray(quad.center), eps,
-                  deltas[:, None], U, mw, np.where)
+                  deltas[:, None], mw, np.where)(U)
     else:
         # row r = b n + j is problem b's coordinate j
         cols = np.arange(U.size) % n
@@ -181,39 +183,39 @@ def prox_batch(spec: EnergySpec, eps: float, deltas, U,
 
 def stepper(spec: EnergySpec, eps: float, delta: float, settings: ProxSettings):
     """The resolvent step of one problem at step size ``delta``, for a run
-    of B = 1 steps: a function of u, a list of n Python floats, that
-    returns the minimizer, a list of n floats, bit for bit as
-    ``prox_batch(spec, eps, [delta], [u], settings)`` returns it.
+    of B = 1 steps, as one kernel per coordinate: kernel j maps u_j, a
+    Python float, to v_j, bit for bit coordinate j of the minimizer that
+    ``prox_batch(spec, eps, [delta], [u], settings)`` returns.  Rows are
+    independent, so each kernel takes its own route:
 
-    * A closed form is ``resolvent`` on each coordinate's floats.
-    * On the Newton route each coordinate row is one ``_newton_row``, which
-      chooses between its minimizer and its stay-put guard by ``_precedes``.
-    * Where some step may take the bracket route (the family has no
-      curvature floor, or some coordinate's kappa_j + m_j / delta is not
-      positive) every step calls ``prox_batch``.
+    * a closed form is ``resolvent``, curried once per coordinate;
+    * a row whose curvature floor makes its objective strictly convex,
+      kappa_j + m_j / delta > 0, is ``_newton_row``, specialised once;
+    * any other row, and every row of a family without a curvature floor,
+      is a one-row ``_zoom_1d`` call: the bracket route.
     """
     mw, solve = spec.domain.metric_weights(), _closed_form(spec, settings)
-    if solve is None and not _convex(spec, eps, np.arange(mw.size), mw / delta).all():
-        def batch_step(u):
-            # looked up at each call, so that a wrapper of prox.prox_batch sees it
-            return prox_batch(spec, eps, [delta], [u], settings).minimizers[0].tolist()
-        return batch_step
     m = mw.tolist()
     if solve is not None:
         quad = base_quadratic(spec)
-        members = list(zip(quad.weights, quad.center, m))
+        return [solve(w, b, eps, delta, mj, _where)
+                for w, b, mj in zip(quad.weights, quad.center, m)]
+    convex = _convex(spec, eps, np.arange(mw.size), mw / delta).tolist()
+    members = _members(spec, eps) if any(convex) else None
+    return [_newton_row(members[j], delta, mj, settings.max_iters, settings.local_tol)
+            if convex[j] else _bracket_row(spec, eps, j, delta, mj, settings)
+            for j, mj in enumerate(m)]
 
-        def closed_step(u):
-            return [solve(w, b, eps, delta, uj, mj, _where)
-                    for uj, (w, b, mj) in zip(u, members)]
-        return closed_step
-    members = list(zip(_members(spec, eps), m))
-    iterations, local_tol = range(settings.max_iters), settings.local_tol
 
-    def newton_step(u):
-        return [_newton_row(member, uj, delta, mj, iterations, local_tol)[0]
-                for uj, (member, mj) in zip(u, members)]
-    return newton_step
+def _bracket_row(spec, eps, j, delta, m, settings):
+    """Coordinate j's kernel off the Newton route: a one-row ``_zoom_1d``
+    call, looked up in this module at each call, whose row gets what it
+    gets in any batch."""
+    cols, deltas, ms = np.array([j]), np.array([delta]), np.array([m])
+
+    def row(u):
+        return _zoom_1d(spec, eps, cols, deltas, np.array([u]), ms, settings)[0].item()
+    return row
 
 
 def _closed_form(spec, settings):
@@ -420,21 +422,24 @@ def _members(spec, eps):
             for j, floor in enumerate(energy_floors(spec, eps).tolist())]
 
 
-def _newton_row(member, u, delta, m, iterations, local_tol):
+def _newton_row(member, delta, m, max_iters, local_tol):
     """The Newton route's whole work on one coordinate row, as plain float
     code: the kernel of B = 1 steps, where numpy's per-call cost would be
     most of the row.  ``_newton_1d`` gives every row what this gives it.
 
     The row minimizes phi(v) + m (v - u)^2 / (2 delta), for the coordinate
     ``member`` = (phi, derivatives, floor) of ``_members``, whose curvature
-    floor makes that strictly convex.  Safeguarded Newton finds the root
-    of F(v) = phi'(v) + c (v - u), c = m / delta, inside the certified
-    window until its step is at round-off, each iterate against the budget
-    ``iterations``, range(max_iters); a window that is not finite raises
-    ``EvaluationError``, a row that runs out ``BudgetExhaustedError``.  The
-    row then chooses the one of the minimizer and the stay-put guard v = u
-    that ``_precedes`` the other.  Returns the chosen point, and the other
-    one where the two are near ties, else None.
+    floor makes that strictly convex.  Returns the row's kernel
+    ``row(u, ties=None)``, specialised once: c = m / delta, 2 delta and the
+    tie gap are fixed.  From u, safeguarded Newton finds the root of
+    F(v) = phi'(v) + c (v - u) inside the certified window until its step
+    is at round-off, in at most ``max_iters`` iterates; a window that is
+    not finite raises ``EvaluationError``, a row that runs out
+    ``BudgetExhaustedError``.  The kernel then returns the one of the
+    minimizer and the stay-put guard v = u that ``_precedes`` the other.
+    Given a list ``ties``, it appends the other one where the two are near
+    ties, else None.  phi of the returned point carries over: called again
+    with that float, the kernel does not evaluate phi there once more.
 
     The window, each iterate and the near-tie test are
     ``_certified_window``, ``_rtsafe_step`` and ``_guard_ties`` written out
@@ -444,49 +449,63 @@ def _newton_row(member, u, delta, m, iterations, local_tol):
     what keeps them in step.
     """
     phi, derivatives, floor = member
-    try:
-        energy_u = phi(u)
-    except ValueError:              # cos of an infinite u / eps, nan in numpy
-        energy_u = math.nan
-    # the certified window, nan where its square is negative or nan
-    slack = _WINDOW_SLACK * (1.0 + abs(energy_u) + abs(floor))
-    square = 2.0 * delta * (energy_u - floor + slack) / m
-    radius = math.sqrt(square if square >= 0.0 else math.nan)
-    scale = abs(u) + radius
-    tol = _NEWTON_TOL * (scale if scale > 1.0 else 1.0)
-    x, lo, hi = u, u - radius, u + radius
-    step_old = step = hi - lo       # sizes of the last two steps
-    if not math.isfinite(step):
-        raise _window_error(u, delta, radius)
-    c = m / delta
-    for _ in iterations:
-        slope, curvature = derivatives(x)
-        f = slope + c * (x - u)
-        if f < 0:
-            lo = x
-        else:                       # a nan F shrinks the bracket towards lo
-            hi = x
-        newton_step = f / (curvature + c)
-        newton = x - newton_step
-        size = abs(newton_step)
-        if size <= 0.5 * step_old and lo <= newton <= hi:
-            x, step_old, step = newton, step, size
+    c, two_delta, gap = m / delta, 2.0 * delta, _tie_gap(local_tol)
+    size_floor, iterations = abs(floor), range(max_iters)
+    last = energy_last = None
+
+    def row(u, ties=None):
+        nonlocal last, energy_last
+        if u is last:
+            energy_u = energy_last
         else:
-            half = 0.5 * (hi - lo)
-            x, step_old, step = lo + half, step, half
-        if step <= tol:
-            break
-    else:
-        raise _budget_error(len(iterations))
-    diff = x - u
-    value_x = phi(x) + m * diff * diff / (2.0 * delta)
-    value_u = energy_u + 0.0        # the guard's d^2 / (2 delta) is 0
-    tie = (value_x <= value_u + local_tol and value_u <= value_x + local_tol
-           and math.sqrt(m * diff * diff) > _tie_gap(local_tol))
-    if value_x < value_u or _precedes((value_x, m * (diff * diff), x),
-                                      (value_u, 0.0, u)):   # common case inline
-        return x, u if tie else None
-    return u, x if tie else None
+            try:
+                energy_u = phi(u)
+            except ValueError:      # cos of an infinite u / eps, nan in numpy
+                energy_u = math.nan
+        # the certified window, nan where its square is negative or nan
+        slack = _WINDOW_SLACK * (1.0 + abs(energy_u) + size_floor)
+        square = two_delta * (energy_u - floor + slack) / m
+        radius = math.sqrt(square if square >= 0.0 else math.nan)
+        scale = abs(u) + radius
+        tol = _NEWTON_TOL * (scale if scale > 1.0 else 1.0)
+        x, lo, hi = u, u - radius, u + radius
+        step_old = step = hi - lo       # sizes of the last two steps
+        if not math.isfinite(step):
+            raise _window_error(u, delta, radius)
+        for _ in iterations:
+            slope, curvature = derivatives(x)
+            f = slope + c * (x - u)
+            if f < 0:
+                lo = x
+            else:                       # a nan F shrinks the bracket towards lo
+                hi = x
+            newton_step = f / (curvature + c)
+            newton = x - newton_step
+            size = abs(newton_step)
+            if size <= 0.5 * step_old and lo <= newton <= hi:
+                x, step_old, step = newton, step, size
+            else:
+                half = 0.5 * (hi - lo)
+                x, step_old, step = lo + half, step, half
+            if step <= tol:
+                break
+        else:
+            raise _budget_error(max_iters)
+        diff = x - u
+        energy_x = phi(x)
+        value_x = energy_x + m * diff * diff / two_delta
+        value_u = energy_u + 0.0        # the guard's d^2 / (2 delta) is 0
+        if value_x < value_u or _precedes((value_x, m * (diff * diff), x),
+                                          (value_u, 0.0, u)):   # common case inline
+            last, energy_last, other = x, energy_x, u
+        else:
+            last, energy_last, other = u, energy_u, x
+        if ties is not None:
+            ties.append(other if value_x <= value_u + local_tol
+                        and value_u <= value_x + local_tol
+                        and math.sqrt(m * diff * diff) > gap else None)
+        return last
+    return row
 
 
 def _candidates(spec, eps, cols, deltas, u, m, settings, convex):

@@ -1,12 +1,13 @@
 """Minimizing-movement iteration and its interpolants.
 
 ``run_scheme`` produces the discrete trajectory u^0..u^N with step
-u^{i+1} = prox(u^i) at step size tau; once the points are known it takes
-their energies and the step distances d(u^{i+1}, u^i) of the discrete
-speed from them, in one array expression each.  On top of it live the
-piecewise-constant interpolant (right-closed intervals) and the De Giorgi
-variational interpolant, obtained by re-solving the prox at intermediate
-step sizes on quadrature nodes, with the scaled displacement
+u^{i+1} = prox(u^i) at step size tau, each coordinate as its own scalar
+recurrence; once the points are known it takes their energies and the
+step distances d(u^{i+1}, u^i) of the discrete speed from them, in one
+array expression each.  On top of it live the piecewise-constant
+interpolant (right-closed intervals) and the De Giorgi variational
+interpolant, obtained by re-solving the prox at intermediate step sizes
+on quadrature nodes, with the scaled displacement
 g(t) = d(interp(t), u^i)/(t - i*tau) that dominates the descending slope
 along the interpolant.  The quadrature of g^2 over those nodes lives in
 ``diagnostics``.
@@ -171,9 +172,20 @@ class SchemeStepError(MaxslopeError):
 def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
     """Run N = ceil(T / tau) implicit steps from the initial point.
 
-    The first step that returns its input bit for bit is a fixed point of
-    the step map (a pinned run stops at a local minimizer), so the rows
-    after it repeat that point and no further step is solved.
+    Coordinate j of a step depends on coordinate j of its base point alone,
+    so each coordinate is its own recurrence, stepped by its kernel of
+    ``prox.stepper`` on Python floats.  The first step at which a
+    coordinate returns its input bit for bit (signed zeros are different
+    points) is a fixed point of its kernel: the coordinate stays there, and
+    no further step of it is solved.  A run whose coordinates all stop
+    early has reached a fixed point of the step map (a pinned run's local
+    minimizer).
+
+    The run fails at the earliest step i at which some coordinate raises
+    a ``MaxslopeError`` or returns a non-finite value, a raising
+    coordinate before a non-finite one and the lowest first, with
+    ``SchemeStepError(i, cause)``; a non-finite step names its whole
+    point.
     """
     space = spec.domain
     u0 = params.initial_point
@@ -190,30 +202,46 @@ def run_scheme(spec: EnergySpec, params: SchemeParams) -> DiscreteTrajectory:
             f"S={params.initial_energy_bound_S:g}"
         )
 
-    # Each step starts from the last, so the steps are B = 1 solves on
-    # Python floats, each taken by the stepper (which hands the ones it
-    # cannot take on floats to prox_batch).  The energies and distances
-    # depend on the points alone, so they are taken after the loop.
+    # Each coordinate's column is a list of floats until the end; the
+    # energies and distances depend on the points alone, so they are taken
+    # after the loop.  A coordinate after a failing one runs only up to the
+    # failing step, where it may fail first.
     n_steps = int(math.ceil(params.horizon_T / params.tau))
-    step = stepper(spec, params.eps, params.tau, params.prox_settings)
+    kernels = stepper(spec, params.eps, params.tau, params.prox_settings)
+    # failure: (step, 0 for a raise or 1 for a non-finite value, cause);
+    # coordinates come in order, so the lowest keeps a tie
+    columns, failure, limit = [], None, n_steps
+    isfinite, copysign = math.isfinite, math.copysign
+    for step, x in zip(kernels, u0.array.tolist()):
+        column, found = [x], None
+        columns.append(column)
+        for i in range(limit):
+            try:
+                v = step(x)
+            except MaxslopeError as exc:
+                found = (i, 0, exc)
+                break
+            column.append(v)
+            if not isfinite(v):
+                found = (i, 1, None)
+                break
+            # == alone would take -0.0 for 0.0
+            if v == x and copysign(1.0, v) == copysign(1.0, x):
+                break
+            x = v
+        if found is not None and (failure is None or found[:2] < failure[:2]):
+            failure, limit = found, found[0] + 1
+    if failure is not None:
+        i, _, cause = failure
+        if cause is None:       # each coordinate's value after step i
+            point = [column[min(i + 1, len(column) - 1)] for column in columns]
+            cause = EvaluationError(f"prox minimizer {point} is not finite",
+                                    point=np.array(point))
+        raise SchemeStepError(i, cause) from cause
     coords = np.empty((n_steps + 1, space.dimension))
-    coords[0] = u0.array
-    u = u0.array.tolist()
-    for i in range(n_steps):
-        try:
-            v = step(u)
-            if not all(map(math.isfinite, v)):
-                raise EvaluationError(f"prox minimizer {v} is not finite",
-                                      point=np.array(v))
-        except MaxslopeError as exc:
-            raise SchemeStepError(i, exc) from exc
-        coords[i + 1] = v
-        # A step is a function of u alone, so a step that returns its input
-        # bit for bit (== alone would take -0.0 for 0.0) returns it forever.
-        if v == u and coords[i + 1].tobytes() == coords[i].tobytes():
-            coords[i + 2:] = v
-            break
-        u = v
+    for j, column in enumerate(columns):
+        coords[:len(column), j] = column
+        coords[len(column):, j] = column[-1]
     D = coords[1:] - coords[:-1]
     return DiscreteTrajectory(
         space=space,
@@ -324,10 +352,11 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
     ``prox_batch`` in blocks of ``INTERPOLANT_BLOCK`` coordinate rows.  Node
     s is node r = s % K of step q = s // K, so a block that starts at node s
     reads its step sizes, and its base rows' step offsets from q, from one
-    pattern starting at r.  Only the steps 0..p are solved, where p is the
-    first step whose base point repeats bit for bit up to step N - 1 (a
-    pinned run's tail): each later step poses step p's K problems, so it
-    takes step p's results.
+    pattern starting at r, as long as a block or all the nodes solved,
+    whichever is fewer, plus K.  Only the steps 0..p are solved, where p
+    is the first step whose base point repeats bit for bit up to step
+    N - 1 (a pinned run's tail): each later step poses step p's K
+    problems, so it takes step p's results.
     """
     K = nodes_per_step
     nodes, gl_weights = gauss_legendre(K)
@@ -340,7 +369,7 @@ def build_interpolant(spec: EnergySpec, traj: DiscreteTrajectory,
     p = moved[-1] + 1 if moved.size else 0
     stop = min(p + 1, N) * K          # the nodes of steps 0..p, none if N = 0
     block = max(1, INTERPOLANT_BLOCK // n)
-    offsets, k = np.divmod(np.arange(block + K), K)
+    offsets, k = np.divmod(np.arange(min(block, stop) + K), K)
     delta_pattern = deltas[k]
     values = np.empty((N, K, n))
     g_values = np.empty((N, K))

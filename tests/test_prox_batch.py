@@ -623,29 +623,34 @@ class TestNewtonRoute:
 
 
 class TestNewtonStepper:
-    """The scheme's B = 1 stepper, on the closed forms and the Newton row
-    kernel, against ``prox_batch``, bit for bit, and its calls of
-    ``prox_batch`` off the Newton route.  With ``TestArraySweep`` this
-    keeps ``_newton_row``, plain float code, in step with the array
-    kernel."""
+    """The scheme's B = 1 stepper, its kernels on the closed forms, the
+    Newton row kernel and the one-row bracket search, against
+    ``prox_batch``, bit for bit, and its calls of ``_zoom_1d`` off the
+    Newton route.  With ``TestArraySweep`` this keeps ``_newton_row``,
+    plain float code, in step with the array kernel."""
 
     @staticmethod
     def assert_step_matches(spec, eps, delta, u, prox_settings):
-        """The stepper's minimizer from ``u`` is ``prox_batch``'s, sign bits
-        included.  A step that calls ``prox_batch``, looked up in
-        ``maxslope.prox``, is off the Newton route.  Returns the minimizer
-        and the number of such calls."""
-        step = stepper(spec, eps, delta, prox_settings)
+        """The stepper's kernels' minimizer from ``u`` is ``prox_batch``'s,
+        sign bits included.  A kernel that calls ``_zoom_1d``, looked up in
+        ``maxslope.prox``, is off the Newton route, and so is its
+        coordinate's row.  Returns the minimizer and the number of such
+        calls."""
+        kernels = stepper(spec, eps, delta, prox_settings)
         u = [float(v) for v in u]
-        with mock.patch("maxslope.prox.prox_batch", wraps=prox_batch) as batched:
-            found = step(u)
+        with mock.patch("maxslope.prox._zoom_1d", wraps=_zoom_1d) as zoomed:
+            found = [step(x) for step, x in zip(kernels, u)]
         res = prox_batch(spec, eps, [delta], [u], prox_settings)
         assert list(map(float.hex, found)) == list(map(float.hex,
                                                        res.minimizers[0].tolist()))
         mw, kappa = spec.domain.metric_weights(), curvature_floors(spec, eps)
-        if batched.call_count:
+        if zoomed.call_count:
             assert kappa is None or not (kappa + mw / delta > 0).all()
-        return found, batched.call_count
+            off = (np.ones(mw.size, dtype=bool) if kappa is None
+                   else ~(kappa + mw / delta > 0))
+            assert [call.args[2].tolist() for call in zoomed.call_args_list] == [
+                [j] for j in np.flatnonzero(off).tolist()]
+        return found, zoomed.call_count
 
     @pytest.mark.parametrize("family", ["quadratic", "wiggly", "closed_quadratic",
                                         "convex_perturbed"])
@@ -682,17 +687,17 @@ class TestNewtonStepper:
             u[at] = data.draw(st.sampled_from([center[at], 0.0, -0.0])
                               | st.floats(-eps, eps), label="u_at")
         closed = family in ("closed_quadratic", "convex_perturbed")
-        _, batched = self.assert_step_matches(spec, eps, delta, u,
-                                              DEFAULTS if closed else NUMERIC)
-        assert not (closed and batched)
+        _, zoomed = self.assert_step_matches(spec, eps, delta, u,
+                                             DEFAULTS if closed else NUMERIC)
+        assert not (closed and zoomed)
 
     def test_1d_near_tie_stays_on_floats(self):
         # TestNewtonRoute's flat row: its guard is a near tie, which the row
         # settles by _precedes on floats; at distance 0 from u it cannot
         # raise tie_moved
         spec = quadratic(LINE, [1e-8], [0.3])
-        found, batched = self.assert_step_matches(spec, 1.0, 1e6, [0.0], NUMERIC)
-        assert batched == 0
+        found, zoomed = self.assert_step_matches(spec, 1.0, 1e6, [0.0], NUMERIC)
+        assert zoomed == 0
         best, moved, ties = reference_prox_1d(spec, 1.0, 1e6, 0.0, NUMERIC)
         assert ties == [0.0]
         assert found == [best]
@@ -707,9 +712,9 @@ class TestNewtonStepper:
         # (center 0.025) or keep them as near ties (center 0.05).
         for center in (0.025, 0.05):
             spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [center, center])
-            found, batched = self.assert_step_matches(spec, 1.0, 1e6, [0.0, 0.0],
-                                                      NUMERIC)
-            assert batched == 0
+            found, zoomed = self.assert_step_matches(spec, 1.0, 1e6, [0.0, 0.0],
+                                                     NUMERIC)
+            assert zoomed == 0
             V, moved, _, _, _, tie_moved = reference_separable(
                 spec, 1.0, np.array([1e6]), np.array([[0.0, 0.0]]), NUMERIC)
             assert found == V[0].tolist()
@@ -730,10 +735,11 @@ class TestNewtonStepper:
             [0.1 * j for j in range(9)]))
         params = SchemeParams(eps=0.05, tau=0.0025, horizon_T=0.5,
                               initial_point=pt(*(0.5 - 0.1 * j for j in range(9))))
-        with mock.patch("maxslope.prox.prox_batch", wraps=prox_batch) as batched:
+        with mock.patch("maxslope.prox.prox_batch", wraps=prox_batch) as batched, \
+                mock.patch("maxslope.prox._zoom_1d", wraps=_zoom_1d) as zoomed:
             traj = run_scheme(spec, params)
         assert traj.n_steps == 200
-        assert batched.call_count == 0
+        assert batched.call_count == zoomed.call_count == 0
         searched = []
 
         def search(*args):
@@ -770,10 +776,11 @@ class TestNewtonStepper:
          0.1, DEFAULTS),
     ], ids=["custom_smooth", "wiggly_grid", "wiggly_2d_one_grid_row"])
     def test_no_stepper_off_the_newton_route(self, spec, eps, delta, prox_settings):
-        # no step of such a run is on floats: each calls prox_batch
+        # a row off the Newton route is a one-row _zoom_1d call; in 2D the
+        # other coordinate, on the Newton route, steps on floats
         u = [0.5] * spec.domain.dimension
-        _, batched = self.assert_step_matches(spec, eps, delta, u, prox_settings)
-        assert batched == 1
+        _, zoomed = self.assert_step_matches(spec, eps, delta, u, prox_settings)
+        assert zoomed == 1
 
     @pytest.mark.parametrize("u", [0.5, 0.05, 0.0, -0.0, -0.3])
     def test_numeric_kink_steps_on_floats(self, u):
@@ -781,8 +788,8 @@ class TestNewtonStepper:
         # floats, from either side of the kink and from the kink itself,
         # and land within round-off of the closed form
         spec = FAMILIES["convex_perturbed"][0]
-        found, batched = self.assert_step_matches(spec, 0.1, 0.01, [u], NUMERIC)
-        assert batched == 0
+        found, zoomed = self.assert_step_matches(spec, 0.1, 0.01, [u], NUMERIC)
+        assert zoomed == 0
         exact = prox_batch(spec, 0.1, [0.01], [[u]], DEFAULTS).minimizers[0, 0]
         assert abs(found[0] - exact) <= 1e-15
 
@@ -790,7 +797,7 @@ class TestNewtonStepper:
         spec, eps, _, _ = FAMILIES["wiggly"]
         budget = ProxSettings(max_iters=1)
         with pytest.raises(BudgetExhaustedError) as stepped:
-            stepper(spec, eps, eps ** 2, budget)([0.5])
+            stepper(spec, eps, eps ** 2, budget)[0](0.5)
         with pytest.raises(BudgetExhaustedError) as batched:
             prox_batch(spec, eps, [eps ** 2], [[0.5]], budget)
         assert str(stepped.value) == str(batched.value) == (
@@ -805,7 +812,7 @@ class TestNewtonStepper:
     ], ids=["inf", "nan"])
     def test_window_error_is_prox_batch_error(self, spec, eps, delta, u, radius):
         with pytest.raises(EvaluationError) as stepped:
-            stepper(spec, eps, delta, NUMERIC)([u])
+            stepper(spec, eps, delta, NUMERIC)[0](u)
         with pytest.raises(EvaluationError) as batched:
             prox_batch(spec, eps, [delta], [[u]], NUMERIC)
         assert str(stepped.value) == str(batched.value)
@@ -829,16 +836,17 @@ class TestArraySweep:
         ties of the rows that keep one."""
         B, n = U.shape
         m = spec.domain.metric_weights().tolist()
-        members, budget = _members(spec, eps), range(prox_settings.max_iters)
+        members = _members(spec, eps)
         chosen, tie_rows, tie_x = [], [], []
         for b in range(B):
             for j in range(n):
-                x, tie = _newton_row(members[j], float(U[b, j]), float(deltas[b]),
-                                     m[j], budget, prox_settings.local_tol)
-                chosen.append(x)
-                if tie is not None:
+                ties = []
+                chosen.append(_newton_row(members[j], float(deltas[b]), m[j],
+                                          prox_settings.max_iters,
+                                          prox_settings.local_tol)(float(U[b, j]), ties))
+                if ties[0] is not None:
                     tie_rows.append(b * n + j)
-                    tie_x.append(tie)
+                    tie_x.append(ties[0])
         return chosen, tie_rows, tie_x
 
     @staticmethod
@@ -846,8 +854,9 @@ class TestArraySweep:
         """Coordinate j's fixed point of the resolvent step from u, the
         bottom of the well a run at step size ``delta`` settles in."""
         member, m = _members(spec, eps)[j], float(spec.domain.metric_weights()[j])
+        row = _newton_row(member, delta, m, 200, 1e-9)
         for _ in range(60):
-            x, *_ = _newton_row(member, u, delta, m, range(200), 1e-9)
+            x = row(u)
             if x == u:
                 break
             u = x
@@ -932,7 +941,7 @@ class TestArraySweep:
         with pytest.raises(error) as alone:
             prox_batch(spec, 1.0, [0.1], [[failing[0]]], budget)
         with pytest.raises(error) as stepped:
-            stepper(spec, 1.0, 0.1, budget)([failing[0]])
+            stepper(spec, 1.0, 0.1, budget)[0](failing[0])
         assert str(batched.value) == str(alone.value) == str(stepped.value)
         if window_first:
             assert list(batched.value.point) == [1e200]

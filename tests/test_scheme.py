@@ -1,16 +1,26 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxslope import prox, scheme
 from maxslope.cli import EXIT_SOLVER, main
 from maxslope.energy import convex_perturbed, custom_smooth, eval_many, quadratic, wiggly
-from maxslope.errors import DimensionMismatchError, EvaluationError
+from maxslope.errors import (
+    BudgetExhaustedError,
+    DimensionMismatchError,
+    EvaluationError,
+    MaxslopeError,
+)
 from maxslope.metric import SpaceDescriptor
 from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox_batch
 from maxslope.scheme import (
@@ -94,8 +104,9 @@ WEIGHTED_PLANE = SpaceDescriptor(2, metric_kind="diagonal_weighted", weights=(4.
 WEIGHTED_9D = SpaceDescriptor(9, metric_kind="diagonal_weighted",
                               weights=(0.25, 1.0, 4.0) * 3)
 # (spec, params) of runs over every prox path: the closed form
-# (weighted_2d_convex_perturbed), the bracket route with every step through
-# prox_batch (custom_smooth), and the Newton stepper on floats (the others)
+# (weighted_2d_convex_perturbed), the bracket route, a one-row _zoom_1d
+# call a step (custom_smooth, and coordinate 0 of wiggly_2d_one_grid_row),
+# and the Newton kernel on floats (the others)
 RUNS = {
     "wiggly_1d": (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])), SchemeParams(
         eps=0.05, tau=0.0025, horizon_T=0.25, initial_point=pt(0.5))),
@@ -119,6 +130,11 @@ RUNS = {
         eps=0.05, tau=0.01, horizon_T=1.0,
         initial_point=pt(0.5, -0.1, 0.2, 0.7, -0.6, 0.3, 0.05, -0.9, 0.35),
         prox_settings=ProxSettings(mode=MULTISTART_NUMERIC))),
+    # coordinate 0 on the bracket route (1 - 1 / 0.05 + 1 / 0.1 < 0),
+    # coordinate 1 on the Newton route (30 - 1 / 0.05 + 1 / 0.1 > 0)
+    "wiggly_2d_one_grid_row": (
+        wiggly(quadratic(SpaceDescriptor(2), [1.0, 30.0], [0.0, 0.0])), SchemeParams(
+            eps=0.05, tau=0.1, horizon_T=1.0, initial_point=pt(0.5, -0.3))),
     # the pinning run, at a fixed point of the step from step 335 on
     "pinned_1d": (wiggly(quadratic(SpaceDescriptor(1), [1.0], [0.0])), SchemeParams(
         eps=0.05, tau=0.0025, horizon_T=1.0, initial_point=pt(0.5))),
@@ -157,18 +173,20 @@ def first_repeated_step(coords):
 
 
 def count_calls(monkeypatch):
-    """Wrap ``scheme.stepper``'s steps and ``scheme.prox_batch``; return
-    the list of steps taken and the list of row counts solved."""
+    """Wrap each kernel of ``scheme.stepper`` and ``scheme.prox_batch``;
+    return the list of (coordinate, u) steps taken and the list of row
+    counts solved."""
     steps, rows = [], []
     stepper, batch = scheme.stepper, scheme.prox_batch
 
-    def counted_stepper(*args):
-        step = stepper(*args)
+    def counted(j, kernel):
+        def counted_kernel(x):
+            steps.append((j, x))
+            return kernel(x)
+        return counted_kernel
 
-        def counted_step(u):
-            steps.append(u)
-            return step(u)
-        return counted_step
+    def counted_stepper(*args):
+        return [counted(j, kernel) for j, kernel in enumerate(stepper(*args))]
 
     def counted_batch(spec, eps, deltas, U, settings):
         rows.append(len(deltas))
@@ -188,10 +206,10 @@ class TestFixedPoint:
         # the reference takes all 400 steps with prox.stepper and solves all
         # N K nodes with prox_batch
         spec, params = RUNS["pinned_1d"]
-        step = prox.stepper(spec, params.eps, params.tau, params.prox_settings)
+        kernels = prox.stepper(spec, params.eps, params.tau, params.prox_settings)
         coords = [params.initial_point.array.tolist()]
         for _ in range(400):
-            coords.append(step(coords[-1]))
+            coords.append([step(x) for step, x in zip(kernels, coords[-1])])
         coords = np.array(coords)
         p = first_repeated_step(coords)
         assert p < 399                          # 335 with numpy 2.4 on x86-64
@@ -213,10 +231,10 @@ class TestFixedPoint:
         steps, rows = count_calls(monkeypatch)
 
         def flip_zeros(*args):
-            def step(u):
-                steps.append(u)
-                return [-x for x in u]
-            return step
+            def step(x):
+                steps.append((0, x))
+                return -x
+            return [step]
         monkeypatch.setattr(scheme, "stepper", flip_zeros)
         traj = run_scheme(quad_1d, quad_params(u0=0.0))
         assert len(steps) == traj.n_steps == 4
@@ -289,19 +307,34 @@ class TestArrayTrajectory:
     @pytest.mark.parametrize("name", ["wiggly_2d", "multistart_9d", "centred_3d"])
     def test_stepper_takes_newton_steps_on_floats(self, name, monkeypatch):
         # Each coordinate row settles its guard on floats, so no step of a
-        # run on the Newton route calls prox_batch, which the stepper would
-        # look up in its module at each call; multistart_9d keeps guards
-        # within local_tol of the minimizer
+        # run on the Newton route calls prox_batch or the array search
+        # _zoom_1d, which a bracket-route kernel looks up in its module at
+        # each call; multistart_9d keeps guards within local_tol of the
+        # minimizer
         calls = []
-        real = prox.prox_batch
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(prox, "prox_batch", counted)
+        def counted(real):
+            def call(*args, **kwargs):
+                calls.append(1)
+                return real(*args, **kwargs)
+            return call
+        monkeypatch.setattr(prox, "prox_batch", counted(prox.prox_batch))
+        monkeypatch.setattr(prox, "_zoom_1d", counted(prox._zoom_1d))
         spec, params = RUNS[name]
         assert run_scheme(spec, params).n_steps == 100
         assert not calls
+
+    def test_convex_coordinate_of_a_bracket_run_steps_on_floats(self):
+        # only the bracket-route coordinate calls the array search, once a
+        # step until it stops; the run is still the prox_batch loop's
+        spec, params = RUNS["wiggly_2d_one_grid_row"]
+        with mock.patch("maxslope.prox._zoom_1d", wraps=prox._zoom_1d) as zoomed:
+            traj = run_scheme(spec, params)
+        cols = [call.args[2].tolist() for call in zoomed.call_args_list]
+        assert 0 < len(cols) <= traj.n_steps == 10
+        assert cols == [[0]] * len(cols)
+        coords, _, _ = scalar_prox_run(spec, params)
+        assert traj.coords.tobytes() == coords.tobytes()
 
     def test_centred_run_keeps_its_trajectory(self):
         # sha256 of the little-endian coords, energies and distances of the
@@ -326,18 +359,18 @@ class TestArrayTrajectory:
 
     @staticmethod
     def nan_at_third_step(monkeypatch):
-        # a closed-form run takes every step by the stepper
+        # a closed-form 1D run takes every step by its one kernel
         calls = []
         real = scheme.stepper
 
         def fake(*args):
-            step = real(*args)
-
-            def nan_step(u):
-                x = step(u)
-                calls.append(1)
-                return [math.nan] * len(x) if len(calls) == 3 else x
-            return nan_step
+            def nan_kernel(kernel):
+                def step(x):
+                    v = kernel(x)
+                    calls.append(1)
+                    return math.nan if len(calls) == 3 else v
+                return step
+            return [nan_kernel(kernel) for kernel in real(*args)]
         monkeypatch.setattr(scheme, "stepper", fake)
 
     def test_non_finite_step_is_step_error(self, quad_1d, monkeypatch):
@@ -360,6 +393,180 @@ class TestArrayTrajectory:
         assert main(["run", "--config", str(cfg)]) == EXIT_SOLVER
         assert capsys.readouterr().err.startswith(
             "solver error: prox failed at step 2: prox minimizer [nan] is not finite")
+
+def reference_run(spec, params, faults):
+    """The scheme as a loop of vector ``prox_batch`` steps, the coordinates
+    of a step in order, as a reference for ``run_scheme``'s failures.
+    Coordinate j raises at step i where ``faults[j, i]`` is "raise" and
+    returns nan where it is "nan".  Returns the rows u^0, u^1, ... up to
+    the failing step, and that step's ``SchemeStepError``, else None."""
+    u = params.initial_point.array.tolist()
+    rows = [u]
+    for i in range(math.ceil(params.horizon_T / params.tau)):
+        try:
+            for j in range(len(u)):
+                if faults.get((j, i)) == "raise":
+                    raise EvaluationError(f"coordinate {j} fails at step {i}")
+            v = prox_batch(spec, params.eps, [params.tau], [u],
+                           params.prox_settings).minimizers[0].tolist()
+            v = [math.nan if faults.get((j, i)) == "nan" else x for j, x in enumerate(v)]
+            if not all(map(math.isfinite, v)):
+                raise EvaluationError(f"prox minimizer {v} is not finite",
+                                      point=np.array(v))
+        except MaxslopeError as exc:
+            return rows, SchemeStepError(i, exc)
+        rows.append(v)
+        u = v
+    return rows, None
+
+
+def faulty_stepper(faults):
+    """``scheme.stepper`` whose kernel j raises at its call i where
+    ``faults[j, i]`` is "raise" and returns nan where it is "nan"."""
+    real = scheme.stepper
+
+    def faulty(j, kernel):
+        calls = itertools.count()
+
+        def step(x):
+            i = next(calls)
+            kind = faults.get((j, i))
+            if kind == "raise":
+                raise EvaluationError(f"coordinate {j} fails at step {i}")
+            v = kernel(x)
+            return math.nan if kind == "nan" else v
+        return step
+
+    def make(*args):
+        return [faulty(j, kernel) for j, kernel in enumerate(real(*args))]
+    return make
+
+
+def hex_rows(rows):
+    return [[float.hex(float(x)) for x in row] for row in rows]
+
+
+class TestFailureOrder:
+    """Each coordinate steps alone, yet a run fails as the loop of vector
+    steps fails: at the earliest step at which some coordinate raises or
+    returns a non-finite value, a raise before a non-finite value and the
+    lowest coordinate first, naming the whole point of a non-finite step."""
+
+    @staticmethod
+    def assert_run_matches(spec, params, faults):
+        """``run_scheme`` with ``faults`` injected gives the reference's
+        coordinates bit for bit, or its error: the same step index, type
+        and text, and a non-finite step's point bit for bit.  Returns the
+        reference's rows and error."""
+        rows, error = reference_run(spec, params, faults)
+        with mock.patch.object(scheme, "stepper", faulty_stepper(faults)):
+            if error is None:
+                traj = run_scheme(spec, params)
+                n_steps = len(rows) - 1
+                assert hex_rows(traj.coords[:n_steps + 1]) == hex_rows(rows)
+                return rows, error
+            with pytest.raises(SchemeStepError) as info:
+                run_scheme(spec, params)
+        found = info.value
+        assert found.step_index == error.step_index
+        assert str(found) == str(error)
+        assert type(found.cause) is type(error.cause)
+        assert str(found.cause) == str(error.cause)
+        if getattr(error.cause, "point", None) is not None:
+            assert hex_rows([found.cause.point]) == hex_rows([error.cause.point])
+        return rows, error
+
+    @staticmethod
+    def own_stops(spec, params):
+        """The step at which each coordinate first returns its input bit
+        for bit, in the run without faults (the step count if never): its
+        kernel is called at no later step."""
+        rows, _ = reference_run(spec, params, {})
+        bits = hex_rows(rows)
+        n_steps = math.ceil(params.horizon_T / params.tau)
+        return [next((i for i in range(len(bits) - 1) if bits[i + 1][j] == bits[i][j]),
+                     n_steps) for j in range(len(bits[0]))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_vector_loop(self, n, data):
+        family = data.draw(st.sampled_from(
+            ["quadratic", "convex_perturbed", "wiggly"] + ["custom_smooth"] * (n == 1)),
+            label="family")
+        exact = data.draw(st.booleans(), label="exact")
+        if data.draw(st.booleans(), label="weighted"):
+            space = SpaceDescriptor(n, metric_kind="diagonal_weighted", weights=tuple(
+                data.draw(st.lists(st.sampled_from([0.25, 1.0, 4.0]) | st.floats(0.1, 10.0),
+                                   min_size=n, max_size=n), label="metric")))
+        else:
+            space = SpaceDescriptor(n)
+        center = data.draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-0.5, 0.5),
+                                    min_size=n, max_size=n), label="center")
+        u0 = [c + d for c, d in zip(center, data.draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="offsets"))]
+        for j, value in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(
+                ["centre", 0.0, -0.0])), max_size=3), label="special"):
+            u0[j] = center[j] if value == "centre" else value
+        if family == "custom_smooth":
+            spec = custom_smooth(space, "0.5*x^2 + eps*cos(x/eps)")
+        else:
+            spec = quadratic(space, data.draw(st.lists(st.floats(0.5, 2.0), min_size=n,
+                                                       max_size=n), label="weights"), center)
+            spec = spec if family == "quadratic" else (
+                wiggly(spec) if family == "wiggly" else convex_perturbed(spec))
+        tau = data.draw(st.sampled_from([0.0025, 0.01, 0.05, 0.1]), label="tau")
+        max_iters = data.draw(st.sampled_from([200_000, 1, 2, 3, 5, 8]), label="max_iters")
+        params = SchemeParams(
+            eps=data.draw(st.sampled_from([0.05, 0.1, 0.3]), label="eps"), tau=tau,
+            horizon_T=tau * data.draw(st.integers(1, 6), label="steps"),
+            initial_point=pt(*u0), initial_energy_bound_S=1e6,
+            initial_distance_bound_Sprime=1e6,
+            prox_settings=ProxSettings(mode=prox.EXACT_IF_AVAILABLE if exact
+                                       else MULTISTART_NUMERIC, max_iters=max_iters))
+        # an injected raise only where no step fails on its own, whose
+        # order against it the reference, one vector step, cannot tell
+        kinds = ["nan", "raise"] if max_iters == 200_000 else ["nan"]
+        stops = self.own_stops(spec, params)
+        faults = {(j, i): kind for j, i, kind in data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, 5), st.sampled_from(kinds)), max_size=3),
+            label="faults") if i <= stops[j]}
+        self.assert_run_matches(spec, params, faults)
+
+    PLANE = quadratic(SpaceDescriptor(2), [1.0, 2.0], [0.0, 0.0])
+    PARAMS = SchemeParams(eps=1.0, tau=0.1, horizon_T=0.6, initial_point=pt(1.0, -0.5))
+
+    def test_raise_wins_over_nan_at_one_step(self):
+        _, error = self.assert_run_matches(self.PLANE, self.PARAMS,
+                                           {(0, 2): "nan", (1, 2): "raise"})
+        assert str(error) == "prox failed at step 2: coordinate 1 fails at step 2"
+
+    def test_earlier_nan_names_the_whole_point(self):
+        # coordinate 0 runs first and raises at step 3; coordinate 1's nan
+        # at step 2 is earlier, and its error holds coordinate 0's u^3
+        _, error = self.assert_run_matches(self.PLANE, self.PARAMS,
+                                           {(1, 2): "nan", (0, 3): "raise"})
+        rows, _ = reference_run(self.PLANE, self.PARAMS, {})
+        assert error.step_index == 2
+        assert str(error.cause) == f"prox minimizer {[rows[3][0], math.nan]} is not finite"
+        assert error.cause.point[0] == rows[3][0] != rows[2][0]
+
+    def test_lowest_of_two_raises_wins(self):
+        _, error = self.assert_run_matches(self.PLANE, self.PARAMS,
+                                           {(0, 1): "raise", (1, 1): "raise"})
+        assert str(error) == "prox failed at step 1: coordinate 0 fails at step 1"
+
+    @pytest.mark.parametrize("max_iters, step", [(1, 0), (4, 20)])
+    def test_budget_runs_out(self, max_iters, step):
+        # a Newton-route wiggly run that first needs more than 4 iterates
+        # in some coordinate at step 20
+        spec = wiggly(quadratic(SpaceDescriptor(2), [1.0, 1.0], [0.0, 0.0]))
+        params = SchemeParams(eps=0.05, tau=0.01, horizon_T=0.4, initial_point=pt(1.0, 0.2),
+                              prox_settings=ProxSettings(max_iters=max_iters))
+        _, error = self.assert_run_matches(spec, params, {})
+        assert error.step_index == step
+        assert isinstance(error.cause, BudgetExhaustedError)
+
 
 class TestPiecewiseConstant:
     def test_value_at_zero_is_initial(self, quad_traj):
@@ -515,11 +722,25 @@ class TestBuildInterpolant:
                                              initial_point=pt(*u0)))
         assert (first_repeated_step(traj.coords) < traj.n_steps - 1) == (name == "pinned")
         found = set()
-        for block in (7, 64, 512, 4096, traj.n_steps * 8 * len(u0)):
+        rows = traj.n_steps * 8 * len(u0)
+        for block in (7, 64, 512, 4096, 100_000, rows):
             monkeypatch.setattr(scheme, "INTERPOLANT_BLOCK", block)
             interp = build_interpolant(spec, traj, SETTINGS)
             found.add((interp.values.tobytes(), interp.g_values.tobytes()))
         assert len(found) == 1
+        if rows <= 4096:
+            # a run whose nodes fit in one block of 4096 rows sizes its node
+            # pattern by its nodes, whatever the block: the least of three
+            # traced peaks each, after the calls above made every cache
+            peaks = {4096: math.inf, 100_000: math.inf}
+            for _ in range(3):
+                for block in peaks:
+                    monkeypatch.setattr(scheme, "INTERPOLANT_BLOCK", block)
+                    tracemalloc.start()
+                    build_interpolant(spec, traj, SETTINGS)
+                    peaks[block] = min(peaks[block], tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
+            assert peaks[100_000] <= peaks[4096]
 
 class TestDeterminism:
     def test_rerun_is_bit_identical(self, wiggly_1d):
