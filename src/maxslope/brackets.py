@@ -1,6 +1,6 @@
 """Brackets, on which F(v) = phi'(v) + m (v - u) / delta rises through 0,
 of the resolvent rows that the curvature floor does not certify convex;
-``prox._candidates`` loads this module when some row needs it.  They are
+``search._candidates`` loads this module when some row needs it.  They are
 the energy's convex cells (``energy.convex_cells``) across which F changes
 sign, whose roots hold every local minimizer within the near-tie margin
 of the least value, or else the - to + sign changes of F on a scan of

@@ -18,7 +18,13 @@ handlers that call ``regimes`` or ``slope`` import them, so that a cold
 ``run`` or ``check dissipation|apriori`` process never loads them, and
 the expression compiler (``maxslope.expression``) and the prox's bracket
 route (``maxslope.brackets``) load only for a ``custom_smooth`` energy and
-for a coordinate row whose objective is not certified convex.
+for a coordinate row whose objective is not certified convex.  The prox's
+numeric search (``maxslope.search``) loads only at a coordinate row that
+has no closed form.  The documented command line, ``run|sweep|check
+--config PATH [--out PATH] [--quiet]``, is read by plain code
+(``_plain_args``); argparse, and the gettext it imports, load only for
+``--help`` and any other argument list, which argparse parses and
+answers with its help, usage and error text.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ _GC_PAUSED = "numpy" not in sys.modules and gc.isenabled()
 if _GC_PAUSED:
     gc.disable()
 
-import argparse
 import functools
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -304,22 +309,50 @@ def cmd_check(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with a usage error exiting EXIT_CONFIG: bad input
-    from outside the program, like a bad config."""
+_COMMANDS = ("run", "sweep", "check")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+def _plain_args(argv: list) -> dict | None:
+    """The fields of a well-formed command line: one of ``run|sweep|check``
+    and ``--config PATH``, with optional ``--out PATH`` and ``--quiet``,
+    each at most once and in any order, no value starting with ``-``.
+    They are what ``vars(build_parser().parse_args(argv))`` would be.  Any
+    other ``argv`` gives None, and argparse then parses it."""
+    fields = {"subcommand": None, "config": None, "out": None, "quiet": False}
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--quiet" and not fields["quiet"]:
+            fields["quiet"] = True
+        elif token in ("--config", "--out") and fields[token[2:]] is None:
+            value = next(tokens, None)
+            if not isinstance(value, str) or value.startswith("-"):
+                return None
+            fields[token[2:]] = value
+        elif token in _COMMANDS and fields["subcommand"] is None:
+            fields["subcommand"] = token
+        else:
+            return None
+    return fields if fields["subcommand"] and fields["config"] is not None else None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flat parser: the subcommand is the first positional."""
+    """One flat parser: the subcommand is the first positional.  It parses
+    what ``_plain_args`` does not and is the only source of help, usage and
+    error text; a usage error exits EXIT_CONFIG: bad input from outside the
+    program, like a bad config.  argparse is imported here, so that a
+    well-formed command line never loads it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="maxslope",
         description="Minimizing-movement laboratory: schemes, sweeps and checks.",
     )
-    parser.add_argument("subcommand", choices=("run", "sweep", "check"),
+    parser.add_argument("subcommand", choices=_COMMANDS,
                         help="the command that the config declares")
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default=None, help="override output directory")
@@ -328,27 +361,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built by the first main call, not at import, and reused by later calls
+# built by the first main call that needs it, not at import, and reused by
+# later calls
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or vars(_parser().parse_args(argv))
     try:
-        cfg = ExperimentConfig.from_file(args.config)
-        if cfg.command != args.subcommand:
+        cfg = ExperimentConfig.from_file(args["config"])
+        if cfg.command != args["subcommand"]:
             raise ConfigError(
                 f"config declares command {cfg.command!r} but subcommand "
-                f"{args.subcommand!r} was invoked"
+                f"{args['subcommand']!r} was invoked"
             )
         # each command creates it just before writing, so that a command
-        # that fails leaves no directory behind
-        out = Path(args.out) if args.out else cfg.output_dir
+        # that fails leaves no directory behind; an explicit --out wins,
+        # and '' names the current directory, as "output_dir": "" does
+        out = cfg.output_dir if args["out"] is None else Path(args["out"])
         handler = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check}
         # a non-finite value ends in one error line where it matters, so
         # numpy's floating-point warnings are not printed
         with np.errstate(all="ignore"):
-            return handler[cfg.command](cfg, out, args.quiet)
+            return handler[cfg.command](cfg, out, args["quiet"])
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -601,6 +601,23 @@ class TestRunCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+ARGV_TOKENS = st.sampled_from(["run", "sweep", "check", "bogus", "--config", "--out",
+                                "--quiet", "--conf", "--config=a.json", "-h", "--", "-1",
+                                "", "a.json"])
+
+
+def documented_argv(commands, values):
+    """Command lines of the documented form, its parts in any order, with
+    the subcommand drawn from ``commands`` and option values from
+    ``values``."""
+    return st.tuples(commands, values, st.none() | values, st.booleans()).flatmap(
+        lambda parts: st.permutations(
+            [[parts[0]], ["--config", parts[1]]]
+            + ([["--out", parts[2]]] if parts[2] is not None else [])
+            + ([["--quiet"]] if parts[3] else []))).map(
+        lambda parts: [token for part in parts for token in part])
+
+
 class TestCommandLine:
     @pytest.mark.parametrize("argv", [(), ("run",), ("bogus", "--config", "x.json")],
                              ids=["no_arguments", "run_without_config", "bogus"])
@@ -619,21 +636,50 @@ class TestCommandLine:
             assert command in proc.stdout
 
     def test_reused_parser_keeps_no_option(self, tmp_path, capsys, monkeypatch):
-        # two calls in one process: the parser that the first builds serves
-        # the second, which must see neither its --out nor a missing --quiet
+        # a well-formed command line builds no parser; two calls that
+        # argparse parses share the one that the first builds, and the
+        # second must see neither the first's --out nor a missing --quiet
         built = []
         monkeypatch.setattr(cli, "_parser", functools.cache(
             lambda: built.append(1) or cli.build_parser()))
         cfg = write_config(tmp_path, quad_run_config(tmp_path / "configured"))
-        elsewhere = tmp_path / "elsewhere"
-        assert main(["run", "--config", cfg, "--out", str(elsewhere)]) == EXIT_OK
-        assert capsys.readouterr().out.startswith("run: ")
-        assert main(["run", "--config", cfg, "--quiet"]) == EXIT_OK
-        assert capsys.readouterr().out == ""
-        assert (tmp_path / "configured" / "trajectory.csv").is_file()
-        assert sorted(p.name for p in elsewhere.iterdir()) == [
-            "dissipation.json", "interpolant.csv", "trajectory.csv"]
+
+        def two_calls(config_args, elsewhere):
+            assert main(["run", *config_args, "--out", str(elsewhere)]) == EXIT_OK
+            assert capsys.readouterr().out.startswith("run: ")
+            assert main(["run", *config_args, "--quiet"]) == EXIT_OK
+            assert capsys.readouterr().out == ""
+            assert sorted(p.name for p in elsewhere.iterdir()) == [
+                "dissipation.json", "interpolant.csv", "trajectory.csv"]
+        two_calls(["--config", cfg], tmp_path / "plain")
+        assert built == []
+        two_calls([f"--config={cfg}"], tmp_path / "parsed")
         assert built == [1]
+        assert (tmp_path / "configured" / "trajectory.csv").is_file()
+
+    def test_empty_out_names_the_current_directory(self, tmp_path, monkeypatch):
+        # an explicit --out wins over the config's output_dir, '' included
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, quad_run_config(tmp_path / "configured"))
+        assert main(["run", "--config", cfg, "--out", "", "--quiet"]) == EXIT_OK
+        for name in ("dissipation.json", "interpolant.csv", "trajectory.csv"):
+            assert (tmp_path / name).is_file()
+        assert not (tmp_path / "configured").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=st.lists(ARGV_TOKENS, max_size=7) | documented_argv(ARGV_TOKENS, ARGV_TOKENS))
+    def test_plain_parse_is_argparse_where_it_accepts(self, argv):
+        # argparse exits on an argv that it cannot parse, so a plain parse
+        # that accepts one fails here with SystemExit
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert plain == vars(cli.build_parser().parse_args(argv))
+
+    @settings(max_examples=50, deadline=None)
+    @given(argv=documented_argv(st.sampled_from(["run", "sweep", "check"]),
+                                ARGV_TOKENS.filter(lambda t: not t.startswith("-"))))
+    def test_documented_command_line_is_parsed_plainly(self, argv):
+        assert cli._plain_args(argv) == vars(cli.build_parser().parse_args(argv))
 
 
 class TestWriteJson:

@@ -3,8 +3,11 @@ sympy; the package needs numpy alone.  ``run`` and ``check
 dissipation|apriori`` load neither the sweep layer nor the slope layer,
 which only the commands that call them import.  The custom-expression
 compiler (``maxslope.expression``) loads only for a ``custom_smooth``
-energy, and the prox's bracket route (``maxslope.brackets``) only once
-some coordinate row takes it.  No command loads ``numpy.polynomial``.  Importing the CLI
+energy, the prox's numeric search (``maxslope.search``) only once some
+coordinate row has no closed form, and its bracket route
+(``maxslope.brackets``) only once some coordinate row takes it.  A
+well-formed command line loads neither argparse nor gettext, which only
+``--help`` and a usage error need.  No command loads ``numpy.polynomial``.  Importing the CLI
 into a process that has not loaded numpy asks numpy's OpenBLAS for one
 thread, unless the environment already names a count, and keeps the
 garbage collector off the heap that the imports made: the collector is
@@ -36,6 +39,8 @@ TESTS = Path(__file__).resolve().parent
 HEAVY = ("scipy", "scipy.optimize", "sympy")
 ON_DEMAND = ("maxslope.regimes", "maxslope.slope")
 COMPILED_ON_DEMAND = ("maxslope.expression", "maxslope.brackets")
+PARSER = ("argparse", "gettext")
+SEARCH = ("maxslope.search",)
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
@@ -197,12 +202,16 @@ APRIORI_2D = {**WEIGHTED_2D_DISSIPATION, "command": {"check": {
     **WEIGHTED_2D_DISSIPATION["command"]["check"], "type": "apriori"}}}
 
 
-@pytest.mark.parametrize("calls", [(), (("run", WIGGLY_RUN),),
-                                   (("check", WEIGHTED_2D_DISSIPATION),),
-                                   (("check", APRIORI_2D),)],
-                         ids=["import", "run", "check_dissipation", "check_apriori"])
+# a bare import of the CLI (cli_calls of no config), and well-formed
+# command lines of a run and of the checks on its trajectory
+TRAJECTORY_COMMANDS = pytest.mark.parametrize(
+    "calls", [(), (("run", WIGGLY_RUN),), (("check", WEIGHTED_2D_DISSIPATION),),
+              (("check", APRIORI_2D),)],
+    ids=["import", "run", "check_dissipation", "check_apriori"])
+
+
+@TRAJECTORY_COMMANDS
 def test_run_and_trajectory_checks_load_neither_sweep_nor_slope(calls, tmp_path):
-    # cli_calls of no config is a bare import of the CLI
     assert modules_after(cli_calls(tmp_path, *calls), ON_DEMAND) == []
 
 
@@ -257,6 +266,44 @@ def test_grid_route_run_loads_the_grid_route(tmp_path):
     # sizes of the interpolant's nodes take the Newton route
     code = cli_calls(tmp_path, ("run", BRACKET_RUN))
     assert modules_after(code, COMPILED_ON_DEMAND) == ["maxslope.brackets"]
+
+
+@TRAJECTORY_COMMANDS
+def test_well_formed_commands_load_no_parser(calls, tmp_path):
+    assert modules_after(cli_calls(tmp_path, *calls), PARSER) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run"]], ids=["help", "usage_error"])
+def test_help_and_usage_errors_load_the_parser(argv):
+    code = ("from maxslope import cli\ntry:\n"
+            f"    cli.main({argv!r})\nexcept SystemExit:\n    pass")
+    assert modules_after(code, PARSER) == list(PARSER)
+
+
+QUAD_RUN = {
+    "space": {"dimension": 1},
+    "energy": {"kind": "quadratic", "weights": [1.0], "center": [0.0]},
+    "command": {"run": {"eps": 1.0, "tau": 0.1, "horizon_T": 0.5,
+                        "initial_point": [1.0]}},
+}
+# (subcommand, config) of commands whose every coordinate row has a closed form
+CLOSED_FORM = {
+    "import": (),
+    "run": (("run", QUAD_RUN),),
+    "check_dissipation": (("check", WEIGHTED_2D_DISSIPATION),),
+    "check_apriori": (("check", APRIORI_2D),),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM))
+def test_closed_form_commands_load_no_search(name, tmp_path):
+    assert modules_after(cli_calls(tmp_path, *CLOSED_FORM[name]), SEARCH) == []
+
+
+@pytest.mark.parametrize("call", [("run", WIGGLY_RUN), WITHOUT_HEAVY["nd_check"][:2]],
+                         ids=["newton_run", "multistart_numeric_check"])
+def test_numeric_commands_load_the_search(call, tmp_path):
+    assert modules_after(cli_calls(tmp_path, call), SEARCH) == list(SEARCH)
 
 
 def test_cli_import_asks_for_one_blas_thread():

@@ -16,8 +16,8 @@ from maxslope.energy import (
 )
 from maxslope.errors import BudgetExhaustedError, EvaluationError, InvalidDeltaError
 from maxslope.metric import SpaceDescriptor, distances
-from maxslope.prox import (MULTISTART_NUMERIC, ProxSettings, _candidates, _select, _zoom_1d,
-                           prox_batch)
+from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox_batch
+from maxslope.search import _candidates, _select, _zoom_1d
 
 from conftest import brute_force_prox_1d, parse_config, prox_objective
 

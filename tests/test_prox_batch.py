@@ -33,19 +33,9 @@ from maxslope.errors import (
     InvalidDeltaError,
 )
 from maxslope.metric import SpaceDescriptor, distances
-from maxslope.prox import (
-    MULTISTART_NUMERIC,
-    ProxSettings,
-    _members,
-    _newton_1d,
-    _newton_row,
-    _precedes,
-    _select,
-    _zoom_1d,
-    prox_batch,
-    stepper,
-)
+from maxslope.prox import MULTISTART_NUMERIC, ProxSettings, prox_batch, stepper
 from maxslope.scheme import SchemeParams, build_interpolant, run_scheme
+from maxslope.search import _members, _newton_1d, _newton_row, _precedes, _select, _zoom_1d
 
 from conftest import brute_force_prox_1d, prox_objective, pt
 
@@ -504,7 +494,7 @@ class TestAgainstCoordinateLoop:
         for center, ties in ((0.025, []), (0.05, [0, 0])):
             spec = quadratic(SpaceDescriptor(2), [1e-8, 1e-8], [center, center])
             U = np.array([[0.0, 0.0], [0.3, -0.2]])
-            with mock.patch("maxslope.prox._select",
+            with mock.patch("maxslope.search._select",
                             side_effect=AssertionError("bracket route taken")):
                 batch = self.assert_matches_loop(spec, 1.0, np.array([1e6, 1.0]), U)
             assert list(batch.tie_rows) == ties
@@ -519,8 +509,8 @@ class TestAgainstCoordinateLoop:
         deltas, U = np.array([3e5, 1e7]), np.array([[0.0], [3.14159]])
         # one bracket-route ranking for the batch, one Newton-route
         # settling alone
-        with mock.patch("maxslope.prox._newton_1d", wraps=_newton_1d) as newton, \
-                mock.patch("maxslope.prox._select", wraps=_select) as select:
+        with mock.patch("maxslope.search._newton_1d", wraps=_newton_1d) as newton, \
+                mock.patch("maxslope.search._select", wraps=_select) as select:
             batch = prox_batch(spec, 1.0, deltas, U, NUMERIC)
             assert (newton.call_count, select.call_count) == (0, 1)
             alone = prox_batch(spec, 1.0, deltas[:1], U[:1], NUMERIC)
@@ -560,7 +550,7 @@ class TestNewtonRoute:
             spec = wiggly(spec)
         mu = curvature_floors(spec, eps)[0] + m / delta     # objective'' >= mu
         assume(mu > 0)
-        with mock.patch("maxslope.prox._select",
+        with mock.patch("maxslope.search._select",
                         side_effect=AssertionError("bracket route taken")):
             batch = prox_batch(spec, eps, [delta], [[u]], NUMERIC)
         v = batch.minimizers[0, 0]
@@ -595,7 +585,7 @@ class TestNewtonRoute:
         # but under 1e-9 below it, so the guard v = u is a near tie that
         # the kernel must hand on, bit for bit as the loop reference finds it.
         spec, delta = quadratic(LINE, [1e-8], [center]), 1e6
-        with mock.patch("maxslope.prox._select",
+        with mock.patch("maxslope.search._select",
                         side_effect=AssertionError("bracket route taken")):
             batch = prox_batch(spec, 1.0, [delta], [[u]], NUMERIC)
         best, moved, ties = reference_prox_1d(spec, 1.0, delta, u, NUMERIC)
@@ -613,7 +603,7 @@ class TestNewtonRoute:
         # candidates, even where the minimizer and the guard v = u are
         # within local_tol of each other.
         spec, eps, _, _ = FAMILIES["wiggly"]
-        with mock.patch("maxslope.prox._select", wraps=_select) as select:
+        with mock.patch("maxslope.search._select", wraps=_select) as select:
             traj = run_scheme(spec, SchemeParams(eps=eps, tau=eps ** 2, horizon_T=1.0,
                                                  initial_point=pt(0.5)))
             interp = build_interpolant(spec, traj, DEFAULTS)
@@ -633,12 +623,12 @@ class TestNewtonStepper:
     def assert_step_matches(spec, eps, delta, u, prox_settings):
         """The stepper's kernels' minimizer from ``u`` is ``prox_batch``'s,
         sign bits included.  A kernel that calls ``_zoom_1d``, looked up in
-        ``maxslope.prox``, is off the Newton route, and so is its
+        ``maxslope.search``, is off the Newton route, and so is its
         coordinate's row.  Returns the minimizer and the number of such
         calls."""
         kernels = stepper(spec, eps, delta, prox_settings)
         u = [float(v) for v in u]
-        with mock.patch("maxslope.prox._zoom_1d", wraps=_zoom_1d) as zoomed:
+        with mock.patch("maxslope.search._zoom_1d", wraps=_zoom_1d) as zoomed:
             found = [step(x) for step, x in zip(kernels, u)]
         res = prox_batch(spec, eps, [delta], [u], prox_settings)
         assert list(map(float.hex, found)) == list(map(float.hex,
@@ -736,7 +726,7 @@ class TestNewtonStepper:
         params = SchemeParams(eps=0.05, tau=0.0025, horizon_T=0.5,
                               initial_point=pt(*(0.5 - 0.1 * j for j in range(9))))
         with mock.patch("maxslope.prox.prox_batch", wraps=prox_batch) as batched, \
-                mock.patch("maxslope.prox._zoom_1d", wraps=_zoom_1d) as zoomed:
+                mock.patch("maxslope.search._zoom_1d", wraps=_zoom_1d) as zoomed:
             traj = run_scheme(spec, params)
         assert traj.n_steps == 200
         assert batched.call_count == zoomed.call_count == 0
@@ -746,7 +736,7 @@ class TestNewtonStepper:
             found = _zoom_1d(*args)
             searched.append((found[1].size, args[4].size))     # near ties, rows
             return found
-        with mock.patch("maxslope.prox._zoom_1d", side_effect=search):
+        with mock.patch("maxslope.search._zoom_1d", side_effect=search):
             build_interpolant(spec, traj, params.prox_settings)
         assert sum(rows for _, rows in searched) == 200 * 8 * 9
         assert all(ties == 0 for ties, _ in searched)
@@ -911,7 +901,7 @@ class TestArraySweep:
                     spec, eps, float(deltas[b]), float(U[b, j]), j)
         cols = np.arange(B * n) % n
         mw = spec.domain.metric_weights()
-        with mock.patch("maxslope.prox._select",
+        with mock.patch("maxslope.search._select",
                         side_effect=AssertionError("bracket route taken")):
             found = _zoom_1d(spec, eps, cols, np.repeat(deltas, n), U.ravel(), mw[cols],
                              NUMERIC)

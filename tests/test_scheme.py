@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxslope import prox, scheme
+from maxslope import prox, scheme, search
 from maxslope.cli import EXIT_SOLVER, main
 from maxslope.energy import convex_perturbed, custom_smooth, eval_many, quadratic, wiggly
 from maxslope.errors import (
@@ -308,8 +308,8 @@ class TestArrayTrajectory:
     def test_stepper_takes_newton_steps_on_floats(self, name, monkeypatch):
         # Each coordinate row settles its guard on floats, so no step of a
         # run on the Newton route calls prox_batch or the array search
-        # _zoom_1d, which a bracket-route kernel looks up in its module at
-        # each call; multistart_9d keeps guards within local_tol of the
+        # _zoom_1d, which a bracket-route kernel looks up in maxslope.search
+        # at each call; multistart_9d keeps guards within local_tol of the
         # minimizer
         calls = []
 
@@ -319,7 +319,7 @@ class TestArrayTrajectory:
                 return real(*args, **kwargs)
             return call
         monkeypatch.setattr(prox, "prox_batch", counted(prox.prox_batch))
-        monkeypatch.setattr(prox, "_zoom_1d", counted(prox._zoom_1d))
+        monkeypatch.setattr(search, "_zoom_1d", counted(search._zoom_1d))
         spec, params = RUNS[name]
         assert run_scheme(spec, params).n_steps == 100
         assert not calls
@@ -328,7 +328,7 @@ class TestArrayTrajectory:
         # only the bracket-route coordinate calls the array search, once a
         # step until it stops; the run is still the prox_batch loop's
         spec, params = RUNS["wiggly_2d_one_grid_row"]
-        with mock.patch("maxslope.prox._zoom_1d", wraps=prox._zoom_1d) as zoomed:
+        with mock.patch("maxslope.search._zoom_1d", wraps=search._zoom_1d) as zoomed:
             traj = run_scheme(spec, params)
         cols = [call.args[2].tolist() for call in zoomed.call_args_list]
         assert 0 < len(cols) <= traj.n_steps == 10
